@@ -72,7 +72,8 @@
 //! (default 5%) over the untraced one.
 //!
 //! Without arguments, runs every figure. `--json` additionally dumps the
-//! raw rows as JSON to stdout (for plotting).
+//! raw rows as JSON to stdout (for plotting). An unknown subcommand or
+//! figure name exits 2 and lists the valid ones.
 
 use bench_harness::experiments::{
     ablation, dynamic_experiment_statics, fault_model_ablation, fig3_bandwidth, fig4_latency,
@@ -102,21 +103,37 @@ use event_sim::SimDuration;
 use fleet::FleetSpec;
 use flexray::config::ClusterConfig;
 
+/// A subcommand's entry point; it gets the arguments after its name.
+type Subcommand = fn(&[String]);
+
+/// Every subcommand and its entry point. Any other first argument is a
+/// figure name (see `FIGURES`) or a flag of the figure run.
+const SUBCOMMANDS: [(&str, Subcommand); 11] = [
+    ("sweep", run_sweep),
+    ("replay", run_replay),
+    ("trace", run_trace),
+    ("golden", run_golden),
+    ("determinism", run_determinism),
+    ("storm-smoke", run_storm_smoke),
+    ("chaos", run_chaos),
+    ("cycles", run_cycles),
+    ("fleet", run_fleet),
+    ("backbone", run_backbone),
+    ("trace-overhead", run_trace_overhead),
+];
+
+/// The names `run_figures` accepts as positional arguments.
+const FIGURES: [&str; 12] = [
+    "fig1", "fig2", "fig3", "fig4a", "fig4b", "fig4c", "fig4d", "fig5", "ablation", "faults",
+    "verify", "all",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("sweep") => run_sweep(&args[1..]),
-        Some("replay") => run_replay(&args[1..]),
-        Some("trace") => run_trace(&args[1..]),
-        Some("golden") => run_golden(&args[1..]),
-        Some("determinism") => run_determinism(&args[1..]),
-        Some("storm-smoke") => run_storm_smoke(&args[1..]),
-        Some("chaos") => run_chaos(&args[1..]),
-        Some("cycles") => run_cycles(&args[1..]),
-        Some("fleet") => run_fleet(&args[1..]),
-        Some("backbone") => run_backbone(&args[1..]),
-        Some("trace-overhead") => run_trace_overhead(&args[1..]),
-        _ => run_figures(&args),
+    let first = args.first().map(String::as_str);
+    match SUBCOMMANDS.iter().find(|(name, _)| Some(*name) == first) {
+        Some((_, run)) => run(&args[1..]),
+        None => run_figures(&args),
     }
 }
 
@@ -1127,6 +1144,13 @@ fn run_figures(args: &[String]) {
         .filter(|a| !a.starts_with("--"))
         .map(String::as_str)
         .collect();
+    if let Some(bad) = which.iter().find(|w| !FIGURES.contains(w)) {
+        let subcommands: Vec<&str> = SUBCOMMANDS.iter().map(|(name, _)| *name).collect();
+        eprintln!("unknown subcommand or figure \"{bad}\"");
+        eprintln!("valid subcommands: {}", subcommands.join(", "));
+        eprintln!("valid figures: {}", FIGURES.join(", "));
+        std::process::exit(2);
+    }
     let all = which.is_empty() || which.contains(&"all");
     let want = |f: &str| all || which.contains(&f);
 

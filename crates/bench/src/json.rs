@@ -468,11 +468,15 @@ impl fmt::Display for Json {
             Json::Bool(b) => write!(f, "{b}"),
             Json::UInt(v) => write!(f, "{v}"),
             Json::Float(v) if v.is_finite() => {
-                // Guarantee a float-typed literal: `1.0` rather than `1`.
-                if v.fract() == 0.0 && v.abs() < 1e15 {
+                // Guarantee a float-typed literal: `1.0` rather than `1`,
+                // and `1e15` rather than a digit run that reads back as
+                // a `UInt`.
+                if v.fract() != 0.0 {
+                    write!(f, "{v}")
+                } else if v.abs() < 1e15 {
                     write!(f, "{v:.1}")
                 } else {
-                    write!(f, "{v}")
+                    write!(f, "{v:e}")
                 }
             }
             Json::Float(_) => f.write_str("null"),
@@ -518,6 +522,7 @@ mod tests {
         assert_eq!(Json::UInt(u64::MAX).to_string(), "18446744073709551615");
         assert_eq!(Json::Float(0.25).to_string(), "0.25");
         assert_eq!(Json::Float(3.0).to_string(), "3.0");
+        assert_eq!(Json::Float(2e15).to_string(), "2e15");
         assert_eq!(Json::Float(f64::NAN).to_string(), "null");
         assert_eq!(Json::Float(f64::INFINITY).to_string(), "null");
     }

@@ -3,8 +3,8 @@
 //!
 //! Each `figN_*` function runs the full dual-channel bus simulation for
 //! every parameter combination of the corresponding figure and returns
-//! typed rows; the `experiments` binary prints them as tables (or JSON),
-//! and the bench binaries time representative configurations. The figure
+//! typed rows; the `experiments` binary prints them as tables (or JSON).
+//! The figure
 //! cells execute through the parallel sweep harness
 //! ([`coefficient::sweep`], with the bench-side layer in [`sweep`]).
 //! Paper-reported values and our measured shapes are recorded side by

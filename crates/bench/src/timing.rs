@@ -1,8 +1,7 @@
-//! Tiny wall-clock benchmarking helper for the `benches/` binaries.
+//! Tiny wall-clock benchmarking helper behind `experiments trace-overhead`.
 //!
-//! The workspace compiles with no external crates, so the bench binaries
-//! (`harness = false`) time themselves with `std::time::Instant` instead
-//! of Criterion: a warm-up iteration, `iters` measured iterations, then a
+//! The workspace compiles with no external crates, so timing uses
+//! `std::time::Instant` instead of Criterion: a warm-up iteration, `iters` measured iterations, then a
 //! one-line human summary and a machine-readable JSON line per benchmark.
 
 use std::time::{Duration, Instant};

@@ -82,6 +82,43 @@ fn golden_verify_against_a_corpus_with_an_unknown_policy_lists_the_registry() {
     assert_lists_registry(&stderr, "NoSuchPolicy");
 }
 
+#[test]
+fn a_misspelled_subcommand_lists_the_subcommands_and_figures() {
+    // Any positional argument that is not a subcommand is read as a figure
+    // name, so a typo must not fall through to an empty figure run.
+    let out = experiments(&["swep"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(out.stdout.is_empty(), "nothing may run");
+    assert!(
+        stderr.contains("unknown subcommand or figure \"swep\""),
+        "diagnostic does not name the offender: {stderr}"
+    );
+    for name in [
+        "sweep",
+        "golden",
+        "trace-overhead",
+        "fig1",
+        "fig4d",
+        "fig5",
+        "faults",
+    ] {
+        assert!(
+            stderr.contains(name),
+            "diagnostic does not list {name:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn a_known_figure_name_still_runs() {
+    // Happy-path twin of the misspelling test above.
+    let out = experiments(&["fig5"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("Figure 5"));
+}
+
 fn assert_lists_scenarios(stderr: &str, bad_name: &str) {
     assert!(
         stderr.contains(&format!("unknown scenario \"{bad_name}\"")),

@@ -1,51 +1,42 @@
-//! Deterministic discrete-event simulation engine.
+//! Deterministic simulation time and seeded randomness.
 //!
-//! This crate is the foundation of the CoEfficient reproduction: the FlexRay
-//! bus, controllers and schedulers all run inside a [`Simulation`]. The
-//! engine is intentionally small and fully deterministic:
+//! This crate is the foundation of the CoEfficient reproduction: the
+//! cycle-level FlexRay bus engine, the schedulers and the experiment
+//! harness all share its clock and its RNG discipline.
 //!
 //! * time is an integer number of nanoseconds ([`SimTime`], [`SimDuration`]),
 //!   so FlexRay macroticks (1 µs) and bit times (100 ns at 10 Mbit/s) are
 //!   exact;
-//! * events scheduled for the same instant fire in the order they were
-//!   scheduled (a monotone sequence number breaks ties);
-//! * all randomness is injected through seeded RNGs built by [`rng`].
+//! * all randomness is injected through seeded RNGs built by [`rng`], so a
+//!   single experiment seed reproduces an identical run.
 //!
 //! # Example
 //!
 //! ```
-//! use event_sim::{Model, Context, Simulation, SimTime, SimDuration};
+//! use event_sim::rng::substream;
+//! use event_sim::{SimDuration, SimTime};
+//! use rand::Rng;
 //!
-//! struct Counter { fired: u32 }
-//! #[derive(Debug)]
-//! enum Tick { Once }
-//!
-//! impl Model for Counter {
-//!     type Event = Tick;
-//!     fn handle(&mut self, now: SimTime, _ev: Tick, ctx: &mut Context<Tick>) {
-//!         self.fired += 1;
-//!         if self.fired < 3 {
-//!             ctx.schedule_in(SimDuration::from_micros(10), Tick::Once);
-//!         }
-//!         let _ = now;
-//!     }
+//! // Five 1 ms cycles, each start shifted by a seeded sub-bit jitter.
+//! let mut rng = substream(7, "jitter");
+//! let mut now = SimTime::ZERO;
+//! for _ in 0..5 {
+//!     let jitter = SimDuration::from_nanos(rng.gen_range(0..100));
+//!     assert!(now + jitter < now + SimDuration::from_micros(1));
+//!     now += SimDuration::from_millis(1);
 //! }
-//!
-//! let mut sim = Simulation::new(Counter { fired: 0 });
-//! sim.schedule(SimTime::ZERO, Tick::Once);
-//! sim.run();
-//! assert_eq!(sim.model().fired, 3);
-//! assert_eq!(sim.now(), SimTime::from_micros(20));
+//! assert_eq!(now, SimTime::from_millis(5));
+//! // The same seed and label replay the same stream.
+//! assert_eq!(
+//!     substream(7, "jitter").gen::<u64>(),
+//!     substream(7, "jitter").gen::<u64>()
+//! );
 //! ```
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod engine;
-mod queue;
 pub mod rng;
 mod time;
 
-pub use engine::{Context, Model, RunOutcome, Simulation};
-pub use queue::{EventQueue, QueuedEvent};
 pub use time::{SimDuration, SimTime};

@@ -5,8 +5,7 @@
 //! `pLatestTx` gating) in the dynamic segment, independently per channel,
 //! with BER-driven fault injection on each transmitted frame.
 //!
-//! Traffic is supplied by a [`TrafficSource`] — either a cluster of
-//! [`crate::node::Node`]s (see [`NodeCluster`]) or a scheduler-level
+//! Traffic is supplied by a [`TrafficSource`], a scheduler-level
 //! implementation such as the CoEfficient/FSPEC runners in the
 //! `coefficient` crate. Everything the paper's metrics need (who occupied
 //! the bus when, and whether the frame was corrupted) is reported through
@@ -21,7 +20,6 @@ use reliability::monitor::{HealthState, MonitorConfig, ReliabilityMonitor};
 use crate::channel::ChannelId;
 use crate::codec::FrameCoding;
 use crate::config::ClusterConfig;
-use crate::node::Node;
 use crate::schedule::MessageId;
 
 /// A payload handed to the engine for transmission.
@@ -546,97 +544,9 @@ impl BusEngine {
     }
 }
 
-/// A cluster of [`Node`]s acting as one [`TrafficSource`]: static slots are
-/// answered by the owning node's controller, dynamic slots by polling every
-/// node (exactly one can own a frame id at a time on a channel).
-#[derive(Debug, Default)]
-pub struct NodeCluster {
-    nodes: Vec<Node>,
-}
-
-impl NodeCluster {
-    /// Creates a cluster over `nodes`.
-    pub fn new(nodes: Vec<Node>) -> Self {
-        NodeCluster { nodes }
-    }
-
-    /// The member nodes.
-    pub fn nodes(&self) -> &[Node] {
-        &self.nodes
-    }
-
-    /// The member nodes, mutably (host-side message production).
-    pub fn nodes_mut(&mut self) -> &mut [Node] {
-        &mut self.nodes
-    }
-}
-
-impl TrafficSource for NodeCluster {
-    fn static_frame(
-        &mut self,
-        _cycle: u64,
-        cycle_counter: u8,
-        slot: u16,
-        channel: ChannelId,
-    ) -> Option<OutboundPayload> {
-        for node in &mut self.nodes {
-            if let Some(staged) = node
-                .controller_mut()
-                .static_frame(cycle_counter, slot, channel)
-            {
-                return Some(OutboundPayload {
-                    message: staged.message,
-                    payload_bytes: staged.payload_bytes,
-                    produced_at: staged.produced_at,
-                });
-            }
-        }
-        None
-    }
-
-    fn dynamic_frame(
-        &mut self,
-        _cycle: u64,
-        channel: ChannelId,
-        slot_counter: u64,
-        max_payload_bytes: u16,
-    ) -> Option<OutboundPayload> {
-        let Ok(frame_id) = u16::try_from(slot_counter) else {
-            return None;
-        };
-        for node in &mut self.nodes {
-            // Only take the frame if it fits; otherwise it waits for the
-            // next cycle (its id will match again).
-            let fits = node
-                .controller()
-                .chi()
-                .peek_dynamic(channel)
-                .map(|r| {
-                    r.frame_id.get() == frame_id && r.staged.payload_bytes <= max_payload_bytes
-                })
-                .unwrap_or(false);
-            if !fits {
-                continue;
-            }
-            if let Some(req) = node.controller_mut().dynamic_frame(channel, frame_id) {
-                return Some(OutboundPayload {
-                    message: req.staged.message,
-                    payload_bytes: req.staged.payload_bytes,
-                    produced_at: req.staged.produced_at,
-                });
-            }
-        }
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::ChannelSet;
-    use crate::frame::FrameId;
-    use crate::node::NodeId;
-    use crate::schedule::{ScheduleEntry, ScheduleTable};
     use reliability::fault::BernoulliFaults;
     use reliability::Ber;
 
@@ -754,6 +664,45 @@ mod tests {
     }
 
     #[test]
+    fn lower_dynamic_slot_counter_transmits_first() {
+        let mut engine = BusEngine::new(config());
+        engine.record_outcomes(true);
+        let mut src = Script::default();
+        // Staged in the opposite order: the minislot count decides.
+        src.dynamic_payloads
+            .push((0, ChannelId::A, 9, payload(200, 4)));
+        src.dynamic_payloads
+            .push((0, ChannelId::A, 6, payload(201, 4)));
+        engine.run_cycle(0, &mut src);
+        let order: Vec<(MessageId, SlotLocation)> = engine
+            .outcomes()
+            .iter()
+            .map(|o| (o.message, o.location))
+            .collect();
+        // Counter 6 starts at minislot 1 and its 130-bit frame takes 7
+        // minislots + 1 idle phase; counters 7 and 8 then pass empty.
+        assert_eq!(
+            order,
+            vec![
+                (
+                    201,
+                    SlotLocation::Dynamic {
+                        slot_counter: 6,
+                        minislot: 1
+                    }
+                ),
+                (
+                    200,
+                    SlotLocation::Dynamic {
+                        slot_counter: 9,
+                        minislot: 11
+                    }
+                ),
+            ]
+        );
+    }
+
+    #[test]
     fn latest_tx_blocks_late_starts() {
         let cfg = ClusterConfig::builder()
             .macroticks_per_cycle(1000)
@@ -787,8 +736,13 @@ mod tests {
         src.static_payloads
             .push((0, 1, ChannelId::A, payload(1, 8)));
         engine.run_cycle(0, &mut src);
-        assert!(engine.outcomes()[0].corrupted);
-        assert_eq!(engine.stats(ChannelId::A).corrupted, 1);
+        let out = &engine.outcomes()[0];
+        assert!(out.corrupted);
+        let st = engine.stats(ChannelId::A);
+        assert_eq!(st.corrupted, 1);
+        // A corrupted frame still occupied the wire.
+        assert_eq!(st.busy, out.duration);
+        assert_eq!(st.occupied, engine.config().static_slot_duration());
     }
 
     #[test]
@@ -800,10 +754,21 @@ mod tests {
             .push((0, 1, ChannelId::A, payload(1, 2)));
         src.static_payloads
             .push((0, 1, ChannelId::B, payload(2, 2)));
+        // One message staged on both channels: A's copy goes out first.
+        for ch in [ChannelId::B, ChannelId::A] {
+            src.static_payloads.push((0, 2, ch, payload(3, 2)));
+        }
         engine.run_cycle(0, &mut src);
-        assert_eq!(engine.outcomes().len(), 2);
-        assert_eq!(engine.stats(ChannelId::A).frames, 1);
-        assert_eq!(engine.stats(ChannelId::B).frames, 1);
+        assert_eq!(engine.outcomes().len(), 4);
+        assert_eq!(engine.stats(ChannelId::A).frames, 2);
+        assert_eq!(engine.stats(ChannelId::B).frames, 2);
+        let copies: Vec<ChannelId> = engine
+            .outcomes()
+            .iter()
+            .filter(|o| o.message == 3)
+            .map(|o| o.channel)
+            .collect();
+        assert_eq!(copies, vec![ChannelId::A, ChannelId::B]);
     }
 
     #[test]
@@ -815,49 +780,26 @@ mod tests {
     }
 
     #[test]
-    fn elapsed_tracks_cycles() {
+    fn elapsed_and_slot_accounting_track_cycles() {
         let mut engine = BusEngine::new(config());
         let mut src = Script::default();
-        engine.run_cycle(0, &mut src);
-        engine.run_cycle(1, &mut src);
-        assert_eq!(engine.cycles_run(), 2);
-        assert_eq!(engine.elapsed(), SimTime::from_millis(2));
-    }
-
-    #[test]
-    fn node_cluster_serves_static_and_dynamic() {
-        let me = NodeId::new(0);
-        let table = ScheduleTable::new(
-            4,
-            vec![ScheduleEntry {
-                slot: 1,
-                base_cycle: 0,
-                repetition: 1,
-                node: me,
-                channels: ChannelSet::AOnly,
-                message: 11,
-            }],
-        )
-        .unwrap();
-        let mut node = Node::new(me, table);
-        node.produce_static(1, 11, 4, SimTime::ZERO);
-        node.produce_dynamic(ChannelId::A, FrameId::new(6), 99, 4, SimTime::ZERO);
-        let mut cluster = NodeCluster::new(vec![node]);
-        let mut engine = BusEngine::new(config());
-        engine.record_outcomes(true);
-        engine.run_cycle(0, &mut cluster);
-        let msgs: Vec<MessageId> = engine.outcomes().iter().map(|o| o.message).collect();
-        assert_eq!(msgs, vec![11, 99]);
-        match engine.outcomes()[1].location {
-            SlotLocation::Dynamic {
-                slot_counter,
-                minislot,
-            } => {
-                assert_eq!(slot_counter, 6);
-                assert_eq!(minislot, 1);
-            }
-            _ => panic!("expected dynamic"),
+        for cycle in 0..8 {
+            src.static_payloads
+                .push((cycle, 1, ChannelId::A, payload(1, 8)));
         }
+        for cycle in 0..8 {
+            engine.run_cycle(cycle, &mut src);
+        }
+        assert_eq!(engine.cycles_run(), 8);
+        assert_eq!(engine.elapsed(), SimTime::from_millis(8));
+        let slots = engine.config().static_slot_count();
+        for ch in ChannelId::BOTH {
+            // Every static slot is either a frame or idle.
+            let st = engine.stats(ch);
+            assert_eq!(st.frames + st.idle_static_slots, 8 * slots);
+            assert!(st.occupied >= st.busy, "slot time includes wire time");
+        }
+        assert_eq!(engine.stats(ChannelId::A).frames, 8);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::fmt;
 
 /// One of the two FlexRay channels. The dual-channel design (§III-D of the
 /// paper) is FlexRay's main hardware reliability feature: a frame may be
-/// configured to transmit on channel A, channel B, or both.
+/// transmitted on channel A, channel B, or both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ChannelId {
     /// Channel A.
@@ -55,74 +55,6 @@ impl fmt::Display for ChannelId {
     }
 }
 
-/// The set of channels a frame or node is configured on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ChannelSet {
-    /// Channel A only.
-    #[default]
-    AOnly,
-    /// Channel B only.
-    BOnly,
-    /// Both channels (redundant transmission).
-    Both,
-}
-
-impl ChannelSet {
-    /// Does the set contain `ch`?
-    pub fn contains(self, ch: ChannelId) -> bool {
-        matches!(
-            (self, ch),
-            (ChannelSet::AOnly, ChannelId::A)
-                | (ChannelSet::BOnly, ChannelId::B)
-                | (ChannelSet::Both, _)
-        )
-    }
-
-    /// Iterates over the contained channels in A→B order.
-    pub fn iter(self) -> impl Iterator<Item = ChannelId> {
-        ChannelId::BOTH
-            .into_iter()
-            .filter(move |&c| self.contains(c))
-    }
-
-    /// Builds a set from per-channel flags.
-    ///
-    /// # Panics
-    /// Panics if both flags are false (a frame must use at least one
-    /// channel).
-    pub fn from_flags(a: bool, b: bool) -> Self {
-        match (a, b) {
-            (true, true) => ChannelSet::Both,
-            (true, false) => ChannelSet::AOnly,
-            (false, true) => ChannelSet::BOnly,
-            (false, false) => panic!("a channel set must contain at least one channel"),
-        }
-    }
-
-    /// Number of channels in the set (1 or 2).
-    pub fn len(self) -> usize {
-        match self {
-            ChannelSet::Both => 2,
-            _ => 1,
-        }
-    }
-
-    /// Always `false`; provided for API symmetry with collections.
-    pub fn is_empty(self) -> bool {
-        false
-    }
-}
-
-impl fmt::Display for ChannelSet {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ChannelSet::AOnly => write!(f, "A"),
-            ChannelSet::BOnly => write!(f, "B"),
-            ChannelSet::Both => write!(f, "A+B"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,38 +77,8 @@ mod tests {
     }
 
     #[test]
-    fn set_membership() {
-        assert!(ChannelSet::AOnly.contains(ChannelId::A));
-        assert!(!ChannelSet::AOnly.contains(ChannelId::B));
-        assert!(ChannelSet::Both.contains(ChannelId::B));
-        assert_eq!(ChannelSet::Both.len(), 2);
-        assert_eq!(ChannelSet::BOnly.len(), 1);
-    }
-
-    #[test]
-    fn iter_yields_in_order() {
-        let v: Vec<ChannelId> = ChannelSet::Both.iter().collect();
-        assert_eq!(v, vec![ChannelId::A, ChannelId::B]);
-        let v: Vec<ChannelId> = ChannelSet::BOnly.iter().collect();
-        assert_eq!(v, vec![ChannelId::B]);
-    }
-
-    #[test]
-    fn from_flags_roundtrip() {
-        assert_eq!(ChannelSet::from_flags(true, false), ChannelSet::AOnly);
-        assert_eq!(ChannelSet::from_flags(false, true), ChannelSet::BOnly);
-        assert_eq!(ChannelSet::from_flags(true, true), ChannelSet::Both);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one channel")]
-    fn empty_set_rejected() {
-        let _ = ChannelSet::from_flags(false, false);
-    }
-
-    #[test]
     fn display() {
         assert_eq!(ChannelId::A.to_string(), "A");
-        assert_eq!(ChannelSet::Both.to_string(), "A+B");
+        assert_eq!(ChannelId::B.to_string(), "B");
     }
 }

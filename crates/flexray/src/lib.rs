@@ -4,8 +4,8 @@
 //! testbed; this crate is the simulated equivalent, faithful at the level
 //! the evaluation observes: cycle/slot/minislot timing, dual channels,
 //! frame formats and CRCs, TDMA arbitration in the static segment, FTDMA
-//! (minislot) arbitration in the dynamic segment, controller/host
-//! interfaces, and BER-driven transient fault injection.
+//! (minislot) arbitration in the dynamic segment, and BER-driven transient
+//! fault injection.
 //!
 //! Module map:
 //!
@@ -17,17 +17,9 @@
 //!   how long a frame occupies the wire, and bit-exact
 //!   serialization/deserialization;
 //! * [`signal`] — ECU signals and frame packing (§II-A);
-//! * [`schedule`] — the static-segment schedule table;
-//! * [`controller`] + [`chi`] + [`node`] — communication controller with
-//!   per-channel slot counters, controller–host interface buffers, ECU
-//!   nodes;
+//! * [`schedule`] — the [`schedule::MessageId`] shared with the schedulers;
 //! * [`bus`] — the cycle-level dual-channel bus engine with fault
-//!   injection and a bus-analyzer-style trace;
-//! * [`poc`] + [`startup`] — protocol operation control state machine and
-//!   cluster coldstart/integration;
-//! * [`sync`] — fault-tolerant-midpoint clock synchronization;
-//! * [`topology`] — bus/star/hybrid cluster topologies and propagation
-//!   delays.
+//!   injection and a bus-analyzer-style trace.
 //!
 //! # Example
 //!
@@ -48,23 +40,16 @@
 
 pub mod bitstream;
 pub mod bus;
-pub mod chi;
 pub mod codec;
 pub mod config;
-pub mod controller;
 pub mod crc;
 pub mod frame;
-pub mod node;
-pub mod poc;
 pub mod schedule;
 pub mod signal;
-pub mod startup;
-pub mod sync;
-pub mod topology;
 
 mod channel;
 mod error;
 
-pub use channel::{ChannelId, ChannelSet};
+pub use channel::ChannelId;
 pub use error::ConfigError;
 pub use frame::{Frame, FrameHeader, FrameId};

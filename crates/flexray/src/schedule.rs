@@ -1,351 +1,4 @@
-//! The static-segment schedule table.
-//!
-//! Each node's communication controller holds a schedule table mapping
-//! `(slot, cycle)` to the message transmitted there (§II-B). FlexRay
-//! multiplexes a slot across cycles with a *(base cycle, repetition)* pair:
-//! the entry is active in cycles `c` with `c ≡ base (mod repetition)`,
-//! where the repetition is a power of two dividing 64.
-
-use std::fmt;
-
-use crate::channel::{ChannelId, ChannelSet};
-use crate::config::CYCLE_COUNT_MAX;
-use crate::node::NodeId;
+//! Message identifiers shared by the bus engine and the schedulers.
 
 /// Identifier of a schedulable message, unique within a workload.
 pub type MessageId = u32;
-
-/// One schedule-table entry.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScheduleEntry {
-    /// Static slot number (1-based; equals the frame id transmitted in it).
-    pub slot: u16,
-    /// First cycle (0–63) in which the entry is active.
-    pub base_cycle: u8,
-    /// Cycle repetition: 1, 2, 4, 8, 16, 32 or 64.
-    pub repetition: u8,
-    /// The transmitting node.
-    pub node: NodeId,
-    /// Channel(s) the frame is sent on.
-    pub channels: ChannelSet,
-    /// The message transmitted by this entry.
-    pub message: MessageId,
-}
-
-impl ScheduleEntry {
-    /// `true` if this entry transmits in the cycle with counter value
-    /// `cycle_counter` (0–63).
-    pub fn active_in(&self, cycle_counter: u8) -> bool {
-        (u64::from(cycle_counter) % u64::from(self.repetition)) == u64::from(self.base_cycle)
-    }
-}
-
-/// Errors detected when building a [`ScheduleTable`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ScheduleError {
-    /// Slot number 0 or beyond the configured static slot count.
-    SlotOutOfRange {
-        /// Offending slot.
-        slot: u16,
-        /// Configured slot count.
-        slots: u16,
-    },
-    /// Repetition not a power of two dividing 64.
-    BadRepetition(u8),
-    /// Base cycle not smaller than the repetition.
-    BadBaseCycle {
-        /// Offending base.
-        base: u8,
-        /// Entry repetition.
-        repetition: u8,
-    },
-    /// Two entries would transmit in the same (slot, channel, cycle).
-    Conflict {
-        /// Conflicting slot.
-        slot: u16,
-        /// Conflicting channel.
-        channel: ChannelId,
-        /// Index of the first entry.
-        first: usize,
-        /// Index of the second entry.
-        second: usize,
-    },
-}
-
-impl fmt::Display for ScheduleError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ScheduleError::SlotOutOfRange { slot, slots } => {
-                write!(f, "slot {slot} out of range 1..={slots}")
-            }
-            ScheduleError::BadRepetition(r) => {
-                write!(f, "repetition {r} is not a power of two dividing 64")
-            }
-            ScheduleError::BadBaseCycle { base, repetition } => {
-                write!(
-                    f,
-                    "base cycle {base} must be smaller than repetition {repetition}"
-                )
-            }
-            ScheduleError::Conflict {
-                slot,
-                channel,
-                first,
-                second,
-            } => write!(
-                f,
-                "entries {first} and {second} both transmit in slot {slot} on channel {channel}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ScheduleError {}
-
-/// A validated, conflict-free static schedule.
-///
-/// ```
-/// use flexray::schedule::{ScheduleEntry, ScheduleTable};
-/// use flexray::{ChannelSet, node::NodeId};
-/// let table = ScheduleTable::new(10, vec![
-///     ScheduleEntry { slot: 1, base_cycle: 0, repetition: 1,
-///         node: NodeId::new(0), channels: ChannelSet::Both, message: 100 },
-///     ScheduleEntry { slot: 2, base_cycle: 0, repetition: 2,
-///         node: NodeId::new(1), channels: ChannelSet::AOnly, message: 101 },
-///     ScheduleEntry { slot: 2, base_cycle: 1, repetition: 2,
-///         node: NodeId::new(2), channels: ChannelSet::AOnly, message: 102 },
-/// ]).unwrap();
-/// assert_eq!(table.lookup(2, flexray::ChannelId::A, 3).unwrap().message, 102);
-/// assert!(table.lookup(2, flexray::ChannelId::B, 0).is_none());
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScheduleTable {
-    slots: u16,
-    entries: Vec<ScheduleEntry>,
-}
-
-impl ScheduleTable {
-    /// Validates `entries` against a static segment of `slots` slots.
-    ///
-    /// # Errors
-    /// The first [`ScheduleError`] found.
-    pub fn new(slots: u16, entries: Vec<ScheduleEntry>) -> Result<Self, ScheduleError> {
-        for e in &entries {
-            if e.slot == 0 || e.slot > slots {
-                return Err(ScheduleError::SlotOutOfRange {
-                    slot: e.slot,
-                    slots,
-                });
-            }
-            if !u64::from(e.repetition).is_power_of_two()
-                || u64::from(e.repetition) > CYCLE_COUNT_MAX
-            {
-                return Err(ScheduleError::BadRepetition(e.repetition));
-            }
-            if e.base_cycle >= e.repetition {
-                return Err(ScheduleError::BadBaseCycle {
-                    base: e.base_cycle,
-                    repetition: e.repetition,
-                });
-            }
-        }
-        // Conflict check: two entries clash iff they share a slot and a
-        // channel and their cycle sets intersect. For powers of two,
-        // {c ≡ b1 (mod r1)} ∩ {c ≡ b2 (mod r2)} ≠ ∅ iff
-        // b1 ≡ b2 (mod min(r1, r2)).
-        for i in 0..entries.len() {
-            for j in (i + 1)..entries.len() {
-                let (a, b) = (&entries[i], &entries[j]);
-                if a.slot != b.slot {
-                    continue;
-                }
-                let share_channel = ChannelId::BOTH
-                    .iter()
-                    .any(|&c| a.channels.contains(c) && b.channels.contains(c));
-                if !share_channel {
-                    continue;
-                }
-                let m = a.repetition.min(b.repetition);
-                if a.base_cycle % m == b.base_cycle % m {
-                    let channel = ChannelId::BOTH
-                        .into_iter()
-                        .find(|&c| a.channels.contains(c) && b.channels.contains(c))
-                        .expect("shared channel exists");
-                    return Err(ScheduleError::Conflict {
-                        slot: a.slot,
-                        channel,
-                        first: i,
-                        second: j,
-                    });
-                }
-            }
-        }
-        Ok(ScheduleTable { slots, entries })
-    }
-
-    /// Number of static slots the table was validated against.
-    pub fn slot_count(&self) -> u16 {
-        self.slots
-    }
-
-    /// All entries.
-    pub fn entries(&self) -> &[ScheduleEntry] {
-        &self.entries
-    }
-
-    /// The entry transmitting in `slot` on `channel` during the cycle with
-    /// counter `cycle_counter`, if any.
-    pub fn lookup(
-        &self,
-        slot: u16,
-        channel: ChannelId,
-        cycle_counter: u8,
-    ) -> Option<&ScheduleEntry> {
-        self.entries
-            .iter()
-            .find(|e| e.slot == slot && e.channels.contains(channel) && e.active_in(cycle_counter))
-    }
-
-    /// All entries owned by `node`.
-    pub fn entries_of(&self, node: NodeId) -> impl Iterator<Item = &ScheduleEntry> {
-        self.entries.iter().filter(move |e| e.node == node)
-    }
-
-    /// Fraction of (slot, cycle) pairs on `channel` with an assigned
-    /// transmission, over one 64-cycle matrix — the static-segment
-    /// *allocation* density (idle slots are the slack CoEfficient steals).
-    pub fn allocation_density(&self, channel: ChannelId) -> f64 {
-        let total = u64::from(self.slots) * CYCLE_COUNT_MAX;
-        if total == 0 {
-            return 0.0;
-        }
-        let mut used = 0u64;
-        for e in &self.entries {
-            if e.channels.contains(channel) {
-                used += CYCLE_COUNT_MAX / u64::from(e.repetition);
-            }
-        }
-        used as f64 / total as f64
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn entry(slot: u16, base: u8, rep: u8, ch: ChannelSet, msg: MessageId) -> ScheduleEntry {
-        ScheduleEntry {
-            slot,
-            base_cycle: base,
-            repetition: rep,
-            node: NodeId::new(0),
-            channels: ch,
-            message: msg,
-        }
-    }
-
-    #[test]
-    fn lookup_respects_cycle_multiplexing() {
-        let t = ScheduleTable::new(
-            4,
-            vec![
-                entry(1, 0, 2, ChannelSet::Both, 10),
-                entry(1, 1, 2, ChannelSet::Both, 11),
-            ],
-        )
-        .unwrap();
-        assert_eq!(t.lookup(1, ChannelId::A, 0).unwrap().message, 10);
-        assert_eq!(t.lookup(1, ChannelId::A, 1).unwrap().message, 11);
-        assert_eq!(t.lookup(1, ChannelId::A, 2).unwrap().message, 10);
-        assert!(t.lookup(2, ChannelId::A, 0).is_none());
-    }
-
-    #[test]
-    fn conflict_same_cycle_set_rejected() {
-        let err = ScheduleTable::new(
-            4,
-            vec![
-                entry(1, 0, 2, ChannelSet::AOnly, 10),
-                entry(1, 2, 4, ChannelSet::AOnly, 11), // 2 mod 2 == 0 → overlaps
-            ],
-        )
-        .unwrap_err();
-        assert!(matches!(err, ScheduleError::Conflict { slot: 1, .. }));
-    }
-
-    #[test]
-    fn disjoint_cycles_coexist() {
-        let t = ScheduleTable::new(
-            4,
-            vec![
-                entry(1, 0, 4, ChannelSet::AOnly, 10),
-                entry(1, 1, 4, ChannelSet::AOnly, 11),
-                entry(1, 2, 4, ChannelSet::AOnly, 12),
-                entry(1, 3, 4, ChannelSet::AOnly, 13),
-            ],
-        );
-        assert!(t.is_ok());
-    }
-
-    #[test]
-    fn different_channels_coexist() {
-        let t = ScheduleTable::new(
-            4,
-            vec![
-                entry(1, 0, 1, ChannelSet::AOnly, 10),
-                entry(1, 0, 1, ChannelSet::BOnly, 11),
-            ],
-        )
-        .unwrap();
-        assert_eq!(t.lookup(1, ChannelId::A, 5).unwrap().message, 10);
-        assert_eq!(t.lookup(1, ChannelId::B, 5).unwrap().message, 11);
-    }
-
-    #[test]
-    fn validation_errors() {
-        assert!(matches!(
-            ScheduleTable::new(4, vec![entry(5, 0, 1, ChannelSet::Both, 1)]),
-            Err(ScheduleError::SlotOutOfRange { slot: 5, slots: 4 })
-        ));
-        assert!(matches!(
-            ScheduleTable::new(4, vec![entry(1, 0, 3, ChannelSet::Both, 1)]),
-            Err(ScheduleError::BadRepetition(3))
-        ));
-        assert!(matches!(
-            ScheduleTable::new(4, vec![entry(1, 2, 2, ChannelSet::Both, 1)]),
-            Err(ScheduleError::BadBaseCycle {
-                base: 2,
-                repetition: 2
-            })
-        ));
-    }
-
-    #[test]
-    fn allocation_density() {
-        // One every-cycle entry in a 2-slot table on A: 64 / 128 = 0.5.
-        let t = ScheduleTable::new(2, vec![entry(1, 0, 1, ChannelSet::AOnly, 1)]).unwrap();
-        assert!((t.allocation_density(ChannelId::A) - 0.5).abs() < 1e-12);
-        assert_eq!(t.allocation_density(ChannelId::B), 0.0);
-        // Adding a rep-2 entry in slot 2 adds 32/128.
-        let t = ScheduleTable::new(
-            2,
-            vec![
-                entry(1, 0, 1, ChannelSet::AOnly, 1),
-                entry(2, 0, 2, ChannelSet::AOnly, 2),
-            ],
-        )
-        .unwrap();
-        assert!((t.allocation_density(ChannelId::A) - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn entries_of_filters_by_node() {
-        let mut e1 = entry(1, 0, 1, ChannelSet::Both, 1);
-        e1.node = NodeId::new(3);
-        let e2 = entry(2, 0, 1, ChannelSet::Both, 2);
-        let t = ScheduleTable::new(4, vec![e1, e2]).unwrap();
-        assert_eq!(t.entries_of(NodeId::new(3)).count(), 1);
-        assert_eq!(t.entries_of(NodeId::new(0)).count(), 1);
-        assert_eq!(t.entries_of(NodeId::new(9)).count(), 0);
-    }
-}
