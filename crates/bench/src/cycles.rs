@@ -502,7 +502,7 @@ mod tests {
             p.wall /= 2;
         }
         let cmp = compare_to_baseline(&report, &fast_host, CYCLES_TOLERANCE).unwrap();
-        for c in &cmp {
+        for ((c, slow), fast) in cmp.iter().zip(&report.policies).zip(&fast_host.policies) {
             assert!(
                 !c.regressed,
                 "{}: host speed leaked into the gate",
@@ -514,9 +514,16 @@ mod tests {
                 c.policy,
                 c.ratio
             );
-            // Raw numbers still show the host difference for display
-            // (Duration halving truncates to whole nanoseconds).
-            assert!((c.baseline_cps / c.current_cps - 2.0).abs() < 1e-6);
+            // Raw numbers still show the host difference for display.
+            // Halving a Duration truncates to whole nanoseconds, so the
+            // exact ratio is the two walls' nanosecond counts, not 2.
+            let want = slow.wall.as_nanos() as f64 / fast.wall.as_nanos() as f64;
+            let got = c.baseline_cps / c.current_cps;
+            assert!(
+                (got / want - 1.0).abs() < 1e-12,
+                "{}: raw ratio {got}, want {want}",
+                c.policy
+            );
         }
         // A genuine regression — the sim slowed down but the host did not
         // (paired calibration unchanged) — still fails.

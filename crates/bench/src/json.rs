@@ -64,12 +64,16 @@ impl Json {
     /// (exact for the full `u64` range — fingerprints and seeds survive
     /// the round trip); everything else parses as [`Json::Float`].
     ///
+    /// Arrays and objects may nest at most [`MAX_DEPTH`] levels deep, so
+    /// hostile input fails with an error instead of exhausting the stack.
+    ///
     /// # Errors
     /// A [`JsonParseError`] with the byte offset of the first defect.
     pub fn parse(input: &str) -> Result<Json, JsonParseError> {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -195,6 +199,10 @@ impl From<&str> for Json {
     }
 }
 
+/// How many arrays and objects [`Json::parse`] accepts nested inside each
+/// other. Every document the tools write nests under ten levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// A parse failure: what went wrong and the byte offset where.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonParseError {
@@ -219,6 +227,8 @@ impl std::error::Error for JsonParseError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -263,8 +273,19 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::String),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("arrays and objects nest deeper than 128 levels"));
+                }
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
@@ -634,6 +655,18 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "accepted: {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let arrays = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        let objects = |n: usize| "{\"k\":".repeat(n) + "0" + &"}".repeat(n);
+        assert!(Json::parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&objects(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&arrays(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH, "{err}");
+        assert!(err.message.contains("128"), "{err}");
+        assert!(Json::parse(&objects(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

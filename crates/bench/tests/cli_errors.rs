@@ -83,6 +83,21 @@ fn golden_verify_against_a_corpus_with_an_unknown_policy_lists_the_registry() {
 }
 
 #[test]
+fn golden_verify_against_a_deeply_nested_corpus_exits_2() {
+    // 200,000 open brackets used to overflow the parser's stack (exit 134).
+    let path = std::env::temp_dir().join(format!("cli-deep-nesting-{SEED}.json"));
+    std::fs::write(&path, "[".repeat(200_000)).expect("temp corpus writes");
+    let out = experiments(&["golden", "verify", "--corpus", path.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(
+        stderr.contains("nest deeper than 128 levels"),
+        "diagnostic does not name the defect: {stderr}"
+    );
+}
+
+#[test]
 fn a_misspelled_subcommand_lists_the_subcommands_and_figures() {
     // Any positional argument that is not a subcommand is read as a figure
     // name, so a typo must not fall through to an empty figure run.

@@ -2,7 +2,7 @@
 //! corpus, baseline and spec file: it never panics, and it inverts the
 //! writer on every document the writer can emit.
 
-use bench_harness::json::Json;
+use bench_harness::json::{Json, MAX_DEPTH};
 use proptest::prelude::*;
 use proptest::{collection, Rejection};
 use rand::rngs::SmallRng;
@@ -136,5 +136,30 @@ proptest! {
     fn parse_inverts_the_writer(doc in Documents { depth: 4 }) {
         prop_assert_eq!(Json::parse(&doc.to_string()).ok(), Some(doc.clone()));
         prop_assert_eq!(Json::parse(&doc.pretty()).ok(), Some(doc));
+    }
+
+    #[test]
+    fn nesting_parses_up_to_the_depth_limit_and_fails_beyond_it(
+        openers in collection::vec(0u8..2, 0..2 * MAX_DEPTH)
+    ) {
+        // A chain of arrays and single-key objects around one scalar.
+        let mut text = String::new();
+        for &o in &openers {
+            text.push_str(if o == 0 { "[" } else { "{\"k\": " });
+        }
+        text.push('0');
+        for &o in openers.iter().rev() {
+            text.push(if o == 0 { ']' } else { '}' });
+        }
+        let parsed = Json::parse(&text);
+        prop_assert_eq!(parsed.is_ok(), openers.len() <= MAX_DEPTH);
+    }
+}
+
+#[test]
+fn a_deeply_nested_file_fails_without_exhausting_the_stack() {
+    for opener in ["[", "{\"k\":"] {
+        let err = Json::parse(&opener.repeat(200_000)).unwrap_err();
+        assert!(err.message.contains("nest deeper"), "{err}");
     }
 }

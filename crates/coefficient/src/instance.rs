@@ -58,18 +58,12 @@ impl InstanceStatus {
 #[derive(Debug, Default)]
 pub struct InstanceTracker {
     instances: Vec<InstanceStatus>,
-    /// Recent instances per message, oldest first (bounded). Several may
-    /// have open generation windows at once when the production batch runs
-    /// ahead of the bus cycle, so transmission lookup needs history, not
-    /// just the newest.
-    history: std::collections::HashMap<MessageId, std::collections::VecDeque<InstanceId>>,
     /// Running count of instances delivered within their deadline.
     delivered_in_time: u64,
+    /// Running count of instances that were corrupted at least once and
+    /// delivered (in either order).
+    faults_recovered: u64,
 }
-
-/// How many recent instances per message the tracker keeps addressable
-/// (older ones remain in the record but can no longer be transmitted).
-const HISTORY_DEPTH: usize = 64;
 
 impl InstanceTracker {
     /// Empty tracker.
@@ -83,8 +77,7 @@ impl InstanceTracker {
         self.instances.reserve(instances);
     }
 
-    /// Registers a newly produced instance and makes it the message's
-    /// current one.
+    /// Registers a newly produced instance.
     pub fn produce(
         &mut self,
         message: MessageId,
@@ -103,33 +96,7 @@ impl InstanceTracker {
             corrupted: 0,
             early_copies: 0,
         });
-        // Full-depth capacity up front: the ring never reallocates as it
-        // fills towards its bound.
-        let h = self
-            .history
-            .entry(message)
-            .or_insert_with(|| std::collections::VecDeque::with_capacity(HISTORY_DEPTH + 1));
-        h.push_back(id);
-        if h.len() > HISTORY_DEPTH {
-            h.pop_front();
-        }
         id
-    }
-
-    /// The current (newest) instance of `message`, if one was produced.
-    pub fn current_of(&self, message: MessageId) -> Option<InstanceId> {
-        self.history.get(&message).and_then(|h| h.back()).copied()
-    }
-
-    /// The newest instance of `message` produced at or before `t` — the
-    /// only one whose generation window can contain `t` (instances of one
-    /// message release in order, one period apart).
-    pub fn newest_at_or_before(&self, message: MessageId, t: SimTime) -> Option<InstanceId> {
-        let h = self.history.get(&message)?;
-        h.iter()
-            .rev()
-            .copied()
-            .find(|&id| self.instances[id].produced_at <= t)
     }
 
     /// Immutable access to an instance.
@@ -152,6 +119,7 @@ impl InstanceTracker {
     /// transmission delivers the instance if nothing did earlier.
     pub fn record_transmission(&mut self, id: InstanceId, end: SimTime, corrupted: bool) {
         let inst = &mut self.instances[id];
+        let was_recovered = inst.corrupted > 0 && inst.is_delivered();
         inst.transmissions += 1;
         if corrupted {
             inst.corrupted += 1;
@@ -161,12 +129,22 @@ impl InstanceTracker {
                 self.delivered_in_time += 1;
             }
         }
+        if !was_recovered && inst.corrupted > 0 && inst.is_delivered() {
+            self.faults_recovered += 1;
+        }
     }
 
     /// Number of instances delivered at or before their deadline — the
     /// paper's notion of a *successful* transmission (§III-E).
     pub fn delivered_in_time(&self) -> u64 {
         self.delivered_in_time
+    }
+
+    /// Number of instances with at least one corrupted transmission that
+    /// were delivered anyway — by a clean copy after the corruption, or
+    /// before it.
+    pub fn faults_recovered(&self) -> u64 {
+        self.faults_recovered
     }
 
     /// Number of produced instances.
@@ -231,6 +209,7 @@ impl InstanceTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
@@ -240,7 +219,6 @@ mod tests {
     fn produce_and_deliver() {
         let mut tr = InstanceTracker::new();
         let a = tr.produce(1, MessageClass::Static, t(0), t(8));
-        assert_eq!(tr.current_of(1), Some(a));
         tr.record_transmission(a, t(2), false);
         assert!(tr.get(a).is_delivered());
         assert_eq!(tr.get(a).latency(), Some(SimDuration::from_millis(2)));
@@ -265,12 +243,11 @@ mod tests {
     }
 
     #[test]
-    fn new_instance_becomes_current() {
+    fn each_production_is_a_new_instance() {
         let mut tr = InstanceTracker::new();
         let a = tr.produce(1, MessageClass::Static, t(0), t(8));
         let b = tr.produce(1, MessageClass::Static, t(8), t(16));
         assert_ne!(a, b);
-        assert_eq!(tr.current_of(1), Some(b));
         assert_eq!(tr.produced(), 2);
     }
 
@@ -301,5 +278,30 @@ mod tests {
         assert_eq!(dt.met(), 1);
         assert_eq!(dt.missed(), 2); // late + lost
         assert_eq!(tr.deadline_tracker_all().total(), 3);
+    }
+
+    proptest! {
+        /// The running `faults_recovered` equals a full recount over the
+        /// record, whatever the order of clean and corrupted transmissions
+        /// (corruptions after delivery included).
+        #[test]
+        fn running_faults_recovered_matches_the_recount(
+            instances in 1usize..6,
+            transmissions in proptest::collection::vec((0usize..6, 0u64..20, 0u8..2), 0..40),
+        ) {
+            let mut tr = InstanceTracker::new();
+            for i in 0..instances {
+                tr.produce(i as MessageId, MessageClass::Static, t(0), t(10));
+            }
+            for (id, end, corrupted) in transmissions {
+                tr.record_transmission(id % instances, t(end), corrupted == 1);
+                let recount = tr
+                    .instances()
+                    .iter()
+                    .filter(|i| i.corrupted > 0 && i.is_delivered())
+                    .count() as u64;
+                prop_assert_eq!(tr.faults_recovered(), recount);
+            }
+        }
     }
 }

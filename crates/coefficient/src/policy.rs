@@ -21,7 +21,7 @@
 //! or failover), and `matchup` dedicates degraded-mode slack to a hard
 //! recovery schedule until the health monitor reports nominal again.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 #[cfg(test)]
 use event_sim::SimDuration;
@@ -91,10 +91,50 @@ struct StaticInfo {
     /// CoEfficient: copies per instance that found no static slack and go
     /// through the dynamic segment. FSPEC: its uniform best-effort count.
     dynamic_copies: u32,
-    /// The message's primary slot pattern, precomputed at construction so
-    /// the early-copy scan does not pay the allocation's linear primary
-    /// lookup once per candidate per free slot.
-    primary: Option<SlotPosition>,
+    /// The message's primary slot pattern; production derives each
+    /// window's `early_end` from it.
+    primary: SlotPosition,
+    /// Release windows of the message's recent instances, oldest first.
+    /// Production prunes windows that closed before its cycle began, so
+    /// the ring never outgrows the capacity reserved at construction.
+    windows: VecDeque<ReleaseWindow>,
+    /// FSPEC: the instances awaiting their transmissions through the
+    /// message's *own* slot pattern, with the transmissions each still
+    /// owes. Because FSPEC schedules the segments separately,
+    /// retransmission copies can only ride the pre-defined schedule —
+    /// fresh instances queue behind the copies of older ones, which is
+    /// exactly the serialization the paper blames for FSPEC's running
+    /// time and latency.
+    fspec_queue: VecDeque<(InstanceId, u32)>,
+}
+
+impl StaticInfo {
+    /// The window containing `t`: the newest instance released at or
+    /// before `t`, if its window is still open.
+    fn window_at(&self, t: SimTime) -> Option<ReleaseWindow> {
+        self.windows
+            .iter()
+            .rev()
+            .find(|w| w.start <= t)
+            .filter(|w| t < w.window_end)
+            .copied()
+    }
+}
+
+/// The generation window of one released static instance. Releases of a
+/// message are strictly periodic, so its windows never overlap.
+#[derive(Debug, Clone, Copy)]
+struct ReleaseWindow {
+    instance: InstanceId,
+    /// Release instant.
+    start: SimTime,
+    /// `start + period`: stale instances are not transmitted (this is what
+    /// drains the static side once production stops).
+    window_end: SimTime,
+    /// `min(window_end, first primary occurrence ≥ start)`: an early copy
+    /// may ride free slack only while the primary is still ahead.
+    early_end: SimTime,
+    deadline: SimTime,
 }
 
 #[derive(Debug, Clone)]
@@ -139,9 +179,9 @@ pub struct Scheduler {
     options: CoefficientOptions,
     config: ClusterConfig,
     alloc: StaticAllocation,
-    /// Ordered so iteration (the early-copy scan) is deterministic: ties on
-    /// deadline resolve to the lowest message id, not HashMap bucket order.
-    statics: BTreeMap<MessageId, StaticInfo>,
+    /// In message-id order, so scans are deterministic: ties on deadline
+    /// resolve to the lowest message id.
+    statics: Vec<StaticInfo>,
     dynamics: HashMap<u16, DynInfo>,
     tracker: InstanceTracker,
     /// Per-channel dynamic queues, sorted by (frame id, seq).
@@ -153,13 +193,13 @@ pub struct Scheduler {
     /// dropped (the selective criterion: a copy only exists where slack
     /// fits it). Reported for reliability accounting.
     dropped_copies: u64,
-    /// FSPEC: per static message, the FIFO of instances awaiting their
-    /// transmissions through the message's *own* slot pattern. Because
-    /// FSPEC schedules the segments separately, retransmission copies can
-    /// only ride the pre-defined schedule — fresh instances queue behind
-    /// the copies of older ones, which is exactly the serialization the
-    /// paper blames for FSPEC's running time and latency.
-    fspec_static_queues: HashMap<MessageId, std::collections::VecDeque<(InstanceId, u32)>>,
+    /// Early-copy candidates of cycle `early_cycle` as `(statics index,
+    /// window)`, sorted by `(deadline, message)`: every release window that
+    /// overlaps the cycle, has a non-empty early range and fits a static
+    /// slot.
+    early_candidates: Vec<(usize, ReleaseWindow)>,
+    /// The cycle `early_candidates` was built for; `None` after production.
+    early_cycle: Option<u64>,
     /// FSPEC: channel transmissions each static instance needs
     /// (1 primary + the uniform best-effort copy count; A and B mirrors
     /// each count as one transmission).
@@ -348,8 +388,10 @@ impl Scheduler {
         let fspec_k = counts.first().map(|&(_, k)| k).unwrap_or(0);
         let fspec_tx_needed = 1 + fspec_k;
 
+        // Release windows of one message overlap a cycle at most
+        // ceil(cycle / period) + 1 at a time (see `produce_static`).
+        let cycle_ns = config.cycle_duration().as_nanos();
         let mut statics = BTreeMap::new();
-        let mut fspec_static_queues = HashMap::new();
         for s in static_messages {
             let wire = coding.message_wire_bits(u64::from(s.size_bits), true);
             let spilled = if behavior.mirror_allocation {
@@ -369,14 +411,18 @@ impl Scheduler {
                     payload_bytes: payload_bytes_for(u64::from(s.size_bits)) as u16,
                     wire_bits: wire,
                     dynamic_copies: spilled,
-                    primary: alloc.primary_of(s.id),
+                    primary: alloc
+                        .primary_of(s.id)
+                        .expect("the allocation places every primary"),
+                    windows: VecDeque::with_capacity(
+                        cycle_ns.div_ceil(s.period.as_nanos()) as usize + 1,
+                    ),
+                    fspec_queue: VecDeque::with_capacity(FSPEC_QUEUE_DEPTH + 1),
                 },
             );
-            fspec_static_queues.insert(
-                s.id,
-                std::collections::VecDeque::with_capacity(FSPEC_QUEUE_DEPTH + 1),
-            );
         }
+        let statics: Vec<StaticInfo> = statics.into_values().collect();
+        let window_capacity = statics.iter().map(|s| s.windows.capacity()).sum();
 
         let mut dynamics = HashMap::new();
         for (i, d) in dynamic_messages.iter().enumerate() {
@@ -423,7 +469,8 @@ impl Scheduler {
             next_seq: 0,
             in_flight: std::collections::VecDeque::with_capacity(8),
             dropped_copies: 0,
-            fspec_static_queues,
+            early_candidates: Vec::with_capacity(window_capacity),
+            early_cycle: None,
             fspec_tx_needed,
             copy_transmissions: 0,
             cooperative_static_serves: 0,
@@ -576,9 +623,9 @@ impl Scheduler {
             .sum();
         let in_flight = self.in_flight.capacity() * size_of::<InstanceId>();
         let fspec: usize = self
-            .fspec_static_queues
-            .values()
-            .map(|q| q.capacity() * size_of::<(InstanceId, u32)>())
+            .statics
+            .iter()
+            .map(|s| s.fspec_queue.capacity() * size_of::<(InstanceId, u32)>())
             .sum();
         (queues + in_flight + fspec) as u64
     }
@@ -589,9 +636,9 @@ impl Scheduler {
     pub fn pending_work(&self) -> usize {
         self.dynamic_backlog()
             + self
-                .fspec_static_queues
-                .values()
-                .map(std::collections::VecDeque::len)
+                .statics
+                .iter()
+                .map(|s| s.fspec_queue.len())
                 .sum::<usize>()
     }
 
@@ -601,23 +648,45 @@ impl Scheduler {
     /// # Panics
     /// Panics if `message` is not a configured static message.
     pub fn produce_static(&mut self, message: MessageId, now: SimTime) -> InstanceId {
-        let info = self.statics.get(&message).expect("unknown static message");
+        let index = self.static_index(message);
+        let info = &self.statics[index];
         let deadline = now + info.signal.deadline;
-        let expires = deadline + info.signal.period;
-        let (copies, payload) = (info.dynamic_copies, info.payload_bytes);
+        let window_end = now + info.signal.period;
+        let primary = info.primary;
+        let copies = info.dynamic_copies;
         let instance = self
             .tracker
             .produce(message, MessageClass::Static, now, deadline);
-        let _ = (payload, expires);
+        let next_primary = next_occurrence_at_or_after(
+            &self.config,
+            primary.slot,
+            primary.base_cycle,
+            primary.repetition,
+            now,
+        );
+        // Windows that closed before this cycle began can contain no slot
+        // the bus will still offer. The survivors start after
+        // `cycle_start - period` and before the cycle ends, which bounds
+        // the ring at ceil(cycle / period) + 1 windows.
+        let cycle_start = self.config.cycle_start(self.config.cycle_of(now));
+        let windows = &mut self.statics[index].windows;
+        while windows.front().is_some_and(|w| w.window_end <= cycle_start) {
+            windows.pop_front();
+        }
+        windows.push_back(ReleaseWindow {
+            instance,
+            start: now,
+            window_end,
+            early_end: window_end.min(next_primary),
+            deadline,
+        });
+        self.early_cycle = None;
         if self.behavior.own_slot_serialization {
             // All transmissions (primary + best-effort copies) are
             // serialized through the message's own slot pattern; the
             // CHI buffers only FSPEC_QUEUE_DEPTH instances, so a
             // congested queue overwrites its oldest staging.
-            let q = self
-                .fspec_static_queues
-                .get_mut(&message)
-                .expect("queue exists for every static message");
+            let q = &mut self.statics[index].fspec_queue;
             if q.len() >= FSPEC_QUEUE_DEPTH {
                 q.pop_front();
             }
@@ -632,6 +701,16 @@ impl Scheduler {
             self.dropped_copies += u64::from(copies);
         }
         instance
+    }
+
+    /// Position of `message` in `statics`.
+    ///
+    /// # Panics
+    /// Panics if `message` is not a configured static message.
+    fn static_index(&self, message: MessageId) -> usize {
+        self.statics
+            .binary_search_by_key(&message, |s| s.signal.id)
+            .expect("unknown static message")
     }
 
     /// Registers a newly produced dynamic message instance (soft aperiodic
@@ -729,22 +808,12 @@ impl Scheduler {
         q.insert(pos, (seq, p));
     }
 
-    /// Whether the instance is still within its generation window at `t`
-    /// (stale instances are not retransmitted — this is what drains the
-    /// static side once production stops).
-    fn static_instance_window_open(&self, instance: InstanceId, t: SimTime) -> bool {
-        let inst = self.tracker.get(instance);
-        let period = self.statics[&inst.message].signal.period;
-        t < inst.produced_at + period
-    }
-
     /// CoEfficient's cooperative use of a free static position: first a
     /// backlogged dynamic entry that fits, then an early copy of a released
     /// static instance whose primary occurrence is still ahead.
     fn cooperative_fill(
         &mut self,
         cycle: u64,
-        cycle_counter: u8,
         slot: u16,
         channel: ChannelId,
         slot_start: SimTime,
@@ -761,7 +830,7 @@ impl Scheduler {
             && self.health.is_degraded()
             && self.options.early_copies
         {
-            if let Some(payload) = self.degraded_hard_copy(slot_start, capacity) {
+            if let Some(payload) = self.degraded_hard_copy(slot_start) {
                 if self.tracer.is_enabled() {
                     self.tracer.emit(
                         slot_start,
@@ -826,67 +895,80 @@ impl Scheduler {
             return None;
         }
         // 2. Early copy: a static instance released but with its primary
-        // occurrence still ahead in this matrix period.
-        let mut best: Option<(SimTime, MessageId, InstanceId, u16)> = None;
-        for (id, info) in &self.statics {
-            let Some(instance) = self.tracker.newest_at_or_before(*id, slot_start) else {
-                continue;
-            };
-            let inst = self.tracker.get(instance);
-            if inst.early_copies > 0 {
-                continue;
-            }
-            if !self.static_instance_window_open(instance, slot_start) {
-                continue;
-            }
-            let primary = info.primary.expect("static has a primary");
-            // Has the primary already fired for this instance? The next
-            // primary occurrence at/after production must still be ahead
-            // of this slot.
-            let next_primary = next_occurrence_at_or_after(
-                &self.config,
-                primary.slot,
-                primary.base_cycle,
-                primary.repetition,
-                inst.produced_at,
+        // occurrence still ahead.
+        let (index, w) = self.early_copy_candidate(cycle, slot_start)?;
+        self.early_copies_sent += 1;
+        let payload = self.stage_copy(index, w);
+        if self.tracer.is_enabled() {
+            self.tracer.emit(
+                slot_start,
+                EventKind::EarlyCopy {
+                    channel: channel.index() as u8,
+                    slot: u64::from(slot),
+                    frame_id: u64::from(payload.message),
+                },
             );
-            if next_primary <= slot_start {
-                continue; // primary already had its chance
+        }
+        Some(payload)
+    }
+
+    /// The most urgent instance an early copy at `slot_start` may carry:
+    /// released at or before the slot, primary still ahead, no early copy
+    /// spent yet, lowest `(deadline, message id)`.
+    ///
+    /// The candidates are built at the first query of a cycle; production
+    /// discards them, and the runner produces only between cycles, so
+    /// that is once per cycle. They cannot be consumed in time order: the
+    /// bus serves all of channel A's static slots before channel B's, so
+    /// `slot_start` restarts within a cycle. Each query instead walks the
+    /// sorted list for the first window containing `slot_start`.
+    fn early_copy_candidate(
+        &mut self,
+        cycle: u64,
+        slot_start: SimTime,
+    ) -> Option<(usize, ReleaseWindow)> {
+        if self.early_cycle != Some(cycle) {
+            self.build_early_candidates(cycle);
+        }
+        let mut i = 0;
+        while let Some(&(index, w)) = self.early_candidates.get(i) {
+            if w.start <= slot_start && slot_start < w.early_end {
+                if self.tracker.get(w.instance).early_copies == 0 {
+                    return Some((index, w));
+                }
+                // Spent: by an early copy, or by a degraded or failover
+                // copy, which draw on the same per-instance budget.
+                self.early_candidates.remove(i);
+            } else {
+                i += 1;
             }
-            if (cycle, slot) >= occurrence_cycle_slot(&self.config, next_primary) {
-                continue;
-            }
-            let _ = cycle_counter;
+        }
+        None
+    }
+
+    fn build_early_candidates(&mut self, cycle: u64) {
+        let from = self.config.cycle_start(cycle);
+        let to = self.config.cycle_start(cycle + 1);
+        let capacity = self.config.static_slot_capacity_bits();
+        self.early_candidates.clear();
+        for (index, info) in self.statics.iter().enumerate() {
             if info.wire_bits > capacity {
                 continue;
             }
-            let key = inst.deadline;
-            if best.is_none_or(|(d, ..)| key < d) {
-                best = Some((key, *id, instance, info.payload_bytes));
+            for &w in &info.windows {
+                if w.start < to.min(w.early_end)
+                    && from < w.early_end
+                    && self.tracker.get(w.instance).early_copies == 0
+                {
+                    self.early_candidates.push((index, w));
+                }
             }
         }
-        if let Some((_, message, instance, payload_bytes)) = best {
-            self.tracker.get_mut(instance).early_copies += 1;
-            self.early_copies_sent += 1;
-            if self.tracer.is_enabled() {
-                self.tracer.emit(
-                    slot_start,
-                    EventKind::EarlyCopy {
-                        channel: channel.index() as u8,
-                        slot: u64::from(slot),
-                        frame_id: u64::from(message),
-                    },
-                );
-            }
-            let produced_at = self.tracker.get(instance).produced_at;
-            self.in_flight.push_back(instance);
-            return Some(OutboundPayload {
-                message,
-                payload_bytes,
-                produced_at,
-            });
-        }
-        None
+        // `statics` is in id order, so the index breaks deadline ties
+        // towards the lowest message id.
+        self.early_candidates
+            .sort_unstable_by_key(|&(index, w)| (w.deadline, index));
+        self.early_cycle = Some(cycle);
     }
 
     /// Degraded-mode online re-plan: one more copy of the most urgent
@@ -896,50 +978,16 @@ impl Scheduler {
     /// nominal early copy — the primary may already have fired and been
     /// corrupted: a burst eating the planned copies is exactly the case
     /// the offline Theorem-1 plan cannot cover.
-    fn degraded_hard_copy(
-        &mut self,
-        slot_start: SimTime,
-        capacity: u64,
-    ) -> Option<OutboundPayload> {
+    fn degraded_hard_copy(&mut self, slot_start: SimTime) -> Option<OutboundPayload> {
         let budget = match self.health {
             HealthState::Nominal => return None,
             HealthState::Stressed => 2,
             HealthState::Storm => 3,
         };
-        let mut best: Option<(SimTime, MessageId, InstanceId, u16)> = None;
-        for (id, info) in &self.statics {
-            if info.wire_bits > capacity {
-                continue;
-            }
-            let Some(instance) = self.tracker.newest_at_or_before(*id, slot_start) else {
-                continue;
-            };
-            let inst = self.tracker.get(instance);
-            if inst.is_delivered() || inst.early_copies >= budget {
-                continue;
-            }
-            if slot_start >= inst.deadline {
-                continue; // past the deadline, a copy cannot save it
-            }
-            if !self.static_instance_window_open(instance, slot_start) {
-                continue;
-            }
-            let deadline = self.tracker.get(instance).deadline;
-            if best.is_none_or(|(d, ..)| deadline < d) {
-                best = Some((deadline, *id, instance, info.payload_bytes));
-            }
-        }
-        let (_, message, instance, payload_bytes) = best?;
-        self.tracker.get_mut(instance).early_copies += 1;
+        let (index, w) = self.most_urgent_undelivered(slot_start, budget)?;
         self.degraded_extra_copies += 1;
         self.copy_transmissions += 1;
-        let produced_at = self.tracker.get(instance).produced_at;
-        self.in_flight.push_back(instance);
-        Some(OutboundPayload {
-            message,
-            payload_bytes,
-            produced_at,
-        })
+        Some(self.stage_copy(index, w))
     }
 
     /// Dual-channel failover: when the *other* channel is degraded and
@@ -967,41 +1015,54 @@ impl Scheduler {
         {
             return None;
         }
+        let (index, w) = self.most_urgent_undelivered(slot_start, FAILOVER_BUDGET)?;
+        self.failover_mirrors += 1;
+        self.copy_transmissions += 1;
+        Some(self.stage_copy(index, w))
+    }
+
+    /// The most urgent undelivered static instance one more copy at
+    /// `slot_start` can still save: its window contains the slot, its
+    /// deadline is ahead, it has spent fewer than `budget` opportunistic
+    /// copies and it fits a static slot. Ties on deadline go to the lowest
+    /// message id. Returns the message's `statics` index and the window.
+    fn most_urgent_undelivered(
+        &self,
+        slot_start: SimTime,
+        budget: u32,
+    ) -> Option<(usize, ReleaseWindow)> {
         let capacity = self.config.static_slot_capacity_bits();
-        let mut best: Option<(SimTime, MessageId, InstanceId, u16)> = None;
-        for (id, info) in &self.statics {
+        let mut best: Option<(usize, ReleaseWindow)> = None;
+        for (index, info) in self.statics.iter().enumerate() {
             if info.wire_bits > capacity {
                 continue;
             }
-            let Some(instance) = self.tracker.newest_at_or_before(*id, slot_start) else {
+            let Some(w) = info.window_at(slot_start) else {
                 continue;
             };
-            let inst = self.tracker.get(instance);
-            if inst.is_delivered() || inst.early_copies >= FAILOVER_BUDGET {
+            let inst = self.tracker.get(w.instance);
+            if inst.is_delivered() || inst.early_copies >= budget || slot_start >= w.deadline {
                 continue;
             }
-            if slot_start >= inst.deadline {
-                continue;
-            }
-            if !self.static_instance_window_open(instance, slot_start) {
-                continue;
-            }
-            let deadline = inst.deadline;
-            if best.is_none_or(|(d, ..)| deadline < d) {
-                best = Some((deadline, *id, instance, info.payload_bytes));
+            if best.is_none_or(|(_, b)| w.deadline < b.deadline) {
+                best = Some((index, w));
             }
         }
-        let (_, message, instance, payload_bytes) = best?;
-        self.tracker.get_mut(instance).early_copies += 1;
-        self.failover_mirrors += 1;
-        self.copy_transmissions += 1;
-        let produced_at = self.tracker.get(instance).produced_at;
-        self.in_flight.push_back(instance);
-        Some(OutboundPayload {
-            message,
-            payload_bytes,
-            produced_at,
-        })
+        best
+    }
+
+    /// Stages one opportunistic copy of window `w`'s instance (early,
+    /// degraded or failover), charged to the instance's `early_copies`
+    /// budget.
+    fn stage_copy(&mut self, index: usize, w: ReleaseWindow) -> OutboundPayload {
+        self.tracker.get_mut(w.instance).early_copies += 1;
+        self.in_flight.push_back(w.instance);
+        let info = &self.statics[index];
+        OutboundPayload {
+            message: info.signal.id,
+            payload_bytes: info.payload_bytes,
+            produced_at: w.start,
+        }
     }
 }
 
@@ -1033,14 +1094,6 @@ fn next_occurrence_at_or_after(
     }
 }
 
-///`(cycle, slot)` coordinates of an occurrence instant.
-fn occurrence_cycle_slot(config: &ClusterConfig, t: SimTime) -> (u64, u16) {
-    let cycle = config.cycle_of(t);
-    let offset = t - config.cycle_start(cycle);
-    let slot = offset.as_nanos() / config.static_slot_duration().as_nanos() + 1;
-    (cycle, slot as u16)
-}
-
 impl TrafficSource for Scheduler {
     fn static_frame(
         &mut self,
@@ -1060,10 +1113,8 @@ impl TrafficSource for Scheduler {
                 // segments separately, copies can only ride these spare
                 // occurrences of the message's own slot.
                 let fresh_threshold = self.fspec_tx_needed.saturating_sub(2);
-                let q = self
-                    .fspec_static_queues
-                    .get_mut(&occ.message)
-                    .expect("queue exists for every static message");
+                let index = self.static_index(occ.message);
+                let q = &mut self.statics[index].fspec_queue;
                 let idx = (0..q.len())
                     .rev()
                     .find(|&i| q[i].1 > fresh_threshold)
@@ -1087,10 +1138,9 @@ impl TrafficSource for Scheduler {
                         );
                     }
                 }
-                let info = &self.statics[&occ.message];
                 let payload = OutboundPayload {
                     message: occ.message,
-                    payload_bytes: info.payload_bytes,
+                    payload_bytes: self.statics[index].payload_bytes,
                     produced_at: self.tracker.get(instance).produced_at,
                 };
                 self.in_flight.push_back(instance);
@@ -1099,11 +1149,9 @@ impl TrafficSource for Scheduler {
             // Window path: transmit the instance whose generation window
             // contains this slot — the newest released at or before the
             // slot (the production batch may run ahead of the bus cycle).
-            let instance = self.tracker.newest_at_or_before(occ.message, slot_start)?;
-            if !self.static_instance_window_open(instance, slot_start) {
-                return None; // window passed or production ended
-            }
-            let info = &self.statics[&occ.message];
+            // None once the window passed or production ended.
+            let info = &self.statics[self.static_index(occ.message)];
+            let w = info.window_at(slot_start)?;
             if occ.kind != OccupantKind::Primary {
                 self.copy_transmissions += 1;
                 if self.tracer.is_enabled() {
@@ -1119,9 +1167,9 @@ impl TrafficSource for Scheduler {
             let payload = OutboundPayload {
                 message: occ.message,
                 payload_bytes: info.payload_bytes,
-                produced_at: self.tracker.get(instance).produced_at,
+                produced_at: w.start,
             };
-            self.in_flight.push_back(instance);
+            self.in_flight.push_back(w.instance);
             return Some(payload);
         }
         if !self.behavior.cooperative_segments {
@@ -1146,7 +1194,7 @@ impl TrafficSource for Scheduler {
                 return Some(payload);
             }
         }
-        self.cooperative_fill(cycle, cycle_counter, slot, channel, slot_start)
+        self.cooperative_fill(cycle, slot, channel, slot_start)
     }
 
     fn dynamic_frame(
@@ -1353,7 +1401,7 @@ mod tests {
         // FSPEC's best-effort copies are serialized through the message's
         // own slots: each instance owes more than one transmission.
         assert!(s.fspec_tx_needed > 1);
-        assert_eq!(s.statics[&1].dynamic_copies, 0);
+        assert_eq!(s.statics[s.static_index(1)].dynamic_copies, 0);
     }
 
     #[test]
@@ -1730,5 +1778,298 @@ mod tests {
             s.allocation().occupancy(ChannelId::B) > 0.0,
             "FSPEC keeps its mirror regardless of options"
         );
+    }
+
+    /// The newest static instance of each message (indexed like
+    /// `statics`) released at or before `t`, read from the instance
+    /// record alone.
+    fn oracle_newest(s: &Scheduler, t: SimTime) -> Vec<Option<InstanceId>> {
+        let mut newest: Vec<Option<InstanceId>> = vec![None; s.statics.len()];
+        for (id, inst) in s.tracker.instances().iter().enumerate() {
+            if inst.class == MessageClass::Static && inst.produced_at <= t {
+                let slot = &mut newest[s.static_index(inst.message)];
+                if slot.is_none_or(|n| s.tracker.get(n).produced_at < inst.produced_at) {
+                    *slot = Some(id);
+                }
+            }
+        }
+        newest
+    }
+
+    /// The pre-index early-copy scan: per message, the newest instance
+    /// released at or before `t`, if its window is open, its primary is
+    /// still ahead, it has no early copy yet and its frame fits the slot;
+    /// of those the lowest `(deadline, id)`.
+    fn oracle_early_copy(s: &Scheduler, t: SimTime) -> Option<InstanceId> {
+        let capacity = s.config.static_slot_capacity_bits();
+        let mut best: Option<(SimTime, InstanceId)> = None;
+        for (info, newest) in s.statics.iter().zip(oracle_newest(s, t)) {
+            let Some(id) = newest else { continue };
+            let inst = s.tracker.get(id);
+            let p = info.primary;
+            let next_primary = next_occurrence_at_or_after(
+                &s.config,
+                p.slot,
+                p.base_cycle,
+                p.repetition,
+                inst.produced_at,
+            );
+            if inst.early_copies > 0
+                || t >= inst.produced_at + info.signal.period
+                || next_primary <= t
+                || info.wire_bits > capacity
+            {
+                continue;
+            }
+            if best.is_none_or(|(d, _)| inst.deadline < d) {
+                best = Some((inst.deadline, id));
+            }
+        }
+        best.map(|(_, id)| id)
+    }
+
+    /// The pre-index degraded-copy / failover scan: per message, the
+    /// newest instance released at or before `t`, if its window is open,
+    /// it is undelivered, its deadline is ahead, it has spent fewer than
+    /// `budget` copies and its frame fits; of those the lowest
+    /// `(deadline, id)`.
+    fn oracle_hard_copy(s: &Scheduler, t: SimTime, budget: u32) -> Option<InstanceId> {
+        let capacity = s.config.static_slot_capacity_bits();
+        let mut best: Option<(SimTime, InstanceId)> = None;
+        for (info, newest) in s.statics.iter().zip(oracle_newest(s, t)) {
+            let Some(id) = newest else { continue };
+            let inst = s.tracker.get(id);
+            if inst.is_delivered()
+                || inst.early_copies >= budget
+                || t >= inst.deadline
+                || t >= inst.produced_at + info.signal.period
+                || info.wire_bits > capacity
+            {
+                continue;
+            }
+            if best.is_none_or(|(d, _)| inst.deadline < d) {
+                best = Some((inst.deadline, id));
+            }
+        }
+        best.map(|(_, id)| id)
+    }
+
+    /// Checks the release-window selections against the oracles on every
+    /// free static position, before the scheduler serves it.
+    struct Differential<'a> {
+        s: &'a mut Scheduler,
+        free_positions: u64,
+    }
+
+    impl TrafficSource for Differential<'_> {
+        fn static_frame(
+            &mut self,
+            cycle: u64,
+            cycle_counter: u8,
+            slot: u16,
+            channel: ChannelId,
+        ) -> Option<OutboundPayload> {
+            if self
+                .s
+                .alloc
+                .occupant(channel, slot, cycle_counter)
+                .is_none()
+            {
+                self.free_positions += 1;
+                let t = self.s.config.static_slot_start(cycle, u64::from(slot));
+                let at = format!("cycle {cycle} slot {slot} {channel:?}");
+                let early = self
+                    .s
+                    .early_copy_candidate(cycle, t)
+                    .map(|(_, w)| w.instance);
+                assert_eq!(early, oracle_early_copy(self.s, t), "early copy at {at}");
+                // 2 and 3: the degraded budgets; 4: failover's.
+                for budget in [2, 3, 4] {
+                    let hard = self
+                        .s
+                        .most_urgent_undelivered(t, budget)
+                        .map(|(_, w)| w.instance);
+                    assert_eq!(
+                        hard,
+                        oracle_hard_copy(self.s, t, budget),
+                        "hard copy (budget {budget}) at {at}"
+                    );
+                }
+            }
+            self.s.static_frame(cycle, cycle_counter, slot, channel)
+        }
+
+        fn dynamic_frame(
+            &mut self,
+            cycle: u64,
+            channel: ChannelId,
+            slot_counter: u64,
+            max_payload_bytes: u16,
+        ) -> Option<OutboundPayload> {
+            self.s
+                .dynamic_frame(cycle, channel, slot_counter, max_payload_bytes)
+        }
+
+        fn on_outcome(&mut self, outcome: &TransmissionOutcome) {
+            self.s.on_outcome(outcome);
+        }
+    }
+
+    /// One random static message: the period is a quarter cycle times
+    /// `2^exp × (4 + quarters) / 4`, the offset and deadline are whole
+    /// quarters of the period (a coarse grid, so equal deadlines across
+    /// messages and the id tie-break come up often) and the size is per
+    /// mille of the largest size a static slot carries.
+    type StaticCase = ((u32, u64), u64, u64, u64);
+
+    /// One health change: from cycle, then overall, channel A and channel
+    /// B health (0 nominal, 1 stressed, 2 storm).
+    type HealthCase = (u64, u8, u8, u8);
+
+    /// What one differential run reports back, to show it was not vacuous.
+    #[derive(Debug, Default)]
+    struct DifferentialTally {
+        free_positions: u64,
+        early_copies: u64,
+        degraded_copies: u64,
+        failover_mirrors: u64,
+    }
+
+    fn health_of(h: u8) -> HealthState {
+        match h {
+            0 => HealthState::Nominal,
+            1 => HealthState::Stressed,
+            _ => HealthState::Storm,
+        }
+    }
+
+    /// Drives a random workload through the bus, produced the way the
+    /// runner produces it (every release of a cycle, in time order, before
+    /// the cycle runs), checking every free static position.
+    fn run_differential(
+        policy: usize,
+        cycles: u64,
+        statics: &[StaticCase],
+        health: &[HealthCase],
+        (ber_exp, fault_seed, dyn_every): (u32, u64, u64),
+    ) -> DifferentialTally {
+        let cfg = config();
+        let coding = FrameCoding::default();
+        let capacity = cfg.static_slot_capacity_bits();
+        let max_bits = (8u32..)
+            .step_by(8)
+            .take_while(|&b| coding.message_wire_bits(u64::from(b), false) <= capacity)
+            .last()
+            .expect("a byte fits a static slot");
+        let quarter = cfg.cycle_duration().as_nanos() / 4;
+        let signals: Vec<Signal> = statics
+            .iter()
+            .enumerate()
+            .map(|(i, &((exp, quarters), offset, deadline, size))| {
+                let period = (quarter * (1 << exp) * (4 + quarters) / 4).min(256 * quarter);
+                Signal::new(
+                    i as u32 + 1,
+                    SimDuration::from_nanos(period),
+                    SimDuration::from_nanos(period * offset / 4),
+                    SimDuration::from_nanos(period * deadline / 4),
+                    (u64::from(max_bits) * size / 1000).max(1) as u32,
+                )
+            })
+            .collect();
+        let policy = [COEFFICIENT, GREEDY, SLACK_STEAL, MATCHUP][policy];
+        let Ok(mut s) = Scheduler::new(
+            policy,
+            cfg.clone(),
+            coding,
+            &Scenario::ber7(),
+            &signals,
+            &dynamics(),
+        ) else {
+            return DifferentialTally::default();
+        };
+        let ber = reliability::Ber::new(10f64.powi(-(ber_exp as i32))).unwrap();
+        let mut engine = BusEngine::new(cfg.clone()).with_faults(
+            Box::new(reliability::fault::BernoulliFaults::new(ber, fault_seed)),
+            Box::new(reliability::fault::BernoulliFaults::new(
+                ber,
+                fault_seed ^ 1,
+            )),
+        );
+        let mut next: Vec<SimTime> = signals.iter().map(|m| SimTime::ZERO + m.offset).collect();
+        let mut health: Vec<HealthCase> = health
+            .iter()
+            .map(|&(c, o, a, b)| (c % cycles, o, a, b))
+            .collect();
+        health.sort_unstable();
+        let mut d = Differential {
+            s: &mut s,
+            free_positions: 0,
+        };
+        for cycle in 0..cycles {
+            let cycle_start = cfg.cycle_start(cycle);
+            let cycle_end = cfg.cycle_start(cycle + 1);
+            d.s.purge_expired(cycle_start);
+            while let Some((i, &t)) = next.iter().enumerate().min_by_key(|(_, t)| **t) {
+                if t >= cycle_end {
+                    break;
+                }
+                d.s.produce_static(signals[i].id, t);
+                next[i] = t + signals[i].period;
+            }
+            if dyn_every > 0 && cycle % dyn_every == 0 {
+                d.s.produce_dynamic(20, cycle_start);
+                d.s.produce_dynamic(21, cycle_start);
+            }
+            if let Some(&(_, o, a, b)) = health.iter().rev().find(|h| h.0 <= cycle) {
+                d.s.set_health(health_of(o), [health_of(a), health_of(b)]);
+            }
+            engine.run_cycle(cycle, &mut d);
+        }
+        DifferentialTally {
+            free_positions: d.free_positions,
+            early_copies: s.early_copies_sent(),
+            degraded_copies: s.degraded_extra_copies(),
+            failover_mirrors: s.failover_mirrors(),
+        }
+    }
+
+    proptest::proptest! {
+        /// The per-cycle early-copy candidates and the release-window
+        /// scans behind degraded copies and failover mirrors pick exactly
+        /// what the old per-slot scans over the instance record pick, on
+        /// every free static position of both channels.
+        #[test]
+        fn release_windows_select_what_the_old_scans_select(
+            run in (0usize..4, 1u64..140),
+            statics in proptest::collection::vec(((0u32..9, 0u64..4), 0u64..4, 1u64..=4, 1u64..=1000), 1..8),
+            health in proptest::collection::vec((0u64..140, 0u8..3, 0u8..3, 0u8..3), 0..6),
+            faults in (3u32..7, 0u64..1_000_000, 0u64..8),
+        ) {
+            run_differential(run.0, run.1, &statics, &health, faults);
+        }
+    }
+
+    #[test]
+    fn the_differential_run_exercises_every_selection() {
+        let statics: Vec<StaticCase> = vec![
+            ((0, 0), 0, 4, 300),
+            ((2, 2), 1, 3, 1000),
+            ((3, 0), 3, 4, 100),
+            ((5, 1), 0, 2, 600),
+            ((8, 3), 2, 4, 50),
+        ];
+        let health = [(0, 0, 0, 0), (30, 2, 2, 0), (60, 1, 1, 1), (90, 0, 0, 0)];
+        let mut total = DifferentialTally::default();
+        for policy in 0..4 {
+            let t = run_differential(policy, 139, &statics, &health, (4, 7, 3));
+            total.free_positions += t.free_positions;
+            total.early_copies += t.early_copies;
+            total.degraded_copies += t.degraded_copies;
+            total.failover_mirrors += t.failover_mirrors;
+        }
+        assert!(total.free_positions > 0, "{total:?}");
+        assert!(total.early_copies > 0, "{total:?}");
+        assert!(total.degraded_copies > 0, "{total:?}");
+        assert!(total.failover_mirrors > 0, "{total:?}");
     }
 }

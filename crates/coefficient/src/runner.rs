@@ -852,11 +852,6 @@ impl Runner {
             .engine
             .fault_counters(ChannelId::A)
             .merged(self.engine.fault_counters(ChannelId::B));
-        let faults_recovered = tracker
-            .instances()
-            .iter()
-            .filter(|i| i.corrupted > 0 && i.is_delivered())
-            .count() as u64;
         let campaign = [ChannelId::A, ChannelId::B]
             .into_iter()
             .filter_map(|ch| self.engine.campaign_counters(ch))
@@ -871,7 +866,7 @@ impl Runner {
             preemptions: sched.preemptions,
             frames_checked: faults.frames_checked,
             faults_injected: faults.faults_injected,
-            faults_recovered,
+            faults_recovered: tracker.faults_recovered(),
             health_transitions: self.health_transitions,
             storm_entries: self.storm_entries,
             service_restores: self.service_restores,

@@ -1,7 +1,7 @@
 //! Proof that the steady-state cycle loop is allocation-free.
 //!
 //! A counting global allocator is armed after a warm-up phase long enough
-//! for every scratch buffer — scheduler queues, instance tracker, history
+//! for every scratch buffer — scheduler queues, instance tracker, release
 //! windows, fault-probability caches — to reach its steady-state
 //! capacity. From then on, producing traffic and running bus cycles must
 //! not touch the heap at all: the hot path works entirely out of the
