@@ -182,7 +182,7 @@ mod tests {
     #[test]
     fn instances_consume_distinct_occurrences() {
         let t = topology::default_topology();
-        let plan = PER_CYCLE.plan(t);
+        let plan = (PER_CYCLE.plan)(t);
         let flow = t.flows[0].id;
         // Two frames arriving together must take two different windows.
         let arrivals = vec![

@@ -11,7 +11,7 @@
 //! of the FlexRay communication cycle and the Ethernet base period
 //! ([`flexray::config::ClusterConfig::hypercycle`]). Two reservation
 //! policies compete for the same gate windows, behind a string-keyed
-//! [`reservation`] registry mirroring [`coefficient::registry`]:
+//! [`reservation`] registry resolved by [`coefficient::registry::lookup`]:
 //!
 //! * [`reservation::PER_CYCLE`] — the classic baseline: a flow is
 //!   admitted only if one gate column is free in **every** base period of
@@ -44,10 +44,9 @@ pub mod topology;
 pub use flow::FlowCounters;
 pub use gateway::{simulate_gateway, GatewayOutcome};
 pub use reservation::{
-    resolve as resolve_reservation, FlowPlan, Reservation, ReservationPlan, ReservationRef,
-    UnknownReservation, ALL_RESERVATIONS, HYPERCYCLE, PER_CYCLE,
+    FlowPlan, Reservation, ReservationPlan, ReservationRef, ALL_RESERVATIONS, HYPERCYCLE, PER_CYCLE,
 };
 pub use runner::{
     run_cell, run_matrix, BackboneError, CellReport, CellSpec, FlowOutcome, MatrixSpec, PortStats,
 };
-pub use topology::{resolve as resolve_topology, FlowSpec, PortSpec, Topology, UnknownTopology};
+pub use topology::{FlowSpec, PortSpec, Topology};

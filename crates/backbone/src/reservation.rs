@@ -13,12 +13,13 @@
 //!   windows to flows the per-cycle policy rejected. Its admitted set is
 //!   therefore a superset of the baseline's **by construction**.
 //!
-//! The registry mirrors [`coefficient::registry`]: `&'static` trait
-//! objects resolved by case-insensitive name, with an error type whose
-//! display lists every valid name.
+//! Each policy is a [`Reservation`] row of [`ALL_RESERVATIONS`], resolved
+//! by name through [`coefficient::registry::lookup`] like every other
+//! registry.
 
 use std::collections::BTreeSet;
 
+use coefficient::Named;
 use event_sim::SimDuration;
 
 use crate::topology::{FlowSpec, Topology};
@@ -91,26 +92,36 @@ pub fn window_start(topology: &Topology, port: usize, w: u64) -> SimDuration {
     topology.eth_base * period + topology.gate_length(port) * gate
 }
 
-/// A gate-window reservation policy.
-pub trait Reservation: Send + Sync + std::fmt::Debug {
+/// A gate-window reservation policy: one registry row.
+#[derive(Debug)]
+pub struct Reservation {
     /// Stable registry key (lower-case, also the corpus/report name).
-    fn key(&self) -> &'static str;
+    pub key: &'static str,
     /// Human-facing label.
-    fn label(&self) -> &'static str;
+    pub label: &'static str,
+    /// Alternative names the lookup accepts.
+    pub aliases: &'static [&'static str],
     /// Stable tag folded into run fingerprints. Frozen once published.
-    fn fingerprint_tag(&self) -> u64;
-    /// Alternative names accepted by [`resolve`].
-    fn aliases(&self) -> &'static [&'static str] {
-        &[]
-    }
-    /// One-line description for listings.
-    fn summary(&self) -> &'static str;
+    pub fingerprint_tag: u64,
     /// Plans the topology's flows onto gate windows.
-    fn plan(&self, topology: &Topology) -> ReservationPlan;
+    pub plan: fn(&Topology) -> ReservationPlan,
 }
 
 /// A `'static` reservation reference, as stored in registries and specs.
-pub type ReservationRef = &'static (dyn Reservation + Send + Sync);
+pub type ReservationRef = &'static Reservation;
+
+impl Named for Reservation {
+    const KIND: &'static str = "reservation";
+    fn key(&self) -> &str {
+        self.key
+    }
+    fn label(&self) -> &str {
+        self.label
+    }
+    fn aliases(&self) -> &[&str] {
+        self.aliases
+    }
+}
 
 /// How far after an instance's release the planner assumes its frame has
 /// reached the gateway (sensor completion + FlexRay delivery). One
@@ -139,109 +150,25 @@ fn empty_ports(topology: &Topology) -> Vec<PortPlan> {
 }
 
 /// The per-cycle (gate-column) baseline.
-#[derive(Debug)]
-pub struct PerCycle;
-
-impl Reservation for PerCycle {
-    fn key(&self) -> &'static str {
-        "per-cycle"
-    }
-    fn label(&self) -> &'static str {
-        "Per-cycle gate columns"
-    }
-    fn fingerprint_tag(&self) -> u64 {
-        0
-    }
-    fn aliases(&self) -> &'static [&'static str] {
-        &["percycle", "baseline"]
-    }
-    fn summary(&self) -> &'static str {
-        "reserve the same gate window in every base period; reject flows \
-         without a fully free column"
-    }
-    fn plan(&self, topology: &Topology) -> ReservationPlan {
-        per_cycle_plan(topology)
-    }
-}
+pub static PER_CYCLE: ReservationRef = &Reservation {
+    key: "per-cycle",
+    label: "Per-cycle gate columns",
+    aliases: &["percycle", "baseline"],
+    fingerprint_tag: 0,
+    plan: per_cycle_plan,
+};
 
 /// The hypercycle-level policy (reclaims the baseline's unused windows).
-#[derive(Debug)]
-pub struct Hypercycle;
+pub static HYPERCYCLE: ReservationRef = &Reservation {
+    key: "hypercycle",
+    label: "Hypercycle window packing",
+    aliases: &["hyper"],
+    fingerprint_tag: 1,
+    plan: hypercycle_plan,
+};
 
-impl Reservation for Hypercycle {
-    fn key(&self) -> &'static str {
-        "hypercycle"
-    }
-    fn label(&self) -> &'static str {
-        "Hypercycle window packing"
-    }
-    fn fingerprint_tag(&self) -> u64 {
-        1
-    }
-    fn aliases(&self) -> &'static [&'static str] {
-        &["hyper"]
-    }
-    fn summary(&self) -> &'static str {
-        "reserve one window per instance across the hypercycle and hand \
-         reclaimed windows to flows the per-cycle baseline rejects"
-    }
-    fn plan(&self, topology: &Topology) -> ReservationPlan {
-        hypercycle_plan(topology)
-    }
-}
-
-/// The per-cycle baseline, as a registry reference.
-pub static PER_CYCLE: ReservationRef = &PerCycle;
-/// The hypercycle policy, as a registry reference.
-pub static HYPERCYCLE: ReservationRef = &Hypercycle;
 /// Every registered reservation policy, in registry order.
 pub static ALL_RESERVATIONS: &[ReservationRef] = &[PER_CYCLE, HYPERCYCLE];
-
-/// Registered reservation keys, in registry order.
-pub fn names() -> Vec<&'static str> {
-    ALL_RESERVATIONS.iter().map(|r| r.key()).collect()
-}
-
-/// Error returned by [`resolve`] for unregistered names.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnknownReservation {
-    /// The name that failed to resolve.
-    pub name: String,
-}
-
-impl std::fmt::Display for UnknownReservation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "unknown reservation {:?} (registered: {})",
-            self.name,
-            names().join(", ")
-        )
-    }
-}
-
-impl std::error::Error for UnknownReservation {}
-
-/// Resolves a reservation policy by key, label or alias
-/// (case-insensitive, trimmed).
-///
-/// # Errors
-/// Returns [`UnknownReservation`] — whose message lists every registered
-/// key — when nothing matches.
-pub fn resolve(name: &str) -> Result<ReservationRef, UnknownReservation> {
-    let want = name.trim().to_ascii_lowercase();
-    ALL_RESERVATIONS
-        .iter()
-        .copied()
-        .find(|r| {
-            r.key() == want
-                || r.label().to_ascii_lowercase() == want
-                || r.aliases().iter().any(|a| *a == want)
-        })
-        .ok_or_else(|| UnknownReservation {
-            name: name.trim().to_string(),
-        })
-}
 
 /// Per-cycle planning: each flow needs one gate index free in **every**
 /// base period of its port, and its period must cover at least one base
@@ -379,34 +306,19 @@ fn hypercycle_plan(topology: &Topology) -> ReservationPlan {
 mod tests {
     use super::*;
     use crate::topology;
-
-    #[test]
-    fn registry_resolves_keys_labels_and_aliases() {
-        assert_eq!(names(), vec!["per-cycle", "hypercycle"]);
-        assert_eq!(resolve("per-cycle").unwrap().fingerprint_tag(), 0);
-        assert_eq!(resolve("Baseline").unwrap().key(), "per-cycle");
-        assert_eq!(resolve(" HYPER ").unwrap().key(), "hypercycle");
-        let msg = resolve("nope").unwrap_err().to_string();
-        assert!(msg.contains("unknown reservation \"nope\""), "{msg}");
-        for key in names() {
-            assert!(msg.contains(key), "{msg} missing {key}");
-        }
-    }
+    use coefficient::registry::lookup;
 
     #[test]
     fn fingerprint_tags_are_frozen_and_unique() {
-        let tags: Vec<u64> = ALL_RESERVATIONS
-            .iter()
-            .map(|r| r.fingerprint_tag())
-            .collect();
+        let tags: Vec<u64> = ALL_RESERVATIONS.iter().map(|r| r.fingerprint_tag).collect();
         assert_eq!(tags, vec![0, 1]);
     }
 
     #[test]
     fn paper_duplex_hypercycle_admits_strictly_more() {
         let t = topology::default_topology();
-        let per_cycle = PER_CYCLE.plan(t);
-        let hyper = HYPERCYCLE.plan(t);
+        let per_cycle = (PER_CYCLE.plan)(t);
+        let hyper = (HYPERCYCLE.plan)(t);
         // Port 0 carries ten forward flows against eight gate columns.
         assert_eq!(per_cycle.admitted(), 12);
         assert_eq!(hyper.admitted(), 14);
@@ -417,16 +329,16 @@ mod tests {
 
     #[test]
     fn tight_backbone_recovers_two_flows() {
-        let t = topology::resolve("tight-backbone").unwrap();
-        assert_eq!(PER_CYCLE.plan(t).admitted(), 6);
-        assert_eq!(HYPERCYCLE.plan(t).admitted(), 8);
+        let t = lookup(topology::all(), "tight-backbone").unwrap();
+        assert_eq!((PER_CYCLE.plan)(t).admitted(), 6);
+        assert_eq!((HYPERCYCLE.plan)(t).admitted(), 8);
     }
 
     #[test]
     fn occupancy_and_flow_windows_agree() {
         let t = topology::default_topology();
         for policy in ALL_RESERVATIONS {
-            let plan = policy.plan(t);
+            let plan = (policy.plan)(t);
             for fp in plan.flows.iter().filter(|f| f.admitted) {
                 assert!(!fp.windows.is_empty());
                 for &w in &fp.windows {
@@ -435,12 +347,7 @@ mod tests {
             }
             let owned: u64 = plan.flows.iter().map(|f| f.windows.len() as u64).sum();
             let reserved: u64 = plan.ports.iter().map(|p| p.windows_reserved()).sum();
-            assert_eq!(
-                owned,
-                reserved,
-                "window double-booked under {}",
-                policy.key()
-            );
+            assert_eq!(owned, reserved, "window double-booked under {}", policy.key);
         }
     }
 }

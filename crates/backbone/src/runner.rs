@@ -22,7 +22,7 @@ use tasks::{simulate, ExecutionTrace, PeriodicTask, SimulateOptions, TaskSet};
 use crate::flow::FlowCounters;
 use crate::gateway::{peak_queue_depths, simulate_gateway, GatewayArrival};
 use crate::reservation::{ReservationRef, ALL_RESERVATIONS};
-use crate::topology::{self, Topology, ACTUATOR_TASK_BASE, DOMAINS};
+use crate::topology::{Topology, ACTUATOR_TASK_BASE, DOMAINS};
 
 /// Tag namespace for [`FlowCounters`] fields in cell fingerprints
 /// (`BKFL` + field index); each counter folds in only when non-zero.
@@ -276,7 +276,7 @@ pub fn run_cell_traced(spec: &CellSpec<'_>, tracer: &Tracer) -> Result<CellRepor
     assert!(spec.hypercycles > 0, "cell must span at least 1 hypercycle");
     let hyper = t.hypercycle();
     let span = hyper * spec.hypercycles;
-    let plan = spec.reservation.plan(t);
+    let plan = (spec.reservation.plan)(t);
     // Instances released inside the measured span, per flow.
     let releases: Vec<u64> = t
         .flows
@@ -374,8 +374,8 @@ pub fn run_cell_traced(spec: &CellSpec<'_>, tracer: &Tracer) -> Result<CellRepor
     }
     Ok(CellReport {
         topology: t.name.clone(),
-        reservation: spec.reservation.key(),
-        reservation_tag: spec.reservation.fingerprint_tag(),
+        reservation: spec.reservation.key,
+        reservation_tag: spec.reservation.fingerprint_tag,
         scenario: spec.scenario.name.to_string(),
         seed: spec.seed,
         hypercycles: spec.hypercycles,
@@ -471,19 +471,11 @@ pub fn run_matrix(spec: &MatrixSpec, threads: usize) -> Result<Vec<CellReport>, 
         .collect()
 }
 
-/// Convenience: the pinned matrix on a named topology.
-///
-/// # Errors
-/// Propagates unknown-topology and cell errors as [`BackboneError`].
-pub fn run_pinned(topology: &str, threads: usize) -> Result<Vec<CellReport>, BackboneError> {
-    let topology = topology::resolve(topology).map_err(err)?;
-    run_matrix(&MatrixSpec::pinned(topology), threads)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::reservation::{HYPERCYCLE, PER_CYCLE};
+    use crate::topology;
 
     fn quick_spec(reservation: ReservationRef) -> CellSpec<'static> {
         CellSpec {

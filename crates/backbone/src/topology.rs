@@ -2,12 +2,13 @@
 //!
 //! A [`Topology`] pins the shared FlexRay cluster geometry, the Ethernet
 //! base period, the per-port gate-control lists and the end-to-end flow
-//! population. Named presets live in a registry mirroring
-//! [`coefficient::registry`] so topology names flow from CLI flags and
-//! corpus files straight to [`resolve`].
+//! population. Named presets live in a registry ([`all`]) resolved
+//! through [`coefficient::registry::lookup`], so topology names flow from
+//! CLI flags and corpus files straight to a preset.
 
 use std::sync::OnceLock;
 
+use coefficient::Named;
 use event_sim::{SimDuration, SimTime};
 use flexray::config::ClusterConfig;
 
@@ -276,50 +277,16 @@ pub fn all() -> &'static [Topology] {
     })
 }
 
-/// Registered topology names, in registry order.
-pub fn names() -> Vec<&'static str> {
-    all().iter().map(|t| t.name.as_str()).collect()
-}
-
 /// The default topology for pinned matrices (`paper-duplex`).
 pub fn default_topology() -> &'static Topology {
     &all()[0]
 }
 
-/// Error returned by [`resolve`] for unregistered names; its display
-/// lists every valid name, mirroring [`coefficient::UnknownPolicy`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnknownTopology {
-    /// The name that failed to resolve.
-    pub name: String,
-}
-
-impl std::fmt::Display for UnknownTopology {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "unknown topology {:?} (registered: {})",
-            self.name,
-            names().join(", ")
-        )
+impl Named for Topology {
+    const KIND: &'static str = "topology";
+    fn key(&self) -> &str {
+        &self.name
     }
-}
-
-impl std::error::Error for UnknownTopology {}
-
-/// Resolves a topology by name (case-insensitive, trimmed).
-///
-/// # Errors
-/// Returns [`UnknownTopology`] — whose message lists every registered
-/// name — when nothing matches.
-pub fn resolve(name: &str) -> Result<&'static Topology, UnknownTopology> {
-    let want = name.trim().to_ascii_lowercase();
-    all()
-        .iter()
-        .find(|t| t.name == want)
-        .ok_or_else(|| UnknownTopology {
-            name: name.trim().to_string(),
-        })
 }
 
 #[cfg(test)]
@@ -327,22 +294,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn presets_validate_and_resolve() {
-        assert_eq!(names(), vec!["paper-duplex", "tight-backbone"]);
-        for preset in all() {
-            assert_eq!(resolve(preset.name.as_str()).unwrap().name, preset.name);
-        }
-        assert_eq!(resolve("  Paper-Duplex ").unwrap().name, "paper-duplex");
-    }
-
-    #[test]
-    fn unknown_topology_lists_registry() {
-        let err = resolve("nope").unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("unknown topology \"nope\""), "{msg}");
-        for name in names() {
-            assert!(msg.contains(name), "{msg} missing {name}");
-        }
+    fn presets_validate_under_their_registry_names() {
+        assert_eq!(
+            coefficient::registry::keys(all()),
+            vec!["paper-duplex", "tight-backbone"]
+        );
     }
 
     #[test]

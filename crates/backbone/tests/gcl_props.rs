@@ -81,7 +81,7 @@ proptest! {
         let t = build_topology(base_idx, [g0, g1], flow_draws);
         prop_assert!(t.validate().is_ok(), "generator built invalid topology");
         for policy in ALL_RESERVATIONS {
-            let plan = policy.plan(&t);
+            let plan = (policy.plan)(&t);
             for (port, pp) in plan.ports.iter().enumerate() {
                 let gate_len = t.gate_length(port);
                 let mut intervals: Vec<(u64, u64)> = (0..pp.occupancy.len() as u64)
@@ -96,7 +96,7 @@ proptest! {
                     prop_assert!(
                         pair[0].1 <= pair[1].0,
                         "{}: port {port} windows overlap: {pair:?}",
-                        policy.key()
+                        policy.key
                     );
                 }
             }
@@ -115,7 +115,7 @@ proptest! {
     ) {
         let t = build_topology(base_idx, [g0, g1], flow_draws);
         for policy in ALL_RESERVATIONS {
-            let plan = policy.plan(&t);
+            let plan = (policy.plan)(&t);
             for (fp, flow) in plan.flows.iter().zip(&t.flows) {
                 if !fp.admitted {
                     continue;
@@ -123,7 +123,7 @@ proptest! {
                 prop_assert!(
                     t.tx_duration(fp.port, flow.size_bits) <= t.gate_length(fp.port),
                     "{}: flow {} admitted but frame exceeds its window",
-                    policy.key(),
+                    policy.key,
                     fp.flow
                 );
                 prop_assert!(!fp.windows.is_empty());
@@ -148,8 +148,8 @@ proptest! {
             (0u8..2, 0usize..4, 64u32..4096), 0..12),
     ) {
         let t = build_topology(base_idx, [g0, g1], flow_draws);
-        let per_cycle = PER_CYCLE.plan(&t);
-        let hyper = HYPERCYCLE.plan(&t);
+        let per_cycle = (PER_CYCLE.plan)(&t);
+        let hyper = (HYPERCYCLE.plan)(&t);
         prop_assert!(hyper.admitted() >= per_cycle.admitted());
         for (a, b) in per_cycle.flows.iter().zip(&hyper.flows) {
             prop_assert!(

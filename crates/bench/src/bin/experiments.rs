@@ -93,34 +93,121 @@ use bench_harness::golden::{
     DEFAULT_CORPUS_PATH,
 };
 use bench_harness::json::Json;
-use bench_harness::sweep::{
-    cell_json, parse_policy, parse_scenario, policy_label, sweep_report_json, SweepSpec,
-};
+use bench_harness::sweep::{cell_json, parse_scenario, sweep_report_json, SweepSpec};
 use bench_harness::table::print_table;
 use bench_harness::trace::{counter_names, trace_json, validate_trace};
-use coefficient::{CellCoord, Scenario, SeedStrategy, StopCondition, SweepRunner, TraceConfig};
+use coefficient::registry::{self, lookup};
+use coefficient::{
+    CellCoord, PolicyRef, Scenario, SeedStrategy, StopCondition, SweepRunner, TraceConfig,
+    UnknownName,
+};
 use event_sim::SimDuration;
 use fleet::FleetSpec;
 use flexray::config::ClusterConfig;
 
-/// A subcommand's entry point; it gets the arguments after its name.
-type Subcommand = fn(&[String]);
+/// A subcommand: its entry point, which gets the arguments after its
+/// name, and the flags it takes.
+struct Command {
+    name: &'static str,
+    run: fn(&[String]),
+    /// Flags followed by a value, in space-separated groups.
+    values: &'static [&'static str],
+    /// Flags that stand alone, space-separated.
+    switches: &'static str,
+}
 
-/// Every subcommand and its entry point. Any other first argument is a
-/// figure name (see `FIGURES`) or a flag of the figure run.
-const SUBCOMMANDS: [(&str, Subcommand); 11] = [
-    ("sweep", run_sweep),
-    ("replay", run_replay),
-    ("trace", run_trace),
-    ("golden", run_golden),
-    ("determinism", run_determinism),
-    ("storm-smoke", run_storm_smoke),
-    ("chaos", run_chaos),
-    ("cycles", run_cycles),
-    ("fleet", run_fleet),
-    ("backbone", run_backbone),
-    ("trace-overhead", run_trace_overhead),
+/// The value flags `parse_spec` reads, shared by every sweep-shaped
+/// subcommand; `--shared-seeds` is their one switch.
+const SWEEP_FLAGS: &str =
+    "--seeds --master-seed --minislots --horizon-ms --threads --policy --scenario";
+
+/// Every subcommand. Any other first argument is a figure name (see
+/// `FIGURES`) or a flag of the figure run.
+const SUBCOMMANDS: [Command; 11] = [
+    Command {
+        name: "sweep",
+        run: run_sweep,
+        values: &[SWEEP_FLAGS],
+        switches: "--shared-seeds --json --pretty",
+    },
+    Command {
+        name: "replay",
+        run: run_replay,
+        values: &[SWEEP_FLAGS, "--cell"],
+        switches: "--shared-seeds",
+    },
+    Command {
+        name: "trace",
+        run: run_trace,
+        values: &[
+            SWEEP_FLAGS,
+            "--cell --out --format --capacity --sample-every",
+        ],
+        switches: "--shared-seeds --golden",
+    },
+    Command {
+        name: "golden",
+        run: run_golden,
+        values: &["--out --name --corpus"],
+        switches: "",
+    },
+    Command {
+        name: "determinism",
+        run: run_determinism,
+        values: &[SWEEP_FLAGS, "--thread-counts"],
+        switches: "--shared-seeds",
+    },
+    Command {
+        name: "storm-smoke",
+        run: run_storm_smoke,
+        values: &["--seed --horizon-ms"],
+        switches: "",
+    },
+    Command {
+        name: "chaos",
+        run: run_chaos,
+        values: &[
+            "--campaign --scenario --policy --require --seed --horizon-cycles",
+            "--recovery-budget --hard-miss-budget --threads --out",
+        ],
+        switches: "",
+    },
+    Command {
+        name: "cycles",
+        run: run_cycles,
+        values: &["--iters --out --baseline --tolerance"],
+        switches: "--smoke",
+    },
+    Command {
+        name: "fleet",
+        run: run_fleet,
+        values: &[
+            "--vehicles --policy --env --seed --threads --shard-size --horizon-ms --minislots",
+            "--out --bench-out --stats-file --stats-socket --stats-every-ms",
+        ],
+        switches: "--smoke",
+    },
+    Command {
+        name: "backbone",
+        run: run_backbone,
+        values: &["--topology --reservation --threads --hypercycles --out"],
+        switches: "--flows",
+    },
+    Command {
+        name: "trace-overhead",
+        run: run_trace_overhead,
+        values: &["--cell --iters --capacity --sample-every --tolerance"],
+        switches: "",
+    },
 ];
+
+/// The figure run: positional figure names plus `--json`.
+const FIGURE_RUN: Command = Command {
+    name: "figures",
+    run: run_figures,
+    values: &[],
+    switches: "--json",
+};
 
 /// The names `run_figures` accepts as positional arguments.
 const FIGURES: [&str; 12] = [
@@ -131,9 +218,49 @@ const FIGURES: [&str; 12] = [
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let first = args.first().map(String::as_str);
-    match SUBCOMMANDS.iter().find(|(name, _)| Some(*name) == first) {
-        Some((_, run)) => run(&args[1..]),
-        None => run_figures(&args),
+    let (command, rest) = match SUBCOMMANDS.iter().find(|c| Some(c.name) == first) {
+        Some(command) => (command, &args[1..]),
+        None => (&FIGURE_RUN, &args[..]),
+    };
+    check_flags(command, rest);
+    (command.run)(rest);
+}
+
+/// Prints `message` and exits 2, the exit code of every usage error.
+fn usage_error(message: impl std::fmt::Display) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2);
+}
+
+/// Prints `message` and exits 1: a run failed or a gate did not pass.
+fn fail(message: impl std::fmt::Display) -> ! {
+    eprintln!("{message}");
+    std::process::exit(1);
+}
+
+/// Writes `contents` to `path`, failing the run if it cannot.
+fn write_out(path: &str, contents: impl AsRef<[u8]>) {
+    std::fs::write(path, contents).unwrap_or_else(|e| fail(format!("cannot write {path}: {e}")));
+}
+
+/// Exits 2 on a `--…` argument `command` does not take, or on one of its
+/// value flags with no value after it.
+fn check_flags(command: &Command, args: &[String]) {
+    let values = || command.values.iter().flat_map(|g| g.split_whitespace());
+    let switches = || command.switches.split_whitespace();
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if values().any(|f| f == arg) {
+            if rest.next().is_none_or(|v| v.starts_with("--")) {
+                usage_error(format!("{arg} needs a value"));
+            }
+        } else if arg.starts_with("--") && !switches().any(|f| f == arg) {
+            usage_error(UnknownName {
+                kind: "flag",
+                name: arg.clone(),
+                valid: values().chain(switches()).collect(),
+            });
+        }
     }
 }
 
@@ -150,11 +277,22 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
 
 fn parse_number<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
     flag_value(args, flag).map(|v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("invalid value for {flag}: {v}");
-            std::process::exit(2);
-        })
+        v.parse()
+            .unwrap_or_else(|_| usage_error(format!("invalid value for {flag}: {v}")))
     })
+}
+
+/// [`parse_number`] for a count the library asserts is at least 1: a
+/// zero exits 2 instead of panicking.
+fn parse_count<T: std::str::FromStr + Default + PartialEq>(
+    args: &[String],
+    flag: &str,
+) -> Option<T> {
+    let v = parse_number(args, flag);
+    if v == Some(T::default()) {
+        usage_error(format!("{flag} must be at least 1"));
+    }
+    v
 }
 
 fn flag_values<'a>(args: &'a [String], flag: &str) -> Vec<&'a str> {
@@ -164,6 +302,21 @@ fn flag_values<'a>(args: &'a [String], flag: &str) -> Vec<&'a str> {
         .filter_map(|(i, _)| args.get(i + 1))
         .map(String::as_str)
         .collect()
+}
+
+/// Every `flag` value, resolved against the policy registry.
+fn parse_policies(args: &[String], flag: &str) -> Vec<PolicyRef> {
+    flag_values(args, flag)
+        .into_iter()
+        .map(|v| registry::resolve(v).unwrap_or_else(|e| usage_error(e)))
+        .collect()
+}
+
+/// Runs one cell's configuration, failing the run if it is unschedulable.
+fn run_config(cfg: coefficient::RunConfig) -> coefficient::RunReport {
+    coefficient::Runner::new(cfg)
+        .unwrap_or_else(|e| fail(format!("cell is unschedulable: {e:?}")))
+        .run()
 }
 
 fn parse_spec(args: &[String]) -> SweepSpec {
@@ -180,29 +333,16 @@ fn parse_spec(args: &[String]) -> SweepSpec {
     if let Some(v) = parse_number(args, "--horizon-ms") {
         spec.horizon_ms = v;
     }
-    if let Some(v) = parse_number(args, "--threads") {
+    if let Some(v) = parse_count(args, "--threads") {
         spec.threads = Some(v);
     }
-    let policies: Vec<_> = flag_values(args, "--policy")
-        .into_iter()
-        .map(|v| {
-            parse_policy(v).unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(2);
-            })
-        })
-        .collect();
+    let policies = parse_policies(args, "--policy");
     if !policies.is_empty() {
         spec.policies = policies;
     }
     let scenarios: Vec<_> = flag_values(args, "--scenario")
         .into_iter()
-        .map(|v| {
-            parse_scenario(v).unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(2);
-            })
-        })
+        .map(|v| parse_scenario(v).unwrap_or_else(|e| usage_error(e)))
         .collect();
     if !scenarios.is_empty() {
         spec.scenarios = scenarios;
@@ -215,10 +355,9 @@ fn parse_spec(args: &[String]) -> SweepSpec {
 
 fn run_sweep(args: &[String]) {
     let spec = parse_spec(args);
-    let report = spec.run().unwrap_or_else(|e| {
-        eprintln!("sweep configuration is unschedulable: {e:?}");
-        std::process::exit(1);
-    });
+    let report = spec
+        .run()
+        .unwrap_or_else(|e| fail(format!("sweep configuration is unschedulable: {e:?}")));
     if args.iter().any(|a| a == "--json" || a == "--pretty") {
         let doc = sweep_report_json(&report);
         if args.iter().any(|a| a == "--pretty") {
@@ -249,7 +388,7 @@ fn run_sweep(args: &[String]) {
             .iter()
             .map(|g| {
                 vec![
-                    policy_label(g.policy).to_string(),
+                    g.policy.label().to_string(),
                     g.scenario.to_string(),
                     g.cells.to_string(),
                     format!("{:.3}±{:.3}", g.utilization.mean, g.utilization.std_dev),
@@ -264,21 +403,20 @@ fn run_sweep(args: &[String]) {
 /// Parses `--cell P,S,SEED` and bounds-checks it against `matrix`.
 fn parse_cell(args: &[String], matrix: &coefficient::SweepMatrix, subcommand: &str) -> CellCoord {
     let Some(cell) = flag_value(args, "--cell") else {
-        eprintln!("{subcommand} requires --cell POLICY_INDEX,SCENARIO_INDEX,SEED_INDEX");
-        std::process::exit(2);
+        usage_error(format!(
+            "{subcommand} requires --cell POLICY_INDEX,SCENARIO_INDEX,SEED_INDEX"
+        ));
     };
     let indices: Vec<usize> = cell
         .split(',')
         .map(|p| {
-            p.trim().parse().unwrap_or_else(|_| {
-                eprintln!("invalid --cell component: {p}");
-                std::process::exit(2);
-            })
+            p.trim()
+                .parse()
+                .unwrap_or_else(|_| usage_error(format!("invalid --cell component: {p}")))
         })
         .collect();
     let [policy, scenario, seed] = indices[..] else {
-        eprintln!("--cell needs exactly three comma-separated indices");
-        std::process::exit(2);
+        usage_error("--cell needs exactly three comma-separated indices");
     };
     let coord = CellCoord {
         policy,
@@ -289,13 +427,12 @@ fn parse_cell(args: &[String], matrix: &coefficient::SweepMatrix, subcommand: &s
         || coord.scenario >= matrix.scenarios.len()
         || coord.seed >= matrix.seeds.len()
     {
-        eprintln!(
+        usage_error(format!(
             "--cell {cell} out of range for a {}x{}x{} matrix",
             matrix.policies.len(),
             matrix.scenarios.len(),
             matrix.seeds.len()
-        );
-        std::process::exit(2);
+        ));
     }
     coord
 }
@@ -304,10 +441,9 @@ fn run_replay(args: &[String]) {
     let spec = parse_spec(args);
     let runner = SweepRunner::new(spec.build_matrix());
     let coord = parse_cell(args, runner.matrix(), "replay");
-    let outcome = runner.replay(coord).unwrap_or_else(|e| {
-        eprintln!("replayed cell is unschedulable: {e:?}");
-        std::process::exit(1);
-    });
+    let outcome = runner
+        .replay(coord)
+        .unwrap_or_else(|e| fail(format!("replayed cell is unschedulable: {e:?}")));
     println!("{}", cell_json(&outcome).pretty());
 }
 
@@ -331,39 +467,25 @@ fn run_trace(args: &[String]) {
     let sample_every: u64 = parse_number(args, "--sample-every").unwrap_or(10);
     let format = flag_value(args, "--format").unwrap_or("json");
     if !matches!(format, "json" | "chrome") {
-        eprintln!("unknown --format: {format} (expected chrome|json)");
-        std::process::exit(2);
+        usage_error(format!("unknown --format: {format} (expected chrome|json)"));
     }
 
     let mut cfg = matrix.config(coord);
     cfg.trace = TraceConfig::ring(capacity).sample_every(sample_every);
-    let run = |cfg: coefficient::RunConfig| {
-        coefficient::Runner::new(cfg)
-            .unwrap_or_else(|e| {
-                eprintln!("traced cell is unschedulable: {e:?}");
-                std::process::exit(1);
-            })
-            .run()
-    };
-    let first = run(cfg.clone());
-    let second = run(cfg);
+    let first = run_config(cfg.clone());
+    let second = run_config(cfg);
     if first.trace != second.trace {
-        eprintln!("trace FAILED: two replays of the same cell produced different event streams");
-        std::process::exit(1);
+        fail("trace FAILED: two replays of the same cell produced different event streams")
     }
     let untraced = SweepRunner::new(matrix.clone())
         .replay(coord)
-        .unwrap_or_else(|e| {
-            eprintln!("replayed cell is unschedulable: {e:?}");
-            std::process::exit(1);
-        });
+        .unwrap_or_else(|e| fail(format!("replayed cell is unschedulable: {e:?}")));
     if first.fingerprint() != untraced.fingerprint {
-        eprintln!(
+        fail(format!(
             "trace FAILED: traced fingerprint {:016x} != untraced {:016x} — tracing perturbed the run",
             first.fingerprint(),
             untraced.fingerprint
-        );
-        std::process::exit(1);
+        ))
     }
 
     let cell = coefficient::CellOutcome {
@@ -389,12 +511,12 @@ fn run_trace(args: &[String]) {
             // Round-trip the document through the parser and the schema
             // validator before letting it out of the process.
             let parsed = Json::parse(&doc.to_string()).unwrap_or_else(|e| {
-                eprintln!("trace FAILED: exported JSON does not parse: {e}");
-                std::process::exit(1);
+                fail(format!("trace FAILED: exported JSON does not parse: {e}"))
             });
             if let Err(defect) = validate_trace(&parsed) {
-                eprintln!("trace FAILED: exported JSON violates coefficient-trace/1: {defect}");
-                std::process::exit(1);
+                fail(format!(
+                    "trace FAILED: exported JSON violates coefficient-trace/1: {defect}"
+                ))
             }
             (
                 doc.to_string(),
@@ -408,13 +530,10 @@ fn run_trace(args: &[String]) {
     let out = flag_value(args, "--out")
         .map(String::from)
         .unwrap_or(default_name);
-    std::fs::write(&out, &content).unwrap_or_else(|e| {
-        eprintln!("cannot write {out}: {e}");
-        std::process::exit(1);
-    });
+    write_out(&out, &content);
     println!(
         "trace: {} {} seed {} -> {out}",
-        policy_label(cell.policy),
+        cell.policy.label(),
         cell.scenario,
         cell.seed
     );
@@ -436,14 +555,10 @@ fn run_golden(args: &[String]) {
         Some("record") => {
             let out = flag_value(args, "--out").unwrap_or(DEFAULT_CORPUS_PATH);
             let name = flag_value(args, "--name").unwrap_or("default");
-            let file = record_corpus(name, &golden_spec()).unwrap_or_else(|e| {
-                eprintln!("golden record failed: {e}");
-                std::process::exit(1);
-            });
-            save_corpus(Path::new(out), &file).unwrap_or_else(|e| {
-                eprintln!("cannot write {out}: {e}");
-                std::process::exit(1);
-            });
+            let file = record_corpus(name, &golden_spec())
+                .unwrap_or_else(|e| fail(format!("golden record failed: {e}")));
+            save_corpus(Path::new(out), &file)
+                .unwrap_or_else(|e| fail(format!("cannot write {out}: {e}")));
             println!(
                 "golden record: wrote {} cells, {} groups and {} backbone cells to {out}",
                 file.corpus.cells.len(),
@@ -458,15 +573,11 @@ fn run_golden(args: &[String]) {
                 eprintln!("(record one with: experiments golden record --out {path})");
                 std::process::exit(2);
             });
-            let report = verify_corpus(&file).unwrap_or_else(|e| {
-                eprintln!("golden verify could not replay: {e}");
-                std::process::exit(1);
-            });
+            let report = verify_corpus(&file)
+                .unwrap_or_else(|e| fail(format!("golden verify could not replay: {e}")));
             print!("{report}");
-            let backbone_defects = verify_backbone(&file).unwrap_or_else(|e| {
-                eprintln!("backbone replay failed to run: {e}");
-                std::process::exit(1);
-            });
+            let backbone_defects = verify_backbone(&file)
+                .unwrap_or_else(|e| fail(format!("backbone replay failed to run: {e}")));
             for defect in &backbone_defects {
                 eprintln!("{defect}");
             }
@@ -477,17 +588,13 @@ fn run_golden(args: &[String]) {
                 );
             }
             if !report.passed() || !backbone_defects.is_empty() {
-                eprintln!(
+                fail(format!(
                     "golden verify FAILED against {path}; if the change is intentional, \
                      re-record with: experiments golden record --out {path}"
-                );
-                std::process::exit(1);
+                ))
             }
         }
-        _ => {
-            eprintln!("usage: experiments golden record|verify [--out|--corpus PATH]");
-            std::process::exit(2);
-        }
+        _ => usage_error("usage: experiments golden record|verify [--out|--corpus PATH]"),
     }
 }
 
@@ -500,10 +607,8 @@ fn run_cycles(args: &[String]) {
     if let Some(iters) = parse_number(args, "--iters") {
         spec.iters = iters;
     }
-    let report = measure_cycles(&spec).unwrap_or_else(|e| {
-        eprintln!("cycles matrix is unschedulable: {e:?}");
-        std::process::exit(1);
-    });
+    let report = measure_cycles(&spec)
+        .unwrap_or_else(|e| fail(format!("cycles matrix is unschedulable: {e:?}")));
     println!(
         "bench cycles ({} mode): {} scenarios x {} seeds, best of {} iters, \
          calibration {:.2} ms",
@@ -527,10 +632,7 @@ fn run_cycles(args: &[String]) {
     }
     if let Some(out) = flag_value(args, "--out") {
         let text = cycles_to_json(&report).pretty() + "\n";
-        std::fs::write(out, text).unwrap_or_else(|e| {
-            eprintln!("cannot write {out}: {e}");
-            std::process::exit(1);
-        });
+        write_out(out, text);
         println!("bench cycles: wrote {out}");
     }
     if let Some(path) = flag_value(args, "--baseline") {
@@ -543,14 +645,9 @@ fn run_cycles(args: &[String]) {
         let baseline = Json::parse(&text)
             .map_err(|e| e.to_string())
             .and_then(|doc| cycles_from_json(&doc))
-            .unwrap_or_else(|e| {
-                eprintln!("invalid baseline {path}: {e}");
-                std::process::exit(2);
-            });
-        let comparisons = compare_to_baseline(&report, &baseline, tolerance).unwrap_or_else(|e| {
-            eprintln!("cannot compare against {path}: {e}");
-            std::process::exit(2);
-        });
+            .unwrap_or_else(|e| usage_error(format!("invalid baseline {path}: {e}")));
+        let comparisons = compare_to_baseline(&report, &baseline, tolerance)
+            .unwrap_or_else(|e| usage_error(format!("cannot compare against {path}: {e}")));
         let mut regressed = false;
         for c in &comparisons {
             let verdict = if c.regressed { "FAIL" } else { "PASS" };
@@ -565,12 +662,11 @@ fn run_cycles(args: &[String]) {
             regressed |= c.regressed;
         }
         if regressed {
-            eprintln!(
+            fail(format!(
                 "bench cycles: REGRESSION beyond {:.0}% against {path}; if intentional, \
                  re-record with: experiments cycles --smoke --out {path}",
                 tolerance * 100.0,
-            );
-            std::process::exit(1);
+            ))
         }
         println!(
             "bench cycles: all policies within {:.0}% of {path}",
@@ -590,31 +686,25 @@ fn run_fleet(args: &[String]) {
         FleetSpec::default()
     };
     if let Some(v) = flag_value(args, "--env") {
-        spec.env = fleet::env::resolve(v).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        });
+        spec.env = lookup(fleet::env::all(), v).unwrap_or_else(|e| usage_error(e));
     }
     if let Some(v) = parse_number(args, "--vehicles") {
         spec.vehicles = v;
     }
+    let models = registry::keys(fleet::env::all()).join(", ");
     if spec.vehicles == 0 {
-        eprintln!(
-            "fleet needs --vehicles >= 1 (environment models: {})",
-            fleet::env_names().join(", ")
-        );
-        std::process::exit(2);
+        usage_error(format!(
+            "fleet needs --vehicles >= 1 (environment models: {models})"
+        ));
     }
     if let Some(v) = parse_number(args, "--seed") {
         spec.seed = v;
     }
     if let Some(v) = parse_number(args, "--shard-size") {
         if v == 0 {
-            eprintln!(
-                "fleet needs --shard-size >= 1 (environment models: {})",
-                fleet::env_names().join(", ")
-            );
-            std::process::exit(2);
+            usage_error(format!(
+                "fleet needs --shard-size >= 1 (environment models: {models})"
+            ));
         }
         spec.shard_size = v;
     }
@@ -624,15 +714,7 @@ fn run_fleet(args: &[String]) {
     if let Some(v) = parse_number(args, "--minislots") {
         spec.minislots = v;
     }
-    let policies: Vec<coefficient::PolicyRef> = flag_values(args, "--policy")
-        .into_iter()
-        .map(|v| {
-            parse_policy(v).unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(2);
-            })
-        })
-        .collect();
+    let policies = parse_policies(args, "--policy");
     if !policies.is_empty() {
         spec.policies = policies;
     }
@@ -690,49 +772,35 @@ fn run_fleet(args: &[String]) {
 
     if let Some(path) = flag_value(args, "--out") {
         let doc = fleet_bench::fleet_report_json(&spec, &run.aggregate);
-        std::fs::write(path, format!("{doc}\n")).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        });
+        write_out(path, format!("{doc}\n"));
         println!("  wrote {path}");
     }
     if let Some(path) = flag_value(args, "--bench-out") {
         let doc = fleet_bench::fleet_bench_json(&spec, &run, calibration);
-        std::fs::write(path, format!("{doc}\n")).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        });
+        write_out(path, format!("{doc}\n"));
         println!("  wrote {path}");
     }
 }
 
 fn run_backbone(args: &[String]) {
     let topology_name = flag_value(args, "--topology").unwrap_or("paper-duplex");
-    let topology = backbone::resolve_topology(topology_name).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let topology =
+        lookup(backbone::topology::all(), topology_name).unwrap_or_else(|e| usage_error(e));
     let mut spec = backbone::MatrixSpec::pinned(topology);
     let reservations = flag_values(args, "--reservation");
     if !reservations.is_empty() {
         spec.reservations = reservations
             .iter()
             .map(|name| {
-                backbone::resolve_reservation(name).unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                })
+                *lookup(backbone::ALL_RESERVATIONS, name).unwrap_or_else(|e| usage_error(e))
             })
             .collect();
     }
-    if let Some(hypercycles) = parse_number(args, "--hypercycles") {
+    if let Some(hypercycles) = parse_count(args, "--hypercycles") {
         spec.hypercycles = hypercycles;
     }
     let threads: usize = parse_number(args, "--threads").unwrap_or(1);
-    let reports = backbone::run_matrix(&spec, threads).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(1);
-    });
+    let reports = backbone::run_matrix(&spec, threads).unwrap_or_else(|e| fail(e));
     println!(
         "backbone {}: {} — hypercycle {} µs, {} flows, {} cells",
         topology.name,
@@ -783,15 +851,11 @@ fn run_backbone(args: &[String]) {
     }
     if let Some(out) = flag_value(args, "--out") {
         let doc = backbone_report_json(topology, &reports);
-        std::fs::write(out, doc.pretty() + "\n").unwrap_or_else(|e| {
-            eprintln!("cannot write {out}: {e}");
-            std::process::exit(1);
-        });
+        write_out(out, doc.pretty() + "\n");
         println!("  wrote {out}");
     }
     if let Err(defect) = check_backbone_matrix(&reports) {
-        eprintln!("backbone GATE FAILED: {defect}");
-        std::process::exit(1);
+        fail(format!("backbone GATE FAILED: {defect}"))
     }
     println!("backbone: gates passed (jitter within declared bounds, hypercycle gain present)");
 }
@@ -808,35 +872,27 @@ fn run_trace_overhead(args: &[String]) {
             seed: 1,
         }
     };
-    let iters: u32 = parse_number(args, "--iters").unwrap_or(7);
+    let iters: u32 = parse_count(args, "--iters").unwrap_or(7);
     let capacity: usize = parse_number(args, "--capacity").unwrap_or(1 << 20);
     let sample_every: u64 = parse_number(args, "--sample-every").unwrap_or(10);
     let tolerance: f64 = parse_number(args, "--tolerance").unwrap_or(0.05);
-    let run = |cfg: coefficient::RunConfig| {
-        coefficient::Runner::new(cfg)
-            .unwrap_or_else(|e| {
-                eprintln!("overhead cell is unschedulable: {e:?}");
-                std::process::exit(1);
-            })
-            .run()
-    };
     let untraced_cfg = matrix.config(coord);
     let mut traced_cfg = matrix.config(coord);
     traced_cfg.trace = TraceConfig::ring(capacity).sample_every(sample_every);
-    let untraced_fp = run(untraced_cfg.clone()).fingerprint();
-    let traced_fp = run(traced_cfg.clone()).fingerprint();
+    let untraced_fp = run_config(untraced_cfg.clone()).fingerprint();
+    let traced_fp = run_config(traced_cfg.clone()).fingerprint();
     if untraced_fp != traced_fp {
-        eprintln!(
+        fail(format!(
             "trace-overhead FAILED: traced fingerprint {traced_fp:016x} != \
              untraced {untraced_fp:016x} — tracing perturbed the run"
-        );
-        std::process::exit(1);
+        ))
     }
     let untraced = bench_harness::timing::bench("trace-overhead/untraced", iters, || {
-        run(untraced_cfg.clone())
+        run_config(untraced_cfg.clone())
     });
-    let traced =
-        bench_harness::timing::bench("trace-overhead/traced", iters, || run(traced_cfg.clone()));
+    let traced = bench_harness::timing::bench("trace-overhead/traced", iters, || {
+        run_config(traced_cfg.clone())
+    });
     let ratio = traced.min.as_secs_f64() / untraced.min.as_secs_f64();
     println!(
         "trace-overhead: cell {},{},{} — untraced best {:.3} ms, traced best {:.3} ms \
@@ -850,13 +906,12 @@ fn run_trace_overhead(args: &[String]) {
         tolerance * 100.0,
     );
     if ratio > 1.0 + tolerance {
-        eprintln!(
+        fail(format!(
             "trace-overhead FAILED: traced run is {:.2}% slower than untraced \
              (gate {:.0}%)",
             (ratio - 1.0) * 100.0,
             tolerance * 100.0,
-        );
-        std::process::exit(1);
+        ))
     }
 }
 
@@ -865,11 +920,10 @@ fn run_determinism(args: &[String]) {
     let thread_counts: Vec<usize> = flag_value(args, "--thread-counts")
         .map(|v| {
             v.split(',')
-                .map(|p| {
-                    p.trim().parse().unwrap_or_else(|_| {
-                        eprintln!("invalid --thread-counts component: {p}");
-                        std::process::exit(2);
-                    })
+                .map(|p| match p.trim().parse() {
+                    Ok(0) => usage_error("--thread-counts entries must be at least 1"),
+                    Ok(threads) => threads,
+                    Err(_) => usage_error(format!("invalid --thread-counts component: {p}")),
                 })
                 .collect()
         })
@@ -878,10 +932,9 @@ fn run_determinism(args: &[String]) {
     for &threads in &thread_counts {
         let mut run = spec.clone();
         run.threads = Some(threads);
-        let report = run.run().unwrap_or_else(|e| {
-            eprintln!("sweep configuration is unschedulable: {e:?}");
-            std::process::exit(1);
-        });
+        let report = run
+            .run()
+            .unwrap_or_else(|e| fail(format!("sweep configuration is unschedulable: {e:?}")));
         println!(
             "determinism: {} cells on {threads:>2} thread(s) in {:>7.0} ms -> fingerprint {:016x}",
             report.cells.len(),
@@ -891,8 +944,7 @@ fn run_determinism(args: &[String]) {
         fingerprints.push(report.fingerprint());
     }
     if fingerprints.windows(2).any(|w| w[0] != w[1]) {
-        eprintln!("determinism FAILED: fingerprints diverge across thread counts");
-        std::process::exit(1);
+        fail("determinism FAILED: fingerprints diverge across thread counts")
     }
     println!("determinism: all {} runs agree", thread_counts.len());
 }
@@ -974,8 +1026,7 @@ fn run_storm_smoke(args: &[String]) {
         failed |= !pass;
     }
     if failed {
-        eprintln!("storm-smoke FAILED");
-        std::process::exit(1);
+        fail("storm-smoke FAILED")
     }
 }
 
@@ -992,23 +1043,15 @@ fn run_storm_smoke(args: &[String]) {
 /// bytes are identical at any `--threads` value — CI diffs 1 vs 8.
 fn run_chaos(args: &[String]) {
     let campaign_name = flag_value(args, "--campaign").unwrap_or(chaos::DEFAULT_CAMPAIGN);
-    let spec = chaos::resolve_campaign(campaign_name).unwrap_or_else(|| {
-        eprintln!(
-            "unknown campaign \"{campaign_name}\" (valid: {})",
-            chaos::campaign_names().join(", ")
-        );
-        std::process::exit(2);
-    });
+    let campaign = lookup(&chaos::CAMPAIGNS, campaign_name).unwrap_or_else(|e| usage_error(e));
+    let campaign_name = campaign.name;
     let base = flag_value(args, "--scenario").map_or_else(Scenario::ber7, |v| {
-        parse_scenario(v).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        })
+        parse_scenario(v).unwrap_or_else(|e| usage_error(e))
     });
     let seed = parse_number(args, "--seed").unwrap_or(chaos::CHAOS_SEED);
     let horizon_cycles =
         parse_number(args, "--horizon-cycles").unwrap_or(chaos::DEFAULT_HORIZON_CYCLES);
-    let threads = parse_number(args, "--threads").unwrap_or(1);
+    let threads = parse_count(args, "--threads").unwrap_or(1);
     let mut contract = ChaosContract::default();
     if let Some(v) = parse_number(args, "--recovery-budget") {
         contract.recovery_budget_cycles = v;
@@ -1016,31 +1059,19 @@ fn run_chaos(args: &[String]) {
     if let Some(v) = parse_number(args, "--hard-miss-budget") {
         contract.hard_miss_budget = v;
     }
-    let parse_policies = |flag: &str| -> Vec<coefficient::PolicyRef> {
-        flag_values(args, flag)
-            .into_iter()
-            .map(|v| {
-                parse_policy(v).unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                })
-            })
-            .collect()
-    };
-    let mut policies = parse_policies("--policy");
+    let mut policies = parse_policies(args, "--policy");
     if policies.is_empty() {
-        policies = coefficient::registry::ALL.to_vec();
+        policies = registry::ALL.to_vec();
     }
-    let required = parse_policies("--require");
-    for &req in &required {
-        assert!(
-            policies.iter().any(|&p| std::ptr::eq(p, req)),
+    let required = parse_policies(args, "--require");
+    if let Some(req) = required.iter().find(|req| !policies.contains(req)) {
+        usage_error(format!(
             "--require {} must also be among the policies under test",
             req.key()
-        );
+        ));
     }
 
-    let scenario = chaos::chaos_scenario(base, campaign_name, spec);
+    let scenario = chaos::chaos_scenario(base, campaign_name, (campaign.build)());
     let cards = chaos::run_campaign(
         &scenario,
         &policies,
@@ -1049,10 +1080,7 @@ fn run_chaos(args: &[String]) {
         threads,
         contract,
     )
-    .unwrap_or_else(|e| {
-        eprintln!("chaos campaign failed to schedule: {e}");
-        std::process::exit(1);
-    });
+    .unwrap_or_else(|e| fail(format!("chaos campaign failed to schedule: {e}")));
 
     println!(
         "chaos: campaign {campaign_name}, scenario {}, seed {seed}, horizon {horizon_cycles} cycles",
@@ -1094,10 +1122,7 @@ fn run_chaos(args: &[String]) {
             contract,
             &cards,
         );
-        std::fs::write(path, format!("{doc}\n")).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        });
+        write_out(path, format!("{doc}\n"));
         println!("  wrote {path}");
     }
 
@@ -1124,19 +1149,6 @@ fn run_chaos(args: &[String]) {
 // figures
 // ---------------------------------------------------------------------------
 
-fn running_time_json(rows: &[bench_harness::RunningTimeRow]) -> Json {
-    Json::array(rows.iter().map(|r| {
-        Json::object([
-            ("workload", Json::str(r.workload)),
-            ("slots", Json::from(r.slots)),
-            ("policy", Json::str(r.policy)),
-            ("scenario", Json::str(r.scenario)),
-            ("messages", Json::from(r.messages)),
-            ("running_time_s", Json::from(r.running_time_s)),
-        ])
-    }))
-}
-
 fn run_figures(args: &[String]) {
     let json = args.iter().any(|a| a == "--json");
     let which: Vec<&str> = args
@@ -1145,7 +1157,7 @@ fn run_figures(args: &[String]) {
         .map(String::as_str)
         .collect();
     if let Some(bad) = which.iter().find(|w| !FIGURES.contains(w)) {
-        let subcommands: Vec<&str> = SUBCOMMANDS.iter().map(|(name, _)| *name).collect();
+        let subcommands: Vec<&str> = SUBCOMMANDS.iter().map(|c| c.name).collect();
         eprintln!("unknown subcommand or figure \"{bad}\"");
         eprintln!("valid subcommands: {}", subcommands.join(", "));
         eprintln!("valid figures: {}", FIGURES.join(", "));
@@ -1156,39 +1168,17 @@ fn run_figures(args: &[String]) {
 
     let counts: Vec<u64> = vec![200, 400, 600, 800, 1000];
 
-    if want("fig1") {
-        let rows = fig_running_time(&Scenario::ber7(), &counts);
-        print_table(
-            "Figure 1 — running time, BER-7 (seconds of simulated bus time)",
-            &[
-                "workload",
-                "slots",
-                "policy",
-                "messages",
-                "running time [s]",
-            ],
-            &rows
-                .iter()
-                .map(|r| {
-                    vec![
-                        r.workload.to_string(),
-                        r.slots.to_string(),
-                        r.policy.to_string(),
-                        r.messages.to_string(),
-                        format!("{:.3}", r.running_time_s),
-                    ]
-                })
-                .collect::<Vec<_>>(),
-        );
-        if json {
-            println!("{}", running_time_json(&rows));
+    for (fig, scenario) in [("fig1", Scenario::ber7()), ("fig2", Scenario::ber9())] {
+        if !want(fig) {
+            continue;
         }
-    }
-
-    if want("fig2") {
-        let rows = fig_running_time(&Scenario::ber9(), &counts);
+        let rows = fig_running_time(&scenario, &counts);
         print_table(
-            "Figure 2 — running time, BER-9 (seconds of simulated bus time)",
+            &format!(
+                "Figure {} — running time, {} (seconds of simulated bus time)",
+                &fig[3..],
+                scenario.name
+            ),
             &[
                 "workload",
                 "slots",
@@ -1210,7 +1200,17 @@ fn run_figures(args: &[String]) {
                 .collect::<Vec<_>>(),
         );
         if json {
-            println!("{}", running_time_json(&rows));
+            let doc = Json::array(rows.iter().map(|r| {
+                Json::object([
+                    ("workload", Json::str(r.workload)),
+                    ("slots", Json::from(r.slots)),
+                    ("policy", Json::str(r.policy)),
+                    ("scenario", Json::str(r.scenario)),
+                    ("messages", Json::from(r.messages)),
+                    ("running_time_s", Json::from(r.running_time_s)),
+                ])
+            }));
+            println!("{doc}");
         }
     }
 

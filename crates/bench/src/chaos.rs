@@ -18,10 +18,11 @@
 //! wall-clock times and thread counts, so the bytes are identical at any
 //! parallelism (CI diffs a 1-thread run against an 8-thread run).
 
+use coefficient::registry::{keys, lookup};
 use coefficient::sweep::run_parallel;
 use coefficient::{
-    CampaignSpec, CampaignTarget, ChaosObservation, PolicyRef, RunConfig, RunCounters, RunReport,
-    Scenario, SchedulerError, StopCondition, TraceConfig,
+    CampaignSpec, CampaignTarget, ChaosObservation, Named, PolicyRef, RunConfig, RunCounters,
+    RunReport, Scenario, SchedulerError, StopCondition, TraceConfig, UnknownName,
 };
 use flexray::config::ClusterConfig;
 use reliability::monitor::HealthState;
@@ -40,36 +41,72 @@ pub const DEFAULT_CAMPAIGN: &str = "blackout";
 /// `Nominal` well before the horizon.
 pub const DEFAULT_HORIZON_CYCLES: u64 = 220;
 
-/// Every pinned campaign name [`resolve_campaign`] accepts.
-pub fn campaign_names() -> [&'static str; 5] {
-    ["blackout", "double-blackout", "spike", "babble", "dropout"]
+/// A pinned campaign: its registry name and its fault script.
+#[derive(Debug)]
+pub struct Campaign {
+    /// Registry name (the `--campaign` value and report key).
+    pub name: &'static str,
+    /// Builds the campaign's script.
+    pub build: fn() -> CampaignSpec,
 }
 
-/// Resolves a pinned campaign by name. The scripts are part of the CI
-/// contract: changing a window moves the chaos scorecards, so treat them
-/// like golden inputs.
-pub fn resolve_campaign(name: &str) -> Option<CampaignSpec> {
-    Some(match name {
-        // The canonical CI gate: channel A goes completely dark for 50
-        // cycles while channel B stays nominal — the failover path must
-        // carry hard traffic and service must restore after cycle 90.
-        "blackout" => CampaignSpec::new().blackout(CampaignTarget::A, 40, 50),
-        // Two disjoint outages, one per channel: two recovery episodes,
-        // two service restores.
-        "double-blackout" => CampaignSpec::new()
+impl Named for Campaign {
+    const KIND: &'static str = "campaign";
+    fn key(&self) -> &str {
+        self.name
+    }
+}
+
+const fn campaign(name: &'static str, build: fn() -> CampaignSpec) -> Campaign {
+    Campaign { name, build }
+}
+
+/// Every pinned campaign. The scripts are part of the CI contract:
+/// changing a window moves the chaos scorecards, so treat them like
+/// golden inputs.
+pub static CAMPAIGNS: [Campaign; 5] = [
+    // The canonical CI gate: channel A goes completely dark for 50
+    // cycles while channel B stays nominal — the failover path must
+    // carry hard traffic and service must restore after cycle 90.
+    campaign("blackout", || {
+        CampaignSpec::new().blackout(CampaignTarget::A, 40, 50)
+    }),
+    // Two disjoint outages, one per channel: two recovery episodes, two
+    // service restores.
+    campaign("double-blackout", || {
+        CampaignSpec::new()
             .blackout(CampaignTarget::A, 30, 40)
-            .blackout(CampaignTarget::B, 110, 30),
-        // EMI ramp on both channels: corruption climbs linearly to 35%.
-        "spike" => CampaignSpec::new().ber_spike(CampaignTarget::Both, 40, 60, 0.35),
-        // A babbling node saturates channel B at 50% duty.
-        "babble" => CampaignSpec::new().babble(CampaignTarget::B, 50, 40, 0.5),
-        // The fault sensor goes dark while a blackout rages underneath:
-        // the monitors must still classify and recover once both clear.
-        "dropout" => CampaignSpec::new()
+            .blackout(CampaignTarget::B, 110, 30)
+    }),
+    // EMI ramp on both channels: corruption climbs linearly to 35%.
+    campaign("spike", || {
+        CampaignSpec::new().ber_spike(CampaignTarget::Both, 40, 60, 0.35)
+    }),
+    // A babbling node saturates channel B at 50% duty.
+    campaign("babble", || {
+        CampaignSpec::new().babble(CampaignTarget::B, 50, 40, 0.5)
+    }),
+    // The fault sensor goes dark while a blackout rages underneath: the
+    // monitors must still classify and recover once both clear.
+    campaign("dropout", || {
+        CampaignSpec::new()
             .sensor_dropout(CampaignTarget::A, 30, 30)
-            .blackout(CampaignTarget::A, 45, 30),
-        _ => return None,
-    })
+            .blackout(CampaignTarget::A, 45, 30)
+    }),
+];
+
+/// Every pinned campaign name, in registry order.
+pub fn campaign_names() -> Vec<&'static str> {
+    keys(&CAMPAIGNS)
+}
+
+/// Resolves a pinned campaign by name and builds its script.
+///
+/// # Errors
+/// Returns [`UnknownName`] — whose message lists every pinned campaign —
+/// when nothing matches.
+pub fn resolve_campaign(name: &str) -> Result<CampaignSpec, UnknownName> {
+    lookup(&CAMPAIGNS, name).map(|c| (c.build)())
 }
 
 /// Applies `spec` to `base` under a `base+campaign` scenario name.
@@ -445,7 +482,7 @@ mod tests {
     use coefficient::registry::{COEFFICIENT, GREEDY};
 
     #[test]
-    fn campaign_registry_resolves_every_name_and_rejects_others() {
+    fn every_pinned_campaign_clears_inside_the_default_horizon() {
         for name in campaign_names() {
             let spec = resolve_campaign(name).expect(name);
             assert!(!spec.is_empty());
@@ -458,7 +495,6 @@ mod tests {
                 "{name} must clear inside the default horizon"
             );
         }
-        assert!(resolve_campaign("earthquake").is_none());
     }
 
     #[test]

@@ -27,10 +27,6 @@ use workloads::AperiodicMessage;
 /// Default seed of the whole suite.
 pub const SEED: u64 = 20140630; // ICDCS 2014 ;-)
 
-fn policy_name(p: PolicyRef) -> &'static str {
-    p.label()
-}
-
 /// Runs one configuration to a report.
 pub fn run_once(
     cluster: ClusterConfig,
@@ -141,7 +137,7 @@ pub fn fig_running_time(scenario: &Scenario, message_counts: &[u64]) -> Vec<Runn
         .map(|((workload, slots, policy, n), report)| RunningTimeRow {
             workload,
             slots,
-            policy: policy_name(policy),
+            policy: policy.label(),
             scenario: scenario.name,
             messages: n,
             running_time_s: report.running_time.as_secs_f64(),
@@ -203,7 +199,7 @@ pub fn fig3_bandwidth() -> Vec<BandwidthRow> {
         .zip(reports)
         .map(|((ms, policy), report)| BandwidthRow {
             minislots: ms,
-            policy: policy_name(policy),
+            policy: policy.label(),
             utilization_pct: report.utilization * 100.0,
         })
         .collect()
@@ -279,7 +275,7 @@ pub fn fig4_latency(workload: &'static str) -> Vec<LatencyRow> {
                 segment,
                 minislots: ms,
                 scenario,
-                policy: policy_name(policy),
+                policy: policy.label(),
                 mean_latency_ms: summary.mean_millis_f64(),
             });
         }
@@ -334,7 +330,7 @@ pub fn fig5_miss_ratio() -> Vec<MissRatioRow> {
         .map(|((ms, scenario, policy), report)| MissRatioRow {
             minislots: ms,
             scenario,
-            policy: policy_name(policy),
+            policy: policy.label(),
             miss_pct: report.miss_ratio() * 100.0,
         })
         .collect()
@@ -751,7 +747,7 @@ pub fn fault_model_ablation() -> Vec<FaultModelRow> {
         .zip(reports)
         .map(|((model, policy), report)| FaultModelRow {
             model,
-            policy: policy_name(policy),
+            policy: policy.label(),
             delivered: report.delivered,
             corrupted: report.corrupted,
             miss_pct: report.miss_ratio() * 100.0,

@@ -23,12 +23,13 @@ use coefficient::{
     SeedStrategy, Tolerances, VerifyReport,
 };
 
-use backbone::{resolve_reservation, resolve_topology, run_cell, run_matrix};
+use backbone::{run_cell, run_matrix, ALL_RESERVATIONS};
 use backbone::{CellSpec as BackboneCellSpec, MatrixSpec as BackboneMatrixSpec};
+use coefficient::registry::lookup;
 
 use crate::experiments::SEED;
 use crate::json::Json;
-use crate::sweep::{parse_policy, parse_scenario, policy_label, SweepSpec};
+use crate::sweep::{parse_scenario, SweepSpec};
 
 /// Default on-disk location of the checked-in corpus.
 pub const DEFAULT_CORPUS_PATH: &str = "corpus/golden.json";
@@ -104,10 +105,9 @@ pub fn record_corpus(name: &str, spec: &SweepSpec) -> Result<CorpusFile, String>
     let report = spec
         .run()
         .map_err(|e: SchedulerError| format!("golden spec is unschedulable: {e}"))?;
-    let labels: Vec<&str> = spec.policies.iter().map(|&p| policy_label(p)).collect();
     Ok(CorpusFile {
         spec: spec.clone(),
-        corpus: GoldenCorpus::record(name, &report, &labels),
+        corpus: GoldenCorpus::record(name, &report),
         backbone: record_backbone_cells()?,
     })
 }
@@ -154,8 +154,11 @@ pub fn verify_corpus(file: &CorpusFile) -> Result<VerifyReport, String> {
 pub fn verify_backbone(file: &CorpusFile) -> Result<Vec<String>, String> {
     let mut defects = Vec::new();
     for cell in &file.backbone {
-        let topology = resolve_topology(&cell.topology).map_err(|e| e.to_string())?;
-        let reservation = resolve_reservation(&cell.reservation).map_err(|e| e.to_string())?;
+        let topology =
+            lookup(backbone::topology::all(), &cell.topology).map_err(|e| e.to_string())?;
+        let reservation = lookup(ALL_RESERVATIONS, &cell.reservation)
+            .copied()
+            .map_err(|e| e.to_string())?;
         let scenario = parse_scenario(&cell.scenario).map_err(|e| e.to_string())?;
         let report = run_cell(&BackboneCellSpec {
             topology,
@@ -214,7 +217,7 @@ pub fn corpus_to_json(file: &CorpusFile) -> Json {
                 ),
                 (
                     "policies",
-                    Json::array(spec.policies.iter().map(|&p| Json::str(policy_label(p)))),
+                    Json::array(spec.policies.iter().map(|&p| Json::str(p.label()))),
                 ),
                 (
                     "scenarios",
@@ -409,9 +412,9 @@ fn backbone_cell_from_json(doc: &Json) -> Result<BackboneGoldenCell, CorpusError
     // Resolve eagerly so an unknown name in a corpus file lists every
     // registered topology/reservation, mirroring the policy axis.
     let topology = want_str(doc, "topology")?;
-    resolve_topology(topology).map_err(|e| CorpusError::new(e.to_string()))?;
+    lookup(backbone::topology::all(), topology).map_err(|e| CorpusError::new(e.to_string()))?;
     let reservation = want_str(doc, "reservation")?;
-    resolve_reservation(reservation).map_err(|e| CorpusError::new(e.to_string()))?;
+    lookup(ALL_RESERVATIONS, reservation).map_err(|e| CorpusError::new(e.to_string()))?;
     Ok(BackboneGoldenCell {
         topology: topology.to_string(),
         reservation: reservation.to_string(),
@@ -432,7 +435,7 @@ fn spec_from_json(doc: &Json) -> Result<SweepSpec, CorpusError> {
                 .ok_or_else(|| CorpusError::new(format!("policy {p} is not a string")))?;
             // Surface the registry's own error so an unknown name in a
             // corpus file lists every registered policy.
-            parse_policy(name).map_err(|e| CorpusError::new(e.to_string()))
+            coefficient::registry::resolve(name).map_err(|e| CorpusError::new(e.to_string()))
         })
         .collect::<Result<Vec<_>, _>>()?;
     let scenarios = want_array(doc, "scenarios")?

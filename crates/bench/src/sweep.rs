@@ -14,10 +14,11 @@
 
 use std::time::Duration;
 
+use coefficient::registry::lookup;
 use coefficient::sweep::default_threads;
 use coefficient::{
-    CellOutcome, GroupSummary, PolicyRef, Scenario, SchedulerError, SeedStrategy, StopCondition,
-    SweepMatrix, SweepReport, SweepRunner, UnknownPolicy, COEFFICIENT, FSPEC,
+    CellOutcome, GroupSummary, Named, PolicyRef, Scenario, SchedulerError, SeedStrategy,
+    StopCondition, SweepMatrix, SweepReport, SweepRunner, UnknownName, COEFFICIENT, FSPEC,
 };
 use event_sim::SimDuration;
 use flexray::config::ClusterConfig;
@@ -93,91 +94,67 @@ impl SweepSpec {
     }
 }
 
-/// Parses a policy flag value against the [`coefficient::registry`]
-/// (keys, labels and aliases, case-insensitively).
-///
-/// # Errors
-/// Returns [`UnknownPolicy`] — whose message lists every registered
-/// name — when nothing in the registry matches.
-pub fn parse_policy(s: &str) -> Result<PolicyRef, UnknownPolicy> {
-    coefficient::registry::resolve(s)
+/// One scenario flag value: its registry key, further accepted
+/// spellings and the scenario it builds. The built scenario's own name
+/// (`BER-7-storm`, as reports and the golden corpus store it) is its
+/// label, so it resolves too.
+#[derive(Debug)]
+pub struct ScenarioName {
+    key: &'static str,
+    aliases: &'static [&'static str],
+    build: fn() -> Scenario,
 }
 
-/// Every scenario name [`parse_scenario`] accepts, in canonical
-/// spelling: the three bases, each with its `-bursty` and `-storm`
-/// variants. [`UnknownScenario`] lists these, mirroring how
-/// [`UnknownPolicy`] lists the policy registry.
-pub fn scenario_names() -> [&'static str; 9] {
-    [
-        "ber7",
-        "ber7-bursty",
-        "ber7-storm",
-        "ber9",
-        "ber9-bursty",
-        "ber9-storm",
-        "fault-free",
-        "fault-free-bursty",
-        "fault-free-storm",
-    ]
-}
-
-/// A scenario flag value that [`parse_scenario`] could not resolve. The
-/// `Display` message lists every valid name, exactly as
-/// [`UnknownPolicy`] does for policies.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnknownScenario {
-    /// The name that failed to resolve.
-    pub name: String,
-}
-
-impl std::fmt::Display for UnknownScenario {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "unknown scenario \"{}\" (valid: {})",
-            self.name,
-            scenario_names().join(", ")
-        )
+impl Named for ScenarioName {
+    const KIND: &'static str = "scenario";
+    fn key(&self) -> &str {
+        self.key
+    }
+    fn label(&self) -> &str {
+        (self.build)().name
+    }
+    fn aliases(&self) -> &[&str] {
+        self.aliases
     }
 }
 
-impl std::error::Error for UnknownScenario {}
-
-/// Parses a scenario flag value (`ber7` / `ber9` / `fault-free`, with a
-/// `-bursty` suffix selecting the Gilbert–Elliott variant and a `-storm`
-/// suffix the fault-storm variant).
-///
-/// # Errors
-/// Returns [`UnknownScenario`] — whose message lists every valid name —
-/// when nothing matches.
-pub fn parse_scenario(s: &str) -> Result<Scenario, UnknownScenario> {
-    let lower = s.to_ascii_lowercase();
-    let (base, variant) = if let Some(base) = lower.strip_suffix("-bursty") {
-        (base, Some(Scenario::bursty as fn(Scenario) -> Scenario))
-    } else if let Some(base) = lower.strip_suffix("-storm") {
-        (base, Some(Scenario::storm as fn(Scenario) -> Scenario))
-    } else {
-        (lower.as_str(), None)
-    };
-    let scenario = match base {
-        "ber7" | "ber-7" => Scenario::ber7(),
-        "ber9" | "ber-9" => Scenario::ber9(),
-        "fault-free" | "faultfree" => Scenario::fault_free(),
-        _ => {
-            return Err(UnknownScenario {
-                name: s.to_string(),
-            })
-        }
-    };
-    Ok(match variant {
-        Some(f) => f(scenario),
-        None => scenario,
-    })
+const fn scenario(
+    key: &'static str,
+    aliases: &'static [&'static str],
+    build: fn() -> Scenario,
+) -> ScenarioName {
+    ScenarioName {
+        key,
+        aliases,
+        build,
+    }
 }
 
-/// Human-readable policy label (matches the table output).
-pub fn policy_label(p: PolicyRef) -> &'static str {
-    p.label()
+/// Every scenario flag value: the three bases, each with its `-bursty`
+/// (Gilbert–Elliott) and `-storm` (fault-storm) variant.
+pub static SCENARIOS: [ScenarioName; 9] = [
+    scenario("ber7", &[], Scenario::ber7),
+    scenario("ber7-bursty", &[], || Scenario::ber7().bursty()),
+    scenario("ber7-storm", &[], || Scenario::ber7().storm()),
+    scenario("ber9", &[], Scenario::ber9),
+    scenario("ber9-bursty", &[], || Scenario::ber9().bursty()),
+    scenario("ber9-storm", &[], || Scenario::ber9().storm()),
+    scenario("fault-free", &["faultfree"], Scenario::fault_free),
+    scenario("fault-free-bursty", &["faultfree-bursty"], || {
+        Scenario::fault_free().bursty()
+    }),
+    scenario("fault-free-storm", &["faultfree-storm"], || {
+        Scenario::fault_free().storm()
+    }),
+];
+
+/// Parses a scenario flag value against [`SCENARIOS`].
+///
+/// # Errors
+/// Returns [`UnknownName`] — whose message lists every valid name — when
+/// nothing matches.
+pub fn parse_scenario(s: &str) -> Result<Scenario, UnknownName> {
+    lookup(&SCENARIOS, s).map(|entry| (entry.build)())
 }
 
 fn hex64(v: u64) -> Json {
@@ -204,7 +181,7 @@ pub fn summary_json(s: &AggregateSummary) -> Json {
 
 fn group_json(g: &GroupSummary) -> Json {
     Json::object([
-        ("policy", Json::str(policy_label(g.policy))),
+        ("policy", Json::str(g.policy.label())),
         ("scenario", Json::str(g.scenario)),
         ("cells", Json::from(g.cells)),
         ("running_time_s", summary_json(&g.running_time_s)),
@@ -220,7 +197,7 @@ fn group_json(g: &GroupSummary) -> Json {
 pub fn cell_json(c: &CellOutcome) -> Json {
     let r = &c.report;
     Json::object([
-        ("policy", Json::str(policy_label(c.policy))),
+        ("policy", Json::str(c.policy.label())),
         ("scenario", Json::str(c.scenario)),
         ("policy_index", Json::from(c.coord.policy)),
         ("scenario_index", Json::from(c.coord.scenario)),
@@ -348,37 +325,6 @@ mod tests {
         let spec = speedup_benchmark_spec();
         let matrix = spec.build_matrix();
         assert_eq!(matrix.cell_count(), 32);
-    }
-
-    #[test]
-    fn parse_policy_accepts_every_registered_name() {
-        assert_eq!(parse_policy("coefficient").unwrap(), COEFFICIENT);
-        assert_eq!(parse_policy("FSPEC").unwrap(), FSPEC);
-        for policy in coefficient::registry::all() {
-            assert_eq!(parse_policy(policy.key()).unwrap(), *policy);
-            assert_eq!(parse_policy(policy.label()).unwrap(), *policy);
-        }
-        let err = parse_policy("bogus").unwrap_err().to_string();
-        assert!(err.contains("unknown policy \"bogus\""), "{err}");
-        for policy in coefficient::registry::all() {
-            assert!(err.contains(policy.key()), "{err} missing {}", policy.key());
-        }
-    }
-
-    #[test]
-    fn parse_scenario_accepts_variants() {
-        assert_eq!(parse_scenario("ber7").unwrap().name, "BER-7");
-        assert_eq!(parse_scenario("BER-9").unwrap().name, "BER-9");
-        assert_eq!(parse_scenario("fault-free").unwrap().name, "fault-free");
-        assert!(parse_scenario("ber7-bursty").is_ok());
-        assert_eq!(parse_scenario("ber7-storm").unwrap().name, "BER-7-storm");
-        assert_eq!(parse_scenario("BER-9-storm").unwrap().name, "BER-9-storm");
-        let err = parse_scenario("nope").unwrap_err();
-        assert_eq!(err.name, "nope");
-        let message = err.to_string();
-        for name in scenario_names() {
-            assert!(message.contains(name), "{message} missing {name}");
-        }
     }
 
     #[test]

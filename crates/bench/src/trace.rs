@@ -29,7 +29,6 @@ use coefficient::{RunCounters, TraceLog};
 use observe::{EventKind, TraceEvent};
 
 use crate::json::Json;
-use crate::sweep::policy_label;
 use coefficient::CellOutcome;
 
 /// Schema tag of the trace document.
@@ -233,7 +232,7 @@ fn event_json(event: &TraceEvent) -> Json {
 pub fn trace_log_json(cell: &CellOutcome, log: &TraceLog) -> Json {
     Json::object([
         ("schema", Json::str(TRACE_SCHEMA)),
-        ("policy", Json::str(policy_label(cell.policy))),
+        ("policy", Json::str(cell.policy.label())),
         ("scenario", Json::str(cell.scenario)),
         ("policy_index", Json::from(cell.coord.policy)),
         ("scenario_index", Json::from(cell.coord.scenario)),

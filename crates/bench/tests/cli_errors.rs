@@ -1,14 +1,15 @@
 //! CLI error-path contract for the `experiments` binary.
 //!
-//! An unknown policy name anywhere in the CLI — `sweep`, `replay`,
-//! `trace` or a corrupted golden corpus — must produce a diagnostic that
-//! *lists every registered policy name* and a clean non-zero exit, never
-//! a panic. The listing comes from `coefficient::registry`, so these
-//! tests stay correct as the zoo grows.
+//! An unknown name anywhere in the CLI — a policy, scenario, campaign,
+//! environment, topology or reservation, a flag, or a corrupted golden
+//! corpus — must produce a diagnostic that *lists every valid name* and
+//! exit 2, never a panic or a silent default. The listings come from the
+//! registries themselves, so these tests stay correct as they grow.
 
 use bench_harness::experiments::SEED;
 use bench_harness::golden::{corpus_to_json, record_corpus};
 use bench_harness::sweep::SweepSpec;
+use coefficient::registry::keys;
 use coefficient::Scenario;
 use std::process::{Command, Output};
 
@@ -17,44 +18,6 @@ fn experiments(args: &[&str]) -> Output {
         .args(args)
         .output()
         .expect("binary runs")
-}
-
-fn assert_lists_registry(stderr: &str, bad_name: &str) {
-    assert!(
-        stderr.contains(&format!("unknown policy \"{bad_name}\"")),
-        "diagnostic does not name the offender: {stderr}"
-    );
-    for policy in coefficient::registry::all() {
-        assert!(
-            stderr.contains(policy.key()),
-            "diagnostic does not list {:?}: {stderr}",
-            policy.key()
-        );
-    }
-}
-
-#[test]
-fn sweep_with_an_unknown_policy_lists_the_registered_names() {
-    let out = experiments(&["sweep", "--policy", "bogus"]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
-    assert_lists_registry(&stderr, "bogus");
-}
-
-#[test]
-fn trace_with_an_unknown_policy_lists_the_registered_names() {
-    let out = experiments(&["trace", "--cell", "0,0,0", "--policy", "SPEC-F"]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
-    assert_lists_registry(&stderr, "SPEC-F");
-}
-
-#[test]
-fn replay_with_an_unknown_policy_lists_the_registered_names() {
-    let out = experiments(&["replay", "--cell", "0,0,0", "--policy", "hosa2"]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
-    assert_lists_registry(&stderr, "hosa2");
 }
 
 #[test]
@@ -79,7 +42,12 @@ fn golden_verify_against_a_corpus_with_an_unknown_policy_lists_the_registry() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     let _ = std::fs::remove_file(&path);
     assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
-    assert_lists_registry(&stderr, "NoSuchPolicy");
+    assert_lists(
+        &stderr,
+        "policy",
+        "NoSuchPolicy",
+        &keys(coefficient::registry::ALL),
+    );
 }
 
 #[test]
@@ -134,73 +102,6 @@ fn a_known_figure_name_still_runs() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("Figure 5"));
 }
 
-fn assert_lists_scenarios(stderr: &str, bad_name: &str) {
-    assert!(
-        stderr.contains(&format!("unknown scenario \"{bad_name}\"")),
-        "diagnostic does not name the offender: {stderr}"
-    );
-    for name in bench_harness::sweep::scenario_names() {
-        assert!(
-            stderr.contains(name),
-            "diagnostic does not list {name:?}: {stderr}"
-        );
-    }
-}
-
-#[test]
-fn sweep_with_an_unknown_scenario_lists_the_valid_names() {
-    let out = experiments(&["sweep", "--scenario", "ber11"]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
-    assert_lists_scenarios(&stderr, "ber11");
-}
-
-#[test]
-fn chaos_with_an_unknown_scenario_lists_the_valid_names() {
-    let out = experiments(&["chaos", "--scenario", "sunny-day"]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
-    assert_lists_scenarios(&stderr, "sunny-day");
-}
-
-#[test]
-fn chaos_with_an_unknown_campaign_lists_the_pinned_names() {
-    let out = experiments(&["chaos", "--campaign", "earthquake"]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
-    assert!(
-        stderr.contains("unknown campaign \"earthquake\""),
-        "diagnostic does not name the offender: {stderr}"
-    );
-    for name in bench_harness::chaos::campaign_names() {
-        assert!(
-            stderr.contains(name),
-            "diagnostic does not list {name:?}: {stderr}"
-        );
-    }
-}
-
-fn assert_lists_env_models(stderr: &str) {
-    for name in fleet::env_names() {
-        assert!(
-            stderr.contains(name),
-            "diagnostic does not list {name:?}: {stderr}"
-        );
-    }
-}
-
-#[test]
-fn fleet_with_an_unknown_env_lists_the_valid_models() {
-    let out = experiments(&["fleet", "--env", "parking-lot"]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
-    assert!(
-        stderr.contains("unknown environment model \"parking-lot\""),
-        "diagnostic does not name the offender: {stderr}"
-    );
-    assert_lists_env_models(&stderr);
-}
-
 #[test]
 fn fleet_with_zero_vehicles_lists_the_valid_models() {
     let out = experiments(&["fleet", "--vehicles", "0"]);
@@ -210,15 +111,12 @@ fn fleet_with_zero_vehicles_lists_the_valid_models() {
         stderr.contains("--vehicles >= 1"),
         "diagnostic does not explain the bound: {stderr}"
     );
-    assert_lists_env_models(&stderr);
-}
-
-#[test]
-fn fleet_with_an_unknown_policy_lists_the_registered_names() {
-    let out = experiments(&["fleet", "--policy", "bogus"]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
-    assert_lists_registry(&stderr, "bogus");
+    for name in keys(fleet::env::all()) {
+        assert!(
+            stderr.contains(name),
+            "diagnostic does not list {name:?}: {stderr}"
+        );
+    }
 }
 
 #[test]
@@ -226,7 +124,7 @@ fn every_env_model_is_accepted_by_the_fleet_cli() {
     // Happy path of `--env`: every registered model parses and a tiny
     // fleet completes — keeps the error tests honest against registry
     // typos, like the sweep-side twin below.
-    for name in fleet::env_names() {
+    for name in keys(fleet::env::all()) {
         let out = experiments(&[
             "fleet",
             "--env",
@@ -242,45 +140,11 @@ fn every_env_model_is_accepted_by_the_fleet_cli() {
 }
 
 #[test]
-fn backbone_with_an_unknown_topology_lists_the_registered_names() {
-    let out = experiments(&["backbone", "--topology", "star-of-death"]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
-    assert!(
-        stderr.contains("unknown topology \"star-of-death\""),
-        "diagnostic does not name the offender: {stderr}"
-    );
-    for name in backbone::topology::names() {
-        assert!(
-            stderr.contains(name),
-            "diagnostic does not list {name:?}: {stderr}"
-        );
-    }
-}
-
-#[test]
-fn backbone_with_an_unknown_reservation_lists_the_registered_names() {
-    let out = experiments(&["backbone", "--reservation", "first-come"]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
-    assert!(
-        stderr.contains("unknown reservation \"first-come\""),
-        "diagnostic does not name the offender: {stderr}"
-    );
-    for name in backbone::reservation::names() {
-        assert!(
-            stderr.contains(name),
-            "diagnostic does not list {name:?}: {stderr}"
-        );
-    }
-}
-
-#[test]
 fn every_registered_topology_and_reservation_is_accepted_by_the_backbone_cli() {
     // Happy path of both backbone registries, same spirit as the
     // sweep-side twin: every registered name must parse and complete.
-    for topology in backbone::topology::names() {
-        for reservation in backbone::reservation::names() {
+    for topology in keys(backbone::topology::all()) {
+        for reservation in keys(backbone::ALL_RESERVATIONS) {
             let out = experiments(&[
                 "backbone",
                 "--topology",
@@ -324,6 +188,182 @@ fn every_registered_name_is_accepted_by_the_sweep_cli() {
             Some(0),
             "{:?} rejected: {stderr}",
             policy.key()
+        );
+    }
+}
+
+#[test]
+fn every_unknown_name_exits_2_with_its_registry_listing() {
+    let policies = keys(coefficient::registry::ALL);
+    let scenarios = keys(&bench_harness::sweep::SCENARIOS);
+    let cases: [(&[&str], &str, &str, Vec<&str>); 10] = [
+        (
+            &["sweep", "--policy", "bogus"],
+            "policy",
+            "bogus",
+            policies.clone(),
+        ),
+        (
+            &["trace", "--cell", "0,0,0", "--policy", "SPEC-F"],
+            "policy",
+            "SPEC-F",
+            policies.clone(),
+        ),
+        (
+            &["replay", "--cell", "0,0,0", "--policy", "hosa2"],
+            "policy",
+            "hosa2",
+            policies.clone(),
+        ),
+        (&["fleet", "--policy", "bogus"], "policy", "bogus", policies),
+        (
+            &["sweep", "--scenario", "ber11"],
+            "scenario",
+            "ber11",
+            scenarios.clone(),
+        ),
+        (
+            &["chaos", "--scenario", "sunny-day"],
+            "scenario",
+            "sunny-day",
+            scenarios,
+        ),
+        (
+            &["chaos", "--campaign", "earthquake"],
+            "campaign",
+            "earthquake",
+            bench_harness::chaos::campaign_names(),
+        ),
+        (
+            &["fleet", "--env", "parking-lot"],
+            "environment model",
+            "parking-lot",
+            keys(fleet::env::all()),
+        ),
+        (
+            &["backbone", "--topology", "star-of-death"],
+            "topology",
+            "star-of-death",
+            keys(backbone::topology::all()),
+        ),
+        (
+            &["backbone", "--reservation", "first-come"],
+            "reservation",
+            "first-come",
+            keys(backbone::ALL_RESERVATIONS),
+        ),
+    ];
+    for (args, kind, bad, valid) in cases {
+        let out = experiments(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert_lists(&stderr, kind, bad, &valid);
+    }
+}
+
+fn assert_lists(stderr: &str, kind: &str, bad_name: &str, valid: &[&str]) {
+    assert!(
+        stderr.contains(&format!("unknown {kind} \"{bad_name}\"")),
+        "diagnostic does not name the offender: {stderr}"
+    );
+    for name in valid {
+        assert!(
+            stderr.contains(name),
+            "diagnostic does not list {name:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn a_misspelled_flag_exits_2_and_lists_the_subcommands_flags() {
+    // `--polcy` used to be ignored: the sweep ran every default policy.
+    let out = experiments(&["sweep", "--polcy", "fspec"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(out.stdout.is_empty(), "nothing may run");
+    assert_lists(
+        &stderr,
+        "flag",
+        "--polcy",
+        &[
+            "--policy",
+            "--seeds",
+            "--scenario",
+            "--shared-seeds",
+            "--json",
+        ],
+    );
+}
+
+#[test]
+fn a_value_flag_without_a_value_exits_2() {
+    // `--seeds` with nothing after it used to run the default 8 seeds.
+    for args in [&["sweep", "--seeds"][..], &["sweep", "--seeds", "--json"]] {
+        let out = experiments(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "nothing may run");
+        assert!(
+            stderr.contains("--seeds needs a value"),
+            "diagnostic does not name the flag: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn every_flag_the_ci_workflow_passes_is_accepted() {
+    // Happy-path twin of the flag checks: the CI invocations of each
+    // subcommand, shrunk to tiny runs where a flag allows it. Reports are
+    // written into a scratch working directory.
+    let dir = std::env::temp_dir().join(format!("cli-ci-flags-{SEED}"));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let cases = [
+        "sweep --seeds 1 --horizon-ms 8 --threads 2 --policy fspec --scenario ber7 \
+         --master-seed 3 --minislots 50 --shared-seeds --json",
+        "determinism --thread-counts 1,2 --policy coefficient --policy matchup \
+         --scenario ber7 --scenario ber7-storm --seeds 1 --horizon-ms 8",
+        "chaos --campaign spike --policy coefficient --policy greedy \
+         --require coefficient --threads 2 --out chaos.json",
+        "fleet --smoke --vehicles 4 --horizon-ms 5 --threads 2 --shard-size 3 \
+         --out fleet.json --bench-out bench-fleet.json",
+        "backbone --topology tight-backbone --threads 2 --flows --hypercycles 2 \
+         --out backbone.json",
+        "trace --cell 0,2,1 --golden --format chrome --out trace.chrome.json",
+    ];
+    for case in cases {
+        let run = Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .args(case.split_whitespace())
+            .current_dir(&dir)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(0), "{case:?} rejected: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn inputs_that_used_to_panic_exit_2_naming_the_flag() {
+    // Each of these hit a library assert (exit 101); the CLI now rejects
+    // them before the library sees them.
+    let cases: [(&[&str], &str); 6] = [
+        (
+            &["chaos", "--policy", "greedy", "--require", "coefficient"],
+            "--require",
+        ),
+        (&["chaos", "--threads", "0"], "--threads"),
+        (&["sweep", "--threads", "0"], "--threads"),
+        (&["determinism", "--thread-counts", "0"], "--thread-counts"),
+        (&["trace-overhead", "--iters", "0"], "--iters"),
+        (&["backbone", "--hypercycles", "0"], "--hypercycles"),
+    ];
+    for (args, flag) in cases {
+        let out = experiments(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(flag) && !stderr.contains("panicked"),
+            "{args:?}: diagnostic does not name {flag}: {stderr}"
         );
     }
 }

@@ -195,7 +195,7 @@ impl GoldenMetrics {
 pub struct GoldenCell {
     /// Matrix coordinates of the cell.
     pub coord: CellCoord,
-    /// Policy label (e.g. `"coefficient"`), for human-readable diffs and
+    /// Policy label (e.g. `"CoEfficient"`), for human-readable diffs and
     /// JSON round-trips.
     pub policy: String,
     /// Scenario label (e.g. `"BER-7"`).
@@ -211,11 +211,11 @@ pub struct GoldenCell {
 }
 
 impl GoldenCell {
-    /// Records a cell from a sweep outcome.
-    pub fn from_outcome(cell: &CellOutcome, policy_label: &str) -> Self {
+    /// Records a cell from a sweep outcome, under its policy's label.
+    pub fn from_outcome(cell: &CellOutcome) -> Self {
         GoldenCell {
             coord: cell.coord,
-            policy: policy_label.to_string(),
+            policy: cell.policy.label().to_string(),
             scenario: cell.scenario.to_string(),
             seed: cell.seed,
             fingerprint: cell.fingerprint,
@@ -318,14 +318,9 @@ pub struct GoldenCorpus {
 }
 
 impl GoldenCorpus {
-    /// Records a corpus from a finished sweep. `policy_labels` must be
-    /// index-aligned with the sweep matrix's policy axis.
-    pub fn record(name: &str, report: &SweepReport, policy_labels: &[&str]) -> Self {
-        let cells = report
-            .cells
-            .iter()
-            .map(|c| GoldenCell::from_outcome(c, policy_labels[c.coord.policy]))
-            .collect();
+    /// Records a corpus from a finished sweep.
+    pub fn record(name: &str, report: &SweepReport) -> Self {
+        let cells = report.cells.iter().map(GoldenCell::from_outcome).collect();
         let scenarios = report
             .cells
             .iter()
@@ -604,7 +599,7 @@ mod tests {
 
     #[test]
     fn replay_of_the_same_matrix_verifies_clean() {
-        let corpus = GoldenCorpus::record("test", &sweep(), &["coefficient", "fspec"]);
+        let corpus = GoldenCorpus::record("test", &sweep());
         assert_eq!(corpus.cells.len(), 4);
         let report = corpus.verify(&sweep());
         assert!(report.passed(), "{report}");
@@ -612,7 +607,7 @@ mod tests {
 
     #[test]
     fn perturbed_fingerprint_fails_with_counter_diff() {
-        let mut corpus = GoldenCorpus::record("test", &sweep(), &["coefficient", "fspec"]);
+        let mut corpus = GoldenCorpus::record("test", &sweep());
         corpus.cells[0].fingerprint ^= 1;
         corpus.cells[0].counters.steal_denied += 5;
         let report = corpus.verify(&sweep());
@@ -632,7 +627,7 @@ mod tests {
 
     #[test]
     fn metric_outside_band_fails_even_with_matching_fingerprint() {
-        let mut corpus = GoldenCorpus::record("test", &sweep(), &["coefficient", "fspec"]);
+        let mut corpus = GoldenCorpus::record("test", &sweep());
         corpus.cells[1].metrics.miss_ratio += 0.5;
         let report = corpus.verify(&sweep());
         assert!(!report.passed());
@@ -642,7 +637,7 @@ mod tests {
 
     #[test]
     fn missing_and_extra_cells_are_reported() {
-        let corpus = GoldenCorpus::record("test", &sweep(), &["coefficient", "fspec"]);
+        let corpus = GoldenCorpus::record("test", &sweep());
         let mut shrunk = small_matrix();
         shrunk.seeds.pop();
         let fresh = SweepRunner::new(shrunk).threads(1).run().unwrap();
@@ -658,7 +653,7 @@ mod tests {
         let mut m = small_matrix();
         m.dynamic_messages.clear();
         let run = || SweepRunner::new(m.clone()).threads(1).run().unwrap();
-        let corpus = GoldenCorpus::record("test", &run(), &["coefficient", "fspec"]);
+        let corpus = GoldenCorpus::record("test", &run());
         assert!(corpus.cells[0].metrics.dynamic_latency_mean_ms.is_nan());
         let report = corpus.verify(&run());
         assert!(report.passed(), "{report}");
@@ -678,15 +673,14 @@ mod tests {
                 .run()
                 .expect("widened matrix is schedulable")
         };
-        let labels = &["coefficient", "fspec", "greedy"];
-        let mut corpus = GoldenCorpus::record("test", &run(), labels);
+        let mut corpus = GoldenCorpus::record("test", &run());
         assert_eq!(corpus.cells.len(), 6);
         // Perturb an FSPEC cell (an "old" column) the way a behavioral
         // regression would move it.
         let victim = corpus
             .cells
             .iter()
-            .position(|c| c.policy == "fspec")
+            .position(|c| c.policy == "FSPEC")
             .expect("fspec column recorded");
         corpus.cells[victim].fingerprint ^= 1;
         corpus.cells[victim].counters.dropped_copies += 3;
@@ -694,14 +688,14 @@ mod tests {
         assert!(!report.passed(), "old-column regression slipped through");
         let failures: Vec<_> = report.failures().collect();
         assert_eq!(failures.len(), 1, "exactly the perturbed cell fails");
-        assert_eq!(failures[0].policy, "fspec");
+        assert_eq!(failures[0].policy, "FSPEC");
         assert_eq!(failures[0].coord, corpus.cells[victim].coord);
         // And the greedy column genuinely verified — it is present, not
         // skipped (its passing must not be what hides the regression).
         assert!(report
             .checks
             .iter()
-            .any(|c| c.policy == "greedy" && c.passed()));
+            .any(|c| c.policy == "Greedy" && c.passed()));
     }
 
     #[test]
@@ -709,7 +703,7 @@ mod tests {
         // Appending a policy column makes the fresh sweep larger than the
         // corpus; verification must surface that as extra cells rather
         // than silently ignoring the unrecorded column.
-        let corpus = GoldenCorpus::record("test", &sweep(), &["coefficient", "fspec"]);
+        let corpus = GoldenCorpus::record("test", &sweep());
         let mut wide = small_matrix();
         wide.policies.push(GREEDY);
         let fresh = SweepRunner::new(wide).threads(2).run().unwrap();

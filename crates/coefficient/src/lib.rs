@@ -31,7 +31,7 @@
 //! paper's four metrics (running time, bandwidth utilization, transmission
 //! latency, deadline miss ratio).
 //!
-//! Schedulers are [`Policy`] trait objects resolved from a string-keyed
+//! Schedulers are [`Policy`] rows resolved from a string-keyed
 //! [`registry`], so policy names flow from CLI flags and corpus files all
 //! the way to the scheduler without an enum in between:
 //!
@@ -74,8 +74,8 @@ pub use instance::{InstanceStatus, InstanceTracker, MessageClass};
 pub use observe::{TraceConfig, TraceLog, TraceMode};
 pub use policy::{CoefficientOptions, Scheduler, SchedulerError};
 pub use registry::{
-    Policy, PolicyBehavior, PolicyRef, UnknownPolicy, COEFFICIENT, FSPEC, GREEDY, HOSA, MATCHUP,
-    SLACK_STEAL,
+    Named, Policy, PolicyBehavior, PolicyRef, UnknownName, COEFFICIENT, FSPEC, GREEDY, HOSA,
+    MATCHUP, SLACK_STEAL,
 };
 pub use reliability::campaign::{CampaignCounters, CampaignSpec, CampaignTarget};
 pub use runner::{

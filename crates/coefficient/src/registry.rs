@@ -1,20 +1,25 @@
-//! The string-keyed policy registry: every scheduling scheme the crate
-//! knows, as one trait object per policy.
+//! The name registries and the string-keyed policy registry.
+//!
+//! Every name the CLI and the corpus files carry — policies, backbone
+//! reservations and topologies, fleet environments, scenarios, chaos
+//! campaigns — resolves through one lookup: [`lookup`] matches a name,
+//! trimmed and ASCII-case-insensitive, against each [`Named`] entry's
+//! key, label and aliases, and fails with one error type,
+//! [`UnknownName`], whose message lists every valid key.
 //!
 //! [`Policy`] is the extension point of the scheduler zoo. A policy is a
-//! stateless description — a registry key, a display label, a
-//! [`PolicyBehavior`] flag set consumed by [`crate::Scheduler`], and a
-//! retransmission-plan function — while all scheduling machinery lives in
-//! the shared scheduler engine. Adding a policy is a one-file change:
-//! implement the trait on a unit struct here, add the constant to
+//! data row — a registry key, a display label, a [`PolicyBehavior`] flag
+//! set consumed by [`crate::Scheduler`], and a copy plan — while all
+//! scheduling machinery lives in the shared scheduler engine. Adding a
+//! policy is a one-file change: add a `const` row here, append it to
 //! [`ALL`], and the shared `tests/policy_contract.rs` battery picks it up
 //! automatically.
 //!
-//! Policies are addressed as `&'static dyn Policy` trait objects
-//! ([`PolicyRef`]), resolved from strings end to end ([`resolve`]): the
-//! bench CLI, the golden corpus JSON and the sweep harness all go through
-//! the same lookup, so an unknown name fails with a listing of the
-//! registered keys instead of a panic.
+//! Policies are addressed as `&'static Policy` rows ([`PolicyRef`]),
+//! resolved from strings end to end ([`resolve`]): the bench CLI, the
+//! golden corpus JSON and the sweep harness all go through the same
+//! lookup, so an unknown name fails with a listing of the registered keys
+//! instead of a panic.
 //!
 //! | key | semantics |
 //! |---|---|
@@ -27,6 +32,90 @@
 
 use flexray::schedule::MessageId;
 use reliability::RetransmissionPlanner;
+
+/// A member of a name registry: the spellings [`lookup`] accepts for it.
+pub trait Named {
+    /// What the registry holds (`"policy"`, `"topology"`, …), as the
+    /// [`UnknownName`] message names it.
+    const KIND: &'static str;
+    /// The canonical name, listed by [`UnknownName`].
+    fn key(&self) -> &str;
+    /// The display label, also accepted.
+    fn label(&self) -> &str {
+        self.key()
+    }
+    /// Further accepted spellings.
+    fn aliases(&self) -> &[&str] {
+        &[]
+    }
+}
+
+impl<T: Named + ?Sized> Named for &T {
+    const KIND: &'static str = T::KIND;
+    fn key(&self) -> &str {
+        (**self).key()
+    }
+    fn label(&self) -> &str {
+        (**self).label()
+    }
+    fn aliases(&self) -> &[&str] {
+        (**self).aliases()
+    }
+}
+
+/// A name that matched no entry of its registry. The
+/// [`Display`](std::fmt::Display) rendering lists every valid key, so CLI
+/// and corpus errors tell the user what *would* have worked.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnknownName {
+    /// What was looked up (`"policy"`, `"flag"`, …).
+    pub kind: &'static str,
+    /// The name that failed to resolve, trimmed.
+    pub name: String,
+    /// Every valid name, in registry order.
+    pub valid: Vec<&'static str>,
+}
+
+impl std::fmt::Display for UnknownName {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "unknown {} \"{}\" (valid: {})",
+            self.kind,
+            self.name,
+            self.valid.join(", ")
+        )
+    }
+}
+
+impl std::error::Error for UnknownName {}
+
+/// The keys of `entries`, in registry order.
+pub fn keys<T: Named>(entries: &'static [T]) -> Vec<&'static str> {
+    entries.iter().map(Named::key).collect()
+}
+
+/// Resolves `name` against `entries` by key, label or alias
+/// (case-insensitive, surrounding whitespace ignored).
+///
+/// # Errors
+/// [`UnknownName`] — whose message lists every key — if nothing matches.
+pub fn lookup<T: Named>(entries: &'static [T], name: &str) -> Result<&'static T, UnknownName> {
+    let needle = name.trim();
+    entries
+        .iter()
+        .find(|e| {
+            [e.key(), e.label()]
+                .into_iter()
+                .chain(e.aliases().iter().copied())
+                .any(|s| s.eq_ignore_ascii_case(needle))
+        })
+        .ok_or_else(|| UnknownName {
+            kind: T::KIND,
+            name: needle.to_string(),
+            valid: keys(entries),
+        })
+}
 
 /// FSPEC's best-effort retransmission cap: the uniform per-message copy
 /// count is searched up to this bound (beyond it, best effort gives up —
@@ -86,350 +175,235 @@ impl PolicyBehavior {
     };
 }
 
-/// A scheduling policy: one member of the registry.
+/// How a policy turns a reliability goal into per-message copy counts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum CopyPlan {
+    /// The paper's differentiated Theorem-1 plan: per-message `k_z` copy
+    /// counts for the goal, falling back to the uniform cap if the goal
+    /// is unreachable.
+    Differentiated,
+    /// Uniform best effort: the smallest `k` meeting the goal, applied to
+    /// every message (capped at `FSPEC_MAX_UNIFORM_K` = 4).
+    UniformBestEffort,
+    /// Exactly one extra copy of every message, whatever the goal.
+    OneEach,
+}
+
+/// A scheduling policy: one row of the registry.
 ///
-/// Implementations are stateless unit structs; the scheduler engine
-/// reads the [`behavior`](Self::behavior) flags and the retransmission
-/// plan and does the rest. The trait is object-safe and every registered
-/// policy is reachable as a `Box<dyn Policy + Send>`-compatible trait
-/// object via the `&'static` [`PolicyRef`] constants below.
-pub trait Policy: std::fmt::Debug + Send + Sync {
+/// The scheduler engine reads the [`behavior`](Self::behavior) flags and
+/// the copy plan and does the rest.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Policy {
+    key: &'static str,
+    label: &'static str,
+    aliases: &'static [&'static str],
+    fingerprint_tag: u64,
+    behavior: PolicyBehavior,
+    copies: CopyPlan,
+}
+
+/// A registered policy: a `'static` row, `Copy` and comparable.
+pub type PolicyRef = &'static Policy;
+
+impl Policy {
     /// Stable registry key (lowercase, e.g. `"slack-steal"`); the string
     /// the CLI and corpus resolve.
-    fn key(&self) -> &'static str;
+    pub fn key(&self) -> &'static str {
+        self.key
+    }
 
     /// Human-readable display label (e.g. `"CoEfficient"`); also accepted
     /// by [`resolve`], case-insensitively.
-    fn label(&self) -> &'static str;
+    pub fn label(&self) -> &'static str {
+        self.label
+    }
 
     /// The ordinal folded into [`crate::RunReport::fingerprint`]. Legacy
     /// values are frozen — CoEfficient 0, FSPEC 1, HOSA 2 — so the golden
     /// corpus digests recorded before the registry existed stay
     /// byte-identical; new policies claim the next free ordinal.
-    fn fingerprint_tag(&self) -> u64;
+    pub fn fingerprint_tag(&self) -> u64 {
+        self.fingerprint_tag
+    }
 
     /// The mechanism switchboard the scheduler engine runs under.
-    fn behavior(&self) -> PolicyBehavior;
+    pub fn behavior(&self) -> PolicyBehavior {
+        self.behavior
+    }
 
     /// Per-message retransmission copy counts for a reliability goal.
-    fn plan_copies(&self, planner: &RetransmissionPlanner, goal: f64) -> Vec<(MessageId, u32)>;
-
-    /// Additional names [`resolve`] accepts for this policy.
-    fn aliases(&self) -> &'static [&'static str] {
-        &[]
+    pub fn plan_copies(&self, planner: &RetransmissionPlanner, goal: f64) -> Vec<(MessageId, u32)> {
+        let uniform = |k: u32| -> Vec<(MessageId, u32)> {
+            planner
+                .uniform(k)
+                .messages()
+                .iter()
+                .map(|m| (m.id, k))
+                .collect()
+        };
+        match self.copies {
+            CopyPlan::Differentiated => {
+                if goal <= 0.0 {
+                    return Vec::new();
+                }
+                let plan = planner
+                    .plan_for_goal(goal)
+                    .unwrap_or_else(|_| planner.uniform(FSPEC_MAX_UNIFORM_K));
+                plan.messages()
+                    .iter()
+                    .zip(plan.retransmission_counts())
+                    .map(|(m, &k)| (m.id, k))
+                    .collect()
+            }
+            CopyPlan::UniformBestEffort => uniform(if goal <= 0.0 {
+                0
+            } else {
+                (0..=FSPEC_MAX_UNIFORM_K)
+                    .find(|&k| planner.uniform(k).success_probability() >= goal)
+                    .unwrap_or(FSPEC_MAX_UNIFORM_K)
+            }),
+            CopyPlan::OneEach => uniform(1),
+        }
     }
-
-    /// One-line semantics, shown in the scheduler-zoo docs.
-    fn summary(&self) -> &'static str;
 }
 
-/// A registered policy: a `'static` trait object, `Copy` and comparable
-/// by registry key.
-pub type PolicyRef = &'static (dyn Policy + Send + Sync);
-
-impl PartialEq for dyn Policy + Send + Sync {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
+impl Named for Policy {
+    const KIND: &'static str = "policy";
+    fn key(&self) -> &str {
+        self.key
+    }
+    fn label(&self) -> &str {
+        self.label
+    }
+    fn aliases(&self) -> &[&str] {
+        self.aliases
     }
 }
 
-impl Eq for dyn Policy + Send + Sync {}
-
-/// The paper's differentiated Theorem-1 plan: per-message `k_z` copy
-/// counts for the goal, falling back to the uniform cap if the goal is
-/// unreachable.
-fn differentiated_plan(planner: &RetransmissionPlanner, goal: f64) -> Vec<(MessageId, u32)> {
-    if goal <= 0.0 {
-        return Vec::new();
+impl std::fmt::Debug for Policy {
+    /// The variant names of the enum the registry replaced: the label,
+    /// with an all-caps acronym title-cased (`FSPEC` → `Fspec`).
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (head, tail) = self.label.split_at(1);
+        if tail.bytes().all(|b| b.is_ascii_uppercase()) {
+            write!(f, "{head}{}", tail.to_ascii_lowercase())
+        } else {
+            f.write_str(self.label)
+        }
     }
-    let plan = planner
-        .plan_for_goal(goal)
-        .unwrap_or_else(|_| planner.uniform(FSPEC_MAX_UNIFORM_K));
-    plan.messages()
-        .iter()
-        .zip(plan.retransmission_counts())
-        .map(|(m, &k)| (m.id, k))
-        .collect()
-}
-
-/// Uniform best effort: the smallest `k` meeting the goal, applied to
-/// every message (capped at [`FSPEC_MAX_UNIFORM_K`]).
-fn uniform_best_effort_plan(planner: &RetransmissionPlanner, goal: f64) -> Vec<(MessageId, u32)> {
-    let k = if goal <= 0.0 {
-        0
-    } else {
-        (0..=FSPEC_MAX_UNIFORM_K)
-            .find(|&k| planner.uniform(k).success_probability() >= goal)
-            .unwrap_or(FSPEC_MAX_UNIFORM_K)
-    };
-    planner
-        .uniform(k)
-        .messages()
-        .iter()
-        .map(|m| (m.id, k))
-        .collect()
 }
 
 /// The paper's contribution: cooperative dual-channel scheduling with
-/// selective slack stealing and differentiated retransmission.
-pub struct CoefficientPolicy;
-
-impl std::fmt::Debug for CoefficientPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("CoEfficient")
-    }
-}
-
-impl Policy for CoefficientPolicy {
-    fn key(&self) -> &'static str {
-        "coefficient"
-    }
-    fn label(&self) -> &'static str {
-        "CoEfficient"
-    }
-    fn fingerprint_tag(&self) -> u64 {
-        0
-    }
-    fn behavior(&self) -> PolicyBehavior {
-        PolicyBehavior::COEFFICIENT
-    }
-    fn plan_copies(&self, planner: &RetransmissionPlanner, goal: f64) -> Vec<(MessageId, u32)> {
-        differentiated_plan(planner, goal)
-    }
-    fn aliases(&self) -> &'static [&'static str] {
-        &["co"]
-    }
-    fn summary(&self) -> &'static str {
-        "differentiated Theorem-1 copies in stolen slack, cooperative segments, \
-         degraded mode, dual-channel failover"
-    }
-}
+/// selective slack stealing and differentiated retransmission (registry
+/// key `coefficient`).
+pub const COEFFICIENT: PolicyRef = &Policy {
+    key: "coefficient",
+    label: "CoEfficient",
+    aliases: &["co"],
+    fingerprint_tag: 0,
+    behavior: PolicyBehavior::COEFFICIENT,
+    copies: CopyPlan::Differentiated,
+};
 
 /// The standard FlexRay-specification behaviour with best-effort
-/// retransmission of all segments (the paper's baseline).
-pub struct FspecPolicy;
-
-impl std::fmt::Debug for FspecPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("Fspec")
-    }
-}
-
-impl Policy for FspecPolicy {
-    fn key(&self) -> &'static str {
-        "fspec"
-    }
-    fn label(&self) -> &'static str {
-        "FSPEC"
-    }
-    fn fingerprint_tag(&self) -> u64 {
-        1
-    }
-    fn behavior(&self) -> PolicyBehavior {
-        PolicyBehavior {
-            uses_options: false,
-            mirror_allocation: true,
-            own_slot_serialization: true,
-            balance_dynamic_channels: false,
-            cooperative_segments: false,
-            criticality_shedding: false,
-            degraded_hard_copies: false,
-            failover: false,
-            matchup_recovery: false,
-        }
-    }
-    fn plan_copies(&self, planner: &RetransmissionPlanner, goal: f64) -> Vec<(MessageId, u32)> {
-        uniform_best_effort_plan(planner, goal)
-    }
-    fn summary(&self) -> &'static str {
-        "blanket channel-B mirror; uniform best-effort copies serialized \
-         through each message's own slots (separate segments)"
-    }
-}
+/// retransmission of all segments — the paper's baseline (registry key
+/// `fspec`).
+pub const FSPEC: PolicyRef = &Policy {
+    key: "fspec",
+    label: "FSPEC",
+    aliases: &[],
+    fingerprint_tag: 1,
+    behavior: PolicyBehavior {
+        uses_options: false,
+        mirror_allocation: true,
+        own_slot_serialization: true,
+        balance_dynamic_channels: false,
+        cooperative_segments: false,
+        criticality_shedding: false,
+        degraded_hard_copies: false,
+        failover: false,
+        matchup_recovery: false,
+    },
+    copies: CopyPlan::UniformBestEffort,
+};
 
 /// A HOSA-like scheme (paper §V-B, reference \[7\]): dual-channel
 /// redundancy — every static message mirrored on channel B, every dynamic
 /// message sent once more on the other channel — but no slack stealing
-/// and no cooperative use of idle slots.
-pub struct HosaPolicy;
-
-impl std::fmt::Debug for HosaPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("Hosa")
-    }
-}
-
-impl Policy for HosaPolicy {
-    fn key(&self) -> &'static str {
-        "hosa"
-    }
-    fn label(&self) -> &'static str {
-        "HOSA"
-    }
-    fn fingerprint_tag(&self) -> u64 {
-        2
-    }
-    fn behavior(&self) -> PolicyBehavior {
-        PolicyBehavior {
-            uses_options: false,
-            mirror_allocation: true,
-            own_slot_serialization: false,
-            balance_dynamic_channels: true,
-            cooperative_segments: false,
-            criticality_shedding: false,
-            degraded_hard_copies: false,
-            failover: false,
-            matchup_recovery: false,
-        }
-    }
-    fn plan_copies(&self, planner: &RetransmissionPlanner, _goal: f64) -> Vec<(MessageId, u32)> {
-        // HOSA's redundancy is fixed: exactly one extra copy of every
-        // message via the second channel.
-        planner
-            .uniform(1)
-            .messages()
-            .iter()
-            .map(|m| (m.id, 1))
-            .collect()
-    }
-    fn summary(&self) -> &'static str {
-        "dual-channel redundancy only: static B-mirror plus one extra dynamic \
-         copy, no slack use"
-    }
-}
+/// and no cooperative use of idle slots (registry key `hosa`).
+pub const HOSA: PolicyRef = &Policy {
+    key: "hosa",
+    label: "HOSA",
+    aliases: &[],
+    fingerprint_tag: 2,
+    behavior: PolicyBehavior {
+        uses_options: false,
+        mirror_allocation: true,
+        own_slot_serialization: false,
+        balance_dynamic_channels: true,
+        cooperative_segments: false,
+        criticality_shedding: false,
+        degraded_hard_copies: false,
+        failover: false,
+        matchup_recovery: false,
+    },
+    // HOSA's redundancy is fixed: exactly one extra copy of every message
+    // via the second channel.
+    copies: CopyPlan::OneEach,
+};
 
 /// Greedy best-effort retransmission: plans the FSPEC-style uniform copy
-/// count but places the copies in stolen static slack like CoEfficient.
-/// On a fault-free goal both plans are empty, so greedy and CoEfficient
-/// produce identical static-segment schedules — they only diverge under
-/// faults, where greedy's undifferentiated plan wastes slack on robust
-/// messages.
-pub struct GreedyPolicy;
-
-impl std::fmt::Debug for GreedyPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("Greedy")
-    }
-}
-
-impl Policy for GreedyPolicy {
-    fn key(&self) -> &'static str {
-        "greedy"
-    }
-    fn label(&self) -> &'static str {
-        "Greedy"
-    }
-    fn fingerprint_tag(&self) -> u64 {
-        3
-    }
-    fn behavior(&self) -> PolicyBehavior {
-        PolicyBehavior::COEFFICIENT
-    }
-    fn plan_copies(&self, planner: &RetransmissionPlanner, goal: f64) -> Vec<(MessageId, u32)> {
-        uniform_best_effort_plan(planner, goal)
-    }
-    fn summary(&self) -> &'static str {
-        "greedy best-effort retransmission: uniform copy counts placed in \
-         stolen slack (no per-message differentiation)"
-    }
-}
+/// count but places the copies in stolen static slack like CoEfficient
+/// (registry key `greedy`). On a fault-free goal both plans are empty, so
+/// greedy and CoEfficient produce identical static-segment schedules —
+/// they only diverge under faults, where greedy's undifferentiated plan
+/// wastes slack on robust messages.
+pub const GREEDY: PolicyRef = &Policy {
+    key: "greedy",
+    label: "Greedy",
+    aliases: &[],
+    fingerprint_tag: 3,
+    behavior: PolicyBehavior::COEFFICIENT,
+    copies: CopyPlan::UniformBestEffort,
+};
 
 /// Slack stealing without criticality differentiation: the cooperative
 /// machinery of CoEfficient, but health-blind — no soft-traffic
-/// shedding, no degraded-mode re-plan, no failover. Every arrival is
-/// admitted regardless of bus health.
-pub struct SlackStealPolicy;
+/// shedding, no degraded-mode re-plan, no failover (registry key
+/// `slack-steal`). Every arrival is admitted regardless of bus health.
+pub const SLACK_STEAL: PolicyRef = &Policy {
+    key: "slack-steal",
+    label: "SlackSteal",
+    aliases: &["slacksteal", "slack_steal"],
+    fingerprint_tag: 4,
+    behavior: PolicyBehavior {
+        criticality_shedding: false,
+        degraded_hard_copies: false,
+        failover: false,
+        ..PolicyBehavior::COEFFICIENT
+    },
+    copies: CopyPlan::Differentiated,
+};
 
-impl std::fmt::Debug for SlackStealPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("SlackSteal")
-    }
-}
-
-impl Policy for SlackStealPolicy {
-    fn key(&self) -> &'static str {
-        "slack-steal"
-    }
-    fn label(&self) -> &'static str {
-        "SlackSteal"
-    }
-    fn fingerprint_tag(&self) -> u64 {
-        4
-    }
-    fn behavior(&self) -> PolicyBehavior {
-        PolicyBehavior {
-            criticality_shedding: false,
-            degraded_hard_copies: false,
-            failover: false,
-            ..PolicyBehavior::COEFFICIENT
-        }
-    }
-    fn plan_copies(&self, planner: &RetransmissionPlanner, goal: f64) -> Vec<(MessageId, u32)> {
-        differentiated_plan(planner, goal)
-    }
-    fn aliases(&self) -> &'static [&'static str] {
-        &["slacksteal", "slack_steal"]
-    }
-    fn summary(&self) -> &'static str {
-        "slack stealing without criticality differentiation: cooperative \
-         segments but no shedding, degraded mode or failover"
-    }
-}
-
-/// Mixed-criticality match-up scheduling: nominally identical to
-/// CoEfficient, but when the health monitor signals a fault burst
-/// (`Stressed`/`Storm`) the free slack switches to a *recovery schedule*
-/// — it serves only extra copies of undelivered hard instances until the
-/// monitor reports `Nominal` again, at which point the schedule has
-/// "matched up" with the nominal plan and cooperative service resumes.
-pub struct MatchupPolicy;
-
-impl std::fmt::Debug for MatchupPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("Matchup")
-    }
-}
-
-impl Policy for MatchupPolicy {
-    fn key(&self) -> &'static str {
-        "matchup"
-    }
-    fn label(&self) -> &'static str {
-        "Matchup"
-    }
-    fn fingerprint_tag(&self) -> u64 {
-        5
-    }
-    fn behavior(&self) -> PolicyBehavior {
-        PolicyBehavior {
-            matchup_recovery: true,
-            ..PolicyBehavior::COEFFICIENT
-        }
-    }
-    fn plan_copies(&self, planner: &RetransmissionPlanner, goal: f64) -> Vec<(MessageId, u32)> {
-        differentiated_plan(planner, goal)
-    }
-    fn aliases(&self) -> &'static [&'static str] {
-        &["match-up"]
-    }
-    fn summary(&self) -> &'static str {
-        "mixed-criticality match-up: during a fault burst, slack serves only \
-         the hard recovery schedule; nominal service resumes after the storm"
-    }
-}
-
-/// The CoEfficient policy (registry key `coefficient`).
-pub const COEFFICIENT: PolicyRef = &CoefficientPolicy;
-/// The FSPEC baseline (registry key `fspec`).
-pub const FSPEC: PolicyRef = &FspecPolicy;
-/// The HOSA-like ablation baseline (registry key `hosa`).
-pub const HOSA: PolicyRef = &HosaPolicy;
-/// The greedy best-effort variant (registry key `greedy`).
-pub const GREEDY: PolicyRef = &GreedyPolicy;
-/// Undifferentiated slack stealing (registry key `slack-steal`).
-pub const SLACK_STEAL: PolicyRef = &SlackStealPolicy;
-/// The match-up recovery policy (registry key `matchup`).
-pub const MATCHUP: PolicyRef = &MatchupPolicy;
+/// Mixed-criticality match-up scheduling (registry key `matchup`):
+/// nominally identical to CoEfficient, but when the health monitor
+/// signals a fault burst (`Stressed`/`Storm`) the free slack switches to
+/// a *recovery schedule* — it serves only extra copies of undelivered
+/// hard instances until the monitor reports `Nominal` again, at which
+/// point the schedule has "matched up" with the nominal plan and
+/// cooperative service resumes.
+pub const MATCHUP: PolicyRef = &Policy {
+    key: "matchup",
+    label: "Matchup",
+    aliases: &["match-up"],
+    fingerprint_tag: 5,
+    behavior: PolicyBehavior {
+        matchup_recovery: true,
+        ..PolicyBehavior::COEFFICIENT
+    },
+    copies: CopyPlan::Differentiated,
+};
 
 /// Every registered policy, legacy schemes first: the order fixes the
 /// policy axis of the default sweep and golden matrices, so appending
@@ -441,52 +415,13 @@ pub fn all() -> &'static [PolicyRef] {
     ALL
 }
 
-/// The registered policy keys, in registry order.
-pub fn names() -> Vec<&'static str> {
-    ALL.iter().map(|p| p.key()).collect()
-}
-
-/// A policy-name lookup that matched nothing in the registry. The
-/// [`Display`](std::fmt::Display) rendering lists every registered key,
-/// so CLI and corpus errors tell the user what *would* have worked.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnknownPolicy {
-    /// The name that failed to resolve.
-    pub name: String,
-}
-
-impl std::fmt::Display for UnknownPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "unknown policy \"{}\" (registered: {})",
-            self.name,
-            names().join(", ")
-        )
-    }
-}
-
-impl std::error::Error for UnknownPolicy {}
-
-/// Resolves a policy by registry key, display label or alias
-/// (case-insensitive, surrounding whitespace ignored).
+/// Resolves a policy by registry key, display label or alias.
 ///
 /// # Errors
-/// [`UnknownPolicy`] — whose message lists the registered keys — if no
+/// [`UnknownName`] — whose message lists the registered keys — if no
 /// registered policy matches.
-pub fn resolve(name: &str) -> Result<PolicyRef, UnknownPolicy> {
-    let needle = name.trim();
-    for &p in ALL {
-        if p.key().eq_ignore_ascii_case(needle)
-            || p.label().eq_ignore_ascii_case(needle)
-            || p.aliases().iter().any(|a| a.eq_ignore_ascii_case(needle))
-        {
-            return Ok(p);
-        }
-    }
-    Err(UnknownPolicy {
-        name: name.to_string(),
-    })
+pub fn resolve(name: &str) -> Result<PolicyRef, UnknownName> {
+    lookup(ALL, name).copied()
 }
 
 #[cfg(test)]
@@ -513,38 +448,6 @@ mod tests {
         assert_eq!(COEFFICIENT.fingerprint_tag(), 0);
         assert_eq!(FSPEC.fingerprint_tag(), 1);
         assert_eq!(HOSA.fingerprint_tag(), 2);
-    }
-
-    #[test]
-    fn resolve_accepts_keys_labels_and_aliases() {
-        assert_eq!(resolve("coefficient").unwrap(), COEFFICIENT);
-        assert_eq!(resolve("CoEfficient").unwrap(), COEFFICIENT);
-        assert_eq!(resolve("co").unwrap(), COEFFICIENT);
-        assert_eq!(resolve("FSPEC").unwrap(), FSPEC);
-        assert_eq!(resolve(" hosa ").unwrap(), HOSA);
-        assert_eq!(resolve("greedy").unwrap(), GREEDY);
-        assert_eq!(resolve("slack-steal").unwrap(), SLACK_STEAL);
-        assert_eq!(resolve("slack_steal").unwrap(), SLACK_STEAL);
-        assert_eq!(resolve("match-up").unwrap(), MATCHUP);
-    }
-
-    #[test]
-    fn unknown_names_list_the_registry() {
-        let err = resolve("bogus").unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("unknown policy \"bogus\""), "{msg}");
-        for key in names() {
-            assert!(msg.contains(key), "error must list {key}: {msg}");
-        }
-    }
-
-    #[test]
-    fn labels_round_trip_through_resolve() {
-        for &p in ALL {
-            assert_eq!(resolve(p.label()).unwrap(), p, "label {}", p.label());
-            assert_eq!(resolve(p.key()).unwrap(), p, "key {}", p.key());
-            assert!(!p.summary().is_empty());
-        }
     }
 
     #[test]

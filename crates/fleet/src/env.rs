@@ -9,7 +9,7 @@
 //! with a vehicle's derived seed yields the vehicle's concrete
 //! [`Scenario`] and workload parameters, deterministically.
 
-use coefficient::{FaultModel, Scenario};
+use coefficient::{FaultModel, Named, Scenario};
 use event_sim::rng::substream;
 use event_sim::SimDuration;
 use rand::Rng;
@@ -126,52 +126,17 @@ pub const MIXED: EnvModel = EnvModel {
     max_static_messages: 48,
 };
 
-/// Every registered environment model, in registry order.
+/// Every registered environment model, in registry order (resolved by
+/// [`coefficient::registry::lookup`]).
 pub fn all() -> &'static [EnvModel; 4] {
     &[HIGHWAY, URBAN, TUNNEL, MIXED]
 }
 
-/// Every environment-model name, in registry order — the listing
-/// [`UnknownEnv`] prints, mirroring the policy/scenario registries.
-pub fn env_names() -> [&'static str; 4] {
-    [HIGHWAY.name, URBAN.name, TUNNEL.name, MIXED.name]
-}
-
-/// An `--env` value that [`resolve`] could not match. The `Display`
-/// message lists every valid name, exactly as `UnknownPolicy` and
-/// `UnknownScenario` do for their registries.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnknownEnv {
-    /// The name that failed to resolve.
-    pub name: String,
-}
-
-impl std::fmt::Display for UnknownEnv {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "unknown environment model \"{}\" (valid: {})",
-            self.name,
-            env_names().join(", ")
-        )
+impl Named for EnvModel {
+    const KIND: &'static str = "environment model";
+    fn key(&self) -> &str {
+        self.name
     }
-}
-
-impl std::error::Error for UnknownEnv {}
-
-/// Resolves an environment-model name (case-insensitively).
-///
-/// # Errors
-/// Returns [`UnknownEnv`] — whose message lists every registered model —
-/// when nothing matches.
-pub fn resolve(name: &str) -> Result<&'static EnvModel, UnknownEnv> {
-    let lower = name.to_ascii_lowercase();
-    all()
-        .iter()
-        .find(|m| m.name == lower)
-        .ok_or_else(|| UnknownEnv {
-            name: name.to_string(),
-        })
 }
 
 /// One vehicle's draw from an [`EnvModel`]: the concrete scenario it
@@ -262,21 +227,6 @@ impl EnvModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn registry_resolves_every_name() {
-        for name in env_names() {
-            assert_eq!(resolve(name).unwrap().name, name);
-        }
-        assert_eq!(resolve("HIGHWAY").unwrap().name, "highway");
-        let err = resolve("parking-lot").unwrap_err();
-        assert_eq!(err.name, "parking-lot");
-        let msg = err.to_string();
-        assert!(msg.contains("unknown environment model \"parking-lot\""));
-        for name in env_names() {
-            assert!(msg.contains(name), "{msg} missing {name}");
-        }
-    }
 
     #[test]
     fn sampling_is_deterministic() {

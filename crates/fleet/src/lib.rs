@@ -44,7 +44,7 @@ pub mod spec;
 pub mod stats;
 
 pub use agg::{FleetAggregate, PolicyAggregate, PPB};
-pub use env::{env_names, Condition, EnvModel, UnknownEnv, VehicleDraw};
+pub use env::{Condition, EnvModel, VehicleDraw};
 pub use exec::{FleetRun, Progress};
 pub use spec::{FleetSpec, DEFAULT_SEED};
 pub use stats::StatsConfig;
