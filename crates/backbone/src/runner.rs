@@ -17,7 +17,7 @@ use event_sim::{SimDuration, SimTime};
 use flexray::signal::Signal;
 use metrics::LogHistogram;
 use observe::Tracer;
-use tasks::{simulate, ExecutionTrace, PeriodicTask, SimulateOptions, TaskSet};
+use tasks::{simulate, ExecutionTrace, PeriodicTask, TaskSet};
 
 use crate::flow::FlowCounters;
 use crate::gateway::{peak_queue_depths, simulate_gateway, GatewayArrival};
@@ -245,11 +245,7 @@ fn simulate_domain(
         None
     } else {
         let set = TaskSet::deadline_monotonic(cpu_tasks).map_err(err)?;
-        Some(simulate(
-            &set,
-            &[],
-            SimulateOptions::new(SimTime::ZERO + span + hyper * 2),
-        ))
+        Some(simulate(&set, SimTime::ZERO + span + hyper * 2))
     };
     Ok(DomainSim {
         fingerprint,

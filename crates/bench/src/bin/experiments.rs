@@ -282,8 +282,8 @@ fn parse_number<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> 
     })
 }
 
-/// [`parse_number`] for a count the library asserts is at least 1: a
-/// zero exits 2 instead of panicking.
+/// [`parse_number`] for a count that must be at least 1 (the library
+/// asserts it, or a zero would run an empty experiment): a zero exits 2.
 fn parse_count<T: std::str::FromStr + Default + PartialEq>(
     args: &[String],
     flag: &str,
@@ -293,6 +293,15 @@ fn parse_count<T: std::str::FromStr + Default + PartialEq>(
         usage_error(format!("{flag} must be at least 1"));
     }
     v
+}
+
+/// `--minislots`, exit 2 unless the `paper_mixed` cycle fits that many.
+fn parse_minislots(args: &[String]) -> Option<u64> {
+    let v = parse_number(args, "--minislots")?;
+    if let Err(e) = ClusterConfig::try_paper_mixed(v) {
+        usage_error(format!("invalid value for --minislots: {v} ({e:?}: {e})"));
+    }
+    Some(v)
 }
 
 fn flag_values<'a>(args: &'a [String], flag: &str) -> Vec<&'a str> {
@@ -321,16 +330,16 @@ fn run_config(cfg: coefficient::RunConfig) -> coefficient::RunReport {
 
 fn parse_spec(args: &[String]) -> SweepSpec {
     let mut spec = SweepSpec::default();
-    if let Some(v) = parse_number(args, "--seeds") {
+    if let Some(v) = parse_count(args, "--seeds") {
         spec.seeds = v;
     }
     if let Some(v) = parse_number(args, "--master-seed") {
         spec.master_seed = v;
     }
-    if let Some(v) = parse_number(args, "--minislots") {
+    if let Some(v) = parse_minislots(args) {
         spec.minislots = v;
     }
-    if let Some(v) = parse_number(args, "--horizon-ms") {
+    if let Some(v) = parse_count(args, "--horizon-ms") {
         spec.horizon_ms = v;
     }
     if let Some(v) = parse_count(args, "--threads") {
@@ -708,10 +717,10 @@ fn run_fleet(args: &[String]) {
         }
         spec.shard_size = v;
     }
-    if let Some(v) = parse_number(args, "--horizon-ms") {
+    if let Some(v) = parse_count(args, "--horizon-ms") {
         spec.horizon = fleet_bench::horizon_from_ms(v);
     }
-    if let Some(v) = parse_number(args, "--minislots") {
+    if let Some(v) = parse_minislots(args) {
         spec.minislots = v;
     }
     let policies = parse_policies(args, "--policy");
@@ -782,6 +791,12 @@ fn run_fleet(args: &[String]) {
     }
 }
 
+/// The longest backbone cell `--hypercycles` accepts. The CPU legs look
+/// up each job's completion by a linear scan, so a cell's run time grows
+/// with the square of its span: 1,000 hypercycles take about 1 s on a
+/// 2-vCPU host, 10,000 more than two minutes.
+const MAX_HYPERCYCLES: u64 = 1_000;
+
 fn run_backbone(args: &[String]) {
     let topology_name = flag_value(args, "--topology").unwrap_or("paper-duplex");
     let topology =
@@ -797,6 +812,9 @@ fn run_backbone(args: &[String]) {
             .collect();
     }
     if let Some(hypercycles) = parse_count(args, "--hypercycles") {
+        if hypercycles > MAX_HYPERCYCLES {
+            usage_error(format!("--hypercycles must be at most {MAX_HYPERCYCLES}"));
+        }
         spec.hypercycles = hypercycles;
     }
     let threads: usize = parse_number(args, "--threads").unwrap_or(1);
@@ -1050,7 +1068,7 @@ fn run_chaos(args: &[String]) {
     });
     let seed = parse_number(args, "--seed").unwrap_or(chaos::CHAOS_SEED);
     let horizon_cycles =
-        parse_number(args, "--horizon-cycles").unwrap_or(chaos::DEFAULT_HORIZON_CYCLES);
+        parse_count(args, "--horizon-cycles").unwrap_or(chaos::DEFAULT_HORIZON_CYCLES);
     let threads = parse_count(args, "--threads").unwrap_or(1);
     let mut contract = ChaosContract::default();
     if let Some(v) = parse_number(args, "--recovery-budget") {

@@ -177,25 +177,6 @@ fn event_json(event: &TraceEvent) -> Json {
             ("cycle", Json::from(*cycle)),
             ("values", Json::array(values.iter().map(|&v| Json::from(v)))),
         ]),
-        EventKind::CpuSlice {
-            end,
-            kind,
-            task,
-            job,
-        } => Json::object([
-            at,
-            ("type", Json::str("cpu_slice")),
-            ("end_ns", Json::from(end.as_nanos())),
-            ("kind", Json::from(u64::from(*kind))),
-            ("task", Json::from(*task)),
-            ("job", Json::from(*job)),
-        ]),
-        EventKind::CpuStealGranted { budget } => Json::object([
-            at,
-            ("type", Json::str("cpu_steal_granted")),
-            ("budget_ns", Json::from(budget.as_nanos())),
-        ]),
-        EventKind::CpuStealDenied => Json::object([at, ("type", Json::str("cpu_steal_denied"))]),
         EventKind::GatewayQueued {
             port,
             flow,
@@ -289,10 +270,8 @@ fn require_bool(event: &Json, field: &str, index: usize) -> Result<bool, String>
 /// `(event type, channel)` pair — not globally: the bus engine
 /// serializes channel A's whole segment before channel B's, the
 /// scheduler emits cycle-N planning decisions (sheds, steals) before
-/// the bus serializes cycle N itself, and the CPU stealer emits its
-/// schedule slices after its live steal decisions. Only events of the
-/// same type on the same channel are guaranteed to appear in stamp
-/// order.
+/// the bus serializes cycle N itself. Only events of the same type on
+/// the same channel are guaranteed to appear in stamp order.
 ///
 /// # Errors
 /// A human-readable description of the first defect.
@@ -366,9 +345,6 @@ pub fn validate_trace(doc: &Json) -> Result<usize, String> {
             "soft_shed" => &["frame_id", "criticality"],
             "health_transition" => &["scope", "from", "to"],
             "counter_sample" => &["cycle"],
-            "cpu_slice" => &["end_ns", "kind", "task", "job"],
-            "cpu_steal_granted" => &["budget_ns"],
-            "cpu_steal_denied" => &[],
             "gateway_queued" => &["port", "flow", "instance"],
             "ethernet_frame" => &["port", "flow", "instance", "payload_bits", "duration_ns"],
             other => return Err(format!("event {i}: unknown type {other:?}")),

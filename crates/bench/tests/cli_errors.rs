@@ -342,11 +342,17 @@ fn every_flag_the_ci_workflow_passes_is_accepted() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// What a `--minislots` the paper cycle cannot fit must say: the flag and
+/// the `ConfigError` behind the refusal.
+const TOO_MANY_MINISLOTS: &str = "--minislots: 100000 (SegmentsExceedCycle";
+
 #[test]
 fn inputs_that_used_to_panic_exit_2_naming_the_flag() {
-    // Each of these hit a library assert (exit 101); the CLI now rejects
-    // them before the library sees them.
-    let cases: [(&[&str], &str); 6] = [
+    // Each of these hit a library assert or `expect` (exit 101), tried to
+    // allocate hundreds of gigabytes (exit 134), or ran a degenerate
+    // zero-length experiment and exited 0; the CLI now rejects them
+    // before the library sees them.
+    let cases: [(&[&str], &str); 16] = [
         (
             &["chaos", "--policy", "greedy", "--require", "coefficient"],
             "--require",
@@ -356,6 +362,28 @@ fn inputs_that_used_to_panic_exit_2_naming_the_flag() {
         (&["determinism", "--thread-counts", "0"], "--thread-counts"),
         (&["trace-overhead", "--iters", "0"], "--iters"),
         (&["backbone", "--hypercycles", "0"], "--hypercycles"),
+        (
+            &["backbone", "--hypercycles", "1000000000"],
+            "--hypercycles must be at most",
+        ),
+        (&["sweep", "--seeds", "0"], "--seeds"),
+        (&["sweep", "--horizon-ms", "0"], "--horizon-ms"),
+        (&["fleet", "--horizon-ms", "0"], "--horizon-ms"),
+        (&["chaos", "--horizon-cycles", "0"], "--horizon-cycles"),
+        (&["sweep", "--minislots", "100000"], TOO_MANY_MINISLOTS),
+        (
+            &["replay", "--cell", "0,0,0", "--minislots", "100000"],
+            TOO_MANY_MINISLOTS,
+        ),
+        (
+            &["trace", "--cell", "0,0,0", "--minislots", "100000"],
+            TOO_MANY_MINISLOTS,
+        ),
+        (
+            &["determinism", "--minislots", "100000"],
+            TOO_MANY_MINISLOTS,
+        ),
+        (&["fleet", "--minislots", "100000"], TOO_MANY_MINISLOTS),
     ];
     for (args, flag) in cases {
         let out = experiments(args);

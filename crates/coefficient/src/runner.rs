@@ -91,9 +91,9 @@ pub struct RunCounters {
     /// Retransmission copies actually transmitted — the consumed part of
     /// the planned retransmission budget (Theorem 1's `k_i` copies).
     pub retransmission_budget_used: u64,
-    /// Job resumptions after interruption (always zero on the FlexRay
-    /// bus — slots are non-preemptive — but kept so CPU-side schedules
-    /// share the same record shape).
+    /// Job resumptions after interruption: always zero on the FlexRay
+    /// bus, whose slots are non-preemptive, but recorded in the golden
+    /// corpus, so the field stays.
     pub preemptions: u64,
     /// Frames the fault processes were consulted about (both channels).
     pub frames_checked: u64,

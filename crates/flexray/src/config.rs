@@ -266,13 +266,21 @@ impl ClusterConfig {
     /// Panics if the layout is infeasible (the paper's 25–100 range is
     /// always valid).
     pub fn paper_mixed(minislots: u64) -> ClusterConfig {
+        ClusterConfig::try_paper_mixed(minislots).expect("paper mixed preset must be valid")
+    }
+
+    /// [`paper_mixed`](Self::paper_mixed), returning the [`ConfigError`]
+    /// of a minislot count the cycle cannot fit instead of panicking.
+    ///
+    /// # Errors
+    /// The first constraint the layout violates.
+    pub fn try_paper_mixed(minislots: u64) -> Result<ClusterConfig, ConfigError> {
         ClusterConfig::builder()
             .macroticks_per_cycle(5000)
             .static_slots(80, 40)
             .minislots(minislots, 2)
             .bit_rate(80_000_000)
             .build()
-            .expect("paper mixed preset must be valid")
     }
 
     /// A compact 1 ms-cycle geometry (18 static slots of 40 macroticks,

@@ -16,7 +16,7 @@
 //!   header CRC-11, frame CRC-24, the physical bit coding that determines
 //!   how long a frame occupies the wire, and bit-exact
 //!   serialization/deserialization;
-//! * [`signal`] — ECU signals and frame packing (§II-A);
+//! * [`signal`] — ECU signals (§II-A);
 //! * [`schedule`] — the [`schedule::MessageId`] shared with the schedulers;
 //! * [`bus`] — the cycle-level dual-channel bus engine with fault
 //!   injection and a bus-analyzer-style trace.

@@ -1,10 +1,8 @@
-//! ECU signals and frame packing.
+//! ECU signals.
 //!
 //! §II-A of the paper: each ECU `E_i` produces signals
 //! `s_j^i = (P_j^i, O_j^i, D_j^i, W_j^i)` — period, offset, deadline and
-//! length in bits. Signals are *packed* into frames before scheduling;
-//! packing equal-period signals together minimizes frame overhead (the
-//! paper cites the frame-packing line of work \[9\], \[31\]).
+//! length in bits. The schedulers treat each signal as one static message.
 
 use event_sim::SimDuration;
 
@@ -53,173 +51,9 @@ impl Signal {
     }
 }
 
-/// A frame-sized bundle of signals sharing a period.
-///
-/// The packed frame inherits the *minimum* deadline and offset of its
-/// members (conservative: meeting the frame deadline meets every member
-/// deadline).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PackedFrame {
-    /// Member signals.
-    pub signals: Vec<Signal>,
-    /// Common period.
-    pub period: SimDuration,
-    /// Earliest member offset.
-    pub offset: SimDuration,
-    /// Tightest member deadline.
-    pub deadline: SimDuration,
-    /// Sum of member sizes in bits.
-    pub total_bits: u32,
-}
-
-impl PackedFrame {
-    /// Number of member signals.
-    pub fn len(&self) -> usize {
-        self.signals.len()
-    }
-
-    /// `true` if the frame carries no signals (never produced by
-    /// [`pack_signals`]).
-    pub fn is_empty(&self) -> bool {
-        self.signals.is_empty()
-    }
-}
-
-/// Packs `signals` into frames of at most `max_frame_bits` each, grouping
-/// by period and filling greedily in first-fit-decreasing order.
-///
-/// Signals larger than `max_frame_bits` get a frame of their own (the
-/// caller's slot sizing must accommodate them).
-///
-/// The output is deterministic: groups are ordered by period, and frames
-/// within a group by the decreasing size of their first member.
-pub fn pack_signals(signals: &[Signal], max_frame_bits: u32) -> Vec<PackedFrame> {
-    assert!(max_frame_bits > 0, "frame capacity must be positive");
-    // Group by period.
-    let mut by_period: Vec<(SimDuration, Vec<&Signal>)> = Vec::new();
-    for s in signals {
-        match by_period.iter_mut().find(|(p, _)| *p == s.period) {
-            Some((_, group)) => group.push(s),
-            None => by_period.push((s.period, vec![s])),
-        }
-    }
-    by_period.sort_by_key(|(p, _)| *p);
-
-    let mut frames = Vec::new();
-    for (period, mut group) in by_period {
-        // First-fit decreasing by size; ties by id for determinism.
-        group.sort_by_key(|s| (std::cmp::Reverse(s.size_bits), s.id));
-        let mut bins: Vec<PackedFrame> = Vec::new();
-        for s in group {
-            let target = bins
-                .iter_mut()
-                .find(|b| b.total_bits + s.size_bits <= max_frame_bits);
-            match target {
-                Some(bin) => {
-                    bin.total_bits += s.size_bits;
-                    bin.offset = bin.offset.min(s.offset);
-                    bin.deadline = bin.deadline.min(s.deadline);
-                    bin.signals.push(s.clone());
-                }
-                None => bins.push(PackedFrame {
-                    signals: vec![s.clone()],
-                    period,
-                    offset: s.offset,
-                    deadline: s.deadline,
-                    total_bits: s.size_bits,
-                }),
-            }
-        }
-        frames.extend(bins);
-    }
-    frames
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sig(id: u32, period_ms: u64, size: u32) -> Signal {
-        Signal::new(
-            id,
-            SimDuration::from_millis(period_ms),
-            SimDuration::ZERO,
-            SimDuration::from_millis(period_ms),
-            size,
-        )
-    }
-
-    #[test]
-    fn packs_same_period_signals_together() {
-        let signals = vec![sig(1, 10, 100), sig(2, 10, 200), sig(3, 10, 300)];
-        let frames = pack_signals(&signals, 600);
-        assert_eq!(frames.len(), 1);
-        assert_eq!(frames[0].total_bits, 600);
-        assert_eq!(frames[0].len(), 3);
-    }
-
-    #[test]
-    fn splits_when_capacity_exceeded() {
-        let signals = vec![sig(1, 10, 400), sig(2, 10, 400), sig(3, 10, 400)];
-        let frames = pack_signals(&signals, 800);
-        assert_eq!(frames.len(), 2);
-        let bits: Vec<u32> = frames.iter().map(|f| f.total_bits).collect();
-        assert_eq!(bits.iter().sum::<u32>(), 1200);
-        assert!(bits.iter().all(|&b| b <= 800));
-    }
-
-    #[test]
-    fn different_periods_never_share_a_frame() {
-        let signals = vec![sig(1, 10, 10), sig(2, 20, 10)];
-        let frames = pack_signals(&signals, 1000);
-        assert_eq!(frames.len(), 2);
-        assert!(frames[0].period < frames[1].period);
-    }
-
-    #[test]
-    fn frame_inherits_tightest_deadline_and_earliest_offset() {
-        let a = Signal::new(
-            1,
-            SimDuration::from_millis(10),
-            SimDuration::from_micros(500),
-            SimDuration::from_millis(8),
-            64,
-        );
-        let b = Signal::new(
-            2,
-            SimDuration::from_millis(10),
-            SimDuration::from_micros(200),
-            SimDuration::from_millis(4),
-            64,
-        );
-        let frames = pack_signals(&[a, b], 1000);
-        assert_eq!(frames.len(), 1);
-        assert_eq!(frames[0].deadline, SimDuration::from_millis(4));
-        assert_eq!(frames[0].offset, SimDuration::from_micros(200));
-    }
-
-    #[test]
-    fn oversized_signal_gets_own_frame() {
-        let frames = pack_signals(&[sig(1, 10, 5000)], 1000);
-        assert_eq!(frames.len(), 1);
-        assert_eq!(frames[0].total_bits, 5000);
-    }
-
-    #[test]
-    fn deterministic_output() {
-        let signals = vec![sig(3, 10, 100), sig(1, 10, 100), sig(2, 20, 50)];
-        let a = pack_signals(&signals, 150);
-        let b = pack_signals(&signals, 150);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn packing_reduces_frame_count_vs_one_per_signal() {
-        let signals: Vec<Signal> = (0..20).map(|i| sig(i, 10, 64)).collect();
-        let frames = pack_signals(&signals, 512);
-        assert!(frames.len() < signals.len());
-        assert_eq!(frames.iter().map(PackedFrame::len).sum::<usize>(), 20);
-    }
 
     #[test]
     #[should_panic(expected = "deadline must not exceed")]

@@ -1,196 +1,4 @@
-//! Fixed-width and log-scale mergeable histograms.
-//!
-//! Both histogram types share one bucket-counting core ([`Buckets`]):
-//! uniform-width duration bins for latency reports ([`Histogram`]) and
-//! logarithmic `u64` buckets for fleet-scale streaming aggregation
-//! ([`LogHistogram`]). The core owns the recording, merging and
-//! quantile-scan logic so the two geometries cannot drift apart.
-
-use event_sim::SimDuration;
-
-/// The shared bucket-counting core: a fixed vector of counters, an
-/// overflow counter, and the quantile scan. Geometry (which bucket a
-/// sample lands in, what a bucket's edges mean) lives in the wrapping
-/// histogram types; everything that only needs *counts* lives here.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Buckets {
-    bins: Vec<u64>,
-    overflow: u64,
-    count: u64,
-}
-
-impl Buckets {
-    fn new(bins: usize) -> Self {
-        Buckets {
-            bins: vec![0; bins],
-            overflow: 0,
-            count: 0,
-        }
-    }
-
-    /// Adds `n` samples to bucket `idx` (or to overflow when `idx` is
-    /// beyond the last bucket).
-    fn record_n(&mut self, idx: usize, n: u64) {
-        self.count += n;
-        if idx < self.bins.len() {
-            self.bins[idx] += n;
-        } else {
-            self.overflow += n;
-        }
-    }
-
-    /// Index of the bucket holding the `q`-quantile sample, `None` when
-    /// the histogram is empty or the quantile falls into overflow.
-    ///
-    /// # Panics
-    /// Panics if `q` is outside `[0, 1]`.
-    fn quantile_bucket(&self, q: f64) -> Option<usize> {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range");
-        if self.count == 0 {
-            return None;
-        }
-        let target = (q * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (idx, &c) in self.bins.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Some(idx);
-            }
-        }
-        None // quantile is in the overflow bucket
-    }
-
-    /// Adds another core with identical bucket count into this one.
-    /// Bucket-wise `u64` addition, so merging is commutative and
-    /// associative — a sharded aggregation may merge partial histograms
-    /// in any order and reach bit-identical totals.
-    fn merge(&mut self, other: &Buckets) {
-        assert_eq!(self.bins.len(), other.bins.len(), "bin count mismatch");
-        for (a, b) in self.bins.iter_mut().zip(&other.bins) {
-            *a += b;
-        }
-        self.overflow += other.overflow;
-        self.count += other.count;
-    }
-
-    fn clear(&mut self) {
-        self.bins.fill(0);
-        self.overflow = 0;
-        self.count = 0;
-    }
-
-    fn footprint_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.bins.capacity() * std::mem::size_of::<u64>()
-    }
-}
-
-/// A histogram of durations with uniform bin width and an overflow bin.
-///
-/// Used for latency distributions: the paper reports averages, but the
-/// reproduction also records distributions so the benches can print
-/// percentiles.
-///
-/// ```
-/// use metrics::Histogram;
-/// use event_sim::SimDuration;
-/// let mut h = Histogram::new(SimDuration::from_millis(1), 10);
-/// h.record(SimDuration::from_micros(1_500)); // bin 1
-/// h.record(SimDuration::from_micros(9_999)); // bin 9
-/// h.record(SimDuration::from_millis(50));    // overflow
-/// assert_eq!(h.count(), 3);
-/// assert_eq!(h.bin_count(1), 1);
-/// assert_eq!(h.overflow(), 1);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    bin_width: SimDuration,
-    buckets: Buckets,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` uniform bins of width `bin_width`.
-    /// Samples at or beyond `bin_width * bins` land in the overflow bin.
-    ///
-    /// # Panics
-    /// Panics if `bin_width` is zero or `bins` is zero.
-    pub fn new(bin_width: SimDuration, bins: usize) -> Self {
-        assert!(!bin_width.is_zero(), "bin width must be positive");
-        assert!(bins > 0, "need at least one bin");
-        Histogram {
-            bin_width,
-            buckets: Buckets::new(bins),
-        }
-    }
-
-    /// Adds one sample.
-    pub fn record(&mut self, sample: SimDuration) {
-        let idx = (sample.as_nanos() / self.bin_width.as_nanos()) as usize;
-        self.buckets.record_n(idx, 1);
-    }
-
-    /// Total number of samples.
-    pub fn count(&self) -> u64 {
-        self.buckets.count
-    }
-
-    /// Number of samples in bin `idx` (0-based).
-    ///
-    /// # Panics
-    /// Panics if `idx` is out of range.
-    pub fn bin_count(&self, idx: usize) -> u64 {
-        self.buckets.bins[idx]
-    }
-
-    /// Number of samples beyond the last bin.
-    pub fn overflow(&self) -> u64 {
-        self.buckets.overflow
-    }
-
-    /// Number of bins (excluding overflow).
-    pub fn num_bins(&self) -> usize {
-        self.buckets.bins.len()
-    }
-
-    /// Width of each bin.
-    pub fn bin_width(&self) -> SimDuration {
-        self.bin_width
-    }
-
-    /// The inclusive lower edge of bin `idx`.
-    pub fn bin_lower_edge(&self, idx: usize) -> SimDuration {
-        self.bin_width * idx as u64
-    }
-
-    /// An upper bound on the `q`-quantile (0.0 ..= 1.0): the upper edge of
-    /// the bin in which the quantile falls, or `None` if the histogram is
-    /// empty or the quantile lands in the overflow bin.
-    ///
-    /// # Panics
-    /// Panics if `q` is outside `[0, 1]`.
-    pub fn quantile_upper_bound(&self, q: f64) -> Option<SimDuration> {
-        self.buckets
-            .quantile_bucket(q)
-            .map(|idx| self.bin_width * (idx as u64 + 1))
-    }
-
-    /// Iterates over `(lower_edge, count)` pairs for the finite bins.
-    pub fn iter(&self) -> impl Iterator<Item = (SimDuration, u64)> + '_ {
-        self.buckets
-            .bins
-            .iter()
-            .enumerate()
-            .map(move |(i, &c)| (self.bin_lower_edge(i), c))
-    }
-
-    /// Merges another histogram with identical geometry into this one.
-    ///
-    /// # Panics
-    /// Panics if bin width or bin count differ.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.bin_width, other.bin_width, "bin width mismatch");
-        self.buckets.merge(&other.buckets);
-    }
-}
+//! Mergeable log-scale histograms.
 
 /// A mergeable log-scale histogram over `u64` values.
 ///
@@ -220,7 +28,8 @@ impl Histogram {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogHistogram {
     sub_bits: u32,
-    buckets: Buckets,
+    bins: Vec<u64>,
+    count: u64,
 }
 
 impl Default for LogHistogram {
@@ -245,7 +54,8 @@ impl LogHistogram {
         let buckets = (65 - sub_bits as usize) << sub_bits;
         LogHistogram {
             sub_bits,
-            buckets: Buckets::new(buckets),
+            bins: vec![0; buckets],
+            count: 0,
         }
     }
 
@@ -282,29 +92,29 @@ impl LogHistogram {
 
     /// Adds one sample.
     pub fn record(&mut self, value: u64) {
-        let idx = self.index_of(value);
-        self.buckets.record_n(idx, 1);
+        self.record_n(value, 1);
     }
 
     /// Adds `n` identical samples.
     pub fn record_n(&mut self, value: u64, n: u64) {
         let idx = self.index_of(value);
-        self.buckets.record_n(idx, n);
+        self.bins[idx] += n;
+        self.count += n;
     }
 
     /// Total number of samples.
     pub fn count(&self) -> u64 {
-        self.buckets.count
+        self.count
     }
 
     /// `true` when no samples were recorded.
     pub fn is_empty(&self) -> bool {
-        self.buckets.count == 0
+        self.count == 0
     }
 
     /// Number of buckets (fixed at construction).
     pub fn num_buckets(&self) -> usize {
-        self.buckets.bins.len()
+        self.bins.len()
     }
 
     /// Sub-bucket resolution exponent this histogram was built with.
@@ -320,9 +130,17 @@ impl LogHistogram {
     /// # Panics
     /// Panics if `q` is outside `[0, 1]`.
     pub fn quantile_upper_bound(&self, q: f64) -> Option<u64> {
-        self.buckets
-            .quantile_bucket(q)
-            .map(|idx| self.upper_bound_of(idx))
+        assert!((0.0..=1.0).contains(&q), "quantile out of range");
+        if self.count == 0 {
+            return None;
+        }
+        let target = (q * self.count as f64).ceil().max(1.0) as u64;
+        let mut seen = 0;
+        let idx = self.bins.iter().position(|&c| {
+            seen += c;
+            seen >= target
+        })?;
+        Some(self.upper_bound_of(idx))
     }
 
     /// Merges another histogram with the same geometry into this one.
@@ -332,20 +150,23 @@ impl LogHistogram {
     /// Panics if the sub-bucket resolution differs.
     pub fn merge(&mut self, other: &LogHistogram) {
         assert_eq!(self.sub_bits, other.sub_bits, "sub_bits mismatch");
-        self.buckets.merge(&other.buckets);
+        for (a, b) in self.bins.iter_mut().zip(&other.bins) {
+            *a += b;
+        }
+        self.count += other.count;
     }
 
     /// Resets every counter to zero without releasing the bucket storage
     /// (a sharded worker reuses one histogram across shards).
     pub fn clear(&mut self) {
-        self.buckets.clear();
+        self.bins.fill(0);
+        self.count = 0;
     }
 
     /// Iterates over the `(bucket_index, count)` pairs of non-empty
     /// buckets — the deterministic serialization a digest folds over.
     pub fn iter_nonzero(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.buckets
-            .bins
+        self.bins
             .iter()
             .enumerate()
             .filter(|&(_, &c)| c != 0)
@@ -355,8 +176,7 @@ impl LogHistogram {
     /// Heap + inline bytes this histogram occupies — the O(buckets) term
     /// of the fleet-aggregation memory contract.
     pub fn footprint_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() - std::mem::size_of::<Buckets>()
-            + self.buckets.footprint_bytes()
+        std::mem::size_of::<Self>() + self.bins.capacity() * std::mem::size_of::<u64>()
     }
 }
 
@@ -364,138 +184,6 @@ impl LogHistogram {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    fn us(v: u64) -> SimDuration {
-        SimDuration::from_micros(v)
-    }
-
-    #[test]
-    fn bins_receive_correct_samples() {
-        let mut h = Histogram::new(us(10), 5);
-        h.record(us(0)); // bin 0 (lower edge inclusive)
-        h.record(us(9)); // bin 0
-        h.record(us(10)); // bin 1
-        h.record(us(49)); // bin 4
-        h.record(us(50)); // overflow
-        assert_eq!(h.bin_count(0), 2);
-        assert_eq!(h.bin_count(1), 1);
-        assert_eq!(h.bin_count(4), 1);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.count(), 5);
-    }
-
-    #[test]
-    fn quantiles_bound_from_above() {
-        let mut h = Histogram::new(us(1), 100);
-        for v in 0..100 {
-            h.record(us(v));
-        }
-        // Median of 0..99 is < 50, upper bound of its bin is 50us.
-        assert_eq!(h.quantile_upper_bound(0.5), Some(us(50)));
-        assert_eq!(h.quantile_upper_bound(1.0), Some(us(100)));
-        assert_eq!(h.quantile_upper_bound(0.0), Some(us(1)));
-    }
-
-    #[test]
-    fn quantile_of_empty_is_none() {
-        let h = Histogram::new(us(1), 4);
-        assert_eq!(h.quantile_upper_bound(0.5), None);
-    }
-
-    #[test]
-    fn extreme_quantiles_of_empty_are_none() {
-        // p0 and p100 have no special casing that could invent a bound
-        // for a histogram with no samples.
-        let h = Histogram::new(us(1), 4);
-        assert_eq!(h.quantile_upper_bound(0.0), None);
-        assert_eq!(h.quantile_upper_bound(1.0), None);
-    }
-
-    #[test]
-    fn single_bucket_histogram_answers_every_quantile() {
-        // The degenerate one-bin geometry: every in-range sample lands in
-        // bin 0, so every quantile's upper bound is the bin's upper edge.
-        let mut h = Histogram::new(us(10), 1);
-        h.record(us(0));
-        h.record(us(9));
-        assert_eq!(h.num_bins(), 1);
-        for q in [0.0, 0.25, 0.5, 0.75, 1.0] {
-            assert_eq!(h.quantile_upper_bound(q), Some(us(10)), "q = {q}");
-        }
-    }
-
-    #[test]
-    fn p0_clamps_to_the_first_sample() {
-        // q = 0 must still demand one sample (not zero), so it skips
-        // leading empty bins and lands on the first occupied one.
-        let mut h = Histogram::new(us(10), 4);
-        h.record(us(25)); // bin 2 — bins 0 and 1 stay empty
-        assert_eq!(h.quantile_upper_bound(0.0), Some(us(30)));
-    }
-
-    #[test]
-    fn p100_is_the_last_occupied_bin_edge() {
-        let mut h = Histogram::new(us(10), 4);
-        h.record(us(5)); // bin 0
-        h.record(us(35)); // bin 3
-        assert_eq!(h.quantile_upper_bound(1.0), Some(us(40)));
-        // But p100 with any overflow sample is unbounded.
-        h.record(us(1000));
-        assert_eq!(h.quantile_upper_bound(1.0), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "quantile out of range")]
-    fn quantile_above_one_rejected() {
-        let h = Histogram::new(us(1), 4);
-        let _ = h.quantile_upper_bound(1.5);
-    }
-
-    #[test]
-    fn quantile_in_overflow_is_none() {
-        let mut h = Histogram::new(us(1), 2);
-        h.record(us(100));
-        assert_eq!(h.quantile_upper_bound(0.5), None);
-    }
-
-    #[test]
-    fn merge_adds_counts() {
-        let mut a = Histogram::new(us(10), 3);
-        let mut b = Histogram::new(us(10), 3);
-        a.record(us(5));
-        b.record(us(5));
-        b.record(us(25));
-        b.record(us(1000));
-        a.merge(&b);
-        assert_eq!(a.count(), 4);
-        assert_eq!(a.bin_count(0), 2);
-        assert_eq!(a.bin_count(2), 1);
-        assert_eq!(a.overflow(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "bin width mismatch")]
-    fn merge_rejects_different_geometry() {
-        let mut a = Histogram::new(us(10), 3);
-        let b = Histogram::new(us(20), 3);
-        a.merge(&b);
-    }
-
-    #[test]
-    fn iter_yields_edges_and_counts() {
-        let mut h = Histogram::new(us(10), 2);
-        h.record(us(15));
-        let v: Vec<_> = h.iter().collect();
-        assert_eq!(v, vec![(us(0), 0), (us(10), 1)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "bin width must be positive")]
-    fn zero_bin_width_rejected() {
-        let _ = Histogram::new(SimDuration::ZERO, 3);
-    }
-
-    // --- LogHistogram ---
 
     #[test]
     fn log_small_values_are_exact() {
@@ -598,6 +286,12 @@ mod tests {
         assert!(h.is_empty());
         assert_eq!(h.num_buckets(), buckets);
         assert_eq!(h.quantile_upper_bound(0.5), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "quantile out of range")]
+    fn log_quantile_above_one_rejected() {
+        let _ = LogHistogram::default().quantile_upper_bound(1.5);
     }
 
     #[test]

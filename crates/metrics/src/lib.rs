@@ -6,11 +6,9 @@
 //! are computed from:
 //!
 //! * [`Summary`] — streaming min/max/mean/variance over durations;
-//! * [`Histogram`] — fixed-width latency histograms for percentile reports;
 //! * [`LogHistogram`] — mergeable log-scale `u64` histograms for
 //!   fleet-scale streaming aggregation (fixed memory, order-independent
 //!   merge);
-//! * [`UtilizationTimeline`] — busy/idle accounting of a bus or channel;
 //! * [`DeadlineTracker`] — met/missed deadline counting per message class;
 //! * [`Aggregate`] — cross-run distribution summaries (mean/stddev/min/max
 //!   and exact percentiles) for the multi-seed sweep harness.
@@ -31,10 +29,8 @@ mod aggregate;
 mod deadline;
 mod histogram;
 mod stats;
-mod utilization;
 
 pub use aggregate::{Aggregate, AggregateSummary};
 pub use deadline::{DeadlineOutcome, DeadlineTracker};
-pub use histogram::{Histogram, LogHistogram};
+pub use histogram::LogHistogram;
 pub use stats::Summary;
-pub use utilization::UtilizationTimeline;

@@ -3,7 +3,8 @@
 //! [`chrome_trace_json`] renders a [`TraceLog`] as the JSON object format
 //! understood by Perfetto (<https://ui.perfetto.dev>) and
 //! `chrome://tracing`: one process, with channels, the scheduler, the
-//! health monitors, counter samples and CPU slices as named tracks.
+//! health monitors, counter samples, the gateway and the Ethernet
+//! backbone as named tracks.
 //! Frame transmissions become complete (`"ph":"X"`) events with their
 //! wire occupancy as duration; decisions (steals, sheds, mirrors, fault
 //! hits) become track-scoped instants; counter samples and health states
@@ -21,7 +22,6 @@ const TID_CHANNEL_B: u32 = 1;
 const TID_SCHEDULER: u32 = 2;
 const TID_HEALTH: u32 = 3;
 const TID_COUNTERS: u32 = 4;
-const TID_CPU: u32 = 5;
 const TID_GATEWAY: u32 = 6;
 const TID_ETHERNET: u32 = 7;
 
@@ -132,7 +132,6 @@ pub fn chrome_trace_json(log: &TraceLog, counter_names: &[&str]) -> String {
     w.meta_thread(TID_SCHEDULER, "Scheduler", 2);
     w.meta_thread(TID_HEALTH, "Health", 3);
     w.meta_thread(TID_COUNTERS, "Counters", 4);
-    w.meta_thread(TID_CPU, "CPU", 5);
     w.meta_thread(TID_GATEWAY, "Gateway", 6);
     w.meta_thread(TID_ETHERNET, "Ethernet", 7);
 
@@ -298,36 +297,6 @@ pub fn chrome_trace_json(log: &TraceLog, counter_names: &[&str]) -> String {
                     w.counter(&name, at, "value", value);
                 }
             }
-            EventKind::CpuSlice {
-                end,
-                kind,
-                task,
-                job,
-            } => {
-                let label = match kind {
-                    0 => format!("task {task} · job {job}"),
-                    1 => format!("aperiodic · job {job}"),
-                    _ => "idle".to_string(),
-                };
-                w.complete(
-                    &label,
-                    TID_CPU,
-                    at,
-                    end.as_nanos().saturating_sub(at),
-                    &format!("\"kind\":{kind},\"task\":{task},\"job\":{job}"),
-                );
-            }
-            EventKind::CpuStealGranted { budget } => {
-                w.instant(
-                    "cpu steal granted",
-                    TID_CPU,
-                    at,
-                    &format!("\"budget_ns\":{}", budget.as_nanos()),
-                );
-            }
-            EventKind::CpuStealDenied => {
-                w.instant("cpu steal denied", TID_CPU, at, "");
-            }
             EventKind::GatewayQueued {
                 port,
                 flow,
@@ -453,16 +422,6 @@ mod tests {
                 cycle: 4,
                 values: vec![1, 2, 3],
             },
-            EventKind::CpuSlice {
-                end: SimTime::from_micros(20),
-                kind: 0,
-                task: 2,
-                job: 5,
-            },
-            EventKind::CpuStealGranted {
-                budget: SimDuration::from_micros(100),
-            },
-            EventKind::CpuStealDenied,
             EventKind::GatewayQueued {
                 port: 0,
                 flow: 3,

@@ -26,8 +26,7 @@ pub type HealthScope = u8;
 /// The taxonomy of traceable events.
 ///
 /// Bus-side events carry the channel as a `u8` index (0 = A, 1 = B);
-/// health states are encoded `0` = Nominal, `1` = Stressed, `2` = Storm;
-/// CPU slice kinds `0` = periodic, `1` = aperiodic, `2` = idle.
+/// health states are encoded `0` = Nominal, `1` = Stressed, `2` = Storm.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EventKind {
     /// A communication cycle began.
@@ -153,24 +152,6 @@ pub enum EventKind {
         /// instrumented simulator (self-described by the exporters).
         values: Vec<u64>,
     },
-    /// A scheduled CPU execution slice (from the task-level simulator).
-    CpuSlice {
-        /// End of the slice; the event's `at` is the start.
-        end: SimTime,
-        /// `0` = periodic, `1` = aperiodic, `2` = idle.
-        kind: u8,
-        /// Task index for periodic slices (0 otherwise).
-        task: u64,
-        /// Job number of the slice's owner (0 for idle).
-        job: u64,
-    },
-    /// The CPU slack stealer granted an aperiodic request a slack budget.
-    CpuStealGranted {
-        /// Slack budget granted.
-        budget: SimDuration,
-    },
-    /// The CPU slack stealer found no usable slack.
-    CpuStealDenied,
     /// A backbone gateway enqueued a FlexRay-delivered frame for
     /// store-and-forward onto a TT-Ethernet egress port.
     GatewayQueued {

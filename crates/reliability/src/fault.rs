@@ -237,49 +237,6 @@ impl BernoulliFaults {
     pub fn ber(&self) -> Ber {
         self.ber
     }
-
-    /// Batched draw via geometric gap sampling: one draw per *fault* plus
-    /// one overshoot draw, instead of one per frame — the low-BER fast
-    /// path (p ≈ 1e-4 means one draw per ~10 000 frames).
-    ///
-    /// Distribution-equivalent to `frames` independent Bernoulli(p) trials
-    /// but **not** RNG-stream-compatible with
-    /// [`corrupts`](FaultProcess::corrupts): it consumes a
-    /// different number of uniforms, so mixing it with per-frame draws on
-    /// the same process changes every later draw. Golden-path code must use
-    /// [`corrupts_run`](FaultProcess::corrupts_run); this sampler is for
-    /// throughput studies and is validated against the per-frame process by
-    /// the distribution property tests.
-    pub fn corrupts_run_geometric(&mut self, bits: u32, frames: u32) -> SegmentHits {
-        debug_assert!(frames <= 64, "batch wider than the hit mask");
-        self.counters.frames_checked += u64::from(frames);
-        let p = self.prob.probability(bits);
-        if p <= 0.0 || frames == 0 {
-            return SegmentHits::clear(frames);
-        }
-        let mut mask = 0u64;
-        if p >= 1.0 {
-            mask = u64::MAX >> (64 - frames);
-        } else {
-            // Gap between hits is Geometric(p): k = ⌊ln U / ln(1−p)⌋ with
-            // U uniform on (0, 1].
-            let ln_q = f64::ln_1p(-p);
-            let mut i = 0u64;
-            loop {
-                let u = 1.0 - self.rng.gen::<f64>();
-                // Saturating cast: an enormous gap simply ends the batch.
-                let gap = (u.ln() / ln_q).floor() as u64;
-                i = i.saturating_add(gap);
-                if i >= u64::from(frames) {
-                    break;
-                }
-                mask |= 1 << i;
-                i += 1;
-            }
-        }
-        self.counters.faults_injected += u64::from(mask.count_ones());
-        SegmentHits { mask, frames }
-    }
 }
 
 impl FaultProcess for BernoulliFaults {
@@ -680,37 +637,5 @@ mod tests {
             assert_eq!(per_frame.is_in_bad_state(), batched.is_in_bad_state());
         }
         assert_eq!(per_frame.counters(), batched.counters());
-    }
-
-    #[test]
-    fn geometric_sampler_counts_frames_and_is_deterministic() {
-        let ber = Ber::new(1e-4).unwrap();
-        let mut a = BernoulliFaults::new(ber, 21);
-        let mut b = BernoulliFaults::new(ber, 21);
-        let mut hits = 0u64;
-        for _ in 0..1000 {
-            let ha = a.corrupts_run_geometric(2000, 64);
-            let hb = b.corrupts_run_geometric(2000, 64);
-            assert_eq!(ha, hb);
-            hits += u64::from(ha.count());
-        }
-        assert_eq!(a.counters().frames_checked, 64_000);
-        assert_eq!(a.counters().faults_injected, hits);
-        // p ≈ 0.18 per frame here, so some faults must have landed.
-        assert!(hits > 0);
-    }
-
-    #[test]
-    fn geometric_sampler_edge_rates() {
-        let mut zero = BernoulliFaults::new(Ber::ZERO, 1);
-        assert_eq!(
-            zero.corrupts_run_geometric(1000, 64),
-            SegmentHits::clear(64)
-        );
-        // BER high enough that p rounds to 1.0 for a long frame.
-        let mut hot = BernoulliFaults::new(Ber::new(0.9).unwrap(), 1);
-        let all = hot.corrupts_run_geometric(100_000, 17);
-        assert_eq!(all.count(), 17);
-        assert!((0..17).all(|i| all.hit(i)));
     }
 }

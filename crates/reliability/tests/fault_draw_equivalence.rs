@@ -1,17 +1,10 @@
 //! Batched fault draws vs. per-frame Bernoulli consultation.
 //!
 //! The golden digests depend on every fault process consuming its RNG
-//! stream exactly as the per-frame loop does, so the batched
-//! [`FaultProcess::corrupts_run`] path is held to two standards here:
-//!
-//! * **exact** — for the pinned golden master seed (and neighbours), the
-//!   batched draw must reproduce the per-frame hit sequence bit for bit,
-//!   fingerprint included, under arbitrary batch splits (proptest);
-//! * **in distribution** — the opt-in geometric skip-sampler
-//!   [`BernoulliFaults::corrupts_run_geometric`] is *not*
-//!   stream-compatible, so it is instead checked against the analytic
-//!   per-frame fault probability: sample mean and variance of per-segment
-//!   hit counts must sit inside tight bands around the binomial values.
+//! stream exactly as the per-frame loop does, so for the pinned golden
+//! master seed (and neighbours) the batched [`FaultProcess::corrupts_run`]
+//! path must reproduce the per-frame hit sequence bit for bit,
+//! fingerprint included, under arbitrary batch splits (proptest).
 
 use event_sim::rng::Digest;
 use proptest::prelude::*;
@@ -117,48 +110,6 @@ fn zero_rate_batches_are_clear_and_free() {
     }
     assert_eq!(f.counters().frames_checked, 1 + 17 + 64);
     assert_eq!(f.counters().faults_injected, 0);
-}
-
-/// The geometric skip-sampler draws one gap per fault instead of one
-/// uniform per frame, so it cannot match the stream — but segment hit
-/// counts must still be binomial(W, p). With S segments of W frames the
-/// sample mean of per-segment counts concentrates around `W·p` with
-/// standard error `sqrt(W·p·(1−p)/S)`, and the sample variance around
-/// `W·p·(1−p)`; both are checked at ±5 standard errors, wide enough for
-/// the pinned seeds yet far below any off-by-a-draw bug.
-#[test]
-fn geometric_sampler_matches_bernoulli_in_distribution() {
-    const SEGMENTS: u32 = 4000;
-    const W: u32 = 64;
-    let ber = Ber::new(5e-5).unwrap();
-    let bits = 1000;
-    let p = ber.frame_failure_probability(bits);
-    assert!(p > 0.01, "pick a rate with a workable hit probability");
-
-    for seed in [GOLDEN_SEED, GOLDEN_SEED ^ 0xA, GOLDEN_SEED ^ 0xB] {
-        let mut f = BernoulliFaults::new(ber, seed);
-        let counts: Vec<f64> = (0..SEGMENTS)
-            .map(|_| f64::from(f.corrupts_run_geometric(bits, W).count()))
-            .collect();
-        let n = f64::from(SEGMENTS);
-        let mean = counts.iter().sum::<f64>() / n;
-        let var = counts.iter().map(|c| (c - mean).powi(2)).sum::<f64>() / (n - 1.0);
-
-        let want_mean = f64::from(W) * p;
-        let want_var = f64::from(W) * p * (1.0 - p);
-        let mean_se = (want_var / n).sqrt();
-        let var_se = want_var * (2.0 / (n - 1.0)).sqrt();
-        assert!(
-            (mean - want_mean).abs() < 5.0 * mean_se,
-            "seed {seed}: mean {mean} vs {want_mean} (se {mean_se})"
-        );
-        assert!(
-            (var - want_var).abs() < 5.0 * var_se,
-            "seed {seed}: variance {var} vs {want_var} (se {var_se})"
-        );
-        // Counters agree with the mask even though the stream differs.
-        assert_eq!(f.counters().frames_checked, u64::from(SEGMENTS * W));
-    }
 }
 
 proptest! {

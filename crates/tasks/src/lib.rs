@@ -1,26 +1,21 @@
 //! Fixed-priority real-time scheduling theory.
 //!
-//! This crate implements the scheduling substrate the CoEfficient paper
-//! builds on (§III-A…§III-C): hard-deadline periodic tasks, hard- and
-//! soft-deadline aperiodic tasks, and the slack-stealing machinery of
-//! Davis et al. (RTSS'93) and Thuel & Lehoczky (RTSS'94) that CoEfficient's
-//! *selective* slack stealing specializes.
+//! This crate holds the uniprocessor side of the reproduction: the
+//! periodic task model of the paper's §III-A, exact response-time
+//! analysis, and a preemptive fixed-priority schedule simulator. The
+//! backbone runs its sensor and actuator CPUs through [`simulate`]; the
+//! bus scheduler's slack model lives in `coefficient::policy` and reports
+//! its decisions as [`ScheduleCounters`].
 //!
 //! Contents:
 //!
-//! * [`PeriodicTask`], [`AperiodicJob`] — task models (§III-A);
+//! * [`PeriodicTask`] — the task model (§III-A);
 //! * [`TaskSet`] — a priority-ordered set with deadline-monotonic
 //!   assignment;
 //! * [`response_time`] — exact worst-case response-time analysis for
 //!   constrained-deadline fixed-priority task sets;
-//! * [`analysis`] — the hyperbolic schedulability bound and level-i busy
-//!   periods (the paper's `w_{i,t}`);
 //! * [`simulate`] — an exact preemptive fixed-priority schedule simulator
-//!   producing an [`ExecutionTrace`];
-//! * [`SlackTable`] — per-priority-level idle ("slack") accounting over the
-//!   hyperperiod of a pure periodic schedule;
-//! * [`SlackStealer`] — an online dispatcher that serves aperiodic jobs at
-//!   top priority whenever doing so cannot cause any periodic deadline miss.
+//!   producing an [`ExecutionTrace`].
 //!
 //! # Example
 //!
@@ -39,24 +34,16 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod analysis;
-mod aperiodic;
+mod counters;
 pub mod hyperperiod;
 pub mod response_time;
 mod simulator;
-mod slack;
-mod stealer;
 mod task;
 mod taskset;
 mod trace;
 
-pub use aperiodic::AperiodicJob;
-pub use simulator::{simulate, simulate_with_tracer, AperiodicPolicy, SimulateOptions};
-pub use slack::SlackTable;
-pub use stealer::{SlackStealer, StealerOutcome};
+pub use counters::ScheduleCounters;
+pub use simulator::simulate;
 pub use task::{PeriodicTask, TaskError, TaskId};
 pub use taskset::TaskSet;
-pub use trace::{
-    preemption_count, ExecutionTrace, JobCompletion, JobSource, ScheduleCounters, Slice, SliceKind,
-    TraceError,
-};
+pub use trace::{ExecutionTrace, JobCompletion, Slice, SliceKind, TraceError};

@@ -43,11 +43,6 @@ pub struct Analysis {
 }
 
 impl Analysis {
-    /// Per-task responses, in priority order (highest first).
-    pub fn responses(&self) -> &[TaskResponse] {
-        &self.results
-    }
-
     /// `true` if every task provably meets its deadline.
     pub fn schedulable(&self) -> bool {
         self.results.iter().all(TaskResponse::meets_deadline)
@@ -109,15 +104,6 @@ pub fn analyze(set: &TaskSet) -> Result<Analysis, AnalysisError> {
         });
     }
     Ok(Analysis { results })
-}
-
-/// The Liu & Layland utilization bound `n(2^{1/n} − 1)` for rate-monotonic
-/// scheduling of `n` implicit-deadline tasks: a quick sufficient (not
-/// necessary) schedulability test.
-pub fn liu_layland_bound(n: usize) -> f64 {
-    assert!(n > 0, "bound undefined for zero tasks");
-    let n = n as f64;
-    n * (2f64.powf(1.0 / n) - 1.0)
 }
 
 #[cfg(test)]
@@ -188,22 +174,5 @@ mod tests {
             a.response_for(1).unwrap().wcrt,
             Some(SimDuration::from_millis(2))
         );
-    }
-
-    #[test]
-    fn liu_layland_values() {
-        assert!((liu_layland_bound(1) - 1.0).abs() < 1e-12);
-        assert!((liu_layland_bound(2) - 0.8284271247461903).abs() < 1e-12);
-        // Bound decreases towards ln 2.
-        assert!(liu_layland_bound(100) > std::f64::consts::LN_2);
-        assert!(liu_layland_bound(100) < liu_layland_bound(2));
-    }
-
-    #[test]
-    fn utilization_below_ll_bound_is_schedulable() {
-        // A set below the LL bound must pass exact RTA too.
-        let set = TaskSet::rate_monotonic(vec![t(1, 1, 5), t(2, 2, 10), t(3, 3, 20)]).unwrap();
-        assert!(set.utilization() < liu_layland_bound(3));
-        assert!(analyze(&set).unwrap().schedulable());
     }
 }

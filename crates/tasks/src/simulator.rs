@@ -1,57 +1,14 @@
 //! Exact preemptive fixed-priority schedule simulation.
 //!
-//! [`simulate`] plays out a [`TaskSet`] (plus optional aperiodic jobs) over
-//! a finite horizon and returns the exact [`ExecutionTrace`]: which job ran
-//! when, every completion, and explicit idle slices. The simulator is the
-//! ground truth against which the analytical machinery (RTA, slack tables)
-//! is tested, and the engine inside the [`crate::SlackStealer`].
-
-use std::collections::VecDeque;
+//! [`simulate`] plays out a [`TaskSet`] over a finite horizon and returns
+//! the exact [`ExecutionTrace`]: which job ran when, every completion, and
+//! explicit idle slices. The backbone runs its sensor and actuator CPUs
+//! through it, and the response-time analysis is tested against it.
 
 use event_sim::{SimDuration, SimTime};
 
-use crate::aperiodic::AperiodicJob;
-
 use crate::taskset::TaskSet;
-use crate::trace::{ExecutionTrace, JobCompletion, JobSource, Slice, SliceKind};
-
-/// How [`simulate`] treats aperiodic jobs relative to the periodic tasks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AperiodicPolicy {
-    /// Serve aperiodics only when no periodic job is ready (background
-    /// service; safest, worst aperiodic response times).
-    #[default]
-    Background,
-    /// Serve aperiodics ahead of every periodic job (foreground service;
-    /// best aperiodic response, can make periodics miss deadlines — use the
-    /// [`crate::SlackStealer`] for deadline-safe foreground service).
-    TopPriority,
-}
-
-/// Options for [`simulate`].
-#[derive(Debug, Clone, Copy)]
-pub struct SimulateOptions {
-    /// End of the simulated window (exclusive).
-    pub horizon: SimTime,
-    /// Aperiodic service policy.
-    pub aperiodic_policy: AperiodicPolicy,
-}
-
-impl SimulateOptions {
-    /// Background aperiodics over `[0, horizon)`.
-    pub fn new(horizon: SimTime) -> Self {
-        SimulateOptions {
-            horizon,
-            aperiodic_policy: AperiodicPolicy::Background,
-        }
-    }
-
-    /// Selects foreground (top-priority) aperiodic service.
-    pub fn top_priority_aperiodics(mut self) -> Self {
-        self.aperiodic_policy = AperiodicPolicy::TopPriority;
-        self
-    }
-}
+use crate::trace::{ExecutionTrace, JobCompletion, Slice, SliceKind};
 
 /// A periodic job in the ready queue.
 #[derive(Debug, Clone)]
@@ -63,18 +20,8 @@ struct ReadyJob {
     remaining: SimDuration,
 }
 
-/// An aperiodic job in flight.
-#[derive(Debug, Clone)]
-struct ReadyAperiodic {
-    id: u64,
-    arrival: SimTime,
-    deadline: Option<SimTime>,
-    remaining: SimDuration,
-}
-
 /// Simulates the fixed-priority preemptive schedule of `set` (priority =
-/// set order) plus `aperiodics` under `opts`, starting from an empty system
-/// at t = 0.
+/// set order) over `[0, horizon)`, starting from an empty system at t = 0.
 ///
 /// Jobs released before the horizon but unfinished at it produce **no**
 /// completion record; callers treat them as lost. Deadline misses do *not*
@@ -82,83 +29,46 @@ struct ReadyAperiodic {
 /// the miss), matching a bus that transmits late rather than dropping.
 ///
 /// # Panics
-/// Panics if `opts.horizon` is zero.
-pub fn simulate(
-    set: &TaskSet,
-    aperiodics: &[AperiodicJob],
-    opts: SimulateOptions,
-) -> ExecutionTrace {
-    assert!(opts.horizon > SimTime::ZERO, "horizon must be positive");
-    let mut sim = SimState::new(set, aperiodics, opts);
+/// Panics if `horizon` is zero.
+pub fn simulate(set: &TaskSet, horizon: SimTime) -> ExecutionTrace {
+    assert!(horizon > SimTime::ZERO, "horizon must be positive");
+    let mut sim = SimState::new(set, horizon);
     sim.run();
-    ExecutionTrace::new(sim.slices, sim.completions, opts.horizon)
+    ExecutionTrace::new(sim.slices, sim.completions, horizon)
 }
 
-/// [`simulate`], but additionally emits every resulting schedule slice as
-/// an [`observe::EventKind::CpuSlice`] event through `tracer`.
-///
-/// The schedule itself is byte-identical to [`simulate`]'s — tracing is
-/// pure observation. With a disabled tracer this *is* [`simulate`].
-pub fn simulate_with_tracer(
-    set: &TaskSet,
-    aperiodics: &[AperiodicJob],
-    opts: SimulateOptions,
-    tracer: &observe::Tracer,
-) -> ExecutionTrace {
-    let trace = simulate(set, aperiodics, opts);
-    trace.emit_to(tracer);
-    trace
-}
-
-pub(crate) struct SimState<'a> {
+struct SimState<'a> {
     set: &'a TaskSet,
-    opts: SimulateOptions,
+    horizon: SimTime,
     /// Next release index per priority level.
     next_release: Vec<u64>,
     /// Ready periodic jobs, kept sorted by (level, release): index 0 runs.
     ready: Vec<ReadyJob>,
-    /// Aperiodic jobs not yet arrived, in arrival order.
-    future_aperiodics: VecDeque<ReadyAperiodic>,
-    /// Arrived, unfinished aperiodics in FIFO order.
-    aperiodic_queue: VecDeque<ReadyAperiodic>,
     now: SimTime,
     slices: Vec<Slice>,
     completions: Vec<JobCompletion>,
 }
 
 impl<'a> SimState<'a> {
-    fn new(set: &'a TaskSet, aperiodics: &[AperiodicJob], opts: SimulateOptions) -> Self {
-        let mut sorted: Vec<ReadyAperiodic> = aperiodics
-            .iter()
-            .map(|j| ReadyAperiodic {
-                id: j.id(),
-                arrival: j.arrival(),
-                deadline: j.absolute_deadline(),
-                remaining: j.work(),
-            })
-            .collect();
-        sorted.sort_by_key(|j| (j.arrival, j.id));
+    fn new(set: &'a TaskSet, horizon: SimTime) -> Self {
         SimState {
             set,
-            opts,
+            horizon,
             next_release: vec![0; set.len()],
             ready: Vec::new(),
-            future_aperiodics: sorted.into(),
-            aperiodic_queue: VecDeque::new(),
             now: SimTime::ZERO,
             slices: Vec::new(),
             completions: Vec::new(),
         }
     }
 
-    /// Release every periodic job and admit every aperiodic arrival due at
-    /// or before `now`.
+    /// Release every periodic job due at or before `now`.
     fn admit_arrivals(&mut self) {
         for (level, task) in self.set.iter().enumerate() {
             loop {
                 let k = self.next_release[level];
                 let rel = task.release_of_job(k);
-                if rel > self.now || rel >= self.opts.horizon {
+                if rel > self.now || rel >= self.horizon {
                     break;
                 }
                 self.ready.push(ReadyJob {
@@ -174,27 +84,15 @@ impl<'a> SimState<'a> {
         // Keep FIFO within a level: sort by (level, release, job index).
         self.ready
             .sort_by_key(|j| (j.level, j.release, j.job_index));
-        while let Some(front) = self.future_aperiodics.front() {
-            if front.arrival > self.now {
-                break;
-            }
-            let j = self.future_aperiodics.pop_front().expect("front exists");
-            self.aperiodic_queue.push_back(j);
-        }
     }
 
     /// The next instant at which the set of ready work can change.
     fn next_arrival_after(&self, t: SimTime) -> SimTime {
-        let mut next = self.opts.horizon;
+        let mut next = self.horizon;
         for (level, task) in self.set.iter().enumerate() {
             let rel = task.release_of_job(self.next_release[level]);
             if rel > t && rel < next {
                 next = rel;
-            }
-        }
-        if let Some(front) = self.future_aperiodics.front() {
-            if front.arrival > t && front.arrival < next {
-                next = front.arrival;
             }
         }
         next
@@ -215,76 +113,44 @@ impl<'a> SimState<'a> {
     }
 
     fn run(&mut self) {
-        while self.now < self.opts.horizon {
+        while self.now < self.horizon {
             self.admit_arrivals();
-            let run_aperiodic = match self.opts.aperiodic_policy {
-                AperiodicPolicy::TopPriority => !self.aperiodic_queue.is_empty(),
-                AperiodicPolicy::Background => {
-                    self.ready.is_empty() && !self.aperiodic_queue.is_empty()
-                }
-            };
             let next_change = self.next_arrival_after(self.now);
-            if run_aperiodic {
-                self.run_aperiodic_until(next_change);
-            } else if !self.ready.is_empty() {
-                self.run_periodic_until(next_change);
-            } else {
+            if self.ready.is_empty() {
                 // Nothing ready: idle to the next arrival (or horizon).
                 self.emit(self.now, next_change, SliceKind::Idle);
                 self.now = next_change;
+            } else {
+                self.run_job_until(next_change);
             }
         }
     }
 
-    fn run_aperiodic_until(&mut self, next_change: SimTime) {
-        let job = self.aperiodic_queue.front_mut().expect("aperiodic pending");
-        let budget = next_change - self.now;
-        let slice_len = job.remaining.min(budget);
-        let end = self.now + slice_len;
-        let id = job.id;
-        job.remaining -= slice_len;
-        let finished = job.remaining.is_zero();
-        let (arrival, deadline) = (job.arrival, job.deadline);
-        self.emit(self.now, end, SliceKind::Aperiodic { job: id });
-        self.now = end;
-        if finished {
-            self.aperiodic_queue.pop_front();
-            self.completions.push(JobCompletion {
-                source: JobSource::Aperiodic { job: id },
-                release: arrival,
-                completion: end,
-                deadline,
-            });
-        }
-    }
-
-    fn run_periodic_until(&mut self, next_change: SimTime) {
+    fn run_job_until(&mut self, next_change: SimTime) {
         let job = &mut self.ready[0];
         let budget = next_change - self.now;
         let slice_len = job.remaining.min(budget);
         let end = self.now + slice_len;
+        let task = self.set.task_at_level(job.level).id();
         let kind = SliceKind::Periodic {
-            task: self.set.task_at_level(job.level).id(),
+            task,
             job: job.job_index,
             level: job.level,
         };
         job.remaining -= slice_len;
         let finished = job.remaining.is_zero();
-        let (release, deadline) = (job.release, job.deadline);
-        let source = JobSource::Periodic {
-            task: self.set.task_at_level(job.level).id(),
+        let completion = JobCompletion {
+            task,
             job: job.job_index,
+            release: job.release,
+            completion: end,
+            deadline: job.deadline,
         };
         self.emit(self.now, end, kind);
         self.now = end;
         if finished {
             self.ready.remove(0);
-            self.completions.push(JobCompletion {
-                source,
-                release,
-                completion: end,
-                deadline: Some(deadline),
-            });
+            self.completions.push(completion);
         }
     }
 }
@@ -306,7 +172,7 @@ mod tests {
     #[test]
     fn single_task_runs_every_period() {
         let set = TaskSet::rate_monotonic(vec![t(1, 1, 4)]).unwrap();
-        let tr = simulate(&set, &[], SimulateOptions::new(SimTime::from_millis(12)));
+        let tr = simulate(&set, SimTime::from_millis(12));
         tr.validate().unwrap();
         assert_eq!(tr.task_time(1), ms(3)); // 3 jobs of 1 ms
         assert_eq!(tr.completions().len(), 3);
@@ -319,7 +185,7 @@ mod tests {
         let hi = t(1, 1, 4);
         let lo = t(2, 4, 12);
         let set = TaskSet::with_explicit_priorities(vec![hi, lo]).unwrap();
-        let tr = simulate(&set, &[], SimulateOptions::new(SimTime::from_millis(12)));
+        let tr = simulate(&set, SimTime::from_millis(12));
         tr.validate().unwrap();
         // Timeline: hi [0,1), lo [1,4), hi [4,5), lo [5,6), ...
         let kinds: Vec<_> = tr
@@ -344,11 +210,7 @@ mod tests {
             }
         );
         // lo resumes after hi's second job.
-        let lo_completion = tr
-            .completions()
-            .iter()
-            .find(|c| matches!(c.source, JobSource::Periodic { task: 2, .. }))
-            .unwrap();
+        let lo_completion = tr.completions().iter().find(|c| c.task == 2).unwrap();
         assert_eq!(lo_completion.completion, SimTime::from_millis(6));
     }
 
@@ -358,14 +220,12 @@ mod tests {
         // instant, so its response time equals the RTA bound.
         let set = TaskSet::rate_monotonic(vec![t(1, 1, 4), t(2, 2, 6), t(3, 3, 12)]).unwrap();
         let rta = response_time::analyze(&set).unwrap();
-        let tr = simulate(&set, &[], SimulateOptions::new(SimTime::from_millis(12)));
+        let tr = simulate(&set, SimTime::from_millis(12));
         for task_id in [1, 2, 3] {
             let first = tr
                 .completions()
                 .iter()
-                .find(
-                    |c| matches!(c.source, JobSource::Periodic { task, job: 0 } if task == task_id),
-                )
+                .find(|c| c.task == task_id && c.job == 0)
                 .unwrap();
             let bound = rta.response_for(task_id).unwrap().wcrt.unwrap();
             assert_eq!(first.response_time(), bound, "task {task_id}");
@@ -375,62 +235,16 @@ mod tests {
     #[test]
     fn work_conservation() {
         let set = TaskSet::rate_monotonic(vec![t(1, 2, 5), t(2, 3, 10)]).unwrap();
-        let horizon = SimTime::from_millis(10);
-        let tr = simulate(&set, &[], SimulateOptions::new(horizon));
-        // 2 jobs of 2 ms + 1 job of 3 ms = 7 ms busy, 3 ms idle.
+        let tr = simulate(&set, SimTime::from_millis(10));
+        // 2 jobs of 2 ms + 1 job of 3 ms = 7 ms busy.
         assert_eq!(tr.busy_time(), ms(7));
-        assert_eq!(tr.level_idle_between(1, SimTime::ZERO, horizon), ms(3));
-    }
-
-    #[test]
-    fn background_aperiodics_fill_idle_time() {
-        let set = TaskSet::rate_monotonic(vec![t(1, 2, 4)]).unwrap();
-        let ap = AperiodicJob::soft(99, SimTime::ZERO, ms(3));
-        let tr = simulate(
-            &set,
-            std::slice::from_ref(&ap),
-            SimulateOptions::new(SimTime::from_millis(8)),
-        );
-        tr.validate().unwrap();
-        // Periodic runs [0,2) and [4,6); aperiodic gets [2,4) and [6,7).
-        let done = tr
-            .completions()
-            .iter()
-            .find(|c| matches!(c.source, JobSource::Aperiodic { job: 99 }))
-            .unwrap();
-        assert_eq!(done.completion, SimTime::from_millis(7));
-        assert_eq!(tr.aperiodic_time(), ms(3));
-    }
-
-    #[test]
-    fn top_priority_aperiodics_preempt() {
-        let set = TaskSet::rate_monotonic(vec![t(1, 2, 4)]).unwrap();
-        let ap = AperiodicJob::soft(99, SimTime::from_millis(1), ms(1));
-        let tr = simulate(
-            &set,
-            std::slice::from_ref(&ap),
-            SimulateOptions::new(SimTime::from_millis(4)).top_priority_aperiodics(),
-        );
-        // Periodic [0,1), aperiodic [1,2), periodic [2,3).
-        let done = tr
-            .completions()
-            .iter()
-            .find(|c| matches!(c.source, JobSource::Aperiodic { .. }))
-            .unwrap();
-        assert_eq!(done.completion, SimTime::from_millis(2));
-        let periodic_done = tr
-            .completions()
-            .iter()
-            .find(|c| matches!(c.source, JobSource::Periodic { .. }))
-            .unwrap();
-        assert_eq!(periodic_done.completion, SimTime::from_millis(3));
     }
 
     #[test]
     fn unfinished_jobs_produce_no_completion() {
         let set = TaskSet::rate_monotonic(vec![t(1, 3, 4)]).unwrap();
         // Horizon cuts the first job short.
-        let tr = simulate(&set, &[], SimulateOptions::new(SimTime::from_millis(2)));
+        let tr = simulate(&set, SimTime::from_millis(2));
         assert!(tr.completions().is_empty());
         assert_eq!(tr.busy_time(), ms(2));
     }
@@ -439,7 +253,7 @@ mod tests {
     fn offsets_shift_releases() {
         let task = PeriodicTask::try_new(1, ms(1), ms(4), ms(4), ms(2)).unwrap();
         let set = TaskSet::with_explicit_priorities(vec![task]).unwrap();
-        let tr = simulate(&set, &[], SimulateOptions::new(SimTime::from_millis(8)));
+        let tr = simulate(&set, SimTime::from_millis(8));
         assert_eq!(tr.slices()[0].kind, SliceKind::Idle);
         assert_eq!(tr.slices()[0].end, SimTime::from_millis(2));
         assert_eq!(tr.completions()[0].completion, SimTime::from_millis(3));
@@ -449,7 +263,7 @@ mod tests {
     fn overload_misses_are_recorded_not_dropped() {
         // Utilization 1.25: the lower task must miss.
         let set = TaskSet::with_explicit_priorities(vec![t(1, 3, 4), t(2, 4, 8)]).unwrap();
-        let tr = simulate(&set, &[], SimulateOptions::new(SimTime::from_millis(32)));
+        let tr = simulate(&set, SimTime::from_millis(32));
         assert!(tr.periodic_misses().count() > 0);
     }
 
@@ -457,7 +271,7 @@ mod tests {
     fn trace_has_no_gaps() {
         let set = TaskSet::rate_monotonic(vec![t(1, 1, 3), t(2, 1, 5)]).unwrap();
         let horizon = SimTime::from_millis(15);
-        let tr = simulate(&set, &[], SimulateOptions::new(horizon));
+        let tr = simulate(&set, horizon);
         let mut cursor = SimTime::ZERO;
         for s in tr.slices() {
             assert_eq!(s.start, cursor, "gap before slice at {}", s.start);
@@ -469,7 +283,7 @@ mod tests {
     #[test]
     fn emit_drops_zero_length_slices() {
         let set = TaskSet::rate_monotonic(vec![t(1, 1, 4)]).unwrap();
-        let mut sim = SimState::new(&set, &[], SimulateOptions::new(SimTime::from_millis(8)));
+        let mut sim = SimState::new(&set, SimTime::from_millis(8));
         // Zero-length and inverted intervals must leave no trace...
         sim.emit(
             SimTime::from_millis(2),
@@ -503,7 +317,7 @@ mod tests {
     #[test]
     fn emit_coalesces_only_adjacent_same_kind() {
         let set = TaskSet::rate_monotonic(vec![t(1, 1, 4)]).unwrap();
-        let mut sim = SimState::new(&set, &[], SimulateOptions::new(SimTime::from_millis(8)));
+        let mut sim = SimState::new(&set, SimTime::from_millis(8));
         let periodic = SliceKind::Periodic {
             task: 1,
             job: 0,
@@ -526,37 +340,5 @@ mod tests {
             SliceKind::Idle,
         );
         assert_eq!(sim.slices.len(), 3);
-    }
-
-    #[test]
-    fn simulate_with_tracer_mirrors_slices_and_changes_nothing() {
-        use std::sync::{Arc, Mutex};
-
-        use observe::{EventKind, RingBufferSink, Tracer};
-
-        let set = TaskSet::rate_monotonic(vec![t(1, 1, 3), t(2, 1, 5)]).unwrap();
-        let opts = SimulateOptions::new(SimTime::from_millis(15));
-        let plain = simulate(&set, &[], opts);
-        let sink = Arc::new(Mutex::new(RingBufferSink::new(256)));
-        let traced = simulate_with_tracer(&set, &[], opts, &Tracer::new(sink.clone()));
-        assert_eq!(plain, traced, "tracing must not perturb the schedule");
-
-        let log = sink.lock().unwrap().take_log();
-        assert_eq!(log.events.len(), plain.slices().len());
-        for (ev, s) in log.events.iter().zip(plain.slices()) {
-            assert_eq!(ev.at, s.start);
-            match ev.kind {
-                EventKind::CpuSlice { end, kind, .. } => {
-                    assert_eq!(end, s.end);
-                    let expect = match s.kind {
-                        SliceKind::Periodic { .. } => 0,
-                        SliceKind::Aperiodic { .. } => 1,
-                        SliceKind::Idle => 2,
-                    };
-                    assert_eq!(kind, expect);
-                }
-                ref other => panic!("unexpected event {other:?}"),
-            }
-        }
     }
 }

@@ -177,26 +177,6 @@ impl PeriodicTask {
             (t - phi).div_ceil(self.period.as_nanos())
         }
     }
-
-    /// The next absolute deadline of this task at or after `t`: the
-    /// deadline of the job that is *current* at `t` (released, deadline not
-    /// yet passed) or, failing that, of the next release.
-    pub fn next_deadline_at_or_after(&self, t: SimTime) -> SimTime {
-        let period = self.period.as_nanos();
-        let phi = self.offset.as_nanos();
-        let t_ns = t.as_nanos();
-        if t_ns <= phi {
-            return SimTime::from_nanos(phi) + self.deadline;
-        }
-        // Last release at or before t.
-        let k = (t_ns - phi) / period;
-        let d = self.deadline_of_job(k);
-        if d >= t {
-            d
-        } else {
-            self.deadline_of_job(k + 1)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -254,31 +234,6 @@ mod tests {
         assert_eq!(t.first_job_at_or_after(SimTime::from_nanos(2_000_001)), 1);
         assert_eq!(t.first_job_at_or_after(SimTime::from_millis(12)), 1);
         assert_eq!(t.first_job_at_or_after(SimTime::from_millis(13)), 2);
-    }
-
-    #[test]
-    fn next_deadline_covers_current_job() {
-        let t = PeriodicTask::try_new(1, ms(1), ms(10), ms(6), SimDuration::ZERO).unwrap();
-        // During job 0's window [0, 6): its own deadline.
-        assert_eq!(
-            t.next_deadline_at_or_after(SimTime::from_millis(3)),
-            SimTime::from_millis(6)
-        );
-        assert_eq!(
-            t.next_deadline_at_or_after(SimTime::from_millis(6)),
-            SimTime::from_millis(6)
-        );
-        // After job 0's deadline but before job 1's release: job 1's deadline.
-        assert_eq!(
-            t.next_deadline_at_or_after(SimTime::from_millis(7)),
-            SimTime::from_millis(16)
-        );
-        // Before the offset.
-        let t2 = PeriodicTask::try_new(1, ms(1), ms(10), ms(6), ms(4)).unwrap();
-        assert_eq!(
-            t2.next_deadline_at_or_after(SimTime::ZERO),
-            SimTime::from_millis(10)
-        );
     }
 
     #[test]

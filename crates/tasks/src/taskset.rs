@@ -5,7 +5,7 @@ use std::collections::HashSet;
 use event_sim::SimDuration;
 
 use crate::hyperperiod::hyperperiod;
-use crate::task::{PeriodicTask, TaskError, TaskId};
+use crate::task::{PeriodicTask, TaskError};
 
 /// A set of periodic tasks ordered by fixed priority: index 0 is the
 /// highest priority level, matching the paper's convention that "tasks with
@@ -96,11 +96,6 @@ impl TaskSet {
         &self.tasks[level]
     }
 
-    /// The priority level of the task with id `id`, if present.
-    pub fn level_of(&self, id: TaskId) -> Option<usize> {
-        self.tasks.iter().position(|t| t.id() == id)
-    }
-
     /// Iterates tasks in priority order (highest first).
     pub fn iter(&self) -> std::slice::Iter<'_, PeriodicTask> {
         self.tasks.iter()
@@ -120,16 +115,6 @@ impl TaskSet {
     pub fn hyperperiod(&self) -> Option<SimDuration> {
         hyperperiod(&self.tasks)
     }
-
-    /// The largest offset in the set — after `max_offset + hyperperiod`
-    /// the schedule is cyclic.
-    pub fn max_offset(&self) -> SimDuration {
-        self.tasks
-            .iter()
-            .map(PeriodicTask::offset)
-            .max()
-            .unwrap_or(SimDuration::ZERO)
-    }
 }
 
 impl<'a> IntoIterator for &'a TaskSet {
@@ -143,6 +128,7 @@ impl<'a> IntoIterator for &'a TaskSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::task::TaskId;
 
     fn t(id: TaskId, wcet_us: u64, period_ms: u64, deadline_ms: u64) -> PeriodicTask {
         PeriodicTask::new(
@@ -159,8 +145,6 @@ mod tests {
             .unwrap();
         let order: Vec<TaskId> = set.iter().map(|x| x.id()).collect();
         assert_eq!(order, vec![2, 3, 1]);
-        assert_eq!(set.level_of(3), Some(1));
-        assert_eq!(set.level_of(99), None);
     }
 
     #[test]
@@ -196,7 +180,7 @@ mod tests {
     }
 
     #[test]
-    fn hyperperiod_and_offsets() {
+    fn hyperperiod_ignores_offsets() {
         let a = PeriodicTask::try_new(
             1,
             SimDuration::from_micros(10),
@@ -208,6 +192,5 @@ mod tests {
         let b = t(2, 10, 1, 1);
         let set = TaskSet::deadline_monotonic(vec![a, b]).unwrap();
         assert_eq!(set.hyperperiod(), Some(SimDuration::from_millis(8)));
-        assert_eq!(set.max_offset(), SimDuration::from_micros(280));
     }
 }

@@ -6,7 +6,7 @@ use event_sim::{SimDuration, SimTime};
 
 use crate::task::TaskId;
 
-/// What the processor (or bus) was doing during a slice of a schedule.
+/// What the processor was doing during a slice of a schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SliceKind {
     /// Executing job `job` (0-based) of the periodic task at priority
@@ -18,11 +18,6 @@ pub enum SliceKind {
         job: u64,
         /// Priority level in the owning [`crate::TaskSet`] (0 = highest).
         level: usize,
-    },
-    /// Executing the aperiodic job with the given id.
-    Aperiodic {
-        /// Aperiodic job id.
-        job: u64,
     },
     /// Nothing to execute.
     Idle,
@@ -51,34 +46,19 @@ impl Slice {
     }
 }
 
-/// Whose completion a [`JobCompletion`] records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum JobSource {
-    /// Job `job` of periodic task `task`.
-    Periodic {
-        /// Task id.
-        task: TaskId,
-        /// 0-based job index.
-        job: u64,
-    },
-    /// The aperiodic job with the given id.
-    Aperiodic {
-        /// Aperiodic job id.
-        job: u64,
-    },
-}
-
-/// A completed job with its timing.
+/// A completed periodic job with its timing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobCompletion {
-    /// Which job completed.
-    pub source: JobSource,
-    /// When it was released / arrived.
+    /// Id of the job's task.
+    pub task: TaskId,
+    /// 0-based job index.
+    pub job: u64,
+    /// When it was released.
     pub release: SimTime,
     /// When its last unit of work finished.
     pub completion: SimTime,
-    /// Its absolute deadline, if it had one.
-    pub deadline: Option<SimTime>,
+    /// Its absolute deadline.
+    pub deadline: SimTime,
 }
 
 impl JobCompletion {
@@ -87,9 +67,9 @@ impl JobCompletion {
         self.completion - self.release
     }
 
-    /// `true` if the job had a deadline and missed it.
+    /// `true` if the job finished after its deadline.
     pub fn missed_deadline(&self) -> bool {
-        matches!(self.deadline, Some(d) if self.completion > d)
+        self.completion > self.deadline
     }
 }
 
@@ -116,78 +96,6 @@ impl fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
-/// Structured counters a schedule producer records while it runs.
-///
-/// The counters travel with the [`ExecutionTrace`] so that downstream
-/// consumers (the `coefficient` runner, the sweep JSON, the golden
-/// corpus) can explain *why* two schedules differ, not just *that* they
-/// do. Producers that never steal (e.g. [`crate::simulate`]'s background
-/// service) leave the steal counters at zero; the invariant
-/// `steal_granted + steal_denied == steal_attempts` holds for every
-/// producer by construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ScheduleCounters {
-    /// Times a job resumed execution after being interrupted by
-    /// higher-priority work (counted per resumption, not per interrupting
-    /// job).
-    pub preemptions: u64,
-    /// Times the scheduler consulted slack with aperiodic work pending
-    /// while periodic work was also ready.
-    pub steal_attempts: u64,
-    /// Steal attempts where positive slack existed and aperiodic work ran
-    /// at the top priority.
-    pub steal_granted: u64,
-    /// Steal attempts where slack was zero and the aperiodic work had to
-    /// wait behind the periodic backlog.
-    pub steal_denied: u64,
-    /// Proactive early copies sent (populated by bus-level schedulers
-    /// that embed these counters; always zero for pure CPU schedules).
-    pub early_copies: u64,
-    /// Soft jobs refused admission while the producer operated in a
-    /// degraded (fault-storm) mode — mixed-criticality shedding. Always
-    /// zero for producers without a degraded mode.
-    pub degraded_sheds: u64,
-}
-
-impl ScheduleCounters {
-    /// Field-wise sum of two counter sets.
-    #[must_use]
-    pub fn merged(self, other: ScheduleCounters) -> ScheduleCounters {
-        ScheduleCounters {
-            preemptions: self.preemptions + other.preemptions,
-            steal_attempts: self.steal_attempts + other.steal_attempts,
-            steal_granted: self.steal_granted + other.steal_granted,
-            steal_denied: self.steal_denied + other.steal_denied,
-            early_copies: self.early_copies + other.early_copies,
-            degraded_sheds: self.degraded_sheds + other.degraded_sheds,
-        }
-    }
-
-    /// `true` iff every steal attempt was resolved one way or the other.
-    pub fn steal_identity_holds(&self) -> bool {
-        self.steal_granted + self.steal_denied == self.steal_attempts
-    }
-}
-
-/// Preemptions evidenced by a slice sequence: because producers coalesce
-/// adjacent slices of identical kind, a job appearing in `n > 1` slices
-/// was interrupted and resumed `n − 1` times.
-pub fn preemption_count(slices: &[Slice]) -> u64 {
-    let mut seen = std::collections::HashMap::new();
-    let mut preemptions = 0u64;
-    for s in slices {
-        let key = match s.kind {
-            SliceKind::Periodic { task, job, .. } => (0u8, u64::from(task), job),
-            SliceKind::Aperiodic { job } => (1u8, 0, job),
-            SliceKind::Idle => continue,
-        };
-        if *seen.entry(key).and_modify(|n| *n += 1u64).or_insert(1) > 1 {
-            preemptions += 1;
-        }
-    }
-    preemptions
-}
-
 /// The complete record of a simulated schedule over `[0, horizon)`.
 ///
 /// Invariants (checked by [`validate`](Self::validate), and by
@@ -201,50 +109,16 @@ pub struct ExecutionTrace {
     slices: Vec<Slice>,
     completions: Vec<JobCompletion>,
     horizon: SimTime,
-    counters: ScheduleCounters,
 }
 
 impl ExecutionTrace {
-    /// Assembles a trace; intended for schedule producers. Preemptions
-    /// are derived from the slice sequence; producers with extra state
-    /// (steal decisions) should use [`with_counters`](Self::with_counters).
+    /// Assembles a trace; intended for schedule producers.
     pub fn new(slices: Vec<Slice>, completions: Vec<JobCompletion>, horizon: SimTime) -> Self {
-        let counters = ScheduleCounters {
-            preemptions: preemption_count(&slices),
-            ..ScheduleCounters::default()
-        };
         ExecutionTrace {
             slices,
             completions,
             horizon,
-            counters,
         }
-    }
-
-    /// Assembles a trace with producer-supplied counters (the producer is
-    /// trusted for the steal fields; preemptions are still derived from
-    /// the slices so they cannot drift from the schedule itself).
-    pub fn with_counters(
-        slices: Vec<Slice>,
-        completions: Vec<JobCompletion>,
-        horizon: SimTime,
-        counters: ScheduleCounters,
-    ) -> Self {
-        let counters = ScheduleCounters {
-            preemptions: preemption_count(&slices),
-            ..counters
-        };
-        ExecutionTrace {
-            slices,
-            completions,
-            horizon,
-            counters,
-        }
-    }
-
-    /// Structured counters recorded while producing this schedule.
-    pub fn counters(&self) -> ScheduleCounters {
-        self.counters
     }
 
     /// The recorded slices in time order.
@@ -267,9 +141,9 @@ impl ExecutionTrace {
     /// (sensor task → bus → actuator task) use this to read one job's
     /// completion instant out of a simulated schedule.
     pub fn completion_of_job(&self, task: TaskId, job: u64) -> Option<&JobCompletion> {
-        self.completions.iter().find(
-            |c| matches!(c.source, JobSource::Periodic { task: t, job: j } if t == task && j == job),
-        )
+        self.completions
+            .iter()
+            .find(|c| c.task == task && c.job == job)
     }
 
     /// Checks the structural invariants.
@@ -293,7 +167,7 @@ impl ExecutionTrace {
         Ok(())
     }
 
-    /// Total time spent executing any work (periodic or aperiodic).
+    /// Total time spent executing any job.
     pub fn busy_time(&self) -> SimDuration {
         self.slices
             .iter()
@@ -311,102 +185,9 @@ impl ExecutionTrace {
             .fold(SimDuration::ZERO, |a, b| a + b)
     }
 
-    /// Total time spent executing aperiodic jobs.
-    pub fn aperiodic_time(&self) -> SimDuration {
-        self.slices
-            .iter()
-            .filter(|s| matches!(s.kind, SliceKind::Aperiodic { .. }))
-            .map(Slice::len)
-            .fold(SimDuration::ZERO, |a, b| a + b)
-    }
-
-    /// **Level-i idle time** in `[from, to)`: the time during which no
-    /// periodic work of priority level ≤ `level` and no aperiodic work was
-    /// executing. This is the quantity `I_i(t)` of the paper's §III-B used
-    /// by slack computation.
-    ///
-    /// Aperiodic slices count as *busy* at every level (aperiodics are
-    /// served at the top priority in the slack-stealing model).
-    pub fn level_idle_between(&self, level: usize, from: SimTime, to: SimTime) -> SimDuration {
-        if to <= from {
-            return SimDuration::ZERO;
-        }
-        let mut idle = SimDuration::ZERO;
-        // Account for a possible gap before the first slice / after the
-        // last: simulate() leaves none, but hand-built traces might.
-        let mut cursor = from;
-        for s in &self.slices {
-            if s.end <= from {
-                continue;
-            }
-            if s.start >= to {
-                break;
-            }
-            let seg_start = if s.start > cursor { s.start } else { cursor };
-            // A gap before this slice is idle at every level.
-            if s.start > cursor {
-                let gap_end = if s.start < to { s.start } else { to };
-                if gap_end > cursor {
-                    idle += gap_end - cursor;
-                }
-            }
-            let seg_end = if s.end < to { s.end } else { to };
-            if seg_end > seg_start && slice_is_level_idle(&s.kind, level) {
-                idle += seg_end - seg_start;
-            }
-            cursor = seg_end;
-            if cursor >= to {
-                return idle;
-            }
-        }
-        if cursor < to {
-            idle += to - cursor; // trailing gap
-        }
-        idle
-    }
-
-    /// The completions of periodic jobs that missed their deadline.
+    /// The completions of jobs that missed their deadline.
     pub fn periodic_misses(&self) -> impl Iterator<Item = &JobCompletion> {
-        self.completions
-            .iter()
-            .filter(|c| matches!(c.source, JobSource::Periodic { .. }) && c.missed_deadline())
-    }
-
-    /// Emits one [`observe::EventKind::CpuSlice`] per recorded slice.
-    ///
-    /// Slice kinds map to the trace encoding 0 = periodic, 1 = aperiodic,
-    /// 2 = idle; the `task` field carries the periodic task id (0 for the
-    /// other kinds) and `job` the 0-based job index. A disabled tracer
-    /// makes this a no-op.
-    pub fn emit_to(&self, tracer: &observe::Tracer) {
-        if !tracer.is_enabled() {
-            return;
-        }
-        for s in &self.slices {
-            let (kind, task, job) = match s.kind {
-                SliceKind::Periodic { task, job, .. } => (0u8, u64::from(task), job),
-                SliceKind::Aperiodic { job } => (1, 0, job),
-                SliceKind::Idle => (2, 0, 0),
-            };
-            tracer.emit(
-                s.start,
-                observe::EventKind::CpuSlice {
-                    end: s.end,
-                    kind,
-                    task,
-                    job,
-                },
-            );
-        }
-    }
-}
-
-/// Is this slice idle from the point of view of priority level `level`?
-fn slice_is_level_idle(kind: &SliceKind, level: usize) -> bool {
-    match kind {
-        SliceKind::Idle => true,
-        SliceKind::Periodic { level: l, .. } => *l > level,
-        SliceKind::Aperiodic { .. } => false,
+        self.completions.iter().filter(|c| c.missed_deadline())
     }
 }
 
@@ -469,7 +250,7 @@ mod tests {
         let tr = ExecutionTrace::new(
             vec![
                 slice(0, 2, periodic(0)),
-                slice(2, 3, SliceKind::Aperiodic { job: 7 }),
+                slice(2, 3, periodic(1)),
                 slice(3, 5, SliceKind::Idle),
                 slice(5, 6, periodic(0)),
             ],
@@ -478,153 +259,24 @@ mod tests {
         );
         assert_eq!(tr.busy_time(), SimDuration::from_millis(4));
         assert_eq!(tr.task_time(0), SimDuration::from_millis(3));
-        assert_eq!(tr.aperiodic_time(), SimDuration::from_millis(1));
-    }
-
-    #[test]
-    fn level_idle_counts_lower_priority_and_idle() {
-        // Level 0 busy [0,2), level 1 busy [2,4), idle [4,6).
-        let tr = ExecutionTrace::new(
-            vec![
-                slice(0, 2, periodic(0)),
-                slice(2, 4, periodic(1)),
-                slice(4, 6, SliceKind::Idle),
-            ],
-            vec![],
-            t(6),
-        );
-        // From level 0's view, the level-1 slice is idle.
-        assert_eq!(
-            tr.level_idle_between(0, t(0), t(6)),
-            SimDuration::from_millis(4)
-        );
-        // From level 1's view, both periodic slices are busy.
-        assert_eq!(
-            tr.level_idle_between(1, t(0), t(6)),
-            SimDuration::from_millis(2)
-        );
-    }
-
-    #[test]
-    fn level_idle_respects_window_boundaries() {
-        let tr = ExecutionTrace::new(
-            vec![slice(0, 4, SliceKind::Idle), slice(4, 8, periodic(0))],
-            vec![],
-            t(8),
-        );
-        assert_eq!(
-            tr.level_idle_between(0, t(2), t(6)),
-            SimDuration::from_millis(2)
-        );
-        assert_eq!(tr.level_idle_between(0, t(6), t(6)), SimDuration::ZERO);
-        assert_eq!(tr.level_idle_between(0, t(7), t(3)), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn gaps_count_as_idle() {
-        // Hand-built trace with a gap [2, 5).
-        let tr = ExecutionTrace::new(
-            vec![slice(0, 2, periodic(0)), slice(5, 6, periodic(0))],
-            vec![],
-            t(8),
-        );
-        assert_eq!(
-            tr.level_idle_between(0, t(0), t(8)),
-            SimDuration::from_millis(5)
-        );
-    }
-
-    #[test]
-    fn aperiodic_blocks_every_level() {
-        let tr = ExecutionTrace::new(
-            vec![slice(0, 3, SliceKind::Aperiodic { job: 1 })],
-            vec![],
-            t(3),
-        );
-        assert_eq!(tr.level_idle_between(5, t(0), t(3)), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn preemptions_derived_from_slices() {
-        // Task 0 job 0 runs, is preempted by task 1, resumes, and an
-        // aperiodic job is split across two slices as well.
-        let tr = ExecutionTrace::new(
-            vec![
-                slice(0, 2, periodic(1)),
-                slice(2, 3, periodic(0)),
-                slice(3, 4, periodic(1)),
-                slice(4, 5, SliceKind::Aperiodic { job: 9 }),
-                slice(5, 6, periodic(0)),
-                slice(6, 7, SliceKind::Aperiodic { job: 9 }),
-            ],
-            vec![],
-            t(7),
-        );
-        assert_eq!(tr.counters().preemptions, 3);
-        assert!(tr.counters().steal_identity_holds());
-    }
-
-    #[test]
-    fn with_counters_keeps_steal_fields_and_rederives_preemptions() {
-        let supplied = ScheduleCounters {
-            preemptions: 999, // ignored: derived from slices
-            steal_attempts: 5,
-            steal_granted: 3,
-            steal_denied: 2,
-            early_copies: 0,
-            degraded_sheds: 0,
-        };
-        let tr =
-            ExecutionTrace::with_counters(vec![slice(0, 2, periodic(0))], vec![], t(2), supplied);
-        assert_eq!(tr.counters().preemptions, 0);
-        assert_eq!(tr.counters().steal_attempts, 5);
-        assert!(tr.counters().steal_identity_holds());
-    }
-
-    #[test]
-    fn counters_merge_fieldwise() {
-        let a = ScheduleCounters {
-            preemptions: 1,
-            steal_attempts: 2,
-            steal_granted: 1,
-            steal_denied: 1,
-            early_copies: 4,
-            degraded_sheds: 2,
-        };
-        let b = ScheduleCounters {
-            preemptions: 10,
-            steal_attempts: 20,
-            steal_granted: 15,
-            steal_denied: 5,
-            early_copies: 0,
-            degraded_sheds: 1,
-        };
-        let m = a.merged(b);
-        assert_eq!(m.preemptions, 11);
-        assert_eq!(m.steal_attempts, 22);
-        assert_eq!(m.steal_granted, 16);
-        assert_eq!(m.steal_denied, 6);
-        assert_eq!(m.early_copies, 4);
-        assert_eq!(m.degraded_sheds, 3);
-        assert!(m.steal_identity_holds());
+        assert_eq!(tr.task_time(1), SimDuration::from_millis(1));
     }
 
     #[test]
     fn completion_helpers() {
-        let c = JobCompletion {
-            source: JobSource::Periodic { task: 1, job: 0 },
+        let late = JobCompletion {
+            task: 1,
+            job: 0,
             release: t(0),
             completion: t(5),
-            deadline: Some(t(4)),
+            deadline: t(4),
         };
-        assert_eq!(c.response_time(), SimDuration::from_millis(5));
-        assert!(c.missed_deadline());
-        let soft = JobCompletion {
-            source: JobSource::Aperiodic { job: 2 },
-            release: t(0),
-            completion: t(50),
-            deadline: None,
+        assert_eq!(late.response_time(), SimDuration::from_millis(5));
+        assert!(late.missed_deadline());
+        let on_time = JobCompletion {
+            completion: t(4),
+            ..late
         };
-        assert!(!soft.missed_deadline());
+        assert!(!on_time.missed_deadline());
     }
 }

@@ -1,11 +1,8 @@
-//! Cross-validation of the scheduling-theory crate: the analytical results
-//! (RTA, slack tables) against the exact schedule simulator.
+//! Cross-validation of the scheduling-theory crate: response-time analysis
+//! against the exact schedule simulator.
 
 use event_sim::{SimDuration, SimTime};
-use tasks::{
-    response_time, simulate, AperiodicJob, JobSource, PeriodicTask, SimulateOptions, SlackStealer,
-    SlackTable, TaskSet,
-};
+use tasks::{response_time, simulate, PeriodicTask, TaskSet};
 
 fn ms(v: u64) -> SimDuration {
     SimDuration::from_millis(v)
@@ -41,14 +38,12 @@ fn first_job_response_times_equal_rta_bounds() {
         let rta = response_time::analyze(&set).unwrap();
         assert!(rta.schedulable(), "family sets must be schedulable");
         let horizon = SimTime::ZERO + set.hyperperiod().unwrap() * 2;
-        let trace = simulate(&set, &[], SimulateOptions::new(horizon));
+        let trace = simulate(&set, horizon);
         for task in set.iter() {
             let first = trace
                 .completions()
                 .iter()
-                .find(|c| {
-                    matches!(c.source, JobSource::Periodic { task: t, job: 0 } if t == task.id())
-                })
+                .find(|c| c.task == task.id() && c.job == 0)
                 .expect("first job completes");
             let bound = rta.response_for(task.id()).unwrap().wcrt.unwrap();
             assert_eq!(first.response_time(), bound, "task {}", task.id());
@@ -60,66 +55,8 @@ fn first_job_response_times_equal_rta_bounds() {
 fn no_deadline_misses_in_schedulable_sets() {
     for set in task_set_family() {
         let horizon = SimTime::ZERO + set.hyperperiod().unwrap() * 3;
-        let trace = simulate(&set, &[], SimulateOptions::new(horizon));
+        let trace = simulate(&set, horizon);
         assert_eq!(trace.periodic_misses().count(), 0);
-    }
-}
-
-#[test]
-fn slack_table_never_overestimates_what_the_stealer_can_use() {
-    // Inject an aperiodic job of exactly the advertised slack at t = 0;
-    // the stealer must serve it at top priority without any periodic miss.
-    for set in task_set_family() {
-        let horizon = SimTime::ZERO + set.hyperperiod().unwrap() * 2;
-        let table = SlackTable::compute(&set, horizon);
-        let slack = table.slack_at(SimTime::ZERO);
-        if slack.is_zero() {
-            continue;
-        }
-        let job = AperiodicJob::soft(999, SimTime::ZERO, slack);
-        let out = SlackStealer::new(set.clone(), horizon).run(std::slice::from_ref(&job));
-        assert!(
-            out.no_periodic_miss(),
-            "stealing the advertised slack caused a miss"
-        );
-        let done = out
-            .aperiodic_completions()
-            .next()
-            .expect("slack-sized job completes");
-        assert_eq!(
-            done.completion,
-            SimTime::ZERO + slack,
-            "a slack-sized job at t=0 runs contiguously at top priority"
-        );
-    }
-}
-
-#[test]
-fn stealer_response_dominates_background_service() {
-    // Foreground (slack-stealing) service must never be slower than
-    // background service for any job, on any family set.
-    for set in task_set_family() {
-        let horizon = SimTime::ZERO + set.hyperperiod().unwrap() * 3;
-        let jobs: Vec<AperiodicJob> = (0..4)
-            .map(|i| AperiodicJob::soft(i, SimTime::from_millis(1 + 3 * i), ms(1)))
-            .collect();
-        let stolen = SlackStealer::new(set.clone(), horizon).run(&jobs);
-        assert!(stolen.no_periodic_miss());
-        let background = simulate(&set, &jobs, SimulateOptions::new(horizon));
-        for id in 0..4u64 {
-            let find = |cs: &[tasks::JobCompletion]| {
-                cs.iter()
-                    .find(|c| matches!(c.source, JobSource::Aperiodic { job } if job == id))
-                    .map(|c| c.completion)
-            };
-            let (s, b) = (
-                find(stolen.trace().completions()),
-                find(background.completions()),
-            );
-            if let (Some(s), Some(b)) = (s, b) {
-                assert!(s <= b, "job {id}: stolen {s} slower than background {b}");
-            }
-        }
     }
 }
 
@@ -130,7 +67,7 @@ fn trace_work_conservation() {
     for set in task_set_family() {
         let hp = set.hyperperiod().unwrap();
         let horizon = SimTime::ZERO + hp * 2;
-        let trace = simulate(&set, &[], SimulateOptions::new(horizon));
+        let trace = simulate(&set, horizon);
         trace.validate().unwrap();
         let expected: u64 = set
             .iter()
