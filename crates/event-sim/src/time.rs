@@ -165,11 +165,6 @@ impl SimDuration {
         self.0 as f64 / 1e9
     }
 
-    /// Milliseconds as a float (for reporting only).
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// `true` if this is the zero duration.
     pub const fn is_zero(self) -> bool {
         self.0 == 0

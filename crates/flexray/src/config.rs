@@ -105,22 +105,10 @@ impl ClusterConfigBuilder {
         self
     }
 
-    /// Sets `gdSymbolWindow` (macroticks; default 0).
-    pub fn symbol_window(&mut self, mt: u64) -> &mut Self {
-        self.gd_symbol_window = mt;
-        self
-    }
-
     /// Sets `gdActionPointOffset` (macroticks into each static slot before
     /// transmission starts; default 1).
     pub fn action_point_offset(&mut self, mt: u64) -> &mut Self {
         self.gd_action_point_offset = mt;
-        self
-    }
-
-    /// Sets `gdMinislotActionPointOffset` (macroticks; default 1).
-    pub fn minislot_action_point_offset(&mut self, mt: u64) -> &mut Self {
-        self.gd_minislot_action_point_offset = mt;
         self
     }
 
@@ -316,11 +304,6 @@ impl ClusterConfig {
     /// Number of static slots (`gNumberOfStaticSlots`).
     pub fn static_slot_count(&self) -> u64 {
         self.g_number_of_static_slots
-    }
-
-    /// Static slot length in macroticks (`gdStaticSlot`).
-    pub fn static_slot_macroticks(&self) -> u64 {
-        self.gd_static_slot
     }
 
     /// Number of minislots (`gNumberOfMinislots`).

@@ -373,12 +373,6 @@ impl CampaignFaults {
         self.blackout
     }
 
-    /// Campaign-layer counters so far.
-    #[must_use]
-    pub fn campaign_counters_snapshot(&self) -> CampaignCounters {
-        self.campaign
-    }
-
     /// Recomputes the disturbance state for `cycle`; `count` guards the
     /// side-effecting accounting (event latches, dropout cycles) so the
     /// constructor's consistency pass does not count cycle 0 twice.
