@@ -73,7 +73,8 @@
 //!
 //! Without arguments, runs every figure. `--json` additionally dumps the
 //! raw rows as JSON to stdout (for plotting). An unknown subcommand or
-//! figure name exits 2 and lists the valid ones.
+//! figure name exits 2 and lists the valid ones. `--help` (or `-h`, or
+//! `help`) prints every subcommand with its flags and exits 0.
 
 use bench_harness::experiments::{
     ablation, dynamic_experiment_statics, fault_model_ablation, fig3_bandwidth, fig4_latency,
@@ -218,12 +219,59 @@ const FIGURES: [&str; 12] = [
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let first = args.first().map(String::as_str);
+    if matches!(first, Some("--help" | "-h" | "help")) {
+        print!("{}", help());
+        return;
+    }
     let (command, rest) = match SUBCOMMANDS.iter().find(|c| Some(c.name) == first) {
         Some(command) => (command, &args[1..]),
         None => (&FIGURE_RUN, &args[..]),
     };
     check_flags(command, rest);
     (command.run)(rest);
+}
+
+/// The `--help` text: every subcommand with the flags it declares, then
+/// the figure run.
+fn help() -> String {
+    let mut out = String::from(
+        "usage: experiments <subcommand> [flags]\n       experiments [figure ...] [--json]\n\nsubcommands:\n",
+    );
+    for command in &SUBCOMMANDS {
+        let values = command
+            .values
+            .iter()
+            .flat_map(|g| g.split_whitespace())
+            .map(|f| format!("{f} <value>"));
+        let switches = command.switches.split_whitespace().map(String::from);
+        help_row(&mut out, command.name, values.chain(switches));
+    }
+    out.push_str("\nfigures (no name runs every one):\n");
+    help_row(&mut out, "", FIGURES.iter().map(|f| f.to_string()));
+    help_row(
+        &mut out,
+        "",
+        FIGURE_RUN.switches.split_whitespace().map(String::from),
+    );
+    out
+}
+
+/// Appends one `--help` row: `name`, then `words` wrapped at 80 columns.
+fn help_row(out: &mut String, name: &str, words: impl Iterator<Item = String>) {
+    const INDENT: usize = 18;
+    let mut line = format!("  {name:<width$}", width = INDENT - 2);
+    for word in words {
+        if line.len() > INDENT && line.len() + 1 + word.len() > 80 {
+            out.push_str(&line);
+            out.push('\n');
+            line = " ".repeat(INDENT);
+        } else if line.len() > INDENT {
+            line.push(' ');
+        }
+        line.push_str(&word);
+    }
+    out.push_str(line.trim_end());
+    out.push('\n');
 }
 
 /// Prints `message` and exits 2, the exit code of every usage error.

@@ -94,6 +94,45 @@ fn a_misspelled_subcommand_lists_the_subcommands_and_figures() {
 }
 
 #[test]
+fn help_lists_every_subcommand_with_its_flags_and_exits_0() {
+    // `--help`, `-h` and `help` used to exit 2 as an unknown flag or figure.
+    for arg in ["--help", "-h", "help"] {
+        let out = experiments(&[arg]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "{arg}: {out:?}");
+        assert!(out.stderr.is_empty(), "{arg}: {out:?}");
+        // Each subcommand's own row carries its flags: the first flag sits
+        // on the name's line.
+        for (name, flag) in [
+            ("sweep", "--seeds <value>"),
+            ("golden", "--out <value>"),
+            ("chaos", "--campaign <value>"),
+            ("cycles", "--iters <value>"),
+            ("backbone", "--topology <value>"),
+            ("trace-overhead", "--cell <value>"),
+        ] {
+            assert!(
+                stdout
+                    .lines()
+                    .any(|l| l.split_whitespace().next() == Some(name) && l.contains(flag)),
+                "{arg}: no {name} row with {flag}: {stdout}"
+            );
+        }
+        for flag in [
+            "--shared-seeds",
+            "--smoke",
+            "--flows",
+            "--stats-every-ms <value>",
+        ] {
+            assert!(stdout.contains(flag), "{arg}: {flag} missing: {stdout}");
+        }
+        for figure in ["fig1", "fig4d", "verify"] {
+            assert!(stdout.contains(figure), "{arg}: {figure} missing: {stdout}");
+        }
+    }
+}
+
+#[test]
 fn a_known_figure_name_still_runs() {
     // Happy-path twin of the misspelling test above.
     let out = experiments(&["fig5"]);

@@ -46,9 +46,20 @@ pub enum OccupantKind {
 pub struct Occupant {
     /// The message transmitted here.
     pub message: MessageId,
+    /// Position of that message in the slice the allocation was built
+    /// from (for a copy: of the message whose primary it protects), so the
+    /// runtime reaches its per-message state without a search.
+    pub index: u16,
     /// Primary, mirror or stolen copy.
     pub kind: OccupantKind,
 }
+
+// The fleet fills one occupant matrix per vehicle; the index rides in the
+// padding, so an entry stays 8 bytes.
+const _: () = assert!(std::mem::size_of::<Option<Occupant>>() == 8);
+
+/// The most static messages one allocation indexes (`Occupant::index`).
+const MAX_STATIC_MESSAGES: usize = u16::MAX as usize + 1;
 
 /// A repeating position in the matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,6 +100,12 @@ pub enum AllocationError {
         /// The message that could not be placed.
         message: MessageId,
     },
+    /// More than 65,536 static messages: an occupant indexes its message
+    /// in 16 bits.
+    TooManyMessages {
+        /// The number of static messages given.
+        count: usize,
+    },
 }
 
 impl fmt::Display for AllocationError {
@@ -108,6 +125,10 @@ impl fmt::Display for AllocationError {
                     "message {message}: no free static slot pattern available"
                 )
             }
+            AllocationError::TooManyMessages { count } => write!(
+                f,
+                "{count} static messages exceed the {MAX_STATIC_MESSAGES} one allocation indexes"
+            ),
         }
     }
 }
@@ -123,7 +144,8 @@ pub struct StaticAllocation {
     /// `busy[channel][slot-1]`: bit `c` is set when cycle `c` is taken.
     /// Placement tests pattern freeness here, one AND per candidate.
     busy: Vec<u64>,
-    primaries: Vec<(MessageId, SlotPosition)>,
+    /// In placement order, with each message's position in the input.
+    primaries: Vec<(MessageId, u16, SlotPosition)>,
     copies: Vec<CopyPlacement>,
     /// Copies that found no static slack: `(message, count per instance)`.
     spill: Vec<(MessageId, u32)>,
@@ -172,8 +194,8 @@ impl StaticAllocation {
     pub fn primary_of(&self, message: MessageId) -> Option<SlotPosition> {
         self.primaries
             .iter()
-            .find(|(m, _)| *m == message)
-            .map(|(_, p)| *p)
+            .find(|(m, _, _)| *m == message)
+            .map(|&(_, _, p)| p)
     }
 
     /// All stolen-slack copy placements.
@@ -265,6 +287,11 @@ impl StaticAllocation {
         mirror_on_b: bool,
         copies_on_b: bool,
     ) -> Result<Self, AllocationError> {
+        if messages.len() > MAX_STATIC_MESSAGES {
+            return Err(AllocationError::TooManyMessages {
+                count: messages.len(),
+            });
+        }
         let slots = config.static_slot_count() as u16;
         let capacity = config.static_slot_capacity_bits();
         let mut alloc = StaticAllocation {
@@ -291,12 +318,19 @@ impl StaticAllocation {
 
         // Primary placement: tightest repetition first (they are the
         // hardest to fit), then by deadline, then id for determinism.
-        let mut order: Vec<(u8, &Signal)> = messages
+        let mut order: Vec<(u8, u16, &Signal)> = messages
             .iter()
-            .map(|m| (StaticAllocation::repetition_for(config, m.period), m))
+            .enumerate()
+            .map(|(i, m)| {
+                (
+                    StaticAllocation::repetition_for(config, m.period),
+                    i as u16,
+                    m,
+                )
+            })
             .collect();
-        order.sort_by_key(|&(rep, m)| (rep, m.deadline, m.id));
-        for &(rep, m) in &order {
+        order.sort_by_key(|&(rep, _, m)| (rep, m.deadline, m.id));
+        for &(rep, index, m) in &order {
             let mut placed = false;
             'search: for slot in 1..=slots {
                 for base in 0..rep {
@@ -313,6 +347,7 @@ impl StaticAllocation {
                             pos,
                             Occupant {
                                 message: m.id,
+                                index,
                                 kind: OccupantKind::Primary,
                             },
                         );
@@ -324,11 +359,12 @@ impl StaticAllocation {
                                 },
                                 Occupant {
                                     message: m.id,
+                                    index,
                                     kind: OccupantKind::Mirror,
                                 },
                             );
                         }
-                        alloc.primaries.push((m.id, pos));
+                        alloc.primaries.push((m.id, index, pos));
                         placed = true;
                         break 'search;
                     }
@@ -342,13 +378,13 @@ impl StaticAllocation {
         // Primaries by id; the stable sort keeps the first placed of
         // duplicate ids first, as `primary_of` finds it.
         let mut by_id = alloc.primaries.clone();
-        by_id.sort_by_key(|&(m, _)| m);
+        by_id.sort_by_key(|&(m, _, _)| m);
         let primary_of = |message: MessageId| {
-            let i = by_id.partition_point(|&(m, _)| m < message);
+            let i = by_id.partition_point(|&(m, _, _)| m < message);
             by_id
                 .get(i)
-                .filter(|&&(m, _)| m == message)
-                .map(|&(_, p)| p)
+                .filter(|&&(m, _, _)| m == message)
+                .map(|&(_, index, p)| (index, p))
         };
 
         // Copy placement: steal slack near the primary, cheapest added
@@ -360,7 +396,7 @@ impl StaticAllocation {
             if k == 0 {
                 continue;
             }
-            let Some(primary) = primary_of(message) else {
+            let Some((index, primary)) = primary_of(message) else {
                 dynamic_spill.push((message, k));
                 continue;
             };
@@ -392,6 +428,7 @@ impl StaticAllocation {
                                 pos,
                                 Occupant {
                                     message,
+                                    index,
                                     kind: OccupantKind::Copy,
                                 },
                             );
@@ -551,6 +588,41 @@ mod tests {
     }
 
     #[test]
+    fn occupants_index_their_message_and_copies_their_primary() {
+        let msgs = vec![sig(7, 1, 100), sig(3, 4, 100), sig(5, 2, 100)];
+        let alloc =
+            StaticAllocation::build(&config(), &FrameCoding::default(), &msgs, &[(3, 2)], false)
+                .unwrap();
+        assert_eq!(alloc.copies().len(), 2);
+        for (i, m) in msgs.iter().enumerate() {
+            let p = alloc.primary_of(m.id).unwrap();
+            let occ = alloc.occupant(p.channel, p.slot, p.base_cycle).unwrap();
+            assert_eq!((occ.message, usize::from(occ.index)), (m.id, i));
+        }
+        for c in alloc.copies() {
+            let p = c.position;
+            let occ = alloc.occupant(p.channel, p.slot, p.base_cycle).unwrap();
+            assert_eq!(
+                (occ.message, occ.index, occ.kind),
+                (3, 1, OccupantKind::Copy)
+            );
+        }
+    }
+
+    #[test]
+    fn more_messages_than_an_occupant_indexes_error() {
+        let msgs = vec![sig(1, 64, 100); MAX_STATIC_MESSAGES + 1];
+        let err = StaticAllocation::build(&config(), &FrameCoding::default(), &msgs, &[], false)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            AllocationError::TooManyMessages {
+                count: MAX_STATIC_MESSAGES + 1
+            }
+        );
+    }
+
+    #[test]
     fn dynamic_message_copies_always_spill() {
         let msgs = vec![sig(1, 1, 100)];
         let a = StaticAllocation::build(
@@ -589,7 +661,7 @@ mod tests {
     struct ScanAllocation {
         slots: u16,
         matrix: Vec<Option<Occupant>>,
-        primaries: Vec<(MessageId, SlotPosition)>,
+        primaries: Vec<(MessageId, u16, SlotPosition)>,
         copies: Vec<CopyPlacement>,
         spill: Vec<(MessageId, u32)>,
     }
@@ -604,11 +676,11 @@ mod tests {
             self.matrix[self.index(channel, slot, cycle)].is_none()
         }
 
-        fn primary_of(&self, message: MessageId) -> Option<SlotPosition> {
+        fn primary_of(&self, message: MessageId) -> Option<(u16, SlotPosition)> {
             self.primaries
                 .iter()
-                .find(|(m, _)| *m == message)
-                .map(|(_, p)| *p)
+                .find(|(m, _, _)| *m == message)
+                .map(|&(_, index, p)| (index, p))
         }
 
         fn pattern_free(&self, channel: ChannelId, slot: u16, base: u8, rep: u8) -> bool {
@@ -654,15 +726,15 @@ mod tests {
                     });
                 }
             }
-            let mut order: Vec<&Signal> = messages.iter().collect();
-            order.sort_by_key(|m| {
+            let mut order: Vec<(u16, &Signal)> = (0u16..).zip(messages).collect();
+            order.sort_by_key(|(_, m)| {
                 (
                     StaticAllocation::repetition_for(config, m.period),
                     m.deadline,
                     m.id,
                 )
             });
-            for m in &order {
+            for &(index, m) in &order {
                 let rep = StaticAllocation::repetition_for(config, m.period);
                 let mut placed = false;
                 'search: for slot in 1..=slots {
@@ -678,6 +750,7 @@ mod tests {
                             };
                             let primary = Occupant {
                                 message: m.id,
+                                index,
                                 kind: OccupantKind::Primary,
                             };
                             alloc.occupy_pattern(pos, primary);
@@ -692,7 +765,7 @@ mod tests {
                                 };
                                 alloc.occupy_pattern(on_b, mirror);
                             }
-                            alloc.primaries.push((m.id, pos));
+                            alloc.primaries.push((m.id, index, pos));
                             placed = true;
                             break 'search;
                         }
@@ -706,7 +779,7 @@ mod tests {
                 if k == 0 {
                     continue;
                 }
-                let Some(primary) = alloc.primary_of(message) else {
+                let Some((index, primary)) = alloc.primary_of(message) else {
                     continue;
                 };
                 let mut remaining = k;
@@ -733,6 +806,7 @@ mod tests {
                                 };
                                 let copy = Occupant {
                                     message,
+                                    index,
                                     kind: OccupantKind::Copy,
                                 };
                                 alloc.occupy_pattern(pos, copy);

@@ -83,6 +83,11 @@ fn dyn_key(frame_id: u16) -> u32 {
     DYN_NS + u32::from(frame_id)
 }
 
+/// Opportunistic copies (early, degraded and failover together) one
+/// static instance may spend before failover stops re-hosting it; one step
+/// above the `Storm` degraded-copy budget of 3.
+const FAILOVER_BUDGET: u32 = 4;
+
 #[derive(Debug, Clone)]
 struct StaticInfo {
     signal: Signal,
@@ -121,8 +126,9 @@ impl StaticInfo {
     }
 }
 
-/// The generation window of one released static instance. Releases of a
-/// message are strictly periodic, so its windows never overlap.
+/// The generation window of one released static instance. The runner
+/// releases each message strictly periodically, so its windows never
+/// overlap; a caller producing off the period may overlap them.
 #[derive(Debug, Clone, Copy)]
 struct ReleaseWindow {
     instance: InstanceId,
@@ -135,6 +141,39 @@ struct ReleaseWindow {
     /// may ride free slack only while the primary is still ahead.
     early_end: SimTime,
     deadline: SimTime,
+}
+
+/// Release windows of one bus cycle as `(statics index, window)`, sorted
+/// by `(deadline, message)`. Built at the cycle's first query; production
+/// discards them, and the runner produces only between cycles, so that is
+/// once per cycle. They cannot be consumed in time order: the bus serves
+/// all of channel A's static slots before channel B's, so `slot_start`
+/// restarts within a cycle. Each query instead walks the list for the
+/// first window that contains the slot and is still eligible, removing
+/// windows that never will be again.
+#[derive(Debug)]
+struct CycleWindows {
+    /// The cycle `windows` was built for; `None` after production.
+    cycle: Option<u64>,
+    windows: Vec<(usize, ReleaseWindow)>,
+}
+
+impl CycleWindows {
+    fn with_capacity(capacity: usize) -> Self {
+        CycleWindows {
+            cycle: None,
+            windows: Vec::with_capacity(capacity),
+        }
+    }
+
+    /// Sorts the windows gathered for `cycle` and marks the list built.
+    fn seal(&mut self, cycle: u64) {
+        // `statics` is in id order, so the index breaks deadline ties
+        // towards the lowest message id.
+        self.windows
+            .sort_unstable_by_key(|&(index, w)| (w.deadline, index));
+        self.cycle = Some(cycle);
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -193,13 +232,24 @@ pub struct Scheduler {
     /// dropped (the selective criterion: a copy only exists where slack
     /// fits it). Reported for reliability accounting.
     dropped_copies: u64,
-    /// Early-copy candidates of cycle `early_cycle` as `(statics index,
-    /// window)`, sorted by `(deadline, message)`: every release window that
-    /// overlaps the cycle, has a non-empty early range and fits a static
-    /// slot.
-    early_candidates: Vec<(usize, ReleaseWindow)>,
-    /// The cycle `early_candidates` was built for; `None` after production.
-    early_cycle: Option<u64>,
+    /// Bits a static slot carries, from the cluster configuration.
+    slot_capacity_bits: u64,
+    /// `statics` index of each static message, by its position in the
+    /// workload slice (the allocation's [`Occupant::index`]), so an
+    /// occupied slot reaches its message without a search.
+    ///
+    /// [`Occupant::index`]: crate::assignment::Occupant::index
+    occupant_statics: Vec<usize>,
+    /// Early-copy candidates: every release window that overlaps the
+    /// cycle, has a non-empty early range, has spent no opportunistic copy
+    /// and fits a static slot.
+    early_candidates: CycleWindows,
+    /// Degraded-copy and failover candidates: every release window of an
+    /// undelivered instance, under the failover budget, whose frame fits
+    /// a static slot and which is still current and before its deadline
+    /// somewhere in the cycle. Each window's `window_end` is clipped to
+    /// the next release of its message, where it stops being current.
+    hard_candidates: CycleWindows,
     /// FSPEC: channel transmissions each static instance needs
     /// (1 primary + the uniform best-effort copy count; A and B mirrors
     /// each count as one transmission).
@@ -423,6 +473,15 @@ impl Scheduler {
         }
         let statics: Vec<StaticInfo> = statics.into_values().collect();
         let window_capacity = statics.iter().map(|s| s.windows.capacity()).sum();
+        let slot_capacity_bits = config.static_slot_capacity_bits();
+        let occupant_statics = static_messages
+            .iter()
+            .map(|m| {
+                statics
+                    .binary_search_by_key(&m.id, |s| s.signal.id)
+                    .expect("every static message has an entry")
+            })
+            .collect();
 
         let mut dynamics = HashMap::new();
         for (i, d) in dynamic_messages.iter().enumerate() {
@@ -469,8 +528,10 @@ impl Scheduler {
             next_seq: 0,
             in_flight: std::collections::VecDeque::with_capacity(8),
             dropped_copies: 0,
-            early_candidates: Vec::with_capacity(window_capacity),
-            early_cycle: None,
+            slot_capacity_bits,
+            occupant_statics,
+            early_candidates: CycleWindows::with_capacity(window_capacity),
+            hard_candidates: CycleWindows::with_capacity(window_capacity),
             fspec_tx_needed,
             copy_transmissions: 0,
             cooperative_static_serves: 0,
@@ -610,7 +671,8 @@ impl Scheduler {
     }
 
     /// Bytes currently committed to the scheduler's reusable scratch
-    /// buffers (dynamic queues, in-flight staging, FSPEC slot queues) —
+    /// buffers (dynamic queues, in-flight staging, FSPEC slot queues, the
+    /// per-cycle candidate lists) —
     /// capacity, not length, so it reports the high-water footprint the
     /// allocation-free cycle loop runs in. The `bench cycles` harness
     /// records this per policy.
@@ -627,7 +689,10 @@ impl Scheduler {
             .iter()
             .map(|s| s.fspec_queue.capacity() * size_of::<(InstanceId, u32)>())
             .sum();
-        (queues + in_flight + fspec) as u64
+        let candidates = (self.early_candidates.windows.capacity()
+            + self.hard_candidates.windows.capacity())
+            * size_of::<(usize, ReleaseWindow)>();
+        (queues + in_flight + fspec + candidates) as u64
     }
 
     /// All pending transmission work: the dynamic backlog plus (for FSPEC)
@@ -680,7 +745,8 @@ impl Scheduler {
             early_end: window_end.min(next_primary),
             deadline,
         });
-        self.early_cycle = None;
+        self.early_candidates.cycle = None;
+        self.hard_candidates.cycle = None;
         if self.behavior.own_slot_serialization {
             // All transmissions (primary + best-effort copies) are
             // serialized through the message's own slot pattern; the
@@ -818,7 +884,6 @@ impl Scheduler {
         channel: ChannelId,
         slot_start: SimTime,
     ) -> Option<OutboundPayload> {
-        let capacity = self.config.static_slot_capacity_bits();
         if !self.options.dual_channel && channel == ChannelId::B {
             return None; // single-channel ablation leaves B untouched
         }
@@ -830,7 +895,7 @@ impl Scheduler {
             && self.health.is_degraded()
             && self.options.early_copies
         {
-            if let Some(payload) = self.degraded_hard_copy(slot_start) {
+            if let Some(payload) = self.degraded_hard_copy(cycle, slot_start) {
                 if self.tracer.is_enabled() {
                     self.tracer.emit(
                         slot_start,
@@ -859,6 +924,7 @@ impl Scheduler {
             let q = &mut self.queues[channel.index()];
             // The static-coding fit size is precomputed per message (see
             // `DynInfo::static_wire_bits`), so this scan is compare-only.
+            let capacity = self.slot_capacity_bits;
             if let Some(pos) = q.iter().position(|(_, e)| e.static_wire_bits <= capacity) {
                 let (_, entry) = q.remove(pos);
                 self.cooperative_static_serves += 1;
@@ -915,30 +981,24 @@ impl Scheduler {
     /// The most urgent instance an early copy at `slot_start` may carry:
     /// released at or before the slot, primary still ahead, no early copy
     /// spent yet, lowest `(deadline, message id)`.
-    ///
-    /// The candidates are built at the first query of a cycle; production
-    /// discards them, and the runner produces only between cycles, so
-    /// that is once per cycle. They cannot be consumed in time order: the
-    /// bus serves all of channel A's static slots before channel B's, so
-    /// `slot_start` restarts within a cycle. Each query instead walks the
-    /// sorted list for the first window containing `slot_start`.
     fn early_copy_candidate(
         &mut self,
         cycle: u64,
         slot_start: SimTime,
     ) -> Option<(usize, ReleaseWindow)> {
-        if self.early_cycle != Some(cycle) {
+        if self.early_candidates.cycle != Some(cycle) {
             self.build_early_candidates(cycle);
         }
+        let list = &mut self.early_candidates.windows;
         let mut i = 0;
-        while let Some(&(index, w)) = self.early_candidates.get(i) {
+        while let Some(&(index, w)) = list.get(i) {
             if w.start <= slot_start && slot_start < w.early_end {
                 if self.tracker.get(w.instance).early_copies == 0 {
                     return Some((index, w));
                 }
                 // Spent: by an early copy, or by a degraded or failover
                 // copy, which draw on the same per-instance budget.
-                self.early_candidates.remove(i);
+                list.remove(i);
             } else {
                 i += 1;
             }
@@ -946,13 +1006,47 @@ impl Scheduler {
         None
     }
 
+    /// The most urgent undelivered static instance one more copy at
+    /// `slot_start` can still save: its message's current window contains
+    /// the slot, its deadline is ahead, it has spent fewer than `budget`
+    /// opportunistic copies and it fits a static slot. Ties on deadline go
+    /// to the lowest message id. Returns the message's `statics` index and
+    /// the window.
+    fn hard_copy_candidate(
+        &mut self,
+        cycle: u64,
+        slot_start: SimTime,
+        budget: u32,
+    ) -> Option<(usize, ReleaseWindow)> {
+        if self.hard_candidates.cycle != Some(cycle) {
+            self.build_hard_candidates(cycle);
+        }
+        let list = &mut self.hard_candidates.windows;
+        let mut i = 0;
+        while let Some(&(index, w)) = list.get(i) {
+            if w.start <= slot_start && slot_start < w.window_end && slot_start < w.deadline {
+                let inst = self.tracker.get(w.instance);
+                if inst.is_delivered() || inst.early_copies >= FAILOVER_BUDGET {
+                    // No budget this cycle asks for will pick it again.
+                    list.remove(i);
+                    continue;
+                }
+                if inst.early_copies < budget {
+                    return Some((index, w));
+                }
+            }
+            i += 1;
+        }
+        None
+    }
+
     fn build_early_candidates(&mut self, cycle: u64) {
         let from = self.config.cycle_start(cycle);
         let to = self.config.cycle_start(cycle + 1);
-        let capacity = self.config.static_slot_capacity_bits();
-        self.early_candidates.clear();
+        let list = &mut self.early_candidates;
+        list.windows.clear();
         for (index, info) in self.statics.iter().enumerate() {
-            if info.wire_bits > capacity {
+            if info.wire_bits > self.slot_capacity_bits {
                 continue;
             }
             for &w in &info.windows {
@@ -960,15 +1054,44 @@ impl Scheduler {
                     && from < w.early_end
                     && self.tracker.get(w.instance).early_copies == 0
                 {
-                    self.early_candidates.push((index, w));
+                    list.windows.push((index, w));
                 }
             }
         }
-        // `statics` is in id order, so the index breaks deadline ties
-        // towards the lowest message id.
-        self.early_candidates
-            .sort_unstable_by_key(|&(index, w)| (w.deadline, index));
-        self.early_cycle = Some(cycle);
+        list.seal(cycle);
+    }
+
+    fn build_hard_candidates(&mut self, cycle: u64) {
+        let from = self.config.cycle_start(cycle);
+        let to = self.config.cycle_start(cycle + 1);
+        let list = &mut self.hard_candidates;
+        list.windows.clear();
+        for (index, info) in self.statics.iter().enumerate() {
+            if info.wire_bits > self.slot_capacity_bits {
+                continue;
+            }
+            for (k, &w) in info.windows.iter().enumerate() {
+                // A later release replaces this window as the message's
+                // current one from its own start on.
+                let until = info
+                    .windows
+                    .range(k + 1..)
+                    .fold(w.window_end, |end, next| end.min(next.start));
+                let inst = self.tracker.get(w.instance);
+                if w.start < to
+                    && from < until.min(w.deadline)
+                    && !inst.is_delivered()
+                    && inst.early_copies < FAILOVER_BUDGET
+                {
+                    let current = ReleaseWindow {
+                        window_end: until,
+                        ..w
+                    };
+                    list.windows.push((index, current));
+                }
+            }
+        }
+        list.seal(cycle);
     }
 
     /// Degraded-mode online re-plan: one more copy of the most urgent
@@ -978,13 +1101,13 @@ impl Scheduler {
     /// nominal early copy — the primary may already have fired and been
     /// corrupted: a burst eating the planned copies is exactly the case
     /// the offline Theorem-1 plan cannot cover.
-    fn degraded_hard_copy(&mut self, slot_start: SimTime) -> Option<OutboundPayload> {
+    fn degraded_hard_copy(&mut self, cycle: u64, slot_start: SimTime) -> Option<OutboundPayload> {
         let budget = match self.health {
             HealthState::Nominal => return None,
             HealthState::Stressed => 2,
             HealthState::Storm => 3,
         };
-        let (index, w) = self.most_urgent_undelivered(slot_start, budget)?;
+        let (index, w) = self.hard_copy_candidate(cycle, slot_start, budget)?;
         self.degraded_extra_copies += 1;
         self.copy_transmissions += 1;
         Some(self.stage_copy(index, w))
@@ -997,15 +1120,15 @@ impl Scheduler {
     /// effectively stranded in the burst. A free position here therefore
     /// re-hosts the most urgent undelivered hard instance, ahead of any
     /// planned occurrence still scheduled on the storming channel. The
-    /// per-instance budget is one step above the `Storm` degraded-copy
-    /// budget, so a failover retransmission is available even after the
-    /// degraded re-plan spent its allowance.
+    /// per-instance budget is [`FAILOVER_BUDGET`], so a failover
+    /// retransmission is available even after the degraded re-plan spent
+    /// its allowance.
     fn failover_mirror(
         &mut self,
+        cycle: u64,
         channel: ChannelId,
         slot_start: SimTime,
     ) -> Option<OutboundPayload> {
-        const FAILOVER_BUDGET: u32 = 4;
         if !self.options.dual_channel {
             return None;
         }
@@ -1015,40 +1138,10 @@ impl Scheduler {
         {
             return None;
         }
-        let (index, w) = self.most_urgent_undelivered(slot_start, FAILOVER_BUDGET)?;
+        let (index, w) = self.hard_copy_candidate(cycle, slot_start, FAILOVER_BUDGET)?;
         self.failover_mirrors += 1;
         self.copy_transmissions += 1;
         Some(self.stage_copy(index, w))
-    }
-
-    /// The most urgent undelivered static instance one more copy at
-    /// `slot_start` can still save: its window contains the slot, its
-    /// deadline is ahead, it has spent fewer than `budget` opportunistic
-    /// copies and it fits a static slot. Ties on deadline go to the lowest
-    /// message id. Returns the message's `statics` index and the window.
-    fn most_urgent_undelivered(
-        &self,
-        slot_start: SimTime,
-        budget: u32,
-    ) -> Option<(usize, ReleaseWindow)> {
-        let capacity = self.config.static_slot_capacity_bits();
-        let mut best: Option<(usize, ReleaseWindow)> = None;
-        for (index, info) in self.statics.iter().enumerate() {
-            if info.wire_bits > capacity {
-                continue;
-            }
-            let Some(w) = info.window_at(slot_start) else {
-                continue;
-            };
-            let inst = self.tracker.get(w.instance);
-            if inst.is_delivered() || inst.early_copies >= budget || slot_start >= w.deadline {
-                continue;
-            }
-            if best.is_none_or(|(_, b)| w.deadline < b.deadline) {
-                best = Some((index, w));
-            }
-        }
-        best
     }
 
     /// Stages one opportunistic copy of window `w`'s instance (early,
@@ -1113,7 +1206,7 @@ impl TrafficSource for Scheduler {
                 // segments separately, copies can only ride these spare
                 // occurrences of the message's own slot.
                 let fresh_threshold = self.fspec_tx_needed.saturating_sub(2);
-                let index = self.static_index(occ.message);
+                let index = self.occupant_statics[usize::from(occ.index)];
                 let q = &mut self.statics[index].fspec_queue;
                 let idx = (0..q.len())
                     .rev()
@@ -1150,7 +1243,7 @@ impl TrafficSource for Scheduler {
             // contains this slot — the newest released at or before the
             // slot (the production batch may run ahead of the bus cycle).
             // None once the window passed or production ended.
-            let info = &self.statics[self.static_index(occ.message)];
+            let info = &self.statics[self.occupant_statics[usize::from(occ.index)]];
             let w = info.window_at(slot_start)?;
             if occ.kind != OccupantKind::Primary {
                 self.copy_transmissions += 1;
@@ -1180,7 +1273,7 @@ impl TrafficSource for Scheduler {
         // a storming channel takes the free position before any soft
         // backlog or opportunistic copy.
         if self.behavior.failover {
-            if let Some(payload) = self.failover_mirror(channel, slot_start) {
+            if let Some(payload) = self.failover_mirror(cycle, channel, slot_start) {
                 if self.tracer.is_enabled() {
                     self.tracer.emit(
                         slot_start,
@@ -1887,7 +1980,7 @@ mod tests {
                 for budget in [2, 3, 4] {
                     let hard = self
                         .s
-                        .most_urgent_undelivered(t, budget)
+                        .hard_copy_candidate(cycle, t, budget)
                         .map(|(_, w)| w.instance);
                     assert_eq!(
                         hard,
@@ -2034,10 +2127,10 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// The per-cycle early-copy candidates and the release-window
-        /// scans behind degraded copies and failover mirrors pick exactly
-        /// what the old per-slot scans over the instance record pick, on
-        /// every free static position of both channels.
+        /// The per-cycle early-copy list and the per-cycle degraded-copy
+        /// and failover list pick exactly what the old per-slot scans over
+        /// the instance record pick, on every free static position of both
+        /// channels.
         #[test]
         fn release_windows_select_what_the_old_scans_select(
             run in (0usize..4, 1u64..140),
@@ -2071,5 +2164,68 @@ mod tests {
         assert!(total.early_copies > 0, "{total:?}");
         assert!(total.degraded_copies > 0, "{total:?}");
         assert!(total.failover_mirrors > 0, "{total:?}");
+    }
+
+    #[test]
+    fn scratch_bytes_count_the_candidate_lists() {
+        let mut s = scheduler(COEFFICIENT);
+        let entry = std::mem::size_of::<(usize, ReleaseWindow)>() as u64;
+        for hard in [false, true] {
+            let before = s.scratch_bytes();
+            let list = if hard {
+                &mut s.hard_candidates.windows
+            } else {
+                &mut s.early_candidates.windows
+            };
+            let capacity = list.capacity();
+            list.reserve_exact(capacity + 100);
+            let grown = (list.capacity() - capacity) as u64;
+            assert_eq!(s.scratch_bytes() - before, grown * entry, "hard: {hard}");
+        }
+    }
+
+    #[test]
+    fn hard_copies_take_the_newest_of_overlapping_windows() {
+        // Releases closer than a period overlap one message's windows. The
+        // old scan took the newest window released at or before the slot;
+        // the per-cycle list clips each window at the next release.
+        let mut s = scheduler(COEFFICIENT);
+        let cfg = config();
+        let half = cfg.cycle_duration() / 2;
+        for k in 0..5u64 {
+            let t = cfg.cycle_start(0) + half * k;
+            s.produce_static(2, t);
+            if k % 2 == 1 {
+                s.produce_static(1, t);
+            }
+        }
+        // One instance has spent the degraded `Stressed` budget.
+        let spent = s.statics[s.static_index(2)].windows[1].instance;
+        s.tracker.get_mut(spent).early_copies = 2;
+        let mut newer_than_open = 0;
+        for cycle in 0..6 {
+            for slot in 1..=cfg.static_slot_count() {
+                let t = cfg.static_slot_start(cycle, slot);
+                for budget in [2, 3, 4] {
+                    let want = oracle_hard_copy(&s, t, budget);
+                    let got = s
+                        .hard_copy_candidate(cycle, t, budget)
+                        .map(|(_, w)| w.instance);
+                    assert_eq!(got, want, "cycle {cycle} slot {slot} budget {budget}");
+                    let Some(id) = got else { continue };
+                    let picked = s.tracker.get(id);
+                    let period = s.statics[s.static_index(picked.message)].signal.period;
+                    newer_than_open += s.tracker.instances().iter().any(|other| {
+                        other.message == picked.message
+                            && other.produced_at < picked.produced_at
+                            && t < other.produced_at + period
+                    }) as u32;
+                }
+            }
+        }
+        assert!(
+            newer_than_open > 0,
+            "no pick had an older window still open"
+        );
     }
 }

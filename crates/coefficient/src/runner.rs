@@ -4,6 +4,8 @@
 //! [`flexray::bus::BusEngine`], produces workload instances cycle by
 //! cycle, and collects the paper's four metrics into a [`RunReport`].
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::{Arc, Mutex};
 
 use event_sim::rng::substream;
@@ -468,6 +470,122 @@ impl ChaosTracker {
 /// Safety cap: no experiment in the suite needs more simulated cycles.
 const MAX_CYCLES: u64 = 5_000_000;
 
+/// A run's release cursors, merged in time order: one min-heap per class
+/// keyed on `(release, message index)`. Within a class the lowest index
+/// wins a tie; across classes a static release wins at an equal instant.
+#[derive(Debug)]
+struct Releases {
+    /// Pending releases, `[static, dynamic]`.
+    heaps: [BinaryHeap<Reverse<(SimTime, usize)>>; 2],
+    /// Release spacing per message index, `[static, dynamic]`.
+    periods: [Vec<SimDuration>; 2],
+}
+
+impl Releases {
+    /// Cursors from each message's `(first release, spacing)`, per class.
+    fn new(statics: Vec<(SimTime, SimDuration)>, dynamics: Vec<(SimTime, SimDuration)>) -> Self {
+        let [(statics, static_periods), (dynamics, dynamic_periods)] =
+            [statics, dynamics].map(|messages| {
+                let (firsts, periods): (Vec<_>, Vec<_>) = messages
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, (first, period))| (Reverse((first, i)), period))
+                    .unzip();
+                (BinaryHeap::from(firsts), periods)
+            });
+        Releases {
+            heaps: [statics, dynamics],
+            periods: [static_periods, dynamic_periods],
+        }
+    }
+
+    /// The earliest pending release as `(class, message index, instant)`.
+    fn peek(&self) -> Option<(MessageClass, usize, SimTime)> {
+        let next = |k: usize| self.heaps[k].peek().map(|&Reverse(top)| top);
+        match (next(0), next(1)) {
+            (Some((ts, i)), Some((td, _))) if ts <= td => Some((MessageClass::Static, i, ts)),
+            (Some((ts, i)), None) => Some((MessageClass::Static, i, ts)),
+            (_, Some((td, j))) => Some((MessageClass::Dynamic, j, td)),
+            (None, None) => None,
+        }
+    }
+
+    /// Moves the release [`peek`](Self::peek) returned for `class` on by
+    /// its message's spacing: one sift of that class's heap.
+    fn advance(&mut self, class: MessageClass) {
+        let k = match class {
+            MessageClass::Static => 0,
+            MessageClass::Dynamic => 1,
+        };
+        let mut top = self.heaps[k].peek_mut().expect("a pending release");
+        let (t, i) = top.0;
+        top.0 = (t + self.periods[k][i], i);
+    }
+}
+
+/// The production side of a run: releases in time order, cut off by the
+/// stop condition's horizon or instance target.
+#[derive(Debug)]
+struct Production {
+    releases: Releases,
+    /// [`StopCondition::ProducedInstances`]' target.
+    target: Option<u64>,
+    /// [`StopCondition::Horizon`]'s end: releases at or after it are not
+    /// produced.
+    horizon: Option<SimTime>,
+    produced: u64,
+    /// No release will be produced any more.
+    done: bool,
+    /// The latest release produced.
+    last: SimTime,
+}
+
+impl Production {
+    fn new(releases: Releases, stop: StopCondition) -> Self {
+        let done = releases.peek().is_none();
+        Production {
+            releases,
+            target: match stop {
+                StopCondition::ProducedInstances(n) => Some(n),
+                StopCondition::Horizon(_) | StopCondition::DeliveredInstances(_) => None,
+            },
+            horizon: match stop {
+                StopCondition::Horizon(h) => Some(SimTime::ZERO + h),
+                StopCondition::ProducedInstances(_) | StopCondition::DeliveredInstances(_) => None,
+            },
+            produced: 0,
+            done,
+            last: SimTime::ZERO,
+        }
+    }
+
+    /// Hands every release before `cycle_end` to `produce`, in time order,
+    /// as `(class, message index, instant)`.
+    fn produce_until(
+        &mut self,
+        cycle_end: SimTime,
+        mut produce: impl FnMut(MessageClass, usize, SimTime),
+    ) {
+        while !self.done {
+            let Some((class, i, release)) = self.releases.peek() else {
+                break;
+            };
+            if release >= cycle_end {
+                break;
+            }
+            if self.horizon.is_some_and(|h| release >= h) {
+                self.done = true;
+                break;
+            }
+            produce(class, i, release);
+            self.releases.advance(class);
+            self.produced += 1;
+            self.last = release;
+            self.done = self.target.is_some_and(|n| self.produced >= n);
+        }
+    }
+}
+
 /// Drives one policy over one workload. See the crate-level example.
 #[derive(Debug)]
 pub struct Runner {
@@ -649,27 +767,20 @@ impl Runner {
     /// read-out, not a mode.
     pub fn run_with_instances(mut self) -> (RunReport, Vec<InstanceStatus>) {
         let cycle_dur = self.cfg.cluster.cycle_duration();
-        let production_target = match self.cfg.stop {
-            StopCondition::ProducedInstances(n) => Some(n),
-            StopCondition::Horizon(_) | StopCondition::DeliveredInstances(_) => None,
-        };
-        let horizon = match self.cfg.stop {
-            StopCondition::Horizon(h) => Some(SimTime::ZERO + h),
-            StopCondition::ProducedInstances(_) | StopCondition::DeliveredInstances(_) => None,
-        };
-
-        // Release cursors.
-        let mut static_next: Vec<SimTime> = self
-            .cfg
-            .static_messages
-            .iter()
-            .map(|s| SimTime::ZERO + s.offset)
-            .collect();
-        let mut dynamic_next: Vec<SimTime> = self
-            .dynamic_phases
-            .iter()
-            .map(|p| SimTime::ZERO + *p)
-            .collect();
+        let releases = Releases::new(
+            self.cfg
+                .static_messages
+                .iter()
+                .map(|s| (SimTime::ZERO + s.offset, s.period))
+                .collect(),
+            self.cfg
+                .dynamic_messages
+                .iter()
+                .zip(&self.dynamic_phases)
+                .map(|(d, phase)| (SimTime::ZERO + *phase, d.min_interarrival))
+                .collect(),
+        );
+        let mut production = Production::new(releases, self.cfg.stop);
         let max_static_period = self
             .cfg
             .static_messages
@@ -678,10 +789,6 @@ impl Runner {
             .max()
             .unwrap_or(SimDuration::ZERO);
 
-        let mut produced: u64 = 0;
-        let mut production_done =
-            self.cfg.static_messages.is_empty() && self.cfg.dynamic_messages.is_empty();
-        let mut last_production = SimTime::ZERO;
         let mut cycle: u64 = 0;
         let mut truncated = false;
 
@@ -691,61 +798,16 @@ impl Runner {
             self.scheduler.purge_expired(cycle_start);
 
             // Produce every release falling in this cycle, in time order
-            // across messages (merge by earliest release).
-            if !production_done {
-                loop {
-                    // Earliest pending release among all messages.
-                    let next_static = static_next
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, t)| **t)
-                        .map(|(i, t)| (i, *t));
-                    let next_dynamic = dynamic_next
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, t)| **t)
-                        .map(|(i, t)| (i, *t));
-                    let pick_static = match (next_static, next_dynamic) {
-                        (Some((_, ts)), Some((_, td))) => ts <= td,
-                        (Some(_), None) => true,
-                        (None, _) => false,
-                    };
-                    let release = if pick_static {
-                        next_static.map(|(_, t)| t)
-                    } else {
-                        next_dynamic.map(|(_, t)| t)
-                    };
-                    let Some(release) = release else { break };
-                    if release >= cycle_end {
-                        break;
-                    }
-                    if let Some(h) = horizon {
-                        if release >= h {
-                            production_done = true;
-                            break;
-                        }
-                    }
-                    if pick_static {
-                        let (i, t) = next_static.expect("static release exists");
-                        self.scheduler
-                            .produce_static(self.cfg.static_messages[i].id, t);
-                        static_next[i] = t + self.cfg.static_messages[i].period;
-                    } else {
-                        let (i, t) = next_dynamic.expect("dynamic release exists");
-                        self.scheduler
-                            .produce_dynamic(self.cfg.dynamic_messages[i].frame_id, t);
-                        dynamic_next[i] = t + self.cfg.dynamic_messages[i].min_interarrival;
-                    }
-                    produced += 1;
-                    last_production = release;
-                    if let Some(target) = production_target {
-                        if produced >= target {
-                            production_done = true;
-                            break;
-                        }
-                    }
+            // across messages.
+            let (scheduler, cfg) = (&mut self.scheduler, &self.cfg);
+            production.produce_until(cycle_end, |class, i, t| match class {
+                MessageClass::Static => {
+                    scheduler.produce_static(cfg.static_messages[i].id, t);
                 }
-            }
+                MessageClass::Dynamic => {
+                    scheduler.produce_dynamic(cfg.dynamic_messages[i].frame_id, t);
+                }
+            });
 
             self.engine.run_cycle(cycle, &mut self.scheduler);
             cycle += 1;
@@ -778,8 +840,8 @@ impl Runner {
                 }
                 StopCondition::ProducedInstances(_) => {
                     let windows_closed =
-                        elapsed >= last_production.saturating_add(max_static_period);
-                    if production_done && windows_closed && self.scheduler.pending_work() == 0 {
+                        elapsed >= production.last.saturating_add(max_static_period);
+                    if production.done && windows_closed && self.scheduler.pending_work() == 0 {
                         break;
                     }
                 }
@@ -1261,5 +1323,185 @@ mod tests {
         .run();
         let r = report.miss_ratio();
         assert!((0.0..=1.0).contains(&r));
+    }
+
+    /// The per-release `min_by_key` merge the heaps replaced, kept as the
+    /// release-order oracle: each release scans every cursor of both
+    /// classes; the first minimum wins within a class, and static wins at
+    /// an equal instant (`ts <= td`).
+    struct ScanProduction {
+        /// Next release per message, `[static, dynamic]`.
+        next: [Vec<SimTime>; 2],
+        periods: [Vec<SimDuration>; 2],
+        target: Option<u64>,
+        horizon: Option<SimTime>,
+        produced: u64,
+        done: bool,
+        last: SimTime,
+    }
+
+    impl ScanProduction {
+        fn produce_until(
+            &mut self,
+            cycle_end: SimTime,
+            out: &mut Vec<(MessageClass, usize, SimTime)>,
+        ) {
+            if self.done {
+                return;
+            }
+            loop {
+                let earliest = |next: &[SimTime]| {
+                    next.iter()
+                        .enumerate()
+                        .min_by_key(|(_, t)| **t)
+                        .map(|(i, t)| (i, *t))
+                };
+                let next_static = earliest(&self.next[0]);
+                let next_dynamic = earliest(&self.next[1]);
+                let pick_static = match (next_static, next_dynamic) {
+                    (Some((_, ts)), Some((_, td))) => ts <= td,
+                    (Some(_), None) => true,
+                    (None, _) => false,
+                };
+                let next = if pick_static {
+                    next_static
+                } else {
+                    next_dynamic
+                };
+                let Some((i, release)) = next else { break };
+                if release >= cycle_end {
+                    break;
+                }
+                if let Some(h) = self.horizon {
+                    if release >= h {
+                        self.done = true;
+                        break;
+                    }
+                }
+                let (k, class) = if pick_static {
+                    (0, MessageClass::Static)
+                } else {
+                    (1, MessageClass::Dynamic)
+                };
+                out.push((class, i, release));
+                self.next[k][i] = release + self.periods[k][i];
+                self.produced += 1;
+                self.last = release;
+                if let Some(target) = self.target {
+                    if self.produced >= target {
+                        self.done = true;
+                        break;
+                    }
+                }
+            }
+        }
+    }
+
+    /// How a release-order run went, to show the cases are not vacuous.
+    #[derive(Debug, Default)]
+    struct ReleaseTally {
+        /// Releases sharing their instant with the previous release.
+        ties: u64,
+        /// Of those, a static release followed by a dynamic one.
+        class_ties: u64,
+        /// Runs whose production ended before the last cycle.
+        cut: u64,
+    }
+
+    /// Merges random releases on a coarse grid (quarter-cycle offsets and
+    /// periods, so equal instants within and across classes are common)
+    /// with the heaps and with the scan, cycle by cycle under `stop`, and
+    /// checks that they produce the same `(class, index, instant)`
+    /// sequence and agree on when and where production ended.
+    ///
+    /// `stop.0` picks the condition (0 horizon, 1 produced, 2 delivered)
+    /// and `stop.1` its size: quarter cycles of horizon or instances.
+    fn check_release_order(
+        statics: &[(u64, u64)],
+        dynamics: &[(u64, u64)],
+        (kind, size): (u8, u64),
+        cycles: u64,
+    ) -> ReleaseTally {
+        let quarter = SimDuration::from_nanos(250_000);
+        let grid =
+            |(offset, period): (u64, u64)| (SimTime::ZERO + quarter * offset, quarter * period);
+        let statics: Vec<(SimTime, SimDuration)> = statics.iter().copied().map(grid).collect();
+        let dynamics: Vec<(SimTime, SimDuration)> = dynamics.iter().copied().map(grid).collect();
+        let stop = match kind {
+            0 => StopCondition::Horizon(quarter * size),
+            1 => StopCondition::ProducedInstances(size),
+            _ => StopCondition::DeliveredInstances(size),
+        };
+        let mut heaps = Production::new(Releases::new(statics.clone(), dynamics.clone()), stop);
+        let split = |class: &[(SimTime, SimDuration)]| -> (Vec<SimTime>, Vec<SimDuration>) {
+            class.iter().copied().unzip()
+        };
+        let ((static_next, static_periods), (dynamic_next, dynamic_periods)) =
+            (split(&statics), split(&dynamics));
+        let mut scan = ScanProduction {
+            next: [static_next, dynamic_next],
+            periods: [static_periods, dynamic_periods],
+            target: heaps.target,
+            horizon: heaps.horizon,
+            produced: 0,
+            done: statics.is_empty() && dynamics.is_empty(),
+            last: SimTime::ZERO,
+        };
+        let mut tally = ReleaseTally::default();
+        let (mut merged, mut scanned) = (Vec::new(), Vec::new());
+        for cycle in 1..=cycles {
+            let cycle_end = SimTime::ZERO + quarter * (4 * cycle);
+            merged.clear();
+            scanned.clear();
+            heaps.produce_until(cycle_end, |class, i, t| merged.push((class, i, t)));
+            scan.produce_until(cycle_end, &mut scanned);
+            assert_eq!(merged, scanned, "releases of cycle {cycle}");
+            assert_eq!(
+                (heaps.done, heaps.produced, heaps.last),
+                (scan.done, scan.produced, scan.last),
+                "production state after cycle {cycle}"
+            );
+            for pair in merged.windows(2) {
+                if pair[0].2 == pair[1].2 {
+                    tally.ties += 1;
+                    tally.class_ties += u64::from(pair[0].0 != pair[1].0);
+                }
+            }
+        }
+        tally.cut = u64::from(heaps.done);
+        tally
+    }
+
+    proptest::proptest! {
+        /// The per-class heaps release exactly what the per-release scans
+        /// over every cursor release, in the same order, under every stop
+        /// condition.
+        #[test]
+        fn release_heaps_merge_what_the_old_scans_merge(
+            statics in proptest::collection::vec((0u64..8, 1u64..8), 0..10),
+            dynamics in proptest::collection::vec((0u64..8, 1u64..8), 0..6),
+            stop in (0u8..3, 0u64..160),
+            cycles in 1u64..40,
+        ) {
+            check_release_order(&statics, &dynamics, stop, cycles);
+        }
+    }
+
+    #[test]
+    fn the_release_order_check_reaches_every_case() {
+        let statics = [(0, 2), (0, 4), (1, 3), (2, 2), (0, 1)];
+        let dynamics = [(0, 4), (2, 3), (1, 1)];
+        for kind in 0..3 {
+            let tally = check_release_order(&statics, &dynamics, (kind, 60), 30);
+            assert!(tally.ties > 0 && tally.class_ties > 0, "{kind}: {tally:?}");
+            // The horizon and the instance target end production early;
+            // a delivery target never does.
+            assert_eq!(tally.cut, u64::from(kind < 2), "{kind}: {tally:?}");
+        }
+        // Either class alone, and no messages at all.
+        check_release_order(&statics, &[], (1, 50), 20);
+        check_release_order(&[], &dynamics, (0, 50), 20);
+        let tally = check_release_order(&[], &[], (2, 0), 3);
+        assert_eq!(tally.cut, 1, "{tally:?}");
     }
 }
