@@ -1,34 +1,10 @@
 //! Regenerates every figure of the CoEfficient paper's evaluation, and
 //! runs multi-seed sweeps on the same machinery.
 //!
-//! ```text
-//! experiments [fig1|fig2|fig3|fig4a..fig4d|fig5|ablation|faults|verify|all] [--json]
-//! experiments sweep  [--seeds N] [--master-seed X] [--minislots M]
-//!                    [--horizon-ms H] [--threads T] [--policy P]...
-//!                    [--scenario S]... [--shared-seeds] [--json] [--pretty]
-//! experiments replay --cell POLICY,SCENARIO,SEED [sweep flags]
-//! experiments trace  --cell POLICY,SCENARIO,SEED [--golden] [--out PATH]
-//!                    [--format chrome|json] [--capacity N]
-//!                    [--sample-every N] [sweep flags]
-//! experiments golden record [--out PATH] [--name NAME]
-//! experiments golden verify [--corpus PATH]
-//! experiments determinism [--thread-counts 1,2,8] [sweep flags]
-//! experiments chaos  [--campaign NAME] [--scenario S] [--policy P]...
-//!                    [--require P]... [--seed N] [--horizon-cycles N]
-//!                    [--recovery-budget N] [--hard-miss-budget N]
-//!                    [--threads T] [--out PATH]
-//! experiments cycles [--smoke] [--iters N] [--out PATH]
-//!                    [--baseline PATH] [--tolerance F]
-//! experiments backbone [--topology T] [--reservation R]... [--threads N]
-//!                      [--hypercycles H] [--flows] [--out PATH]
-//! experiments trace-overhead [--cell POLICY,SCENARIO,SEED] [--iters N]
-//!                    [--capacity N] [--sample-every N] [--tolerance F]
-//! experiments fleet  [--vehicles N] [--policy P]... [--env E] [--seed N]
-//!                    [--threads T] [--shard-size N] [--horizon-ms H]
-//!                    [--minislots M] [--out PATH] [--bench-out PATH]
-//!                    [--stats-file PATH] [--stats-socket PATH]
-//!                    [--stats-every-ms N] [--smoke]
-//! ```
+//! `experiments --help` lists every subcommand with its flags. Each
+//! `SUBCOMMANDS` row declares its flags with their kinds and the
+//! positional words it takes; one parse pass checks every argument
+//! against the row before anything runs.
 //!
 //! `verify` re-runs the paper's headline claims and exits non-zero if any
 //! fails — the one-command reproduction check. `sweep` executes a
@@ -72,13 +48,14 @@
 //! (default 5%) over the untraced one.
 //!
 //! Without arguments, runs every figure. `--json` additionally dumps the
-//! raw rows as JSON to stdout (for plotting). An unknown subcommand or
-//! figure name exits 2 and lists the valid ones. `--help` (or `-h`, or
-//! `help`) prints every subcommand with its flags and exits 0.
+//! raw rows as JSON to stdout (for plotting). An unknown subcommand,
+//! figure name or flag, a malformed or repeated value, or a positional
+//! word a subcommand does not take exits 2 with a message. `--help` (or
+//! `-h`, or `help`) prints every subcommand with its flags and exits 0.
 
 use bench_harness::experiments::{
     ablation, dynamic_experiment_statics, fault_model_ablation, fig3_bandwidth, fig4_latency,
-    fig5_miss_ratio, fig_running_time, run_once, verify_reproduction, Segment,
+    fig5_miss_ratio, fig_running_time, verify_reproduction, Segment,
 };
 use std::path::Path;
 
@@ -99,122 +76,340 @@ use bench_harness::table::print_table;
 use bench_harness::trace::{counter_names, trace_json, validate_trace};
 use coefficient::registry::{self, lookup};
 use coefficient::{
-    CellCoord, PolicyRef, Scenario, SeedStrategy, StopCondition, SweepRunner, TraceConfig,
-    UnknownName,
+    CellCoord, Scenario, SeedStrategy, StopCondition, SweepRunner, TraceConfig, UnknownName,
 };
 use event_sim::SimDuration;
 use fleet::FleetSpec;
 use flexray::config::ClusterConfig;
+use Kind::*;
 
-/// A subcommand: its entry point, which gets the arguments after its
-/// name, and the flags it takes.
-struct Command {
-    name: &'static str,
-    run: fn(&[String]),
-    /// Flags followed by a value, in space-separated groups.
-    values: &'static [&'static str],
-    /// Flags that stand alone, space-separated.
-    switches: &'static str,
+/// What follows a flag on the command line.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kind {
+    /// Nothing: the flag stands alone.
+    Switch,
+    /// One value, kept as text (a path, a registry name, a cell).
+    Text,
+    /// Text that may be given again; every value counts.
+    Texts,
+    /// An integer of at least 1.
+    Count,
+    /// A non-negative integer.
+    Number,
+    /// A finite fraction, 0 <= f < 1.
+    Fraction,
 }
 
-/// The value flags `parse_spec` reads, shared by every sweep-shaped
-/// subcommand; `--shared-seeds` is their one switch.
-const SWEEP_FLAGS: &str =
-    "--seeds --master-seed --minislots --horizon-ms --threads --policy --scenario";
+/// Flags a command takes: what follows them, and their space-separated
+/// names.
+type Flag = (Kind, &'static str);
+
+/// A subcommand: its entry point, the positional words it takes and its
+/// flags.
+struct Command {
+    name: &'static str,
+    run: fn(&Flags),
+    words: fn() -> Vec<&'static str>,
+    /// In groups, so the sweep-shaped subcommands share [`SWEEP_FLAGS`].
+    flags: &'static [&'static [Flag]],
+}
+
+/// The flags `parse_spec` reads, shared by every sweep-shaped subcommand.
+const SWEEP_FLAGS: &[Flag] = &[
+    (Count, "--seeds"),
+    (Number, "--master-seed --minislots"),
+    (Count, "--horizon-ms --threads"),
+    (Texts, "--policy --scenario"),
+    (Switch, "--shared-seeds"),
+];
 
 /// Every subcommand. Any other first argument is a figure name (see
 /// `FIGURES`) or a flag of the figure run.
-const SUBCOMMANDS: [Command; 11] = [
+static SUBCOMMANDS: [Command; 11] = [
     Command {
         name: "sweep",
         run: run_sweep,
-        values: &[SWEEP_FLAGS],
-        switches: "--shared-seeds --json --pretty",
+        words: Vec::new,
+        flags: &[SWEEP_FLAGS, &[(Switch, "--json --pretty")]],
     },
     Command {
         name: "replay",
         run: run_replay,
-        values: &[SWEEP_FLAGS, "--cell"],
-        switches: "--shared-seeds",
+        words: Vec::new,
+        flags: &[SWEEP_FLAGS, &[(Text, "--cell")]],
     },
     Command {
         name: "trace",
         run: run_trace,
-        values: &[
+        words: Vec::new,
+        flags: &[
             SWEEP_FLAGS,
-            "--cell --out --format --capacity --sample-every",
+            &[
+                (Text, "--cell --out --format"),
+                (Number, "--capacity --sample-every"),
+                (Switch, "--golden"),
+            ],
         ],
-        switches: "--shared-seeds --golden",
     },
     Command {
         name: "golden",
         run: run_golden,
-        values: &["--out --name --corpus"],
-        switches: "",
+        words: || vec!["record", "verify"],
+        flags: &[&[(Text, "--out --name --corpus")]],
     },
     Command {
         name: "determinism",
         run: run_determinism,
-        values: &[SWEEP_FLAGS, "--thread-counts"],
-        switches: "--shared-seeds",
+        words: Vec::new,
+        flags: &[SWEEP_FLAGS, &[(Text, "--thread-counts")]],
     },
     Command {
         name: "storm-smoke",
         run: run_storm_smoke,
-        values: &["--seed --horizon-ms"],
-        switches: "",
+        words: Vec::new,
+        flags: &[&[(Number, "--seed"), (Count, "--horizon-ms")]],
     },
     Command {
         name: "chaos",
         run: run_chaos,
-        values: &[
-            "--campaign --scenario --policy --require --seed --horizon-cycles",
-            "--recovery-budget --hard-miss-budget --threads --out",
-        ],
-        switches: "",
+        words: Vec::new,
+        flags: &[&[
+            (Text, "--campaign --scenario"),
+            (Texts, "--policy --require"),
+            (Number, "--seed"),
+            (Count, "--horizon-cycles"),
+            (Number, "--recovery-budget --hard-miss-budget"),
+            (Count, "--threads"),
+            (Text, "--out"),
+        ]],
     },
     Command {
         name: "cycles",
         run: run_cycles,
-        values: &["--iters --out --baseline --tolerance"],
-        switches: "--smoke",
+        words: Vec::new,
+        flags: &[&[
+            (Count, "--iters"),
+            (Text, "--out --baseline"),
+            (Fraction, "--tolerance"),
+            (Switch, "--smoke"),
+        ]],
     },
     Command {
         name: "fleet",
         run: run_fleet,
-        values: &[
-            "--vehicles --policy --env --seed --threads --shard-size --horizon-ms --minislots",
-            "--out --bench-out --stats-file --stats-socket --stats-every-ms",
-        ],
-        switches: "--smoke",
+        words: Vec::new,
+        flags: &[&[
+            (Number, "--vehicles"),
+            (Texts, "--policy"),
+            (Text, "--env"),
+            (Number, "--seed"),
+            (Count, "--threads --shard-size --horizon-ms"),
+            (Number, "--minislots"),
+            (Text, "--out --bench-out --stats-file --stats-socket"),
+            (Number, "--stats-every-ms"),
+            (Switch, "--smoke"),
+        ]],
     },
     Command {
         name: "backbone",
         run: run_backbone,
-        values: &["--topology --reservation --threads --hypercycles --out"],
-        switches: "--flows",
+        words: Vec::new,
+        flags: &[&[
+            (Text, "--topology"),
+            (Texts, "--reservation"),
+            (Count, "--threads --hypercycles"),
+            (Text, "--out"),
+            (Switch, "--flows"),
+        ]],
     },
     Command {
         name: "trace-overhead",
         run: run_trace_overhead,
-        values: &["--cell --iters --capacity --sample-every --tolerance"],
-        switches: "",
+        words: Vec::new,
+        flags: &[&[
+            (Text, "--cell"),
+            (Count, "--iters"),
+            (Number, "--capacity --sample-every"),
+            (Fraction, "--tolerance"),
+        ]],
     },
 ];
 
 /// The figure run: positional figure names plus `--json`.
-const FIGURE_RUN: Command = Command {
+static FIGURE_RUN: Command = Command {
     name: "figures",
     run: run_figures,
-    values: &[],
-    switches: "--json",
+    words: figure_names,
+    flags: &[&[(Switch, "--json")]],
 };
 
-/// The names `run_figures` accepts as positional arguments.
-const FIGURES: [&str; 12] = [
-    "fig1", "fig2", "fig3", "fig4a", "fig4b", "fig4c", "fig4d", "fig5", "ablation", "faults",
-    "verify", "all",
-];
+impl Command {
+    /// Every flag it declares, one at a time.
+    fn flags(&self) -> impl Iterator<Item = Flag> + '_ {
+        let groups = self.flags.iter().flat_map(|group| group.iter());
+        groups.flat_map(|&(kind, names)| names.split_whitespace().map(move |name| (kind, name)))
+    }
+
+    /// Its flags as `--help` lists them: value flags, then switches.
+    fn help_words(&self) -> impl Iterator<Item = String> + '_ {
+        let values = self.flags().filter(|&(kind, _)| kind != Switch);
+        let switches = self.flags().filter(|&(kind, _)| kind == Switch);
+        values
+            .map(|(_, name)| format!("{name} <value>"))
+            .chain(switches.map(|(_, name)| name.to_string()))
+    }
+}
+
+/// A flag's checked value.
+enum Value {
+    On,
+    Text(String),
+    Number(u64),
+    Fraction(f64),
+}
+
+/// The arguments of one run, each checked against its command's row.
+struct Flags {
+    command: &'static Command,
+    /// The positional words, each one the row declares.
+    words: Vec<&'static str>,
+    /// Every flag given, in order; only a [`Texts`] flag appears twice.
+    given: Vec<(&'static str, Value)>,
+}
+
+impl Flags {
+    /// Checks `args` against `command`'s row. Exits 2 on a word or flag it
+    /// does not declare, a missing or malformed value, or a second use of
+    /// a flag that is not [`Texts`].
+    fn parse(command: &'static Command, args: &[String]) -> Flags {
+        let words = (command.words)();
+        let mut flags = Flags {
+            command,
+            words: Vec::new(),
+            given: Vec::new(),
+        };
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            if !arg.starts_with("--") {
+                match words.iter().find(|&word| word == arg) {
+                    Some(word) => flags.words.push(word),
+                    None => unexpected_word(command, arg),
+                }
+                continue;
+            }
+            let Some((kind, name)) = command.flags().find(|&(_, name)| name == arg) else {
+                usage_error(UnknownName {
+                    kind: "flag",
+                    name: arg.clone(),
+                    valid: command.flags().map(|(_, name)| name).collect(),
+                })
+            };
+            if kind != Texts && flags.given.iter().any(|&(given, _)| given == name) {
+                usage_error(format!("{name} given twice"));
+            }
+            let value = match kind {
+                Switch => Value::On,
+                _ => match args.next() {
+                    Some(text) if !text.starts_with("--") => parse_value(name, kind, text),
+                    _ => usage_error(format!("{name} needs a value")),
+                },
+            };
+            flags.given.push((name, value));
+        }
+        flags
+    }
+
+    /// The values `name` was given, which the row must declare as one of
+    /// `kinds`.
+    fn values(&self, name: &str, kinds: &[Kind]) -> impl Iterator<Item = &Value> {
+        let (_, name) = self
+            .command
+            .flags()
+            .find(|&(kind, flag)| flag == name && kinds.contains(&kind))
+            .unwrap_or_else(|| panic!("{} declares no {name} {kinds:?}", self.command.name));
+        self.given
+            .iter()
+            .filter(move |&&(given, _)| given == name)
+            .map(|(_, value)| value)
+    }
+
+    /// Whether [`Switch`] `name` was given.
+    fn on(&self, name: &str) -> bool {
+        self.values(name, &[Switch]).next().is_some()
+    }
+
+    /// The value of [`Text`] `name`.
+    fn text(&self, name: &str) -> Option<&str> {
+        self.values(name, &[Text]).next().map(Value::text)
+    }
+
+    /// Every value of [`Texts`] `name`, in order.
+    fn texts(&self, name: &str) -> Vec<&str> {
+        self.values(name, &[Texts]).map(Value::text).collect()
+    }
+
+    /// The value of [`Count`] or [`Number`] `name`; exits 2 if `T` cannot
+    /// hold it.
+    fn number<T: TryFrom<u64>>(&self, name: &str) -> Option<T> {
+        let &Value::Number(n) = self.values(name, &[Count, Number]).next()? else {
+            unreachable!("{name} is declared a number")
+        };
+        Some(
+            T::try_from(n)
+                .unwrap_or_else(|_| usage_error(format!("invalid value for {name}: {n}"))),
+        )
+    }
+
+    /// The value of [`Fraction`] `name`.
+    fn fraction(&self, name: &str) -> Option<f64> {
+        let &Value::Fraction(f) = self.values(name, &[Fraction]).next()? else {
+            unreachable!("{name} is declared a fraction")
+        };
+        Some(f)
+    }
+}
+
+impl Value {
+    fn text(&self) -> &str {
+        let Value::Text(text) = self else {
+            unreachable!("a text flag holds text")
+        };
+        text
+    }
+}
+
+/// Reads `text` as the value of flag `name`, exiting 2 unless it is a
+/// `kind`.
+fn parse_value(name: &str, kind: Kind, text: &str) -> Value {
+    match kind {
+        Switch => unreachable!("a switch takes no value"),
+        Text | Texts => Value::Text(text.to_string()),
+        Count | Number => match text.parse() {
+            Ok(0) if kind == Count => usage_error(format!("{name} must be at least 1")),
+            Ok(n) => Value::Number(n),
+            Err(_) => usage_error(format!("invalid value for {name}: {text}")),
+        },
+        Fraction => match text.parse() {
+            Ok(f) if (0.0..1.0).contains(&f) => Value::Fraction(f),
+            _ => usage_error(format!(
+                "invalid value for {name}: {text} (a fraction 0 <= f < 1)"
+            )),
+        },
+    }
+}
+
+/// Exits 2 on a positional `word` that `command` does not take.
+fn unexpected_word(command: &Command, word: &str) -> ! {
+    if command.name != FIGURE_RUN.name {
+        usage_error(format!("{} takes no argument \"{word}\"", command.name))
+    }
+    let subcommands: Vec<&str> = SUBCOMMANDS.iter().map(|c| c.name).collect();
+    usage_error(format!(
+        "unknown subcommand or figure \"{word}\"\nvalid subcommands: {}\nvalid figures: {}",
+        subcommands.join(", "),
+        figure_names().join(", ")
+    ))
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -227,8 +422,7 @@ fn main() {
         Some(command) => (command, &args[1..]),
         None => (&FIGURE_RUN, &args[..]),
     };
-    check_flags(command, rest);
-    (command.run)(rest);
+    (command.run)(&Flags::parse(command, rest));
 }
 
 /// The `--help` text: every subcommand with the flags it declares, then
@@ -238,21 +432,11 @@ fn help() -> String {
         "usage: experiments <subcommand> [flags]\n       experiments [figure ...] [--json]\n\nsubcommands:\n",
     );
     for command in &SUBCOMMANDS {
-        let values = command
-            .values
-            .iter()
-            .flat_map(|g| g.split_whitespace())
-            .map(|f| format!("{f} <value>"));
-        let switches = command.switches.split_whitespace().map(String::from);
-        help_row(&mut out, command.name, values.chain(switches));
+        help_row(&mut out, command.name, command.help_words());
     }
     out.push_str("\nfigures (no name runs every one):\n");
-    help_row(&mut out, "", FIGURES.iter().map(|f| f.to_string()));
-    help_row(
-        &mut out,
-        "",
-        FIGURE_RUN.switches.split_whitespace().map(String::from),
-    );
+    help_row(&mut out, "", figure_names().into_iter().map(String::from));
+    help_row(&mut out, "", FIGURE_RUN.help_words());
     out
 }
 
@@ -291,82 +475,36 @@ fn write_out(path: &str, contents: impl AsRef<[u8]>) {
     std::fs::write(path, contents).unwrap_or_else(|e| fail(format!("cannot write {path}: {e}")));
 }
 
-/// Exits 2 on a `--…` argument `command` does not take, or on one of its
-/// value flags with no value after it.
-fn check_flags(command: &Command, args: &[String]) {
-    let values = || command.values.iter().flat_map(|g| g.split_whitespace());
-    let switches = || command.switches.split_whitespace();
-    let mut rest = args.iter();
-    while let Some(arg) = rest.next() {
-        if values().any(|f| f == arg) {
-            if rest.next().is_none_or(|v| v.starts_with("--")) {
-                usage_error(format!("{arg} needs a value"));
-            }
-        } else if arg.starts_with("--") && !switches().any(|f| f == arg) {
-            usage_error(UnknownName {
-                kind: "flag",
-                name: arg.clone(),
-                valid: values().chain(switches()).collect(),
-            });
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // sweep / replay
 // ---------------------------------------------------------------------------
 
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
-fn parse_number<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
-    flag_value(args, flag).map(|v| {
-        v.parse()
-            .unwrap_or_else(|_| usage_error(format!("invalid value for {flag}: {v}")))
-    })
-}
-
-/// [`parse_number`] for a count that must be at least 1 (the library
-/// asserts it, or a zero would run an empty experiment): a zero exits 2.
-fn parse_count<T: std::str::FromStr + Default + PartialEq>(
-    args: &[String],
-    flag: &str,
-) -> Option<T> {
-    let v = parse_number(args, flag);
-    if v == Some(T::default()) {
-        usage_error(format!("{flag} must be at least 1"));
-    }
-    v
-}
-
 /// `--minislots`, exit 2 unless the `paper_mixed` cycle fits that many.
-fn parse_minislots(args: &[String]) -> Option<u64> {
-    let v = parse_number(args, "--minislots")?;
+fn parse_minislots(flags: &Flags) -> Option<u64> {
+    let v = flags.number("--minislots")?;
     if let Err(e) = ClusterConfig::try_paper_mixed(v) {
         usage_error(format!("invalid value for --minislots: {v} ({e:?}: {e})"));
     }
     Some(v)
 }
 
-fn flag_values<'a>(args: &'a [String], flag: &str) -> Vec<&'a str> {
-    args.iter()
-        .enumerate()
-        .filter(|(_, a)| *a == flag)
-        .filter_map(|(i, _)| args.get(i + 1))
-        .map(String::as_str)
-        .collect()
-}
-
-/// Every `flag` value, resolved against the policy registry.
-fn parse_policies(args: &[String], flag: &str) -> Vec<PolicyRef> {
-    flag_values(args, flag)
+/// Every value of `flag`, resolved by `resolve`; `default` if it has none.
+fn parse_all<T, E: std::fmt::Display>(
+    flags: &Flags,
+    flag: &str,
+    resolve: impl Fn(&str) -> Result<T, E>,
+    default: Vec<T>,
+) -> Vec<T> {
+    let values: Vec<T> = flags
+        .texts(flag)
         .into_iter()
-        .map(|v| registry::resolve(v).unwrap_or_else(|e| usage_error(e)))
-        .collect()
+        .map(|v| resolve(v).unwrap_or_else(|e| usage_error(e)))
+        .collect();
+    if values.is_empty() {
+        default
+    } else {
+        values
+    }
 }
 
 /// Runs one cell's configuration, failing the run if it is unschedulable.
@@ -376,48 +514,32 @@ fn run_config(cfg: coefficient::RunConfig) -> coefficient::RunReport {
         .run()
 }
 
-fn parse_spec(args: &[String]) -> SweepSpec {
-    let mut spec = SweepSpec::default();
-    if let Some(v) = parse_count(args, "--seeds") {
-        spec.seeds = v;
+fn parse_spec(flags: &Flags) -> SweepSpec {
+    let default = SweepSpec::default();
+    SweepSpec {
+        minislots: parse_minislots(flags).unwrap_or(default.minislots),
+        horizon_ms: flags.number("--horizon-ms").unwrap_or(default.horizon_ms),
+        seeds: flags.number("--seeds").unwrap_or(default.seeds),
+        master_seed: flags.number("--master-seed").unwrap_or(default.master_seed),
+        threads: flags.number("--threads").or(default.threads),
+        policies: parse_all(flags, "--policy", registry::resolve, default.policies),
+        scenarios: parse_all(flags, "--scenario", parse_scenario, default.scenarios),
+        strategy: if flags.on("--shared-seeds") {
+            SeedStrategy::Shared
+        } else {
+            default.strategy
+        },
     }
-    if let Some(v) = parse_number(args, "--master-seed") {
-        spec.master_seed = v;
-    }
-    if let Some(v) = parse_minislots(args) {
-        spec.minislots = v;
-    }
-    if let Some(v) = parse_count(args, "--horizon-ms") {
-        spec.horizon_ms = v;
-    }
-    if let Some(v) = parse_count(args, "--threads") {
-        spec.threads = Some(v);
-    }
-    let policies = parse_policies(args, "--policy");
-    if !policies.is_empty() {
-        spec.policies = policies;
-    }
-    let scenarios: Vec<_> = flag_values(args, "--scenario")
-        .into_iter()
-        .map(|v| parse_scenario(v).unwrap_or_else(|e| usage_error(e)))
-        .collect();
-    if !scenarios.is_empty() {
-        spec.scenarios = scenarios;
-    }
-    if args.iter().any(|a| a == "--shared-seeds") {
-        spec.strategy = SeedStrategy::Shared;
-    }
-    spec
 }
 
-fn run_sweep(args: &[String]) {
-    let spec = parse_spec(args);
+fn run_sweep(flags: &Flags) {
+    let spec = parse_spec(flags);
     let report = spec
         .run()
         .unwrap_or_else(|e| fail(format!("sweep configuration is unschedulable: {e:?}")));
-    if args.iter().any(|a| a == "--json" || a == "--pretty") {
+    if flags.on("--json") || flags.on("--pretty") {
         let doc = sweep_report_json(&report);
-        if args.iter().any(|a| a == "--pretty") {
+        if flags.on("--pretty") {
             println!("{}", doc.pretty());
         } else {
             println!("{doc}");
@@ -458,10 +580,11 @@ fn run_sweep(args: &[String]) {
 }
 
 /// Parses `--cell P,S,SEED` and bounds-checks it against `matrix`.
-fn parse_cell(args: &[String], matrix: &coefficient::SweepMatrix, subcommand: &str) -> CellCoord {
-    let Some(cell) = flag_value(args, "--cell") else {
+fn parse_cell(flags: &Flags, matrix: &coefficient::SweepMatrix) -> CellCoord {
+    let Some(cell) = flags.text("--cell") else {
         usage_error(format!(
-            "{subcommand} requires --cell POLICY_INDEX,SCENARIO_INDEX,SEED_INDEX"
+            "{} requires --cell POLICY_INDEX,SCENARIO_INDEX,SEED_INDEX",
+            flags.command.name
         ));
     };
     let indices: Vec<usize> = cell
@@ -494,10 +617,10 @@ fn parse_cell(args: &[String], matrix: &coefficient::SweepMatrix, subcommand: &s
     coord
 }
 
-fn run_replay(args: &[String]) {
-    let spec = parse_spec(args);
+fn run_replay(flags: &Flags) {
+    let spec = parse_spec(flags);
     let runner = SweepRunner::new(spec.build_matrix());
-    let coord = parse_cell(args, runner.matrix(), "replay");
+    let coord = parse_cell(flags, runner.matrix());
     let outcome = runner
         .replay(coord)
         .unwrap_or_else(|e| fail(format!("replayed cell is unschedulable: {e:?}")));
@@ -512,17 +635,17 @@ fn run_replay(args: &[String]) {
 /// event stream. Runs the cell twice and refuses to write anything if the
 /// two streams differ or if the traced fingerprint diverges from an
 /// untraced replay — the export is only as useful as its determinism.
-fn run_trace(args: &[String]) {
-    let spec = if args.iter().any(|a| a == "--golden") {
+fn run_trace(flags: &Flags) {
+    let spec = if flags.on("--golden") {
         golden_spec()
     } else {
-        parse_spec(args)
+        parse_spec(flags)
     };
     let matrix = spec.build_matrix();
-    let coord = parse_cell(args, &matrix, "trace");
-    let capacity: usize = parse_number(args, "--capacity").unwrap_or(1 << 20);
-    let sample_every: u64 = parse_number(args, "--sample-every").unwrap_or(10);
-    let format = flag_value(args, "--format").unwrap_or("json");
+    let coord = parse_cell(flags, &matrix);
+    let capacity: usize = flags.number("--capacity").unwrap_or(1 << 20);
+    let sample_every: u64 = flags.number("--sample-every").unwrap_or(10);
+    let format = flags.text("--format").unwrap_or("json");
     if !matches!(format, "json" | "chrome") {
         usage_error(format!("unknown --format: {format} (expected chrome|json)"));
     }
@@ -555,13 +678,11 @@ fn run_trace(args: &[String]) {
     };
     let log = cell.report.trace.as_ref().expect("tracing was enabled");
     let names = counter_names();
+    let stem = format!("trace-{}-{}-{}", coord.policy, coord.scenario, coord.seed);
     let (content, default_name) = match format {
         "chrome" => (
             observe::chrome_trace_json(log, &names),
-            format!(
-                "trace-{}-{}-{}.chrome.json",
-                coord.policy, coord.scenario, coord.seed
-            ),
+            format!("{stem}.chrome.json"),
         ),
         _ => {
             let doc = trace_json(&cell).expect("trace is present");
@@ -575,16 +696,11 @@ fn run_trace(args: &[String]) {
                     "trace FAILED: exported JSON violates coefficient-trace/1: {defect}"
                 ))
             }
-            (
-                doc.to_string(),
-                format!(
-                    "trace-{}-{}-{}.json",
-                    coord.policy, coord.scenario, coord.seed
-                ),
-            )
+            (doc.to_string(), format!("{stem}.json"))
         }
     };
-    let out = flag_value(args, "--out")
+    let out = flags
+        .text("--out")
         .map(String::from)
         .unwrap_or(default_name);
     write_out(&out, &content);
@@ -607,11 +723,11 @@ fn run_trace(args: &[String]) {
 // golden / determinism
 // ---------------------------------------------------------------------------
 
-fn run_golden(args: &[String]) {
-    match args.first().map(String::as_str) {
-        Some("record") => {
-            let out = flag_value(args, "--out").unwrap_or(DEFAULT_CORPUS_PATH);
-            let name = flag_value(args, "--name").unwrap_or("default");
+fn run_golden(flags: &Flags) {
+    match flags.words[..] {
+        ["record"] => {
+            let out = flags.text("--out").unwrap_or(DEFAULT_CORPUS_PATH);
+            let name = flags.text("--name").unwrap_or("default");
             let file = record_corpus(name, &golden_spec())
                 .unwrap_or_else(|e| fail(format!("golden record failed: {e}")));
             save_corpus(Path::new(out), &file)
@@ -623,8 +739,8 @@ fn run_golden(args: &[String]) {
                 file.backbone.len(),
             );
         }
-        Some("verify") => {
-            let path = flag_value(args, "--corpus").unwrap_or(DEFAULT_CORPUS_PATH);
+        ["verify"] => {
+            let path = flags.text("--corpus").unwrap_or(DEFAULT_CORPUS_PATH);
             let file = load_corpus(Path::new(path)).unwrap_or_else(|e| {
                 eprintln!("{e}");
                 eprintln!("(record one with: experiments golden record --out {path})");
@@ -659,9 +775,9 @@ fn run_golden(args: &[String]) {
 // cycles (perf trajectory)
 // ---------------------------------------------------------------------------
 
-fn run_cycles(args: &[String]) {
-    let mut spec = cycles_spec(args.iter().any(|a| a == "--smoke"));
-    if let Some(iters) = parse_number(args, "--iters") {
+fn run_cycles(flags: &Flags) {
+    let mut spec = cycles_spec(flags.on("--smoke"));
+    if let Some(iters) = flags.number("--iters") {
         spec.iters = iters;
     }
     let report = measure_cycles(&spec)
@@ -687,13 +803,13 @@ fn run_cycles(args: &[String]) {
             p.peak_scratch_bytes,
         );
     }
-    if let Some(out) = flag_value(args, "--out") {
+    if let Some(out) = flags.text("--out") {
         let text = cycles_to_json(&report).pretty() + "\n";
         write_out(out, text);
         println!("bench cycles: wrote {out}");
     }
-    if let Some(path) = flag_value(args, "--baseline") {
-        let tolerance: f64 = parse_number(args, "--tolerance").unwrap_or(CYCLES_TOLERANCE);
+    if let Some(path) = flags.text("--baseline") {
+        let tolerance = flags.fraction("--tolerance").unwrap_or(CYCLES_TOLERANCE);
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("cannot read baseline {path}: {e}");
             eprintln!("(record one with: experiments cycles --smoke --out {path})");
@@ -736,16 +852,16 @@ fn run_cycles(args: &[String]) {
 // fleet
 // ---------------------------------------------------------------------------
 
-fn run_fleet(args: &[String]) {
-    let mut spec = if args.iter().any(|a| a == "--smoke") {
+fn run_fleet(flags: &Flags) {
+    let mut spec = if flags.on("--smoke") {
         fleet_bench::smoke_spec()
     } else {
         FleetSpec::default()
     };
-    if let Some(v) = flag_value(args, "--env") {
+    if let Some(v) = flags.text("--env") {
         spec.env = lookup(fleet::env::all(), v).unwrap_or_else(|e| usage_error(e));
     }
-    if let Some(v) = parse_number(args, "--vehicles") {
+    if let Some(v) = flags.number("--vehicles") {
         spec.vehicles = v;
     }
     let models = registry::keys(fleet::env::all()).join(", ");
@@ -754,33 +870,21 @@ fn run_fleet(args: &[String]) {
             "fleet needs --vehicles >= 1 (environment models: {models})"
         ));
     }
-    if let Some(v) = parse_number(args, "--seed") {
-        spec.seed = v;
-    }
-    if let Some(v) = parse_number(args, "--shard-size") {
-        if v == 0 {
-            usage_error(format!(
-                "fleet needs --shard-size >= 1 (environment models: {models})"
-            ));
-        }
-        spec.shard_size = v;
-    }
-    if let Some(v) = parse_count(args, "--horizon-ms") {
+    spec.seed = flags.number("--seed").unwrap_or(spec.seed);
+    spec.shard_size = flags.number("--shard-size").unwrap_or(spec.shard_size);
+    if let Some(v) = flags.number("--horizon-ms") {
         spec.horizon = fleet_bench::horizon_from_ms(v);
     }
-    if let Some(v) = parse_minislots(args) {
-        spec.minislots = v;
-    }
-    let policies = parse_policies(args, "--policy");
-    if !policies.is_empty() {
-        spec.policies = policies;
-    }
-    let threads = parse_number(args, "--threads").unwrap_or(1);
+    spec.minislots = parse_minislots(flags).unwrap_or(spec.minislots);
+    spec.policies = parse_all(flags, "--policy", registry::resolve, spec.policies);
+    let threads = flags.number("--threads").unwrap_or(1);
 
     let stats = fleet::StatsConfig {
-        file: flag_value(args, "--stats-file").map(Into::into),
-        socket: flag_value(args, "--stats-socket").map(Into::into),
-        every: parse_number(args, "--stats-every-ms").map(std::time::Duration::from_millis),
+        file: flags.text("--stats-file").map(Into::into),
+        socket: flags.text("--stats-socket").map(Into::into),
+        every: flags
+            .number("--stats-every-ms")
+            .map(std::time::Duration::from_millis),
     };
 
     println!(
@@ -827,12 +931,12 @@ fn run_fleet(args: &[String]) {
         );
     }
 
-    if let Some(path) = flag_value(args, "--out") {
+    if let Some(path) = flags.text("--out") {
         let doc = fleet_bench::fleet_report_json(&spec, &run.aggregate);
         write_out(path, format!("{doc}\n"));
         println!("  wrote {path}");
     }
-    if let Some(path) = flag_value(args, "--bench-out") {
+    if let Some(path) = flags.text("--bench-out") {
         let doc = fleet_bench::fleet_bench_json(&spec, &run, calibration);
         write_out(path, format!("{doc}\n"));
         println!("  wrote {path}");
@@ -845,27 +949,20 @@ fn run_fleet(args: &[String]) {
 /// 2-vCPU host, 10,000 more than two minutes.
 const MAX_HYPERCYCLES: u64 = 1_000;
 
-fn run_backbone(args: &[String]) {
-    let topology_name = flag_value(args, "--topology").unwrap_or("paper-duplex");
+fn run_backbone(flags: &Flags) {
+    let topology_name = flags.text("--topology").unwrap_or("paper-duplex");
     let topology =
         lookup(backbone::topology::all(), topology_name).unwrap_or_else(|e| usage_error(e));
     let mut spec = backbone::MatrixSpec::pinned(topology);
-    let reservations = flag_values(args, "--reservation");
-    if !reservations.is_empty() {
-        spec.reservations = reservations
-            .iter()
-            .map(|name| {
-                *lookup(backbone::ALL_RESERVATIONS, name).unwrap_or_else(|e| usage_error(e))
-            })
-            .collect();
-    }
-    if let Some(hypercycles) = parse_count(args, "--hypercycles") {
+    let reservation = |name: &str| lookup(backbone::ALL_RESERVATIONS, name).copied();
+    spec.reservations = parse_all(flags, "--reservation", reservation, spec.reservations);
+    if let Some(hypercycles) = flags.number("--hypercycles") {
         if hypercycles > MAX_HYPERCYCLES {
             usage_error(format!("--hypercycles must be at most {MAX_HYPERCYCLES}"));
         }
         spec.hypercycles = hypercycles;
     }
-    let threads: usize = parse_number(args, "--threads").unwrap_or(1);
+    let threads = flags.number("--threads").unwrap_or(1);
     let reports = backbone::run_matrix(&spec, threads).unwrap_or_else(|e| fail(e));
     println!(
         "backbone {}: {} — hypercycle {} µs, {} flows, {} cells",
@@ -899,7 +996,7 @@ fn run_backbone(args: &[String]) {
             cell.ports.iter().map(|p| p.missed_windows).sum::<u64>(),
             cell.fingerprint(),
         );
-        if args.iter().any(|a| a == "--flows") {
+        if flags.on("--flows") {
             for flow in cell.flows.iter().filter(|f| f.admitted) {
                 println!(
                     "    flow {:>3}  {:>3}/{:<3} delivered  p50 {:>9} ns  p99 {:>9} ns  \
@@ -915,7 +1012,7 @@ fn run_backbone(args: &[String]) {
             }
         }
     }
-    if let Some(out) = flag_value(args, "--out") {
+    if let Some(out) = flags.text("--out") {
         let doc = backbone_report_json(topology, &reports);
         write_out(out, doc.pretty() + "\n");
         println!("  wrote {out}");
@@ -926,11 +1023,11 @@ fn run_backbone(args: &[String]) {
     println!("backbone: gates passed (jitter within declared bounds, hypercycle gain present)");
 }
 
-fn run_trace_overhead(args: &[String]) {
+fn run_trace_overhead(flags: &Flags) {
     let spec = golden_spec();
     let matrix = spec.build_matrix();
-    let coord = if flag_value(args, "--cell").is_some() {
-        parse_cell(args, &matrix, "trace-overhead")
+    let coord = if flags.text("--cell").is_some() {
+        parse_cell(flags, &matrix)
     } else {
         CellCoord {
             policy: 0,
@@ -938,10 +1035,10 @@ fn run_trace_overhead(args: &[String]) {
             seed: 1,
         }
     };
-    let iters: u32 = parse_count(args, "--iters").unwrap_or(7);
-    let capacity: usize = parse_number(args, "--capacity").unwrap_or(1 << 20);
-    let sample_every: u64 = parse_number(args, "--sample-every").unwrap_or(10);
-    let tolerance: f64 = parse_number(args, "--tolerance").unwrap_or(0.05);
+    let iters = flags.number("--iters").unwrap_or(7);
+    let capacity: usize = flags.number("--capacity").unwrap_or(1 << 20);
+    let sample_every: u64 = flags.number("--sample-every").unwrap_or(10);
+    let tolerance = flags.fraction("--tolerance").unwrap_or(0.05);
     let untraced_cfg = matrix.config(coord);
     let mut traced_cfg = matrix.config(coord);
     traced_cfg.trace = TraceConfig::ring(capacity).sample_every(sample_every);
@@ -981,9 +1078,10 @@ fn run_trace_overhead(args: &[String]) {
     }
 }
 
-fn run_determinism(args: &[String]) {
-    let spec = parse_spec(args);
-    let thread_counts: Vec<usize> = flag_value(args, "--thread-counts")
+fn run_determinism(flags: &Flags) {
+    let spec = parse_spec(flags);
+    let thread_counts: Vec<usize> = flags
+        .text("--thread-counts")
         .map(|v| {
             v.split(',')
                 .map(|p| match p.trim().parse() {
@@ -1032,18 +1130,19 @@ const STORM_SMOKE_SEED: u64 = 1;
 /// The default seed/horizon pin a storm script in which every mechanism
 /// engages (asymmetric bursts on both channels, a recovery window at the
 /// end); the run is deterministic, so the gate is exact, not statistical.
-fn run_storm_smoke(args: &[String]) {
-    let seed = parse_number(args, "--seed").unwrap_or(STORM_SMOKE_SEED);
-    let horizon_ms: u64 = parse_number(args, "--horizon-ms").unwrap_or(200);
-    let report = run_once(
-        ClusterConfig::paper_mixed(50),
-        Scenario::ber7().storm(),
-        dynamic_experiment_statics(),
-        workloads::sae::message_set(workloads::sae::IdRange::For80Slots, seed),
-        coefficient::COEFFICIENT,
-        StopCondition::Horizon(SimDuration::from_millis(horizon_ms)),
+fn run_storm_smoke(flags: &Flags) {
+    let seed = flags.number("--seed").unwrap_or(STORM_SMOKE_SEED);
+    let horizon_ms: u64 = flags.number("--horizon-ms").unwrap_or(200);
+    let report = run_config(coefficient::RunConfig {
+        cluster: ClusterConfig::paper_mixed(50),
+        scenario: Scenario::ber7().storm(),
+        static_messages: dynamic_experiment_statics(),
+        dynamic_messages: workloads::sae::message_set(workloads::sae::IdRange::For80Slots, seed),
+        policy: coefficient::COEFFICIENT,
+        stop: StopCondition::Horizon(SimDuration::from_millis(horizon_ms)),
         seed,
-    );
+        trace: Default::default(),
+    });
     let c = report.counters;
     println!(
         "storm-smoke: seed {seed}, horizon {horizon_ms} ms, fingerprint {:016x}",
@@ -1107,29 +1206,27 @@ fn run_storm_smoke(args: &[String]) {
 /// document with `--out`. Exits 1 if any `--require`d policy fails its
 /// contract. The document excludes thread counts and wall-clock, so its
 /// bytes are identical at any `--threads` value — CI diffs 1 vs 8.
-fn run_chaos(args: &[String]) {
-    let campaign_name = flag_value(args, "--campaign").unwrap_or(chaos::DEFAULT_CAMPAIGN);
+fn run_chaos(flags: &Flags) {
+    let campaign_name = flags.text("--campaign").unwrap_or(chaos::DEFAULT_CAMPAIGN);
     let campaign = lookup(&chaos::CAMPAIGNS, campaign_name).unwrap_or_else(|e| usage_error(e));
     let campaign_name = campaign.name;
-    let base = flag_value(args, "--scenario").map_or_else(Scenario::ber7, |v| {
+    let base = flags.text("--scenario").map_or_else(Scenario::ber7, |v| {
         parse_scenario(v).unwrap_or_else(|e| usage_error(e))
     });
-    let seed = parse_number(args, "--seed").unwrap_or(chaos::CHAOS_SEED);
-    let horizon_cycles =
-        parse_count(args, "--horizon-cycles").unwrap_or(chaos::DEFAULT_HORIZON_CYCLES);
-    let threads = parse_count(args, "--threads").unwrap_or(1);
+    let seed = flags.number("--seed").unwrap_or(chaos::CHAOS_SEED);
+    let horizon_cycles = flags
+        .number("--horizon-cycles")
+        .unwrap_or(chaos::DEFAULT_HORIZON_CYCLES);
+    let threads = flags.number("--threads").unwrap_or(1);
     let mut contract = ChaosContract::default();
-    if let Some(v) = parse_number(args, "--recovery-budget") {
+    if let Some(v) = flags.number("--recovery-budget") {
         contract.recovery_budget_cycles = v;
     }
-    if let Some(v) = parse_number(args, "--hard-miss-budget") {
+    if let Some(v) = flags.number("--hard-miss-budget") {
         contract.hard_miss_budget = v;
     }
-    let mut policies = parse_policies(args, "--policy");
-    if policies.is_empty() {
-        policies = registry::ALL.to_vec();
-    }
-    let required = parse_policies(args, "--require");
+    let policies = parse_all(flags, "--policy", registry::resolve, registry::ALL.to_vec());
+    let required = parse_all(flags, "--require", registry::resolve, Vec::new());
     if let Some(req) = required.iter().find(|req| !policies.contains(req)) {
         usage_error(format!(
             "--require {} must also be among the policies under test",
@@ -1179,7 +1276,7 @@ fn run_chaos(args: &[String]) {
         }
     }
 
-    if let Some(path) = flag_value(args, "--out") {
+    if let Some(path) = flags.text("--out") {
         let doc = chaos::chaos_report_json(
             campaign_name,
             scenario.name,
@@ -1215,288 +1312,241 @@ fn run_chaos(args: &[String]) {
 // figures
 // ---------------------------------------------------------------------------
 
-fn run_figures(args: &[String]) {
-    let json = args.iter().any(|a| a == "--json");
-    let which: Vec<&str> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .collect();
-    if let Some(bad) = which.iter().find(|w| !FIGURES.contains(w)) {
-        let subcommands: Vec<&str> = SUBCOMMANDS.iter().map(|c| c.name).collect();
-        eprintln!("unknown subcommand or figure \"{bad}\"");
-        eprintln!("valid subcommands: {}", subcommands.join(", "));
-        eprintln!("valid figures: {}", FIGURES.join(", "));
-        std::process::exit(2);
-    }
-    let all = which.is_empty() || which.contains(&"all");
-    let want = |f: &str| all || which.contains(&f);
+/// One column of a figure row: its table header (empty keeps the column
+/// out of the table), its JSON key, its table text and its JSON value.
+type Column = (&'static str, &'static str, String, Json);
 
-    let counts: Vec<u64> = vec![200, 400, 600, 800, 1000];
+fn text(header: &'static str, key: &'static str, v: &str) -> Column {
+    (header, key, v.to_string(), Json::str(v))
+}
 
-    for (fig, scenario) in [("fig1", Scenario::ber7()), ("fig2", Scenario::ber9())] {
-        if !want(fig) {
-            continue;
-        }
-        let rows = fig_running_time(&scenario, &counts);
-        print_table(
-            &format!(
-                "Figure {} — running time, {} (seconds of simulated bus time)",
-                &fig[3..],
-                scenario.name
-            ),
-            &[
-                "workload",
-                "slots",
-                "policy",
-                "messages",
-                "running time [s]",
-            ],
-            &rows
-                .iter()
-                .map(|r| {
-                    vec![
-                        r.workload.to_string(),
-                        r.slots.to_string(),
-                        r.policy.to_string(),
-                        r.messages.to_string(),
-                        format!("{:.3}", r.running_time_s),
-                    ]
-                })
-                .collect::<Vec<_>>(),
-        );
-        if json {
-            let doc = Json::array(rows.iter().map(|r| {
-                Json::object([
-                    ("workload", Json::str(r.workload)),
-                    ("slots", Json::from(r.slots)),
-                    ("policy", Json::str(r.policy)),
-                    ("scenario", Json::str(r.scenario)),
-                    ("messages", Json::from(r.messages)),
-                    ("running_time_s", Json::from(r.running_time_s)),
-                ])
-            }));
-            println!("{doc}");
-        }
-    }
+fn count(header: &'static str, key: &'static str, n: u64) -> Column {
+    (header, key, n.to_string(), Json::from(n))
+}
 
-    if want("fig3") {
-        let rows = fig3_bandwidth();
-        print_table(
-            "Figure 3 — bandwidth utilization (%)",
-            &["minislots", "policy", "utilization [%]"],
-            &rows
-                .iter()
-                .map(|r| {
-                    vec![
-                        r.minislots.to_string(),
-                        r.policy.to_string(),
-                        format!("{:.1}", r.utilization_pct),
-                    ]
-                })
-                .collect::<Vec<_>>(),
-        );
-        if json {
-            let doc = Json::array(rows.iter().map(|r| {
-                Json::object([
-                    ("minislots", Json::from(r.minislots)),
-                    ("policy", Json::str(r.policy)),
-                    ("utilization_pct", Json::from(r.utilization_pct)),
-                ])
-            }));
-            println!("{doc}");
-        }
-    }
+/// A number shown with `decimals` decimals.
+fn real(header: &'static str, key: &'static str, v: f64, decimals: usize) -> Column {
+    (header, key, format!("{v:.decimals$}"), Json::from(v))
+}
 
-    for (fig, workload, segment) in [
-        ("fig4a", "synthetic", Segment::Static),
-        ("fig4b", "BBW+ACC", Segment::Static),
-        ("fig4c", "synthetic", Segment::Dynamic),
-        ("fig4d", "BBW+ACC", Segment::Dynamic),
-    ] {
-        if !want(fig) {
-            continue;
-        }
-        let rows: Vec<_> = fig4_latency(workload)
-            .into_iter()
-            .filter(|r| r.segment == segment)
-            .collect();
-        print_table(
-            &format!(
-                "Figure 4({}) — average {} -segment latency, {workload} (ms)",
-                &fig[4..],
-                if segment == Segment::Static {
-                    "static"
-                } else {
-                    "dynamic"
-                },
-            ),
-            &["minislots", "scenario", "policy", "mean latency [ms]"],
-            &rows
-                .iter()
-                .map(|r| {
-                    vec![
-                        r.minislots.to_string(),
-                        r.scenario.to_string(),
-                        r.policy.to_string(),
-                        format!("{:.3}", r.mean_latency_ms),
-                    ]
-                })
-                .collect::<Vec<_>>(),
-        );
-        if json {
-            let doc = Json::array(rows.iter().map(|r| {
-                Json::object([
-                    ("workload", Json::str(r.workload)),
-                    (
-                        "segment",
-                        Json::str(if r.segment == Segment::Static {
-                            "static"
-                        } else {
-                            "dynamic"
-                        }),
+/// A checked claim, `PASS` or `FAIL`; a failed one makes the figure run
+/// exit 1.
+fn pass(header: &'static str, key: &'static str, pass: bool) -> Column {
+    let verdict = if pass { "PASS" } else { "FAIL" };
+    (header, key, verdict.to_string(), Json::from(pass))
+}
+
+/// A figure of the figure run.
+struct Figure {
+    name: &'static str,
+    title: &'static str,
+    /// Runs the figure's experiment: one row of columns per point.
+    rows: fn() -> Vec<Vec<Column>>,
+}
+
+/// Every figure, in the order the figure run prints them.
+static FIGURES: [Figure; 11] = [
+    Figure {
+        name: "fig1",
+        title: "Figure 1 — running time, BER-7 (seconds of simulated bus time)",
+        rows: || running_time(Scenario::ber7()),
+    },
+    Figure {
+        name: "fig2",
+        title: "Figure 2 — running time, BER-9 (seconds of simulated bus time)",
+        rows: || running_time(Scenario::ber9()),
+    },
+    Figure {
+        name: "fig3",
+        title: "Figure 3 — bandwidth utilization (%)",
+        rows: || {
+            columns(fig3_bandwidth(), |r| {
+                vec![
+                    count("minislots", "minislots", r.minislots),
+                    text("policy", "policy", r.policy),
+                    real("utilization [%]", "utilization_pct", r.utilization_pct, 1),
+                ]
+            })
+        },
+    },
+    Figure {
+        name: "fig4a",
+        title: "Figure 4(a) — average static -segment latency, synthetic (ms)",
+        rows: || latency("synthetic", Segment::Static),
+    },
+    Figure {
+        name: "fig4b",
+        title: "Figure 4(b) — average static -segment latency, BBW+ACC (ms)",
+        rows: || latency("BBW+ACC", Segment::Static),
+    },
+    Figure {
+        name: "fig4c",
+        title: "Figure 4(c) — average dynamic -segment latency, synthetic (ms)",
+        rows: || latency("synthetic", Segment::Dynamic),
+    },
+    Figure {
+        name: "fig4d",
+        title: "Figure 4(d) — average dynamic -segment latency, BBW+ACC (ms)",
+        rows: || latency("BBW+ACC", Segment::Dynamic),
+    },
+    Figure {
+        name: "verify",
+        title: "Reproduction verdict — the paper's headline claims vs this build",
+        rows: || {
+            columns(verify_reproduction(), |v| {
+                vec![
+                    text("claim", "claim", v.claim),
+                    pass("verdict", "pass", v.pass),
+                    text("evidence", "evidence", &v.evidence),
+                ]
+            })
+        },
+    },
+    Figure {
+        name: "ablation",
+        title: "Ablation — each CoEfficient mechanism isolated (BBW+ACC + SAE, 1 s)",
+        rows: || {
+            columns(ablation(), |r| {
+                vec![
+                    text("variant", "variant", r.variant),
+                    count("delivered", "delivered", r.delivered),
+                    real(
+                        "static lat [ms]",
+                        "static_latency_ms",
+                        r.static_latency_ms,
+                        3,
                     ),
-                    ("minislots", Json::from(r.minislots)),
-                    ("scenario", Json::str(r.scenario)),
-                    ("policy", Json::str(r.policy)),
-                    ("mean_latency_ms", Json::from(r.mean_latency_ms)),
-                ])
-            }));
-            println!("{doc}");
-        }
-    }
+                    real(
+                        "dynamic lat [ms]",
+                        "dynamic_latency_ms",
+                        r.dynamic_latency_ms,
+                        3,
+                    ),
+                    real("util [%]", "utilization_pct", r.utilization_pct, 1),
+                    real("miss [%]", "miss_pct", r.miss_pct, 2),
+                ]
+            })
+        },
+    },
+    Figure {
+        name: "faults",
+        title: "Fault-model ablation — Bernoulli vs Gilbert–Elliott at BER 1e-5",
+        rows: || {
+            columns(fault_model_ablation(), |r| {
+                vec![
+                    text("model", "model", r.model),
+                    text("policy", "policy", r.policy),
+                    count("delivered", "delivered", r.delivered),
+                    count("corrupted", "corrupted", r.corrupted),
+                    real("miss [%]", "miss_pct", r.miss_pct, 2),
+                ]
+            })
+        },
+    },
+    Figure {
+        name: "fig5",
+        title: "Figure 5 — deadline miss ratio (%)",
+        rows: || {
+            columns(fig5_miss_ratio(), |r| {
+                vec![
+                    count("minislots", "minislots", r.minislots),
+                    text("scenario", "scenario", r.scenario),
+                    text("policy", "policy", r.policy),
+                    real("miss ratio [%]", "miss_pct", r.miss_pct, 2),
+                ]
+            })
+        },
+    },
+];
 
-    if want("verify") {
-        let verdicts = verify_reproduction();
-        print_table(
-            "Reproduction verdict — the paper's headline claims vs this build",
-            &["claim", "verdict", "evidence"],
-            &verdicts
-                .iter()
-                .map(|v| {
-                    vec![
-                        v.claim.to_string(),
-                        if v.pass { "PASS".into() } else { "FAIL".into() },
-                        v.evidence.clone(),
-                    ]
-                })
-                .collect::<Vec<_>>(),
-        );
-        if json {
-            let doc = Json::array(verdicts.iter().map(|v| {
-                Json::object([
-                    ("claim", Json::str(v.claim)),
-                    ("pass", Json::from(v.pass)),
-                    ("evidence", Json::str(v.evidence.clone())),
-                ])
+/// The rows of `points`, each turned into its columns.
+fn columns<R>(points: Vec<R>, row: fn(&R) -> Vec<Column>) -> Vec<Vec<Column>> {
+    points.iter().map(row).collect()
+}
+
+/// The rows of Figure 1 or 2.
+fn running_time(scenario: Scenario) -> Vec<Vec<Column>> {
+    columns(
+        fig_running_time(&scenario, &[200, 400, 600, 800, 1000]),
+        |r| {
+            vec![
+                text("workload", "workload", r.workload),
+                count("slots", "slots", r.slots),
+                text("policy", "policy", r.policy),
+                text("", "scenario", r.scenario),
+                count("messages", "messages", r.messages),
+                real("running time [s]", "running_time_s", r.running_time_s, 3),
+            ]
+        },
+    )
+}
+
+/// The rows of one Figure 4 panel.
+fn latency(workload: &'static str, segment: Segment) -> Vec<Vec<Column>> {
+    let mut points = fig4_latency(workload);
+    points.retain(|r| r.segment == segment);
+    columns(points, |r| {
+        let segment = match r.segment {
+            Segment::Static => "static",
+            Segment::Dynamic => "dynamic",
+        };
+        vec![
+            text("", "workload", r.workload),
+            text("", "segment", segment),
+            count("minislots", "minislots", r.minislots),
+            text("scenario", "scenario", r.scenario),
+            text("policy", "policy", r.policy),
+            real("mean latency [ms]", "mean_latency_ms", r.mean_latency_ms, 3),
+        ]
+    })
+}
+
+/// The figure names as `--help` lists them: the paper's figures, the
+/// ablations, `verify`, then `all`.
+fn figure_names() -> Vec<&'static str> {
+    let mut names: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
+    names.sort_by_key(|&name| (!name.starts_with("fig"), name == "verify"));
+    names.push("all");
+    names
+}
+
+fn run_figures(flags: &Flags) {
+    let all = flags.words.is_empty() || flags.words.contains(&"all");
+    for figure in FIGURES
+        .iter()
+        .filter(|f| all || flags.words.contains(&f.name))
+    {
+        let rows = (figure.rows)();
+        let shown = |(header, ..): &&Column| !header.is_empty();
+        let headers: Vec<&str> = rows
+            .iter()
+            .take(1)
+            .flatten()
+            .filter(shown)
+            .map(|&(header, ..)| header)
+            .collect();
+        let table: Vec<Vec<String>> = rows
+            .iter()
+            .map(|row| {
+                row.iter()
+                    .filter(shown)
+                    .map(|(.., text, _)| text.clone())
+                    .collect()
+            })
+            .collect();
+        print_table(figure.title, &headers, &table);
+        if flags.on("--json") {
+            let doc = Json::array(rows.iter().map(|row| {
+                Json::object(row.iter().map(|(_, key, _, value)| (*key, value.clone())))
             }));
             println!("{doc}");
         }
-        if verdicts.iter().any(|v| !v.pass) {
+        if rows
+            .iter()
+            .flatten()
+            .any(|(.., json)| *json == Json::from(false))
+        {
             std::process::exit(1);
-        }
-    }
-
-    if want("ablation") {
-        let rows = ablation();
-        print_table(
-            "Ablation — each CoEfficient mechanism isolated (BBW+ACC + SAE, 1 s)",
-            &[
-                "variant",
-                "delivered",
-                "static lat [ms]",
-                "dynamic lat [ms]",
-                "util [%]",
-                "miss [%]",
-            ],
-            &rows
-                .iter()
-                .map(|r| {
-                    vec![
-                        r.variant.to_string(),
-                        r.delivered.to_string(),
-                        format!("{:.3}", r.static_latency_ms),
-                        format!("{:.3}", r.dynamic_latency_ms),
-                        format!("{:.1}", r.utilization_pct),
-                        format!("{:.2}", r.miss_pct),
-                    ]
-                })
-                .collect::<Vec<_>>(),
-        );
-        if json {
-            let doc = Json::array(rows.iter().map(|r| {
-                Json::object([
-                    ("variant", Json::str(r.variant)),
-                    ("delivered", Json::from(r.delivered)),
-                    ("static_latency_ms", Json::from(r.static_latency_ms)),
-                    ("dynamic_latency_ms", Json::from(r.dynamic_latency_ms)),
-                    ("utilization_pct", Json::from(r.utilization_pct)),
-                    ("miss_pct", Json::from(r.miss_pct)),
-                ])
-            }));
-            println!("{doc}");
-        }
-    }
-
-    if want("faults") {
-        let rows = fault_model_ablation();
-        print_table(
-            "Fault-model ablation — Bernoulli vs Gilbert–Elliott at BER 1e-5",
-            &["model", "policy", "delivered", "corrupted", "miss [%]"],
-            &rows
-                .iter()
-                .map(|r| {
-                    vec![
-                        r.model.to_string(),
-                        r.policy.to_string(),
-                        r.delivered.to_string(),
-                        r.corrupted.to_string(),
-                        format!("{:.2}", r.miss_pct),
-                    ]
-                })
-                .collect::<Vec<_>>(),
-        );
-        if json {
-            let doc = Json::array(rows.iter().map(|r| {
-                Json::object([
-                    ("model", Json::str(r.model)),
-                    ("policy", Json::str(r.policy)),
-                    ("delivered", Json::from(r.delivered)),
-                    ("corrupted", Json::from(r.corrupted)),
-                    ("miss_pct", Json::from(r.miss_pct)),
-                ])
-            }));
-            println!("{doc}");
-        }
-    }
-
-    if want("fig5") {
-        let rows = fig5_miss_ratio();
-        print_table(
-            "Figure 5 — deadline miss ratio (%)",
-            &["minislots", "scenario", "policy", "miss ratio [%]"],
-            &rows
-                .iter()
-                .map(|r| {
-                    vec![
-                        r.minislots.to_string(),
-                        r.scenario.to_string(),
-                        r.policy.to_string(),
-                        format!("{:.2}", r.miss_pct),
-                    ]
-                })
-                .collect::<Vec<_>>(),
-        );
-        if json {
-            let doc = Json::array(rows.iter().map(|r| {
-                Json::object([
-                    ("minislots", Json::from(r.minislots)),
-                    ("scenario", Json::str(r.scenario)),
-                    ("policy", Json::str(r.policy)),
-                    ("miss_pct", Json::from(r.miss_pct)),
-                ])
-            }));
-            println!("{doc}");
         }
     }
 }

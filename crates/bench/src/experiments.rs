@@ -15,7 +15,7 @@ use event_sim::SimDuration;
 
 use coefficient::sweep::default_threads;
 use coefficient::{
-    run_parallel, run_parallel_with_options, PolicyRef, RunConfig, RunReport, Runner, Scenario,
+    run_parallel, run_parallel_with_options, PolicyRef, RunConfig, RunReport, Scenario,
     StopCondition,
 };
 use flexray::config::ClusterConfig;
@@ -27,28 +27,54 @@ use workloads::AperiodicMessage;
 /// Default seed of the whole suite.
 pub const SEED: u64 = 20140630; // ICDCS 2014 ;-)
 
-/// Runs one configuration to a report.
-pub fn run_once(
+/// One cell of a figure: the suite [`SEED`], tracing off.
+fn figure_config(
     cluster: ClusterConfig,
     scenario: Scenario,
     static_messages: Vec<Signal>,
     dynamic_messages: Vec<AperiodicMessage>,
     policy: PolicyRef,
     stop: StopCondition,
-    seed: u64,
-) -> RunReport {
-    Runner::new(RunConfig {
+) -> RunConfig {
+    RunConfig {
         cluster,
         scenario,
         static_messages,
         dynamic_messages,
         policy,
         stop,
-        seed,
+        seed: SEED,
         trace: Default::default(),
-    })
-    .expect("experiment configuration must be schedulable")
-    .run()
+    }
+}
+
+/// A [`figure_config`] of the Figure 3–5 and ablation runs: `statics`
+/// plus the 80-slot SAE set on the `paper_mixed(minislots)` geometry,
+/// for `horizon_s` simulated seconds.
+fn mixed_config(
+    minislots: u64,
+    scenario: Scenario,
+    statics: Vec<Signal>,
+    policy: PolicyRef,
+    horizon_s: u64,
+) -> RunConfig {
+    figure_config(
+        ClusterConfig::paper_mixed(minislots),
+        scenario,
+        statics,
+        workloads::sae::message_set(IdRange::For80Slots, SEED),
+        policy,
+        StopCondition::Horizon(SimDuration::from_secs(horizon_s)),
+    )
+}
+
+/// Runs every keyed cell through the parallel sweep primitive and pairs
+/// each key with its report, in order.
+fn run_cells<K>(cells: Vec<(K, RunConfig)>) -> impl Iterator<Item = (K, RunReport)> {
+    let (keys, configs): (Vec<K>, Vec<RunConfig>) = cells.into_iter().unzip();
+    let reports = run_parallel(configs, default_threads())
+        .expect("experiment configuration must be schedulable");
+    keys.into_iter().zip(reports)
 }
 
 // ---------------------------------------------------------------------------
@@ -91,49 +117,30 @@ fn id_range_for(slots: u64) -> IdRange {
 /// of the BBW+ACC and synthetic workloads for 80- and 120-slot
 /// configurations, sweeping the produced-instance count.
 pub fn fig_running_time(scenario: &Scenario, message_counts: &[u64]) -> Vec<RunningTimeRow> {
-    // Build every cell first, then execute the whole figure through the
-    // parallel sweep primitive. Each cell keeps the exact serial-era
-    // RunConfig (same SEED for both policies of a comparison), so the rows
-    // are bit-identical to the old one-at-a-time loop.
-    let mut meta = Vec::new();
-    let mut configs = Vec::new();
+    let mut cells = Vec::new();
     for &slots in &[80u64, 120] {
         let cluster = ClusterConfig::paper_static(slots);
         let sae = workloads::sae::message_set(id_range_for(slots), SEED);
         for (workload, statics) in [
             ("BBW+ACC", bbw_acc_messages()),
-            (
-                "synthetic",
-                workloads::synthetic::message_set(
-                    &SyntheticSpec {
-                        count: 40,
-                        ..SyntheticSpec::default()
-                    },
-                    SEED,
-                ),
-            ),
+            ("synthetic", dynamic_experiment_statics()),
         ] {
             for policy in [coefficient::COEFFICIENT, coefficient::FSPEC] {
                 for &n in message_counts {
-                    meta.push((workload, slots, policy, n));
-                    configs.push(RunConfig {
-                        cluster: cluster.clone(),
-                        scenario: scenario.clone(),
-                        static_messages: statics.clone(),
-                        dynamic_messages: sae.clone(),
+                    let config = figure_config(
+                        cluster.clone(),
+                        scenario.clone(),
+                        statics.clone(),
+                        sae.clone(),
                         policy,
-                        stop: StopCondition::DeliveredInstances(n),
-                        seed: SEED,
-                        trace: Default::default(),
-                    });
+                        StopCondition::DeliveredInstances(n),
+                    );
+                    cells.push(((workload, slots, policy, n), config));
                 }
             }
         }
     }
-    let reports = run_parallel(configs, default_threads())
-        .expect("experiment configuration must be schedulable");
-    meta.into_iter()
-        .zip(reports)
+    run_cells(cells)
         .map(|((workload, slots, policy, n), report)| RunningTimeRow {
             workload,
             slots,
@@ -175,28 +182,15 @@ pub fn dynamic_experiment_statics() -> Vec<Signal> {
 /// Figure 3: bandwidth utilization for 25–100 minislots, CoEfficient vs
 /// FSPEC (scenario `BER-7`, 1 s horizon).
 pub fn fig3_bandwidth() -> Vec<BandwidthRow> {
-    let mut meta = Vec::new();
-    let mut configs = Vec::new();
+    let mut cells = Vec::new();
     for &ms in &[25u64, 50, 75, 100] {
-        let cluster = ClusterConfig::paper_mixed(ms);
         for policy in [coefficient::COEFFICIENT, coefficient::FSPEC] {
-            meta.push((ms, policy));
-            configs.push(RunConfig {
-                cluster: cluster.clone(),
-                scenario: Scenario::ber7(),
-                static_messages: dynamic_experiment_statics(),
-                dynamic_messages: workloads::sae::message_set(IdRange::For80Slots, SEED),
-                policy,
-                stop: StopCondition::Horizon(SimDuration::from_secs(1)),
-                seed: SEED,
-                trace: Default::default(),
-            });
+            let statics = dynamic_experiment_statics();
+            let config = mixed_config(ms, Scenario::ber7(), statics, policy, 1);
+            cells.push(((ms, policy), config));
         }
     }
-    let reports = run_parallel(configs, default_threads())
-        .expect("experiment configuration must be schedulable");
-    meta.into_iter()
-        .zip(reports)
+    run_cells(cells)
         .map(|((ms, policy), report)| BandwidthRow {
             minislots: ms,
             policy: policy.label(),
@@ -242,30 +236,17 @@ pub fn fig4_latency(workload: &'static str) -> Vec<LatencyRow> {
         "BBW+ACC" => bbw_acc_messages(),
         _ => dynamic_experiment_statics(),
     };
-    let mut meta = Vec::new();
-    let mut configs = Vec::new();
+    let mut cells = Vec::new();
     for &ms in &[50u64, 100] {
-        let cluster = ClusterConfig::paper_mixed(ms);
         for scenario in [Scenario::ber7(), Scenario::ber9()] {
             for policy in [coefficient::COEFFICIENT, coefficient::FSPEC] {
-                meta.push((ms, scenario.name, policy));
-                configs.push(RunConfig {
-                    cluster: cluster.clone(),
-                    scenario: scenario.clone(),
-                    static_messages: statics.clone(),
-                    dynamic_messages: workloads::sae::message_set(IdRange::For80Slots, SEED),
-                    policy,
-                    stop: StopCondition::Horizon(SimDuration::from_secs(2)),
-                    seed: SEED,
-                    trace: Default::default(),
-                });
+                let config = mixed_config(ms, scenario.clone(), statics.clone(), policy, 2);
+                cells.push(((ms, scenario.name, policy), config));
             }
         }
     }
-    let reports = run_parallel(configs, default_threads())
-        .expect("experiment configuration must be schedulable");
     let mut rows = Vec::new();
-    for ((ms, scenario, policy), report) in meta.into_iter().zip(reports) {
+    for ((ms, scenario, policy), report) in run_cells(cells) {
         for (segment, summary) in [
             (Segment::Static, &report.static_latency),
             (Segment::Dynamic, &report.dynamic_latency),
@@ -303,30 +284,17 @@ pub struct MissRatioRow {
 /// Figure 5: deadline miss ratio for 25–100 minislots under both
 /// scenarios.
 pub fn fig5_miss_ratio() -> Vec<MissRatioRow> {
-    let mut meta = Vec::new();
-    let mut configs = Vec::new();
+    let mut cells = Vec::new();
     for &ms in &[25u64, 50, 75, 100] {
-        let cluster = ClusterConfig::paper_mixed(ms);
         for scenario in [Scenario::ber7(), Scenario::ber9()] {
             for policy in [coefficient::COEFFICIENT, coefficient::FSPEC] {
-                meta.push((ms, scenario.name, policy));
-                configs.push(RunConfig {
-                    cluster: cluster.clone(),
-                    scenario: scenario.clone(),
-                    static_messages: dynamic_experiment_statics(),
-                    dynamic_messages: workloads::sae::message_set(IdRange::For80Slots, SEED),
-                    policy,
-                    stop: StopCondition::Horizon(SimDuration::from_secs(1)),
-                    seed: SEED,
-                    trace: Default::default(),
-                });
+                let statics = dynamic_experiment_statics();
+                let config = mixed_config(ms, scenario.clone(), statics, policy, 1);
+                cells.push(((ms, scenario.name, policy), config));
             }
         }
     }
-    let reports = run_parallel(configs, default_threads())
-        .expect("experiment configuration must be schedulable");
-    meta.into_iter()
-        .zip(reports)
+    run_cells(cells)
         .map(|((ms, scenario, policy), report)| MissRatioRow {
             minislots: ms,
             scenario,
@@ -385,9 +353,8 @@ pub fn verify_reproduction() -> Vec<Verdict> {
 
     // Claim 2 (Fig 2 vs 1): the stricter reliability goal costs CoEfficient
     // running time.
-    let r7 = fig_running_time(&Scenario::ber7(), &[400]);
     let r9 = fig_running_time(&Scenario::ber9(), &[400]);
-    let slower = r7
+    let slower = rows
         .iter()
         .zip(&r9)
         .filter(|(a, b)| a.policy == "CoEfficient" && b.policy == "CoEfficient")
@@ -656,24 +623,12 @@ pub fn ablation() -> Vec<AblationRow> {
     ];
     let mut statics = bbw_acc_messages();
     statics.truncate(40);
-    let sae = workloads::sae::message_set(IdRange::For80Slots, SEED);
     let labels: Vec<&'static str> = variants.iter().map(|&(v, ..)| v).collect();
     let cells: Vec<(RunConfig, CoefficientOptions)> = variants
         .into_iter()
         .map(|(_, policy, options)| {
-            (
-                RunConfig {
-                    cluster: ClusterConfig::paper_mixed(50),
-                    scenario: Scenario::ber7(),
-                    static_messages: statics.clone(),
-                    dynamic_messages: sae.clone(),
-                    policy,
-                    stop: StopCondition::Horizon(SimDuration::from_secs(1)),
-                    seed: SEED,
-                    trace: Default::default(),
-                },
-                options,
-            )
+            let config = mixed_config(50, Scenario::ber7(), statics.clone(), policy, 1);
+            (config, options)
         })
         .collect();
     let reports = run_parallel_with_options(cells, default_threads())
@@ -724,27 +679,15 @@ pub fn fault_model_ablation() -> Vec<FaultModelRow> {
         ("bernoulli", base.clone()),
         ("gilbert-elliott", base.bursty()),
     ];
-    let mut meta = Vec::new();
-    let mut configs = Vec::new();
+    let mut cells = Vec::new();
     for (model, scenario) in scenarios {
         for policy in [coefficient::COEFFICIENT, coefficient::FSPEC] {
-            meta.push((model, policy));
-            configs.push(RunConfig {
-                cluster: ClusterConfig::paper_mixed(50),
-                scenario: scenario.clone(),
-                static_messages: dynamic_experiment_statics(),
-                dynamic_messages: workloads::sae::message_set(IdRange::For80Slots, SEED),
-                policy,
-                stop: StopCondition::Horizon(SimDuration::from_secs(1)),
-                seed: SEED,
-                trace: Default::default(),
-            });
+            let statics = dynamic_experiment_statics();
+            let config = mixed_config(50, scenario.clone(), statics, policy, 1);
+            cells.push(((model, policy), config));
         }
     }
-    let reports = run_parallel(configs, default_threads())
-        .expect("experiment configuration must be schedulable");
-    meta.into_iter()
-        .zip(reports)
+    run_cells(cells)
         .map(|((model, policy), report)| FaultModelRow {
             model,
             policy: policy.label(),

@@ -391,7 +391,7 @@ fn inputs_that_used_to_panic_exit_2_naming_the_flag() {
     // allocate hundreds of gigabytes (exit 134), or ran a degenerate
     // zero-length experiment and exited 0; the CLI now rejects them
     // before the library sees them.
-    let cases: [(&[&str], &str); 16] = [
+    let cases: [(&[&str], &str); 19] = [
         (
             &["chaos", "--policy", "greedy", "--require", "coefficient"],
             "--require",
@@ -423,6 +423,14 @@ fn inputs_that_used_to_panic_exit_2_naming_the_flag() {
             TOO_MANY_MINISLOTS,
         ),
         (&["fleet", "--minislots", "100000"], TOO_MANY_MINISLOTS),
+        // These ran: fleet and backbone with "0 threads", storm-smoke
+        // with an empty horizon that then failed its gate (exit 1).
+        (&["fleet", "--vehicles", "4", "--threads", "0"], "--threads"),
+        (
+            &["backbone", "--hypercycles", "2", "--threads", "0"],
+            "--threads",
+        ),
+        (&["storm-smoke", "--horizon-ms", "0"], "--horizon-ms"),
     ];
     for (args, flag) in cases {
         let out = experiments(args);
@@ -431,6 +439,50 @@ fn inputs_that_used_to_panic_exit_2_naming_the_flag() {
         assert!(
             stderr.contains(flag) && !stderr.contains("panicked"),
             "{args:?}: diagnostic does not name {flag}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn malformed_arguments_exit_2_before_anything_runs() {
+    // Each of these used to run: a positional word was ignored (`cycles
+    // smoke` ran the full matrix), a NaN or infinite `--tolerance` turned
+    // the gate into a pass and a negative one into a failure, and a second
+    // `--seeds` was silently dropped.
+    let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/../../corpus/golden.json");
+    let cases: [(&[&str], &str); 11] = [
+        (&["cycles", "smoke"], "\"smoke\""),
+        (&["storm-smoke", "5"], "\"5\""),
+        (&["replay", "ber7", "--cell", "0,0,0"], "\"ber7\""),
+        (
+            &["golden", "verify", "--corpus", corpus, "extra"],
+            "\"extra\"",
+        ),
+        (&["trace-overhead", "--tolerance", "nan"], "--tolerance"),
+        (&["trace-overhead", "--tolerance", "-0.05"], "--tolerance"),
+        (&["trace-overhead", "--tolerance", "inf"], "--tolerance"),
+        (&["cycles", "--tolerance", "NaN"], "--tolerance"),
+        (
+            &["sweep", "--seeds", "1", "--seeds", "2", "--horizon-ms", "8"],
+            "--seeds given twice",
+        ),
+        (
+            &["trace-overhead", "--iters", "1", "--iters", "2"],
+            "--iters given twice",
+        ),
+        (
+            &["fleet", "--smoke", "--smoke", "--vehicles", "4"],
+            "--smoke given twice",
+        ),
+    ];
+    for (args, named) in cases {
+        let out = experiments(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing may run");
+        assert!(
+            stderr.contains(named),
+            "{args:?}: diagnostic does not name {named}: {stderr}"
         );
     }
 }
