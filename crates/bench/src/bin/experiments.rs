@@ -73,7 +73,7 @@ use bench_harness::golden::{
 use bench_harness::json::Json;
 use bench_harness::sweep::{cell_json, parse_scenario, sweep_report_json, SweepSpec};
 use bench_harness::table::print_table;
-use bench_harness::trace::{counter_names, trace_json, validate_trace};
+use bench_harness::trace::{chrome_json, trace_json, validate_trace};
 use coefficient::registry::{self, lookup};
 use coefficient::{
     CellCoord, Scenario, SeedStrategy, StopCondition, SweepRunner, TraceConfig, UnknownName,
@@ -331,6 +331,12 @@ impl Flags {
             .iter()
             .filter(move |&&(given, _)| given == name)
             .map(|(_, value)| value)
+    }
+
+    /// Whether flag `name`, of any kind, was given.
+    fn present(&self, name: &str) -> bool {
+        let kinds = [Switch, Text, Texts, Count, Number, Fraction];
+        self.values(name, &kinds).next().is_some()
     }
 
     /// Whether [`Switch`] `name` was given.
@@ -637,6 +643,14 @@ fn run_replay(flags: &Flags) {
 /// untraced replay — the export is only as useful as its determinism.
 fn run_trace(flags: &Flags) {
     let spec = if flags.on("--golden") {
+        let mut sweep_flags = SWEEP_FLAGS
+            .iter()
+            .flat_map(|(_, names)| names.split_whitespace());
+        if let Some(name) = sweep_flags.find(|name| flags.present(name)) {
+            usage_error(format!(
+                "{name} cannot be combined with --golden, which traces the pinned golden matrix"
+            ));
+        }
         golden_spec()
     } else {
         parse_spec(flags)
@@ -677,13 +691,9 @@ fn run_trace(flags: &Flags) {
         report: first,
     };
     let log = cell.report.trace.as_ref().expect("tracing was enabled");
-    let names = counter_names();
     let stem = format!("trace-{}-{}-{}", coord.policy, coord.scenario, coord.seed);
     let (content, default_name) = match format {
-        "chrome" => (
-            observe::chrome_trace_json(log, &names),
-            format!("{stem}.chrome.json"),
-        ),
+        "chrome" => (chrome_json(log), format!("{stem}.chrome.json")),
         _ => {
             let doc = trace_json(&cell).expect("trace is present");
             // Round-trip the document through the parser and the schema
@@ -776,6 +786,9 @@ fn run_golden(flags: &Flags) {
 // ---------------------------------------------------------------------------
 
 fn run_cycles(flags: &Flags) {
+    if flags.fraction("--tolerance").is_some() && flags.text("--baseline").is_none() {
+        usage_error("--tolerance needs --baseline: it bounds the regression against a baseline");
+    }
     let mut spec = cycles_spec(flags.on("--smoke"));
     if let Some(iters) = flags.number("--iters") {
         spec.iters = iters;

@@ -4,7 +4,9 @@
 //! carries a [`TraceLog`]) as a compact self-describing document, and
 //! [`validate_trace`] checks a parsed document against the schema — the
 //! CI `trace-smoke` job round-trips an exported trace through
-//! [`crate::json::Json::parse`] and this validator.
+//! [`crate::json::Json::parse`] and this validator. [`chrome_json`]
+//! renders the same event objects as a Chrome `trace_event` timeline, so
+//! each event's fields are written in one place, `event_json`.
 //!
 //! Document shape:
 //!
@@ -206,6 +208,144 @@ fn event_json(event: &TraceEvent) -> Json {
             ("missed_window", Json::from(*missed_window)),
         ]),
     }
+}
+
+/// Chrome tracks (threads of the one exported process): `(tid, name)`,
+/// each sorted by its tid.
+const TRACKS: [(u64, &str); 7] = [
+    (0, "Channel A"),
+    (1, "Channel B"),
+    (2, "Scheduler"),
+    (3, "Health"),
+    (4, "Counters"),
+    (6, "Gateway"),
+    (7, "Ethernet"),
+];
+
+/// Chrome phases, with the members each one adds.
+const METADATA: &str = r#""M""#;
+const INSTANT: &str = r#""i","s":"t""#;
+const COMPLETE: &str = r#""X""#;
+const COUNTER: &str = r#""C""#;
+
+fn tid(track: &str) -> u64 {
+    let declared = TRACKS.iter().find(|&&(_, name)| name == track);
+    declared.expect("a declared track").0
+}
+
+/// Chrome's microsecond `ts`/`dur`, with three decimals keeping the
+/// integer nanoseconds exact.
+fn micros(nanos: u64) -> String {
+    format!("{}.{:03}", nanos / 1_000, nanos % 1_000)
+}
+
+fn health_name(state: u64) -> &'static str {
+    ["Nominal", "Stressed", "Storm"]
+        .get(state as usize)
+        .map_or("?", |name| name)
+}
+
+fn scope_name(scope: u64) -> &'static str {
+    ["channel-A", "channel-B", "bus"]
+        .get(scope as usize)
+        .map_or("effective", |name| name)
+}
+
+/// One `traceEvents` entry; `timing` holds its `,"ts":…` (and
+/// `,"dur":…`) members, and is empty for metadata.
+fn chrome_entry(name: &str, ph: &str, track: &str, timing: &str, args: Json) -> String {
+    let (name, tid) = (Json::str(name), tid(track));
+    format!(r#"{{"name":{name},"ph":{ph},"pid":1,"tid":{tid}{timing},"args":{args}}}"#)
+}
+
+/// Renders a captured log as a Chrome `trace_event` document, loadable
+/// in Perfetto (<https://ui.perfetto.dev>) and `chrome://tracing`.
+///
+/// Each event is its `coefficient-trace/1` object (see
+/// [`trace_log_json`]), placed by one rule: the type picks the track
+/// (`slot_frame`, `minislot_frame` and `fault_hit` go on their channel's
+/// track), an event with `duration_ns` becomes a complete (`X`) event of
+/// that length and any other event an instant, and the remaining fields
+/// become `args`, less the channel on a channel track. A health
+/// transition also sets its scope's state counter, and a counter sample
+/// becomes one counter series per run counter.
+pub fn chrome_json(log: &TraceLog) -> String {
+    let mut entries = Vec::new();
+    for (tid, track) in TRACKS {
+        let name = Json::object([("name", Json::str(track))]);
+        let sort = Json::object([("sort_index", Json::from(tid))]);
+        entries.push(chrome_entry("thread_name", METADATA, track, "", name));
+        entries.push(chrome_entry("thread_sort_index", METADATA, track, "", sort));
+    }
+    let names = counter_names();
+    for event in &log.events {
+        let Json::Object(mut args) = event_json(event) else {
+            unreachable!("an event renders as an object")
+        };
+        let mut take = |key: &str| {
+            let i = args.iter().position(|(k, _)| k == key)?;
+            Some(args.remove(i).1)
+        };
+        take("at_ns");
+        let ts = format!(r#","ts":{}"#, micros(event.at.as_nanos()));
+        let Some(Json::String(ty)) = take("type") else {
+            unreachable!("every event has a type")
+        };
+        if let Some(Json::Array(values)) = take("values") {
+            for (i, value) in values.into_iter().enumerate() {
+                let name = names
+                    .get(i)
+                    .map_or(format!("counter_{i}"), |n| n.to_string());
+                let value = Json::object([("value", value)]);
+                entries.push(chrome_entry(&name, COUNTER, "Counters", &ts, value));
+            }
+            continue;
+        }
+        let track = match ty.as_str() {
+            "slot_frame" | "minislot_frame" | "fault_hit" => match take("channel") {
+                Some(Json::UInt(0)) => "Channel A",
+                _ => "Channel B",
+            },
+            "health_transition" => "Health",
+            "gateway_queued" => "Gateway",
+            "ethernet_frame" => "Ethernet",
+            _ => "Scheduler",
+        };
+        let (ph, timing) = match take("duration_ns").and_then(|dur| dur.as_u64()) {
+            Some(dur) => (COMPLETE, format!(r#"{ts},"dur":{}"#, micros(dur))),
+            None => (INSTANT, ts.clone()),
+        };
+        let args = Json::Object(args);
+        let field = |key: &str| args.get(key).and_then(Json::as_u64).unwrap_or(0);
+        let mut state = None;
+        let name = match ty.as_str() {
+            "cycle_start" => "cycle".to_string(),
+            "fault_hit" => "fault".to_string(),
+            "slot_frame" => format!("slot {} · frame {}", field("slot"), field("frame_id")),
+            "minislot_frame" => {
+                format!(
+                    "minislot {} · frame {}",
+                    field("minislot"),
+                    field("frame_id")
+                )
+            }
+            "ethernet_frame" => format!("flow {} · instance {}", field("flow"), field("instance")),
+            "health_transition" => {
+                let scope = format!("health {}", scope_name(field("scope")));
+                let to = Json::object([("state", Json::from(field("to")))]);
+                state = Some(chrome_entry(&scope, COUNTER, "Health", &ts, to));
+                let (from, to) = (health_name(field("from")), health_name(field("to")));
+                format!("{scope} {from} → {to}")
+            }
+            other => other.replace('_', " "),
+        };
+        entries.push(chrome_entry(&name, ph, track, &timing, args));
+        entries.extend(state);
+    }
+    format!(
+        "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n{}\n]}}\n",
+        entries.join(",\n")
+    )
 }
 
 /// Renders a [`TraceLog`] plus its cell coordinates as a

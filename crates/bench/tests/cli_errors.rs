@@ -447,10 +447,31 @@ fn inputs_that_used_to_panic_exit_2_naming_the_flag() {
 fn malformed_arguments_exit_2_before_anything_runs() {
     // Each of these used to run: a positional word was ignored (`cycles
     // smoke` ran the full matrix), a NaN or infinite `--tolerance` turned
-    // the gate into a pass and a negative one into a failure, and a second
-    // `--seeds` was silently dropped.
+    // the gate into a pass and a negative one into a failure, a second
+    // `--seeds` was silently dropped, `trace --golden` ignored the sweep
+    // flags and `cycles --tolerance` without `--baseline` ran the whole
+    // matrix and gated nothing.
     let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/../../corpus/golden.json");
-    let cases: [(&[&str], &str); 11] = [
+    let golden = |flag: &'static [&'static str]| -> Vec<&'static str> {
+        let mut args = vec!["trace", "--golden", "--cell", "0,2,1"];
+        args.extend(flag);
+        args
+    };
+    let sweep_flags: [&[&str]; 8] = [
+        &["--seeds", "9"],
+        &["--horizon-ms", "5"],
+        &["--master-seed", "1"],
+        &["--minislots", "40"],
+        &["--threads", "2"],
+        &["--policy", "greedy"],
+        &["--scenario", "ber7"],
+        &["--shared-seeds"],
+    ];
+    let traced: Vec<(Vec<&str>, &str)> = sweep_flags
+        .into_iter()
+        .map(|flag| (golden(flag), flag[0]))
+        .collect();
+    let cases: [(&[&str], &str); 12] = [
         (&["cycles", "smoke"], "\"smoke\""),
         (&["storm-smoke", "5"], "\"5\""),
         (&["replay", "ber7", "--cell", "0,0,0"], "\"ber7\""),
@@ -474,8 +495,10 @@ fn malformed_arguments_exit_2_before_anything_runs() {
             &["fleet", "--smoke", "--smoke", "--vehicles", "4"],
             "--smoke given twice",
         ),
+        (&["cycles", "--tolerance", "0.1"], "--tolerance"),
     ];
-    for (args, named) in cases {
+    let traced = traced.iter().map(|(args, named)| (&args[..], *named));
+    for (args, named) in cases.into_iter().chain(traced) {
         let out = experiments(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");

@@ -149,7 +149,8 @@ pub enum EventKind {
         /// Cycle number the sample was taken after.
         cycle: u64,
         /// Counter values, in the run-counter field order of the
-        /// instrumented simulator (self-described by the exporters).
+        /// instrumented simulator (named by the trace document that
+        /// exports them).
         values: Vec<u64>,
     },
     /// A backbone gateway enqueued a FlexRay-delivered frame for

@@ -2,11 +2,14 @@
 //! for deterministic simulation runs.
 //!
 //! The rest of the workspace reports end-of-run aggregates (run counters,
-//! latency summaries). This crate turns any run into an inspectable
+//! latency summaries). This crate records any run as an inspectable
 //! *timeline*: instrumented components emit typed [`TraceEvent`]s through
-//! a cloneable [`Tracer`] handle into a bounded [`TraceSink`], and the
-//! captured [`TraceLog`] exports to a Chrome `trace_event` JSON file
-//! (loadable in Perfetto or `chrome://tracing`) via [`chrome`].
+//! a cloneable [`Tracer`] handle into a bounded [`TraceSink`], and the run
+//! hands back the captured [`TraceLog`]. It records and does not export:
+//! the bench harness (`bench_harness::trace`) renders a log as its
+//! `coefficient-trace/1` JSON document, and the Chrome `trace_event`
+//! timeline (loadable in Perfetto or `chrome://tracing`) is a view of
+//! that document's events.
 //!
 //! Design contract:
 //!
@@ -39,15 +42,13 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod chrome;
 mod event;
 mod sampler;
 mod sink;
 
-pub use chrome::chrome_trace_json;
 pub use event::{EventKind, HealthScope, TraceEvent, TraceLog};
 pub use sampler::CounterSampler;
-pub use sink::{NullSink, RingBufferSink, TraceSink, Tracer};
+pub use sink::{RingBufferSink, TraceSink, Tracer};
 
 /// How (and whether) a run records its trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -24,14 +24,6 @@ pub trait TraceSink: Send {
     }
 }
 
-/// Discards everything (useful to measure pure emission overhead).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record(&mut self, _event: TraceEvent) {}
-}
-
 /// A bounded FIFO sink: keeps the most recent `capacity` events and
 /// counts the rest as dropped, so tracing overhead stays O(capacity)
 /// regardless of run length.
@@ -198,13 +190,5 @@ mod tests {
         clone.emit(at, kind);
         assert_eq!(sink.lock().unwrap().len(), 2);
         assert_eq!(format!("{tracer:?}"), r#"Tracer("enabled")"#);
-    }
-
-    #[test]
-    fn null_sink_discards() {
-        let mut sink = NullSink;
-        let (at, kind) = ev(1);
-        sink.record(TraceEvent { at, kind });
-        assert_eq!(sink.dropped(), 0);
     }
 }

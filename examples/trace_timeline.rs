@@ -11,9 +11,7 @@
 //! cargo run --example trace_timeline [OUT.json]
 //! ```
 
-use coefficient::{
-    RunConfig, RunCounters, Runner, Scenario, StopCondition, TraceConfig, COEFFICIENT,
-};
+use coefficient::{RunConfig, Runner, Scenario, StopCondition, TraceConfig, COEFFICIENT};
 use event_sim::SimDuration;
 use flexray::config::ClusterConfig;
 
@@ -46,12 +44,7 @@ fn main() {
     );
 
     let log = report.trace.as_ref().expect("tracing was enabled");
-    let names: Vec<&str> = RunCounters::default()
-        .fields()
-        .iter()
-        .map(|(name, _)| *name)
-        .collect();
-    let json = observe::chrome_trace_json(log, &names);
+    let json = bench_harness::trace::chrome_json(log);
 
     let out = std::env::args()
         .nth(1)
