@@ -8,10 +8,7 @@
 //! windows ([`crate::gateway`]), and per-flow end-to-end latency lands
 //! in all-integer [`FlowCounters`] plus a replayable fingerprint.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-use coefficient::{RunConfig, Runner, Scenario, StopCondition};
+use coefficient::{parallel_map, RunConfig, Runner, Scenario, StopCondition};
 use event_sim::rng::{derive, Digest};
 use event_sim::{SimDuration, SimTime};
 use flexray::signal::Signal;
@@ -442,28 +439,8 @@ impl MatrixSpec {
 /// # Errors
 /// Returns the first failing cell's [`BackboneError`] (by cell order).
 pub fn run_matrix(spec: &MatrixSpec, threads: usize) -> Result<Vec<CellReport>, BackboneError> {
-    let cells = spec.cells();
-    let workers = threads.clamp(1, cells.len().max(1));
-    let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<Option<Result<CellReport, BackboneError>>>> =
-        Mutex::new(vec![None; cells.len()]);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= cells.len() {
-                    break;
-                }
-                let result = run_cell(&cells[i]);
-                results.lock().expect("result lock")[i] = Some(result);
-            });
-        }
-    });
-    results
-        .into_inner()
-        .expect("result lock")
+    parallel_map(spec.cells(), threads.max(1), |cell| run_cell(&cell))
         .into_iter()
-        .map(|slot| slot.expect("every cell claimed"))
         .collect()
 }
 

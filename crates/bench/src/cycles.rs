@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 use coefficient::{Runner, Scenario, SchedulerError, SeedStrategy};
 
 use crate::experiments::SEED;
-use crate::json::Json;
+use crate::json::{want_array, want_f64, want_str, want_u64, Json};
 use crate::sweep::SweepSpec;
 
 /// Relative host-normalized cycles/sec drop below baseline that fails
@@ -261,28 +261,6 @@ pub fn cycles_to_json(report: &CyclesReport) -> Json {
     ])
 }
 
-fn want<'a>(doc: &'a Json, key: &str) -> Result<&'a Json, String> {
-    doc.get(key).ok_or_else(|| format!("missing key {key:?}"))
-}
-
-fn want_u64(doc: &Json, key: &str) -> Result<u64, String> {
-    want(doc, key)?
-        .as_u64()
-        .ok_or_else(|| format!("key {key:?} is not an integer"))
-}
-
-fn want_f64(doc: &Json, key: &str) -> Result<f64, String> {
-    want(doc, key)?
-        .as_f64()
-        .ok_or_else(|| format!("key {key:?} is not a number"))
-}
-
-fn want_str<'a>(doc: &'a Json, key: &str) -> Result<&'a str, String> {
-    want(doc, key)?
-        .as_str()
-        .ok_or_else(|| format!("key {key:?} is not a string"))
-}
-
 /// Parses a `coefficient-bench-cycles/1` document back into a
 /// [`CyclesReport`] (used to load the checked-in baseline).
 ///
@@ -293,9 +271,7 @@ pub fn cycles_from_json(doc: &Json) -> Result<CyclesReport, String> {
     if schema != "coefficient-bench-cycles/1" {
         return Err(format!("unexpected schema {schema:?}"));
     }
-    let scenarios = want(doc, "scenarios")?
-        .as_array()
-        .ok_or("scenarios is not an array")?
+    let scenarios = want_array(doc, "scenarios")?
         .iter()
         .map(|s| {
             s.as_str()
@@ -303,9 +279,7 @@ pub fn cycles_from_json(doc: &Json) -> Result<CyclesReport, String> {
                 .ok_or_else(|| "scenario entry is not a string".to_string())
         })
         .collect::<Result<Vec<_>, _>>()?;
-    let policies = want(doc, "policies")?
-        .as_array()
-        .ok_or("policies is not an array")?
+    let policies = want_array(doc, "policies")?
         .iter()
         .map(|p| {
             Ok(PolicyCycles {

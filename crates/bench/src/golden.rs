@@ -28,7 +28,7 @@ use backbone::{CellSpec as BackboneCellSpec, MatrixSpec as BackboneMatrixSpec};
 use coefficient::registry::lookup;
 
 use crate::experiments::SEED;
-use crate::json::Json;
+use crate::json::{want, want_array, want_f64, want_str, want_u64, Json};
 use crate::sweep::{parse_scenario, SweepSpec};
 
 /// Default on-disk location of the checked-in corpus.
@@ -326,33 +326,10 @@ impl fmt::Display for CorpusError {
 
 impl std::error::Error for CorpusError {}
 
-fn want<'a>(doc: &'a Json, key: &str) -> Result<&'a Json, CorpusError> {
-    doc.get(key)
-        .ok_or_else(|| CorpusError::new(format!("missing key {key:?}")))
-}
-
-fn want_u64(doc: &Json, key: &str) -> Result<u64, CorpusError> {
-    want(doc, key)?
-        .as_u64()
-        .ok_or_else(|| CorpusError::new(format!("{key:?} is not an unsigned integer")))
-}
-
-fn want_f64(doc: &Json, key: &str) -> Result<f64, CorpusError> {
-    want(doc, key)?
-        .as_f64()
-        .ok_or_else(|| CorpusError::new(format!("{key:?} is not a number")))
-}
-
-fn want_str<'a>(doc: &'a Json, key: &str) -> Result<&'a str, CorpusError> {
-    want(doc, key)?
-        .as_str()
-        .ok_or_else(|| CorpusError::new(format!("{key:?} is not a string")))
-}
-
-fn want_array<'a>(doc: &'a Json, key: &str) -> Result<&'a [Json], CorpusError> {
-    want(doc, key)?
-        .as_array()
-        .ok_or_else(|| CorpusError::new(format!("{key:?} is not an array")))
+impl From<String> for CorpusError {
+    fn from(message: String) -> CorpusError {
+        CorpusError::new(message)
+    }
 }
 
 /// Parses a `coefficient-golden/1` document back into a corpus file.
@@ -509,9 +486,7 @@ fn metrics_from_json(doc: &Json) -> Result<GoldenMetrics, CorpusError> {
 fn opt_u64(doc: &Json, key: &str) -> Result<u64, CorpusError> {
     match doc.get(key) {
         None => Ok(0),
-        Some(v) => v
-            .as_u64()
-            .ok_or_else(|| CorpusError::new(format!("{key:?} is not an unsigned integer"))),
+        Some(_) => Ok(want_u64(doc, key)?),
     }
 }
 

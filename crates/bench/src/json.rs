@@ -199,6 +199,42 @@ impl From<&str> for Json {
     }
 }
 
+// Typed field access for the readers of recorded documents (the golden
+// corpus and the cycles baseline): each names the key it failed on.
+
+/// The value at `key`.
+pub(crate) fn want<'a>(doc: &'a Json, key: &str) -> Result<&'a Json, String> {
+    doc.get(key).ok_or_else(|| format!("missing key {key:?}"))
+}
+
+/// The unsigned integer at `key`.
+pub(crate) fn want_u64(doc: &Json, key: &str) -> Result<u64, String> {
+    want(doc, key)?
+        .as_u64()
+        .ok_or_else(|| format!("{key:?} is not an unsigned integer"))
+}
+
+/// The number at `key`.
+pub(crate) fn want_f64(doc: &Json, key: &str) -> Result<f64, String> {
+    want(doc, key)?
+        .as_f64()
+        .ok_or_else(|| format!("{key:?} is not a number"))
+}
+
+/// The string at `key`.
+pub(crate) fn want_str<'a>(doc: &'a Json, key: &str) -> Result<&'a str, String> {
+    want(doc, key)?
+        .as_str()
+        .ok_or_else(|| format!("{key:?} is not a string"))
+}
+
+/// The array at `key`.
+pub(crate) fn want_array<'a>(doc: &'a Json, key: &str) -> Result<&'a [Json], String> {
+    want(doc, key)?
+        .as_array()
+        .ok_or_else(|| format!("{key:?} is not an array"))
+}
+
 /// How many arrays and objects [`Json::parse`] accepts nested inside each
 /// other. Every document the tools write nests under ten levels.
 pub const MAX_DEPTH: usize = 128;
@@ -535,6 +571,19 @@ impl fmt::Display for Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn field_accessors_name_the_key_they_fail_on() {
+        let doc = Json::parse(r#"{"n":-1,"s":1,"a":"x","f":"y"}"#).unwrap();
+        assert_eq!(want(&doc, "gone").unwrap_err(), r#"missing key "gone""#);
+        assert_eq!(
+            want_u64(&doc, "n").unwrap_err(),
+            r#""n" is not an unsigned integer"#
+        );
+        assert_eq!(want_f64(&doc, "f").unwrap_err(), r#""f" is not a number"#);
+        assert_eq!(want_str(&doc, "s").unwrap_err(), r#""s" is not a string"#);
+        assert_eq!(want_array(&doc, "a").unwrap_err(), r#""a" is not an array"#);
+    }
 
     #[test]
     fn scalars_serialize() {

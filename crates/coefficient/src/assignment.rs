@@ -507,8 +507,7 @@ mod tests {
             sig(3, 2, 100),
             sig(4, 8, 100),
         ];
-        let a =
-            StaticAllocation::build(&config(), &FrameCoding::default(), &msgs, &[], false).unwrap();
+        let a = StaticAllocation::build(&config(), &FrameCoding, &msgs, &[], false).unwrap();
         // msg 1 needs a full slot; msgs 2 and 3 share slot 2 (bases 0/1).
         let p1 = a.primary_of(1).unwrap();
         let p2 = a.primary_of(2).unwrap();
@@ -526,8 +525,7 @@ mod tests {
     #[test]
     fn mirror_mode_duplicates_on_b() {
         let msgs = vec![sig(1, 1, 100)];
-        let a =
-            StaticAllocation::build(&config(), &FrameCoding::default(), &msgs, &[], true).unwrap();
+        let a = StaticAllocation::build(&config(), &FrameCoding, &msgs, &[], true).unwrap();
         let p = a.primary_of(1).unwrap();
         let occ_b = a.occupant(ChannelId::B, p.slot, p.base_cycle).unwrap();
         assert_eq!(occ_b.kind, OccupantKind::Mirror);
@@ -538,9 +536,7 @@ mod tests {
     #[test]
     fn first_copy_prefers_channel_b_same_slot() {
         let msgs = vec![sig(1, 1, 100)];
-        let a =
-            StaticAllocation::build(&config(), &FrameCoding::default(), &msgs, &[(1, 2)], false)
-                .unwrap();
+        let a = StaticAllocation::build(&config(), &FrameCoding, &msgs, &[(1, 2)], false).unwrap();
         assert_eq!(a.copies().len(), 2);
         let p = a.primary_of(1).unwrap();
         let first = a.copies()[0].position;
@@ -558,8 +554,7 @@ mod tests {
         let msgs: Vec<Signal> = (1..=slots * 2).map(|i| sig(i, 2, 100)).collect();
         // 2×slots rep-2 messages fill both bases of every slot on A...
         // with mirrors they'd fill B too; use mirrors to exhaust all slack.
-        let a =
-            StaticAllocation::build(&cfg, &FrameCoding::default(), &msgs, &[(1, 3)], true).unwrap();
+        let a = StaticAllocation::build(&cfg, &FrameCoding, &msgs, &[(1, 3)], true).unwrap();
         assert_eq!(a.free_positions(), 0, "matrix fully packed");
         assert_eq!(a.spill(), &[(1, 3)]);
     }
@@ -569,8 +564,7 @@ mod tests {
         let cfg = config();
         let slots = cfg.static_slot_count() as u32;
         let msgs: Vec<Signal> = (1..=slots + 1).map(|i| sig(i, 1, 100)).collect();
-        let err =
-            StaticAllocation::build(&cfg, &FrameCoding::default(), &msgs, &[], false).unwrap_err();
+        let err = StaticAllocation::build(&cfg, &FrameCoding, &msgs, &[], false).unwrap_err();
         assert!(matches!(err, AllocationError::NoSlotAvailable { .. }));
     }
 
@@ -579,8 +573,7 @@ mod tests {
         let cfg = config();
         let cap = cfg.static_slot_capacity_bits();
         let msgs = vec![sig(1, 1, (cap + 1) as u32)];
-        let err =
-            StaticAllocation::build(&cfg, &FrameCoding::default(), &msgs, &[], false).unwrap_err();
+        let err = StaticAllocation::build(&cfg, &FrameCoding, &msgs, &[], false).unwrap_err();
         assert!(matches!(
             err,
             AllocationError::FrameTooLarge { message: 1, .. }
@@ -591,8 +584,7 @@ mod tests {
     fn occupants_index_their_message_and_copies_their_primary() {
         let msgs = vec![sig(7, 1, 100), sig(3, 4, 100), sig(5, 2, 100)];
         let alloc =
-            StaticAllocation::build(&config(), &FrameCoding::default(), &msgs, &[(3, 2)], false)
-                .unwrap();
+            StaticAllocation::build(&config(), &FrameCoding, &msgs, &[(3, 2)], false).unwrap();
         assert_eq!(alloc.copies().len(), 2);
         for (i, m) in msgs.iter().enumerate() {
             let p = alloc.primary_of(m.id).unwrap();
@@ -612,8 +604,7 @@ mod tests {
     #[test]
     fn more_messages_than_an_occupant_indexes_error() {
         let msgs = vec![sig(1, 64, 100); MAX_STATIC_MESSAGES + 1];
-        let err = StaticAllocation::build(&config(), &FrameCoding::default(), &msgs, &[], false)
-            .unwrap_err();
+        let err = StaticAllocation::build(&config(), &FrameCoding, &msgs, &[], false).unwrap_err();
         assert_eq!(
             err,
             AllocationError::TooManyMessages {
@@ -627,7 +618,7 @@ mod tests {
         let msgs = vec![sig(1, 1, 100)];
         let a = StaticAllocation::build(
             &config(),
-            &FrameCoding::default(),
+            &FrameCoding,
             &msgs,
             &[(99, 2)], // 99 has no primary → dynamic
             false,
@@ -641,7 +632,7 @@ mod tests {
     fn occupancy_accounts_repetitions() {
         let cfg = config();
         let msgs = vec![sig(1, 2, 100)]; // rep 2: half the cycles of one slot
-        let a = StaticAllocation::build(&cfg, &FrameCoding::default(), &msgs, &[], false).unwrap();
+        let a = StaticAllocation::build(&cfg, &FrameCoding, &msgs, &[], false).unwrap();
         let expected = 0.5 / cfg.static_slot_count() as f64;
         assert!((a.occupancy(ChannelId::A) - expected).abs() < 1e-12);
     }
@@ -650,7 +641,7 @@ mod tests {
     fn bbw_and_acc_fit_the_paper_dynamic_preset() {
         let mut msgs = workloads::bbw::message_set();
         msgs.extend(workloads::acc::message_set());
-        let a = StaticAllocation::build(&config(), &FrameCoding::default(), &msgs, &[], false);
+        let a = StaticAllocation::build(&config(), &FrameCoding, &msgs, &[], false);
         let a = a.expect("BBW+ACC must fit 18 slots via cycle multiplexing");
         assert_eq!(a.primaries.len(), 40);
     }
@@ -883,7 +874,7 @@ mod tests {
             .bit_rate(80_000_000)
             .build()
             .expect("up to 18 static slots fit the 1 ms cycle");
-        let coding = FrameCoding::default();
+        let coding = FrameCoding;
         let capacity = cfg.static_slot_capacity_bits();
         let max_bits = (8u32..)
             .step_by(8)

@@ -84,6 +84,6 @@ pub use runner::{
 };
 pub use scenario::{FaultModel, Scenario};
 pub use sweep::{
-    run_parallel, run_parallel_with_options, CellCoord, CellOutcome, GroupSummary, SeedStrategy,
-    SweepMatrix, SweepReport, SweepRunner,
+    parallel_map, run_parallel, run_parallel_with_options, CellCoord, CellOutcome, GroupSummary,
+    SeedStrategy, SweepMatrix, SweepReport, SweepRunner,
 };

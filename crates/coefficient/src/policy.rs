@@ -27,7 +27,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use event_sim::SimDuration;
 use event_sim::SimTime;
 use flexray::bus::{OutboundPayload, TrafficSource, TransmissionOutcome};
-use flexray::codec::{payload_bytes_for, FrameCoding};
+use flexray::codec::{payload_bytes_for, FrameCoding, MAX_PAYLOAD_BYTES};
 use flexray::config::ClusterConfig;
 use flexray::schedule::MessageId;
 use flexray::signal::Signal;
@@ -296,6 +296,16 @@ pub enum SchedulerError {
     Allocation(AllocationError),
     /// A dynamic frame id is not above the static slot range.
     DynamicIdInStaticRange(u16),
+    /// A message needs more payload bytes than one FlexRay frame carries
+    /// ([`MAX_PAYLOAD_BYTES`]).
+    PayloadTooLarge {
+        /// `true` for a dynamic frame id, `false` for a static signal id.
+        dynamic: bool,
+        /// The static signal id or dynamic frame id.
+        id: u32,
+        /// Payload bytes the message needs.
+        bytes: u64,
+    },
 }
 
 impl std::fmt::Display for SchedulerError {
@@ -304,6 +314,17 @@ impl std::fmt::Display for SchedulerError {
             SchedulerError::Allocation(e) => write!(f, "static allocation failed: {e}"),
             SchedulerError::DynamicIdInStaticRange(id) => {
                 write!(f, "dynamic frame id {id} lies inside the static slot range")
+            }
+            SchedulerError::PayloadTooLarge { dynamic, id, bytes } => {
+                let kind = if *dynamic {
+                    "dynamic frame"
+                } else {
+                    "static message"
+                };
+                write!(
+                    f,
+                    "{kind} {id} needs {bytes} payload bytes, above FlexRay's {MAX_PAYLOAD_BYTES}"
+                )
             }
         }
     }
@@ -323,7 +344,8 @@ impl Scheduler {
     /// lays out the static allocation.
     ///
     /// # Errors
-    /// [`SchedulerError`] on allocation failure or id-space collisions.
+    /// [`SchedulerError`] on allocation failure, id-space collisions or a
+    /// payload above FlexRay's 254 bytes.
     pub fn new(
         policy: PolicyRef,
         config: ClusterConfig,
@@ -349,7 +371,8 @@ impl Scheduler {
     /// baselines they are pinned to the defaults).
     ///
     /// # Errors
-    /// [`SchedulerError`] on allocation failure or id-space collisions.
+    /// [`SchedulerError`] on allocation failure, id-space collisions or a
+    /// payload above FlexRay's 254 bytes.
     #[allow(clippy::too_many_arguments)]
     pub fn new_with_options(
         policy: PolicyRef,
@@ -372,6 +395,20 @@ impl Scheduler {
         for d in dynamic_messages {
             if d.frame_id <= slots {
                 return Err(SchedulerError::DynamicIdInStaticRange(d.frame_id));
+            }
+        }
+        let sizes = static_messages
+            .iter()
+            .map(|s| (false, s.id, s.size_bits))
+            .chain(
+                dynamic_messages
+                    .iter()
+                    .map(|d| (true, u32::from(d.frame_id), d.size_bits)),
+            );
+        for (dynamic, id, bits) in sizes {
+            let bytes = payload_bytes_for(u64::from(bits));
+            if bytes > MAX_PAYLOAD_BYTES {
+                return Err(SchedulerError::PayloadTooLarge { dynamic, id, bytes });
             }
         }
 
@@ -504,8 +541,7 @@ impl Scheduler {
                     payload_bytes,
                     // Static-slot coding has no DTS, so the steal fit check
                     // always uses the default coding's static wire length.
-                    static_wire_bits: FrameCoding::default()
-                        .frame_wire_bits(u64::from(payload_bytes), false),
+                    static_wire_bits: FrameCoding.frame_wire_bits(u64::from(payload_bytes), false),
                     copies: count_of(dyn_key(d.frame_id)),
                     home_channel,
                 },
@@ -1458,7 +1494,7 @@ mod tests {
         Scheduler::new(
             policy,
             config(),
-            FrameCoding::default(),
+            FrameCoding,
             &Scenario::ber7(),
             &statics(),
             &dynamics(),
@@ -1508,13 +1544,51 @@ mod tests {
         let err = Scheduler::new(
             COEFFICIENT,
             config(),
-            FrameCoding::default(),
+            FrameCoding,
             &Scenario::ber7(),
             &statics(),
             &bad,
         )
         .unwrap_err();
         assert!(matches!(err, SchedulerError::DynamicIdInStaticRange(3)));
+    }
+
+    #[test]
+    fn payloads_above_the_flexray_limit_are_rejected() {
+        // 2,100 bits need 264 payload bytes (2,728 wire bits): the 40-MT
+        // slot of the paper's static preset has room for them, but a
+        // FlexRay frame carries at most 254.
+        let big = 2_100;
+        let cfg = ClusterConfig::paper_static(80);
+        let period = SimDuration::from_millis(5);
+        let oversized_static = vec![Signal::new(7, period, SimDuration::ZERO, period, big)];
+        let err = Scheduler::new(
+            COEFFICIENT,
+            cfg.clone(),
+            FrameCoding,
+            &Scenario::ber7(),
+            &oversized_static,
+            &[],
+        )
+        .expect_err("a 264-byte static payload must be rejected");
+        assert_eq!(
+            err.to_string(),
+            "static message 7 needs 264 payload bytes, above FlexRay's 254"
+        );
+        let oversized_dynamic = vec![AperiodicMessage::new(81, period, period, big)];
+        let err = Scheduler::new(
+            COEFFICIENT,
+            cfg,
+            FrameCoding,
+            &Scenario::ber7(),
+            &[],
+            &oversized_dynamic,
+        )
+        .expect_err("a 264-byte dynamic payload must be rejected");
+        assert_eq!(
+            err.to_string(),
+            "dynamic frame 81 needs 264 payload bytes, above FlexRay's 254"
+        );
     }
 
     #[test]
@@ -1532,7 +1606,7 @@ mod tests {
         let mut s = Scheduler::new(
             COEFFICIENT,
             config(),
-            FrameCoding::default(),
+            FrameCoding,
             &Scenario::ber7(),
             &statics,
             &dynamics(),
@@ -1695,7 +1769,7 @@ mod tests {
             Scheduler::new_with_options(
                 COEFFICIENT,
                 config(),
-                FrameCoding::default(),
+                FrameCoding,
                 &Scenario::ber7(),
                 &statics(),
                 &dynamics(),
@@ -1767,7 +1841,7 @@ mod tests {
         // same copy count. Rebuild the planner the scheduler saw and ask
         // the policies directly.
         let scenario = Scenario::ber7();
-        let coding = FrameCoding::default();
+        let coding = FrameCoding;
         let rel: Vec<reliability::MessageReliability> = statics()
             .iter()
             .map(|m| {
@@ -1856,7 +1930,7 @@ mod tests {
         let s = Scheduler::new_with_options(
             FSPEC,
             config(),
-            FrameCoding::default(),
+            FrameCoding,
             &Scenario::ber7(),
             &statics(),
             &dynamics(),
@@ -2047,11 +2121,16 @@ mod tests {
         (ber_exp, fault_seed, dyn_every): (u32, u64, u64),
     ) -> DifferentialTally {
         let cfg = config();
-        let coding = FrameCoding::default();
+        let coding = FrameCoding;
         let capacity = cfg.static_slot_capacity_bits();
+        // The largest message one frame carries: within both FlexRay's
+        // payload limit and the static slot.
         let max_bits = (8u32..)
             .step_by(8)
-            .take_while(|&b| coding.message_wire_bits(u64::from(b), false) <= capacity)
+            .take_while(|&b| {
+                payload_bytes_for(u64::from(b)) <= MAX_PAYLOAD_BYTES
+                    && coding.message_wire_bits(u64::from(b), false) <= capacity
+            })
             .last()
             .expect("a byte fits a static slot");
         let quarter = cfg.cycle_duration().as_nanos() / 4;

@@ -631,7 +631,7 @@ impl Runner {
         cfg: RunConfig,
         options: CoefficientOptions,
     ) -> Result<Self, SchedulerError> {
-        let coding = FrameCoding::default();
+        let coding = FrameCoding;
         let (sink, tracer) = match cfg.trace.mode {
             TraceMode::Off => (None, Tracer::disabled()),
             TraceMode::Ring { capacity } => {

@@ -275,13 +275,32 @@ pub fn run_parallel_with_options(
     cells: Vec<(RunConfig, CoefficientOptions)>,
     threads: usize,
 ) -> Result<Vec<RunReport>, SchedulerError> {
+    parallel_map(cells, threads, |(config, options)| {
+        Runner::new_with_options(config, options).map(Runner::run)
+    })
+    .into_iter()
+    .collect()
+}
+
+/// Applies `f` to every item on up to `threads` worker threads and
+/// returns the results in input order.
+///
+/// Workers claim items by index from a shared counter and write each
+/// result into the item's own slot, so the output never depends on the
+/// worker count or on which worker ran what.
+///
+/// # Panics
+/// Panics if `threads` is zero.
+pub fn parallel_map<T: Send, R: Send>(
+    items: Vec<T>,
+    threads: usize,
+    f: impl Fn(T) -> R + Sync,
+) -> Vec<R> {
     assert!(threads > 0, "at least one worker thread required");
-    let n = cells.len();
+    let n = items.len();
     let threads = threads.min(n.max(1));
-    let cells: Vec<Mutex<Option<(RunConfig, CoefficientOptions)>>> =
-        cells.into_iter().map(|c| Mutex::new(Some(c))).collect();
-    let results: Vec<Mutex<Option<Result<RunReport, SchedulerError>>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
+    let items: Vec<Mutex<Option<T>>> = items.into_iter().map(|c| Mutex::new(Some(c))).collect();
+    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
 
     std::thread::scope(|scope| {
@@ -291,13 +310,13 @@ pub fn run_parallel_with_options(
                 if index >= n {
                     break;
                 }
-                let (config, options) = cells[index]
+                let item = items[index]
                     .lock()
-                    .expect("cell mutex")
+                    .expect("item mutex")
                     .take()
-                    .expect("each cell is claimed exactly once");
-                let outcome = Runner::new_with_options(config, options).map(Runner::run);
-                *results[index].lock().expect("result mutex") = Some(outcome);
+                    .expect("each item is claimed exactly once");
+                let result = f(item);
+                *results[index].lock().expect("result mutex") = Some(result);
             });
         }
     });
@@ -307,7 +326,7 @@ pub fn run_parallel_with_options(
         .map(|slot| {
             slot.into_inner()
                 .expect("result mutex")
-                .expect("every cell was executed")
+                .expect("every item was processed")
         })
         .collect()
 }

@@ -131,7 +131,7 @@ fn steady_state_cycle_loop_does_not_allocate() {
         let mut scheduler = Scheduler::new(
             policy,
             config.clone(),
-            FrameCoding::default(),
+            FrameCoding,
             &Scenario::ber7(),
             &statics(),
             &dynamics(),

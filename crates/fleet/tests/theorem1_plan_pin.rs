@@ -51,7 +51,7 @@ struct Tally {
 /// reliability goal.
 fn vehicle_messages(spec: &FleetSpec, v: u64) -> (Vec<MessageReliability>, f64) {
     let run = spec.vehicle_config(v, COEFFICIENT);
-    let coding = FrameCoding::default();
+    let coding = FrameCoding;
     let ber = run.scenario.ber;
     let mut msgs: Vec<MessageReliability> = run
         .static_messages

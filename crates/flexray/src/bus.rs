@@ -18,8 +18,8 @@ use reliability::fault::{FaultProcess, NoFaults};
 use reliability::monitor::{HealthState, MonitorConfig, ReliabilityMonitor};
 
 use crate::channel::ChannelId;
-use crate::codec::FrameCoding;
-use crate::config::ClusterConfig;
+use crate::codec::{FrameCoding, BITS_PER_BYTE_CODED, MAX_PAYLOAD_BYTES};
+use crate::config::{ClusterConfig, ACTION_POINT_OFFSET, DYNAMIC_SLOT_IDLE_PHASE};
 use crate::schedule::MessageId;
 
 /// A payload handed to the engine for transmission.
@@ -189,7 +189,7 @@ impl std::fmt::Debug for BusEngine {
 impl BusEngine {
     /// Creates a fault-free engine.
     pub fn new(config: ClusterConfig) -> Self {
-        let coding = FrameCoding::default();
+        let coding = FrameCoding;
         BusEngine {
             minislot_bits: (config.minislot_duration().as_nanos() as u128
                 * config.bit_rate_bps() as u128
@@ -372,7 +372,7 @@ impl BusEngine {
                         "frame of {wire_bits} wire bits exceeds static slot capacity {capacity}"
                     );
                     let start = self.config.static_slot_start(cycle, slot)
-                        + self.config.mt(self.config.action_point_offset());
+                        + self.config.mt(ACTION_POINT_OFFSET);
                     let duration = self.config.transmission_duration(wire_bits);
                     let corrupted = self.faults[channel.index()].corrupts(wire_bits as u32);
                     let outcome = TransmissionOutcome {
@@ -529,7 +529,7 @@ impl BusEngine {
     /// minislots of `ms_bits` bits each, accounting for the dynamic slot
     /// idle phase and coding overhead.
     fn max_dynamic_payload(&self, minislots_left: u64, ms_bits: u64) -> u16 {
-        let idle = self.config.dynamic_slot_idle_phase();
+        let idle = DYNAMIC_SLOT_IDLE_PHASE;
         if minislots_left <= idle {
             return 0;
         }
@@ -539,8 +539,8 @@ impl BusEngine {
             return 0;
         }
         let payload_bits = budget_bits - overhead;
-        let bytes = payload_bits / crate::codec::BITS_PER_BYTE_CODED;
-        (bytes.min(254) as u16) & !1 // round down to an even byte count
+        let bytes = payload_bits / BITS_PER_BYTE_CODED;
+        (bytes.min(MAX_PAYLOAD_BYTES) as u16) & !1 // round down to an even byte count
     }
 }
 

@@ -32,18 +32,6 @@ impl ChannelId {
             ChannelId::B => 1,
         }
     }
-
-    /// Inverse of [`index`](Self::index).
-    ///
-    /// # Panics
-    /// Panics if `index` is not 0 or 1.
-    pub fn from_index(index: usize) -> ChannelId {
-        match index {
-            0 => ChannelId::A,
-            1 => ChannelId::B,
-            _ => panic!("channel index {index} out of range"),
-        }
-    }
 }
 
 impl fmt::Display for ChannelId {
@@ -65,15 +53,6 @@ mod tests {
         assert_eq!(ChannelId::B.other(), ChannelId::A);
         assert_eq!(ChannelId::A.index(), 0);
         assert_eq!(ChannelId::B.index(), 1);
-        for ch in ChannelId::BOTH {
-            assert_eq!(ChannelId::from_index(ch.index()), ch);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn from_index_rejects_out_of_range() {
-        let _ = ChannelId::from_index(2);
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! TSS | FSS | (BSS + 8 data bits) × N | FES [| DTS]
 //! ```
 //!
-//! * **TSS** — transmission start sequence, a configurable run of LOW bits
-//!   (3–15 bit times; the collision-avoidance preamble);
+//! * **TSS** — transmission start sequence, a run of LOW bits (the
+//!   collision-avoidance preamble; the spec allows 3–15 bit times, this
+//!   reproduction fixes 5);
 //! * **FSS** — frame start sequence, 1 bit;
 //! * **BSS** — byte start sequence, 2 bits prepended to each of the N
 //!   frame bytes (5 header bytes + payload bytes + 3 trailer-CRC bytes);
@@ -17,8 +18,11 @@
 //!   account its 2-bit minimum).
 //!
 //! The on-wire length is what determines how long a frame occupies a slot,
-//! which is what every latency/utilization metric in the paper measures.
+//! which is what every latency/utilization metric in the paper measures,
+//! and it is the `W_z` that sets each frame's fault probability.
 
+/// Transmission start sequence length in bits.
+pub const TSS_BITS: u64 = 5;
 /// Number of bytes in the serialized frame header (40 header bits).
 pub const HEADER_BYTES: u64 = 5;
 /// Number of bytes in the serialized trailer (24-bit frame CRC).
@@ -31,42 +35,20 @@ pub const FSS_BITS: u64 = 1;
 pub const FES_BITS: u64 = 2;
 /// Minimum dynamic trailing sequence length in bits.
 pub const DTS_MIN_BITS: u64 = 2;
+/// The largest payload a FlexRay frame carries: the header's 7-bit
+/// payload-length field counts at most 127 two-byte words.
+pub const MAX_PAYLOAD_BYTES: u64 = 254;
 
-/// Physical coding parameters (currently just the TSS length).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FrameCoding {
-    tss_bits: u64,
-}
-
-impl Default for FrameCoding {
-    fn default() -> Self {
-        FrameCoding { tss_bits: 5 }
-    }
-}
+/// The physical frame coding; computes on-wire lengths.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FrameCoding;
 
 impl FrameCoding {
-    /// Creates a coding with the given transmission-start-sequence length.
-    ///
-    /// # Panics
-    /// Panics if `tss_bits` is outside the spec range 3–15.
-    pub fn new(tss_bits: u64) -> Self {
-        assert!(
-            (3..=15).contains(&tss_bits),
-            "TSS length must be 3–15 bit times, got {tss_bits}"
-        );
-        FrameCoding { tss_bits }
-    }
-
-    /// The TSS length in bits.
-    pub fn tss_bits(&self) -> u64 {
-        self.tss_bits
-    }
-
     /// Total on-wire bits of a frame with `payload_bytes` payload bytes.
     /// `dynamic` adds the minimum DTS of dynamic-segment frames.
     pub fn frame_wire_bits(&self, payload_bytes: u64, dynamic: bool) -> u64 {
         let bytes = HEADER_BYTES + payload_bytes + TRAILER_BYTES;
-        self.tss_bits
+        TSS_BITS
             + FSS_BITS
             + bytes * BITS_PER_BYTE_CODED
             + FES_BITS
@@ -90,11 +72,6 @@ pub fn payload_bytes_for(message_bits: u64) -> u64 {
     bytes.div_ceil(2) * 2
 }
 
-/// Payload length in 2-byte words (the header's payload-length field).
-pub fn payload_words_for(message_bits: u64) -> u64 {
-    payload_bytes_for(message_bits) / 2
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,54 +83,50 @@ mod tests {
         assert_eq!(payload_bytes_for(16), 2);
         assert_eq!(payload_bytes_for(17), 4);
         assert_eq!(payload_bytes_for(1742), 218); // largest BBW message
-        assert_eq!(payload_words_for(1742), 109);
+    }
+
+    /// The on-wire length of a frame with `payload_bytes` payload bytes,
+    /// built from the FlexRay 2.1 field widths (not from this module's
+    /// constants).
+    fn spec_wire_bits(payload_bytes: u64, dynamic: bool) -> u64 {
+        let tss = 5;
+        let fss = 1;
+        let fes = 2;
+        let dts = if dynamic { 2 } else { 0 };
+        // Indicators, frame id, payload length, header CRC, cycle count.
+        let header_bits = 5 + 11 + 7 + 11 + 6;
+        let trailer_crc_bits = 24;
+        let bss_bits_per_byte = 2;
+        let bytes = header_bits / 8 + payload_bytes + trailer_crc_bits / 8;
+        tss + fss + bytes * (8 + bss_bits_per_byte) + fes + dts
     }
 
     #[test]
-    fn wire_bits_formula() {
-        let c = FrameCoding::default(); // TSS 5
-                                        // 2-byte payload: 5 + 1 + (5+2+3)*10 + 2 = 108 bits.
+    fn wire_lengths_follow_the_spec_field_widths() {
+        let c = FrameCoding;
+        for payload_bytes in (0..=254).step_by(2) {
+            for dynamic in [false, true] {
+                assert_eq!(
+                    c.frame_wire_bits(payload_bytes, dynamic),
+                    spec_wire_bits(payload_bytes, dynamic),
+                    "{payload_bytes} payload bytes, dynamic {dynamic}"
+                );
+            }
+        }
+        // 2-byte payload: 5 + 1 + (5+2+3)*10 + 2 = 108 bits, +2 DTS.
         assert_eq!(c.frame_wire_bits(2, false), 108);
         assert_eq!(c.frame_wire_bits(2, true), 110);
-    }
-
-    #[test]
-    fn message_wire_bits_includes_padding() {
-        let c = FrameCoding::default();
         // 20 logical bits → 4 payload bytes → 5+1+120+2 = 128.
         assert_eq!(c.message_wire_bits(20, false), 128);
+        // 1742 bits (the largest BBW message) → 218 payload bytes →
+        // (5+218+3)*10 + 5 + 1 + 2 = 2268.
+        assert_eq!(c.message_wire_bits(1742, false), 2268);
     }
 
     #[test]
     fn largest_bbw_message_fits_paper_preset_slot() {
-        let c = FrameCoding::default();
-        let wire = c.message_wire_bits(1742, false);
-        // 218 payload bytes → (5+218+3)*10 + 5 + 1 + 2 = 2268 bits.
-        assert_eq!(wire, 2268);
+        let wire = FrameCoding.message_wire_bits(1742, false);
         let cfg = crate::config::ClusterConfig::paper_static(80);
         assert!(wire <= cfg.static_slot_capacity_bits());
-    }
-
-    #[test]
-    fn coding_overhead_grows_linearly() {
-        let c = FrameCoding::default();
-        let d = c.frame_wire_bits(10, false) - c.frame_wire_bits(8, false);
-        assert_eq!(d, 2 * BITS_PER_BYTE_CODED);
-    }
-
-    #[test]
-    #[should_panic(expected = "TSS length")]
-    fn tss_out_of_range_rejected() {
-        let _ = FrameCoding::new(16);
-    }
-
-    #[test]
-    fn custom_tss() {
-        assert_eq!(FrameCoding::new(3).tss_bits(), 3);
-        assert_eq!(
-            FrameCoding::new(15).frame_wire_bits(2, false)
-                - FrameCoding::new(3).frame_wire_bits(2, false),
-            12
-        );
     }
 }

@@ -3,18 +3,24 @@
 //! Parameter names follow the FlexRay 2.1 specification (`gd*` = global
 //! duration, `g*` = global count, `p*` = node parameter hoisted to the
 //! cluster for simulation convenience). All durations derive from the
-//! macrotick, the cluster-wide time base (1 µs in the paper's setup).
+//! macrotick, the cluster-wide time base ([`MACROTICK`], 1 µs as in the
+//! paper's setup).
 //!
 //! A communication cycle is partitioned, in order, into:
 //!
 //! ```text
-//! | static segment | dynamic segment | symbol window | NIT |
+//! | static segment | dynamic segment | NIT |
 //! ```
 //!
 //! where the static segment holds `gNumberOfStaticSlots` equal slots of
 //! `gdStaticSlot` macroticks, the dynamic segment holds
 //! `gNumberOfMinislots` minislots of `gdMinislot` macroticks, and the
-//! network idle time (NIT) absorbs clock correction.
+//! network idle time (NIT) absorbs clock correction. The cycle has no
+//! symbol window (`gdSymbolWindow` = 0).
+//!
+//! Seven values are configurable: the cycle length, the static and
+//! dynamic segment geometry, `pLatestTx` and the bit rate. The protocol
+//! settings every experiment shares are the constants below.
 
 use event_sim::{SimDuration, SimTime};
 
@@ -24,20 +30,31 @@ use crate::error::ConfigError;
 /// this at 64: cycle counter values are 0–63).
 pub const CYCLE_COUNT_MAX: u64 = 64;
 
+/// `gdMacrotick`: the cluster-wide time base.
+pub const MACROTICK: SimDuration = SimDuration::from_micros(1);
+
+/// `gdActionPointOffset`: macroticks into each static slot before a
+/// transmission starts (the same margin closes the slot).
+pub const ACTION_POINT_OFFSET: u64 = 1;
+
+/// `gdMinislotActionPointOffset`: macroticks into a minislot before a
+/// dynamic transmission starts. Only validated (a minislot must be
+/// longer); the bus engine times dynamic frames from the minislot edge.
+pub const MINISLOT_ACTION_POINT_OFFSET: u64 = 1;
+
+/// `gdDynamicSlotIdlePhase`: minislots of silence after each dynamic
+/// transmission.
+pub const DYNAMIC_SLOT_IDLE_PHASE: u64 = 1;
+
 /// Validated cluster configuration. Construct through
 /// [`ClusterConfig::builder`] or a preset.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterConfig {
-    gd_macrotick: SimDuration,
     g_macro_per_cycle: u64,
     g_number_of_static_slots: u64,
     gd_static_slot: u64,
     g_number_of_minislots: u64,
     gd_minislot: u64,
-    gd_symbol_window: u64,
-    gd_action_point_offset: u64,
-    gd_minislot_action_point_offset: u64,
-    gd_dynamic_slot_idle_phase: u64,
     p_latest_tx: u64,
     bit_rate_bps: u64,
 }
@@ -45,16 +62,11 @@ pub struct ClusterConfig {
 /// Incremental builder for [`ClusterConfig`]; see the crate-level example.
 #[derive(Debug, Clone)]
 pub struct ClusterConfigBuilder {
-    gd_macrotick: SimDuration,
     g_macro_per_cycle: u64,
     g_number_of_static_slots: u64,
     gd_static_slot: u64,
     g_number_of_minislots: u64,
     gd_minislot: u64,
-    gd_symbol_window: u64,
-    gd_action_point_offset: u64,
-    gd_minislot_action_point_offset: u64,
-    gd_dynamic_slot_idle_phase: u64,
     p_latest_tx: Option<u64>,
     bit_rate_bps: u64,
 }
@@ -62,16 +74,11 @@ pub struct ClusterConfigBuilder {
 impl Default for ClusterConfigBuilder {
     fn default() -> Self {
         ClusterConfigBuilder {
-            gd_macrotick: SimDuration::from_micros(1),
             g_macro_per_cycle: 5000,
             g_number_of_static_slots: 80,
             gd_static_slot: 40,
             g_number_of_minislots: 120,
             gd_minislot: 2,
-            gd_symbol_window: 0,
-            gd_action_point_offset: 1,
-            gd_minislot_action_point_offset: 1,
-            gd_dynamic_slot_idle_phase: 1,
             p_latest_tx: None,
             bit_rate_bps: 10_000_000,
         }
@@ -79,12 +86,6 @@ impl Default for ClusterConfigBuilder {
 }
 
 impl ClusterConfigBuilder {
-    /// Sets the macrotick duration (default 1 µs).
-    pub fn macrotick(&mut self, d: SimDuration) -> &mut Self {
-        self.gd_macrotick = d;
-        self
-    }
-
     /// Sets `gMacroPerCycle`, the cycle length in macroticks.
     pub fn macroticks_per_cycle(&mut self, mt: u64) -> &mut Self {
         self.g_macro_per_cycle = mt;
@@ -102,19 +103,6 @@ impl ClusterConfigBuilder {
     pub fn minislots(&mut self, count: u64, minislot_macroticks: u64) -> &mut Self {
         self.g_number_of_minislots = count;
         self.gd_minislot = minislot_macroticks;
-        self
-    }
-
-    /// Sets `gdActionPointOffset` (macroticks into each static slot before
-    /// transmission starts; default 1).
-    pub fn action_point_offset(&mut self, mt: u64) -> &mut Self {
-        self.gd_action_point_offset = mt;
-        self
-    }
-
-    /// Sets `gdDynamicSlotIdlePhase` (minislots; default 1).
-    pub fn dynamic_slot_idle_phase(&mut self, minislots: u64) -> &mut Self {
-        self.gd_dynamic_slot_idle_phase = minislots;
         self
     }
 
@@ -137,9 +125,6 @@ impl ClusterConfigBuilder {
     /// # Errors
     /// A [`ConfigError`] describing the first violated constraint.
     pub fn build(&self) -> Result<ClusterConfig, ConfigError> {
-        if self.gd_macrotick.is_zero() {
-            return Err(ConfigError::ZeroMacrotick);
-        }
         if self.g_macro_per_cycle == 0 {
             return Err(ConfigError::ZeroCycleLength);
         }
@@ -155,17 +140,15 @@ impl ClusterConfigBuilder {
         if self.bit_rate_bps == 0 {
             return Err(ConfigError::ZeroBitRate);
         }
-        if 2 * self.gd_action_point_offset >= self.gd_static_slot {
+        if 2 * ACTION_POINT_OFFSET >= self.gd_static_slot {
             return Err(ConfigError::ActionPointTooLarge);
         }
-        if self.g_number_of_minislots > 0
-            && self.gd_minislot_action_point_offset >= self.gd_minislot
-        {
+        if self.g_number_of_minislots > 0 && MINISLOT_ACTION_POINT_OFFSET >= self.gd_minislot {
             return Err(ConfigError::ActionPointTooLarge);
         }
         let static_mt = self.g_number_of_static_slots * self.gd_static_slot;
         let dynamic_mt = self.g_number_of_minislots * self.gd_minislot;
-        let required = static_mt + dynamic_mt + self.gd_symbol_window;
+        let required = static_mt + dynamic_mt;
         if required >= self.g_macro_per_cycle {
             // `>=` not `>`: the NIT needs at least one macrotick.
             if required > self.g_macro_per_cycle {
@@ -184,16 +167,11 @@ impl ClusterConfigBuilder {
             });
         }
         Ok(ClusterConfig {
-            gd_macrotick: self.gd_macrotick,
             g_macro_per_cycle: self.g_macro_per_cycle,
             g_number_of_static_slots: self.g_number_of_static_slots,
             gd_static_slot: self.gd_static_slot,
             g_number_of_minislots: self.g_number_of_minislots,
             gd_minislot: self.gd_minislot,
-            gd_symbol_window: self.gd_symbol_window,
-            gd_action_point_offset: self.gd_action_point_offset,
-            gd_minislot_action_point_offset: self.gd_minislot_action_point_offset,
-            gd_dynamic_slot_idle_phase: self.gd_dynamic_slot_idle_phase,
             p_latest_tx,
             bit_rate_bps: self.bit_rate_bps,
         })
@@ -291,11 +269,6 @@ impl ClusterConfig {
 
     // ----- raw parameters -----
 
-    /// Macrotick duration (`gdMacrotick`).
-    pub fn macrotick(&self) -> SimDuration {
-        self.gd_macrotick
-    }
-
     /// Cycle length in macroticks (`gMacroPerCycle`).
     pub fn macroticks_per_cycle(&self) -> u64 {
         self.g_macro_per_cycle
@@ -311,16 +284,6 @@ impl ClusterConfig {
         self.g_number_of_minislots
     }
 
-    /// Minislot length in macroticks (`gdMinislot`).
-    pub fn minislot_macroticks(&self) -> u64 {
-        self.gd_minislot
-    }
-
-    /// `gdDynamicSlotIdlePhase` in minislots.
-    pub fn dynamic_slot_idle_phase(&self) -> u64 {
-        self.gd_dynamic_slot_idle_phase
-    }
-
     /// `pLatestTx`: last minislot in which a dynamic transmission may
     /// start (1-based count; a value of `n` allows starts in minislots
     /// `0..n`).
@@ -333,16 +296,11 @@ impl ClusterConfig {
         self.bit_rate_bps
     }
 
-    /// `gdActionPointOffset` in macroticks.
-    pub fn action_point_offset(&self) -> u64 {
-        self.gd_action_point_offset
-    }
-
     // ----- derived timing -----
 
     /// Duration of `mt` macroticks.
     pub fn mt(&self, mt: u64) -> SimDuration {
-        self.gd_macrotick * mt
+        MACROTICK * mt
     }
 
     /// Duration of one communication cycle (`gdCycle`).
@@ -360,17 +318,9 @@ impl ClusterConfig {
         self.mt(self.g_number_of_minislots * self.gd_minislot)
     }
 
-    /// Duration of the symbol window.
-    pub fn symbol_window_duration(&self) -> SimDuration {
-        self.mt(self.gd_symbol_window)
-    }
-
     /// Duration of the network idle time.
     pub fn nit_duration(&self) -> SimDuration {
-        self.cycle_duration()
-            - self.static_segment_duration()
-            - self.dynamic_segment_duration()
-            - self.symbol_window_duration()
+        self.cycle_duration() - self.static_segment_duration() - self.dynamic_segment_duration()
     }
 
     /// Duration of one static slot.
@@ -465,11 +415,6 @@ impl ClusterConfig {
 
     // ----- capacity -----
 
-    /// Bits transmittable per macrotick at the configured rate.
-    pub fn bits_per_macrotick(&self) -> f64 {
-        self.bit_rate_bps as f64 * self.gd_macrotick.as_nanos() as f64 / 1e9
-    }
-
     /// How long `bits` bits occupy the wire at the configured rate
     /// (rounded up to whole nanoseconds).
     pub fn transmission_duration(&self, bits: u64) -> SimDuration {
@@ -480,7 +425,7 @@ impl ClusterConfig {
     /// The on-wire bit capacity of a static slot, after subtracting the
     /// action-point offsets at both ends.
     pub fn static_slot_capacity_bits(&self) -> u64 {
-        let usable_mt = self.gd_static_slot - 2 * self.gd_action_point_offset;
+        let usable_mt = self.gd_static_slot - 2 * ACTION_POINT_OFFSET;
         (self.mt(usable_mt).as_nanos() as u128 * self.bit_rate_bps as u128 / 1_000_000_000u128)
             as u64
     }
@@ -492,7 +437,7 @@ impl ClusterConfig {
         let ms_bits = (self.minislot_duration().as_nanos() as u128 * self.bit_rate_bps as u128
             / 1_000_000_000u128) as u64;
         let needed = bits.div_ceil(ms_bits.max(1)).max(1);
-        needed + self.gd_dynamic_slot_idle_phase
+        needed + DYNAMIC_SLOT_IDLE_PHASE
     }
 }
 
@@ -583,8 +528,13 @@ mod tests {
             }
         );
 
+        // A 2-MT static slot has no room between its two action-point
+        // offsets; a 1-MT minislot none after its action point.
         let mut b = ClusterConfig::builder();
-        b.action_point_offset(20);
+        b.static_slots(80, 2);
+        assert_eq!(b.build().unwrap_err(), ActionPointTooLarge);
+        let mut b = ClusterConfig::builder();
+        b.minislots(120, 1);
         assert_eq!(b.build().unwrap_err(), ActionPointTooLarge);
 
         let mut b = ClusterConfig::builder();
@@ -610,8 +560,7 @@ mod tests {
     #[test]
     fn capacity_calculations() {
         let c = cfg(); // 10 Mbit/s, 1 µs MT → 10 bits/MT.
-        assert!((c.bits_per_macrotick() - 10.0).abs() < 1e-9);
-        // 40 MT slot minus 2 action-point MT → 38 µs → 380 bits.
+                       // 40 MT slot minus 2 action-point MT → 38 µs → 380 bits.
         assert_eq!(c.static_slot_capacity_bits(), 380);
         assert_eq!(c.transmission_duration(100), SimDuration::from_micros(10));
         // Minislot = 2 MT = 20 bits; 50 bits → 3 minislots + 1 idle phase.

@@ -5,8 +5,6 @@ use std::fmt;
 /// Errors detected when validating a cluster configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigError {
-    /// `gdMacrotick` must be positive.
-    ZeroMacrotick,
     /// `gMacroPerCycle` must be positive.
     ZeroCycleLength,
     /// `gdStaticSlot` must be positive when static slots exist.
@@ -16,7 +14,7 @@ pub enum ConfigError {
     /// A cycle must contain at least one static slot (FlexRay requires a
     /// non-empty static segment for sync frames).
     NoStaticSlots,
-    /// The segments (static + dynamic + symbol window + NIT) do not fit in
+    /// The segments (static + dynamic + NIT) do not fit in
     /// `gMacroPerCycle` macroticks.
     SegmentsExceedCycle {
         /// Macroticks required by the configured segments.
@@ -44,7 +42,6 @@ pub enum ConfigError {
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ConfigError::ZeroMacrotick => write!(f, "gdMacrotick must be positive"),
             ConfigError::ZeroCycleLength => write!(f, "gMacroPerCycle must be positive"),
             ConfigError::ZeroStaticSlot => write!(f, "gdStaticSlot must be positive"),
             ConfigError::ZeroMinislot => write!(f, "gdMinislot must be positive"),

@@ -3,19 +3,21 @@
 //! The CoEfficient paper evaluates its scheduler on a 10-node FlexRay
 //! testbed; this crate is the simulated equivalent, faithful at the level
 //! the evaluation observes: cycle/slot/minislot timing, dual channels,
-//! frame formats and CRCs, TDMA arbitration in the static segment, FTDMA
+//! on-wire frame lengths, TDMA arbitration in the static segment, FTDMA
 //! (minislot) arbitration in the dynamic segment, and BER-driven transient
-//! fault injection.
+//! fault injection. A frame is modelled by its length alone: no bit is
+//! encoded and no CRC is computed, because a transient fault is drawn per
+//! frame from that length (`p_z = 1 − (1 − BER)^{W_z}`).
 //!
 //! Module map:
 //!
 //! * [`config`] — cluster-wide protocol constants (`gdCycle`,
 //!   `gdStaticSlot`, `gNumberOfStaticSlots`, `gdMinislot`, `pLatestTx`, …)
-//!   with validation and derived timing;
-//! * [`frame`] + [`crc`] + [`codec`] + [`bitstream`] — frame format,
-//!   header CRC-11, frame CRC-24, the physical bit coding that determines
-//!   how long a frame occupies the wire, and bit-exact
-//!   serialization/deserialization;
+//!   with validation and derived timing, plus the protocol settings this
+//!   reproduction fixes (`gdMacrotick`, the action-point offsets, the
+//!   dynamic slot idle phase);
+//! * [`codec`] — the on-wire length of a frame (header, trailer CRC and
+//!   physical bit coding) and FlexRay's 254-byte payload limit;
 //! * [`signal`] — ECU signals (§II-A);
 //! * [`schedule`] — the [`schedule::MessageId`] shared with the schedulers;
 //! * [`bus`] — the cycle-level dual-channel bus engine with fault
@@ -38,12 +40,9 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod bitstream;
 pub mod bus;
 pub mod codec;
 pub mod config;
-pub mod crc;
-pub mod frame;
 pub mod schedule;
 pub mod signal;
 
@@ -52,4 +51,3 @@ mod error;
 
 pub use channel::ChannelId;
 pub use error::ConfigError;
-pub use frame::{Frame, FrameHeader, FrameId};

@@ -18,7 +18,7 @@ use reliability::{MessageReliability, RetransmissionPlanner};
 fn main() {
     let bbw = workloads::bbw::message_set();
     let scenario = Scenario::ber7();
-    let coding = FrameCoding::default();
+    let coding = FrameCoding;
 
     // --- 1. The reliability view: p_z per message --------------------------
     println!("Brake-By-Wire reliability analysis ({}):", scenario.ber);

@@ -40,7 +40,7 @@ fn main() {
         let mut scheduler = Scheduler::new(
             policy,
             cluster.clone(),
-            FrameCoding::default(),
+            FrameCoding,
             &Scenario::ber7(),
             &statics,
             &[],

@@ -45,7 +45,7 @@ fn scheduler_for(policy: PolicyRef, scenario: &Scenario) -> Scheduler {
     Scheduler::new(
         policy,
         cluster(),
-        FrameCoding::default(),
+        FrameCoding,
         scenario,
         &workloads::bbw::message_set(),
         &workloads::sae::message_set(IdRange::For80Slots, 9),

@@ -129,7 +129,7 @@ proptest! {
             .collect();
         let copy_counts: Vec<(u32, u32)> = msgs.iter().map(|m| (m.id, copies)).collect();
         let Ok(alloc) =
-            StaticAllocation::build(&config, &FrameCoding::default(), &msgs, &copy_counts, false)
+            StaticAllocation::build(&config, &FrameCoding, &msgs, &copy_counts, false)
         else {
             // Overfull workloads may legitimately fail to allocate.
             return Ok(());
