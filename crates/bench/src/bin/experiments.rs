@@ -789,6 +789,19 @@ fn run_cycles(flags: &Flags) {
     if flags.fraction("--tolerance").is_some() && flags.text("--baseline").is_none() {
         usage_error("--tolerance needs --baseline: it bounds the regression against a baseline");
     }
+    // A malformed baseline exits 2 before the matrix runs.
+    let baseline = flags.text("--baseline").map(|path| {
+        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+            eprintln!("cannot read baseline {path}: {e}");
+            eprintln!("(record one with: experiments cycles --smoke --out {path})");
+            std::process::exit(2);
+        });
+        let baseline = Json::parse(&text)
+            .map_err(|e| e.to_string())
+            .and_then(|doc| cycles_from_json(&doc))
+            .unwrap_or_else(|e| usage_error(format!("invalid baseline {path}: {e}")));
+        (path, baseline)
+    });
     let mut spec = cycles_spec(flags.on("--smoke"));
     if let Some(iters) = flags.number("--iters") {
         spec.iters = iters;
@@ -821,17 +834,8 @@ fn run_cycles(flags: &Flags) {
         write_out(out, text);
         println!("bench cycles: wrote {out}");
     }
-    if let Some(path) = flags.text("--baseline") {
+    if let Some((path, baseline)) = baseline {
         let tolerance = flags.fraction("--tolerance").unwrap_or(CYCLES_TOLERANCE);
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read baseline {path}: {e}");
-            eprintln!("(record one with: experiments cycles --smoke --out {path})");
-            std::process::exit(2);
-        });
-        let baseline = Json::parse(&text)
-            .map_err(|e| e.to_string())
-            .and_then(|doc| cycles_from_json(&doc))
-            .unwrap_or_else(|e| usage_error(format!("invalid baseline {path}: {e}")));
         let comparisons = compare_to_baseline(&report, &baseline, tolerance)
             .unwrap_or_else(|e| usage_error(format!("cannot compare against {path}: {e}")));
         let mut regressed = false;

@@ -265,7 +265,9 @@ pub fn cycles_to_json(report: &CyclesReport) -> Json {
 /// [`CyclesReport`] (used to load the checked-in baseline).
 ///
 /// # Errors
-/// Returns a description of the first schema violation.
+/// Returns a description of the first schema violation, including a
+/// `wall_per_cal` that is not finite and positive (the gate divides by
+/// it).
 pub fn cycles_from_json(doc: &Json) -> Result<CyclesReport, String> {
     let schema = want_str(doc, "schema")?;
     if schema != "coefficient-bench-cycles/1" {
@@ -282,12 +284,19 @@ pub fn cycles_from_json(doc: &Json) -> Result<CyclesReport, String> {
     let policies = want_array(doc, "policies")?
         .iter()
         .map(|p| {
+            let policy = want_str(p, "policy")?.to_string();
+            let wall_per_cal = want_f64(p, "wall_per_cal")?;
+            if !(wall_per_cal.is_finite() && wall_per_cal > 0.0) {
+                return Err(format!(
+                    "policy {policy:?}: wall_per_cal {wall_per_cal} is not finite and positive"
+                ));
+            }
             Ok(PolicyCycles {
-                policy: want_str(p, "policy")?.to_string(),
+                policy,
                 cells: want_u64(p, "cells")?,
                 sim_cycles: want_u64(p, "sim_cycles")?,
                 wall: Duration::from_secs_f64(want_f64(p, "wall_ms")?.max(0.0) / 1e3),
-                wall_per_cal: want_f64(p, "wall_per_cal")?,
+                wall_per_cal,
                 peak_scratch_bytes: want_u64(p, "peak_scratch_bytes")?,
             })
         })
@@ -329,8 +338,9 @@ pub struct PolicyComparison {
 ///
 /// # Errors
 /// Returns an error when the reports measured different matrices (mode,
-/// horizon or seed count mismatch) or a baseline policy is missing from
-/// the current report — comparisons would be meaningless.
+/// horizon or seed count mismatch) or a policy of either report is
+/// missing from the other — comparisons would be meaningless, and a
+/// policy the baseline leaves out would go unchecked.
 pub fn compare_to_baseline(
     current: &CyclesReport,
     baseline: &CyclesReport,
@@ -349,6 +359,17 @@ pub fn compare_to_baseline(
             baseline.mode,
             baseline.horizon_ms,
             baseline.seeds,
+        ));
+    }
+    if let Some(cur) = current.policies.iter().find(|cur| {
+        !baseline
+            .policies
+            .iter()
+            .any(|base| base.policy == cur.policy)
+    }) {
+        return Err(format!(
+            "policy {:?} missing from baseline (re-record it with the same flags)",
+            cur.policy
         ));
     }
     baseline
@@ -528,5 +549,32 @@ mod tests {
         });
         let err = compare_to_baseline(&report, &missing, CYCLES_TOLERANCE).unwrap_err();
         assert!(err.contains("missing from current report"), "{err}");
+        // A baseline that leaves a measured policy out cannot vouch for it.
+        let mut partial = report.clone();
+        let dropped = partial.policies.remove(1).policy;
+        let err = compare_to_baseline(&report, &partial, CYCLES_TOLERANCE).unwrap_err();
+        assert!(
+            err.contains(&format!("policy {dropped:?} missing from baseline")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_baseline_wall_per_cal_must_be_finite_and_positive() {
+        let report = measure_cycles(&tiny_spec()).unwrap();
+        let text = cycles_to_json(&report).to_string();
+        assert!(cycles_from_json(&Json::parse(&text).unwrap()).is_ok());
+        let policy = &report.policies[0];
+        let recorded = format!("\"wall_per_cal\":{}", Json::Float(policy.wall_per_cal));
+        assert!(text.contains(&recorded), "{text}");
+        for bad in ["-1", "0", "0.0"] {
+            let doc = text.replacen(&recorded, &format!("\"wall_per_cal\":{bad}"), 1);
+            let err = cycles_from_json(&Json::parse(&doc).unwrap()).unwrap_err();
+            assert!(
+                err.contains(&format!("policy {:?}", policy.policy))
+                    && err.contains("not finite and positive"),
+                "{bad}: {err}"
+            );
+        }
     }
 }

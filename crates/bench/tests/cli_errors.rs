@@ -6,8 +6,10 @@
 //! exit 2, never a panic or a silent default. The listings come from the
 //! registries themselves, so these tests stay correct as they grow.
 
+use bench_harness::cycles::{cycles_from_json, cycles_to_json};
 use bench_harness::experiments::SEED;
 use bench_harness::golden::{corpus_to_json, record_corpus};
+use bench_harness::json::Json;
 use bench_harness::sweep::SweepSpec;
 use coefficient::registry::keys;
 use coefficient::Scenario;
@@ -507,5 +509,60 @@ fn malformed_arguments_exit_2_before_anything_runs() {
             stderr.contains(named),
             "{args:?}: diagnostic does not name {named}: {stderr}"
         );
+    }
+}
+
+#[test]
+fn a_cycles_baseline_that_cannot_gate_every_policy_exits_2() {
+    // A baseline listing only FSPEC and HOSA used to pass the gate with
+    // the other four policies unchecked, and a negative `wall_per_cal`
+    // failed it as a regression (exit 1) instead of as a malformed file.
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../corpus/bench_baseline.json"
+    );
+    let text = std::fs::read_to_string(path).expect("checked-in baseline reads");
+    let recorded = cycles_from_json(&Json::parse(&text).unwrap()).unwrap();
+    let mut partial = recorded.clone();
+    partial
+        .policies
+        .retain(|p| p.policy == "FSPEC" || p.policy == "HOSA");
+    let mut negative = recorded;
+    negative.policies[0].wall_per_cal = -1.0;
+    let cases = [
+        (
+            "partial",
+            partial,
+            "policy \"CoEfficient\" missing from baseline",
+            true,
+        ),
+        (
+            "negative",
+            negative,
+            "policy \"CoEfficient\": wall_per_cal -1 is not finite and positive",
+            false,
+        ),
+    ];
+    // The missing policy shows once the matrix ran; a malformed file is
+    // refused before it runs.
+    for (name, baseline, named, ran) in cases {
+        let file = std::env::temp_dir().join(format!("cli-cycles-{name}-{SEED}.json"));
+        std::fs::write(&file, cycles_to_json(&baseline).to_string()).expect("temp baseline writes");
+        let out = experiments(&[
+            "cycles",
+            "--smoke",
+            "--iters",
+            "1",
+            "--baseline",
+            file.to_str().unwrap(),
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let _ = std::fs::remove_file(&file);
+        assert_eq!(out.status.code(), Some(2), "{name}: {stderr}");
+        assert!(
+            stderr.contains(named),
+            "{name}: diagnostic does not name the defect: {stderr}"
+        );
+        assert_eq!(!out.stdout.is_empty(), ran, "{name}: {out:?}");
     }
 }

@@ -23,9 +23,7 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
-#[cfg(test)]
-use event_sim::SimDuration;
-use event_sim::SimTime;
+use event_sim::{SimDuration, SimTime};
 use flexray::bus::{OutboundPayload, TrafficSource, TransmissionOutcome};
 use flexray::codec::{payload_bytes_for, FrameCoding, MAX_PAYLOAD_BYTES};
 use flexray::config::ClusterConfig;
@@ -234,9 +232,15 @@ pub struct Scheduler {
     dropped_copies: u64,
     /// Bits a static slot carries, from the cluster configuration.
     slot_capacity_bits: u64,
+    /// `gdCycle`, from the cluster configuration.
+    cycle_duration: SimDuration,
+    /// Offset of each static slot from its cycle's start, indexed by
+    /// `slot - 1`: every slot of every cycle looks its start up here.
+    slot_offsets: Vec<SimDuration>,
     /// `statics` index of each static message, by its position in the
     /// workload slice (the allocation's [`Occupant::index`]), so an
-    /// occupied slot reaches its message without a search.
+    /// occupied slot, and the runner's releases, reach their message
+    /// without a search.
     ///
     /// [`Occupant::index`]: crate::assignment::Occupant::index
     occupant_statics: Vec<usize>,
@@ -511,6 +515,10 @@ impl Scheduler {
         let statics: Vec<StaticInfo> = statics.into_values().collect();
         let window_capacity = statics.iter().map(|s| s.windows.capacity()).sum();
         let slot_capacity_bits = config.static_slot_capacity_bits();
+        let cycle_duration = config.cycle_duration();
+        let slot_offsets = (1..=config.static_slot_count())
+            .map(|slot| config.static_slot_offset(slot))
+            .collect();
         let occupant_statics = static_messages
             .iter()
             .map(|m| {
@@ -565,6 +573,8 @@ impl Scheduler {
             in_flight: std::collections::VecDeque::with_capacity(8),
             dropped_copies: 0,
             slot_capacity_bits,
+            cycle_duration,
+            slot_offsets,
             occupant_statics,
             early_candidates: CycleWindows::with_capacity(window_capacity),
             hard_candidates: CycleWindows::with_capacity(window_capacity),
@@ -749,8 +759,21 @@ impl Scheduler {
     /// # Panics
     /// Panics if `message` is not a configured static message.
     pub fn produce_static(&mut self, message: MessageId, now: SimTime) -> InstanceId {
-        let index = self.static_index(message);
+        self.produce_static_index(self.static_index(message), now)
+    }
+
+    /// [`produce_static`](Self::produce_static) for the static message at
+    /// `position` in the workload slice the scheduler was built from.
+    ///
+    /// # Panics
+    /// Panics if `position` is out of range.
+    pub(crate) fn produce_static_at(&mut self, position: usize, now: SimTime) -> InstanceId {
+        self.produce_static_index(self.occupant_statics[position], now)
+    }
+
+    fn produce_static_index(&mut self, index: usize, now: SimTime) -> InstanceId {
         let info = &self.statics[index];
+        let message = info.signal.id;
         let deadline = now + info.signal.deadline;
         let window_end = now + info.signal.period;
         let primary = info.primary;
@@ -759,8 +782,8 @@ impl Scheduler {
             .tracker
             .produce(message, MessageClass::Static, now, deadline);
         let next_primary = next_occurrence_at_or_after(
-            &self.config,
-            primary.slot,
+            self.cycle_duration,
+            self.slot_offsets[usize::from(primary.slot) - 1],
             primary.base_cycle,
             primary.repetition,
             now,
@@ -1196,30 +1219,30 @@ impl Scheduler {
 }
 
 /// The first instant ≥ `t` at which the `(slot, base, rep)` pattern
-/// occurs.
+/// occurs, for cycles of `cycle` and a slot `slot_offset` into its cycle.
 ///
 /// Closed form, no cycle-stepping: the repetition is a power of two
 /// dividing 64, so the counter condition `(cycle mod 64) mod rep == base`
 /// is exactly `cycle mod rep == base`; the first matching cycle at or
-/// after `cycle_of(t)` follows by modular arithmetic, and only that cycle
+/// after the one containing `t` follows by masking, and only that cycle
 /// can place the slot before `t` (every later match starts a full cycle
 /// later), in which case the next match is `rep` cycles on.
 fn next_occurrence_at_or_after(
-    config: &ClusterConfig,
-    slot: u16,
+    cycle: SimDuration,
+    slot_offset: SimDuration,
     base: u8,
     rep: u8,
     t: SimTime,
 ) -> SimTime {
     let (base, rep) = (u64::from(base), u64::from(rep));
     debug_assert!(rep.is_power_of_two() && rep <= 64 && base < rep);
-    let cycle = config.cycle_of(t);
-    let aligned = cycle + (base + rep - cycle % rep) % rep;
-    let start = config.static_slot_start(aligned, u64::from(slot));
+    let index = t.as_nanos() / cycle.as_nanos();
+    let aligned = index + (base.wrapping_sub(index) & (rep - 1));
+    let start = SimTime::ZERO + cycle * aligned + slot_offset;
     if start >= t {
         start
     } else {
-        config.static_slot_start(aligned + rep, u64::from(slot))
+        start + cycle * rep
     }
 }
 
@@ -1231,7 +1254,8 @@ impl TrafficSource for Scheduler {
         slot: u16,
         channel: ChannelId,
     ) -> Option<OutboundPayload> {
-        let slot_start = self.config.static_slot_start(cycle, u64::from(slot));
+        let slot_start =
+            SimTime::ZERO + self.cycle_duration * cycle + self.slot_offsets[usize::from(slot) - 1];
         if let Some(occ) = self.alloc.occupant(channel, slot, cycle_counter) {
             if self.behavior.own_slot_serialization {
                 // Fresh data first (the CHI always stages the latest
@@ -1414,7 +1438,8 @@ mod tests {
     #[test]
     fn closed_form_occurrence_matches_cycle_stepping() {
         let cfg = config();
-        let cycle_ns = cfg.cycle_duration().as_nanos();
+        let cycle = cfg.cycle_duration();
+        let cycle_ns = cycle.as_nanos();
         let last_slot = cfg.static_slot_count() as u16;
         for rep in [1u8, 2, 4, 8, 16, 32, 64] {
             for base in (0..rep).step_by(3.max(rep as usize / 4)) {
@@ -1425,7 +1450,13 @@ mod tests {
                     for k in 0..260u64 {
                         let t = SimTime::ZERO + SimDuration::from_nanos(k * cycle_ns / 3 + k % 5);
                         let want = next_occurrence_by_stepping(&cfg, slot, base, rep, t);
-                        let got = next_occurrence_at_or_after(&cfg, slot, base, rep, t);
+                        let got = next_occurrence_at_or_after(
+                            cycle,
+                            cfg.static_slot_offset(u64::from(slot)),
+                            base,
+                            rep,
+                            t,
+                        );
                         assert_eq!(got, want, "slot {slot} base {base} rep {rep} t {t:?}");
                     }
                     let exact = next_occurrence_by_stepping(
@@ -1443,7 +1474,13 @@ mod tests {
                             t
                         };
                         assert_eq!(
-                            next_occurrence_at_or_after(&cfg, slot, base, rep, t),
+                            next_occurrence_at_or_after(
+                                cycle,
+                                cfg.static_slot_offset(u64::from(slot)),
+                                base,
+                                rep,
+                                t
+                            ),
                             next_occurrence_by_stepping(&cfg, slot, base, rep, t),
                         );
                     }
@@ -1630,6 +1667,75 @@ mod tests {
         assert_eq!(s.tracker().delivered(), 2);
         for inst in s.tracker().instances() {
             assert!(inst.latency().unwrap() < SimDuration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn producing_by_position_matches_producing_by_id() {
+        // Listed out of id order, so a message's position in the workload
+        // differs from its place in the id-sorted `statics`.
+        let mut workload = statics();
+        workload.push(Signal::new(
+            7,
+            SimDuration::from_millis(2),
+            SimDuration::ZERO,
+            SimDuration::from_millis(2),
+            200,
+        ));
+        workload.reverse();
+        for policy in [COEFFICIENT, FSPEC, HOSA] {
+            let build = || {
+                Scheduler::new(
+                    policy,
+                    config(),
+                    FrameCoding,
+                    &Scenario::ber7(),
+                    &workload,
+                    &dynamics(),
+                )
+                .unwrap()
+            };
+            let (mut by_position, mut by_id) = (build(), build());
+            let (mut bus_position, mut bus_id) =
+                (BusEngine::new(config()), BusEngine::new(config()));
+            let cycle = config().cycle_duration();
+            for c in 0..12u64 {
+                let start = SimTime::ZERO + cycle * c;
+                for (position, signal) in workload.iter().enumerate() {
+                    let period = signal.period.as_nanos();
+                    let first = start.as_nanos().div_ceil(period) * period;
+                    for t in (first..(start + cycle).as_nanos()).step_by(period as usize) {
+                        let t = SimTime::from_nanos(t);
+                        let a = by_position.produce_static_at(position, t);
+                        let b = by_id.produce_static(signal.id, t);
+                        assert_eq!(a, b);
+                    }
+                }
+                bus_position.run_cycle(c, &mut by_position);
+                bus_id.run_cycle(c, &mut by_id);
+            }
+            let name = policy.key();
+            assert!(by_id.tracker().delivered() > 0, "{name}");
+            assert_eq!(
+                format!("{:?}", by_position.statics),
+                format!("{:?}", by_id.statics),
+                "{name}"
+            );
+            assert_eq!(
+                format!("{:?}", by_position.tracker().instances()),
+                format!("{:?}", by_id.tracker().instances()),
+                "{name}"
+            );
+            assert_eq!(
+                by_position.schedule_counters(),
+                by_id.schedule_counters(),
+                "{name}"
+            );
+            assert_eq!(by_position.dropped_copies, by_id.dropped_copies, "{name}");
+            assert_eq!(
+                by_position.copy_transmissions, by_id.copy_transmissions,
+                "{name}"
+            );
         }
     }
 
@@ -1975,8 +2081,8 @@ mod tests {
             let inst = s.tracker.get(id);
             let p = info.primary;
             let next_primary = next_occurrence_at_or_after(
-                &s.config,
-                p.slot,
+                s.config.cycle_duration(),
+                s.config.static_slot_offset(u64::from(p.slot)),
                 p.base_cycle,
                 p.repetition,
                 inst.produced_at,

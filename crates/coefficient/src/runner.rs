@@ -753,8 +753,9 @@ impl Runner {
     }
 
     /// Runs to completion and reports.
-    pub fn run(self) -> RunReport {
-        self.run_with_instances().0
+    pub fn run(mut self) -> RunReport {
+        let truncated = self.run_cycles();
+        self.report(truncated)
     }
 
     /// Runs to completion and reports, additionally returning the life
@@ -766,6 +767,15 @@ impl Runner {
     /// byte-identical to [`run`](Self::run)'s: the instance records are a
     /// read-out, not a mode.
     pub fn run_with_instances(mut self) -> (RunReport, Vec<InstanceStatus>) {
+        let truncated = self.run_cycles();
+        let instances = self.scheduler.tracker().instances().to_vec();
+        (self.report(truncated), instances)
+    }
+
+    /// The cycle loop: produces each cycle's releases, runs the bus and
+    /// the health monitors, until the stop condition holds. Returns
+    /// whether the run hit [`MAX_CYCLES`] first.
+    fn run_cycles(&mut self) -> bool {
         let cycle_dur = self.cfg.cluster.cycle_duration();
         let releases = Releases::new(
             self.cfg
@@ -790,7 +800,6 @@ impl Runner {
             .unwrap_or(SimDuration::ZERO);
 
         let mut cycle: u64 = 0;
-        let mut truncated = false;
 
         loop {
             let cycle_start = self.cfg.cluster.cycle_start(cycle);
@@ -802,7 +811,7 @@ impl Runner {
             let (scheduler, cfg) = (&mut self.scheduler, &self.cfg);
             production.produce_until(cycle_end, |class, i, t| match class {
                 MessageClass::Static => {
-                    scheduler.produce_static(cfg.static_messages[i].id, t);
+                    scheduler.produce_static_at(i, t);
                 }
                 MessageClass::Dynamic => {
                     scheduler.produce_dynamic(cfg.dynamic_messages[i].frame_id, t);
@@ -852,13 +861,10 @@ impl Runner {
                 }
             }
             if cycle >= MAX_CYCLES {
-                truncated = true;
-                break;
+                return true;
             }
         }
-
-        let instances = self.scheduler.tracker().instances().to_vec();
-        (self.report(truncated), instances)
+        false
     }
 
     /// Feeds the bus-wide monitor the merged fault counters, combines it
@@ -1311,6 +1317,28 @@ mod tests {
         let b = Runner::new(blackout_config(COEFFICIENT)).unwrap().run();
         assert_eq!(a.fingerprint(), b.fingerprint());
         assert_eq!(a.chaos, b.chaos);
+    }
+
+    #[test]
+    fn run_reports_what_run_with_instances_reports() {
+        let mut bursty = base_config(
+            COEFFICIENT,
+            StopCondition::Horizon(SimDuration::from_millis(200)),
+        );
+        bursty.scenario = Scenario::ber7().bursty();
+        for cfg in [
+            base_config(COEFFICIENT, StopCondition::ProducedInstances(300)),
+            bursty,
+            blackout_config(COEFFICIENT),
+        ] {
+            let name = cfg.scenario.name;
+            let plain = Runner::new(cfg.clone()).unwrap().run();
+            let (logged, instances) = Runner::new(cfg).unwrap().run_with_instances();
+            assert_eq!(plain.fingerprint(), logged.fingerprint(), "{name}");
+            assert_eq!(plain.counters, logged.counters, "{name}");
+            assert_eq!(plain.chaos, logged.chaos, "{name}");
+            assert_eq!(instances.len() as u64, plain.produced, "{name}");
+        }
     }
 
     #[test]

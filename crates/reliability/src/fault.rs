@@ -19,28 +19,40 @@ use event_sim::rng::substream;
 use crate::ber::Ber;
 use crate::campaign::CampaignCounters;
 
-/// Number of distinct frame sizes memoised per fault process.
+/// Number of entries in a fault process's frame-probability memo.
 ///
-/// A FlexRay run sees only a handful of wire sizes (one per payload length
-/// in the message set, plus the dynamic-segment fits), so a small
-/// direct-mapped table covers the steady state; overflow evicts round-robin
-/// rather than allocating.
-const FRAME_PROB_SLOTS: usize = 8;
+/// A FlexRay frame's wire length
+/// (`flexray::codec::FrameCoding::frame_wire_bits`) grows by 10 bits per
+/// payload byte, payloads are whole 2-byte words, and a dynamic frame
+/// adds a 2-bit DTS, so static frames have `bits ≡ 8 (mod 20)` and
+/// dynamic ones `bits ≡ 10 (mod 20)`. Keyed by `(bits >> 1) mod 256`, the
+/// 128 static sizes land on distinct even slots and the 128 dynamic sizes
+/// on distinct odd slots: every frame a run can send has a slot of its
+/// own, so each size pays its `exp_m1` once per run
+/// (`every_flexray_frame_size_has_its_own_memo_entry` checks this against
+/// the codec).
+const FRAME_PROB_SLOTS: usize = 256;
 
 /// Exact memo of [`Ber::frame_failure_probability`] for one bit error rate.
 ///
 /// `ln(1 − BER)` is precomputed once and each distinct `bits` value pays
 /// the `exp_m1` only on first sight, so the per-frame hot path is a table
-/// probe. The cached value is produced by the *same expression* as the
-/// uncached one — `-exp_m1(bits · ln_1p(−BER))` — so results are
-/// bit-identical and golden digests are unaffected.
+/// probe. The table is direct-mapped (see [`FRAME_PROB_SLOTS`]) and each
+/// entry stores its `bits`, so any other size is still exact: a collision
+/// only evicts an entry. The cached value is produced by the *same
+/// expression* as the uncached one — `-exp_m1(bits · ln_1p(−BER))` — so
+/// results are bit-identical and golden digests are unaffected.
 #[derive(Debug, Clone)]
 struct FrameProbCache {
     rate: f64,
     ln1p_neg_rate: f64,
-    entries: [(u32, f64); FRAME_PROB_SLOTS],
-    len: usize,
-    next_evict: usize,
+    /// The `bits` each entry holds; 0 (never probed: a 0-bit frame
+    /// short-circuits) marks an empty entry.
+    keys: [u32; FRAME_PROB_SLOTS],
+    probs: [f64; FRAME_PROB_SLOTS],
+    /// `exp_m1` evaluations so far (tests check the memo's hit pattern).
+    #[cfg(test)]
+    evaluations: u32,
 }
 
 impl FrameProbCache {
@@ -48,9 +60,10 @@ impl FrameProbCache {
         FrameProbCache {
             rate: ber.rate(),
             ln1p_neg_rate: f64::ln_1p(-ber.rate()),
-            entries: [(0, 0.0); FRAME_PROB_SLOTS],
-            len: 0,
-            next_evict: 0,
+            keys: [0; FRAME_PROB_SLOTS],
+            probs: [0.0; FRAME_PROB_SLOTS],
+            #[cfg(test)]
+            evaluations: 0,
         }
     }
 
@@ -59,19 +72,17 @@ impl FrameProbCache {
         if self.rate == 0.0 || bits == 0 {
             return 0.0;
         }
-        for &(b, p) in &self.entries[..self.len] {
-            if b == bits {
-                return p;
-            }
+        let slot = (bits >> 1) as usize % FRAME_PROB_SLOTS;
+        if self.keys[slot] == bits {
+            return self.probs[slot];
+        }
+        #[cfg(test)]
+        {
+            self.evaluations += 1;
         }
         let p = -f64::exp_m1(f64::from(bits) * self.ln1p_neg_rate);
-        if self.len < FRAME_PROB_SLOTS {
-            self.entries[self.len] = (bits, p);
-            self.len += 1;
-        } else {
-            self.entries[self.next_evict] = (bits, p);
-            self.next_evict = (self.next_evict + 1) % FRAME_PROB_SLOTS;
-        }
+        self.keys[slot] = bits;
+        self.probs[slot] = p;
         p
     }
 }
@@ -564,9 +575,8 @@ mod tests {
         for rate in [1e-7, 1e-5, 1e-3, 0.3] {
             let ber = Ber::new(rate).unwrap();
             let mut cache = FrameProbCache::new(ber);
-            // More distinct sizes than cache slots, visited twice, so both
-            // the fill path and the round-robin eviction path are compared
-            // against the uncached expression.
+            // Arbitrary sizes, visited twice, so both the fill path and
+            // the hit path are compared against the uncached expression.
             for _ in 0..2 {
                 for bits in [0u32, 1, 7, 42, 100, 254, 1000, 2040, 4096, 65_535, 123_456] {
                     let want = ber.frame_failure_probability(bits);
@@ -576,6 +586,47 @@ mod tests {
                         want.to_bits(),
                         "rate {rate} bits {bits}: cached {got} != direct {want}"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_flexray_frame_size_has_its_own_memo_entry() {
+        let ber = Ber::new(1e-7).unwrap();
+        let mut cache = FrameProbCache::new(ber);
+        let sizes: Vec<u32> = (0..=flexray::codec::MAX_PAYLOAD_BYTES)
+            .step_by(2)
+            .flat_map(|payload| {
+                [false, true].map(|dynamic| {
+                    let bits = flexray::codec::FrameCoding.frame_wire_bits(payload, dynamic);
+                    u32::try_from(bits).unwrap()
+                })
+            })
+            .collect();
+        assert_eq!(sizes.len(), FRAME_PROB_SLOTS);
+        for pass in 0..2 {
+            for &bits in &sizes {
+                let want = ber.frame_failure_probability(bits);
+                let got = cache.probability(bits);
+                assert_eq!(got.to_bits(), want.to_bits(), "pass {pass} bits {bits}");
+            }
+        }
+        // The second pass hit on every size: no two sizes share a slot.
+        assert_eq!(cache.evaluations, FRAME_PROB_SLOTS as u32);
+    }
+
+    #[test]
+    fn colliding_sizes_evict_but_stay_exact() {
+        let ber = Ber::new(1e-5).unwrap();
+        let mut cache = FrameProbCache::new(ber);
+        for bits in [108u32, 110, 1000, 2049, 65_535] {
+            // `bits` and `bits + 512` share a slot; alternating them
+            // evicts on every probe.
+            for _ in 0..3 {
+                for b in [bits, bits + 512, bits + 1024] {
+                    let want = ber.frame_failure_probability(b);
+                    assert_eq!(cache.probability(b).to_bits(), want.to_bits(), "bits {b}");
                 }
             }
         }

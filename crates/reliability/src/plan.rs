@@ -163,8 +163,11 @@ impl RetransmissionPlanner {
             .sum()
     }
 
-    /// Computes the differentiated plan: the cheapest set of `k_z` (greedy
-    /// in marginal log-gain per bit of bandwidth) that reaches `goal`.
+    /// Computes the differentiated plan: starting from no copies, it adds
+    /// one copy at a time to the message with the largest marginal
+    /// log-gain per bit of bandwidth, never past the per-message cap,
+    /// until the plan reaches `goal`. The greedy rule does not promise
+    /// the cheapest plan that reaches the goal.
     ///
     /// # Errors
     /// * [`PlanError::InvalidGoal`] if `goal` is not in `(0, 1]`;
