@@ -146,7 +146,8 @@ static SUBCOMMANDS: [Command; 11] = [
             SWEEP_FLAGS,
             &[
                 (Text, "--cell --out --format"),
-                (Number, "--capacity --sample-every"),
+                (Count, "--capacity"),
+                (Number, "--sample-every"),
                 (Switch, "--golden"),
             ],
         ],
@@ -228,8 +229,8 @@ static SUBCOMMANDS: [Command; 11] = [
         words: Vec::new,
         flags: &[&[
             (Text, "--cell"),
-            (Count, "--iters"),
-            (Number, "--capacity --sample-every"),
+            (Count, "--iters --capacity"),
+            (Number, "--sample-every"),
             (Fraction, "--tolerance"),
         ]],
     },

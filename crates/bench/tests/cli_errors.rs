@@ -393,7 +393,7 @@ fn inputs_that_used_to_panic_exit_2_naming_the_flag() {
     // allocate hundreds of gigabytes (exit 134), or ran a degenerate
     // zero-length experiment and exited 0; the CLI now rejects them
     // before the library sees them.
-    let cases: [(&[&str], &str); 19] = [
+    let cases: [(&[&str], &str); 21] = [
         (
             &["chaos", "--policy", "greedy", "--require", "coefficient"],
             "--require",
@@ -433,6 +433,16 @@ fn inputs_that_used_to_panic_exit_2_naming_the_flag() {
             "--threads",
         ),
         (&["storm-smoke", "--horizon-ms", "0"], "--horizon-ms"),
+        // A zero-event ring stored nothing: `trace` wrote an empty trace
+        // and `trace-overhead` timed a run that recorded nothing.
+        (
+            &["trace", "--cell", "0,0,0", "--capacity", "0"],
+            "--capacity must be at least 1",
+        ),
+        (
+            &["trace-overhead", "--capacity", "0"],
+            "--capacity must be at least 1",
+        ),
     ];
     for (args, flag) in cases {
         let out = experiments(args);

@@ -20,7 +20,8 @@
 //!
 //! Placement tests freeness on one 64-bit cycle mask per `(channel, slot)`,
 //! where a `(base, repetition)` pattern is itself a mask, so each candidate
-//! is one AND. The occupant matrix serves only the runtime's lookups.
+//! is one AND. The occupant matrix and a per-`(channel, cycle)` bitset of
+//! occupied slots serve the runtime's lookups.
 
 use std::fmt;
 
@@ -144,6 +145,11 @@ pub struct StaticAllocation {
     /// `busy[channel][slot-1]`: bit `c` is set when cycle `c` is taken.
     /// Placement tests pattern freeness here, one AND per candidate.
     busy: Vec<u64>,
+    /// `occupied[channel][cycle]`: `words` 64-bit words whose bit `s - 1`
+    /// is set when slot `s` is taken in that cycle, so the runtime finds
+    /// the next occupied slot a word at a time.
+    occupied: Vec<u64>,
+    words: usize,
     /// In placement order, with each message's position in the input.
     primaries: Vec<(MessageId, u16, SlotPosition)>,
     copies: Vec<CopyPlacement>,
@@ -188,6 +194,29 @@ impl StaticAllocation {
     /// `cycle_counter`, if any.
     pub fn occupant(&self, channel: ChannelId, slot: u16, cycle_counter: u8) -> Option<Occupant> {
         self.matrix[self.row(channel, slot) * CYCLES + usize::from(cycle_counter)]
+    }
+
+    /// The first slot at or after `from` (1-based) occupied on `channel`
+    /// in the cycle with counter `cycle_counter`, or one past the last
+    /// slot if none is.
+    pub fn next_occupied_slot(&self, channel: ChannelId, cycle_counter: u8, from: u16) -> u16 {
+        debug_assert!(from >= 1);
+        let start = (channel.index() * CYCLES + usize::from(cycle_counter)) * self.words;
+        let row = &self.occupied[start..start + self.words];
+        let bit = usize::from(from) - 1;
+        let mut w = bit / 64;
+        let Some(&first) = row.get(w) else {
+            return self.slots + 1;
+        };
+        let mut word = first & (u64::MAX << (bit % 64));
+        while word == 0 {
+            w += 1;
+            let Some(&next) = row.get(w) else {
+                return self.slots + 1;
+            };
+            word = next;
+        }
+        (w * 64 + word.trailing_zeros() as usize + 1) as u16
     }
 
     /// Primary position of `message`.
@@ -235,8 +264,11 @@ impl StaticAllocation {
         debug_assert!(self.busy[row] & mask == 0, "double allocation");
         self.busy[row] |= mask;
         let cycles = (usize::from(pos.base_cycle)..CYCLES).step_by(usize::from(pos.repetition));
+        let bit = usize::from(pos.slot - 1);
+        let channel_start = pos.channel.index() * CYCLES;
         for c in cycles {
             self.matrix[row * CYCLES + c] = Some(occ);
+            self.occupied[(channel_start + c) * self.words + bit / 64] |= 1 << (bit % 64);
         }
     }
 
@@ -294,10 +326,13 @@ impl StaticAllocation {
         }
         let slots = config.static_slot_count() as u16;
         let capacity = config.static_slot_capacity_bits();
+        let words = usize::from(slots).div_ceil(64);
         let mut alloc = StaticAllocation {
             slots,
             matrix: vec![None; 2 * usize::from(slots) * CYCLES],
             busy: vec![0; 2 * usize::from(slots)],
+            occupied: vec![0; 2 * CYCLES * words],
+            words,
             primaries: Vec::with_capacity(messages.len()),
             copies: Vec::new(),
             spill: Vec::new(),
@@ -932,6 +967,7 @@ mod tests {
                             );
                         }
                     }
+                    assert_next_occupied_follows_the_occupants(&a, channel);
                     let per_channel = usize::from(s.slots) * CYCLES;
                     let start = channel.index() * per_channel;
                     let used = s.matrix[start..start + per_channel]
@@ -956,6 +992,49 @@ mod tests {
                 Outcome::Failed(a)
             }
             (a, s) => panic!("masks {:?} but scan {:?}", a.map(|_| ()), s.map(|_| ())),
+        }
+    }
+
+    /// Checks [`StaticAllocation::next_occupied_slot`] against a scan of
+    /// the occupants, from every slot of every cycle on `channel`.
+    fn assert_next_occupied_follows_the_occupants(a: &StaticAllocation, channel: ChannelId) {
+        for cycle in 0..CYCLES as u8 {
+            let mut next = a.slots + 1;
+            for from in (1..=a.slots + 1).rev() {
+                if from <= a.slots && a.occupant(channel, from, cycle).is_some() {
+                    next = from;
+                }
+                assert_eq!(
+                    a.next_occupied_slot(channel, cycle, from),
+                    next,
+                    "{channel:?} cycle {cycle} from {from}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn next_occupied_slot_reads_every_word_of_a_wide_segment() {
+        // 80 and 128 slots: two words, the second partly or wholly used.
+        for slots in [80, 128] {
+            let cfg = ClusterConfig::builder()
+                .macroticks_per_cycle(8000)
+                .static_slots(slots, 40)
+                .minislots(50, 2)
+                .bit_rate(80_000_000)
+                .build()
+                .unwrap();
+            // Enough every-cycle and rep-2 primaries to reach past slot
+            // 64, each with a copy, mirrored on B.
+            let msgs: Vec<Signal> = (1..=70)
+                .map(|i| sig(i, if i % 3 == 0 { 10 } else { 5 }, 100))
+                .collect();
+            let copies: Vec<(MessageId, u32)> = (1..=70).step_by(7).map(|i| (i, 1)).collect();
+            let a = StaticAllocation::build(&cfg, &FrameCoding, &msgs, &copies, true).unwrap();
+            assert!(a.primaries.iter().any(|&(_, _, p)| p.slot > 64));
+            for channel in [ChannelId::A, ChannelId::B] {
+                assert_next_occupied_follows_the_occupants(&a, channel);
+            }
         }
     }
 

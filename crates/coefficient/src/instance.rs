@@ -8,8 +8,9 @@ use event_sim::{SimDuration, SimTime};
 use flexray::schedule::MessageId;
 use metrics::{DeadlineTracker, Summary};
 
-/// Which paper traffic class an instance belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Which paper traffic class an instance belongs to. `Static` sorts
+/// first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MessageClass {
     /// Time-triggered, static segment (hard periodic task).
     Static,

@@ -35,7 +35,7 @@ use reliability::monitor::HealthState;
 use reliability::{MessageReliability, RetransmissionPlanner};
 use workloads::{AperiodicMessage, Criticality};
 
-use crate::assignment::{AllocationError, OccupantKind, SlotPosition, StaticAllocation};
+use crate::assignment::{AllocationError, Occupant, OccupantKind, SlotPosition, StaticAllocation};
 use crate::instance::{InstanceId, InstanceTracker, MessageClass};
 use crate::registry::{PolicyBehavior, PolicyRef};
 use crate::scenario::Scenario;
@@ -85,6 +85,14 @@ fn dyn_key(frame_id: u16) -> u32 {
 /// static instance may spend before failover stops re-hosting it; one step
 /// above the `Storm` degraded-copy budget of 3.
 const FAILOVER_BUDGET: u32 = 4;
+
+/// A free static position's answer: what it carries, or else the earliest
+/// instant after it at which a free position of the same static segment
+/// may carry a frame ([`SimTime::MAX`]: none). The bound holds for the
+/// rest of the segment because eligibility only shrinks within one:
+/// production runs between cycles, copies only spend budget and the
+/// dynamic backlog only drains.
+type Horizon<T> = Result<T, SimTime>;
 
 #[derive(Debug, Clone)]
 struct StaticInfo {
@@ -174,6 +182,53 @@ impl CycleWindows {
     }
 }
 
+/// Early-copy candidates as `(statics index, window)`, sorted by
+/// `(deadline, message)` and kept across cycles: production inserts each
+/// window that may carry an early copy, and entries leave when a walk
+/// meets them spent, when their early range ends before a cycle the bus
+/// runs, or when their message's ring prunes them. Like [`CycleWindows`]
+/// the list is walked, not consumed in time order.
+#[derive(Debug)]
+struct EarlyWindows {
+    windows: Vec<(usize, ReleaseWindow)>,
+    /// Start of the latest cycle the list was swept for: no entry's early
+    /// range ended at or before it.
+    swept: SimTime,
+}
+
+impl EarlyWindows {
+    /// Inserts `w` after every entry that sorts at or before it.
+    fn insert(&mut self, index: usize, w: ReleaseWindow) {
+        let at = self
+            .windows
+            .partition_point(|&(i, e)| (e.deadline, i) <= (w.deadline, index));
+        self.windows.insert(at, (index, w));
+    }
+
+    /// Drops the entries whose early range ended by `cycle_start`: no slot
+    /// of this cycle or a later one lies in it.
+    fn sweep(&mut self, cycle_start: SimTime) {
+        if cycle_start > self.swept {
+            self.windows.retain(|(_, w)| w.early_end > cycle_start);
+            self.swept = cycle_start;
+        }
+    }
+
+    /// Drops `w`, which its message's ring pruned, if it can still be
+    /// listed (a sweep already dropped it otherwise).
+    fn prune(&mut self, w: &ReleaseWindow) {
+        if w.early_end > self.swept {
+            if let Some(at) = self
+                .windows
+                .iter()
+                .position(|(_, e)| e.instance == w.instance)
+            {
+                self.windows.remove(at);
+            }
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 struct DynInfo {
     spec: AperiodicMessage,
@@ -219,7 +274,11 @@ pub struct Scheduler {
     /// In message-id order, so scans are deterministic: ties on deadline
     /// resolve to the lowest message id.
     statics: Vec<StaticInfo>,
-    dynamics: HashMap<u16, DynInfo>,
+    /// In workload order. Each position holds the entry of the last
+    /// message listing its frame id, the one producing by id finds.
+    dynamics: Vec<DynInfo>,
+    /// Position in `dynamics` of each frame id.
+    dynamic_index: HashMap<u16, usize>,
     tracker: InstanceTracker,
     /// Per-channel dynamic queues, sorted by (frame id, seq).
     queues: [Vec<(u64, DynPending)>; 2],
@@ -244,16 +303,21 @@ pub struct Scheduler {
     ///
     /// [`Occupant::index`]: crate::assignment::Occupant::index
     occupant_statics: Vec<usize>,
-    /// Early-copy candidates: every release window that overlaps the
-    /// cycle, has a non-empty early range, has spent no opportunistic copy
-    /// and fits a static slot.
-    early_candidates: CycleWindows,
+    /// Early-copy candidates: every release window with a non-empty early
+    /// range whose frame fits a static slot, while it may still carry an
+    /// early copy (empty unless the policy sends early copies).
+    early_candidates: EarlyWindows,
     /// Degraded-copy and failover candidates: every release window of an
     /// undelivered instance, under the failover budget, whose frame fits
     /// a static slot and which is still current and before its deadline
     /// somewhere in the cycle. Each window's `window_end` is clipped to
     /// the next release of its message, where it stops being current.
     hard_candidates: CycleWindows,
+    /// `(cycle, channel, instant)`: no free static position of that
+    /// channel's static segment in that cycle starting before the instant
+    /// can carry a frame. Eligibility only shrinks within a segment, so
+    /// the bound holds until the segment ends.
+    horizon_cache: Option<(u64, ChannelId, SimTime)>,
     /// FSPEC: channel transmissions each static instance needs
     /// (1 primary + the uniform best-effort copy count; A and B mirrors
     /// each count as one transmission).
@@ -528,7 +592,8 @@ impl Scheduler {
             })
             .collect();
 
-        let mut dynamics = HashMap::new();
+        let mut dynamics = Vec::with_capacity(dynamic_messages.len());
+        let mut dynamic_index = HashMap::with_capacity(dynamic_messages.len());
         for (i, d) in dynamic_messages.iter().enumerate() {
             // Dual-channel schemes balance first transmissions across the
             // two channels (unless the ablation disables B).
@@ -542,18 +607,22 @@ impl Scheduler {
                 ChannelId::A
             };
             let payload_bytes = payload_bytes_for(u64::from(d.size_bits)) as u16;
-            dynamics.insert(
-                d.frame_id,
-                DynInfo {
-                    spec: d.clone(),
-                    payload_bytes,
-                    // Static-slot coding has no DTS, so the steal fit check
-                    // always uses the default coding's static wire length.
-                    static_wire_bits: FrameCoding.frame_wire_bits(u64::from(payload_bytes), false),
-                    copies: count_of(dyn_key(d.frame_id)),
-                    home_channel,
-                },
-            );
+            dynamics.push(DynInfo {
+                spec: d.clone(),
+                payload_bytes,
+                // Static-slot coding has no DTS, so the steal fit check
+                // always uses the default coding's static wire length.
+                static_wire_bits: FrameCoding.frame_wire_bits(u64::from(payload_bytes), false),
+                copies: count_of(dyn_key(d.frame_id)),
+                home_channel,
+            });
+            dynamic_index.insert(d.frame_id, i);
+        }
+        for (i, d) in dynamic_messages.iter().enumerate() {
+            let last = dynamic_index[&d.frame_id];
+            if last != i {
+                dynamics[i] = dynamics[last].clone();
+            }
         }
 
         Ok(Scheduler {
@@ -564,6 +633,7 @@ impl Scheduler {
             alloc,
             statics,
             dynamics,
+            dynamic_index,
             tracker: InstanceTracker::new(),
             // Pre-sized so the steady-state cycle loop never grows them:
             // the dynamic backlog is bounded by the purge window and the
@@ -576,8 +646,12 @@ impl Scheduler {
             cycle_duration,
             slot_offsets,
             occupant_statics,
-            early_candidates: CycleWindows::with_capacity(window_capacity),
+            early_candidates: EarlyWindows {
+                windows: Vec::with_capacity(window_capacity),
+                swept: SimTime::ZERO,
+            },
             hard_candidates: CycleWindows::with_capacity(window_capacity),
+            horizon_cache: None,
             fspec_tx_needed,
             copy_transmissions: 0,
             cooperative_static_serves: 0,
@@ -718,7 +792,7 @@ impl Scheduler {
 
     /// Bytes currently committed to the scheduler's reusable scratch
     /// buffers (dynamic queues, in-flight staging, FSPEC slot queues, the
-    /// per-cycle candidate lists) —
+    /// candidate lists) —
     /// capacity, not length, so it reports the high-water footprint the
     /// allocation-free cycle loop runs in. The `bench cycles` harness
     /// records this per policy.
@@ -793,18 +867,25 @@ impl Scheduler {
         // `cycle_start - period` and before the cycle ends, which bounds
         // the ring at ceil(cycle / period) + 1 windows.
         let cycle_start = self.config.cycle_start(self.config.cycle_of(now));
-        let windows = &mut self.statics[index].windows;
-        while windows.front().is_some_and(|w| w.window_end <= cycle_start) {
-            windows.pop_front();
+        let info = &mut self.statics[index];
+        while let Some(pruned) = info.windows.pop_front_if(|w| w.window_end <= cycle_start) {
+            self.early_candidates.prune(&pruned);
         }
-        windows.push_back(ReleaseWindow {
+        let window = ReleaseWindow {
             instance,
             start: now,
             window_end,
             early_end: window_end.min(next_primary),
             deadline,
-        });
-        self.early_candidates.cycle = None;
+        };
+        info.windows.push_back(window);
+        if self.behavior.cooperative_segments
+            && self.options.early_copies
+            && window.start < window.early_end
+            && info.wire_bits <= self.slot_capacity_bits
+        {
+            self.early_candidates.insert(index, window);
+        }
         self.hard_candidates.cycle = None;
         if self.behavior.own_slot_serialization {
             // All transmissions (primary + best-effort copies) are
@@ -844,10 +925,21 @@ impl Scheduler {
     /// # Panics
     /// Panics if `frame_id` is not a configured dynamic message.
     pub fn produce_dynamic(&mut self, frame_id: u16, now: SimTime) -> InstanceId {
-        let info = self
-            .dynamics
+        let index = *self
+            .dynamic_index
             .get(&frame_id)
             .expect("unknown dynamic message");
+        self.produce_dynamic_at(index, now)
+    }
+
+    /// [`produce_dynamic`](Self::produce_dynamic) for the dynamic message
+    /// at `position` in the workload slice the scheduler was built from.
+    ///
+    /// # Panics
+    /// Panics if `position` is out of range.
+    pub(crate) fn produce_dynamic_at(&mut self, position: usize, now: SimTime) -> InstanceId {
+        let info = &self.dynamics[position];
+        let frame_id = info.spec.frame_id;
         let deadline = now + info.spec.deadline;
         let expires = deadline + info.spec.min_interarrival;
         let (copies, home, payload) = (info.copies, info.home_channel, info.payload_bytes);
@@ -933,6 +1025,124 @@ impl Scheduler {
         q.insert(pos, (seq, p));
     }
 
+    /// The frame for occupied position `occ` at `slot_start`, if its
+    /// message has one to send there.
+    fn occupied_frame(
+        &mut self,
+        occ: Occupant,
+        channel: ChannelId,
+        slot_start: SimTime,
+    ) -> Option<OutboundPayload> {
+        if self.behavior.own_slot_serialization {
+            // Fresh data first (the CHI always stages the latest
+            // instance): the newest entry still owing its initial A/B
+            // transmission pair wins the occurrence; otherwise the
+            // occurrence is *spare* and serves the oldest entry still
+            // owing best-effort copies. Because FSPEC schedules the
+            // segments separately, copies can only ride these spare
+            // occurrences of the message's own slot.
+            let fresh_threshold = self.fspec_tx_needed.saturating_sub(2);
+            let index = self.occupant_statics[usize::from(occ.index)];
+            let q = &mut self.statics[index].fspec_queue;
+            let idx = (0..q.len())
+                .rev()
+                .find(|&i| q[i].1 > fresh_threshold)
+                .or_else(|| (!q.is_empty()).then_some(0))?;
+            let entry = &mut q[idx];
+            let instance = entry.0;
+            entry.1 -= 1;
+            let is_copy = entry.1 + 1 < self.fspec_tx_needed;
+            if entry.1 == 0 {
+                q.remove(idx);
+            }
+            if is_copy {
+                self.copy_transmissions += 1;
+                if self.tracer.is_enabled() {
+                    self.tracer.emit(
+                        slot_start,
+                        EventKind::RetransmissionCopy {
+                            channel: channel.index() as u8,
+                            frame_id: u64::from(occ.message),
+                        },
+                    );
+                }
+            }
+            let payload = OutboundPayload {
+                message: occ.message,
+                payload_bytes: self.statics[index].payload_bytes,
+                produced_at: self.tracker.get(instance).produced_at,
+            };
+            self.in_flight.push_back(instance);
+            return Some(payload);
+        }
+        // Window path: transmit the instance whose generation window
+        // contains this slot — the newest released at or before the
+        // slot (the production batch may run ahead of the bus cycle).
+        // None once the window passed or production ended.
+        let info = &self.statics[self.occupant_statics[usize::from(occ.index)]];
+        let w = info.window_at(slot_start)?;
+        if occ.kind != OccupantKind::Primary {
+            self.copy_transmissions += 1;
+            if self.tracer.is_enabled() {
+                self.tracer.emit(
+                    slot_start,
+                    EventKind::RetransmissionCopy {
+                        channel: channel.index() as u8,
+                        frame_id: u64::from(occ.message),
+                    },
+                );
+            }
+        }
+        let payload = OutboundPayload {
+            message: occ.message,
+            payload_bytes: info.payload_bytes,
+            produced_at: w.start,
+        };
+        self.in_flight.push_back(w.instance);
+        Some(payload)
+    }
+
+    /// A free static position: a failover copy, else cooperative filling.
+    /// `Err` carries the earliest instant after `slot_start` at which a
+    /// free position of this static segment may carry a frame (see
+    /// [`Horizon`]).
+    fn free_frame(
+        &mut self,
+        cycle: u64,
+        slot: u16,
+        channel: ChannelId,
+        slot_start: SimTime,
+    ) -> Horizon<OutboundPayload> {
+        if !self.behavior.cooperative_segments {
+            // Separate-segments schemes leave free static positions idle.
+            return Err(SimTime::MAX);
+        }
+        // Failover outranks cooperative filling: a hard frame stranded on
+        // a storming channel takes the free position before any soft
+        // backlog or opportunistic copy.
+        let mut horizon = SimTime::MAX;
+        if self.behavior.failover {
+            match self.failover_mirror(cycle, channel, slot_start) {
+                Ok(payload) => {
+                    if self.tracer.is_enabled() {
+                        self.tracer.emit(
+                            slot_start,
+                            EventKind::FailoverMirror {
+                                channel: channel.index() as u8,
+                                slot: u64::from(slot),
+                                frame_id: u64::from(payload.message),
+                            },
+                        );
+                    }
+                    return Ok(payload);
+                }
+                Err(later) => horizon = later,
+            }
+        }
+        self.cooperative_fill(cycle, slot, channel, slot_start)
+            .map_err(|later| later.min(horizon))
+    }
+
     /// CoEfficient's cooperative use of a free static position: first a
     /// backlogged dynamic entry that fits, then an early copy of a released
     /// static instance whose primary occurrence is still ahead.
@@ -942,30 +1152,34 @@ impl Scheduler {
         slot: u16,
         channel: ChannelId,
         slot_start: SimTime,
-    ) -> Option<OutboundPayload> {
+    ) -> Horizon<OutboundPayload> {
         if !self.options.dual_channel && channel == ChannelId::B {
-            return None; // single-channel ablation leaves B untouched
+            return Err(SimTime::MAX); // single-channel ablation leaves B untouched
         }
         // 0. Degraded mode: the slack freed by shedding soft traffic is
         // re-planned into extra copies of hard messages — undelivered
         // static instances get retransmitted ahead of any dynamic backlog
         // (the online counterpart of the offline Theorem-1 plan).
+        let mut horizon = SimTime::MAX;
         if self.behavior.degraded_hard_copies
             && self.health.is_degraded()
             && self.options.early_copies
         {
-            if let Some(payload) = self.degraded_hard_copy(cycle, slot_start) {
-                if self.tracer.is_enabled() {
-                    self.tracer.emit(
-                        slot_start,
-                        EventKind::DegradedCopy {
-                            channel: channel.index() as u8,
-                            slot: u64::from(slot),
-                            frame_id: u64::from(payload.message),
-                        },
-                    );
+            match self.degraded_hard_copy(cycle, slot_start) {
+                Ok(payload) => {
+                    if self.tracer.is_enabled() {
+                        self.tracer.emit(
+                            slot_start,
+                            EventKind::DegradedCopy {
+                                channel: channel.index() as u8,
+                                slot: u64::from(slot),
+                                frame_id: u64::from(payload.message),
+                            },
+                        );
+                    }
+                    return Ok(payload);
                 }
-                return Some(payload);
+                Err(later) => horizon = later,
             }
         }
         // Match-up recovery: while the bus is degraded, free slack serves
@@ -973,12 +1187,14 @@ impl Scheduler {
         // nominal early copies — until the health monitor reports the
         // schedule has matched up with the nominal plan again.
         if self.behavior.matchup_recovery && self.health.is_degraded() {
-            return None;
+            return Err(horizon);
         }
         // 1. Serve the dynamic backlog (lowest frame id first). A free
         // position offered while backlog is pending is a steal attempt:
-        // granted if an entry fits the slot, denied otherwise.
+        // granted if an entry fits the slot, denied otherwise. Either way
+        // the next free position must be offered too.
         if self.options.cooperative_dynamic && !self.queues[channel.index()].is_empty() {
+            horizon = slot_start;
             self.steal_attempts += 1;
             let q = &mut self.queues[channel.index()];
             // The static-coding fit size is precomputed per message (see
@@ -999,7 +1215,7 @@ impl Scheduler {
                         },
                     );
                 }
-                return Some(OutboundPayload {
+                return Ok(OutboundPayload {
                     message: inst.message,
                     payload_bytes: entry.payload_bytes,
                     produced_at: inst.produced_at,
@@ -1017,11 +1233,13 @@ impl Scheduler {
             }
         }
         if !self.options.early_copies {
-            return None;
+            return Err(horizon);
         }
         // 2. Early copy: a static instance released but with its primary
         // occurrence still ahead.
-        let (index, w) = self.early_copy_candidate(cycle, slot_start)?;
+        let (index, w) = self
+            .early_copy_candidate(cycle, slot_start)
+            .map_err(|later| later.min(horizon))?;
         self.early_copies_sent += 1;
         let payload = self.stage_copy(index, w);
         if self.tracer.is_enabled() {
@@ -1034,7 +1252,7 @@ impl Scheduler {
                 },
             );
         }
-        Some(payload)
+        Ok(payload)
     }
 
     /// The most urgent instance an early copy at `slot_start` may carry:
@@ -1044,25 +1262,26 @@ impl Scheduler {
         &mut self,
         cycle: u64,
         slot_start: SimTime,
-    ) -> Option<(usize, ReleaseWindow)> {
-        if self.early_candidates.cycle != Some(cycle) {
-            self.build_early_candidates(cycle);
-        }
+    ) -> Horizon<(usize, ReleaseWindow)> {
+        self.early_candidates.sweep(self.config.cycle_start(cycle));
         let list = &mut self.early_candidates.windows;
+        let mut later = SimTime::MAX;
         let mut i = 0;
         while let Some(&(index, w)) = list.get(i) {
-            if w.start <= slot_start && slot_start < w.early_end {
+            if w.start > slot_start {
+                later = later.min(w.start);
+            } else if slot_start < w.early_end {
                 if self.tracker.get(w.instance).early_copies == 0 {
-                    return Some((index, w));
+                    return Ok((index, w));
                 }
                 // Spent: by an early copy, or by a degraded or failover
                 // copy, which draw on the same per-instance budget.
                 list.remove(i);
-            } else {
-                i += 1;
+                continue;
             }
+            i += 1;
         }
-        None
+        Err(later)
     }
 
     /// The most urgent undelivered static instance one more copy at
@@ -1076,14 +1295,19 @@ impl Scheduler {
         cycle: u64,
         slot_start: SimTime,
         budget: u32,
-    ) -> Option<(usize, ReleaseWindow)> {
+    ) -> Horizon<(usize, ReleaseWindow)> {
         if self.hard_candidates.cycle != Some(cycle) {
             self.build_hard_candidates(cycle);
         }
         let list = &mut self.hard_candidates.windows;
+        let mut later = SimTime::MAX;
         let mut i = 0;
         while let Some(&(index, w)) = list.get(i) {
-            if w.start <= slot_start && slot_start < w.window_end && slot_start < w.deadline {
+            if w.start > slot_start {
+                if w.start < w.window_end.min(w.deadline) {
+                    later = later.min(w.start);
+                }
+            } else if slot_start < w.window_end && slot_start < w.deadline {
                 let inst = self.tracker.get(w.instance);
                 if inst.is_delivered() || inst.early_copies >= FAILOVER_BUDGET {
                     // No budget this cycle asks for will pick it again.
@@ -1091,33 +1315,12 @@ impl Scheduler {
                     continue;
                 }
                 if inst.early_copies < budget {
-                    return Some((index, w));
+                    return Ok((index, w));
                 }
             }
             i += 1;
         }
-        None
-    }
-
-    fn build_early_candidates(&mut self, cycle: u64) {
-        let from = self.config.cycle_start(cycle);
-        let to = self.config.cycle_start(cycle + 1);
-        let list = &mut self.early_candidates;
-        list.windows.clear();
-        for (index, info) in self.statics.iter().enumerate() {
-            if info.wire_bits > self.slot_capacity_bits {
-                continue;
-            }
-            for &w in &info.windows {
-                if w.start < to.min(w.early_end)
-                    && from < w.early_end
-                    && self.tracker.get(w.instance).early_copies == 0
-                {
-                    list.windows.push((index, w));
-                }
-            }
-        }
-        list.seal(cycle);
+        Err(later)
     }
 
     fn build_hard_candidates(&mut self, cycle: u64) {
@@ -1153,6 +1356,47 @@ impl Scheduler {
         list.seal(cycle);
     }
 
+    /// The next slot after `from - 1` worth offering on `channel`: the
+    /// next occupied slot, or an earlier free one at or after the
+    /// segment's horizon. `fresh` is the horizon a free position just
+    /// reported; after an occupied slot the one cached for the segment
+    /// holds, since eligibility only shrinks within a segment. Without
+    /// either, the next slot is offered.
+    fn next_static_offer(
+        &mut self,
+        cycle: u64,
+        cycle_counter: u8,
+        from: u16,
+        channel: ChannelId,
+        fresh: Option<SimTime>,
+    ) -> u16 {
+        if !self.behavior.cooperative_segments {
+            return self.alloc.next_occupied_slot(channel, cycle_counter, from);
+        }
+        if usize::from(from) > self.slot_offsets.len() {
+            return from;
+        }
+        let horizon = match (fresh, self.horizon_cache) {
+            (Some(horizon), _) => {
+                self.horizon_cache = Some((cycle, channel, horizon));
+                horizon
+            }
+            (None, Some((c, ch, horizon))) if c == cycle && ch == channel => horizon,
+            (None, _) => return from,
+        };
+        let cycle_start = SimTime::ZERO + self.cycle_duration * cycle;
+        if horizon <= cycle_start + self.slot_offsets[usize::from(from) - 1] {
+            return from;
+        }
+        let free = self
+            .slot_offsets
+            .partition_point(|&offset| cycle_start + offset < horizon)
+            + 1;
+        self.alloc
+            .next_occupied_slot(channel, cycle_counter, from)
+            .min(free as u16)
+    }
+
     /// Degraded-mode online re-plan: one more copy of the most urgent
     /// undelivered static instance through this free position. The
     /// per-instance opportunistic budget (`early_copies`) rises from the
@@ -1160,16 +1404,16 @@ impl Scheduler {
     /// nominal early copy — the primary may already have fired and been
     /// corrupted: a burst eating the planned copies is exactly the case
     /// the offline Theorem-1 plan cannot cover.
-    fn degraded_hard_copy(&mut self, cycle: u64, slot_start: SimTime) -> Option<OutboundPayload> {
+    fn degraded_hard_copy(&mut self, cycle: u64, slot_start: SimTime) -> Horizon<OutboundPayload> {
         let budget = match self.health {
-            HealthState::Nominal => return None,
+            HealthState::Nominal => return Err(SimTime::MAX),
             HealthState::Stressed => 2,
             HealthState::Storm => 3,
         };
         let (index, w) = self.hard_copy_candidate(cycle, slot_start, budget)?;
         self.degraded_extra_copies += 1;
         self.copy_transmissions += 1;
-        Some(self.stage_copy(index, w))
+        Ok(self.stage_copy(index, w))
     }
 
     /// Dual-channel failover: when the *other* channel is degraded and
@@ -1187,20 +1431,18 @@ impl Scheduler {
         cycle: u64,
         channel: ChannelId,
         slot_start: SimTime,
-    ) -> Option<OutboundPayload> {
-        if !self.options.dual_channel {
-            return None;
-        }
-        let other = channel.other();
-        if !self.channel_health[other.index()].is_degraded()
-            || self.channel_health[other.index()] <= self.channel_health[channel.index()]
+    ) -> Horizon<OutboundPayload> {
+        let other = self.channel_health[channel.other().index()];
+        if !self.options.dual_channel
+            || !other.is_degraded()
+            || other <= self.channel_health[channel.index()]
         {
-            return None;
+            return Err(SimTime::MAX);
         }
         let (index, w) = self.hard_copy_candidate(cycle, slot_start, FAILOVER_BUDGET)?;
         self.failover_mirrors += 1;
         self.copy_transmissions += 1;
-        Some(self.stage_copy(index, w))
+        Ok(self.stage_copy(index, w))
     }
 
     /// Stages one opportunistic copy of window `w`'s instance (early,
@@ -1256,98 +1498,10 @@ impl TrafficSource for Scheduler {
     ) -> Option<OutboundPayload> {
         let slot_start =
             SimTime::ZERO + self.cycle_duration * cycle + self.slot_offsets[usize::from(slot) - 1];
-        if let Some(occ) = self.alloc.occupant(channel, slot, cycle_counter) {
-            if self.behavior.own_slot_serialization {
-                // Fresh data first (the CHI always stages the latest
-                // instance): the newest entry still owing its initial A/B
-                // transmission pair wins the occurrence; otherwise the
-                // occurrence is *spare* and serves the oldest entry still
-                // owing best-effort copies. Because FSPEC schedules the
-                // segments separately, copies can only ride these spare
-                // occurrences of the message's own slot.
-                let fresh_threshold = self.fspec_tx_needed.saturating_sub(2);
-                let index = self.occupant_statics[usize::from(occ.index)];
-                let q = &mut self.statics[index].fspec_queue;
-                let idx = (0..q.len())
-                    .rev()
-                    .find(|&i| q[i].1 > fresh_threshold)
-                    .or_else(|| (!q.is_empty()).then_some(0))?;
-                let entry = &mut q[idx];
-                let instance = entry.0;
-                entry.1 -= 1;
-                let is_copy = entry.1 + 1 < self.fspec_tx_needed;
-                if entry.1 == 0 {
-                    q.remove(idx);
-                }
-                if is_copy {
-                    self.copy_transmissions += 1;
-                    if self.tracer.is_enabled() {
-                        self.tracer.emit(
-                            slot_start,
-                            EventKind::RetransmissionCopy {
-                                channel: channel.index() as u8,
-                                frame_id: u64::from(occ.message),
-                            },
-                        );
-                    }
-                }
-                let payload = OutboundPayload {
-                    message: occ.message,
-                    payload_bytes: self.statics[index].payload_bytes,
-                    produced_at: self.tracker.get(instance).produced_at,
-                };
-                self.in_flight.push_back(instance);
-                return Some(payload);
-            }
-            // Window path: transmit the instance whose generation window
-            // contains this slot — the newest released at or before the
-            // slot (the production batch may run ahead of the bus cycle).
-            // None once the window passed or production ended.
-            let info = &self.statics[self.occupant_statics[usize::from(occ.index)]];
-            let w = info.window_at(slot_start)?;
-            if occ.kind != OccupantKind::Primary {
-                self.copy_transmissions += 1;
-                if self.tracer.is_enabled() {
-                    self.tracer.emit(
-                        slot_start,
-                        EventKind::RetransmissionCopy {
-                            channel: channel.index() as u8,
-                            frame_id: u64::from(occ.message),
-                        },
-                    );
-                }
-            }
-            let payload = OutboundPayload {
-                message: occ.message,
-                payload_bytes: info.payload_bytes,
-                produced_at: w.start,
-            };
-            self.in_flight.push_back(w.instance);
-            return Some(payload);
+        match self.alloc.occupant(channel, slot, cycle_counter) {
+            Some(occ) => self.occupied_frame(occ, channel, slot_start),
+            None => self.free_frame(cycle, slot, channel, slot_start).ok(),
         }
-        if !self.behavior.cooperative_segments {
-            // Separate-segments schemes leave free static positions idle.
-            return None;
-        }
-        // Failover outranks cooperative filling: a hard frame stranded on
-        // a storming channel takes the free position before any soft
-        // backlog or opportunistic copy.
-        if self.behavior.failover {
-            if let Some(payload) = self.failover_mirror(cycle, channel, slot_start) {
-                if self.tracer.is_enabled() {
-                    self.tracer.emit(
-                        slot_start,
-                        EventKind::FailoverMirror {
-                            channel: channel.index() as u8,
-                            slot: u64::from(slot),
-                            frame_id: u64::from(payload.message),
-                        },
-                    );
-                }
-                return Some(payload);
-            }
-        }
-        self.cooperative_fill(cycle, slot, channel, slot_start)
     }
 
     fn dynamic_frame(
@@ -1361,9 +1515,12 @@ impl TrafficSource for Scheduler {
             return None;
         };
         let q = &mut self.queues[channel.index()];
-        let pos = q
-            .iter()
-            .position(|(_, e)| e.frame_id == frame_id && e.payload_bytes <= max_payload_bytes)?;
+        let first = q.partition_point(|(_, e)| e.frame_id < frame_id);
+        let pos = first
+            + q[first..]
+                .iter()
+                .take_while(|(_, e)| e.frame_id == frame_id)
+                .position(|(_, e)| e.payload_bytes <= max_payload_bytes)?;
         let (_, entry) = q.remove(pos);
         let inst = self.tracker.get(entry.instance);
         if inst.class == MessageClass::Static {
@@ -1401,6 +1558,36 @@ impl TrafficSource for Scheduler {
             outcome.start + outcome.duration,
             outcome.corrupted,
         );
+    }
+
+    fn offer_static(
+        &mut self,
+        cycle: u64,
+        cycle_counter: u8,
+        slot: u16,
+        channel: ChannelId,
+    ) -> (Option<OutboundPayload>, u16) {
+        let slot_start =
+            SimTime::ZERO + self.cycle_duration * cycle + self.slot_offsets[usize::from(slot) - 1];
+        let (frame, fresh) = match self.alloc.occupant(channel, slot, cycle_counter) {
+            Some(occ) => (self.occupied_frame(occ, channel, slot_start), None),
+            // A filled free position may not be the last: offer the next.
+            None => match self.free_frame(cycle, slot, channel, slot_start) {
+                Ok(payload) => return (Some(payload), slot + 1),
+                Err(horizon) => (None, Some(horizon)),
+            },
+        };
+        let next = self.next_static_offer(cycle, cycle_counter, slot + 1, channel, fresh);
+        (frame, next)
+    }
+
+    /// The lowest frame id at or after `from` queued on `channel`: the
+    /// queue is sorted by frame id, so one binary search.
+    fn next_dynamic_slot(&mut self, _cycle: u64, channel: ChannelId, from: u64) -> u64 {
+        let q = &self.queues[channel.index()];
+        let first = q.partition_point(|(_, e)| u64::from(e.frame_id) < from);
+        q.get(first)
+            .map_or(u64::MAX, |(_, e)| u64::from(e.frame_id))
     }
 }
 
@@ -1673,7 +1860,8 @@ mod tests {
     #[test]
     fn producing_by_position_matches_producing_by_id() {
         // Listed out of id order, so a message's position in the workload
-        // differs from its place in the id-sorted `statics`.
+        // differs from its place in the id-sorted `statics`, and its
+        // frame id from its position among the dynamics.
         let mut workload = statics();
         workload.push(Signal::new(
             7,
@@ -1683,7 +1871,15 @@ mod tests {
             200,
         ));
         workload.reverse();
-        for policy in [COEFFICIENT, FSPEC, HOSA] {
+        let mut dynamic_workload = dynamics();
+        dynamic_workload.push(AperiodicMessage::new(
+            19,
+            SimDuration::from_millis(3),
+            SimDuration::from_millis(3),
+            48,
+        ));
+        dynamic_workload.reverse();
+        for &policy in crate::registry::ALL {
             let build = || {
                 Scheduler::new(
                     policy,
@@ -1691,7 +1887,7 @@ mod tests {
                     FrameCoding,
                     &Scenario::ber7(),
                     &workload,
-                    &dynamics(),
+                    &dynamic_workload,
                 )
                 .unwrap()
             };
@@ -1711,6 +1907,13 @@ mod tests {
                         assert_eq!(a, b);
                     }
                 }
+                for (position, message) in dynamic_workload.iter().enumerate() {
+                    if c % (position as u64 + 2) == 0 {
+                        let a = by_position.produce_dynamic_at(position, start);
+                        let b = by_id.produce_dynamic(message.frame_id, start);
+                        assert_eq!(a, b);
+                    }
+                }
                 bus_position.run_cycle(c, &mut by_position);
                 bus_id.run_cycle(c, &mut by_id);
             }
@@ -1721,6 +1924,12 @@ mod tests {
                 format!("{:?}", by_id.statics),
                 "{name}"
             );
+            assert_eq!(
+                format!("{:?}", by_position.queues),
+                format!("{:?}", by_id.queues),
+                "{name}"
+            );
+            assert!(by_id.copy_transmissions > 0, "{name}");
             assert_eq!(
                 format!("{:?}", by_position.tracker().instances()),
                 format!("{:?}", by_id.tracker().instances()),
@@ -2101,6 +2310,34 @@ mod tests {
         best.map(|(_, id)| id)
     }
 
+    /// The per-cycle early-copy list the persistent one replaced, kept as
+    /// an oracle: rebuilt from every message's ring for `cycle` — windows
+    /// that overlap the cycle, have a non-empty early range, fit a static
+    /// slot and are unspent — sorted by `(deadline, message)`, then the
+    /// first that contains `t`.
+    fn oracle_rebuilt_early_copy(s: &Scheduler, cycle: u64, t: SimTime) -> Option<InstanceId> {
+        let from = s.config.cycle_start(cycle);
+        let to = s.config.cycle_start(cycle + 1);
+        let mut list: Vec<(usize, ReleaseWindow)> = Vec::new();
+        for (index, info) in s.statics.iter().enumerate() {
+            if info.wire_bits > s.slot_capacity_bits {
+                continue;
+            }
+            for &w in &info.windows {
+                if w.start < to.min(w.early_end)
+                    && from < w.early_end
+                    && s.tracker.get(w.instance).early_copies == 0
+                {
+                    list.push((index, w));
+                }
+            }
+        }
+        list.sort_by_key(|&(index, w)| (w.deadline, index));
+        list.iter()
+            .find(|(_, w)| w.start <= t && t < w.early_end)
+            .map(|(_, w)| w.instance)
+    }
+
     /// The pre-index degraded-copy / failover scan: per message, the
     /// newest instance released at or before `t`, if its window is open,
     /// it is undelivered, its deadline is ahead, it has spent fewer than
@@ -2151,16 +2388,20 @@ mod tests {
                 self.free_positions += 1;
                 let t = self.s.config.static_slot_start(cycle, u64::from(slot));
                 let at = format!("cycle {cycle} slot {slot} {channel:?}");
+                let rebuilt = oracle_rebuilt_early_copy(self.s, cycle, t);
                 let early = self
                     .s
                     .early_copy_candidate(cycle, t)
+                    .ok()
                     .map(|(_, w)| w.instance);
                 assert_eq!(early, oracle_early_copy(self.s, t), "early copy at {at}");
+                assert_eq!(early, rebuilt, "early copy (rebuilt list) at {at}");
                 // 2 and 3: the degraded budgets; 4: failover's.
                 for budget in [2, 3, 4] {
                     let hard = self
                         .s
                         .hard_copy_candidate(cycle, t, budget)
+                        .ok()
                         .map(|(_, w)| w.instance);
                     assert_eq!(
                         hard,
@@ -2312,9 +2553,10 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// The per-cycle early-copy list and the per-cycle degraded-copy
+        /// The persistent early-copy list and the per-cycle degraded-copy
         /// and failover list pick exactly what the old per-slot scans over
-        /// the instance record pick, on every free static position of both
+        /// the instance record pick, and the early list what the old
+        /// per-cycle rebuild picks, on every free static position of both
         /// channels.
         #[test]
         fn release_windows_select_what_the_old_scans_select(
@@ -2370,6 +2612,40 @@ mod tests {
     }
 
     #[test]
+    fn a_window_its_ring_prunes_leaves_the_early_list() {
+        // Production running ahead of the bus: the second release prunes
+        // the first window from its ring while bus cycle 0, which the
+        // first window's early range reaches into, is still to run.
+        let mut s = scheduler(COEFFICIENT);
+        let cfg = config();
+        let first = SimTime::from_micros(500);
+        let listed = |s: &Scheduler| {
+            s.early_candidates
+                .windows
+                .iter()
+                .any(|(_, w)| w.start == first)
+        };
+        s.produce_static(1, first);
+        assert!(listed(&s));
+        s.produce_static(1, SimTime::from_micros(2_000));
+        assert!(!listed(&s), "the pruned window is still listed");
+        let mut picks = 0;
+        for slot in 1..=cfg.static_slot_count() {
+            let t = cfg.static_slot_start(0, slot);
+            let want = oracle_rebuilt_early_copy(&s, 0, t);
+            let got = s.early_copy_candidate(0, t).ok().map(|(_, w)| w.instance);
+            assert_eq!(got, want, "slot {slot}");
+            picks += u32::from(got.is_some());
+        }
+        assert_eq!(picks, 0);
+        // Without the second release the first window is picked.
+        let mut s = scheduler(COEFFICIENT);
+        s.produce_static(1, first);
+        let t = cfg.static_slot_start(0, cfg.static_slot_count());
+        assert!(s.early_copy_candidate(0, t).is_ok());
+    }
+
+    #[test]
     fn hard_copies_take_the_newest_of_overlapping_windows() {
         // Releases closer than a period overlap one message's windows. The
         // old scan took the newest window released at or before the slot;
@@ -2395,6 +2671,7 @@ mod tests {
                     let want = oracle_hard_copy(&s, t, budget);
                     let got = s
                         .hard_copy_candidate(cycle, t, budget)
+                        .ok()
                         .map(|(_, w)| w.instance);
                     assert_eq!(got, want, "cycle {cycle} slot {slot} budget {budget}");
                     let Some(id) = got else { continue };

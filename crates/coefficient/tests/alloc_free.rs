@@ -2,18 +2,21 @@
 //!
 //! A counting global allocator is armed after a warm-up phase long enough
 //! for every scratch buffer — scheduler queues, instance tracker, release
-//! windows, fault-probability caches — to reach its steady-state
-//! capacity. From then on, producing traffic and running bus cycles must
-//! not touch the heap at all: the hot path works entirely out of the
-//! buffers reserved up front.
+//! windows, the early-copy list, fault-probability caches — to reach its
+//! steady-state capacity. From then on, producing traffic and running bus
+//! cycles must not touch the heap at all: the hot path works entirely out
+//! of the buffers reserved up front. The runner's own loop (its release
+//! batch included) is checked by counting whole runs: a run twice as long
+//! must make exactly as many allocations.
 //!
-//! A single `#[test]` covers both policies because the allocator state is
-//! global — parallel tests would count each other's allocations.
+//! A single `#[test]` covers every registered policy because the
+//! allocator state is global — parallel tests would count each other's
+//! allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use coefficient::{Scenario, Scheduler, COEFFICIENT, GREEDY};
+use coefficient::{RunConfig, Runner, Scenario, Scheduler, StopCondition, TraceConfig};
 use event_sim::SimDuration;
 use flexray::bus::BusEngine;
 use flexray::codec::FrameCoding;
@@ -121,12 +124,34 @@ fn drive(
     }
 }
 
+/// Heap allocations made by a whole [`Runner`] run of `policy` over
+/// `cycles` cycles of BBW and SAE traffic.
+fn run_allocations(policy: coefficient::PolicyRef, cycles: u64) -> u64 {
+    let cluster = ClusterConfig::paper_dynamic(50);
+    let cfg = RunConfig {
+        stop: StopCondition::Horizon(cluster.cycle_duration() * cycles),
+        cluster,
+        scenario: Scenario::ber7(),
+        static_messages: workloads::bbw::message_set(),
+        dynamic_messages: workloads::sae::message_set(workloads::sae::IdRange::StartingAt(20), 1),
+        policy,
+        seed: 3,
+        trace: TraceConfig::off(),
+    };
+    ALLOCS.store(0, Ordering::SeqCst);
+    ARMED.store(true, Ordering::SeqCst);
+    let report = Runner::new(cfg).unwrap().run();
+    ARMED.store(false, Ordering::SeqCst);
+    assert!(report.delivered > 0);
+    ALLOCS.load(Ordering::SeqCst)
+}
+
 #[test]
 fn steady_state_cycle_loop_does_not_allocate() {
     const WARMUP_CYCLES: u64 = 400;
     const MEASURED_CYCLES: u64 = 200;
 
-    for policy in [COEFFICIENT, GREEDY] {
+    for &policy in coefficient::registry::ALL {
         let config = ClusterConfig::paper_dynamic(50);
         let mut scheduler = Scheduler::new(
             policy,
@@ -168,5 +193,15 @@ fn steady_state_cycle_loop_does_not_allocate() {
         );
         // The run did real work while armed.
         assert!(scheduler.tracker().delivered() as u64 > WARMUP_CYCLES);
+    }
+
+    for &policy in coefficient::registry::ALL {
+        let (short, long) = (run_allocations(policy, 400), run_allocations(policy, 800));
+        assert_eq!(
+            short,
+            long,
+            "{}: 400 more cycles through the runner allocated",
+            policy.label(),
+        );
     }
 }

@@ -86,6 +86,20 @@ impl TransmissionOutcome {
 ///
 /// Implementations must be deterministic: the engine polls in a fixed
 /// order (cycle → channel A then B → slot order).
+///
+/// # Skipping positions
+///
+/// The engine asks the two provided hooks,
+/// [`offer_static`](Self::offer_static) and
+/// [`next_dynamic_slot`](Self::next_dynamic_slot), which positions are
+/// worth offering, and books every position they skip as idle without
+/// calling the source. A source may skip a position only if
+/// [`static_frame`](Self::static_frame) or
+/// [`dynamic_frame`](Self::dynamic_frame) would have returned `None`
+/// there *and changed no state*: no counter, no trace event, no RNG draw.
+/// Under that contract a skipping source yields exactly the outcomes,
+/// statistics and side effects of one that is offered every position.
+/// The defaults skip nothing.
 pub trait TrafficSource {
     /// The frame to transmit in static `slot` on `channel` during `cycle`
     /// (whose 0–63 counter is `cycle_counter`), or `None` for a null/idle
@@ -114,6 +128,31 @@ pub trait TrafficSource {
     /// retransmission schemes hook here.
     fn on_outcome(&mut self, outcome: &TransmissionOutcome) {
         let _ = outcome;
+    }
+
+    /// Offers static `slot`: returns what
+    /// [`static_frame`](Self::static_frame) returns there, plus the next
+    /// slot worth offering. The engine books the slots in between as idle
+    /// without offering them (see the skip contract above). A next slot
+    /// at or below `slot` means `slot + 1`; one past the segment ends it.
+    fn offer_static(
+        &mut self,
+        cycle: u64,
+        cycle_counter: u8,
+        slot: u16,
+        channel: ChannelId,
+    ) -> (Option<OutboundPayload>, u16) {
+        let frame = self.static_frame(cycle, cycle_counter, slot, channel);
+        (frame, slot.saturating_add(1))
+    }
+
+    /// The first dynamic slot counter at or after `from` worth offering on
+    /// `channel`. The engine lets the minislots before it pass empty
+    /// without calling [`dynamic_frame`](Self::dynamic_frame) (see the
+    /// skip contract above); a counter the segment never reaches ends it.
+    fn next_dynamic_slot(&mut self, cycle: u64, channel: ChannelId, from: u64) -> u64 {
+        let _ = (cycle, channel);
+        from
     }
 }
 
@@ -360,9 +399,12 @@ impl BusEngine {
         source: &mut dyn TrafficSource,
     ) {
         let capacity = self.config.static_slot_capacity_bits();
-        for slot in 1..=self.config.static_slot_count() {
+        let slots = self.config.static_slot_count();
+        let mut slot = 1;
+        while slot <= slots {
             let slot_u16 = slot as u16;
-            match source.static_frame(cycle, cycle_counter, slot_u16, channel) {
+            let (frame, next) = source.offer_static(cycle, cycle_counter, slot_u16, channel);
+            match frame {
                 Some(payload) => {
                     let wire_bits = self
                         .coding
@@ -424,6 +466,10 @@ impl BusEngine {
                     self.stats[channel.index()].idle_static_slots += 1;
                 }
             }
+            // The slots the source skipped carry no frame.
+            let next = u64::from(next).clamp(slot + 1, slots + 1);
+            self.stats[channel.index()].idle_static_slots += next - slot - 1;
+            slot = next;
         }
     }
 
@@ -438,20 +484,25 @@ impl BusEngine {
         let ms_bits = self.minislot_bits;
         let mut ms: u64 = 0;
         let mut slot_counter = self.config.static_slot_count() + 1;
-        while ms < n_ms {
-            // A transmission may start in this minislot only before
-            // pLatestTx; afterwards the remaining minislots tick away empty.
-            let max_payload = if ms < latest_tx {
-                self.max_dynamic_payload(n_ms - ms, ms_bits)
-            } else {
-                0
-            };
-            let frame = if max_payload > 0 {
-                source.dynamic_frame(cycle, channel, slot_counter, max_payload)
-            } else {
-                None
-            };
-            match frame {
+        // A transmission may start only before pLatestTx, and only while
+        // some frame still fits the minislots left (a bound that only
+        // shrinks); after that the remaining minislots tick away empty.
+        while ms < latest_tx {
+            let max_payload = self.max_dynamic_payload(n_ms - ms, ms_bits);
+            if max_payload == 0 {
+                break;
+            }
+            let next = source.next_dynamic_slot(cycle, channel, slot_counter);
+            if next > slot_counter {
+                // The minislots before the next frame id worth offering
+                // pass empty, one slot counter each.
+                let gap = (next - slot_counter).min(latest_tx - ms);
+                self.stats[channel.index()].idle_minislots += gap;
+                ms += gap;
+                slot_counter += gap;
+                continue;
+            }
+            match source.dynamic_frame(cycle, channel, slot_counter, max_payload) {
                 Some(payload) => {
                     assert!(
                         payload.payload_bytes <= max_payload,
@@ -523,6 +574,7 @@ impl BusEngine {
             }
             slot_counter += 1;
         }
+        self.stats[channel.index()].idle_minislots += n_ms.saturating_sub(ms);
     }
 
     /// Largest payload (bytes) whose coded frame fits in `minislots_left`
@@ -813,6 +865,194 @@ mod tests {
         assert_eq!(engine.max_dynamic_payload(0, 20), 0);
         // Huge budget clamps at the 254-byte FlexRay maximum.
         assert_eq!(engine.max_dynamic_payload(10_000, 20), 254);
+    }
+
+    /// A [`Script`] behind the skip hooks: it offers only the static slots
+    /// and dynamic slot counters it has a payload staged for, hints past
+    /// the segment's end when nothing is left, and counts the offers.
+    #[derive(Debug, Default)]
+    struct Hinted {
+        script: Script,
+        static_offers: u64,
+        dynamic_offers: u64,
+    }
+
+    impl TrafficSource for Hinted {
+        fn static_frame(
+            &mut self,
+            cycle: u64,
+            cycle_counter: u8,
+            slot: u16,
+            channel: ChannelId,
+        ) -> Option<OutboundPayload> {
+            self.static_offers += 1;
+            self.script
+                .static_frame(cycle, cycle_counter, slot, channel)
+        }
+
+        fn dynamic_frame(
+            &mut self,
+            cycle: u64,
+            channel: ChannelId,
+            slot_counter: u64,
+            max_payload_bytes: u16,
+        ) -> Option<OutboundPayload> {
+            self.dynamic_offers += 1;
+            self.script
+                .dynamic_frame(cycle, channel, slot_counter, max_payload_bytes)
+        }
+
+        fn on_outcome(&mut self, outcome: &TransmissionOutcome) {
+            self.script.on_outcome(outcome);
+        }
+
+        fn offer_static(
+            &mut self,
+            cycle: u64,
+            cycle_counter: u8,
+            slot: u16,
+            channel: ChannelId,
+        ) -> (Option<OutboundPayload>, u16) {
+            let frame = self.static_frame(cycle, cycle_counter, slot, channel);
+            let next = self
+                .script
+                .static_payloads
+                .iter()
+                .filter(|(c, s, ch, _)| *c == cycle && *ch == channel && *s > slot)
+                .map(|&(_, s, _, _)| s)
+                .min()
+                .unwrap_or(u16::MAX);
+            (frame, next)
+        }
+
+        fn next_dynamic_slot(&mut self, cycle: u64, channel: ChannelId, from: u64) -> u64 {
+            self.script
+                .dynamic_payloads
+                .iter()
+                .filter(|(c, ch, sc, _)| *c == cycle && *ch == channel && *sc >= from)
+                .map(|&(_, _, sc, _)| sc)
+                .min()
+                .unwrap_or(u64::MAX)
+        }
+    }
+
+    /// Runs `script` for `cycles` cycles once offering every position and
+    /// once through [`Hinted`], checks that both record the same outcomes
+    /// and statistics, and returns the hinted source's offer counts.
+    fn skip_matches_offering_everything(
+        cfg: ClusterConfig,
+        script: Script,
+        cycles: u64,
+    ) -> (u64, u64) {
+        let run = |source: &mut dyn TrafficSource| {
+            let mut engine = BusEngine::new(cfg.clone());
+            engine.record_outcomes(true);
+            for cycle in 0..cycles {
+                engine.run_cycle(cycle, source);
+            }
+            let stats = ChannelId::BOTH.map(|ch| *engine.stats(ch));
+            (engine.outcomes().to_vec(), stats)
+        };
+        let mut hinted = Hinted {
+            script: Script {
+                static_payloads: script.static_payloads.clone(),
+                dynamic_payloads: script.dynamic_payloads.clone(),
+                outcomes: Vec::new(),
+            },
+            ..Hinted::default()
+        };
+        let mut every = script;
+        let (want, skipped) = (run(&mut every), run(&mut hinted));
+        assert_eq!(want, skipped);
+        // Every static slot is either a frame or idle.
+        for ch in ChannelId::BOTH {
+            let frames = want
+                .0
+                .iter()
+                .filter(|o| o.channel == ch && matches!(o.location, SlotLocation::Static { .. }))
+                .count() as u64;
+            let idle = want.1[ch.index()].idle_static_slots;
+            assert_eq!(frames + idle, cycles * cfg.static_slot_count());
+        }
+        assert_eq!(every.outcomes, hinted.script.outcomes);
+        (hinted.static_offers, hinted.dynamic_offers)
+    }
+
+    #[test]
+    fn skipped_positions_are_booked_idle_in_bulk() {
+        let mut src = Script::default();
+        for cycle in 0..3 {
+            src.static_payloads
+                .push((cycle, 2, ChannelId::A, payload(1, 8)));
+            src.static_payloads
+                .push((cycle, 4, ChannelId::B, payload(2, 8)));
+            src.dynamic_payloads
+                .push((cycle, ChannelId::A, 7, payload(3, 16)));
+            src.dynamic_payloads
+                .push((cycle, ChannelId::B, 40, payload(4, 4)));
+        }
+        // A payload too large for the minislots left is offered and
+        // refused, like any other position.
+        src.dynamic_payloads
+            .push((1, ChannelId::A, 30, payload(5, 200)));
+        let (static_offers, dynamic_offers) = skip_matches_offering_everything(config(), src, 3);
+        // Per cycle: slots 1 and 2 on A (slot 1 before the hint), slot 1
+        // and 4 on B; one dynamic offer per staged frame id.
+        assert_eq!(static_offers, 3 * 4);
+        assert_eq!(dynamic_offers, 3 * 2 + 1);
+    }
+
+    #[test]
+    fn skipping_respects_latest_tx_and_an_empty_dynamic_segment() {
+        let latest = ClusterConfig::builder()
+            .macroticks_per_cycle(1000)
+            .static_slots(4, 60)
+            .minislots(100, 2)
+            .latest_tx(3)
+            .bit_rate(10_000_000)
+            .build()
+            .unwrap();
+        let mut src = Script::default();
+        // Counter 6 starts in minislot 1, before pLatestTx; counter 9 would
+        // start in minislot 4, after it, so the hint runs past the gate.
+        src.dynamic_payloads
+            .push((0, ChannelId::A, 6, payload(1, 2)));
+        src.dynamic_payloads
+            .push((0, ChannelId::B, 9, payload(2, 2)));
+        let (_, dynamic_offers) = skip_matches_offering_everything(latest, src, 1);
+        assert_eq!(dynamic_offers, 1, "the late frame is never offered");
+
+        let no_minislots = ClusterConfig::builder()
+            .macroticks_per_cycle(1000)
+            .static_slots(4, 60)
+            .minislots(0, 2)
+            .bit_rate(10_000_000)
+            .build()
+            .unwrap();
+        let mut src = Script::default();
+        src.static_payloads
+            .push((0, 3, ChannelId::A, payload(1, 8)));
+        let (static_offers, dynamic_offers) =
+            skip_matches_offering_everything(no_minislots, src, 2);
+        assert_eq!((static_offers, dynamic_offers), (2 + 1 + 1 + 1, 0));
+    }
+
+    #[test]
+    fn skipping_spans_more_than_64_static_slots() {
+        let wide = ClusterConfig::builder()
+            .macroticks_per_cycle(5000)
+            .static_slots(80, 40)
+            .minislots(100, 2)
+            .bit_rate(10_000_000)
+            .build()
+            .unwrap();
+        let mut src = Script::default();
+        for (slot, ch) in [(3, ChannelId::A), (65, ChannelId::A), (80, ChannelId::B)] {
+            src.static_payloads.push((0, slot, ch, payload(1, 8)));
+        }
+        let (static_offers, _) = skip_matches_offering_everything(wide, src, 1);
+        // A: slots 1, 3 and 65; B: slots 1 and 80.
+        assert_eq!(static_offers, 5);
     }
 
     /// Fills every static slot on both channels for `cycles` cycles.
