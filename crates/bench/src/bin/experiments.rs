@@ -77,6 +77,7 @@ use bench_harness::trace::{chrome_json, trace_json, validate_trace};
 use coefficient::registry::{self, lookup};
 use coefficient::{
     CellCoord, Scenario, SeedStrategy, StopCondition, SweepRunner, TraceConfig, UnknownName,
+    MAX_CYCLES,
 };
 use event_sim::SimDuration;
 use fleet::FleetSpec;
@@ -521,11 +522,33 @@ fn run_config(cfg: coefficient::RunConfig) -> coefficient::RunReport {
         .run()
 }
 
+/// `--horizon-ms`, exit 2 if a run on `cluster` would stop at its
+/// [`MAX_CYCLES`] cap before reaching it.
+fn parse_horizon_ms(flags: &Flags, cluster: &ClusterConfig) -> Option<u64> {
+    let ms = flags.number("--horizon-ms")?;
+    let cycle_ms = cluster.cycle_duration().as_secs_f64() * 1e3;
+    let cap_ms = cluster
+        .cycle_duration()
+        .as_nanos()
+        .saturating_mul(MAX_CYCLES)
+        / 1_000_000;
+    if ms > cap_ms {
+        usage_error(format!(
+            "invalid value for --horizon-ms: {ms} (a run stops after {MAX_CYCLES} cycles of {cycle_ms} ms, {cap_ms} ms)"
+        ));
+    }
+    Some(ms)
+}
+
+/// The sweep flags as a [`SweepSpec`]; exits 2 if its matrix cannot be
+/// built.
 fn parse_spec(flags: &Flags) -> SweepSpec {
     let default = SweepSpec::default();
-    SweepSpec {
-        minislots: parse_minislots(flags).unwrap_or(default.minislots),
-        horizon_ms: flags.number("--horizon-ms").unwrap_or(default.horizon_ms),
+    let minislots = parse_minislots(flags).unwrap_or(default.minislots);
+    let cluster = ClusterConfig::paper_mixed(minislots);
+    let spec = SweepSpec {
+        minislots,
+        horizon_ms: parse_horizon_ms(flags, &cluster).unwrap_or(default.horizon_ms),
         seeds: flags.number("--seeds").unwrap_or(default.seeds),
         master_seed: flags.number("--master-seed").unwrap_or(default.master_seed),
         threads: flags.number("--threads").or(default.threads),
@@ -536,7 +559,11 @@ fn parse_spec(flags: &Flags) -> SweepSpec {
         } else {
             default.strategy
         },
+    };
+    if let Err(e) = spec.try_build_matrix() {
+        usage_error(format!("invalid value for --seeds: {} ({e})", spec.seeds));
     }
+    spec
 }
 
 fn run_sweep(flags: &Flags) {
@@ -890,10 +917,10 @@ fn run_fleet(flags: &Flags) {
     }
     spec.seed = flags.number("--seed").unwrap_or(spec.seed);
     spec.shard_size = flags.number("--shard-size").unwrap_or(spec.shard_size);
-    if let Some(v) = flags.number("--horizon-ms") {
+    spec.minislots = parse_minislots(flags).unwrap_or(spec.minislots);
+    if let Some(v) = parse_horizon_ms(flags, &ClusterConfig::paper_mixed(spec.minislots)) {
         spec.horizon = fleet_bench::horizon_from_ms(v);
     }
-    spec.minislots = parse_minislots(flags).unwrap_or(spec.minislots);
     spec.policies = parse_all(flags, "--policy", registry::resolve, spec.policies);
     let threads = flags.number("--threads").unwrap_or(1);
 
@@ -1150,9 +1177,10 @@ const STORM_SMOKE_SEED: u64 = 1;
 /// end); the run is deterministic, so the gate is exact, not statistical.
 fn run_storm_smoke(flags: &Flags) {
     let seed = flags.number("--seed").unwrap_or(STORM_SMOKE_SEED);
-    let horizon_ms: u64 = flags.number("--horizon-ms").unwrap_or(200);
+    let cluster = ClusterConfig::paper_mixed(50);
+    let horizon_ms = parse_horizon_ms(flags, &cluster).unwrap_or(200);
     let report = run_config(coefficient::RunConfig {
-        cluster: ClusterConfig::paper_mixed(50),
+        cluster,
         scenario: Scenario::ber7().storm(),
         static_messages: dynamic_experiment_statics(),
         dynamic_messages: workloads::sae::message_set(workloads::sae::IdRange::For80Slots, seed),
@@ -1235,6 +1263,11 @@ fn run_chaos(flags: &Flags) {
     let horizon_cycles = flags
         .number("--horizon-cycles")
         .unwrap_or(chaos::DEFAULT_HORIZON_CYCLES);
+    if horizon_cycles > MAX_CYCLES {
+        usage_error(format!(
+            "invalid value for --horizon-cycles: {horizon_cycles} (a run stops after {MAX_CYCLES} cycles)"
+        ));
+    }
     let threads = flags.number("--threads").unwrap_or(1);
     let mut contract = ChaosContract::default();
     if let Some(v) = flags.number("--recovery-budget") {

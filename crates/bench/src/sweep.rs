@@ -12,6 +12,7 @@
 //! * [`measure_speedup`] — times the same matrix serially and in
 //!   parallel, checks the fingerprints agree, and reports the ratio.
 
+use std::collections::TryReserveError;
 use std::time::Duration;
 
 use coefficient::registry::lookup;
@@ -66,19 +67,34 @@ impl Default for SweepSpec {
 
 impl SweepSpec {
     /// Materializes the spec into a core [`SweepMatrix`].
+    ///
+    /// # Panics
+    /// Panics if the seed list cannot be allocated (see
+    /// [`try_build_matrix`](Self::try_build_matrix)).
     pub fn build_matrix(&self) -> SweepMatrix {
-        SweepMatrix {
+        self.try_build_matrix()
+            .expect("the sweep's seed list fits in memory")
+    }
+
+    /// [`build_matrix`](Self::build_matrix), or the error allocating its
+    /// seed list of [`seeds`](Self::seeds) entries.
+    ///
+    /// # Errors
+    /// The allocation failed, or the list's size overflows.
+    pub fn try_build_matrix(&self) -> Result<SweepMatrix, TryReserveError> {
+        let mut seeds = Vec::new();
+        seeds.try_reserve_exact(usize::try_from(self.seeds).unwrap_or(usize::MAX))?;
+        seeds.extend((0..self.seeds).map(|i| self.master_seed.wrapping_add(i)));
+        Ok(SweepMatrix {
             cluster: ClusterConfig::paper_mixed(self.minislots),
             static_messages: dynamic_experiment_statics(),
             dynamic_messages: workloads::sae::message_set(IdRange::For80Slots, self.master_seed),
             policies: self.policies.clone(),
             scenarios: self.scenarios.clone(),
-            seeds: (0..self.seeds)
-                .map(|i| self.master_seed.wrapping_add(i))
-                .collect(),
+            seeds,
             stop: StopCondition::Horizon(SimDuration::from_millis(self.horizon_ms)),
             seed_strategy: self.strategy,
-        }
+        })
     }
 
     /// Builds and runs the sweep.

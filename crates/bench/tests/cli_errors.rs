@@ -387,13 +387,16 @@ fn every_flag_the_ci_workflow_passes_is_accepted() {
 /// the `ConfigError` behind the refusal.
 const TOO_MANY_MINISLOTS: &str = "--minislots: 100000 (SegmentsExceedCycle";
 
+/// `u64::MAX`, the largest value a number flag parses.
+const U64_MAX: &str = "18446744073709551615";
+
 #[test]
 fn inputs_that_used_to_panic_exit_2_naming_the_flag() {
     // Each of these hit a library assert or `expect` (exit 101), tried to
     // allocate hundreds of gigabytes (exit 134), or ran a degenerate
     // zero-length experiment and exited 0; the CLI now rejects them
     // before the library sees them.
-    let cases: [(&[&str], &str); 21] = [
+    let cases: [(&[&str], &str); 34] = [
         (
             &["chaos", "--policy", "greedy", "--require", "coefficient"],
             "--require",
@@ -443,6 +446,39 @@ fn inputs_that_used_to_panic_exit_2_naming_the_flag() {
             &["trace-overhead", "--capacity", "0"],
             "--capacity must be at least 1",
         ),
+        // A horizon past the 5,000,000-cycle run cap reserved its whole
+        // instance store up front and aborted (`--horizon-ms 100000000`
+        // asked for 19.9 GB, `u64::MAX` for petabytes).
+        (
+            &["sweep", "--seeds", "1", "--horizon-ms", "100000000"],
+            "--horizon-ms",
+        ),
+        (&["sweep", "--horizon-ms", U64_MAX], "--horizon-ms"),
+        (
+            &["replay", "--cell", "0,0,0", "--horizon-ms", U64_MAX],
+            "--horizon-ms",
+        ),
+        (
+            &["trace", "--cell", "0,0,0", "--horizon-ms", U64_MAX],
+            "--horizon-ms",
+        ),
+        (&["determinism", "--horizon-ms", U64_MAX], "--horizon-ms"),
+        (&["storm-smoke", "--horizon-ms", U64_MAX], "--horizon-ms"),
+        (&["fleet", "--horizon-ms", "25000001"], "--horizon-ms"),
+        (&["fleet", "--horizon-ms", U64_MAX], "--horizon-ms"),
+        (
+            &["chaos", "--horizon-cycles", "5000001"],
+            "--horizon-cycles",
+        ),
+        // A seed list no allocation can hold overflowed building the
+        // sweep matrix (`capacity overflow`, exit 101).
+        (&["sweep", "--seeds", U64_MAX], "--seeds"),
+        (
+            &["replay", "--cell", "0,0,0", "--seeds", U64_MAX],
+            "--seeds",
+        ),
+        (&["trace", "--cell", "0,0,0", "--seeds", U64_MAX], "--seeds"),
+        (&["determinism", "--seeds", U64_MAX], "--seeds"),
     ];
     for (args, flag) in cases {
         let out = experiments(args);

@@ -55,6 +55,19 @@ impl InstanceStatus {
     }
 }
 
+/// What a run report reads off the instance log, per class
+/// (`[static, dynamic]`, indexed by `class as usize`), from one pass.
+#[derive(Debug, Clone, Default)]
+pub struct LogSummary {
+    /// Latency of delivered instances.
+    pub latency: [Summary; 2],
+    /// Deadline accounting: delivered instances compare `delivered_at`
+    /// to the deadline, undelivered ones count as lost.
+    pub deadlines: [DeadlineTracker; 2],
+    /// Instances delivered (≥ 1 uncorrupted transmission), both classes.
+    pub delivered: usize,
+}
+
 /// Tracks all instances of a run.
 #[derive(Debug, Default)]
 pub struct InstanceTracker {
@@ -76,6 +89,12 @@ impl InstanceTracker {
     /// steady-state production path never reallocates the instance store.
     pub fn reserve(&mut self, instances: usize) {
         self.instances.reserve(instances);
+    }
+
+    /// Instances the store holds before it must grow.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.instances.capacity()
     }
 
     /// Registers a newly produced instance.
@@ -153,9 +172,9 @@ impl InstanceTracker {
         self.instances.len()
     }
 
-    /// Number of delivered instances.
+    /// Number of delivered instances (a view of [`summary`](Self::summary)).
     pub fn delivered(&self) -> usize {
-        self.instances.iter().filter(|i| i.is_delivered()).count()
+        self.summary().delivered
     }
 
     /// All instances.
@@ -168,42 +187,35 @@ impl InstanceTracker {
         self.instances.iter().filter_map(|i| i.delivered_at).max()
     }
 
-    /// Latency summary over delivered instances of `class`.
-    pub fn latency_summary(&self, class: MessageClass) -> Summary {
-        let mut s = Summary::new();
+    /// Both classes' latency summaries and deadline trackers and the
+    /// delivered count, from one pass over the log in instance order, so
+    /// each class's Welford summary sees its latencies in production order.
+    pub fn summary(&self) -> LogSummary {
+        let mut s = LogSummary::default();
         for i in &self.instances {
-            if i.class == class {
-                if let Some(l) = i.latency() {
-                    s.record(l);
+            let k = i.class as usize;
+            match i.delivered_at {
+                Some(d) => {
+                    s.latency[k].record(d.saturating_duration_since(i.produced_at));
+                    s.deadlines[k].record_completion(d, i.deadline);
+                    s.delivered += 1;
                 }
+                None => s.deadlines[k].record_lost(),
             }
         }
         s
     }
 
-    /// Deadline accounting over instances of `class`: delivered instances
-    /// compare `delivered_at` to the deadline, undelivered count as lost.
-    pub fn deadline_tracker(&self, class: MessageClass) -> DeadlineTracker {
-        let mut t = DeadlineTracker::new();
-        for i in &self.instances {
-            if i.class != class {
-                continue;
-            }
-            match i.delivered_at {
-                Some(d) => {
-                    t.record_completion(d, i.deadline);
-                }
-                None => t.record_lost(),
-            }
-        }
-        t
+    /// Latency summary over delivered instances of `class` (a view of
+    /// [`summary`](Self::summary)).
+    pub fn latency_summary(&self, class: MessageClass) -> Summary {
+        self.summary().latency[class as usize].clone()
     }
 
-    /// Combined deadline accounting over both classes.
-    pub fn deadline_tracker_all(&self) -> DeadlineTracker {
-        let mut t = self.deadline_tracker(MessageClass::Static);
-        t.merge(&self.deadline_tracker(MessageClass::Dynamic));
-        t
+    /// Deadline accounting over instances of `class` (a view of
+    /// [`summary`](Self::summary)).
+    pub fn deadline_tracker(&self, class: MessageClass) -> DeadlineTracker {
+        self.summary().deadlines[class as usize]
     }
 }
 
@@ -278,10 +290,81 @@ mod tests {
         let dt = tr.deadline_tracker(MessageClass::Static);
         assert_eq!(dt.met(), 1);
         assert_eq!(dt.missed(), 2); // late + lost
-        assert_eq!(tr.deadline_tracker_all().total(), 3);
+        assert_eq!(tr.deadline_tracker(MessageClass::Dynamic).total(), 0);
+    }
+
+    /// The per-class scan `latency_summary` ran before the one-pass
+    /// summary, kept as its oracle.
+    fn scan_latency(tr: &InstanceTracker, class: MessageClass) -> Summary {
+        let mut s = Summary::new();
+        for i in tr.instances().iter().filter(|i| i.class == class) {
+            if let Some(l) = i.latency() {
+                s.record(l);
+            }
+        }
+        s
+    }
+
+    /// The per-class scan `deadline_tracker` ran, likewise.
+    fn scan_deadlines(tr: &InstanceTracker, class: MessageClass) -> DeadlineTracker {
+        let mut t = DeadlineTracker::new();
+        for i in tr.instances().iter().filter(|i| i.class == class) {
+            match i.delivered_at {
+                Some(d) => {
+                    t.record_completion(d, i.deadline);
+                }
+                None => t.record_lost(),
+            }
+        }
+        t
     }
 
     proptest! {
+        /// The one-pass summary is the per-class scans' result on random
+        /// logs of both classes (delivered on time or late, corrupted and
+        /// lost): counts, extremes and totals, Welford's mean and sum of
+        /// squares by `f64::to_bits`, the deadline counts and the
+        /// delivered count.
+        #[test]
+        fn one_pass_summary_matches_the_per_class_scans(
+            log in proptest::collection::vec(
+                (0u8..2, 0u64..1_000_000_000, 0u64..100_000_000, 0u8..4),
+                0..200,
+            ),
+        ) {
+            let mut tr = InstanceTracker::new();
+            for (i, &(class, produced, latency, fate)) in log.iter().enumerate() {
+                let class = [MessageClass::Static, MessageClass::Dynamic][usize::from(class)];
+                let produced = SimTime::from_nanos(produced);
+                let deadline = produced + SimDuration::from_millis(50);
+                let id = tr.produce(i as MessageId, class, produced, deadline);
+                // 0: never sent; 1: corrupted only; 2: delivered; 3: a
+                // corrupted frame, then a clean one.
+                if fate % 2 == 1 {
+                    tr.record_transmission(id, produced, true);
+                }
+                if fate >= 2 {
+                    tr.record_transmission(id, produced + SimDuration::from_nanos(latency), false);
+                }
+            }
+            let one = tr.summary();
+            for class in [MessageClass::Static, MessageClass::Dynamic] {
+                let k = class as usize;
+                let scan = scan_latency(&tr, class);
+                prop_assert_eq!(&one.latency[k], &scan);
+                prop_assert_eq!(
+                    one.latency[k].std_dev_nanos().map(f64::to_bits),
+                    scan.std_dev_nanos().map(f64::to_bits)
+                );
+                prop_assert_eq!(one.deadlines[k], scan_deadlines(&tr, class));
+                prop_assert_eq!(&tr.latency_summary(class), &scan);
+                prop_assert_eq!(tr.deadline_tracker(class), one.deadlines[k]);
+            }
+            let delivered = tr.instances().iter().filter(|i| i.is_delivered()).count();
+            prop_assert_eq!(one.delivered, delivered);
+            prop_assert_eq!(tr.delivered(), delivered);
+        }
+
         /// The running `faults_recovered` equals a full recount over the
         /// record, whatever the order of clean and corrupted transmissions
         /// (corruptions after delivery included).

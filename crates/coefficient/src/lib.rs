@@ -70,7 +70,7 @@ pub use assignment::{AllocationError, CopyPlacement, StaticAllocation};
 // Re-exported so downstream users can configure [`RunConfig::trace`] and
 // consume [`RunReport::trace`] without naming the `observe` crate.
 pub use golden::{GoldenCell, GoldenCorpus, GoldenMetrics, Tolerances, VerifyReport};
-pub use instance::{InstanceStatus, InstanceTracker, MessageClass};
+pub use instance::{InstanceStatus, InstanceTracker, LogSummary, MessageClass};
 pub use observe::{TraceConfig, TraceLog, TraceMode};
 pub use policy::{CoefficientOptions, Scheduler, SchedulerError};
 pub use registry::{
@@ -80,7 +80,7 @@ pub use registry::{
 pub use reliability::campaign::{CampaignCounters, CampaignSpec, CampaignTarget};
 pub use runner::{
     CampaignEventOutcome, ChaosObservation, RunConfig, RunCounters, RunReport, Runner,
-    StopCondition,
+    StopCondition, MAX_CYCLES,
 };
 pub use scenario::{FaultModel, Scenario};
 pub use sweep::{

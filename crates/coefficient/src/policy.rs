@@ -121,14 +121,17 @@ struct StaticInfo {
 
 impl StaticInfo {
     /// The window containing `t`: the newest instance released at or
-    /// before `t`, if its window is still open.
+    /// before `t`, if its window is still open. The bus asks about the
+    /// newest window nearly always, so it is checked before the ring is
+    /// walked.
     fn window_at(&self, t: SimTime) -> Option<ReleaseWindow> {
-        self.windows
-            .iter()
-            .rev()
-            .find(|w| w.start <= t)
-            .filter(|w| t < w.window_end)
-            .copied()
+        let newest = *self.windows.back()?;
+        let w = if newest.start <= t {
+            newest
+        } else {
+            *self.windows.iter().rev().skip(1).find(|w| w.start <= t)?
+        };
+        (t < w.window_end).then_some(w)
     }
 }
 
@@ -283,8 +286,6 @@ pub struct Scheduler {
     /// Per-channel dynamic queues, sorted by (frame id, seq).
     queues: [Vec<(u64, DynPending)>; 2],
     next_seq: u64,
-    /// In-flight instance ids, consumed by `on_outcome` in staging order.
-    in_flight: std::collections::VecDeque<InstanceId>,
     /// CoEfficient: planned copies that found no fitting slack and were
     /// dropped (the selective criterion: a copy only exists where slack
     /// fits it). Reported for reliability accounting.
@@ -636,11 +637,9 @@ impl Scheduler {
             dynamic_index,
             tracker: InstanceTracker::new(),
             // Pre-sized so the steady-state cycle loop never grows them:
-            // the dynamic backlog is bounded by the purge window and the
-            // in-flight staging depth is one slot deep in practice.
+            // the dynamic backlog is bounded by the purge window.
             queues: [Vec::with_capacity(64), Vec::with_capacity(64)],
             next_seq: 0,
-            in_flight: std::collections::VecDeque::with_capacity(8),
             dropped_copies: 0,
             slot_capacity_bits,
             cycle_duration,
@@ -791,8 +790,7 @@ impl Scheduler {
     }
 
     /// Bytes currently committed to the scheduler's reusable scratch
-    /// buffers (dynamic queues, in-flight staging, FSPEC slot queues, the
-    /// candidate lists) —
+    /// buffers (dynamic queues, FSPEC slot queues, the candidate lists) —
     /// capacity, not length, so it reports the high-water footprint the
     /// allocation-free cycle loop runs in. The `bench cycles` harness
     /// records this per policy.
@@ -803,7 +801,6 @@ impl Scheduler {
             .iter()
             .map(|q| q.capacity() * size_of::<(u64, DynPending)>())
             .sum();
-        let in_flight = self.in_flight.capacity() * size_of::<InstanceId>();
         let fspec: usize = self
             .statics
             .iter()
@@ -812,7 +809,7 @@ impl Scheduler {
         let candidates = (self.early_candidates.windows.capacity()
             + self.hard_candidates.windows.capacity())
             * size_of::<(usize, ReleaseWindow)>();
-        (queues + in_flight + fspec + candidates) as u64
+        (queues + fspec + candidates) as u64
     }
 
     /// All pending transmission work: the dynamic backlog plus (for FSPEC)
@@ -833,19 +830,34 @@ impl Scheduler {
     /// # Panics
     /// Panics if `message` is not a configured static message.
     pub fn produce_static(&mut self, message: MessageId, now: SimTime) -> InstanceId {
-        self.produce_static_index(self.static_index(message), now)
+        let cycle = self.config.cycle_of(now);
+        self.produce_static_index(self.static_index(message), cycle, now)
     }
 
     /// [`produce_static`](Self::produce_static) for the static message at
-    /// `position` in the workload slice the scheduler was built from.
+    /// `position` in the workload slice the scheduler was built from,
+    /// released at `now` in bus cycle `cycle` (the caller's clock, so
+    /// production divides nothing).
     ///
     /// # Panics
     /// Panics if `position` is out of range.
-    pub(crate) fn produce_static_at(&mut self, position: usize, now: SimTime) -> InstanceId {
-        self.produce_static_index(self.occupant_statics[position], now)
+    pub(crate) fn produce_static_at(
+        &mut self,
+        position: usize,
+        cycle: u64,
+        now: SimTime,
+    ) -> InstanceId {
+        self.produce_static_index(self.occupant_statics[position], cycle, now)
     }
 
-    fn produce_static_index(&mut self, index: usize, now: SimTime) -> InstanceId {
+    /// Produces an instance of `statics[index]` at `now`, which lies in
+    /// bus cycle `cycle`.
+    fn produce_static_index(&mut self, index: usize, cycle: u64, now: SimTime) -> InstanceId {
+        debug_assert_eq!(
+            cycle,
+            self.config.cycle_of(now),
+            "release outside its cycle"
+        );
         let info = &self.statics[index];
         let message = info.signal.id;
         let deadline = now + info.signal.deadline;
@@ -860,13 +872,14 @@ impl Scheduler {
             self.slot_offsets[usize::from(primary.slot) - 1],
             primary.base_cycle,
             primary.repetition,
+            cycle,
             now,
         );
         // Windows that closed before this cycle began can contain no slot
         // the bus will still offer. The survivors start after
         // `cycle_start - period` and before the cycle ends, which bounds
         // the ring at ceil(cycle / period) + 1 windows.
-        let cycle_start = self.config.cycle_start(self.config.cycle_of(now));
+        let cycle_start = SimTime::ZERO + self.cycle_duration * cycle;
         let info = &mut self.statics[index];
         while let Some(pruned) = info.windows.pop_front_if(|w| w.window_end <= cycle_start) {
             self.early_candidates.prune(&pruned);
@@ -1067,13 +1080,12 @@ impl Scheduler {
                     );
                 }
             }
-            let payload = OutboundPayload {
+            return Some(OutboundPayload {
                 message: occ.message,
                 payload_bytes: self.statics[index].payload_bytes,
                 produced_at: self.tracker.get(instance).produced_at,
-            };
-            self.in_flight.push_back(instance);
-            return Some(payload);
+                tag: instance as u64,
+            });
         }
         // Window path: transmit the instance whose generation window
         // contains this slot — the newest released at or before the
@@ -1093,13 +1105,12 @@ impl Scheduler {
                 );
             }
         }
-        let payload = OutboundPayload {
+        Some(OutboundPayload {
             message: occ.message,
             payload_bytes: info.payload_bytes,
             produced_at: w.start,
-        };
-        self.in_flight.push_back(w.instance);
-        Some(payload)
+            tag: w.instance as u64,
+        })
     }
 
     /// A free static position: a failover copy, else cooperative filling.
@@ -1204,7 +1215,6 @@ impl Scheduler {
                 let (_, entry) = q.remove(pos);
                 self.cooperative_static_serves += 1;
                 let inst = self.tracker.get(entry.instance);
-                self.in_flight.push_back(entry.instance);
                 if self.tracer.is_enabled() {
                     self.tracer.emit(
                         slot_start,
@@ -1219,6 +1229,7 @@ impl Scheduler {
                     message: inst.message,
                     payload_bytes: entry.payload_bytes,
                     produced_at: inst.produced_at,
+                    tag: entry.instance as u64,
                 });
             }
             self.steal_denied += 1;
@@ -1450,18 +1461,19 @@ impl Scheduler {
     /// budget.
     fn stage_copy(&mut self, index: usize, w: ReleaseWindow) -> OutboundPayload {
         self.tracker.get_mut(w.instance).early_copies += 1;
-        self.in_flight.push_back(w.instance);
         let info = &self.statics[index];
         OutboundPayload {
             message: info.signal.id,
             payload_bytes: info.payload_bytes,
             produced_at: w.start,
+            tag: w.instance as u64,
         }
     }
 }
 
 /// The first instant ≥ `t` at which the `(slot, base, rep)` pattern
-/// occurs, for cycles of `cycle` and a slot `slot_offset` into its cycle.
+/// occurs, for cycles of `cycle` and a slot `slot_offset` into its cycle;
+/// `index` is the cycle containing `t`.
 ///
 /// Closed form, no cycle-stepping: the repetition is a power of two
 /// dividing 64, so the counter condition `(cycle mod 64) mod rep == base`
@@ -1474,11 +1486,11 @@ fn next_occurrence_at_or_after(
     slot_offset: SimDuration,
     base: u8,
     rep: u8,
+    index: u64,
     t: SimTime,
 ) -> SimTime {
     let (base, rep) = (u64::from(base), u64::from(rep));
     debug_assert!(rep.is_power_of_two() && rep <= 64 && base < rep);
-    let index = t.as_nanos() / cycle.as_nanos();
     let aligned = index + (base.wrapping_sub(index) & (rep - 1));
     let start = SimTime::ZERO + cycle * aligned + slot_offset;
     if start >= t {
@@ -1538,20 +1550,18 @@ impl TrafficSource for Scheduler {
                 );
             }
         }
-        let payload = OutboundPayload {
+        Some(OutboundPayload {
             message: inst.message,
             payload_bytes: entry.payload_bytes,
             produced_at: inst.produced_at,
-        };
-        self.in_flight.push_back(entry.instance);
-        Some(payload)
+            tag: entry.instance as u64,
+        })
     }
 
+    /// Records the outcome against the instance its tag names: every
+    /// payload this scheduler stages carries its instance id as its tag.
     fn on_outcome(&mut self, outcome: &TransmissionOutcome) {
-        let instance = self
-            .in_flight
-            .pop_front()
-            .expect("outcome without a staged frame");
+        let instance = outcome.tag as InstanceId;
         debug_assert_eq!(self.tracker.get(instance).message, outcome.message);
         self.tracker.record_transmission(
             instance,
@@ -1642,6 +1652,7 @@ mod tests {
                             cfg.static_slot_offset(u64::from(slot)),
                             base,
                             rep,
+                            cfg.cycle_of(t),
                             t,
                         );
                         assert_eq!(got, want, "slot {slot} base {base} rep {rep} t {t:?}");
@@ -1666,6 +1677,7 @@ mod tests {
                                 cfg.static_slot_offset(u64::from(slot)),
                                 base,
                                 rep,
+                                cfg.cycle_of(t),
                                 t
                             ),
                             next_occurrence_by_stepping(&cfg, slot, base, rep, t),
@@ -1902,7 +1914,7 @@ mod tests {
                     let first = start.as_nanos().div_ceil(period) * period;
                     for t in (first..(start + cycle).as_nanos()).step_by(period as usize) {
                         let t = SimTime::from_nanos(t);
-                        let a = by_position.produce_static_at(position, t);
+                        let a = by_position.produce_static_at(position, c, t);
                         let b = by_id.produce_static(signal.id, t);
                         assert_eq!(a, b);
                     }
@@ -2129,17 +2141,40 @@ mod tests {
     }
 
     #[test]
-    fn outcome_order_matches_staging_order() {
-        // The in-flight FIFO must stay consistent across a full cycle with
-        // mixed static/dynamic traffic on both channels.
-        let mut s = scheduler(COEFFICIENT);
-        s.produce_static(1, SimTime::ZERO);
-        s.produce_static(2, SimTime::ZERO);
-        s.produce_dynamic(20, SimTime::ZERO);
-        s.produce_dynamic(21, SimTime::ZERO);
-        let mut engine = BusEngine::new(config());
-        engine.run_cycle(0, &mut s);
-        assert!(s.in_flight.is_empty(), "every staged frame got its outcome");
+    fn every_outcome_reaches_the_instance_its_tag_names() {
+        // Mixed static and dynamic traffic on both channels, copies
+        // included: each outcome's tag is an instance of the transmitted
+        // message, and each instance counts exactly the frames tagged
+        // with it.
+        for policy in [COEFFICIENT, FSPEC, HOSA] {
+            let mut s = scheduler(policy);
+            let mut engine = BusEngine::new(config());
+            engine.record_outcomes(true);
+            for cycle in 0..8 {
+                let now = config().cycle_start(cycle);
+                s.produce_static(1, now);
+                if cycle % 4 == 0 {
+                    s.produce_static(2, now);
+                    s.produce_dynamic(20, now);
+                    s.produce_dynamic(21, now);
+                }
+                engine.run_cycle(cycle, &mut s);
+            }
+            let mut frames = vec![0u32; s.tracker().produced()];
+            for outcome in engine.outcomes() {
+                let instance = outcome.tag as InstanceId;
+                assert_eq!(s.tracker().get(instance).message, outcome.message);
+                frames[instance] += 1;
+            }
+            let counted: Vec<u32> = s
+                .tracker()
+                .instances()
+                .iter()
+                .map(|i| i.transmissions)
+                .collect();
+            assert_eq!(frames, counted, "{}", policy.label());
+            assert!(engine.outcomes().len() > frames.len(), "{}", policy.label());
+        }
     }
 
     #[test]
@@ -2294,6 +2329,7 @@ mod tests {
                 s.config.static_slot_offset(u64::from(p.slot)),
                 p.base_cycle,
                 p.repetition,
+                s.config.cycle_of(inst.produced_at),
                 inst.produced_at,
             );
             if inst.early_copies > 0

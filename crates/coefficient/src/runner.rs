@@ -465,22 +465,44 @@ impl ChaosTracker {
     }
 }
 
-/// Safety cap: no experiment in the suite needs more simulated cycles.
-const MAX_CYCLES: u64 = 5_000_000;
+/// Safety cap on the cycles one run simulates: no experiment in the suite
+/// needs more, and a run that reaches it reports itself
+/// [`truncated`](RunReport::truncated).
+pub const MAX_CYCLES: u64 = 5_000_000;
 
-/// A run's release cursors: each message's next release, per class. A
-/// cycle's releases are gathered once into a reused buffer and sorted by
-/// `(instant, class, index)`: within a class the lowest index wins a tie,
-/// and a static release wins at an equal instant.
+/// The class bit of a packed release key's low word: set for dynamic.
+const DYNAMIC_KEY: u64 = 1 << 63;
+
+/// One message's release cursor.
+#[derive(Debug, Clone, Copy)]
+struct Cursor {
+    /// Its next release.
+    next: SimTime,
+    /// Its release spacing.
+    period: SimDuration,
+    /// The low word of its batch keys: [`DYNAMIC_KEY`] for a dynamic
+    /// message, then its index within its class.
+    key: u64,
+}
+
+/// A run's release cursors, one per message. A cycle's releases are
+/// gathered into a reused buffer of packed `(instant, class, index)` keys
+/// and sorted: within a class the lowest index wins a tie, and a static
+/// release wins at an equal instant.
+///
+/// The cursors are gathered in a fixed order, by in-cycle phase (first
+/// release modulo the cycle), then class, then index. A message whose
+/// period is a multiple of the cycle releases at the same phase every
+/// cycle, so a batch of such messages arrives sorted and the sort only
+/// confirms it. Shorter or incommensurate periods break the order, and
+/// the sort restores it: it is the one rule the order rests on.
 #[derive(Debug)]
 struct Releases {
-    /// Next release per message index, `[static, dynamic]`.
-    next: [Vec<SimTime>; 2],
-    /// Release spacing per message index, `[static, dynamic]`.
-    periods: [Vec<SimDuration>; 2],
-    /// The releases of the cycle being produced, as `(instant, class,
-    /// message index)`.
-    batch: Vec<(SimTime, MessageClass, usize)>,
+    /// In gather order.
+    cursors: Vec<Cursor>,
+    /// The releases of the cycle being produced: the instant's nanoseconds
+    /// in the high word, the cursor's key in the low word.
+    batch: Vec<u128>,
 }
 
 impl Releases {
@@ -497,35 +519,50 @@ impl Releases {
             .chain(&dynamics)
             .map(|&(_, period)| cycle.as_nanos().div_ceil(period.as_nanos().max(1)) as usize + 1)
             .sum();
-        let [(static_next, static_periods), (dynamic_next, dynamic_periods)] =
-            [statics, dynamics].map(|messages| messages.into_iter().unzip());
+        // The gather order as packed `(phase, class, index)` keys, so the
+        // sort compares integers and takes each phase's division once.
+        let phase_key = |class: u64| {
+            move |(i, &(next, _)): (usize, &(SimTime, SimDuration))| {
+                u128::from(next.as_nanos() % cycle.as_nanos()) << 64 | u128::from(class | i as u64)
+            }
+        };
+        let mut order: Vec<u128> = (statics.iter().enumerate().map(phase_key(0)))
+            .chain(dynamics.iter().enumerate().map(phase_key(DYNAMIC_KEY)))
+            .collect();
+        order.sort_unstable();
+        let cursors = order
+            .into_iter()
+            .map(|phase_key| {
+                let key = phase_key as u64;
+                let class = if key & DYNAMIC_KEY == 0 {
+                    &statics
+                } else {
+                    &dynamics
+                };
+                let (next, period) = class[(key & !DYNAMIC_KEY) as usize];
+                Cursor { next, period, key }
+            })
+            .collect();
         Releases {
-            next: [static_next, dynamic_next],
-            periods: [static_periods, dynamic_periods],
+            cursors,
             batch: Vec::with_capacity(per_cycle),
         }
     }
 
     /// Gathers and sorts every release before `limit` into the batch,
     /// moving each cursor past it. Returns whether a release remains
-    /// before `cycle_end`.
+    /// before `cycle_end`, which only a `limit` before it can leave.
     fn gather(&mut self, limit: SimTime, cycle_end: SimTime) -> bool {
         self.batch.clear();
-        let mut pending = false;
-        for (k, class) in [MessageClass::Static, MessageClass::Dynamic]
-            .into_iter()
-            .enumerate()
-        {
-            for (i, (next, &period)) in self.next[k].iter_mut().zip(&self.periods[k]).enumerate() {
-                while *next < limit {
-                    self.batch.push((*next, class, i));
-                    *next += period;
-                }
-                pending |= *next < cycle_end;
+        for cursor in &mut self.cursors {
+            while cursor.next < limit {
+                self.batch
+                    .push(u128::from(cursor.next.as_nanos()) << 64 | u128::from(cursor.key));
+                cursor.next += cursor.period;
             }
         }
         self.batch.sort_unstable();
-        pending
+        limit < cycle_end && self.cursors.iter().any(|c| c.next < cycle_end)
     }
 }
 
@@ -548,7 +585,7 @@ struct Production {
 
 impl Production {
     fn new(releases: Releases, stop: StopCondition) -> Self {
-        let done = releases.next.iter().all(Vec::is_empty);
+        let done = releases.cursors.is_empty();
         Production {
             releases,
             target: match stop {
@@ -578,8 +615,15 @@ impl Production {
         let limit = self.horizon.map_or(cycle_end, |h| h.min(cycle_end));
         // What remains before the cycle's end lies at or after the horizon.
         let horizon_reached = self.releases.gather(limit, cycle_end);
-        for &(release, class, i) in &self.releases.batch {
-            produce(class, i, release);
+        for &key in &self.releases.batch {
+            let release = SimTime::from_nanos((key >> 64) as u64);
+            let low = key as u64;
+            let class = if low & DYNAMIC_KEY == 0 {
+                MessageClass::Static
+            } else {
+                MessageClass::Dynamic
+            };
+            produce(class, (low & !DYNAMIC_KEY) as usize, release);
             self.produced += 1;
             self.last = release;
             if self.target.is_some_and(|n| self.produced >= n) {
@@ -711,27 +755,28 @@ impl Runner {
             .collect();
         // Size the instance store for the whole run up front so the
         // steady-state production path never grows it (the counting-
-        // allocator test pins this for the cycle loop proper).
+        // allocator test pins this for the cycle loop proper), but never
+        // for more than the releases before the cycle cap.
+        let releases_within = |span: SimDuration| -> u64 {
+            let periods = cfg.static_messages.iter().map(|s| s.period);
+            let periods = periods.chain(cfg.dynamic_messages.iter().map(|d| d.min_interarrival));
+            periods
+                .map(|period| span.as_nanos() / period.as_nanos() + 1)
+                .fold(0, u64::saturating_add)
+        };
+        let reach = cfg
+            .cluster
+            .cycle_duration()
+            .checked_mul(MAX_CYCLES)
+            .unwrap_or(SimDuration::MAX);
         let expected_instances = match cfg.stop {
-            StopCondition::Horizon(h) => {
-                let statics: u64 = cfg
-                    .static_messages
-                    .iter()
-                    .map(|s| h.as_nanos() / s.period.as_nanos() + 1)
-                    .sum();
-                let dynamics: u64 = cfg
-                    .dynamic_messages
-                    .iter()
-                    .map(|d| h.as_nanos() / d.min_interarrival.as_nanos() + 1)
-                    .sum();
-                statics + dynamics
-            }
-            StopCondition::ProducedInstances(n) => {
-                n + (cfg.static_messages.len() + cfg.dynamic_messages.len()) as u64
-            }
+            StopCondition::Horizon(h) => releases_within(h.min(reach)),
+            StopCondition::ProducedInstances(n) => n
+                .saturating_add((cfg.static_messages.len() + cfg.dynamic_messages.len()) as u64)
+                .min(releases_within(reach)),
             // Open-ended: delivery-gated runs produce until enough arrive;
             // twice the target is a generous steady-state estimate.
-            StopCondition::DeliveredInstances(n) => n.saturating_mul(2),
+            StopCondition::DeliveredInstances(n) => n.saturating_mul(2).min(releases_within(reach)),
         };
         scheduler.reserve_instances(usize::try_from(expected_instances).unwrap_or(usize::MAX));
         let chaos = cfg.scenario.campaign.clone().map(ChaosTracker::new);
@@ -826,7 +871,7 @@ impl Runner {
             let scheduler = &mut self.scheduler;
             production.produce_until(cycle_end, |class, i, t| match class {
                 MessageClass::Static => {
-                    scheduler.produce_static_at(i, t);
+                    scheduler.produce_static_at(i, cycle, t);
                 }
                 MessageClass::Dynamic => {
                     scheduler.produce_dynamic_at(i, t);
@@ -973,6 +1018,9 @@ impl Runner {
         let a = self.engine.stats(ChannelId::A);
         let b = self.engine.stats(ChannelId::B);
         let tracker = self.scheduler.tracker();
+        let log = tracker.summary();
+        let [static_latency, dynamic_latency] = log.latency;
+        let [static_deadlines, dynamic_deadlines] = log.deadlines;
         let utilization_a = a.occupied_utilization(elapsed);
         let utilization_b = b.occupied_utilization(elapsed);
         let wire_utilization = (a.utilization(elapsed) + b.utilization(elapsed)) / 2.0;
@@ -984,12 +1032,12 @@ impl Runner {
             utilization_b,
             utilization: (utilization_a + utilization_b) / 2.0,
             wire_utilization,
-            static_latency: tracker.latency_summary(MessageClass::Static),
-            dynamic_latency: tracker.latency_summary(MessageClass::Dynamic),
-            static_deadlines: tracker.deadline_tracker(MessageClass::Static),
-            dynamic_deadlines: tracker.deadline_tracker(MessageClass::Dynamic),
+            static_latency,
+            dynamic_latency,
+            static_deadlines,
+            dynamic_deadlines,
             produced: tracker.produced() as u64,
-            delivered: tracker.delivered() as u64,
+            delivered: log.delivered as u64,
             frames: a.frames + b.frames,
             corrupted: a.corrupted + b.corrupted,
             cooperative_static_serves: self.scheduler.cooperative_static_serves(),
@@ -1135,6 +1183,26 @@ mod tests {
         .unwrap()
         .run();
         assert_eq!(report.running_time, SimDuration::from_millis(100));
+    }
+
+    #[test]
+    fn the_instance_store_is_sized_for_no_more_than_the_cycle_cap() {
+        // One 64 ms message on the 1 ms cycle releases 78,126 instances
+        // within the cap. Unbounded stop conditions used to size the store
+        // for the whole nominal run: `Horizon(MAX)` asked for exabytes and
+        // `ProducedInstances(u64::MAX)` overflowed.
+        let period = SimDuration::from_millis(64);
+        for stop in [
+            StopCondition::Horizon(SimDuration::MAX),
+            StopCondition::ProducedInstances(u64::MAX),
+            StopCondition::DeliveredInstances(u64::MAX),
+        ] {
+            let mut cfg = base_config(COEFFICIENT, stop);
+            cfg.static_messages = vec![Signal::new(1, period, SimDuration::ZERO, period, 64)];
+            cfg.dynamic_messages.clear();
+            let runner = Runner::new(cfg).unwrap();
+            assert_eq!(runner.scheduler.tracker().capacity(), 78_126, "{stop:?}");
+        }
     }
 
     #[test]
@@ -1735,6 +1803,9 @@ mod tests {
         class_ties: u64,
         /// Runs whose production ended before the last cycle.
         cut: u64,
+        /// Cycles whose releases, gathered in cursor order, were not yet
+        /// sorted: the sort had work to do.
+        unsorted: u64,
     }
 
     /// Merges random releases on a coarse grid (quarter-cycle offsets and
@@ -1787,6 +1858,20 @@ mod tests {
             let cycle_end = SimTime::ZERO + cycle * n;
             merged.clear();
             scanned.clear();
+            if !batches.done {
+                let limit = batches.horizon.map_or(cycle_end, |h| h.min(cycle_end));
+                let gathered: Vec<(SimTime, u64)> = batches
+                    .releases
+                    .cursors
+                    .iter()
+                    .flat_map(|c| {
+                        std::iter::successors(Some(c.next), move |&t| Some(t + c.period))
+                            .take_while(|&t| t < limit)
+                            .map(move |t| (t, c.key))
+                    })
+                    .collect();
+                tally.unsorted += u64::from(!gathered.is_sorted());
+            }
             batches.produce_until(cycle_end, |class, i, t| merged.push((class, i, t)));
             scan.produce_until(cycle_end, &mut scanned);
             assert_eq!(merged, scanned, "releases of cycle {n}");
@@ -1833,6 +1918,7 @@ mod tests {
         for kind in 0..3 {
             let tally = check_release_order(&statics, &dynamics, (kind, 60), 30);
             assert!(tally.ties > 0 && tally.class_ties > 0, "{kind}: {tally:?}");
+            assert!(tally.unsorted > 0, "{kind}: {tally:?}");
             // The horizon and the instance target end production early;
             // a delivery target never does.
             assert_eq!(tally.cut, u64::from(kind < 2), "{kind}: {tally:?}");

@@ -22,7 +22,9 @@ use crate::codec::{FrameCoding, BITS_PER_BYTE_CODED, MAX_PAYLOAD_BYTES};
 use crate::config::{ClusterConfig, ACTION_POINT_OFFSET, DYNAMIC_SLOT_IDLE_PHASE};
 use crate::schedule::MessageId;
 
-/// A payload handed to the engine for transmission.
+/// A payload handed to the engine for transmission. The engine reads
+/// its message, length and production instant, and carries its `tag`
+/// through to the frame's [`TransmissionOutcome`] untouched.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OutboundPayload {
     /// Which message is being transmitted.
@@ -31,6 +33,11 @@ pub struct OutboundPayload {
     pub payload_bytes: u16,
     /// When the host produced the message (for latency accounting).
     pub produced_at: SimTime,
+    /// The source's own handle for this frame. The engine never reads it
+    /// and echoes it unchanged in the frame's [`TransmissionOutcome::tag`],
+    /// so a source can tell which of its records an outcome belongs to
+    /// without keeping a queue of staged frames.
+    pub tag: u64,
 }
 
 /// Where in the cycle a transmission happened.
@@ -51,7 +58,8 @@ pub enum SlotLocation {
     },
 }
 
-/// The engine's record of one frame transmission.
+/// The engine's record of one frame transmission. Its `tag` is the tag
+/// of the [`OutboundPayload`] the source returned for the frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TransmissionOutcome {
     /// Communication cycle index (unbounded).
@@ -73,6 +81,8 @@ pub struct TransmissionOutcome {
     pub corrupted: bool,
     /// When the host produced the message.
     pub produced_at: SimTime,
+    /// The [`OutboundPayload::tag`] of the transmitted payload, unchanged.
+    pub tag: u64,
 }
 
 impl TransmissionOutcome {
@@ -100,6 +110,13 @@ impl TransmissionOutcome {
 /// Under that contract a skipping source yields exactly the outcomes,
 /// statistics and side effects of one that is offered every position.
 /// The defaults skip nothing.
+///
+/// # Tags
+///
+/// Each [`OutboundPayload`] carries a `tag` the engine does not read. The
+/// [`TransmissionOutcome`] passed to [`on_outcome`](Self::on_outcome) for
+/// that frame carries the same tag, unchanged, so a source can key its
+/// per-frame records by tag instead of queueing them in staging order.
 pub trait TrafficSource {
     /// The frame to transmit in static `slot` on `channel` during `cycle`
     /// (whose 0–63 counter is `cycle_counter`), or `None` for a null/idle
@@ -125,7 +142,8 @@ pub trait TrafficSource {
     ) -> Option<OutboundPayload>;
 
     /// Notification after every transmission (success or corruption) —
-    /// retransmission schemes hook here.
+    /// retransmission schemes hook here. `outcome.tag` is the tag of the
+    /// payload this source returned for the frame.
     fn on_outcome(&mut self, outcome: &TransmissionOutcome) {
         let _ = outcome;
     }
@@ -427,6 +445,7 @@ impl BusEngine {
                         wire_bits,
                         corrupted,
                         produced_at: payload.produced_at,
+                        tag: payload.tag,
                     };
                     let st = &mut self.stats[channel.index()];
                     st.frames += 1;
@@ -530,6 +549,7 @@ impl BusEngine {
                         wire_bits,
                         corrupted,
                         produced_at: payload.produced_at,
+                        tag: payload.tag,
                     };
                     let st = &mut self.stats[channel.index()];
                     st.frames += 1;
@@ -661,6 +681,7 @@ mod tests {
             message,
             payload_bytes: bytes,
             produced_at: SimTime::ZERO,
+            tag: 0,
         }
     }
 
@@ -683,6 +704,42 @@ mod tests {
         assert_eq!(engine.stats(ChannelId::A).frames, 1);
         assert_eq!(engine.stats(ChannelId::A).idle_static_slots, 3);
         assert_eq!(engine.stats(ChannelId::B).idle_static_slots, 4);
+    }
+
+    #[test]
+    fn outcomes_echo_their_payload_tag() {
+        // Distinct tags on both channels and in both segments, one of them
+        // on a corrupted frame: each outcome, as the source sees it and as
+        // the engine records it, carries the tag of its own payload.
+        let mut engine = BusEngine::new(config()).with_faults(
+            Box::new(BernoulliFaults::new(Ber::new(0.9).unwrap(), 1)),
+            Box::new(NoFaults::new()),
+        );
+        engine.record_outcomes(true);
+        let tagged = |message: MessageId, tag: u64| OutboundPayload {
+            tag,
+            ..payload(message, 8)
+        };
+        let mut src = Script::default();
+        src.static_payloads.extend([
+            (0, 1, ChannelId::A, tagged(1, 0xA1)),
+            (0, 3, ChannelId::B, tagged(2, u64::MAX)),
+            (1, 2, ChannelId::A, tagged(3, 7)),
+        ]);
+        src.dynamic_payloads.extend([
+            (0, ChannelId::A, 6, tagged(4, 1 << 40)),
+            (1, ChannelId::B, 9, tagged(5, 0)),
+        ]);
+        for cycle in 0..2 {
+            engine.run_cycle(cycle, &mut src);
+        }
+        let tags: Vec<(MessageId, u64)> = src.outcomes.iter().map(|o| (o.message, o.tag)).collect();
+        assert_eq!(
+            tags,
+            [(1, 0xA1), (4, 1 << 40), (2, u64::MAX), (3, 7), (5, 0)]
+        );
+        assert_eq!(engine.outcomes(), &src.outcomes[..]);
+        assert!(src.outcomes.iter().any(|o| o.corrupted));
     }
 
     #[test]

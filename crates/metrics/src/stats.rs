@@ -130,6 +130,22 @@ impl Summary {
     }
 }
 
+/// Equal when every field is: the counts, extremes and exact total, and
+/// Welford's running mean and sum of squares bit for bit
+/// ([`f64::to_bits`]). The floats depend on the order the samples were
+/// recorded in, so two summaries of the same samples in another order
+/// may differ.
+impl PartialEq for Summary {
+    fn eq(&self, other: &Self) -> bool {
+        self.count == other.count
+            && self.min == other.min
+            && self.max == other.max
+            && self.total_ns == other.total_ns
+            && self.mean_ns.to_bits() == other.mean_ns.to_bits()
+            && self.m2_ns.to_bits() == other.m2_ns.to_bits()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
