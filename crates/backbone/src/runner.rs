@@ -502,13 +502,11 @@ mod tests {
 
     #[test]
     fn tracing_is_pure_observation() {
-        use std::sync::{Arc, Mutex};
-        let sink = Arc::new(Mutex::new(observe::RingBufferSink::new(1 << 16)));
-        let tracer = Tracer::new(sink.clone());
+        let tracer = Tracer::ring(1 << 16);
         let traced = run_cell_traced(&quick_spec(HYPERCYCLE), &tracer).unwrap();
         let untraced = run_cell(&quick_spec(HYPERCYCLE)).unwrap();
         assert_eq!(traced, untraced);
-        let log = sink.lock().unwrap().take_log();
+        let log = tracer.take_log().expect("the tracer is enabled");
         assert!(
             log.events
                 .iter()

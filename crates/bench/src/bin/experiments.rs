@@ -71,7 +71,10 @@ use bench_harness::golden::{
     DEFAULT_CORPUS_PATH,
 };
 use bench_harness::json::Json;
-use bench_harness::sweep::{cell_json, parse_scenario, sweep_report_json, SweepSpec};
+use bench_harness::sweep::{
+    cell_json, check_horizon_ms, check_minislots, parse_scenario, sweep_report_json, SpecError,
+    SweepSpec,
+};
 use bench_harness::table::print_table;
 use bench_harness::trace::{chrome_json, trace_json, validate_trace};
 use coefficient::registry::{self, lookup};
@@ -487,12 +490,19 @@ fn write_out(path: &str, contents: impl AsRef<[u8]>) {
 // sweep / replay
 // ---------------------------------------------------------------------------
 
+/// Exits 2 naming the flag that set `e`'s field.
+fn spec_error(e: SpecError) -> ! {
+    let flag = e.field.replace('_', "-");
+    usage_error(format!(
+        "invalid value for --{flag}: {} ({})",
+        e.value, e.reason
+    ))
+}
+
 /// `--minislots`, exit 2 unless the `paper_mixed` cycle fits that many.
 fn parse_minislots(flags: &Flags) -> Option<u64> {
     let v = flags.number("--minislots")?;
-    if let Err(e) = ClusterConfig::try_paper_mixed(v) {
-        usage_error(format!("invalid value for --minislots: {v} ({e:?}: {e})"));
-    }
+    check_minislots(v).unwrap_or_else(|e| spec_error(e));
     Some(v)
 }
 
@@ -526,29 +536,17 @@ fn run_config(cfg: coefficient::RunConfig) -> coefficient::RunReport {
 /// [`MAX_CYCLES`] cap before reaching it.
 fn parse_horizon_ms(flags: &Flags, cluster: &ClusterConfig) -> Option<u64> {
     let ms = flags.number("--horizon-ms")?;
-    let cycle_ms = cluster.cycle_duration().as_secs_f64() * 1e3;
-    let cap_ms = cluster
-        .cycle_duration()
-        .as_nanos()
-        .saturating_mul(MAX_CYCLES)
-        / 1_000_000;
-    if ms > cap_ms {
-        usage_error(format!(
-            "invalid value for --horizon-ms: {ms} (a run stops after {MAX_CYCLES} cycles of {cycle_ms} ms, {cap_ms} ms)"
-        ));
-    }
+    check_horizon_ms(ms, cluster).unwrap_or_else(|e| spec_error(e));
     Some(ms)
 }
 
-/// The sweep flags as a [`SweepSpec`]; exits 2 if its matrix cannot be
-/// built.
+/// The sweep flags as a [`SweepSpec`]; exits 2 naming the flag of a
+/// size [`SweepSpec::check`] rejects.
 fn parse_spec(flags: &Flags) -> SweepSpec {
     let default = SweepSpec::default();
-    let minislots = parse_minislots(flags).unwrap_or(default.minislots);
-    let cluster = ClusterConfig::paper_mixed(minislots);
     let spec = SweepSpec {
-        minislots,
-        horizon_ms: parse_horizon_ms(flags, &cluster).unwrap_or(default.horizon_ms),
+        minislots: flags.number("--minislots").unwrap_or(default.minislots),
+        horizon_ms: flags.number("--horizon-ms").unwrap_or(default.horizon_ms),
         seeds: flags.number("--seeds").unwrap_or(default.seeds),
         master_seed: flags.number("--master-seed").unwrap_or(default.master_seed),
         threads: flags.number("--threads").or(default.threads),
@@ -560,9 +558,7 @@ fn parse_spec(flags: &Flags) -> SweepSpec {
             default.strategy
         },
     };
-    if let Err(e) = spec.try_build_matrix() {
-        usage_error(format!("invalid value for --seeds: {} ({e})", spec.seeds));
-    }
+    spec.check().unwrap_or_else(|e| spec_error(e));
     spec
 }
 
@@ -1088,7 +1084,9 @@ fn run_trace_overhead(flags: &Flags) {
     let mut traced_cfg = matrix.config(coord);
     traced_cfg.trace = TraceConfig::ring(capacity).sample_every(sample_every);
     let untraced_fp = run_config(untraced_cfg.clone()).fingerprint();
-    let traced_fp = run_config(traced_cfg.clone()).fingerprint();
+    let traced_report = run_config(traced_cfg.clone());
+    let traced_fp = traced_report.fingerprint();
+    let log = traced_report.trace.unwrap_or_default();
     if untraced_fp != traced_fp {
         fail(format!(
             "trace-overhead FAILED: traced fingerprint {traced_fp:016x} != \
@@ -1102,9 +1100,14 @@ fn run_trace_overhead(flags: &Flags) {
         run_config(traced_cfg.clone())
     });
     let ratio = traced.min.as_secs_f64() / untraced.min.as_secs_f64();
+    // Per emitted event, so a failure shows whether the cost per event
+    // or the host moved.
+    let emitted = log.events.len() as u64 + log.dropped;
+    let gap_ns = (traced.min.as_secs_f64() - untraced.min.as_secs_f64()) * 1e9;
     println!(
         "trace-overhead: cell {},{},{} — untraced best {:.3} ms, traced best {:.3} ms \
-         (ring {capacity}, sample_every {sample_every}): {:+.2}% (gate < {:.0}%)",
+         (ring {capacity}, sample_every {sample_every}): {:+.2}% (gate < {:.0}%); \
+         {} events recorded, {} dropped, gap {:+.1} ns/event",
         coord.policy,
         coord.scenario,
         coord.seed,
@@ -1112,6 +1115,9 @@ fn run_trace_overhead(flags: &Flags) {
         traced.min.as_secs_f64() * 1e3,
         (ratio - 1.0) * 100.0,
         tolerance * 100.0,
+        log.events.len(),
+        log.dropped,
+        gap_ns / emitted.max(1) as f64,
     );
     if ratio > 1.0 + tolerance {
         fail(format!(

@@ -267,7 +267,7 @@ pub fn cycles_to_json(report: &CyclesReport) -> Json {
 /// # Errors
 /// Returns a description of the first schema violation, including a
 /// `wall_per_cal` that is not finite and positive (the gate divides by
-/// it).
+/// it) and a `wall_ms` no [`Duration`] holds.
 pub fn cycles_from_json(doc: &Json) -> Result<CyclesReport, String> {
     let schema = want_str(doc, "schema")?;
     if schema != "coefficient-bench-cycles/1" {
@@ -291,11 +291,15 @@ pub fn cycles_from_json(doc: &Json) -> Result<CyclesReport, String> {
                     "policy {policy:?}: wall_per_cal {wall_per_cal} is not finite and positive"
                 ));
             }
+            let wall_ms = want_f64(p, "wall_ms")?;
+            let wall = Duration::try_from_secs_f64(wall_ms.max(0.0) / 1e3).map_err(|e| {
+                format!("policy {policy:?}: wall_ms {wall_ms:e} is out of range ({e})")
+            })?;
             Ok(PolicyCycles {
                 policy,
                 cells: want_u64(p, "cells")?,
                 sim_cycles: want_u64(p, "sim_cycles")?,
-                wall: Duration::from_secs_f64(want_f64(p, "wall_ms")?.max(0.0) / 1e3),
+                wall,
                 wall_per_cal,
                 peak_scratch_bytes: want_u64(p, "peak_scratch_bytes")?,
             })

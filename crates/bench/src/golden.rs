@@ -426,7 +426,7 @@ fn spec_from_json(doc: &Json) -> Result<SweepSpec, CorpusError> {
     let shared = want(doc, "shared_seeds")?
         .as_bool()
         .ok_or_else(|| CorpusError::new("\"shared_seeds\" is not a bool"))?;
-    Ok(SweepSpec {
+    let spec = SweepSpec {
         minislots: want_u64(doc, "minislots")?,
         horizon_ms: want_u64(doc, "horizon_ms")?,
         seeds: want_u64(doc, "seeds")?,
@@ -439,7 +439,10 @@ fn spec_from_json(doc: &Json) -> Result<SweepSpec, CorpusError> {
         } else {
             SeedStrategy::PerCell
         },
-    })
+    };
+    spec.check()
+        .map_err(|e| CorpusError::new(format!("spec {:?}: {} ({})", e.field, e.value, e.reason)))?;
+    Ok(spec)
 }
 
 fn cell_from_json(doc: &Json) -> Result<GoldenCell, CorpusError> {

@@ -12,7 +12,6 @@
 //! * [`measure_speedup`] — times the same matrix serially and in
 //!   parallel, checks the fingerprints agree, and reports the ratio.
 
-use std::collections::TryReserveError;
 use std::time::Duration;
 
 use coefficient::registry::lookup;
@@ -20,6 +19,7 @@ use coefficient::sweep::default_threads;
 use coefficient::{
     CellOutcome, GroupSummary, Named, PolicyRef, Scenario, SchedulerError, SeedStrategy,
     StopCondition, SweepMatrix, SweepReport, SweepRunner, UnknownName, COEFFICIENT, FSPEC,
+    MAX_CYCLES,
 };
 use event_sim::SimDuration;
 use flexray::config::ClusterConfig;
@@ -69,32 +69,40 @@ impl SweepSpec {
     /// Materializes the spec into a core [`SweepMatrix`].
     ///
     /// # Panics
-    /// Panics if the seed list cannot be allocated (see
-    /// [`try_build_matrix`](Self::try_build_matrix)).
+    /// Panics on a spec that fails [`check`](Self::check).
     pub fn build_matrix(&self) -> SweepMatrix {
-        self.try_build_matrix()
-            .expect("the sweep's seed list fits in memory")
-    }
-
-    /// [`build_matrix`](Self::build_matrix), or the error allocating its
-    /// seed list of [`seeds`](Self::seeds) entries.
-    ///
-    /// # Errors
-    /// The allocation failed, or the list's size overflows.
-    pub fn try_build_matrix(&self) -> Result<SweepMatrix, TryReserveError> {
-        let mut seeds = Vec::new();
-        seeds.try_reserve_exact(usize::try_from(self.seeds).unwrap_or(usize::MAX))?;
-        seeds.extend((0..self.seeds).map(|i| self.master_seed.wrapping_add(i)));
-        Ok(SweepMatrix {
+        SweepMatrix {
             cluster: ClusterConfig::paper_mixed(self.minislots),
             static_messages: dynamic_experiment_statics(),
             dynamic_messages: workloads::sae::message_set(IdRange::For80Slots, self.master_seed),
             policies: self.policies.clone(),
             scenarios: self.scenarios.clone(),
-            seeds,
+            seeds: (0..self.seeds)
+                .map(|i| self.master_seed.wrapping_add(i))
+                .collect(),
             stop: StopCondition::Horizon(SimDuration::from_millis(self.horizon_ms)),
             seed_strategy: self.strategy,
-        })
+        }
+    }
+
+    /// Checks the three sizes a flag or a corpus file can set beyond what
+    /// a run honours: the minislots the cycle fits, the horizon before
+    /// the run's cycle cap, and a seed list that can be allocated. A spec
+    /// that passes builds its matrix without panicking.
+    ///
+    /// # Errors
+    /// The first size that fails, named by its field.
+    pub fn check(&self) -> Result<(), SpecError> {
+        let cluster = check_minislots(self.minislots)?;
+        check_horizon_ms(self.horizon_ms, &cluster)?;
+        let seeds = usize::try_from(self.seeds).unwrap_or(usize::MAX);
+        Vec::<u64>::new()
+            .try_reserve_exact(seeds)
+            .map_err(|e| SpecError {
+                field: "seeds",
+                value: self.seeds,
+                reason: e.to_string(),
+            })
     }
 
     /// Builds and runs the sweep.
@@ -108,6 +116,53 @@ impl SweepSpec {
         }
         runner.run()
     }
+}
+
+/// A [`SweepSpec`] size no run can honour, named by its field.
+#[derive(Debug)]
+pub struct SpecError {
+    /// The field as a corpus spells it (`minislots`, `horizon_ms`,
+    /// `seeds`); its flag is `--` and the field with `-` for `_`.
+    pub field: &'static str,
+    /// The rejected value.
+    pub value: u64,
+    /// Why no run can honour it.
+    pub reason: String,
+}
+
+/// The `paper_mixed` cluster with `minislots`, or why its cycle cannot
+/// fit them.
+///
+/// # Errors
+/// The layout's [`ConfigError`](flexray::ConfigError), as a
+/// `minislots` [`SpecError`].
+pub fn check_minislots(minislots: u64) -> Result<ClusterConfig, SpecError> {
+    ClusterConfig::try_paper_mixed(minislots).map_err(|e| SpecError {
+        field: "minislots",
+        value: minislots,
+        reason: format!("{e:?}: {e}"),
+    })
+}
+
+/// Whether a run on `cluster` reaches `horizon_ms` before its
+/// [`MAX_CYCLES`] cap stops it.
+///
+/// # Errors
+/// A `horizon_ms` [`SpecError`] naming the cap.
+pub fn check_horizon_ms(horizon_ms: u64, cluster: &ClusterConfig) -> Result<(), SpecError> {
+    let cycle = cluster.cycle_duration();
+    let cap_ms = cycle.as_nanos().saturating_mul(MAX_CYCLES) / 1_000_000;
+    if horizon_ms <= cap_ms {
+        return Ok(());
+    }
+    Err(SpecError {
+        field: "horizon_ms",
+        value: horizon_ms,
+        reason: format!(
+            "a run stops after {MAX_CYCLES} cycles of {} ms, {cap_ms} ms",
+            cycle.as_secs_f64() * 1e3
+        ),
+    })
 }
 
 /// One scenario flag value: its registry key, further accepted

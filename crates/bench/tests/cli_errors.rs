@@ -612,3 +612,88 @@ fn a_cycles_baseline_that_cannot_gate_every_policy_exits_2() {
         assert_eq!(!out.stdout.is_empty(), ran, "{name}: {out:?}");
     }
 }
+
+#[test]
+fn truncated_and_mutated_input_files_exit_2_naming_the_defect() {
+    // The two files the CLI reads, cut short at a few offsets and with
+    // one field changed each. The `minislots` and `seeds` rows panicked
+    // (exit 101) in `ClusterConfig::paper_mixed` and
+    // `SweepSpec::build_matrix`, the `horizon_ms` row ran for minutes,
+    // and the `wall_ms` row panicked in `Duration::from_secs_f64`; each
+    // is refused as the matching flag is.
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../../corpus/");
+    let golden = std::fs::read_to_string(format!("{root}golden.json")).expect("corpus reads");
+    let baseline =
+        std::fs::read_to_string(format!("{root}bench_baseline.json")).expect("baseline reads");
+    let verify: &[&str] = &["golden", "verify", "--corpus"];
+    let cycles: &[&str] = &["cycles", "--smoke", "--iters", "1", "--baseline"];
+    let mut rows: Vec<(&[&str], String, &str)> = Vec::new();
+    for (args, text) in [(verify, &golden), (cycles, &baseline)] {
+        for at in [0, 1, text.len() / 7, text.len() / 2, text.len() - 3] {
+            rows.push((args, text[..at].to_string(), "JSON parse error"));
+        }
+    }
+    // (field, its value in the file, the mutated value, what the
+    // diagnostic must name)
+    let golden_fields = [
+        (
+            "minislots",
+            "50",
+            "100000",
+            "\"minislots\": 100000 (Segments",
+        ),
+        ("seeds", "3", "1000000000000", "\"seeds\": 1000000000000"),
+        (
+            "horizon_ms",
+            "100",
+            "1000000000000000",
+            "\"horizon_ms\": 1000000000000000",
+        ),
+        ("seeds", "3", "18446744073709551616", "seeds"),
+        ("minislots", "50", "-1", "minislots"),
+        ("horizon_ms", "100", "2.5", "horizon_ms"),
+        ("schema", "\"coefficient-golden/1\"", "\"v2\"", "schema"),
+        ("shared_seeds", "false", "0", "shared_seeds"),
+        ("ratio_abs", "0.000001", "\"tight\"", "ratio_abs"),
+        ("fingerprint", "\"", "\"xyz", "is not hex"),
+    ];
+    let baseline_fields = [
+        (
+            "wall_ms",
+            "36.105008",
+            "1e300",
+            "wall_ms 1e300 is out of range",
+        ),
+        ("iters", "7", "5000000000", "iters out of range"),
+        ("calibration_ns", "15305401", "-5", "calibration_ns"),
+        ("policy", "\"CoEfficient\"", "7", "policy"),
+    ];
+    let golden_rows = golden_fields.map(|field| (verify, &golden, field));
+    let baseline_rows = baseline_fields.map(|field| (cycles, &baseline, field));
+    for (args, text, (field, value, to, named)) in golden_rows.into_iter().chain(baseline_rows) {
+        let from = format!("\"{field}\": {value}");
+        assert!(text.contains(&from), "{from} is not in the checked-in file");
+        rows.push((
+            args,
+            text.replacen(&from, &format!("\"{field}\": {to}"), 1),
+            named,
+        ));
+    }
+    let dir = std::env::temp_dir().join(format!("cli-file-inputs-{SEED}"));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    for (i, (args, text, named)) in rows.iter().enumerate() {
+        let file = dir.join(format!("row-{i}.json"));
+        std::fs::write(&file, text).expect("temp input writes");
+        let mut argv = args.to_vec();
+        argv.push(file.to_str().unwrap());
+        let out = experiments(&argv);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "row {i} {argv:?}: {stderr}");
+        assert!(
+            stderr.contains(named) && !stderr.contains("panicked"),
+            "row {i} {argv:?}: diagnostic does not name {named:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "row {i} {argv:?}: nothing may run");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

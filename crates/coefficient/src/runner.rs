@@ -4,8 +4,6 @@
 //! [`flexray::bus::BusEngine`], produces workload instances cycle by
 //! cycle, and collects the paper's four metrics into a [`RunReport`].
 
-use std::sync::{Arc, Mutex};
-
 use event_sim::rng::substream;
 use event_sim::{SimDuration, SimTime};
 use flexray::bus::BusEngine;
@@ -14,9 +12,7 @@ use flexray::config::ClusterConfig;
 use flexray::signal::Signal;
 use flexray::ChannelId;
 use metrics::{DeadlineTracker, Summary};
-use observe::{
-    CounterSampler, EventKind, RingBufferSink, TraceConfig, TraceLog, TraceMode, Tracer,
-};
+use observe::{EventKind, TraceConfig, TraceLog, TraceMode, Tracer};
 use rand::Rng;
 use reliability::campaign::{CampaignCounters, CampaignFaults, CampaignSpec, CampaignTarget};
 use reliability::fault::{BernoulliFaults, FaultCounters, FaultProcess, GilbertElliott};
@@ -651,11 +647,9 @@ pub struct Runner {
     health_transitions: u64,
     storm_entries: u64,
     service_restores: u64,
-    /// The shared ring buffer behind `tracer` when tracing is enabled;
-    /// drained into [`RunReport::trace`] by [`report`](Self::report).
-    sink: Option<Arc<Mutex<RingBufferSink>>>,
+    /// The run's trace, drained into [`RunReport::trace`] by
+    /// [`report`](Self::report).
     tracer: Tracer,
-    sampler: CounterSampler,
     /// Recovery bookkeeping, present iff the scenario carries a campaign
     /// — campaign-free runs pay nothing on the cycle path.
     chaos: Option<ChaosTracker>,
@@ -681,18 +675,10 @@ impl Runner {
         options: CoefficientOptions,
     ) -> Result<Self, SchedulerError> {
         let coding = FrameCoding;
-        let (sink, tracer) = match cfg.trace.mode {
-            TraceMode::Off => (None, Tracer::disabled()),
-            TraceMode::Ring { capacity } => {
-                let sink = Arc::new(Mutex::new(RingBufferSink::new(capacity)));
-                (Some(sink.clone()), Tracer::new(sink))
-            }
+        let tracer = match cfg.trace.mode {
+            TraceMode::Off => Tracer::disabled(),
+            TraceMode::Ring { capacity } => Tracer::ring(capacity),
         };
-        let sampler = CounterSampler::new(if cfg.trace.is_enabled() {
-            cfg.trace.counter_sample_every
-        } else {
-            0
-        });
         let mut scheduler = Scheduler::new_with_options(
             cfg.policy,
             cfg.cluster.clone(),
@@ -790,9 +776,7 @@ impl Runner {
             health_transitions: 0,
             storm_entries: 0,
             service_restores: 0,
-            sink,
             tracer,
-            sampler,
             chaos,
         })
     }
@@ -889,7 +873,8 @@ impl Runner {
                 }
             }
             let elapsed = self.engine.elapsed();
-            if self.sampler.should_sample(cycle) {
+            let every = self.cfg.trace.counter_sample_every;
+            if self.tracer.is_enabled() && every != 0 && cycle.is_multiple_of(every) {
                 let counters = self.collect_counters();
                 self.tracer.emit(
                     elapsed,
@@ -1011,10 +996,7 @@ impl Runner {
     fn report(self, truncated: bool) -> RunReport {
         let elapsed = self.engine.elapsed();
         let counters = self.collect_counters();
-        let trace = self
-            .sink
-            .as_ref()
-            .map(|sink| sink.lock().expect("trace sink lock poisoned").take_log());
+        let trace = self.tracer.take_log();
         let a = self.engine.stats(ChannelId::A);
         let b = self.engine.stats(ChannelId::B);
         let tracker = self.scheduler.tracker();
@@ -1183,6 +1165,34 @@ mod tests {
         .unwrap()
         .run();
         assert_eq!(report.running_time, SimDuration::from_millis(100));
+    }
+
+    #[test]
+    fn counters_are_sampled_on_multiples_of_the_period_only() {
+        let sampled_cycles = |every: u64| -> Vec<u64> {
+            let mut cfg = base_config(
+                COEFFICIENT,
+                StopCondition::Horizon(SimDuration::from_millis(45)),
+            );
+            cfg.trace = TraceConfig::ring(1 << 16).sample_every(every);
+            let log = Runner::new(cfg).unwrap().run().trace.expect("traced run");
+            assert_eq!(log.dropped, 0);
+            log.events
+                .iter()
+                .filter_map(|e| match e.kind {
+                    EventKind::CounterSample { cycle, .. } => Some(cycle),
+                    _ => None,
+                })
+                .collect()
+        };
+        assert_eq!(
+            sampled_cycles(0),
+            Vec::<u64>::new(),
+            "period 0 never samples"
+        );
+        // 45 cycles of 1 ms: samples after cycles 10, 20, 30 and 40.
+        assert_eq!(sampled_cycles(10), vec![10, 20, 30, 40]);
+        assert_eq!(sampled_cycles(1), (1..=45).collect::<Vec<_>>());
     }
 
     #[test]

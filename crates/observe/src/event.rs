@@ -187,9 +187,9 @@ pub enum EventKind {
 pub struct TraceLog {
     /// The retained events, in emission order.
     pub events: Vec<TraceEvent>,
-    /// Events dropped because the sink was full.
+    /// Events dropped because the ring was full.
     pub dropped: u64,
-    /// Capacity of the sink that recorded this log.
+    /// Capacity of the ring that recorded this log.
     pub capacity: usize,
 }
 

@@ -4,12 +4,12 @@
 //! The rest of the workspace reports end-of-run aggregates (run counters,
 //! latency summaries). This crate records any run as an inspectable
 //! *timeline*: instrumented components emit typed [`TraceEvent`]s through
-//! a cloneable [`Tracer`] handle into a bounded [`TraceSink`], and the run
-//! hands back the captured [`TraceLog`]. It records and does not export:
-//! the bench harness (`bench_harness::trace`) renders a log as its
-//! `coefficient-trace/1` JSON document, and the Chrome `trace_event`
-//! timeline (loadable in Perfetto or `chrome://tracing`) is a view of
-//! that document's events.
+//! clones of one [`Tracer`] handle into its bounded ring, and the run
+//! drains the captured [`TraceLog`] with [`Tracer::take_log`]. It records
+//! and does not export: the bench harness (`bench_harness::trace`)
+//! renders a log as its `coefficient-trace/1` JSON document, and the
+//! Chrome `trace_event` timeline (loadable in Perfetto or
+//! `chrome://tracing`) is a view of that document's events.
 //!
 //! Design contract:
 //!
@@ -18,24 +18,22 @@
 //!   one predictable branch and allocates nothing. Enabling tracing must
 //!   never change simulation behaviour — traces observe, they do not
 //!   perturb, so run fingerprints are identical with tracing on or off.
-//! * **Bounded overhead when enabled.** The standard sink is a
-//!   [`RingBufferSink`] with a fixed capacity: old events are dropped (and
-//!   counted) rather than growing memory without bound.
+//! * **Bounded overhead when enabled.** The ring has a fixed capacity:
+//!   old events are dropped (and counted) rather than growing memory
+//!   without bound. A run is single-threaded, so an emit takes no lock.
 //! * **Deterministic.** Events carry integer simulation time and integer
 //!   payloads only. The same run produces the bit-identical event stream
 //!   on every replay and at any worker-thread count.
 //!
 //! ```
 //! use event_sim::SimTime;
-//! use observe::{EventKind, RingBufferSink, TraceSink, Tracer};
-//! use std::sync::{Arc, Mutex};
+//! use observe::{EventKind, Tracer};
 //!
-//! let sink = Arc::new(Mutex::new(RingBufferSink::new(16)));
-//! let tracer = Tracer::new(sink.clone());
+//! let tracer = Tracer::ring(16);
 //! if tracer.is_enabled() {
 //!     tracer.emit(SimTime::from_micros(5), EventKind::CycleStart { cycle: 0 });
 //! }
-//! let log = sink.lock().unwrap().take_log();
+//! let log = tracer.take_log().expect("an enabled tracer has a log");
 //! assert_eq!(log.events.len(), 1);
 //! ```
 
@@ -43,19 +41,18 @@
 #![warn(missing_debug_implementations)]
 
 mod event;
-mod sampler;
-mod sink;
+mod tracer;
 
 pub use event::{EventKind, HealthScope, TraceEvent, TraceLog};
-pub use sampler::CounterSampler;
-pub use sink::{RingBufferSink, TraceSink, Tracer};
+pub use tracer::Tracer;
 
 /// How (and whether) a run records its trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceMode {
     /// No tracing: the zero-cost default.
     Off,
-    /// Record into a [`RingBufferSink`] holding at most `capacity` events.
+    /// Record into a ring ([`Tracer::ring`]) holding at most `capacity`
+    /// events.
     Ring {
         /// Maximum number of retained events; older events are dropped
         /// (and counted in [`TraceLog::dropped`]) once full.
@@ -69,7 +66,7 @@ pub enum TraceMode {
 /// byte-identical to a build without this crate wired in at all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceConfig {
-    /// Sink selection.
+    /// Whether to record, and into how large a ring.
     pub mode: TraceMode,
     /// Snapshot the run counters as a [`EventKind::CounterSample`] every
     /// this many cycles (`0` disables sampling).

@@ -167,7 +167,14 @@ impl RetransmissionPlanner {
     /// one copy at a time to the message with the largest marginal
     /// log-gain per bit of bandwidth, never past the per-message cap,
     /// until the plan reaches `goal`. The greedy rule does not promise
-    /// the cheapest plan that reaches the goal.
+    /// the cheapest plan that reaches the goal, but it comes within one
+    /// copy of it: `cost(greedy) ≤ OPT + max_z W_z·u/T_z`. Each message's
+    /// gain `(u/T_z)·ln(1 − p^{k+1})` is concave in `k` at a constant cost
+    /// per copy, so the ratio order solves the fractional relaxation
+    /// (whose cost is at most `OPT`), and the greedy plan is that
+    /// solution's integral part plus one whole copy.
+    /// `crates/reliability/tests/planner_bound.rs` checks the bound
+    /// against an exhaustive search.
     ///
     /// # Errors
     /// * [`PlanError::InvalidGoal`] if `goal` is not in `(0, 1]`;
