@@ -34,7 +34,7 @@
 //! bytes per policy; `--out` writes the `coefficient-bench-cycles/1`
 //! document (CI uploads it as `BENCH_cycles.json`) and `--baseline`
 //! compares cycles/sec against a recorded baseline, exiting non-zero on a
-//! regression beyond `--tolerance` (default 0.15).
+//! host-normalized regression beyond 15% (`CYCLES_TOLERANCE`).
 //!
 //! `backbone` runs the time-triggered Ethernet gateway matrix: a named
 //! topology (two FlexRay domains bridged by GCL-windowed egress ports)
@@ -44,8 +44,8 @@
 //! or if the hypercycle policy shows no gain over the per-cycle baseline
 //! on a shared `(scenario, seed)` cell. `trace-overhead` times a pinned
 //! golden cell untraced vs traced (1 MiB ring, `sample_every(10)`) and
-//! exits non-zero if the traced run costs more than `--tolerance`
-//! (default 5%) over the untraced one.
+//! exits non-zero if the traced run costs more than 5%
+//! (`TRACE_OVERHEAD_TOLERANCE`) over the untraced one.
 //!
 //! Without arguments, runs every figure. `--json` additionally dumps the
 //! raw rows as JSON to stdout (for plotting). An unknown subcommand,
@@ -100,8 +100,6 @@ enum Kind {
     Count,
     /// A non-negative integer.
     Number,
-    /// A finite fraction, 0 <= f < 1.
-    Fraction,
 }
 
 /// Flags a command takes: what follows them, and their space-separated
@@ -195,7 +193,6 @@ static SUBCOMMANDS: [Command; 11] = [
         flags: &[&[
             (Count, "--iters"),
             (Text, "--out --baseline"),
-            (Fraction, "--tolerance"),
             (Switch, "--smoke"),
         ]],
     },
@@ -235,7 +232,6 @@ static SUBCOMMANDS: [Command; 11] = [
             (Text, "--cell"),
             (Count, "--iters --capacity"),
             (Number, "--sample-every"),
-            (Fraction, "--tolerance"),
         ]],
     },
 ];
@@ -270,7 +266,6 @@ enum Value {
     On,
     Text(String),
     Number(u64),
-    Fraction(f64),
 }
 
 /// The arguments of one run, each checked against its command's row.
@@ -340,7 +335,7 @@ impl Flags {
 
     /// Whether flag `name`, of any kind, was given.
     fn present(&self, name: &str) -> bool {
-        let kinds = [Switch, Text, Texts, Count, Number, Fraction];
+        let kinds = [Switch, Text, Texts, Count, Number];
         self.values(name, &kinds).next().is_some()
     }
 
@@ -370,14 +365,6 @@ impl Flags {
                 .unwrap_or_else(|_| usage_error(format!("invalid value for {name}: {n}"))),
         )
     }
-
-    /// The value of [`Fraction`] `name`.
-    fn fraction(&self, name: &str) -> Option<f64> {
-        let &Value::Fraction(f) = self.values(name, &[Fraction]).next()? else {
-            unreachable!("{name} is declared a fraction")
-        };
-        Some(f)
-    }
 }
 
 impl Value {
@@ -399,12 +386,6 @@ fn parse_value(name: &str, kind: Kind, text: &str) -> Value {
             Ok(0) if kind == Count => usage_error(format!("{name} must be at least 1")),
             Ok(n) => Value::Number(n),
             Err(_) => usage_error(format!("invalid value for {name}: {text}")),
-        },
-        Fraction => match text.parse() {
-            Ok(f) if (0.0..1.0).contains(&f) => Value::Fraction(f),
-            _ => usage_error(format!(
-                "invalid value for {name}: {text} (a fraction 0 <= f < 1)"
-            )),
         },
     }
 }
@@ -777,7 +758,11 @@ fn run_golden(flags: &Flags) {
             let path = flags.text("--corpus").unwrap_or(DEFAULT_CORPUS_PATH);
             let file = load_corpus(Path::new(path)).unwrap_or_else(|e| {
                 eprintln!("{e}");
-                eprintln!("(record one with: experiments golden record --out {path})");
+                // Re-recording is the advice for a missing file only, never
+                // for a defective one the user would overwrite.
+                if !Path::new(path).exists() {
+                    eprintln!("(record one with: experiments golden record --out {path})");
+                }
                 std::process::exit(2);
             });
             let report = verify_corpus(&file)
@@ -810,9 +795,6 @@ fn run_golden(flags: &Flags) {
 // ---------------------------------------------------------------------------
 
 fn run_cycles(flags: &Flags) {
-    if flags.fraction("--tolerance").is_some() && flags.text("--baseline").is_none() {
-        usage_error("--tolerance needs --baseline: it bounds the regression against a baseline");
-    }
     // A malformed baseline exits 2 before the matrix runs.
     let baseline = flags.text("--baseline").map(|path| {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -859,8 +841,7 @@ fn run_cycles(flags: &Flags) {
         println!("bench cycles: wrote {out}");
     }
     if let Some((path, baseline)) = baseline {
-        let tolerance = flags.fraction("--tolerance").unwrap_or(CYCLES_TOLERANCE);
-        let comparisons = compare_to_baseline(&report, &baseline, tolerance)
+        let comparisons = compare_to_baseline(&report, &baseline, CYCLES_TOLERANCE)
             .unwrap_or_else(|e| usage_error(format!("cannot compare against {path}: {e}")));
         let mut regressed = false;
         for c in &comparisons {
@@ -879,12 +860,12 @@ fn run_cycles(flags: &Flags) {
             fail(format!(
                 "bench cycles: REGRESSION beyond {:.0}% against {path}; if intentional, \
                  re-record with: experiments cycles --smoke --out {path}",
-                tolerance * 100.0,
+                CYCLES_TOLERANCE * 100.0,
             ))
         }
         println!(
             "bench cycles: all policies within {:.0}% of {path}",
-            tolerance * 100.0,
+            CYCLES_TOLERANCE * 100.0,
         );
     }
 }
@@ -1064,6 +1045,10 @@ fn run_backbone(flags: &Flags) {
     println!("backbone: gates passed (jitter within declared bounds, hypercycle gain present)");
 }
 
+/// The traced replay's largest allowed cost over the untraced one, as a
+/// fraction of the untraced best.
+const TRACE_OVERHEAD_TOLERANCE: f64 = 0.05;
+
 fn run_trace_overhead(flags: &Flags) {
     let spec = golden_spec();
     let matrix = spec.build_matrix();
@@ -1079,7 +1064,6 @@ fn run_trace_overhead(flags: &Flags) {
     let iters = flags.number("--iters").unwrap_or(7);
     let capacity: usize = flags.number("--capacity").unwrap_or(1 << 20);
     let sample_every: u64 = flags.number("--sample-every").unwrap_or(10);
-    let tolerance = flags.fraction("--tolerance").unwrap_or(0.05);
     let untraced_cfg = matrix.config(coord);
     let mut traced_cfg = matrix.config(coord);
     traced_cfg.trace = TraceConfig::ring(capacity).sample_every(sample_every);
@@ -1114,17 +1098,17 @@ fn run_trace_overhead(flags: &Flags) {
         untraced.min.as_secs_f64() * 1e3,
         traced.min.as_secs_f64() * 1e3,
         (ratio - 1.0) * 100.0,
-        tolerance * 100.0,
+        TRACE_OVERHEAD_TOLERANCE * 100.0,
         log.events.len(),
         log.dropped,
         gap_ns / emitted.max(1) as f64,
     );
-    if ratio > 1.0 + tolerance {
+    if ratio > 1.0 + TRACE_OVERHEAD_TOLERANCE {
         fail(format!(
             "trace-overhead FAILED: traced run is {:.2}% slower than untraced \
              (gate {:.0}%)",
             (ratio - 1.0) * 100.0,
-            tolerance * 100.0,
+            TRACE_OVERHEAD_TOLERANCE * 100.0,
         ))
     }
 }

@@ -32,6 +32,14 @@ use crate::sweep::SweepSpec;
 /// the CI gate.
 pub const CYCLES_TOLERANCE: f64 = 0.15;
 
+/// The smallest `wall_per_cal` the gate divides by. A baseline recording
+/// less is refused: clamping it would fail every policy as a regression.
+const MIN_WALL_PER_CAL: f64 = 1e-12;
+
+/// The longest calibration pass a baseline may record: 60 s. The pass
+/// takes milliseconds, so more is a corrupted file, not a slow host.
+const MAX_CALIBRATION_NS: u64 = 60_000_000_000;
+
 /// One pass of the calibration workload: a fixed number of SplitMix64
 /// finalizer rounds, CPU-bound and allocation-free, sized to take a few
 /// milliseconds on current hardware.
@@ -128,7 +136,7 @@ impl PolicyCycles {
     /// Host-normalized throughput: simulated cycles per calibration unit
     /// of wall clock. This is what the baseline gate compares.
     pub fn cycles_per_cal(&self) -> f64 {
-        self.sim_cycles as f64 / self.wall_per_cal.max(1e-12)
+        self.sim_cycles as f64 / self.wall_per_cal.max(MIN_WALL_PER_CAL)
     }
 }
 
@@ -266,8 +274,9 @@ pub fn cycles_to_json(report: &CyclesReport) -> Json {
 ///
 /// # Errors
 /// Returns a description of the first schema violation, including a
-/// `wall_per_cal` that is not finite and positive (the gate divides by
-/// it) and a `wall_ms` no [`Duration`] holds.
+/// `wall_per_cal` that is not finite or is below 1e-12 (the gate divides
+/// by it), a `wall_ms` no [`Duration`] holds and a `calibration_ns` of 0
+/// or above 60 s.
 pub fn cycles_from_json(doc: &Json) -> Result<CyclesReport, String> {
     let schema = want_str(doc, "schema")?;
     if schema != "coefficient-bench-cycles/1" {
@@ -286,9 +295,10 @@ pub fn cycles_from_json(doc: &Json) -> Result<CyclesReport, String> {
         .map(|p| {
             let policy = want_str(p, "policy")?.to_string();
             let wall_per_cal = want_f64(p, "wall_per_cal")?;
-            if !(wall_per_cal.is_finite() && wall_per_cal > 0.0) {
+            if !(wall_per_cal.is_finite() && wall_per_cal >= MIN_WALL_PER_CAL) {
                 return Err(format!(
-                    "policy {policy:?}: wall_per_cal {wall_per_cal} is not finite and positive"
+                    "policy {policy:?}: wall_per_cal {wall_per_cal:e} is not a finite number \
+                     of at least {MIN_WALL_PER_CAL:e}"
                 ));
             }
             let wall_ms = want_f64(p, "wall_ms")?;
@@ -305,13 +315,20 @@ pub fn cycles_from_json(doc: &Json) -> Result<CyclesReport, String> {
             })
         })
         .collect::<Result<Vec<_>, String>>()?;
+    let calibration_ns = want_u64(doc, "calibration_ns")?;
+    if !(1..=MAX_CALIBRATION_NS).contains(&calibration_ns) {
+        return Err(format!(
+            "calibration_ns {calibration_ns} is not in 1..={MAX_CALIBRATION_NS} \
+             (the calibration pass takes milliseconds)"
+        ));
+    }
     Ok(CyclesReport {
         mode: want_str(doc, "mode")?.to_string(),
         horizon_ms: want_u64(doc, "horizon_ms")?,
         seeds: want_u64(doc, "seeds")?,
         iters: u32::try_from(want_u64(doc, "iters")?).map_err(|_| "iters out of range")?,
         scenarios,
-        calibration: Duration::from_nanos(want_u64(doc, "calibration_ns")?),
+        calibration: Duration::from_nanos(calibration_ns),
         policies,
     })
 }
@@ -571,12 +588,12 @@ mod tests {
         let policy = &report.policies[0];
         let recorded = format!("\"wall_per_cal\":{}", Json::Float(policy.wall_per_cal));
         assert!(text.contains(&recorded), "{text}");
-        for bad in ["-1", "0", "0.0"] {
+        for bad in ["-1", "0", "0.0", "1e-320", "9e-13"] {
             let doc = text.replacen(&recorded, &format!("\"wall_per_cal\":{bad}"), 1);
             let err = cycles_from_json(&Json::parse(&doc).unwrap()).unwrap_err();
             assert!(
                 err.contains(&format!("policy {:?}", policy.policy))
-                    && err.contains("not finite and positive"),
+                    && err.contains("is not a finite number of at least 1e-12"),
                 "{bad}: {err}"
             );
         }

@@ -50,6 +50,7 @@ fn golden_verify_against_a_corpus_with_an_unknown_policy_lists_the_registry() {
         "NoSuchPolicy",
         &keys(coefficient::registry::ALL),
     );
+    assert!(!stderr.contains(RECORD_HINT), "re-record advice: {stderr}");
 }
 
 #[test]
@@ -494,11 +495,9 @@ fn inputs_that_used_to_panic_exit_2_naming_the_flag() {
 #[test]
 fn malformed_arguments_exit_2_before_anything_runs() {
     // Each of these used to run: a positional word was ignored (`cycles
-    // smoke` ran the full matrix), a NaN or infinite `--tolerance` turned
-    // the gate into a pass and a negative one into a failure, a second
-    // `--seeds` was silently dropped, `trace --golden` ignored the sweep
-    // flags and `cycles --tolerance` without `--baseline` ran the whole
-    // matrix and gated nothing.
+    // smoke` ran the full matrix), a second `--seeds` was silently
+    // dropped and `trace --golden` ignored the sweep flags. Both perf
+    // gates' bounds are constants: `--tolerance` is an unknown flag.
     let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/../../corpus/golden.json");
     let golden = |flag: &'static [&'static str]| -> Vec<&'static str> {
         let mut args = vec!["trace", "--golden", "--cell", "0,2,1"];
@@ -519,7 +518,7 @@ fn malformed_arguments_exit_2_before_anything_runs() {
         .into_iter()
         .map(|flag| (golden(flag), flag[0]))
         .collect();
-    let cases: [(&[&str], &str); 12] = [
+    let cases: [(&[&str], &str); 9] = [
         (&["cycles", "smoke"], "\"smoke\""),
         (&["storm-smoke", "5"], "\"5\""),
         (&["replay", "ber7", "--cell", "0,0,0"], "\"ber7\""),
@@ -527,10 +526,14 @@ fn malformed_arguments_exit_2_before_anything_runs() {
             &["golden", "verify", "--corpus", corpus, "extra"],
             "\"extra\"",
         ),
-        (&["trace-overhead", "--tolerance", "nan"], "--tolerance"),
-        (&["trace-overhead", "--tolerance", "-0.05"], "--tolerance"),
-        (&["trace-overhead", "--tolerance", "inf"], "--tolerance"),
-        (&["cycles", "--tolerance", "NaN"], "--tolerance"),
+        (
+            &["trace-overhead", "--tolerance", "0.5"],
+            "unknown flag \"--tolerance\"",
+        ),
+        (
+            &["cycles", "--tolerance", "0.5"],
+            "unknown flag \"--tolerance\"",
+        ),
         (
             &["sweep", "--seeds", "1", "--seeds", "2", "--horizon-ms", "8"],
             "--seeds given twice",
@@ -543,7 +546,6 @@ fn malformed_arguments_exit_2_before_anything_runs() {
             &["fleet", "--smoke", "--smoke", "--vehicles", "4"],
             "--smoke given twice",
         ),
-        (&["cycles", "--tolerance", "0.1"], "--tolerance"),
     ];
     let traced = traced.iter().map(|(args, named)| (&args[..], *named));
     for (args, named) in cases.into_iter().chain(traced) {
@@ -585,7 +587,7 @@ fn a_cycles_baseline_that_cannot_gate_every_policy_exits_2() {
         (
             "negative",
             negative,
-            "policy \"CoEfficient\": wall_per_cal -1 is not finite and positive",
+            "policy \"CoEfficient\": wall_per_cal -1e0 is not a finite number of at least 1e-12",
             false,
         ),
     ];
@@ -619,8 +621,11 @@ fn truncated_and_mutated_input_files_exit_2_naming_the_defect() {
     // one field changed each. The `minislots` and `seeds` rows panicked
     // (exit 101) in `ClusterConfig::paper_mixed` and
     // `SweepSpec::build_matrix`, the `horizon_ms` row ran for minutes,
-    // and the `wall_ms` row panicked in `Duration::from_secs_f64`; each
-    // is refused as the matching flag is.
+    // the `wall_ms` row panicked in `Duration::from_secs_f64`, and the
+    // subnormal `wall_per_cal` and out-of-range `calibration_ns` rows ran
+    // the matrix and failed it as a regression (exit 1); each is refused
+    // as the matching flag is. A file that exists is never answered with
+    // advice to re-record over it.
     let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../../corpus/");
     let golden = std::fs::read_to_string(format!("{root}golden.json")).expect("corpus reads");
     let baseline =
@@ -666,6 +671,24 @@ fn truncated_and_mutated_input_files_exit_2_naming_the_defect() {
         ),
         ("iters", "7", "5000000000", "iters out of range"),
         ("calibration_ns", "15305401", "-5", "calibration_ns"),
+        (
+            "calibration_ns",
+            "15305401",
+            "0",
+            "calibration_ns 0 is not in",
+        ),
+        (
+            "calibration_ns",
+            "15305401",
+            U64_MAX,
+            "calibration_ns 18446744073709551615 is not in",
+        ),
+        (
+            "wall_per_cal",
+            "2.0877212374224055",
+            "1e-320",
+            "wall_per_cal 1e-320 is not a finite number",
+        ),
         ("policy", "\"CoEfficient\"", "7", "policy"),
     ];
     let golden_rows = golden_fields.map(|field| (verify, &golden, field));
@@ -693,7 +716,28 @@ fn truncated_and_mutated_input_files_exit_2_naming_the_defect() {
             stderr.contains(named) && !stderr.contains("panicked"),
             "row {i} {argv:?}: diagnostic does not name {named:?}: {stderr}"
         );
+        assert!(
+            !stderr.contains(RECORD_HINT),
+            "row {i} {argv:?}: re-record advice for an existing file: {stderr}"
+        );
         assert!(out.stdout.is_empty(), "row {i} {argv:?}: nothing may run");
+    }
+    // Only a missing file gets the advice.
+    let missing = dir.join("missing.json");
+    for args in [verify, cycles] {
+        let mut argv = args.to_vec();
+        argv.push(missing.to_str().unwrap());
+        let out = experiments(&argv);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{argv:?}: {stderr}");
+        assert!(
+            stderr.contains(RECORD_HINT),
+            "{argv:?}: no advice: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{argv:?}: nothing may run");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The advice a missing input file gets.
+const RECORD_HINT: &str = "(record one with: experiments ";

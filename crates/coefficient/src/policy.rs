@@ -10,10 +10,12 @@
 //!
 //! | | FSPEC (baseline) | HOSA-like | CoEfficient |
 //! |---|---|---|---|
+//! | flags set | `mirror_allocation`, `own_slot_serialization` | `mirror_allocation` | `degraded_mode` |
 //! | static primaries | slot on A + blanket mirror on B | same | slot on A only |
 //! | retransmission | uniform best-effort copies of **every** message, serialized fresh-first through the message's own slots (CHI depth 3) | the B mirror only | differentiated `k_z` copies placed in **stolen static slack** (copies that fit nowhere are dropped and counted — the selective criterion) |
 //! | idle static slots | stay idle (segments scheduled separately) | stay idle | serve backlogged dynamic messages and early copies of released static instances (cooperative scheduling) |
 //! | dynamic messages | channel A, plus best-effort copies | both channels, one extra copy | channel chosen per message, plus differentiated copies |
+//! | degraded bus | no reaction | no reaction | sheds soft traffic by criticality, re-plans slack into extra hard copies, fails hard frames over to the healthier channel |
 //!
 //! The newer zoo members recombine the same mechanisms: `greedy` runs
 //! CoEfficient's machinery under a uniform best-effort plan,
@@ -42,8 +44,9 @@ use crate::scenario::Scenario;
 
 /// Feature switches for the cooperative machinery, used by the ablation
 /// experiments. The defaults enable everything (the full scheme). Only
-/// policies whose [`PolicyBehavior::uses_options`] flag is set honour
-/// them; the fixed baselines always run under the defaults.
+/// the cooperative policies honour them: a policy whose
+/// [`PolicyBehavior::mirror_allocation`] flag is set is a fixed baseline
+/// and always runs under the defaults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoefficientOptions {
     /// Send one early copy of a released static instance through free
@@ -338,8 +341,8 @@ pub struct Scheduler {
     /// static slot capacity.
     steal_denied: u64,
     /// Effective bus health (set by the runner from its reliability
-    /// monitors before each cycle). Only CoEfficient acts on it; the
-    /// baselines have no degraded mode.
+    /// monitors before each cycle). Only the degraded-mode and match-up
+    /// policies act on it; the baselines have no degraded mode.
     health: HealthState,
     /// Per-channel health ([A, B]) driving dual-channel failover.
     channel_health: [HealthState; 2],
@@ -435,9 +438,9 @@ impl Scheduler {
     }
 
     /// Like [`Scheduler::new`] with explicit feature switches (used by the
-    /// ablation experiments; the options only affect policies whose
-    /// [`PolicyBehavior::uses_options`] flag is set — for the fixed
-    /// baselines they are pinned to the defaults).
+    /// ablation experiments; for the mirror schemes, whose
+    /// [`PolicyBehavior::mirror_allocation`] flag is set, they are pinned
+    /// to the defaults).
     ///
     /// # Errors
     /// [`SchedulerError`] on allocation failure, id-space collisions or a
@@ -453,11 +456,12 @@ impl Scheduler {
         options: CoefficientOptions,
     ) -> Result<Self, SchedulerError> {
         let behavior = policy.behavior();
-        // Baselines with a fixed scheme ignore the ablation switches.
-        let options = if behavior.uses_options {
-            options
-        } else {
+        // Mirror schemes are fixed baselines: they ignore the ablation
+        // switches.
+        let options = if behavior.mirror_allocation {
             CoefficientOptions::default()
+        } else {
+            options
         };
         // --- id space checks -------------------------------------------------
         let slots = config.static_slot_count() as u16;
@@ -596,9 +600,10 @@ impl Scheduler {
         let mut dynamics = Vec::with_capacity(dynamic_messages.len());
         let mut dynamic_index = HashMap::with_capacity(dynamic_messages.len());
         for (i, d) in dynamic_messages.iter().enumerate() {
-            // Dual-channel schemes balance first transmissions across the
-            // two channels (unless the ablation disables B).
-            let home_channel = if behavior.balance_dynamic_channels && options.dual_channel {
+            // Every scheme but own-slot serialization balances first
+            // transmissions across the two channels (unless the ablation
+            // disables B).
+            let home_channel = if !behavior.own_slot_serialization && options.dual_channel {
                 if i % 2 == 0 {
                     ChannelId::A
                 } else {
@@ -679,12 +684,6 @@ impl Scheduler {
         self.policy
     }
 
-    /// The mechanism switchboard the scheduler runs under (the policy's
-    /// [`PolicyBehavior`], cached at construction).
-    pub fn behavior(&self) -> PolicyBehavior {
-        self.behavior
-    }
-
     /// The static allocation (read-only).
     pub fn allocation(&self) -> &StaticAllocation {
         &self.alloc
@@ -716,39 +715,15 @@ impl Scheduler {
         self.dropped_copies
     }
 
-    /// Free static positions offered to the dynamic backlog (slack-steal
-    /// attempts). `steal_attempts == cooperative_static_serves +
-    /// steal_denied` by construction.
-    pub fn steal_attempts(&self) -> u64 {
-        self.steal_attempts
-    }
-
-    /// Steal attempts where no backlogged entry fit the slot.
-    pub fn steal_denied(&self) -> u64 {
-        self.steal_denied
-    }
-
     /// Updates the health states the degraded-mode logic acts on: the
     /// effective bus health plus the per-channel classifications
     /// (`[A, B]`). The [`crate::Runner`] calls this once per cycle from
-    /// its reliability monitors; only policies with health-driven
-    /// behaviour flags (shedding, degraded copies, failover, match-up
-    /// recovery) change behaviour in response.
+    /// its reliability monitors; only policies with a health-driven
+    /// behaviour flag (degraded mode, match-up recovery) change behaviour
+    /// in response.
     pub fn set_health(&mut self, overall: HealthState, per_channel: [HealthState; 2]) {
         self.health = overall;
         self.channel_health = per_channel;
-    }
-
-    /// The effective bus health last supplied via
-    /// [`set_health`](Self::set_health).
-    pub fn health(&self) -> HealthState {
-        self.health
-    }
-
-    /// Soft dynamic instances shed by the degraded mode (produced but
-    /// never enqueued; they count as losses in the tracker).
-    pub fn soft_shed(&self) -> u64 {
-        self.soft_shed
     }
 
     /// Extra hard-message copies sent while degraded, beyond the
@@ -892,7 +867,7 @@ impl Scheduler {
             deadline,
         };
         info.windows.push_back(window);
-        if self.behavior.cooperative_segments
+        if !self.behavior.mirror_allocation
             && self.options.early_copies
             && window.start < window.early_end
             && info.wire_bits <= self.slot_capacity_bits
@@ -961,13 +936,12 @@ impl Scheduler {
         let instance =
             self.tracker
                 .produce(dyn_key(frame_id), MessageClass::Dynamic, now, deadline);
-        // Degraded mode (criticality-shedding policies only): shed soft
-        // traffic by criticality — `Stressed` drops the lowest class,
-        // `Storm` keeps only the highest. The instance stays tracked (a
-        // shed arrival is a miss the metrics must see); nominal service
-        // resumes automatically once the monitor recovers, because
-        // admission is re-evaluated per arrival.
-        if self.behavior.criticality_shedding {
+        // Degraded mode: shed soft traffic by criticality — `Stressed`
+        // drops the lowest class, `Storm` keeps only the highest. The
+        // instance stays tracked (a shed arrival is a miss the metrics
+        // must see); nominal service resumes automatically once the
+        // monitor recovers, because admission is re-evaluated per arrival.
+        if self.behavior.degraded_mode {
             let kept_floor = match self.health {
                 HealthState::Nominal => None,
                 HealthState::Stressed => Some(Criticality::Medium),
@@ -1124,7 +1098,7 @@ impl Scheduler {
         channel: ChannelId,
         slot_start: SimTime,
     ) -> Horizon<OutboundPayload> {
-        if !self.behavior.cooperative_segments {
+        if self.behavior.mirror_allocation {
             // Separate-segments schemes leave free static positions idle.
             return Err(SimTime::MAX);
         }
@@ -1132,7 +1106,7 @@ impl Scheduler {
         // a storming channel takes the free position before any soft
         // backlog or opportunistic copy.
         let mut horizon = SimTime::MAX;
-        if self.behavior.failover {
+        if self.behavior.degraded_mode {
             match self.failover_mirror(cycle, channel, slot_start) {
                 Ok(payload) => {
                     if self.tracer.is_enabled() {
@@ -1172,10 +1146,7 @@ impl Scheduler {
         // static instances get retransmitted ahead of any dynamic backlog
         // (the online counterpart of the offline Theorem-1 plan).
         let mut horizon = SimTime::MAX;
-        if self.behavior.degraded_hard_copies
-            && self.health.is_degraded()
-            && self.options.early_copies
-        {
+        if self.behavior.degraded_mode && self.health.is_degraded() && self.options.early_copies {
             match self.degraded_hard_copy(cycle, slot_start) {
                 Ok(payload) => {
                     if self.tracer.is_enabled() {
@@ -1381,7 +1352,7 @@ impl Scheduler {
         channel: ChannelId,
         fresh: Option<SimTime>,
     ) -> u16 {
-        if !self.behavior.cooperative_segments {
+        if self.behavior.mirror_allocation {
             return self.alloc.next_occupied_slot(channel, cycle_counter, from);
         }
         if usize::from(from) > self.slot_offsets.len() {
@@ -2008,7 +1979,11 @@ mod tests {
         s.produce_static(1, SimTime::ZERO);
         let mut engine = BusEngine::new(config());
         engine.run_cycle(0, &mut s);
-        assert_eq!(s.steal_attempts(), 0, "no dynamic backlog, no attempts");
+        assert_eq!(
+            s.schedule_counters().steal_attempts,
+            0,
+            "no dynamic backlog, no attempts"
+        );
         assert!(s.schedule_counters().steal_identity_holds());
     }
 
@@ -2182,7 +2157,7 @@ mod tests {
         let s = scheduler(GREEDY);
         // Greedy runs CoEfficient's machinery (no mirror, copies live in
         // stolen slack)...
-        assert_eq!(s.behavior(), COEFFICIENT.behavior());
+        assert_eq!(s.policy().behavior(), COEFFICIENT.behavior());
         assert!(
             !s.allocation().copies().is_empty(),
             "greedy must place its copies in slack"
@@ -2240,7 +2215,11 @@ mod tests {
         }
         let mut engine = BusEngine::new(config());
         engine.run_cycle(0, &mut s);
-        assert_eq!(s.soft_shed(), 0, "no criticality shedding");
+        assert_eq!(
+            s.schedule_counters().degraded_sheds,
+            0,
+            "no criticality shedding"
+        );
         assert_eq!(s.degraded_extra_copies(), 0, "no degraded re-plan");
         assert_eq!(s.failover_mirrors(), 0, "no failover");
         assert!(
@@ -2262,7 +2241,11 @@ mod tests {
         s.set_health(HealthState::Storm, [HealthState::Storm; 2]);
         let mut engine = BusEngine::new(config());
         engine.run_cycle(0, &mut s);
-        assert_eq!(s.steal_attempts(), 0, "no steals during match-up recovery");
+        assert_eq!(
+            s.schedule_counters().steal_attempts,
+            0,
+            "no steals during match-up recovery"
+        );
         assert_eq!(s.cooperative_static_serves(), 0);
         // Nominal service resumes once the monitor recovers.
         s.set_health(HealthState::Nominal, [HealthState::Nominal; 2]);

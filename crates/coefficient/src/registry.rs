@@ -10,8 +10,11 @@
 //! [`Policy`] is the extension point of the scheduler zoo. A policy is a
 //! data row — a registry key, a display label, a [`PolicyBehavior`] flag
 //! set consumed by [`crate::Scheduler`], and a copy plan — while all
-//! scheduling machinery lives in the shared scheduler engine. Adding a
-//! policy is a one-file change: add a `const` row here, append it to
+//! scheduling machinery lives in the shared scheduler engine. The flag
+//! set has four axes, each of which some pair of policies sets apart:
+//! mirror or steal slack, serialize through own slots or not, degraded
+//! mode or not, match-up recovery or not. Adding a policy that recombines
+//! them is a one-file change: add a `const` row here, append it to
 //! [`ALL`], and the shared `tests/policy_contract.rs` battery picks it up
 //! automatically.
 //!
@@ -21,14 +24,14 @@
 //! lookup, so an unknown name fails with a listing of the registered keys
 //! instead of a panic.
 //!
-//! | key | semantics |
-//! |---|---|
-//! | `coefficient` | the paper's scheme: differentiated Theorem-1 copies in stolen slack, cooperative segments, degraded mode, failover |
-//! | `fspec` | FlexRay-specification baseline: blanket B-mirror, uniform best-effort copies serialized through own slots |
-//! | `hosa` | dual-channel redundancy only: mirror + one extra copy, no slack use |
-//! | `greedy` | greedy best-effort retransmission: uniform copy count, but placed in stolen slack like CoEfficient |
-//! | `slack-steal` | slack stealing without criticality differentiation: no shedding, no degraded mode, no failover |
-//! | `matchup` | mixed-criticality match-up: after a fault burst, slack switches to a recovery schedule for hard instances only |
+//! | key | mirror | own slots | degraded mode | match-up | semantics |
+//! |---|---|---|---|---|---|
+//! | `coefficient` | | | ✓ | | the paper's scheme: differentiated Theorem-1 copies in stolen slack, cooperative segments, degraded mode, failover |
+//! | `fspec` | ✓ | ✓ | | | FlexRay-specification baseline: blanket B-mirror, uniform best-effort copies serialized through own slots |
+//! | `hosa` | ✓ | | | | dual-channel redundancy only: mirror + one extra copy, no slack use |
+//! | `greedy` | | | ✓ | | greedy best-effort retransmission: uniform copy count, but placed in stolen slack like CoEfficient |
+//! | `slack-steal` | | | | | slack stealing without criticality differentiation: no shedding, no degraded mode, no failover |
+//! | `matchup` | | | ✓ | ✓ | mixed-criticality match-up: after a fault burst, slack switches to a recovery schedule for hard instances only |
 
 use flexray::schedule::MessageId;
 use reliability::RetransmissionPlanner;
@@ -122,37 +125,31 @@ pub fn lookup<T: Named>(entries: &'static [T], name: &str) -> Result<&'static T,
 /// the bandwidth simply is not there).
 const FSPEC_MAX_UNIFORM_K: u32 = 4;
 
-/// The switchboard a policy hands the scheduler engine: each flag enables
-/// one mechanism of the shared machinery. The legacy schemes are exact
-/// flag sets — CoEfficient enables everything except
-/// [`matchup_recovery`](Self::matchup_recovery), FSPEC is the
-/// mirror/own-slot pair, HOSA is mirror plus dynamic-channel balancing.
+/// The switchboard a policy hands the scheduler engine: the four axes
+/// along which the registered policies differ. Each flag enables one
+/// mechanism of the shared machinery, or turns off the one it replaces —
+/// CoEfficient is degraded mode on, the rest off; FSPEC is the
+/// mirror/own-slot pair; HOSA is the mirror alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PolicyBehavior {
-    /// Whether [`crate::CoefficientOptions`] apply to this policy. When
-    /// `false` the scheduler pins the options to their defaults, so the
-    /// ablation switches only ever affect policies that opt in (the
-    /// baselines keep their fixed behaviour).
-    pub uses_options: bool,
     /// Blanket-mirror every static primary on channel B instead of
-    /// planning per-message copies into stolen slack.
+    /// planning per-message copies into stolen slack. A mirror scheme
+    /// keeps the FlexRay-spec separate segments (free static positions
+    /// stay idle) and runs under the default
+    /// [`crate::CoefficientOptions`], so the ablation switches only
+    /// ever affect the cooperative policies.
     pub mirror_allocation: bool,
     /// Serialize all of a static message's transmissions (primary +
     /// best-effort copies) through the message's own slot pattern with a
-    /// bounded CHI queue (the FSPEC separate-segments model).
+    /// bounded CHI queue, and keep every dynamic message on channel A
+    /// (the FSPEC separate-segments model). Otherwise dynamic messages'
+    /// home channels alternate across A and B.
     pub own_slot_serialization: bool,
-    /// Alternate dynamic messages' home channels across A and B.
-    pub balance_dynamic_channels: bool,
-    /// Use free static positions cooperatively (slack stealing for the
-    /// dynamic backlog, early copies of released static instances).
-    pub cooperative_segments: bool,
-    /// Degraded mode sheds soft dynamic traffic by criticality class.
-    pub criticality_shedding: bool,
-    /// Degraded mode re-plans freed slack into extra hard-message copies.
-    pub degraded_hard_copies: bool,
-    /// Mirror hard frames onto the healthier channel during an asymmetric
-    /// channel storm.
-    pub failover: bool,
+    /// Health-driven degraded mode: shed soft dynamic traffic by
+    /// criticality class, re-plan freed slack into extra hard-message
+    /// copies, and mirror hard frames onto the healthier channel during
+    /// an asymmetric channel storm (failover).
+    pub degraded_mode: bool,
     /// Match-up recovery: while the health monitor reports a degraded
     /// bus, free slack serves *only* the hard recovery schedule (extra
     /// copies of undelivered static instances); nominal cooperative
@@ -161,16 +158,11 @@ pub struct PolicyBehavior {
 }
 
 impl PolicyBehavior {
-    /// CoEfficient's flag set: everything on except match-up recovery.
+    /// CoEfficient's flag set: cooperative segments with degraded mode.
     const COEFFICIENT: PolicyBehavior = PolicyBehavior {
-        uses_options: true,
         mirror_allocation: false,
         own_slot_serialization: false,
-        balance_dynamic_channels: true,
-        cooperative_segments: true,
-        criticality_shedding: true,
-        degraded_hard_copies: true,
-        failover: true,
+        degraded_mode: true,
         matchup_recovery: false,
     };
 }
@@ -315,14 +307,9 @@ pub const FSPEC: PolicyRef = &Policy {
     aliases: &[],
     fingerprint_tag: 1,
     behavior: PolicyBehavior {
-        uses_options: false,
         mirror_allocation: true,
         own_slot_serialization: true,
-        balance_dynamic_channels: false,
-        cooperative_segments: false,
-        criticality_shedding: false,
-        degraded_hard_copies: false,
-        failover: false,
+        degraded_mode: false,
         matchup_recovery: false,
     },
     copies: CopyPlan::UniformBestEffort,
@@ -338,14 +325,9 @@ pub const HOSA: PolicyRef = &Policy {
     aliases: &[],
     fingerprint_tag: 2,
     behavior: PolicyBehavior {
-        uses_options: false,
         mirror_allocation: true,
         own_slot_serialization: false,
-        balance_dynamic_channels: true,
-        cooperative_segments: false,
-        criticality_shedding: false,
-        degraded_hard_copies: false,
-        failover: false,
+        degraded_mode: false,
         matchup_recovery: false,
     },
     // HOSA's redundancy is fixed: exactly one extra copy of every message
@@ -378,9 +360,7 @@ pub const SLACK_STEAL: PolicyRef = &Policy {
     aliases: &["slacksteal", "slack_steal"],
     fingerprint_tag: 4,
     behavior: PolicyBehavior {
-        criticality_shedding: false,
-        degraded_hard_copies: false,
-        failover: false,
+        degraded_mode: false,
         ..PolicyBehavior::COEFFICIENT
     },
     copies: CopyPlan::Differentiated,
@@ -448,6 +428,36 @@ mod tests {
         assert_eq!(COEFFICIENT.fingerprint_tag(), 0);
         assert_eq!(FSPEC.fingerprint_tag(), 1);
         assert_eq!(HOSA.fingerprint_tag(), 2);
+    }
+
+    #[test]
+    fn every_pair_of_behavior_flags_is_set_apart_and_together() {
+        // A flag that equals or negates another on every registered
+        // policy is a switch no policy uses: fold it into the other.
+        let flags = |p: PolicyRef| {
+            let PolicyBehavior {
+                mirror_allocation,
+                own_slot_serialization,
+                degraded_mode,
+                matchup_recovery,
+            } = p.behavior();
+            [
+                ("mirror_allocation", mirror_allocation),
+                ("own_slot_serialization", own_slot_serialization),
+                ("degraded_mode", degraded_mode),
+                ("matchup_recovery", matchup_recovery),
+            ]
+        };
+        let rows: Vec<_> = ALL.iter().map(|&p| flags(p)).collect();
+        for i in 0..rows[0].len() {
+            for j in i + 1..rows[0].len() {
+                let (a, b) = (rows[0][i].0, rows[0][j].0);
+                let apart = rows.iter().any(|r| r[i].1 != r[j].1);
+                let together = rows.iter().any(|r| r[i].1 == r[j].1);
+                assert!(apart, "{a} equals {b} on every policy");
+                assert!(together, "{a} negates {b} on every policy");
+            }
+        }
     }
 
     #[test]

@@ -217,7 +217,7 @@ proptest! {
     ///
     /// (a) when periods are multiples of the 5 ms cycle the slot schedule
     ///     alone is feasible, and every policy that uses free static
-    ///     positions cooperatively (`cooperative_segments`) misses
+    ///     positions cooperatively (every non-mirror scheme) misses
     ///     *nothing*. FSPEC and HOSA steal no slack and serialize copies
     ///     through their own slots by design, so they are not held to it;
     /// (b) when periods are misaligned with the cycle (ACC-like), plain
@@ -268,7 +268,7 @@ proptest! {
 
         for &policy in registry::ALL
             .iter()
-            .filter(|p| p.behavior().cooperative_segments)
+            .filter(|p| !p.behavior().mirror_allocation)
         {
             let aligned = run(policy, statics(&[5, 10, 20, 40]), CoefficientOptions::default());
             prop_assert!(
