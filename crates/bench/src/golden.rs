@@ -17,10 +17,10 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-use coefficient::golden::{GoldenGroup, SCHEMA};
+use coefficient::golden::{GoldenGroup, CELL_METRICS, GROUP_METRICS, SCHEMA};
 use coefficient::{
-    CellCoord, GoldenCell, GoldenCorpus, GoldenMetrics, RunCounters, Scenario, SchedulerError,
-    SeedStrategy, Tolerances, VerifyReport,
+    CellCoord, GoldenCell, GoldenCorpus, RunCounters, Scenario, SchedulerError, SeedStrategy,
+    Tolerances, VerifyReport,
 };
 
 use backbone::{run_cell, run_matrix, ALL_RESERVATIONS};
@@ -30,6 +30,7 @@ use coefficient::registry::lookup;
 use crate::experiments::SEED;
 use crate::json::{want, want_array, want_f64, want_str, want_u64, Json};
 use crate::sweep::{parse_scenario, SweepSpec};
+use crate::trace::counter_names;
 
 /// Default on-disk location of the checked-in corpus.
 pub const DEFAULT_CORPUS_PATH: &str = "corpus/golden.json";
@@ -267,36 +268,33 @@ fn cell_to_json(cell: &GoldenCell) -> Json {
         (
             "metrics",
             Json::object(
-                cell.metrics
-                    .fields()
-                    .iter()
-                    .map(|&(name, value, _)| (name, Json::from(value))),
+                CELL_METRICS
+                    .map(|m| m.name)
+                    .into_iter()
+                    .zip(cell.metrics.map(Json::from)),
             ),
         ),
         (
             "counters",
             Json::object(
-                cell.counters
-                    .fields()
-                    .iter()
-                    .map(|&(name, value)| (name, Json::from(value))),
+                counter_names()
+                    .into_iter()
+                    .zip(cell.counters.map(Json::from)),
             ),
         ),
     ])
 }
 
 fn group_to_json(group: &GoldenGroup) -> Json {
-    let mut pairs = vec![
+    let index = [
         ("policy_index", Json::from(group.policy)),
         ("scenario_index", Json::from(group.scenario)),
     ];
-    pairs.extend(
-        group
-            .fields()
-            .iter()
-            .map(|&(name, value, _)| (name, Json::from(value))),
-    );
-    Json::object(pairs)
+    let percentiles = GROUP_METRICS
+        .map(|m| m.name)
+        .into_iter()
+        .zip(group.percentiles.map(Json::from));
+    Json::object(index.into_iter().chain(percentiles))
 }
 
 // ---------------------------------------------------------------------------
@@ -449,6 +447,7 @@ fn cell_from_json(doc: &Json) -> Result<GoldenCell, CorpusError> {
     let fingerprint = want_str(doc, "fingerprint")?;
     let fingerprint = u64::from_str_radix(fingerprint, 16)
         .map_err(|_| CorpusError::new(format!("fingerprint {fingerprint:?} is not hex")))?;
+    let (metrics, counters) = (want(doc, "metrics")?, want(doc, "counters")?);
     Ok(GoldenCell {
         coord: CellCoord {
             policy: want_u64(doc, "policy_index")? as usize,
@@ -459,80 +458,39 @@ fn cell_from_json(doc: &Json) -> Result<GoldenCell, CorpusError> {
         scenario: want_str(doc, "scenario")?.to_string(),
         seed: want_u64(doc, "seed")?,
         fingerprint,
-        metrics: metrics_from_json(want(doc, "metrics")?)?,
-        counters: counters_from_json(want(doc, "counters")?)?,
-    })
-}
-
-fn metrics_from_json(doc: &Json) -> Result<GoldenMetrics, CorpusError> {
-    Ok(GoldenMetrics {
-        running_time_ms: want_f64(doc, "running_time_ms")?,
-        utilization: want_f64(doc, "utilization")?,
-        wire_utilization: want_f64(doc, "wire_utilization")?,
-        static_miss_ratio: want_f64(doc, "static_miss_ratio")?,
-        dynamic_miss_ratio: want_f64(doc, "dynamic_miss_ratio")?,
-        miss_ratio: want_f64(doc, "miss_ratio")?,
-        delivery_ratio: want_f64(doc, "delivery_ratio")?,
-        delivered_per_second: want_f64(doc, "delivered_per_second")?,
-        static_latency_mean_ms: want_f64(doc, "static_latency_mean_ms")?,
-        static_latency_max_ms: want_f64(doc, "static_latency_max_ms")?,
-        dynamic_latency_mean_ms: want_f64(doc, "dynamic_latency_mean_ms")?,
-        dynamic_latency_max_ms: want_f64(doc, "dynamic_latency_max_ms")?,
-    })
-}
-
-/// Reads an optional counter, defaulting to zero when the key is absent.
-/// The resilience counters joined the schema after the first corpora were
-/// recorded; corpora from before then simply never engaged the subsystem,
-/// so zero is the faithful value (and the conditional fingerprint folding
-/// makes an all-zero resilience block digest-neutral).
-fn opt_u64(doc: &Json, key: &str) -> Result<u64, CorpusError> {
-    match doc.get(key) {
-        None => Ok(0),
-        Some(_) => Ok(want_u64(doc, key)?),
-    }
-}
-
-fn counters_from_json(doc: &Json) -> Result<RunCounters, CorpusError> {
-    Ok(RunCounters {
-        steal_attempts: want_u64(doc, "steal_attempts")?,
-        steal_granted: want_u64(doc, "steal_granted")?,
-        steal_denied: want_u64(doc, "steal_denied")?,
-        early_copies_sent: want_u64(doc, "early_copies_sent")?,
-        dropped_copies: want_u64(doc, "dropped_copies")?,
-        retransmission_budget_used: want_u64(doc, "retransmission_budget_used")?,
-        preemptions: want_u64(doc, "preemptions")?,
-        frames_checked: want_u64(doc, "frames_checked")?,
-        faults_injected: want_u64(doc, "faults_injected")?,
-        faults_recovered: want_u64(doc, "faults_recovered")?,
-        health_transitions: opt_u64(doc, "health_transitions")?,
-        storm_entries: opt_u64(doc, "storm_entries")?,
-        service_restores: opt_u64(doc, "service_restores")?,
-        soft_shed: opt_u64(doc, "soft_shed")?,
-        degraded_extra_copies: opt_u64(doc, "degraded_extra_copies")?,
-        failover_mirrors: opt_u64(doc, "failover_mirrors")?,
-        campaign_events: opt_u64(doc, "campaign_events")?,
-        campaign_blackout_faults: opt_u64(doc, "campaign_blackout_faults")?,
-        campaign_extra_faults: opt_u64(doc, "campaign_extra_faults")?,
-        campaign_dropout_cycles: opt_u64(doc, "campaign_dropout_cycles")?,
+        metrics: values(CELL_METRICS.map(|m| m.name), |_, name| {
+            want_f64(metrics, name)
+        })?,
+        counters: values(counter_names(), |i, name| match counters.get(name) {
+            // The counters after the first recorded schema joined it later;
+            // a corpus from before then never engaged their subsystems, so
+            // an absent one reads as zero. A present one must still parse.
+            None if i >= RunCounters::BASELINE => Ok(0),
+            _ => want_u64(counters, name),
+        })?,
     })
 }
 
 fn group_from_json(doc: &Json) -> Result<GoldenGroup, CorpusError> {
-    let triple = |prefix: &str| -> Result<[f64; 3], CorpusError> {
-        Ok([
-            want_f64(doc, &format!("{prefix}_p50"))?,
-            want_f64(doc, &format!("{prefix}_p90"))?,
-            want_f64(doc, &format!("{prefix}_p99"))?,
-        ])
-    };
     Ok(GoldenGroup {
         policy: want_u64(doc, "policy_index")? as usize,
         scenario: want_u64(doc, "scenario_index")? as usize,
-        static_latency_ms_p: triple("static_latency_ms")?,
-        dynamic_latency_ms_p: triple("dynamic_latency_ms")?,
-        miss_ratio_p: triple("miss_ratio")?,
+        percentiles: values(GROUP_METRICS.map(|m| m.name), |_, name| want_f64(doc, name))?,
     })
+}
+
+/// Reads the value of each of `names` by `read(index, name)`: the one
+/// loop by which the corpus reader fills metrics, percentiles and
+/// counters.
+fn values<V: Copy + Default, const N: usize>(
+    names: [&str; N],
+    read: impl Fn(usize, &str) -> Result<V, String>,
+) -> Result<[V; N], String> {
+    let mut values = [V::default(); N];
+    for (i, (value, name)) in values.iter_mut().zip(names).enumerate() {
+        *value = read(i, name)?;
+    }
+    Ok(values)
 }
 
 // ---------------------------------------------------------------------------
@@ -648,7 +606,8 @@ mod tests {
         let bad_policy = good.replace("\"CoEfficient\"", "\"NoSuchPolicy\"");
         assert!(corpus_from_json(&Json::parse(&bad_policy).unwrap()).is_err());
 
-        let truncated = good.replace("\"steal_attempts\"", "\"renamed_counter\"");
+        let first_counter = format!("\"{}\"", counter_names()[0]);
+        let truncated = good.replace(&first_counter, "\"renamed_counter\"");
         assert!(corpus_from_json(&Json::parse(&truncated).unwrap()).is_err());
     }
 

@@ -38,12 +38,8 @@ pub const TRACE_SCHEMA: &str = "coefficient-trace/1";
 
 /// The run-counter field names, in the order [`EventKind::CounterSample`]
 /// values are recorded (the order of [`RunCounters::fields`]).
-pub fn counter_names() -> Vec<&'static str> {
-    RunCounters::default()
-        .fields()
-        .iter()
-        .map(|&(name, _)| name)
-        .collect()
+pub fn counter_names() -> [&'static str; 20] {
+    RunCounters::default().fields().map(|(name, _)| name)
 }
 
 fn event_json(event: &TraceEvent) -> Json {

@@ -661,6 +661,31 @@ fn truncated_and_mutated_input_files_exit_2_naming_the_defect() {
         ("shared_seeds", "false", "0", "shared_seeds"),
         ("ratio_abs", "0.000001", "\"tight\"", "ratio_abs"),
         ("fingerprint", "\"", "\"xyz", "is not hex"),
+        (
+            "utilization",
+            "0.3174",
+            "\"x\"",
+            "\"utilization\" is not a number",
+        ),
+        (
+            "steal_attempts",
+            "180",
+            "-1",
+            "\"steal_attempts\" is not an unsigned integer",
+        ),
+        // A counter a corpus may omit must still be typed when present.
+        (
+            "health_transitions",
+            "0",
+            "\"x\"",
+            "\"health_transitions\" is not an unsigned integer",
+        ),
+        (
+            "miss_ratio_p99",
+            "0.002793296089385475",
+            "\"x\"",
+            "\"miss_ratio_p99\" is not a number",
+        ),
     ];
     let baseline_fields = [
         (

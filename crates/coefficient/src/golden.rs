@@ -4,8 +4,8 @@
 //! seed}` sweep: for every cell the exact run [`fingerprint`], a metric
 //! envelope (miss ratio by traffic class, delivered bandwidth, latency
 //! statistics with per-group percentiles), and the structured
-//! [`RunCounters`]. Verification re-runs the same matrix and holds the
-//! fresh results against the record:
+//! [`RunCounters`](crate::RunCounters). Verification re-runs the same
+//! matrix and holds the fresh results against the record:
 //!
 //! * **fingerprints must be byte-identical** — the determinism contract
 //!   of [`crate::sweep`] means any divergence is a real behavior change,
@@ -17,6 +17,12 @@
 //!   *why* the schedule moved ("steal_denied 12 → 31") instead of only
 //!   reporting an opaque digest mismatch.
 //!
+//! Each kind of value is named once, in one list that recording,
+//! verifying, diffing and the JSON reader and writer all loop over: the
+//! cell metrics in [`CELL_METRICS`] and the group percentiles in
+//! [`GROUP_METRICS`] (each row a name, a [`Band`] and an extractor), and
+//! the counters in [`RunCounters::fields`](crate::RunCounters::fields).
+//!
 //! This module owns the corpus data model and the comparison logic; JSON
 //! serialization of the `coefficient-golden/1` schema and file I/O live
 //! in the bench harness, which also provides the `experiments golden
@@ -26,7 +32,7 @@
 
 use std::fmt;
 
-use crate::runner::{RunCounters, RunReport};
+use crate::runner::RunReport;
 use crate::sweep::{CellCoord, CellOutcome, GroupSummary, SweepReport};
 
 /// Version tag of the corpus schema; bump on incompatible change.
@@ -81,113 +87,106 @@ impl Band {
     }
 }
 
-/// The metric envelope of one cell, extracted from its [`RunReport`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GoldenMetrics {
-    /// Simulated running time, milliseconds.
-    pub running_time_ms: f64,
-    /// Combined two-channel allocated utilization (fraction).
-    pub utilization: f64,
-    /// Wire-level busy fraction (fraction).
-    pub wire_utilization: f64,
-    /// Deadline miss ratio of static instances (fraction).
-    pub static_miss_ratio: f64,
-    /// Deadline miss ratio of dynamic instances (fraction).
-    pub dynamic_miss_ratio: f64,
-    /// Combined miss ratio over both classes (fraction).
-    pub miss_ratio: f64,
-    /// Delivered / produced instances (fraction).
-    pub delivery_ratio: f64,
-    /// Delivered bandwidth: instances delivered per simulated second.
-    pub delivered_per_second: f64,
-    /// Mean latency of delivered static instances, milliseconds (NaN if
-    /// none were delivered).
-    pub static_latency_mean_ms: f64,
-    /// Worst observed static latency, milliseconds (NaN if none).
-    pub static_latency_max_ms: f64,
-    /// Mean latency of delivered dynamic instances, milliseconds (NaN if
-    /// none were delivered).
-    pub dynamic_latency_mean_ms: f64,
-    /// Worst observed dynamic latency, milliseconds (NaN if none).
-    pub dynamic_latency_max_ms: f64,
+/// One value of the metric envelope: its key in the corpus, the band it
+/// is verified against, and how it is read from its source.
+#[derive(Debug)]
+pub struct Metric<T> {
+    /// Key of the value in the corpus and in diffs.
+    pub name: &'static str,
+    /// Tolerance band that applies to the value.
+    pub band: Band,
+    /// Reads the value from a run report or a group summary.
+    pub read: fn(&T) -> f64,
 }
 
-/// Milliseconds in an optional duration, NaN when absent.
-fn opt_ms(d: Option<event_sim::SimDuration>) -> f64 {
+impl<T> Metric<T> {
+    /// A value in `[0, 1]`, held to [`Tolerances::ratio_abs`].
+    const fn ratio(name: &'static str, read: fn(&T) -> f64) -> Self {
+        let band = Band::RatioAbs;
+        Metric { name, band, read }
+    }
+
+    /// A scale-valued value, held to [`Tolerances::scale_rel`].
+    const fn scale(name: &'static str, read: fn(&T) -> f64) -> Self {
+        let band = Band::ScaleRel;
+        Metric { name, band, read }
+    }
+}
+
+/// Milliseconds in a duration, NaN when absent.
+fn ms(d: Option<event_sim::SimDuration>) -> f64 {
     d.map_or(f64::NAN, |v| v.as_nanos() as f64 / 1e6)
 }
 
-impl GoldenMetrics {
-    /// Extracts the envelope from a run report.
-    pub fn from_report(report: &RunReport) -> Self {
-        let running_time_s = report.running_time.as_nanos() as f64 / 1e9;
-        let delivered_per_second = if running_time_s > 0.0 {
-            report.delivered as f64 / running_time_s
-        } else {
-            0.0
-        };
-        GoldenMetrics {
-            running_time_ms: report.running_time.as_nanos() as f64 / 1e6,
-            utilization: report.utilization,
-            wire_utilization: report.wire_utilization,
-            static_miss_ratio: report.static_deadlines.miss_ratio(),
-            dynamic_miss_ratio: report.dynamic_deadlines.miss_ratio(),
-            miss_ratio: report.miss_ratio(),
-            delivery_ratio: if report.produced > 0 {
-                report.delivered as f64 / report.produced as f64
-            } else {
-                0.0
-            },
-            delivered_per_second,
-            static_latency_mean_ms: opt_ms(report.static_latency.mean()),
-            static_latency_max_ms: opt_ms(report.static_latency.max()),
-            dynamic_latency_mean_ms: opt_ms(report.dynamic_latency.mean()),
-            dynamic_latency_max_ms: opt_ms(report.dynamic_latency.max()),
-        }
+/// `count / over`, or 0 when `over` is not positive.
+fn per(count: u64, over: f64) -> f64 {
+    if over > 0.0 {
+        count as f64 / over
+    } else {
+        0.0
     }
+}
 
-    /// Every metric as `(name, value, band)`, in a fixed order — the
-    /// corpus serializes and verifies metrics through this list.
-    pub fn fields(&self) -> [(&'static str, f64, Band); 12] {
-        [
-            ("running_time_ms", self.running_time_ms, Band::ScaleRel),
-            ("utilization", self.utilization, Band::RatioAbs),
-            ("wire_utilization", self.wire_utilization, Band::RatioAbs),
-            ("static_miss_ratio", self.static_miss_ratio, Band::RatioAbs),
-            (
-                "dynamic_miss_ratio",
-                self.dynamic_miss_ratio,
-                Band::RatioAbs,
-            ),
-            ("miss_ratio", self.miss_ratio, Band::RatioAbs),
-            ("delivery_ratio", self.delivery_ratio, Band::RatioAbs),
-            (
-                "delivered_per_second",
-                self.delivered_per_second,
-                Band::ScaleRel,
-            ),
-            (
-                "static_latency_mean_ms",
-                self.static_latency_mean_ms,
-                Band::ScaleRel,
-            ),
-            (
-                "static_latency_max_ms",
-                self.static_latency_max_ms,
-                Band::ScaleRel,
-            ),
-            (
-                "dynamic_latency_mean_ms",
-                self.dynamic_latency_mean_ms,
-                Band::ScaleRel,
-            ),
-            (
-                "dynamic_latency_max_ms",
-                self.dynamic_latency_max_ms,
-                Band::ScaleRel,
-            ),
-        ]
-    }
+/// The metric envelope of one cell, read from its [`RunReport`], in the
+/// order the corpus records it. Ratios are fractions; latencies are
+/// milliseconds and NaN for a class with no delivered instance;
+/// `delivered_per_second` is the delivered bandwidth in instances per
+/// simulated second.
+pub const CELL_METRICS: [Metric<RunReport>; 12] = [
+    Metric::scale("running_time_ms", |r| ms(Some(r.running_time))),
+    Metric::ratio("utilization", |r| r.utilization),
+    Metric::ratio("wire_utilization", |r| r.wire_utilization),
+    Metric::ratio("static_miss_ratio", |r| r.static_deadlines.miss_ratio()),
+    Metric::ratio("dynamic_miss_ratio", |r| r.dynamic_deadlines.miss_ratio()),
+    Metric::ratio("miss_ratio", RunReport::miss_ratio),
+    Metric::ratio("delivery_ratio", |r| per(r.delivered, r.produced as f64)),
+    Metric::scale("delivered_per_second", |r| {
+        per(r.delivered, r.running_time.as_nanos() as f64 / 1e9)
+    }),
+    Metric::scale("static_latency_mean_ms", |r| ms(r.static_latency.mean())),
+    Metric::scale("static_latency_max_ms", |r| ms(r.static_latency.max())),
+    Metric::scale("dynamic_latency_mean_ms", |r| ms(r.dynamic_latency.mean())),
+    Metric::scale("dynamic_latency_max_ms", |r| ms(r.dynamic_latency.max())),
+];
+
+/// The percentile envelope of one `{policy × scenario}` group over its
+/// seeds, read from its [`GroupSummary`]: p50/p90/p99 of the per-run mean
+/// latencies (ms) per class and of the miss ratio. Per-cell metrics pin
+/// each run exactly; the group percentiles give the corpus the
+/// distribution view the paper's figures are drawn from.
+pub const GROUP_METRICS: [Metric<GroupSummary>; 9] = [
+    Metric::scale("static_latency_ms_p50", |g| g.static_latency_ms.p50),
+    Metric::scale("static_latency_ms_p90", |g| g.static_latency_ms.p90),
+    Metric::scale("static_latency_ms_p99", |g| g.static_latency_ms.p99),
+    Metric::scale("dynamic_latency_ms_p50", |g| g.dynamic_latency_ms.p50),
+    Metric::scale("dynamic_latency_ms_p90", |g| g.dynamic_latency_ms.p90),
+    Metric::scale("dynamic_latency_ms_p99", |g| g.dynamic_latency_ms.p99),
+    Metric::ratio("miss_ratio_p50", |g| g.miss_ratio.p50),
+    Metric::ratio("miss_ratio_p90", |g| g.miss_ratio.p90),
+    Metric::ratio("miss_ratio_p99", |g| g.miss_ratio.p99),
+];
+
+/// The rows of `table` whose value read from `fresh` left its band
+/// around the `recorded` value (given in table order).
+fn metric_diffs<T>(
+    table: &[Metric<T>],
+    recorded: &[f64],
+    fresh: &T,
+    tol: &Tolerances,
+    group: Option<(usize, usize)>,
+) -> Vec<MetricDiff> {
+    table
+        .iter()
+        .zip(recorded)
+        .map(|(m, &want)| (m, want, (m.read)(fresh)))
+        .filter(|&(m, want, got)| !m.band.within(tol, want, got))
+        .map(|(m, want, got)| MetricDiff {
+            group,
+            name: m.name,
+            recorded: want,
+            fresh: got,
+        })
+        .collect()
 }
 
 /// One recorded corpus cell.
@@ -204,10 +203,11 @@ pub struct GoldenCell {
     pub seed: u64,
     /// The exact run fingerprint; verification requires byte identity.
     pub fingerprint: u64,
-    /// Metric envelope checked against [`Tolerances`].
-    pub metrics: GoldenMetrics,
-    /// Structured counters, diffed field by field on mismatch.
-    pub counters: RunCounters,
+    /// One value per [`CELL_METRICS`] row, checked against [`Tolerances`].
+    pub metrics: [f64; CELL_METRICS.len()],
+    /// The [`RunCounters::fields`](crate::RunCounters::fields) values in
+    /// that order, diffed field by field on mismatch.
+    pub counters: [u64; 20],
 }
 
 impl GoldenCell {
@@ -219,88 +219,21 @@ impl GoldenCell {
             scenario: cell.scenario.to_string(),
             seed: cell.seed,
             fingerprint: cell.fingerprint,
-            metrics: GoldenMetrics::from_report(&cell.report),
-            counters: cell.report.counters,
+            metrics: CELL_METRICS.map(|m| (m.read)(&cell.report)),
+            counters: cell.report.counters.fields().map(|(_, v)| v),
         }
     }
 }
 
-/// Latency-percentile envelope of one `{policy × scenario}` group over
-/// its seeds: p50/p90/p99 of the per-run mean latencies, per class.
-/// Per-cell metrics pin each run exactly; the group percentiles give the
-/// corpus the distribution view the paper's figures are drawn from.
+/// One recorded `{policy × scenario}` group.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GoldenGroup {
     /// Index into the recorded policy axis.
     pub policy: usize,
     /// Index into the recorded scenario axis.
     pub scenario: usize,
-    /// Static-latency percentiles (ms over per-run means): p50, p90, p99.
-    pub static_latency_ms_p: [f64; 3],
-    /// Dynamic-latency percentiles (ms over per-run means): p50, p90, p99.
-    pub dynamic_latency_ms_p: [f64; 3],
-    /// Miss-ratio percentiles over seeds: p50, p90, p99.
-    pub miss_ratio_p: [f64; 3],
-}
-
-impl GoldenGroup {
-    /// Extracts the percentile envelope from a sweep group summary.
-    pub fn from_summary(policy: usize, scenario: usize, g: &GroupSummary) -> Self {
-        GoldenGroup {
-            policy,
-            scenario,
-            static_latency_ms_p: [
-                g.static_latency_ms.p50,
-                g.static_latency_ms.p90,
-                g.static_latency_ms.p99,
-            ],
-            dynamic_latency_ms_p: [
-                g.dynamic_latency_ms.p50,
-                g.dynamic_latency_ms.p90,
-                g.dynamic_latency_ms.p99,
-            ],
-            miss_ratio_p: [g.miss_ratio.p50, g.miss_ratio.p90, g.miss_ratio.p99],
-        }
-    }
-
-    /// Percentile metrics as `(name, value, band)` triples.
-    pub fn fields(&self) -> [(&'static str, f64, Band); 9] {
-        [
-            (
-                "static_latency_ms_p50",
-                self.static_latency_ms_p[0],
-                Band::ScaleRel,
-            ),
-            (
-                "static_latency_ms_p90",
-                self.static_latency_ms_p[1],
-                Band::ScaleRel,
-            ),
-            (
-                "static_latency_ms_p99",
-                self.static_latency_ms_p[2],
-                Band::ScaleRel,
-            ),
-            (
-                "dynamic_latency_ms_p50",
-                self.dynamic_latency_ms_p[0],
-                Band::ScaleRel,
-            ),
-            (
-                "dynamic_latency_ms_p90",
-                self.dynamic_latency_ms_p[1],
-                Band::ScaleRel,
-            ),
-            (
-                "dynamic_latency_ms_p99",
-                self.dynamic_latency_ms_p[2],
-                Band::ScaleRel,
-            ),
-            ("miss_ratio_p50", self.miss_ratio_p[0], Band::RatioAbs),
-            ("miss_ratio_p90", self.miss_ratio_p[1], Band::RatioAbs),
-            ("miss_ratio_p99", self.miss_ratio_p[2], Band::RatioAbs),
-        ]
-    }
+    /// One value per [`GROUP_METRICS`] row.
+    pub percentiles: [f64; GROUP_METRICS.len()],
 }
 
 /// A complete golden corpus: the recorded cells and groups plus the
@@ -331,7 +264,11 @@ impl GoldenCorpus {
             .groups
             .iter()
             .enumerate()
-            .map(|(i, g)| GoldenGroup::from_summary(i / scenarios.max(1), i % scenarios.max(1), g))
+            .map(|(i, g)| GoldenGroup {
+                policy: i / scenarios.max(1),
+                scenario: i % scenarios.max(1),
+                percentiles: GROUP_METRICS.map(|m| (m.read)(g)),
+            })
             .collect();
         GoldenCorpus {
             name: name.to_string(),
@@ -357,19 +294,13 @@ impl GoldenCorpus {
             let Some(g) = fresh.groups.get(i) else {
                 continue; // axis shrank: already visible as missing cells
             };
-            let fresh_group = GoldenGroup::from_summary(recorded.policy, recorded.scenario, g);
-            for ((name, want, band), (_, got, _)) in
-                recorded.fields().iter().zip(fresh_group.fields())
-            {
-                if !band.within(&self.tolerance, *want, got) {
-                    group_diffs.push(MetricDiff {
-                        group: Some((recorded.policy, recorded.scenario)),
-                        name,
-                        recorded: *want,
-                        fresh: got,
-                    });
-                }
-            }
+            group_diffs.extend(metric_diffs(
+                &GROUP_METRICS,
+                &recorded.percentiles,
+                g,
+                &self.tolerance,
+                Some((recorded.policy, recorded.scenario)),
+            ));
         }
         let extra = fresh.cells.len().saturating_sub(self.cells.len());
         VerifyReport {
@@ -384,7 +315,7 @@ impl GoldenCorpus {
 /// A counter whose fresh value differs from the recorded one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CounterDiff {
-    /// Counter name (one of [`RunCounters::fields`]).
+    /// Counter name (one of [`RunCounters::fields`](crate::RunCounters::fields)).
     pub name: &'static str,
     /// Value in the corpus.
     pub recorded: u64,
@@ -437,32 +368,18 @@ impl CellCheck {
 }
 
 fn check_cell(recorded: &GoldenCell, fresh: &CellOutcome, tol: &Tolerances) -> CellCheck {
-    let fresh_metrics = GoldenMetrics::from_report(&fresh.report);
     let counter_diffs = recorded
         .counters
-        .fields()
         .iter()
         .zip(fresh.report.counters.fields())
-        .filter(|((_, want), (_, got))| want != got)
-        .map(|((name, want), (_, got))| CounterDiff {
+        .filter(|&(&want, (_, got))| want != got)
+        .map(|(&want, (name, got))| CounterDiff {
             name,
-            recorded: *want,
+            recorded: want,
             fresh: got,
         })
         .collect();
-    let metric_diffs = recorded
-        .metrics
-        .fields()
-        .iter()
-        .zip(fresh_metrics.fields())
-        .filter(|((_, want, band), (_, got, _))| !band.within(tol, *want, *got))
-        .map(|((name, want, _), (_, got, _))| MetricDiff {
-            group: None,
-            name,
-            recorded: *want,
-            fresh: got,
-        })
-        .collect();
+    let metric_diffs = metric_diffs(&CELL_METRICS, &recorded.metrics, &fresh.report, tol, None);
     CellCheck {
         coord: recorded.coord,
         policy: recorded.policy.clone(),
@@ -590,6 +507,17 @@ mod tests {
         }
     }
 
+    /// The index of a [`CELL_METRICS`] row.
+    fn metric(name: &str) -> usize {
+        CELL_METRICS.iter().position(|m| m.name == name).unwrap()
+    }
+
+    /// The index of a [`crate::RunCounters::fields`] entry.
+    fn counter(name: &str) -> usize {
+        let fields = crate::RunCounters::default().fields();
+        fields.iter().position(|&(n, _)| n == name).unwrap()
+    }
+
     fn sweep() -> SweepReport {
         SweepRunner::new(small_matrix())
             .threads(2)
@@ -609,7 +537,7 @@ mod tests {
     fn perturbed_fingerprint_fails_with_counter_diff() {
         let mut corpus = GoldenCorpus::record("test", &sweep());
         corpus.cells[0].fingerprint ^= 1;
-        corpus.cells[0].counters.steal_denied += 5;
+        corpus.cells[0].counters[counter("steal_denied")] += 5;
         let report = corpus.verify(&sweep());
         assert!(!report.passed());
         let failure = report.failures().next().expect("cell 0 fails");
@@ -628,7 +556,7 @@ mod tests {
     #[test]
     fn metric_outside_band_fails_even_with_matching_fingerprint() {
         let mut corpus = GoldenCorpus::record("test", &sweep());
-        corpus.cells[1].metrics.miss_ratio += 0.5;
+        corpus.cells[1].metrics[metric("miss_ratio")] += 0.5;
         let report = corpus.verify(&sweep());
         assert!(!report.passed());
         let failure = report.failures().next().expect("cell 1 fails");
@@ -654,7 +582,7 @@ mod tests {
         m.dynamic_messages.clear();
         let run = || SweepRunner::new(m.clone()).threads(1).run().unwrap();
         let corpus = GoldenCorpus::record("test", &run());
-        assert!(corpus.cells[0].metrics.dynamic_latency_mean_ms.is_nan());
+        assert!(corpus.cells[0].metrics[metric("dynamic_latency_mean_ms")].is_nan());
         let report = corpus.verify(&run());
         assert!(report.passed(), "{report}");
     }
@@ -683,7 +611,7 @@ mod tests {
             .position(|c| c.policy == "FSPEC")
             .expect("fspec column recorded");
         corpus.cells[victim].fingerprint ^= 1;
-        corpus.cells[victim].counters.dropped_copies += 3;
+        corpus.cells[victim].counters[counter("dropped_copies")] += 3;
         let report = corpus.verify(&run());
         assert!(!report.passed(), "old-column regression slipped through");
         let failures: Vec<_> = report.failures().collect();

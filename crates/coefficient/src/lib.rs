@@ -69,7 +69,7 @@ pub mod sweep;
 pub use assignment::{AllocationError, CopyPlacement, StaticAllocation};
 // Re-exported so downstream users can configure [`RunConfig::trace`] and
 // consume [`RunReport::trace`] without naming the `observe` crate.
-pub use golden::{GoldenCell, GoldenCorpus, GoldenMetrics, Tolerances, VerifyReport};
+pub use golden::{GoldenCell, GoldenCorpus, Tolerances, VerifyReport};
 pub use instance::{InstanceStatus, InstanceTracker, LogSummary, MessageClass};
 pub use observe::{TraceConfig, TraceLog, TraceMode};
 pub use policy::{CoefficientOptions, Scheduler, SchedulerError};

@@ -128,9 +128,19 @@ pub struct RunCounters {
 }
 
 impl RunCounters {
-    /// The baseline counters (the `coefficient-golden/1` schema as first
-    /// recorded) as `(name, value)` pairs, in a fixed order.
-    pub fn legacy_fields(&self) -> [(&'static str, u64); 10] {
+    /// How many leading [`fields`](Self::fields) the first recorded
+    /// `coefficient-golden/1` schema held. These always fold into
+    /// [`RunReport::fingerprint`] and must be present in a corpus; the
+    /// resilience counters after them (`[10..16]`) and the campaign
+    /// counters after those (`[16..]`) joined later, fold in only when
+    /// nonzero, and read as zero when a corpus omits them.
+    pub const BASELINE: usize = 10;
+
+    /// Every counter as a `(name, value)` pair, in a fixed order — the
+    /// golden corpus, the fingerprint and the trace's counter samples
+    /// read counters through this list, so a field added here is
+    /// recorded, compared and digested.
+    pub fn fields(&self) -> [(&'static str, u64); 20] {
         [
             ("steal_attempts", self.steal_attempts),
             ("steal_granted", self.steal_granted),
@@ -145,46 +155,17 @@ impl RunCounters {
             ("frames_checked", self.frames_checked),
             ("faults_injected", self.faults_injected),
             ("faults_recovered", self.faults_recovered),
-        ]
-    }
-
-    /// The resilience counters (monitor transitions, shedding, failover)
-    /// added with the fault-storm subsystem, as `(name, value)` pairs.
-    pub fn resilience_fields(&self) -> [(&'static str, u64); 6] {
-        [
             ("health_transitions", self.health_transitions),
             ("storm_entries", self.storm_entries),
             ("service_restores", self.service_restores),
             ("soft_shed", self.soft_shed),
             ("degraded_extra_copies", self.degraded_extra_copies),
             ("failover_mirrors", self.failover_mirrors),
-        ]
-    }
-
-    /// The scripted-campaign counters added with the chaos subsystem, as
-    /// `(name, value)` pairs. All zero whenever
-    /// [`Scenario::campaign`](crate::Scenario) is `None`.
-    pub fn campaign_fields(&self) -> [(&'static str, u64); 4] {
-        [
             ("campaign_events", self.campaign_events),
             ("campaign_blackout_faults", self.campaign_blackout_faults),
             ("campaign_extra_faults", self.campaign_extra_faults),
             ("campaign_dropout_cycles", self.campaign_dropout_cycles),
         ]
-    }
-
-    /// Every counter as a `(name, value)` pair, in a fixed order — the
-    /// golden corpus serializes and diffs counters through this list so
-    /// a field added here is automatically recorded and compared.
-    pub fn fields(&self) -> [(&'static str, u64); 20] {
-        let legacy = self.legacy_fields();
-        let resilience = self.resilience_fields();
-        let campaign = self.campaign_fields();
-        let mut all = [("", 0u64); 20];
-        all[..10].copy_from_slice(&legacy);
-        all[10..16].copy_from_slice(&resilience);
-        all[16..].copy_from_slice(&campaign);
-        all
     }
 
     /// `true` iff every steal attempt was resolved one way or the other.
@@ -301,27 +282,25 @@ impl RunReport {
         d.push(self.cooperative_static_serves);
         d.push(self.early_copies_sent);
         d.push(self.copy_transmissions);
-        for (_, value) in self.counters.legacy_fields() {
+        let counters = self.counters.fields().map(|(_, value)| value);
+        for &value in &counters[..RunCounters::BASELINE] {
             d.push(value);
         }
-        // The resilience counters joined the schema after the baseline
-        // corpus was recorded. Each folds in only when it engaged — tagged
-        // with its index so distinct fields cannot alias — which keeps the
-        // digest of every run where the subsystem stayed idle identical to
-        // its recorded baseline.
-        for (i, (_, value)) in self.counters.resilience_fields().into_iter().enumerate() {
-            if value != 0 {
-                d.push(0x5245_5349_4c00 | i as u64);
-                d.push(value);
-            }
-        }
-        // Same deal for the campaign counters (PR: chaos campaigns): a
-        // distinct tag namespace, folded only when the campaign engaged,
-        // so every campaign-free digest is bit-identical to its baseline.
-        for (i, (_, value)) in self.counters.campaign_fields().into_iter().enumerate() {
-            if value != 0 {
-                d.push(0x4348_414F_5300 | i as u64);
-                d.push(value);
+        // The resilience and campaign counters joined the schema after the
+        // baseline corpus was recorded. Each folds in only when it engaged,
+        // tagged with its family and index so distinct fields cannot alias,
+        // which keeps the digest of every run where those subsystems stayed
+        // idle identical to its recorded baseline.
+        let families = [
+            (0x5245_5349_4c00, &counters[RunCounters::BASELINE..16]),
+            (0x4348_414F_5300, &counters[16..]),
+        ];
+        for (tag, family) in families {
+            for (i, &value) in family.iter().enumerate() {
+                if value != 0 {
+                    d.push(tag | i as u64);
+                    d.push(value);
+                }
             }
         }
         d.push(u64::from(self.truncated));
@@ -356,7 +335,7 @@ pub struct CampaignEventOutcome {
 /// carries a [`CampaignSpec`]. Like [`RunReport::trace`] this *describes*
 /// the run rather than measuring the schedule, so it is **excluded** from
 /// [`RunReport::fingerprint`] — the counters it summarizes already feed
-/// the digest through [`RunCounters::campaign_fields`].
+/// the digest through [`RunCounters::fields`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChaosObservation {
     /// One outcome per scripted event, in spec order.
@@ -1336,6 +1315,40 @@ mod tests {
         );
     }
 
+    #[test]
+    fn counter_fields_list_every_counter_once() {
+        // A struct literal must name every field, so a counter added to
+        // the struct but not to `fields()` leaves one value unlisted.
+        let counters = RunCounters {
+            steal_attempts: 1,
+            steal_granted: 2,
+            steal_denied: 3,
+            early_copies_sent: 4,
+            dropped_copies: 5,
+            retransmission_budget_used: 6,
+            preemptions: 7,
+            frames_checked: 8,
+            faults_injected: 9,
+            faults_recovered: 10,
+            health_transitions: 11,
+            storm_entries: 12,
+            service_restores: 13,
+            soft_shed: 14,
+            degraded_extra_copies: 15,
+            failover_mirrors: 16,
+            campaign_events: 17,
+            campaign_blackout_faults: 18,
+            campaign_extra_faults: 19,
+            campaign_dropout_cycles: 20,
+        };
+        let fields = counters.fields();
+        let mut values: Vec<u64> = fields.iter().map(|&(_, v)| v).collect();
+        values.sort_unstable();
+        assert_eq!(values, (1..=20).collect::<Vec<u64>>());
+        let names: std::collections::BTreeSet<_> = fields.iter().map(|&(n, _)| n).collect();
+        assert_eq!(names.len(), 20, "{fields:?}");
+    }
+
     /// A base config plus a 50-cycle channel-A blackout opening at cycle
     /// 40, with a horizon long enough to watch the recovery.
     fn blackout_config(policy: PolicyRef) -> RunConfig {
@@ -1355,7 +1368,7 @@ mod tests {
         .unwrap()
         .run();
         assert!(report.chaos.is_none());
-        assert_eq!(report.counters.campaign_fields().map(|(_, v)| v), [0; 4]);
+        assert!(report.counters.fields()[16..].iter().all(|&(_, v)| v == 0));
     }
 
     #[test]

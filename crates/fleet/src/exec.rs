@@ -68,14 +68,17 @@ pub struct FleetRun {
 }
 
 /// Runs `spec` on `threads` workers, reporting progress through `progress`.
+/// No more workers start than the run has shards.
 ///
 /// `progress.partial` accumulates merged shards as they finish and ends
 /// as the final aggregate.
 pub fn run_with_progress(spec: &FleetSpec, threads: usize, progress: &Progress) -> FleetRun {
-    let threads = threads.max(1);
+    let shard_count = spec.shard_count();
+    let threads = threads
+        .min(shard_count.try_into().unwrap_or(usize::MAX))
+        .max(1);
     let start = Instant::now();
     let next_shard = AtomicUsize::new(0);
-    let shard_count = spec.shard_count();
 
     std::thread::scope(|scope| {
         for _ in 0..threads {
@@ -163,6 +166,20 @@ mod tests {
         assert_eq!(agg.vehicles + agg.unschedulable, spec.vehicles);
         assert!(agg.produced > 0);
         assert_eq!(run.threads, 2);
+    }
+
+    #[test]
+    fn workers_are_capped_at_the_shard_count() {
+        let spec = tiny_spec();
+        assert_eq!(spec.shard_count(), 3);
+        let capped = run(&spec, 8);
+        assert_eq!(capped.threads, 3);
+        let one = run(&spec, 1);
+        assert_eq!(capped.aggregate.digest(), one.aggregate.digest());
+        assert_eq!(
+            capped.aggregation_bytes,
+            capped.aggregate.footprint_bytes() * 4
+        );
     }
 
     #[test]
