@@ -122,22 +122,6 @@ struct StaticInfo {
     fspec_queue: VecDeque<(InstanceId, u32)>,
 }
 
-impl StaticInfo {
-    /// The window containing `t`: the newest instance released at or
-    /// before `t`, if its window is still open. The bus asks about the
-    /// newest window nearly always, so it is checked before the ring is
-    /// walked.
-    fn window_at(&self, t: SimTime) -> Option<ReleaseWindow> {
-        let newest = *self.windows.back()?;
-        let w = if newest.start <= t {
-            newest
-        } else {
-            *self.windows.iter().rev().skip(1).find(|w| w.start <= t)?
-        };
-        (t < w.window_end).then_some(w)
-    }
-}
-
 /// The generation window of one released static instance. The runner
 /// releases each message strictly periodically, so its windows never
 /// overlap; a caller producing off the period may overlap them.
@@ -153,6 +137,18 @@ struct ReleaseWindow {
     /// may ride free slack only while the primary is still ahead.
     early_end: SimTime,
     deadline: SimTime,
+}
+
+/// What an occupied slot reads of its message's newest release window,
+/// kept flat per message (see [`Scheduler::newest`]) so the bus reaches it
+/// without walking the message's ring.
+#[derive(Debug, Clone, Copy)]
+struct NewestWindow {
+    instance: InstanceId,
+    /// Release instant; [`SimTime::MAX`] before the first release.
+    start: SimTime,
+    window_end: SimTime,
+    payload_bytes: u16,
 }
 
 /// Release windows of one bus cycle as `(statics index, window)`, sorted
@@ -189,47 +185,87 @@ impl CycleWindows {
 }
 
 /// Early-copy candidates as `(statics index, window)`, sorted by
-/// `(deadline, message)` and kept across cycles: production inserts each
-/// window that may carry an early copy, and entries leave when a walk
+/// `(deadline, message)` and kept across cycles: production queues each
+/// window that may carry an early copy in a batch, the first walk of a
+/// cycle merges the batch into the list, and entries leave when a walk
 /// meets them spent, when their early range ends before a cycle the bus
 /// runs, or when their message's ring prunes them. Like [`CycleWindows`]
 /// the list is walked, not consumed in time order.
 #[derive(Debug)]
 struct EarlyWindows {
     windows: Vec<(usize, ReleaseWindow)>,
+    /// Windows produced since the last merge, in production order.
+    batch: Vec<(usize, ReleaseWindow)>,
     /// Start of the latest cycle the list was swept for: no entry's early
     /// range ended at or before it.
     swept: SimTime,
 }
 
 impl EarlyWindows {
-    /// Inserts `w` after every entry that sorts at or before it.
-    fn insert(&mut self, index: usize, w: ReleaseWindow) {
-        let at = self
-            .windows
-            .partition_point(|&(i, e)| (e.deadline, i) <= (w.deadline, index));
-        self.windows.insert(at, (index, w));
+    /// Both lists pre-sized for `capacity` windows: every entry is a
+    /// window still in its message's ring, so the rings' capacity bounds
+    /// them together.
+    fn with_capacity(capacity: usize) -> Self {
+        EarlyWindows {
+            windows: Vec::with_capacity(capacity),
+            batch: Vec::with_capacity(capacity),
+            swept: SimTime::ZERO,
+        }
     }
 
-    /// Drops the entries whose early range ended by `cycle_start`: no slot
-    /// of this cycle or a later one lies in it.
+    /// Queues `w` for the next merge.
+    fn push(&mut self, index: usize, w: ReleaseWindow) {
+        self.batch.push((index, w));
+    }
+
+    /// Merges the batch into the list, then drops the entries whose early
+    /// range ended by `cycle_start`: no slot of this cycle or a later one
+    /// lies in it.
     fn sweep(&mut self, cycle_start: SimTime) {
+        self.merge();
         if cycle_start > self.swept {
             self.windows.retain(|(_, w)| w.early_end > cycle_start);
             self.swept = cycle_start;
         }
     }
 
-    /// Drops `w`, which its message's ring pruned, if it can still be
-    /// listed (a sweep already dropped it otherwise).
+    /// Moves the batch into the list in one backward pass, each window
+    /// after every entry that sorts at or before it: the order inserting
+    /// the batch one window at a time, in production order, would give.
+    fn merge(&mut self) {
+        if self.batch.is_empty() {
+            return;
+        }
+        // Instance ids grow with production, so they order equal keys.
+        self.batch
+            .sort_unstable_by_key(|&(index, w)| (w.deadline, index, w.instance));
+        let key = |&(index, w): &(usize, ReleaseWindow)| (w.deadline, index);
+        let (mut listed, mut queued) = (self.windows.len(), self.batch.len());
+        self.windows.extend_from_slice(&self.batch);
+        let mut at = self.windows.len();
+        while queued > 0 {
+            at -= 1;
+            if listed > 0 && key(&self.windows[listed - 1]) > key(&self.batch[queued - 1]) {
+                listed -= 1;
+                self.windows[at] = self.windows[listed];
+            } else {
+                queued -= 1;
+                self.windows[at] = self.batch[queued];
+            }
+        }
+        self.batch.clear();
+    }
+
+    /// Drops `w`, which its message's ring pruned, from the list or the
+    /// batch, if it can still be there (a sweep already dropped it
+    /// otherwise).
     fn prune(&mut self, w: &ReleaseWindow) {
         if w.early_end > self.swept {
-            if let Some(at) = self
-                .windows
-                .iter()
-                .position(|(_, e)| e.instance == w.instance)
-            {
-                self.windows.remove(at);
+            for list in [&mut self.windows, &mut self.batch] {
+                if let Some(at) = list.iter().position(|(_, e)| e.instance == w.instance) {
+                    list.remove(at);
+                    return;
+                }
             }
         }
     }
@@ -307,6 +343,10 @@ pub struct Scheduler {
     ///
     /// [`Occupant::index`]: crate::assignment::Occupant::index
     occupant_statics: Vec<usize>,
+    /// The newest release window of each static message, by `statics`
+    /// index: written where production pushes onto the message's ring,
+    /// read by every occupied slot.
+    newest: Vec<NewestWindow>,
     /// Early-copy candidates: every release window with a non-empty early
     /// range whose frame fits a static slot, while it may still carry an
     /// early copy (empty unless the policy sends early copies).
@@ -583,6 +623,15 @@ impl Scheduler {
         }
         let statics: Vec<StaticInfo> = statics.into_values().collect();
         let window_capacity = statics.iter().map(|s| s.windows.capacity()).sum();
+        let newest = statics
+            .iter()
+            .map(|s| NewestWindow {
+                instance: 0,
+                start: SimTime::MAX,
+                window_end: SimTime::ZERO,
+                payload_bytes: s.payload_bytes,
+            })
+            .collect();
         let slot_capacity_bits = config.static_slot_capacity_bits();
         let cycle_duration = config.cycle_duration();
         let slot_offsets = (1..=config.static_slot_count())
@@ -650,10 +699,8 @@ impl Scheduler {
             cycle_duration,
             slot_offsets,
             occupant_statics,
-            early_candidates: EarlyWindows {
-                windows: Vec::with_capacity(window_capacity),
-                swept: SimTime::ZERO,
-            },
+            newest,
+            early_candidates: EarlyWindows::with_capacity(window_capacity),
             hard_candidates: CycleWindows::with_capacity(window_capacity),
             horizon_cache: None,
             fspec_tx_needed,
@@ -782,6 +829,7 @@ impl Scheduler {
             .map(|s| s.fspec_queue.capacity() * size_of::<(InstanceId, u32)>())
             .sum();
         let candidates = (self.early_candidates.windows.capacity()
+            + self.early_candidates.batch.capacity()
             + self.hard_candidates.windows.capacity())
             * size_of::<(usize, ReleaseWindow)>();
         (queues + fspec + candidates) as u64
@@ -867,12 +915,16 @@ impl Scheduler {
             deadline,
         };
         info.windows.push_back(window);
+        let newest = &mut self.newest[index];
+        newest.instance = instance;
+        newest.start = now;
+        newest.window_end = window_end;
         if !self.behavior.mirror_allocation
             && self.options.early_copies
             && window.start < window.early_end
             && info.wire_bits <= self.slot_capacity_bits
         {
-            self.early_candidates.insert(index, window);
+            self.early_candidates.push(index, window);
         }
         self.hard_candidates.cycle = None;
         if self.behavior.own_slot_serialization {
@@ -1005,15 +1057,15 @@ impl Scheduler {
         let seq = self.next_seq;
         self.next_seq += 1;
         let q = &mut self.queues[channel.index()];
-        let pos = q
-            .iter()
-            .position(|(_, e)| e.frame_id > p.frame_id)
-            .unwrap_or(q.len());
+        let pos = q.partition_point(|(_, e)| e.frame_id <= p.frame_id);
         q.insert(pos, (seq, p));
     }
 
     /// The frame for occupied position `occ` at `slot_start`, if its
-    /// message has one to send there.
+    /// message has one to send there. Inlined into the bus's offer: the
+    /// window path builds its payload in place instead of returning it
+    /// through memory.
+    #[inline(always)]
     fn occupied_frame(
         &mut self,
         occ: Occupant,
@@ -1021,52 +1073,13 @@ impl Scheduler {
         slot_start: SimTime,
     ) -> Option<OutboundPayload> {
         if self.behavior.own_slot_serialization {
-            // Fresh data first (the CHI always stages the latest
-            // instance): the newest entry still owing its initial A/B
-            // transmission pair wins the occurrence; otherwise the
-            // occurrence is *spare* and serves the oldest entry still
-            // owing best-effort copies. Because FSPEC schedules the
-            // segments separately, copies can only ride these spare
-            // occurrences of the message's own slot.
-            let fresh_threshold = self.fspec_tx_needed.saturating_sub(2);
-            let index = self.occupant_statics[usize::from(occ.index)];
-            let q = &mut self.statics[index].fspec_queue;
-            let idx = (0..q.len())
-                .rev()
-                .find(|&i| q[i].1 > fresh_threshold)
-                .or_else(|| (!q.is_empty()).then_some(0))?;
-            let entry = &mut q[idx];
-            let instance = entry.0;
-            entry.1 -= 1;
-            let is_copy = entry.1 + 1 < self.fspec_tx_needed;
-            if entry.1 == 0 {
-                q.remove(idx);
-            }
-            if is_copy {
-                self.copy_transmissions += 1;
-                if self.tracer.is_enabled() {
-                    self.tracer.emit(
-                        slot_start,
-                        EventKind::RetransmissionCopy {
-                            channel: channel.index() as u8,
-                            frame_id: u64::from(occ.message),
-                        },
-                    );
-                }
-            }
-            return Some(OutboundPayload {
-                message: occ.message,
-                payload_bytes: self.statics[index].payload_bytes,
-                produced_at: self.tracker.get(instance).produced_at,
-                tag: instance as u64,
-            });
+            return self.serialized_frame(occ, channel, slot_start);
         }
         // Window path: transmit the instance whose generation window
         // contains this slot — the newest released at or before the
         // slot (the production batch may run ahead of the bus cycle).
         // None once the window passed or production ended.
-        let info = &self.statics[self.occupant_statics[usize::from(occ.index)]];
-        let w = info.window_at(slot_start)?;
+        let w = self.window_at(self.occupant_statics[usize::from(occ.index)], slot_start)?;
         if occ.kind != OccupantKind::Primary {
             self.copy_transmissions += 1;
             if self.tracer.is_enabled() {
@@ -1081,10 +1094,87 @@ impl Scheduler {
         }
         Some(OutboundPayload {
             message: occ.message,
-            payload_bytes: info.payload_bytes,
+            payload_bytes: w.payload_bytes,
             produced_at: w.start,
             tag: w.instance as u64,
         })
+    }
+
+    /// Own-slot serialization (FSPEC): the frame for occupied position
+    /// `occ` at `slot_start`, from the message's queue of instances still
+    /// owing transmissions.
+    fn serialized_frame(
+        &mut self,
+        occ: Occupant,
+        channel: ChannelId,
+        slot_start: SimTime,
+    ) -> Option<OutboundPayload> {
+        // Fresh data first (the CHI always stages the latest
+        // instance): the newest entry still owing its initial A/B
+        // transmission pair wins the occurrence; otherwise the
+        // occurrence is *spare* and serves the oldest entry still
+        // owing best-effort copies. Because FSPEC schedules the
+        // segments separately, copies can only ride these spare
+        // occurrences of the message's own slot.
+        let fresh_threshold = self.fspec_tx_needed.saturating_sub(2);
+        let index = self.occupant_statics[usize::from(occ.index)];
+        let q = &mut self.statics[index].fspec_queue;
+        let idx = (0..q.len())
+            .rev()
+            .find(|&i| q[i].1 > fresh_threshold)
+            .or_else(|| (!q.is_empty()).then_some(0))?;
+        let entry = &mut q[idx];
+        let instance = entry.0;
+        entry.1 -= 1;
+        let is_copy = entry.1 + 1 < self.fspec_tx_needed;
+        if entry.1 == 0 {
+            q.remove(idx);
+        }
+        if is_copy {
+            self.copy_transmissions += 1;
+            if self.tracer.is_enabled() {
+                self.tracer.emit(
+                    slot_start,
+                    EventKind::RetransmissionCopy {
+                        channel: channel.index() as u8,
+                        frame_id: u64::from(occ.message),
+                    },
+                );
+            }
+        }
+        Some(OutboundPayload {
+            message: occ.message,
+            payload_bytes: self.statics[index].payload_bytes,
+            produced_at: self.tracker.get(instance).produced_at,
+            tag: instance as u64,
+        })
+    }
+
+    /// The release window of `statics[index]` containing `t`: the newest
+    /// instance released at or before `t`, if its window is still open.
+    /// The flat newest-window entry answers unless `t` lies before the
+    /// newest release (production ran ahead of the bus); only then is the
+    /// message's ring walked.
+    #[inline(always)]
+    fn window_at(&self, index: usize, t: SimTime) -> Option<NewestWindow> {
+        let newest = self.newest[index];
+        let w = if newest.start <= t {
+            newest
+        } else {
+            let w = self.statics[index]
+                .windows
+                .iter()
+                .rev()
+                .skip(1)
+                .find(|w| w.start <= t)?;
+            NewestWindow {
+                instance: w.instance,
+                start: w.start,
+                window_end: w.window_end,
+                ..newest
+            }
+        };
+        (t < w.window_end).then_some(w)
     }
 
     /// A free static position: a failover copy, else cooperative filling.
@@ -1550,16 +1640,24 @@ impl TrafficSource for Scheduler {
     ) -> (Option<OutboundPayload>, u16) {
         let slot_start =
             SimTime::ZERO + self.cycle_duration * cycle + self.slot_offsets[usize::from(slot) - 1];
-        let (frame, fresh) = match self.alloc.occupant(channel, slot, cycle_counter) {
-            Some(occ) => (self.occupied_frame(occ, channel, slot_start), None),
+        match self.alloc.occupant(channel, slot, cycle_counter) {
+            Some(occ) => {
+                // The next offer does not depend on this slot's frame, so
+                // the frame is built last, straight into the result.
+                let next = self.next_static_offer(cycle, cycle_counter, slot + 1, channel, None);
+                (self.occupied_frame(occ, channel, slot_start), next)
+            }
             // A filled free position may not be the last: offer the next.
             None => match self.free_frame(cycle, slot, channel, slot_start) {
-                Ok(payload) => return (Some(payload), slot + 1),
-                Err(horizon) => (None, Some(horizon)),
+                Ok(payload) => (Some(payload), slot + 1),
+                Err(horizon) => {
+                    let fresh = Some(horizon);
+                    let next =
+                        self.next_static_offer(cycle, cycle_counter, slot + 1, channel, fresh);
+                    (None, next)
+                }
             },
-        };
-        let next = self.next_static_offer(cycle, cycle_counter, slot + 1, channel, fresh);
-        (frame, next)
+        }
     }
 
     /// The lowest frame id at or after `from` queued on `channel`: the
@@ -2357,6 +2455,107 @@ mod tests {
             .map(|(_, w)| w.instance)
     }
 
+    /// The insert-at-a-time early list the per-cycle merge replaced, kept
+    /// as an oracle: production inserts each window after every entry that
+    /// sorts at or before it, and a pruned window leaves wherever it sits.
+    #[derive(Debug)]
+    struct InsertedEarlyList {
+        windows: Vec<(usize, ReleaseWindow)>,
+        swept: SimTime,
+    }
+
+    impl InsertedEarlyList {
+        /// The scheduler's list as a production batch finds it: merged.
+        fn of(list: &EarlyWindows) -> Self {
+            assert!(list.batch.is_empty(), "an unmerged batch");
+            InsertedEarlyList {
+                windows: list.windows.clone(),
+                swept: list.swept,
+            }
+        }
+
+        fn insert(&mut self, index: usize, w: ReleaseWindow) {
+            let at = self
+                .windows
+                .partition_point(|&(i, e)| (e.deadline, i) <= (w.deadline, index));
+            self.windows.insert(at, (index, w));
+        }
+
+        fn sweep(&mut self, cycle_start: SimTime) {
+            if cycle_start > self.swept {
+                self.windows.retain(|(_, w)| w.early_end > cycle_start);
+                self.swept = cycle_start;
+            }
+        }
+
+        fn prune(&mut self, w: &ReleaseWindow) {
+            if w.early_end > self.swept {
+                if let Some(at) = self
+                    .windows
+                    .iter()
+                    .position(|(_, e)| e.instance == w.instance)
+                {
+                    self.windows.remove(at);
+                }
+            }
+        }
+    }
+
+    /// A list's entries as `(statics index, instance)`, in list order.
+    fn entries(list: &[(usize, ReleaseWindow)]) -> Vec<(usize, InstanceId)> {
+        list.iter().map(|&(index, w)| (index, w.instance)).collect()
+    }
+
+    /// Produces `message` at `t` and replays on `inserted` what the old
+    /// insert-at-a-time list did at production: prune each window the
+    /// message's ring dropped, then insert the new window if it may carry
+    /// an early copy.
+    fn produce_replayed(
+        s: &mut Scheduler,
+        inserted: &mut InsertedEarlyList,
+        message: MessageId,
+        t: SimTime,
+    ) {
+        let index = s.static_index(message);
+        let ring: Vec<ReleaseWindow> = s.statics[index].windows.iter().copied().collect();
+        s.produce_static(message, t);
+        let info = &s.statics[index];
+        for pruned in &ring[..ring.len() + 1 - info.windows.len()] {
+            inserted.prune(pruned);
+        }
+        let w = *info.windows.back().expect("just produced");
+        if !s.behavior.mirror_allocation
+            && s.options.early_copies
+            && w.start < w.early_end
+            && info.wire_bits <= s.slot_capacity_bits
+        {
+            inserted.insert(index, w);
+        }
+    }
+
+    /// The ring lookup the flat newest-window table replaced, kept as an
+    /// oracle: the newest window of `info` released at or before `t`, if
+    /// it is still open.
+    fn oracle_window_at(info: &StaticInfo, t: SimTime) -> Option<(InstanceId, SimTime, SimTime)> {
+        let newest = *info.windows.back()?;
+        let w = if newest.start <= t {
+            newest
+        } else {
+            *info.windows.iter().rev().skip(1).find(|w| w.start <= t)?
+        };
+        (t < w.window_end).then_some((w.instance, w.start, w.window_end))
+    }
+
+    /// What [`Scheduler::window_at`] answers, in the oracle's terms.
+    fn table_window_at(
+        s: &Scheduler,
+        index: usize,
+        t: SimTime,
+    ) -> Option<(InstanceId, SimTime, SimTime)> {
+        s.window_at(index, t)
+            .map(|w| (w.instance, w.start, w.window_end))
+    }
+
     /// The pre-index degraded-copy / failover scan: per message, the
     /// newest instance released at or before `t`, if its window is open,
     /// it is undelivered, its deadline is ahead, it has spent fewer than
@@ -2398,15 +2597,17 @@ mod tests {
             slot: u16,
             channel: ChannelId,
         ) -> Option<OutboundPayload> {
-            if self
-                .s
-                .alloc
-                .occupant(channel, slot, cycle_counter)
-                .is_none()
-            {
+            let t = self.s.config.static_slot_start(cycle, u64::from(slot));
+            let at = format!("cycle {cycle} slot {slot} {channel:?}");
+            if let Some(occ) = self.s.alloc.occupant(channel, slot, cycle_counter) {
+                let index = self.s.occupant_statics[usize::from(occ.index)];
+                assert_eq!(
+                    table_window_at(self.s, index, t),
+                    oracle_window_at(&self.s.statics[index], t),
+                    "occupied window at {at}"
+                );
+            } else {
                 self.free_positions += 1;
-                let t = self.s.config.static_slot_start(cycle, u64::from(slot));
-                let at = format!("cycle {cycle} slot {slot} {channel:?}");
                 let rebuilt = oracle_rebuilt_early_copy(self.s, cycle, t);
                 let early = self
                     .s
@@ -2547,13 +2748,23 @@ mod tests {
             let cycle_start = cfg.cycle_start(cycle);
             let cycle_end = cfg.cycle_start(cycle + 1);
             d.s.purge_expired(cycle_start);
+            let mut inserted = InsertedEarlyList::of(&d.s.early_candidates);
             while let Some((i, &t)) = next.iter().enumerate().min_by_key(|(_, t)| **t) {
                 if t >= cycle_end {
                     break;
                 }
-                d.s.produce_static(signals[i].id, t);
+                produce_replayed(d.s, &mut inserted, signals[i].id, t);
                 next[i] = t + signals[i].period;
             }
+            // The merge the cycle's first walk would make, made now so the
+            // merged list can be held against the one built by inserting.
+            d.s.early_candidates.sweep(cycle_start);
+            inserted.sweep(cycle_start);
+            assert_eq!(
+                entries(&d.s.early_candidates.windows),
+                entries(&inserted.windows),
+                "early list after the production batch of cycle {cycle}"
+            );
             if dyn_every > 0 && cycle % dyn_every == 0 {
                 d.s.produce_dynamic(20, cycle_start);
                 d.s.produce_dynamic(21, cycle_start);
@@ -2576,7 +2787,9 @@ mod tests {
         /// and failover list pick exactly what the old per-slot scans over
         /// the instance record pick, and the early list what the old
         /// per-cycle rebuild picks, on every free static position of both
-        /// channels.
+        /// channels. After each production batch the merged early list
+        /// equals the insert-at-a-time one entry for entry, and every
+        /// occupied position reads the window the old ring lookup reads.
         #[test]
         fn release_windows_select_what_the_old_scans_select(
             run in (0usize..4, 1u64..140),
@@ -2616,17 +2829,17 @@ mod tests {
     fn scratch_bytes_count_the_candidate_lists() {
         let mut s = scheduler(COEFFICIENT);
         let entry = std::mem::size_of::<(usize, ReleaseWindow)>() as u64;
-        for hard in [false, true] {
+        for name in ["hard", "early", "early batch"] {
             let before = s.scratch_bytes();
-            let list = if hard {
-                &mut s.hard_candidates.windows
-            } else {
-                &mut s.early_candidates.windows
+            let list = match name {
+                "hard" => &mut s.hard_candidates.windows,
+                "early" => &mut s.early_candidates.windows,
+                _ => &mut s.early_candidates.batch,
             };
             let capacity = list.capacity();
             list.reserve_exact(capacity + 100);
             let grown = (list.capacity() - capacity) as u64;
-            assert_eq!(s.scratch_bytes() - before, grown * entry, "hard: {hard}");
+            assert_eq!(s.scratch_bytes() - before, grown * entry, "{name}");
         }
     }
 
@@ -2634,34 +2847,130 @@ mod tests {
     fn a_window_its_ring_prunes_leaves_the_early_list() {
         // Production running ahead of the bus: the second release prunes
         // the first window from its ring while bus cycle 0, which the
-        // first window's early range reaches into, is still to run.
-        let mut s = scheduler(COEFFICIENT);
+        // first window's early range reaches into, is still to run. The
+        // window is pruned either while it waits in the unmerged batch or
+        // after a walk merged it into the list.
         let cfg = config();
         let first = SimTime::from_micros(500);
         let listed = |s: &Scheduler| {
-            s.early_candidates
-                .windows
+            let list = &s.early_candidates;
+            list.windows
                 .iter()
+                .chain(&list.batch)
                 .any(|(_, w)| w.start == first)
         };
-        s.produce_static(1, first);
-        assert!(listed(&s));
-        s.produce_static(1, SimTime::from_micros(2_000));
-        assert!(!listed(&s), "the pruned window is still listed");
-        let mut picks = 0;
-        for slot in 1..=cfg.static_slot_count() {
-            let t = cfg.static_slot_start(0, slot);
-            let want = oracle_rebuilt_early_copy(&s, 0, t);
-            let got = s.early_copy_candidate(0, t).ok().map(|(_, w)| w.instance);
-            assert_eq!(got, want, "slot {slot}");
-            picks += u32::from(got.is_some());
+        for merged in [false, true] {
+            let mut s = scheduler(COEFFICIENT);
+            let mut inserted = InsertedEarlyList::of(&s.early_candidates);
+            produce_replayed(&mut s, &mut inserted, 1, first);
+            assert!(listed(&s));
+            if merged {
+                s.early_candidates.sweep(cfg.cycle_start(0));
+                inserted.sweep(cfg.cycle_start(0));
+            }
+            assert_eq!(s.early_candidates.batch.is_empty(), merged);
+            produce_replayed(&mut s, &mut inserted, 1, SimTime::from_micros(2_000));
+            assert!(
+                !listed(&s),
+                "the pruned window is still listed (merged: {merged})"
+            );
+            let mut picks = 0;
+            for slot in 1..=cfg.static_slot_count() {
+                let t = cfg.static_slot_start(0, slot);
+                let want = oracle_rebuilt_early_copy(&s, 0, t);
+                let got = s.early_copy_candidate(0, t).ok().map(|(_, w)| w.instance);
+                assert_eq!(got, want, "slot {slot} (merged: {merged})");
+                picks += u32::from(got.is_some());
+            }
+            assert_eq!(picks, 0);
+            inserted.sweep(cfg.cycle_start(0));
+            assert_eq!(
+                entries(&s.early_candidates.windows),
+                entries(&inserted.windows),
+                "merged: {merged}"
+            );
         }
-        assert_eq!(picks, 0);
         // Without the second release the first window is picked.
         let mut s = scheduler(COEFFICIENT);
         s.produce_static(1, first);
         let t = cfg.static_slot_start(0, cfg.static_slot_count());
         assert!(s.early_copy_candidate(0, t).is_ok());
+    }
+
+    #[test]
+    fn equal_keys_merge_in_production_order() {
+        // Off-period production: one message released twice at one
+        // instant gives two windows with one `(deadline, message)` key.
+        // A batched window goes after a listed one with its key, and two
+        // batched ones keep their production order.
+        let mut s = scheduler(COEFFICIENT);
+        let cfg = config();
+        let t = SimTime::from_micros(100);
+        let mut inserted = InsertedEarlyList::of(&s.early_candidates);
+        for message in [1, 2, 1] {
+            produce_replayed(&mut s, &mut inserted, message, t);
+        }
+        s.early_candidates.sweep(cfg.cycle_start(0));
+        inserted.sweep(cfg.cycle_start(0));
+        assert_eq!(
+            entries(&s.early_candidates.windows),
+            entries(&inserted.windows)
+        );
+        let mut inserted = InsertedEarlyList::of(&s.early_candidates);
+        for message in [2, 1, 1] {
+            produce_replayed(&mut s, &mut inserted, message, t);
+        }
+        s.early_candidates.sweep(cfg.cycle_start(0));
+        inserted.sweep(cfg.cycle_start(0));
+        let merged = entries(&s.early_candidates.windows);
+        assert_eq!(merged, entries(&inserted.windows));
+        // Message 1 (deadline 1 ms) first, each message in production order.
+        let (one, two) = (s.static_index(1), s.static_index(2));
+        let order: Vec<usize> = merged.iter().map(|&(index, _)| index).collect();
+        assert_eq!(order, [one, one, one, one, two, two]);
+        assert!(merged
+            .windows(2)
+            .all(|p| p[0].0 != p[1].0 || p[0].1 < p[1].1));
+    }
+
+    #[test]
+    fn the_newest_window_table_answers_what_the_ring_answers() {
+        // Before the first release, after each release, and on slots that
+        // lie before the newest release (production ahead of the bus,
+        // releases half a cycle apart so one message's windows overlap).
+        let mut s = scheduler(COEFFICIENT);
+        let cfg = config();
+        let half = cfg.cycle_duration() / 2;
+        let index = s.static_index(2);
+        // Windows found, and of those the ones before the newest release.
+        let probe = |s: &Scheduler| {
+            let (mut found, mut behind) = (0, 0);
+            for cycle in 0..8 {
+                for slot in 1..=cfg.static_slot_count() {
+                    let t = cfg.static_slot_start(cycle, slot);
+                    let want = oracle_window_at(&s.statics[index], t);
+                    assert_eq!(
+                        table_window_at(s, index, t),
+                        want,
+                        "cycle {cycle} slot {slot}"
+                    );
+                    found += u32::from(want.is_some());
+                    behind += u32::from(want.is_some() && t < s.newest[index].start);
+                }
+            }
+            (found, behind)
+        };
+        assert_eq!(probe(&s), (0, 0), "a window before the first release");
+        let (mut found, mut behind) = (0, 0);
+        for k in 0..6u64 {
+            s.produce_static(2, cfg.cycle_start(1) + half * k);
+            let (f, b) = probe(&s);
+            (found, behind) = (found + f, behind + b);
+        }
+        assert!(
+            found > 0 && behind > 0,
+            "found {found}, behind the newest {behind}"
+        );
     }
 
     #[test]

@@ -209,10 +209,19 @@ impl ChannelStats {
     }
 }
 
+/// Entries of a wire-time table: one per payload byte count a FlexRay
+/// frame can carry (0..=[`MAX_PAYLOAD_BYTES`]).
+const WIRE_TIME_ENTRIES: usize = MAX_PAYLOAD_BYTES as usize + 1;
+
 /// The cycle-level dual-channel bus simulator.
 pub struct BusEngine {
     config: ClusterConfig,
     coding: FrameCoding,
+    /// Wire time of a frame by payload byte count, under static (`[0]`)
+    /// and dynamic (`[1]`) coding: `transmission_duration` of the frame's
+    /// wire bits, filled on first use. Every frame takes at least 1 ns on
+    /// the wire, so [`SimDuration::ZERO`] marks an entry not yet computed.
+    wire_time: [[SimDuration; WIRE_TIME_ENTRIES]; 2],
     /// Bits transferable per minislot, precomputed from the config once —
     /// the dynamic segment consults it every cycle on both channels.
     minislot_bits: u64,
@@ -254,6 +263,7 @@ impl BusEngine {
             dynamic_overhead_bits: coding.frame_wire_bits(0, true),
             config,
             coding,
+            wire_time: [[SimDuration::ZERO; WIRE_TIME_ENTRIES]; 2],
             faults: [Box::new(NoFaults::new()), Box::new(NoFaults::new())],
             stats: [ChannelStats::default(), ChannelStats::default()],
             monitors: None,
@@ -268,6 +278,7 @@ impl BusEngine {
     pub fn with_coding(mut self, coding: FrameCoding) -> Self {
         self.coding = coding;
         self.dynamic_overhead_bits = coding.frame_wire_bits(0, true);
+        self.wire_time = [[SimDuration::ZERO; WIRE_TIME_ENTRIES]; 2];
         self
     }
 
@@ -424,16 +435,13 @@ impl BusEngine {
             let (frame, next) = source.offer_static(cycle, cycle_counter, slot_u16, channel);
             match frame {
                 Some(payload) => {
-                    let wire_bits = self
-                        .coding
-                        .frame_wire_bits(u64::from(payload.payload_bytes), false);
+                    let (wire_bits, duration) = self.wire_time(payload.payload_bytes, false);
                     assert!(
                         wire_bits <= capacity,
                         "frame of {wire_bits} wire bits exceeds static slot capacity {capacity}"
                     );
                     let start = self.config.static_slot_start(cycle, slot)
                         + self.config.mt(ACTION_POINT_OFFSET);
-                    let duration = self.config.transmission_duration(wire_bits);
                     let corrupted = self.faults[channel.index()].corrupts(wire_bits as u32);
                     let outcome = TransmissionOutcome {
                         cycle,
@@ -528,13 +536,10 @@ impl BusEngine {
                         "dynamic payload {} exceeds advertised maximum {max_payload}",
                         payload.payload_bytes
                     );
-                    let wire_bits = self
-                        .coding
-                        .frame_wire_bits(u64::from(payload.payload_bytes), true);
+                    let (wire_bits, duration) = self.wire_time(payload.payload_bytes, true);
                     let used_ms = self.config.minislots_for(wire_bits);
                     debug_assert!(ms + used_ms <= n_ms, "engine sizing is consistent");
                     let start = self.config.cycle_start(cycle) + self.config.minislot_offset(ms);
-                    let duration = self.config.transmission_duration(wire_bits);
                     let corrupted = self.faults[channel.index()].corrupts(wire_bits as u32);
                     let outcome = TransmissionOutcome {
                         cycle,
@@ -595,6 +600,26 @@ impl BusEngine {
             slot_counter += 1;
         }
         self.stats[channel.index()].idle_minislots += n_ms.saturating_sub(ms);
+    }
+
+    /// The wire bits and wire time of a frame of `payload_bytes` payload
+    /// bytes under static or `dynamic` coding. The time comes from the
+    /// table, which computes each entry once. A static frame above
+    /// [`MAX_PAYLOAD_BYTES`], which only a source that ignores the
+    /// FlexRay payload limit can stage in a wide enough slot, has no entry
+    /// and is computed each time.
+    fn wire_time(&mut self, payload_bytes: u16, dynamic: bool) -> (u64, SimDuration) {
+        let wire_bits = self
+            .coding
+            .frame_wire_bits(u64::from(payload_bytes), dynamic);
+        let table = &mut self.wire_time[usize::from(dynamic)];
+        let Some(entry) = table.get_mut(usize::from(payload_bytes)) else {
+            return (wire_bits, self.config.transmission_duration(wire_bits));
+        };
+        if entry.is_zero() {
+            *entry = self.config.transmission_duration(wire_bits);
+        }
+        (wire_bits, *entry)
     }
 
     /// Largest payload (bytes) whose coded frame fits in `minislots_left`
@@ -909,6 +934,52 @@ mod tests {
             assert!(st.occupied >= st.busy, "slot time includes wire time");
         }
         assert_eq!(engine.stats(ChannelId::A).frames, 8);
+    }
+
+    proptest::proptest! {
+        /// The wire-time table holds exactly what the formula computes,
+        /// for every payload a frame can carry, both codings and any bit
+        /// rate, whether the entry is filled by this lookup or read back
+        /// by the next one. A static payload above the table falls back to
+        /// the formula; a dynamic one cannot occur (the engine never
+        /// advertises more than `MAX_PAYLOAD_BYTES`).
+        #[test]
+        fn wire_time_table_equals_the_formula(
+            rate in (1u64..=u64::MAX, 0u32..64),
+            order in 0u64..3,
+        ) {
+            // Spread the bit rates over every order of magnitude.
+            let rate = (rate.0 >> rate.1).max(1);
+            let cfg = ClusterConfig::builder()
+                .macroticks_per_cycle(1000)
+                .static_slots(4, 60)
+                .minislots(100, 2)
+                .bit_rate(rate)
+                .build()
+                .unwrap();
+            let mut engine = BusEngine::new(cfg.clone()).with_coding(FrameCoding);
+            let coding = FrameCoding;
+            let mut payloads: Vec<u16> = (0..=MAX_PAYLOAD_BYTES as u16).collect();
+            match order {
+                0 => {}
+                1 => payloads.reverse(),
+                _ => payloads.sort_by_key(|p| (p % 7, *p)),
+            }
+            for _use in ["first", "reuse"] {
+                for &p in &payloads {
+                    for dynamic in [false, true] {
+                        let bits = coding.frame_wire_bits(u64::from(p), dynamic);
+                        let want = (bits, cfg.transmission_duration(bits));
+                        proptest::prop_assert_eq!(engine.wire_time(p, dynamic), want);
+                    }
+                }
+            }
+            for p in [MAX_PAYLOAD_BYTES as u16 + 2, 1000, u16::MAX] {
+                let bits = coding.frame_wire_bits(u64::from(p), false);
+                let want = (bits, cfg.transmission_duration(bits));
+                proptest::prop_assert_eq!(engine.wire_time(p, false), want);
+            }
+        }
     }
 
     #[test]
