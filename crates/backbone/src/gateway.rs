@@ -71,14 +71,11 @@ pub fn simulate_gateway(
             .find(|f| f.id == flow_id)
             .expect("plan flows come from the topology");
         let port = fp.port;
-        tracer.emit(
-            arrival,
-            EventKind::GatewayQueued {
-                port: port as u8,
-                flow: u64::from(flow_id),
-                instance,
-            },
-        );
+        tracer.emit(arrival, || EventKind::GatewayQueued {
+            port: port as u8,
+            flow: u64::from(flow_id),
+            instance,
+        });
         let floor = match last_departure.get(&flow_id) {
             Some(&t) => t + SimDuration::from_nanos(1),
             None => SimTime::ZERO,
@@ -93,17 +90,14 @@ pub fn simulate_gateway(
         last_departure.insert(flow_id, departure);
         let duration = topology.tx_duration(port, flow.size_bits);
         let missed_window = departure.saturating_duration_since(arrival) >= hyper;
-        tracer.emit(
-            departure,
-            EventKind::EthernetFrame {
-                port: port as u8,
-                flow: u64::from(flow_id),
-                instance,
-                payload_bits: u64::from(flow.size_bits),
-                duration,
-                missed_window,
-            },
-        );
+        tracer.emit(departure, || EventKind::EthernetFrame {
+            port: port as u8,
+            flow: u64::from(flow_id),
+            instance,
+            payload_bits: u64::from(flow.size_bits),
+            duration,
+            missed_window,
+        });
         outcomes.push(GatewayOutcome {
             flow: flow_id,
             instance,

@@ -182,11 +182,6 @@ impl InstanceTracker {
         &self.instances
     }
 
-    /// Completion instant of the last delivery, if any.
-    pub fn last_delivery(&self) -> Option<SimTime> {
-        self.instances.iter().filter_map(|i| i.delivered_at).max()
-    }
-
     /// Both classes' latency summaries and deadline trackers and the
     /// delivered count, from one pass over the log in instance order, so
     /// each class's Welford summary sees its latencies in production order.
@@ -236,7 +231,6 @@ mod tests {
         assert!(tr.get(a).is_delivered());
         assert_eq!(tr.get(a).latency(), Some(SimDuration::from_millis(2)));
         assert_eq!(tr.delivered(), 1);
-        assert_eq!(tr.last_delivery(), Some(t(2)));
     }
 
     #[test]

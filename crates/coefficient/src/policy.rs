@@ -1002,15 +1002,10 @@ impl Scheduler {
             if let Some(floor) = kept_floor {
                 if criticality < floor {
                     self.soft_shed += 1;
-                    if self.tracer.is_enabled() {
-                        self.tracer.emit(
-                            now,
-                            EventKind::SoftShed {
-                                frame_id: u64::from(frame_id),
-                                criticality: criticality as u8,
-                            },
-                        );
-                    }
+                    self.tracer.emit(now, || EventKind::SoftShed {
+                        frame_id: u64::from(frame_id),
+                        criticality: criticality as u8,
+                    });
                     return instance;
                 }
             }
@@ -1082,15 +1077,11 @@ impl Scheduler {
         let w = self.window_at(self.occupant_statics[usize::from(occ.index)], slot_start)?;
         if occ.kind != OccupantKind::Primary {
             self.copy_transmissions += 1;
-            if self.tracer.is_enabled() {
-                self.tracer.emit(
-                    slot_start,
-                    EventKind::RetransmissionCopy {
-                        channel: channel.index() as u8,
-                        frame_id: u64::from(occ.message),
-                    },
-                );
-            }
+            self.tracer
+                .emit(slot_start, || EventKind::RetransmissionCopy {
+                    channel: channel.index() as u8,
+                    frame_id: u64::from(occ.message),
+                });
         }
         Some(OutboundPayload {
             message: occ.message,
@@ -1132,15 +1123,11 @@ impl Scheduler {
         }
         if is_copy {
             self.copy_transmissions += 1;
-            if self.tracer.is_enabled() {
-                self.tracer.emit(
-                    slot_start,
-                    EventKind::RetransmissionCopy {
-                        channel: channel.index() as u8,
-                        frame_id: u64::from(occ.message),
-                    },
-                );
-            }
+            self.tracer
+                .emit(slot_start, || EventKind::RetransmissionCopy {
+                    channel: channel.index() as u8,
+                    frame_id: u64::from(occ.message),
+                });
         }
         Some(OutboundPayload {
             message: occ.message,
@@ -1199,16 +1186,11 @@ impl Scheduler {
         if self.behavior.degraded_mode {
             match self.failover_mirror(cycle, channel, slot_start) {
                 Ok(payload) => {
-                    if self.tracer.is_enabled() {
-                        self.tracer.emit(
-                            slot_start,
-                            EventKind::FailoverMirror {
-                                channel: channel.index() as u8,
-                                slot: u64::from(slot),
-                                frame_id: u64::from(payload.message),
-                            },
-                        );
-                    }
+                    self.tracer.emit(slot_start, || EventKind::FailoverMirror {
+                        channel: channel.index() as u8,
+                        slot: u64::from(slot),
+                        frame_id: u64::from(payload.message),
+                    });
                     return Ok(payload);
                 }
                 Err(later) => horizon = later,
@@ -1239,16 +1221,11 @@ impl Scheduler {
         if self.behavior.degraded_mode && self.health.is_degraded() && self.options.early_copies {
             match self.degraded_hard_copy(cycle, slot_start) {
                 Ok(payload) => {
-                    if self.tracer.is_enabled() {
-                        self.tracer.emit(
-                            slot_start,
-                            EventKind::DegradedCopy {
-                                channel: channel.index() as u8,
-                                slot: u64::from(slot),
-                                frame_id: u64::from(payload.message),
-                            },
-                        );
-                    }
+                    self.tracer.emit(slot_start, || EventKind::DegradedCopy {
+                        channel: channel.index() as u8,
+                        slot: u64::from(slot),
+                        frame_id: u64::from(payload.message),
+                    });
                     return Ok(payload);
                 }
                 Err(later) => horizon = later,
@@ -1276,16 +1253,11 @@ impl Scheduler {
                 let (_, entry) = q.remove(pos);
                 self.cooperative_static_serves += 1;
                 let inst = self.tracker.get(entry.instance);
-                if self.tracer.is_enabled() {
-                    self.tracer.emit(
-                        slot_start,
-                        EventKind::StealGranted {
-                            channel: channel.index() as u8,
-                            slot: u64::from(slot),
-                            frame_id: u64::from(inst.message),
-                        },
-                    );
-                }
+                self.tracer.emit(slot_start, || EventKind::StealGranted {
+                    channel: channel.index() as u8,
+                    slot: u64::from(slot),
+                    frame_id: u64::from(inst.message),
+                });
                 return Ok(OutboundPayload {
                     message: inst.message,
                     payload_bytes: entry.payload_bytes,
@@ -1294,15 +1266,10 @@ impl Scheduler {
                 });
             }
             self.steal_denied += 1;
-            if self.tracer.is_enabled() {
-                self.tracer.emit(
-                    slot_start,
-                    EventKind::StealDenied {
-                        channel: channel.index() as u8,
-                        slot: u64::from(slot),
-                    },
-                );
-            }
+            self.tracer.emit(slot_start, || EventKind::StealDenied {
+                channel: channel.index() as u8,
+                slot: u64::from(slot),
+            });
         }
         if !self.options.early_copies {
             return Err(horizon);
@@ -1314,16 +1281,11 @@ impl Scheduler {
             .map_err(|later| later.min(horizon))?;
         self.early_copies_sent += 1;
         let payload = self.stage_copy(index, w);
-        if self.tracer.is_enabled() {
-            self.tracer.emit(
-                slot_start,
-                EventKind::EarlyCopy {
-                    channel: channel.index() as u8,
-                    slot: u64::from(slot),
-                    frame_id: u64::from(payload.message),
-                },
-            );
-        }
+        self.tracer.emit(slot_start, || EventKind::EarlyCopy {
+            channel: channel.index() as u8,
+            slot: u64::from(slot),
+            frame_id: u64::from(payload.message),
+        });
         Ok(payload)
     }
 
@@ -1569,12 +1531,7 @@ impl TrafficSource for Scheduler {
         slot: u16,
         channel: ChannelId,
     ) -> Option<OutboundPayload> {
-        let slot_start =
-            SimTime::ZERO + self.cycle_duration * cycle + self.slot_offsets[usize::from(slot) - 1];
-        match self.alloc.occupant(channel, slot, cycle_counter) {
-            Some(occ) => self.occupied_frame(occ, channel, slot_start),
-            None => self.free_frame(cycle, slot, channel, slot_start).ok(),
-        }
+        self.offer_static(cycle, cycle_counter, slot, channel).0
     }
 
     fn dynamic_frame(
@@ -1598,18 +1555,16 @@ impl TrafficSource for Scheduler {
         let inst = self.tracker.get(entry.instance);
         if inst.class == MessageClass::Static {
             self.copy_transmissions += 1;
-            if self.tracer.is_enabled() {
-                // The scheduler doesn't know the exact minislot here; the
-                // dynamic-segment start keeps the stamp between this
-                // cycle's static slots and the MinislotFrame that follows.
-                self.tracer.emit(
-                    self.config.cycle_start(cycle) + self.config.dynamic_segment_offset(),
-                    EventKind::RetransmissionCopy {
-                        channel: channel.index() as u8,
-                        frame_id: u64::from(inst.message),
-                    },
-                );
-            }
+            // The scheduler doesn't know the exact minislot here; the
+            // dynamic-segment start keeps the stamp between this
+            // cycle's static slots and the MinislotFrame that follows.
+            self.tracer.emit(
+                self.config.cycle_start(cycle) + self.config.dynamic_segment_offset(),
+                || EventKind::RetransmissionCopy {
+                    channel: channel.index() as u8,
+                    frame_id: u64::from(inst.message),
+                },
+            );
         }
         Some(OutboundPayload {
             message: inst.message,
@@ -2213,6 +2168,57 @@ mod tests {
         }
     }
 
+    /// The scheduler, skip hooks included, behind a source that also keeps
+    /// every outcome the engine hands it.
+    struct Recording<'a> {
+        scheduler: &'a mut Scheduler,
+        outcomes: &'a mut Vec<TransmissionOutcome>,
+    }
+
+    impl TrafficSource for Recording<'_> {
+        fn static_frame(
+            &mut self,
+            cycle: u64,
+            cycle_counter: u8,
+            slot: u16,
+            channel: ChannelId,
+        ) -> Option<OutboundPayload> {
+            self.scheduler
+                .static_frame(cycle, cycle_counter, slot, channel)
+        }
+
+        fn dynamic_frame(
+            &mut self,
+            cycle: u64,
+            channel: ChannelId,
+            slot_counter: u64,
+            max_payload_bytes: u16,
+        ) -> Option<OutboundPayload> {
+            self.scheduler
+                .dynamic_frame(cycle, channel, slot_counter, max_payload_bytes)
+        }
+
+        fn on_outcome(&mut self, outcome: &TransmissionOutcome) {
+            self.scheduler.on_outcome(outcome);
+            self.outcomes.push(outcome.clone());
+        }
+
+        fn offer_static(
+            &mut self,
+            cycle: u64,
+            cycle_counter: u8,
+            slot: u16,
+            channel: ChannelId,
+        ) -> (Option<OutboundPayload>, u16) {
+            self.scheduler
+                .offer_static(cycle, cycle_counter, slot, channel)
+        }
+
+        fn next_dynamic_slot(&mut self, cycle: u64, channel: ChannelId, from: u64) -> u64 {
+            self.scheduler.next_dynamic_slot(cycle, channel, from)
+        }
+    }
+
     #[test]
     fn every_outcome_reaches_the_instance_its_tag_names() {
         // Mixed static and dynamic traffic on both channels, copies
@@ -2222,7 +2228,7 @@ mod tests {
         for policy in [COEFFICIENT, FSPEC, HOSA] {
             let mut s = scheduler(policy);
             let mut engine = BusEngine::new(config());
-            engine.record_outcomes(true);
+            let mut outcomes = Vec::new();
             for cycle in 0..8 {
                 let now = config().cycle_start(cycle);
                 s.produce_static(1, now);
@@ -2231,10 +2237,14 @@ mod tests {
                     s.produce_dynamic(20, now);
                     s.produce_dynamic(21, now);
                 }
-                engine.run_cycle(cycle, &mut s);
+                let mut source = Recording {
+                    scheduler: &mut s,
+                    outcomes: &mut outcomes,
+                };
+                engine.run_cycle(cycle, &mut source);
             }
             let mut frames = vec![0u32; s.tracker().produced()];
-            for outcome in engine.outcomes() {
+            for outcome in &outcomes {
                 let instance = outcome.tag as InstanceId;
                 assert_eq!(s.tracker().get(instance).message, outcome.message);
                 frames[instance] += 1;
@@ -2246,7 +2256,7 @@ mod tests {
                 .map(|i| i.transmissions)
                 .collect();
             assert_eq!(frames, counted, "{}", policy.label());
-            assert!(engine.outcomes().len() > frames.len(), "{}", policy.label());
+            assert!(outcomes.len() > frames.len(), "{}", policy.label());
         }
     }
 

@@ -667,9 +667,7 @@ impl Runner {
             &cfg.dynamic_messages,
             options,
         )?;
-        if tracer.is_enabled() {
-            scheduler.set_tracer(tracer.clone());
-        }
+        scheduler.set_tracer(tracer.clone());
         let fault = |channel_index: usize, seed: u64| -> Box<dyn FaultProcess> {
             let base: Box<dyn FaultProcess> = match cfg.scenario.fault_model {
                 FaultModel::Bernoulli => Box::new(BernoulliFaults::new(cfg.scenario.ber, seed)),
@@ -702,13 +700,9 @@ impl Runner {
             .with_coding(coding)
             .with_faults(fault(0, cfg.seed ^ 0xA), fault(1, cfg.seed ^ 0xB))
             .with_health_monitoring(monitor_cfg);
-        if tracer.is_enabled() {
-            engine.set_tracer(tracer.clone());
-        }
+        engine.set_tracer(tracer.clone());
         let mut monitor = ReliabilityMonitor::new(monitor_cfg);
-        if tracer.is_enabled() {
-            monitor.set_tracer(tracer.clone(), 2);
-        }
+        monitor.set_tracer(tracer.clone(), 2);
         let mut rng = substream(cfg.seed, "runner/dynamic-phases");
         let dynamic_phases: Vec<SimDuration> = cfg
             .dynamic_messages
@@ -853,15 +847,16 @@ impl Runner {
             }
             let elapsed = self.engine.elapsed();
             let every = self.cfg.trace.counter_sample_every;
-            if self.tracer.is_enabled() && every != 0 && cycle.is_multiple_of(every) {
-                let counters = self.collect_counters();
-                self.tracer.emit(
-                    elapsed,
-                    EventKind::CounterSample {
-                        cycle,
-                        values: counters.fields().iter().map(|&(_, v)| v).collect(),
-                    },
-                );
+            if every != 0 && cycle.is_multiple_of(every) {
+                self.tracer.emit(elapsed, || EventKind::CounterSample {
+                    cycle,
+                    values: self
+                        .collect_counters()
+                        .fields()
+                        .iter()
+                        .map(|&(_, v)| v)
+                        .collect(),
+                });
             }
 
             // Stop checks.
@@ -912,16 +907,11 @@ impl Runner {
         let effective = overall.max(channels[0]).max(channels[1]);
         if effective != self.effective_health {
             self.health_transitions += 1;
-            if self.tracer.is_enabled() {
-                self.tracer.emit(
-                    now,
-                    EventKind::HealthTransition {
-                        scope: 3,
-                        from: self.effective_health.as_u8(),
-                        to: effective.as_u8(),
-                    },
-                );
-            }
+            self.tracer.emit(now, || EventKind::HealthTransition {
+                scope: 3,
+                from: self.effective_health.as_u8(),
+                to: effective.as_u8(),
+            });
             if effective == HealthState::Storm {
                 self.storm_entries += 1;
             }
@@ -1462,10 +1452,12 @@ mod tests {
 
     /// The scheduler behind only the required [`TrafficSource`] methods,
     /// so the engine offers it every static slot and dynamic slot counter;
-    /// `offers` counts the static and dynamic frames asked of it.
+    /// `offers` counts the static and dynamic frames asked of it, and
+    /// `outcomes` records every outcome handed to the scheduler.
     struct EveryPosition<'a> {
         scheduler: &'a mut Scheduler,
         offers: [u64; 2],
+        outcomes: &'a mut Vec<TransmissionOutcome>,
     }
 
     impl TrafficSource for EveryPosition<'_> {
@@ -1495,6 +1487,7 @@ mod tests {
 
         fn on_outcome(&mut self, outcome: &TransmissionOutcome) {
             self.scheduler.on_outcome(outcome);
+            self.outcomes.push(outcome.clone());
         }
     }
 
@@ -1564,12 +1557,12 @@ mod tests {
         every_position: bool,
     ) -> (Observed, [u64; 2]) {
         let mut runner = Runner::new_with_options(cfg.clone(), options).unwrap();
-        runner.engine.record_outcomes(true);
-        let mut offers = [0; 2];
+        let (mut offers, mut outcomes) = ([0; 2], Vec::new());
         let truncated = runner.run_cycles_with(|engine, cycle, scheduler| {
             let every = EveryPosition {
                 scheduler,
                 offers: [0; 2],
+                outcomes: &mut outcomes,
             };
             let counted = if every_position {
                 let mut source = every;
@@ -1583,7 +1576,6 @@ mod tests {
             offers[0] += counted[0];
             offers[1] += counted[1];
         });
-        let outcomes = runner.engine.outcomes().to_vec();
         let stats = ChannelId::BOTH.map(|ch| *runner.engine.stats(ch));
         let report = runner.report(truncated);
         let observed = Observed {

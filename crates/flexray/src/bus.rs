@@ -117,6 +117,12 @@ impl TransmissionOutcome {
 /// [`TransmissionOutcome`] passed to [`on_outcome`](Self::on_outcome) for
 /// that frame carries the same tag, unchanged, so a source can key its
 /// per-frame records by tag instead of queueing them in staging order.
+///
+/// # Outcomes
+///
+/// [`on_outcome`](Self::on_outcome) is the only way an outcome leaves the
+/// engine, which keeps none: a source (or a wrapper around one) that
+/// wants the outcomes records them there.
 pub trait TrafficSource {
     /// The frame to transmit in static `slot` on `channel` during `cycle`
     /// (whose 0–63 counter is `cycle_counter`), or `None` for a null/idle
@@ -214,6 +220,11 @@ impl ChannelStats {
 const WIRE_TIME_ENTRIES: usize = MAX_PAYLOAD_BYTES as usize + 1;
 
 /// The cycle-level dual-channel bus simulator.
+///
+/// Both segments put a frame on the wire through one transmit step, and
+/// its [`TransmissionOutcome`] reaches the [`TrafficSource`] only through
+/// [`TrafficSource::on_outcome`]; the engine keeps counters
+/// ([`stats`](Self::stats)), not outcomes.
 pub struct BusEngine {
     config: ClusterConfig,
     coding: FrameCoding,
@@ -235,8 +246,6 @@ pub struct BusEngine {
     ///
     /// [`with_health_monitoring`]: Self::with_health_monitoring
     monitors: Option<[ReliabilityMonitor; 2]>,
-    record: bool,
-    outcomes: Vec<TransmissionOutcome>,
     cycles_run: u64,
     tracer: Tracer,
 }
@@ -247,7 +256,6 @@ impl std::fmt::Debug for BusEngine {
             .field("config", &self.config)
             .field("cycles_run", &self.cycles_run)
             .field("stats", &self.stats)
-            .field("recorded_outcomes", &self.outcomes.len())
             .finish()
     }
 }
@@ -267,8 +275,6 @@ impl BusEngine {
             faults: [Box::new(NoFaults::new()), Box::new(NoFaults::new())],
             stats: [ChannelStats::default(), ChannelStats::default()],
             monitors: None,
-            record: false,
-            outcomes: Vec::new(),
             cycles_run: 0,
             tracer: Tracer::disabled(),
         }
@@ -295,13 +301,9 @@ impl BusEngine {
     /// transmission schedule or the fault RNGs, so enabling it does not
     /// change a run's outcomes.
     pub fn with_health_monitoring(mut self, cfg: MonitorConfig) -> Self {
-        let mut monitors = [ReliabilityMonitor::new(cfg), ReliabilityMonitor::new(cfg)];
-        if self.tracer.is_enabled() {
-            for (i, monitor) in monitors.iter_mut().enumerate() {
-                monitor.set_tracer(self.tracer.clone(), i as u8);
-            }
-        }
-        self.monitors = Some(monitors);
+        self.monitors = Some([ReliabilityMonitor::new(cfg), ReliabilityMonitor::new(cfg)]);
+        let tracer = self.tracer.clone();
+        self.set_tracer(tracer);
         self
     }
 
@@ -318,12 +320,6 @@ impl BusEngine {
             }
         }
         self.tracer = tracer;
-    }
-
-    /// Enables in-memory recording of every [`TransmissionOutcome`]
-    /// (disabled by default: long runs produce millions).
-    pub fn record_outcomes(&mut self, on: bool) {
-        self.record = on;
     }
 
     /// The engine's configuration.
@@ -367,13 +363,6 @@ impl BusEngine {
         self.monitors.as_ref().map(|m| &m[channel.index()])
     }
 
-    /// Recorded outcomes (empty unless [`record_outcomes`] was enabled).
-    ///
-    /// [`record_outcomes`]: Self::record_outcomes
-    pub fn outcomes(&self) -> &[TransmissionOutcome] {
-        &self.outcomes
-    }
-
     /// Number of cycles simulated so far.
     pub fn cycles_run(&self) -> u64 {
         self.cycles_run
@@ -393,12 +382,10 @@ impl BusEngine {
     /// maximum.
     pub fn run_cycle(&mut self, cycle: u64, source: &mut dyn TrafficSource) {
         assert_eq!(cycle, self.cycles_run, "cycles must be run in order");
-        if self.tracer.is_enabled() {
-            self.tracer.emit(
-                self.config.cycle_start(cycle),
-                EventKind::CycleStart { cycle },
-            );
-        }
+        self.tracer
+            .emit(self.config.cycle_start(cycle), || EventKind::CycleStart {
+                cycle,
+            });
         let cycle_counter = self.config.cycle_counter(cycle);
         // Announce the cycle to both fault processes first: scripted
         // campaigns key their disturbance windows off this clock. A no-op
@@ -435,59 +422,17 @@ impl BusEngine {
             let (frame, next) = source.offer_static(cycle, cycle_counter, slot_u16, channel);
             match frame {
                 Some(payload) => {
-                    let (wire_bits, duration) = self.wire_time(payload.payload_bytes, false);
+                    let start = self.config.static_slot_start(cycle, slot)
+                        + self.config.mt(ACTION_POINT_OFFSET);
+                    let location = SlotLocation::Static { slot: slot_u16 };
+                    let wire_bits = self.transmit(cycle, channel, location, start, payload, source);
+                    // The transmit step sizes the frame, so an oversized
+                    // one is caught after it; the panic ends the run.
                     assert!(
                         wire_bits <= capacity,
                         "frame of {wire_bits} wire bits exceeds static slot capacity {capacity}"
                     );
-                    let start = self.config.static_slot_start(cycle, slot)
-                        + self.config.mt(ACTION_POINT_OFFSET);
-                    let corrupted = self.faults[channel.index()].corrupts(wire_bits as u32);
-                    let outcome = TransmissionOutcome {
-                        cycle,
-                        channel,
-                        location: SlotLocation::Static { slot: slot_u16 },
-                        message: payload.message,
-                        start,
-                        duration,
-                        wire_bits,
-                        corrupted,
-                        produced_at: payload.produced_at,
-                        tag: payload.tag,
-                    };
-                    let st = &mut self.stats[channel.index()];
-                    st.frames += 1;
-                    st.corrupted += u64::from(corrupted);
-                    st.busy += duration;
-                    st.occupied += self.config.static_slot_duration();
-                    if self.tracer.is_enabled() {
-                        let ch = channel.index() as u8;
-                        self.tracer.emit(
-                            start,
-                            EventKind::SlotFrame {
-                                channel: ch,
-                                slot: u64::from(slot_u16),
-                                frame_id: u64::from(outcome.message),
-                                payload_bits: wire_bits,
-                                duration,
-                                corrupted,
-                            },
-                        );
-                        if corrupted {
-                            self.tracer.emit(
-                                start,
-                                EventKind::FaultHit {
-                                    channel: ch,
-                                    frame_id: u64::from(outcome.message),
-                                    in_burst: self.faults[channel.index()].in_burst(),
-                                },
-                            );
-                        }
-                    }
-                    source.on_outcome(&outcome);
-                    if self.record {
-                        self.outcomes.push(outcome);
-                    }
+                    self.stats[channel.index()].occupied += self.config.static_slot_duration();
                 }
                 None => {
                     self.stats[channel.index()].idle_static_slots += 1;
@@ -536,60 +481,16 @@ impl BusEngine {
                         "dynamic payload {} exceeds advertised maximum {max_payload}",
                         payload.payload_bytes
                     );
-                    let (wire_bits, duration) = self.wire_time(payload.payload_bytes, true);
+                    let start = self.config.cycle_start(cycle) + self.config.minislot_offset(ms);
+                    let location = SlotLocation::Dynamic {
+                        slot_counter,
+                        minislot: ms,
+                    };
+                    let wire_bits = self.transmit(cycle, channel, location, start, payload, source);
                     let used_ms = self.config.minislots_for(wire_bits);
                     debug_assert!(ms + used_ms <= n_ms, "engine sizing is consistent");
-                    let start = self.config.cycle_start(cycle) + self.config.minislot_offset(ms);
-                    let corrupted = self.faults[channel.index()].corrupts(wire_bits as u32);
-                    let outcome = TransmissionOutcome {
-                        cycle,
-                        channel,
-                        location: SlotLocation::Dynamic {
-                            slot_counter,
-                            minislot: ms,
-                        },
-                        message: payload.message,
-                        start,
-                        duration,
-                        wire_bits,
-                        corrupted,
-                        produced_at: payload.produced_at,
-                        tag: payload.tag,
-                    };
-                    let st = &mut self.stats[channel.index()];
-                    st.frames += 1;
-                    st.corrupted += u64::from(corrupted);
-                    st.busy += duration;
-                    st.occupied += self.config.minislot_duration() * used_ms;
-                    if self.tracer.is_enabled() {
-                        let ch = channel.index() as u8;
-                        self.tracer.emit(
-                            start,
-                            EventKind::MinislotFrame {
-                                channel: ch,
-                                slot_counter,
-                                minislot: ms,
-                                frame_id: u64::from(outcome.message),
-                                payload_bits: wire_bits,
-                                duration,
-                                corrupted,
-                            },
-                        );
-                        if corrupted {
-                            self.tracer.emit(
-                                start,
-                                EventKind::FaultHit {
-                                    channel: ch,
-                                    frame_id: u64::from(outcome.message),
-                                    in_burst: self.faults[channel.index()].in_burst(),
-                                },
-                            );
-                        }
-                    }
-                    source.on_outcome(&outcome);
-                    if self.record {
-                        self.outcomes.push(outcome);
-                    }
+                    self.stats[channel.index()].occupied +=
+                        self.config.minislot_duration() * used_ms;
                     ms += used_ms;
                 }
                 None => {
@@ -600,6 +501,74 @@ impl BusEngine {
             slot_counter += 1;
         }
         self.stats[channel.index()].idle_minislots += n_ms.saturating_sub(ms);
+    }
+
+    /// Puts `payload` on `channel`'s wire at `start`, in either segment:
+    /// looks up its wire time, draws the channel's fault, books the frame
+    /// in the channel's counters (all but its occupied time, which the
+    /// segment knows), traces it and reports its [`TransmissionOutcome`]
+    /// to `source`. Returns the frame's wire bits.
+    #[inline(always)]
+    fn transmit(
+        &mut self,
+        cycle: u64,
+        channel: ChannelId,
+        location: SlotLocation,
+        start: SimTime,
+        payload: OutboundPayload,
+        source: &mut dyn TrafficSource,
+    ) -> u64 {
+        let dynamic = matches!(location, SlotLocation::Dynamic { .. });
+        let (wire_bits, duration) = self.wire_time(payload.payload_bytes, dynamic);
+        let fault = &mut self.faults[channel.index()];
+        let corrupted = fault.corrupts(wire_bits as u32);
+        let st = &mut self.stats[channel.index()];
+        st.frames += 1;
+        st.corrupted += u64::from(corrupted);
+        st.busy += duration;
+        let (ch, frame_id) = (channel.index() as u8, u64::from(payload.message));
+        self.tracer.emit(start, || match location {
+            SlotLocation::Static { slot } => EventKind::SlotFrame {
+                channel: ch,
+                slot: u64::from(slot),
+                frame_id,
+                payload_bits: wire_bits,
+                duration,
+                corrupted,
+            },
+            SlotLocation::Dynamic {
+                slot_counter,
+                minislot,
+            } => EventKind::MinislotFrame {
+                channel: ch,
+                slot_counter,
+                minislot,
+                frame_id,
+                payload_bits: wire_bits,
+                duration,
+                corrupted,
+            },
+        });
+        if corrupted {
+            self.tracer.emit(start, || EventKind::FaultHit {
+                channel: ch,
+                frame_id,
+                in_burst: fault.in_burst(),
+            });
+        }
+        source.on_outcome(&TransmissionOutcome {
+            cycle,
+            channel,
+            location,
+            message: payload.message,
+            start,
+            duration,
+            wire_bits,
+            corrupted,
+            produced_at: payload.produced_at,
+            tag: payload.tag,
+        });
+        wire_bits
     }
 
     /// The wire bits and wire time of a frame of `payload_bytes` payload
@@ -713,12 +682,11 @@ mod tests {
     #[test]
     fn static_transmission_lands_in_its_slot() {
         let mut engine = BusEngine::new(config());
-        engine.record_outcomes(true);
         let mut src = Script::default();
         src.static_payloads
             .push((0, 2, ChannelId::A, payload(7, 8)));
         engine.run_cycle(0, &mut src);
-        let out = &engine.outcomes()[0];
+        let out = &src.outcomes[0];
         assert_eq!(out.message, 7);
         assert_eq!(out.location, SlotLocation::Static { slot: 2 });
         // Slot 2 starts at 60 MT; +1 MT action point.
@@ -734,13 +702,12 @@ mod tests {
     #[test]
     fn outcomes_echo_their_payload_tag() {
         // Distinct tags on both channels and in both segments, one of them
-        // on a corrupted frame: each outcome, as the source sees it and as
-        // the engine records it, carries the tag of its own payload.
+        // on a corrupted frame: each outcome the source sees carries the tag
+        // of its own payload, and every frame the engine counts reaches it.
         let mut engine = BusEngine::new(config()).with_faults(
             Box::new(BernoulliFaults::new(Ber::new(0.9).unwrap(), 1)),
             Box::new(NoFaults::new()),
         );
-        engine.record_outcomes(true);
         let tagged = |message: MessageId, tag: u64| OutboundPayload {
             tag,
             ..payload(message, 8)
@@ -763,20 +730,23 @@ mod tests {
             tags,
             [(1, 0xA1), (4, 1 << 40), (2, u64::MAX), (3, 7), (5, 0)]
         );
-        assert_eq!(engine.outcomes(), &src.outcomes[..]);
+        let frames: u64 = ChannelId::BOTH
+            .map(|ch| engine.stats(ch).frames)
+            .iter()
+            .sum();
+        assert_eq!(src.outcomes.len() as u64, frames);
         assert!(src.outcomes.iter().any(|o| o.corrupted));
     }
 
     #[test]
     fn dynamic_transmission_consumes_minislots() {
         let mut engine = BusEngine::new(config());
-        engine.record_outcomes(true);
         let mut src = Script::default();
         // Dynamic slot counter starts at 5 (4 static slots).
         src.dynamic_payloads
             .push((0, ChannelId::A, 7, payload(42, 16)));
         engine.run_cycle(0, &mut src);
-        let out = &engine.outcomes()[0];
+        let out = &src.outcomes[0];
         match out.location {
             SlotLocation::Dynamic {
                 slot_counter,
@@ -800,7 +770,6 @@ mod tests {
     #[test]
     fn lower_dynamic_slot_counter_transmits_first() {
         let mut engine = BusEngine::new(config());
-        engine.record_outcomes(true);
         let mut src = Script::default();
         // Staged in the opposite order: the minislot count decides.
         src.dynamic_payloads
@@ -808,8 +777,8 @@ mod tests {
         src.dynamic_payloads
             .push((0, ChannelId::A, 6, payload(201, 4)));
         engine.run_cycle(0, &mut src);
-        let order: Vec<(MessageId, SlotLocation)> = engine
-            .outcomes()
+        let order: Vec<(MessageId, SlotLocation)> = src
+            .outcomes
             .iter()
             .map(|o| (o.message, o.location))
             .collect();
@@ -847,13 +816,12 @@ mod tests {
             .build()
             .unwrap();
         let mut engine = BusEngine::new(cfg);
-        engine.record_outcomes(true);
         let mut src = Script::default();
         // Would match at minislot 4 (slot counter 9) — after pLatestTx 3.
         src.dynamic_payloads
             .push((0, ChannelId::A, 9, payload(1, 2)));
         engine.run_cycle(0, &mut src);
-        assert!(engine.outcomes().is_empty(), "late start must be blocked");
+        assert!(src.outcomes.is_empty(), "late start must be blocked");
         assert_eq!(engine.stats(ChannelId::A).frames, 0);
     }
 
@@ -865,12 +833,11 @@ mod tests {
             Box::new(BernoulliFaults::new(ber, 1)),
             Box::new(BernoulliFaults::new(ber, 2)),
         );
-        engine.record_outcomes(true);
         let mut src = Script::default();
         src.static_payloads
             .push((0, 1, ChannelId::A, payload(1, 8)));
         engine.run_cycle(0, &mut src);
-        let out = &engine.outcomes()[0];
+        let out = &src.outcomes[0];
         assert!(out.corrupted);
         let st = engine.stats(ChannelId::A);
         assert_eq!(st.corrupted, 1);
@@ -882,7 +849,6 @@ mod tests {
     #[test]
     fn channels_are_independent_and_both_polled() {
         let mut engine = BusEngine::new(config());
-        engine.record_outcomes(true);
         let mut src = Script::default();
         src.static_payloads
             .push((0, 1, ChannelId::A, payload(1, 2)));
@@ -893,11 +859,11 @@ mod tests {
             src.static_payloads.push((0, 2, ch, payload(3, 2)));
         }
         engine.run_cycle(0, &mut src);
-        assert_eq!(engine.outcomes().len(), 4);
+        assert_eq!(src.outcomes.len(), 4);
         assert_eq!(engine.stats(ChannelId::A).frames, 2);
         assert_eq!(engine.stats(ChannelId::B).frames, 2);
-        let copies: Vec<ChannelId> = engine
-            .outcomes()
+        let copies: Vec<ChannelId> = src
+            .outcomes
             .iter()
             .filter(|o| o.message == 3)
             .map(|o| o.channel)
@@ -1074,12 +1040,10 @@ mod tests {
     ) -> (u64, u64) {
         let run = |source: &mut dyn TrafficSource| {
             let mut engine = BusEngine::new(cfg.clone());
-            engine.record_outcomes(true);
             for cycle in 0..cycles {
                 engine.run_cycle(cycle, source);
             }
-            let stats = ChannelId::BOTH.map(|ch| *engine.stats(ch));
-            (engine.outcomes().to_vec(), stats)
+            ChannelId::BOTH.map(|ch| *engine.stats(ch))
         };
         let mut hinted = Hinted {
             script: Script {
@@ -1094,12 +1058,12 @@ mod tests {
         assert_eq!(want, skipped);
         // Every static slot is either a frame or idle.
         for ch in ChannelId::BOTH {
-            let frames = want
-                .0
+            let frames = every
+                .outcomes
                 .iter()
                 .filter(|o| o.channel == ch && matches!(o.location, SlotLocation::Static { .. }))
                 .count() as u64;
-            let idle = want.1[ch.index()].idle_static_slots;
+            let idle = want[ch.index()].idle_static_slots;
             assert_eq!(frames + idle, cycles * cfg.static_slot_count());
         }
         assert_eq!(every.outcomes, hinted.script.outcomes);

@@ -13,11 +13,13 @@
 //!
 //! Design contract:
 //!
-//! * **Zero-cost when disabled.** A disabled [`Tracer`] is a `None`; every
-//!   emit site guards on [`Tracer::is_enabled`], so the untraced path adds
-//!   one predictable branch and allocates nothing. Enabling tracing must
-//!   never change simulation behaviour — traces observe, they do not
-//!   perturb, so run fingerprints are identical with tracing on or off.
+//! * **Zero-cost when disabled.** A disabled [`Tracer`] is a `None`, and
+//!   [`Tracer::emit`] takes the event as a closure: the closure is the
+//!   guard, called only when the tracer is enabled, so the untraced path
+//!   adds one predictable branch per emit site and builds nothing.
+//!   Enabling tracing must never change simulation behaviour — traces
+//!   observe, they do not perturb, so run fingerprints are identical with
+//!   tracing on or off.
 //! * **Bounded overhead when enabled.** The ring has a fixed capacity:
 //!   old events are dropped (and counted) rather than growing memory
 //!   without bound. A run is single-threaded, so an emit takes no lock.
@@ -30,9 +32,7 @@
 //! use observe::{EventKind, Tracer};
 //!
 //! let tracer = Tracer::ring(16);
-//! if tracer.is_enabled() {
-//!     tracer.emit(SimTime::from_micros(5), EventKind::CycleStart { cycle: 0 });
-//! }
+//! tracer.emit(SimTime::from_micros(5), || EventKind::CycleStart { cycle: 0 });
 //! let log = tracer.take_log().expect("an enabled tracer has a log");
 //! assert_eq!(log.events.len(), 1);
 //! ```

@@ -37,11 +37,11 @@ impl Ring {
 /// clones of it, and the run drains the shared ring with
 /// [`take_log`](Self::take_log).
 ///
-/// A disabled tracer holds no ring: [`Tracer::is_enabled`] is a single
-/// branch and [`Tracer::emit`] does nothing, so the untraced hot path
-/// stays byte-identical. An enabled tracer shares its ring behind
-/// `Rc<RefCell<_>>`: a run is built and stepped on one thread, so an
-/// emit takes no lock. The handle is therefore `!Send`, and so is every
+/// A disabled tracer holds no ring: [`Tracer::emit`] is a single branch
+/// that never calls its event closure, so the untraced hot path builds
+/// no event and stays byte-identical. An enabled tracer shares its ring
+/// behind `Rc<RefCell<_>>`: a run is built and stepped on one thread, so
+/// an emit takes no lock. The handle is therefore `!Send`, and so is every
 /// component holding one.
 #[derive(Clone, Default)]
 pub struct Tracer(Option<Rc<RefCell<Ring>>>);
@@ -74,15 +74,18 @@ impl Tracer {
         }))))
     }
 
-    /// Whether emits reach a ring. Emit sites should guard event
-    /// construction on this so disabled runs allocate nothing.
+    /// Whether emits reach a ring.
     pub fn is_enabled(&self) -> bool {
         self.0.is_some()
     }
 
-    /// Records one event (no-op when disabled).
-    pub fn emit(&self, at: SimTime, kind: EventKind) {
+    /// Records the event `kind` builds, stamped `at`. The closure is the
+    /// guard: a disabled tracer never calls it, so an emit site builds
+    /// (and allocates) nothing on an untraced run.
+    #[inline]
+    pub fn emit(&self, at: SimTime, kind: impl FnOnce() -> EventKind) {
         if let Some(ring) = &self.0 {
+            let kind = kind();
             ring.borrow_mut().record(TraceEvent { at, kind });
         }
     }
@@ -107,7 +110,9 @@ mod tests {
 
     fn emit_cycles(tracer: &Tracer, cycles: std::ops::Range<u64>) {
         for n in cycles {
-            tracer.emit(SimTime::from_nanos(n), EventKind::CycleStart { cycle: n });
+            tracer.emit(SimTime::from_nanos(n), || EventKind::CycleStart {
+                cycle: n,
+            });
         }
     }
 
@@ -145,6 +150,40 @@ mod tests {
         emit_cycles(&tracer, 9..10); // must not panic
         assert_eq!(tracer.take_log(), None);
         assert_eq!(format!("{tracer:?}"), r#"Tracer("disabled")"#);
+    }
+
+    #[test]
+    fn a_disabled_tracer_never_builds_the_event() {
+        let tracer = Tracer::disabled();
+        for n in 0..3 {
+            tracer.emit(SimTime::from_nanos(n), || {
+                panic!("a disabled tracer must not call the event closure")
+            });
+        }
+        assert_eq!(tracer.take_log(), None);
+    }
+
+    #[test]
+    fn an_enabled_tracer_builds_each_event_once_in_emission_order() {
+        let tracer = Tracer::ring(8);
+        let calls = std::cell::Cell::new(0);
+        for (emitted, n) in [5, 2, 9].into_iter().enumerate() {
+            tracer.emit(SimTime::from_nanos(n), || {
+                calls.set(calls.get() + 1);
+                EventKind::CycleStart { cycle: n }
+            });
+            assert_eq!(calls.get(), emitted + 1, "one closure call per emit");
+        }
+        let log = tracer.take_log().unwrap();
+        let order: Vec<(u64, EventKind)> = log
+            .events
+            .into_iter()
+            .map(|e| (e.at.as_nanos(), e.kind))
+            .collect();
+        assert_eq!(
+            order,
+            [5, 2, 9].map(|n| (n, EventKind::CycleStart { cycle: n }))
+        );
     }
 
     #[test]

@@ -315,16 +315,12 @@ impl ReliabilityMonitor {
         self.state = next;
         self.downgrade_streak = 0;
         self.counters.transitions += 1;
-        if self.tracer.is_enabled() {
-            self.tracer.emit(
-                self.trace_now,
-                EventKind::HealthTransition {
-                    scope: self.trace_scope,
-                    from: prev.as_u8(),
-                    to: next.as_u8(),
-                },
-            );
-        }
+        self.tracer
+            .emit(self.trace_now, || EventKind::HealthTransition {
+                scope: self.trace_scope,
+                from: prev.as_u8(),
+                to: next.as_u8(),
+            });
         if next == HealthState::Storm {
             self.counters.storm_entries += 1;
         }
@@ -341,12 +337,6 @@ impl ReliabilityMonitor {
     /// The smoothed per-frame fault rate.
     pub fn ewma_fault_rate(&self) -> f64 {
         self.ewma
-    }
-
-    /// The achieved per-frame delivery rate (`1 −` the fault EWMA) —
-    /// compare against the plan's per-transmission success assumption.
-    pub fn achieved_delivery_rate(&self) -> f64 {
-        1.0 - self.ewma
     }
 
     /// Cumulative window/transition statistics.
@@ -391,7 +381,6 @@ mod tests {
         assert_eq!(m.counters().windows, 100);
         assert_eq!(m.counters().transitions, 0);
         assert_eq!(m.ewma_fault_rate(), 0.0);
-        assert_eq!(m.achieved_delivery_rate(), 1.0);
     }
 
     #[test]

@@ -91,15 +91,6 @@ impl RetransmissionPlan {
             .map(|(m, &k)| u64::from(k) * u64::from(m.size_bits) * m.instances_per_unit(self.unit))
             .sum()
     }
-
-    /// Messages with at least one planned retransmission, i.e. the
-    /// *selected* set that the slack stealer must find room for.
-    pub fn retransmitted_messages(&self) -> impl Iterator<Item = (&MessageReliability, u32)> {
-        self.msgs
-            .iter()
-            .zip(self.ks.iter().copied())
-            .filter(|&(_, k)| k > 0)
-    }
 }
 
 /// Builder/optimizer producing [`RetransmissionPlan`]s.
@@ -377,7 +368,6 @@ mod tests {
         let planner = RetransmissionPlanner::new(msgs_with_ber(1e-7)).unit(SEC);
         let plan = planner.uniform(2);
         assert!(plan.retransmission_counts().iter().all(|&k| k == 2));
-        assert_eq!(plan.retransmitted_messages().count(), 4);
     }
 
     #[test]
