@@ -58,6 +58,7 @@ use bench_harness::experiments::{
     fig5_miss_ratio, fig_running_time, verify_reproduction, Segment,
 };
 use std::path::Path;
+use std::time::{Duration, Instant};
 
 use bench_harness::backbone::{backbone_report_json, check_matrix as check_backbone_matrix};
 use bench_harness::chaos::{self, ChaosContract};
@@ -180,9 +181,7 @@ static SUBCOMMANDS: [Command; 11] = [
             (Text, "--campaign --scenario"),
             (Texts, "--policy --require"),
             (Number, "--seed"),
-            (Count, "--horizon-cycles"),
-            (Number, "--recovery-budget --hard-miss-budget"),
-            (Count, "--threads"),
+            (Count, "--horizon-cycles --threads"),
             (Text, "--out"),
         ]],
     },
@@ -1077,17 +1076,13 @@ fn run_trace_overhead(flags: &Flags) {
              untraced {untraced_fp:016x} — tracing perturbed the run"
         ))
     }
-    let untraced = bench_harness::timing::bench("trace-overhead/untraced", iters, || {
-        run_config(untraced_cfg.clone())
-    });
-    let traced = bench_harness::timing::bench("trace-overhead/traced", iters, || {
-        run_config(traced_cfg.clone())
-    });
-    let ratio = traced.min.as_secs_f64() / untraced.min.as_secs_f64();
+    let untraced = best_run_time(&untraced_cfg, iters).as_secs_f64();
+    let traced = best_run_time(&traced_cfg, iters).as_secs_f64();
+    let ratio = traced / untraced;
     // Per emitted event, so a failure shows whether the cost per event
     // or the host moved.
     let emitted = log.events.len() as u64 + log.dropped;
-    let gap_ns = (traced.min.as_secs_f64() - untraced.min.as_secs_f64()) * 1e9;
+    let gap_ns = (traced - untraced) * 1e9;
     println!(
         "trace-overhead: cell {},{},{} — untraced best {:.3} ms, traced best {:.3} ms \
          (ring {capacity}, sample_every {sample_every}): {:+.2}% (gate < {:.0}%); \
@@ -1095,8 +1090,8 @@ fn run_trace_overhead(flags: &Flags) {
         coord.policy,
         coord.scenario,
         coord.seed,
-        untraced.min.as_secs_f64() * 1e3,
-        traced.min.as_secs_f64() * 1e3,
+        untraced * 1e3,
+        traced * 1e3,
         (ratio - 1.0) * 100.0,
         TRACE_OVERHEAD_TOLERANCE * 100.0,
         log.events.len(),
@@ -1111,6 +1106,22 @@ fn run_trace_overhead(flags: &Flags) {
             TRACE_OVERHEAD_TOLERANCE * 100.0,
         ))
     }
+}
+
+/// The fastest of `iters` timed runs of `cfg`, after one untimed
+/// warm-up run. Each report is dropped after the clock stops.
+fn best_run_time(cfg: &coefficient::RunConfig, iters: u64) -> Duration {
+    let _warmup = run_config(cfg.clone());
+    (0..iters)
+        .map(|_| {
+            let start = Instant::now();
+            let report = run_config(cfg.clone());
+            let elapsed = start.elapsed();
+            drop(report);
+            elapsed
+        })
+        .min()
+        .expect("--iters is at least 1")
 }
 
 fn run_determinism(flags: &Flags) {
@@ -1259,13 +1270,7 @@ fn run_chaos(flags: &Flags) {
         ));
     }
     let threads = flags.number("--threads").unwrap_or(1);
-    let mut contract = ChaosContract::default();
-    if let Some(v) = flags.number("--recovery-budget") {
-        contract.recovery_budget_cycles = v;
-    }
-    if let Some(v) = flags.number("--hard-miss-budget") {
-        contract.hard_miss_budget = v;
-    }
+    let contract = ChaosContract::default();
     let policies = parse_all(flags, "--policy", registry::resolve, registry::ALL.to_vec());
     let required = parse_all(flags, "--require", registry::resolve, Vec::new());
     if let Some(req) = required.iter().find(|req| !policies.contains(req)) {

@@ -121,6 +121,8 @@ pub fn chaos_scenario(base: Scenario, campaign_name: &str, spec: CampaignSpec) -
 }
 
 /// The declarative recovery contract a chaos run is checked against.
+/// `experiments chaos` checks every run against the
+/// [`default`](Self::default) budgets; no flag widens them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChaosContract {
     /// Maximum cycles between a fault window clearing and the effective

@@ -19,7 +19,6 @@ pub mod golden;
 pub mod json;
 pub mod sweep;
 pub mod table;
-pub mod timing;
 pub mod trace;
 
 pub use experiments::*;

@@ -1,5 +1,4 @@
-//! Bench-side sweep layer: matrix builders, JSON reports and the
-//! serial-vs-parallel speedup measurement.
+//! Bench-side sweep layer: matrix builders and JSON reports.
 //!
 //! The core harness ([`coefficient::sweep`]) executes a
 //! `{policy × scenario × seed}` matrix and guarantees determinism; this
@@ -8,14 +7,9 @@
 //! * [`SweepSpec`] — the CLI-facing description of a sweep (parsed from
 //!   `experiments sweep` flags) and its [`build_matrix`](SweepSpec::build_matrix);
 //! * [`sweep_report_json`] — the stable JSON schema of a sweep result
-//!   (see `README.md`, "Running sweeps");
-//! * [`measure_speedup`] — times the same matrix serially and in
-//!   parallel, checks the fingerprints agree, and reports the ratio.
-
-use std::time::Duration;
+//!   (see `README.md`, "Running sweeps").
 
 use coefficient::registry::lookup;
-use coefficient::sweep::default_threads;
 use coefficient::{
     CellOutcome, GroupSummary, Named, PolicyRef, Scenario, SchedulerError, SeedStrategy,
     StopCondition, SweepMatrix, SweepReport, SweepRunner, UnknownName, COEFFICIENT, FSPEC,
@@ -232,10 +226,6 @@ fn hex64(v: u64) -> Json {
     Json::String(format!("{v:016x}"))
 }
 
-fn duration_ms(d: Duration) -> Json {
-    Json::Float(d.as_secs_f64() * 1e3)
-}
-
 /// JSON form of an [`AggregateSummary`].
 pub fn summary_json(s: &AggregateSummary) -> Json {
     Json::object([
@@ -307,96 +297,19 @@ pub fn sweep_report_json(report: &SweepReport) -> Json {
     Json::object([
         ("schema", Json::str("coefficient-sweep/1")),
         ("threads", Json::from(report.threads)),
-        ("wall_clock_ms", duration_ms(report.wall_clock)),
+        (
+            "wall_clock_ms",
+            Json::Float(report.wall_clock.as_secs_f64() * 1e3),
+        ),
         ("fingerprint", hex64(report.fingerprint())),
         ("cells", Json::array(report.cells.iter().map(cell_json))),
         ("groups", Json::array(report.groups.iter().map(group_json))),
     ])
 }
 
-/// Result of [`measure_speedup`].
-#[derive(Debug, Clone)]
-pub struct SpeedupReport {
-    /// Cells in the measured matrix.
-    pub cells: usize,
-    /// Worker threads of the parallel run.
-    pub threads: usize,
-    /// Serial (1-thread) wall clock.
-    pub serial: Duration,
-    /// Parallel wall clock.
-    pub parallel: Duration,
-    /// `serial / parallel`.
-    pub speedup: f64,
-    /// Whether the serial and parallel sweep fingerprints agree (they
-    /// must; a mismatch means the determinism contract is broken).
-    pub fingerprints_equal: bool,
-    /// The (shared) sweep fingerprint.
-    pub fingerprint: u64,
-}
-
-impl SpeedupReport {
-    /// JSON form (`schema: "coefficient-sweep-speedup/1"`).
-    pub fn to_json(&self) -> Json {
-        Json::object([
-            ("schema", Json::str("coefficient-sweep-speedup/1")),
-            ("cells", Json::from(self.cells)),
-            ("threads", Json::from(self.threads)),
-            ("serial_ms", duration_ms(self.serial)),
-            ("parallel_ms", duration_ms(self.parallel)),
-            ("speedup", Json::from(self.speedup)),
-            ("fingerprints_equal", Json::from(self.fingerprints_equal)),
-            ("fingerprint", hex64(self.fingerprint)),
-        ])
-    }
-}
-
-/// Runs the same matrix serially and with `threads` workers, verifying
-/// the determinism contract and measuring the wall-clock ratio.
-///
-/// # Errors
-/// Returns [`SchedulerError`] if a cell is unschedulable.
-pub fn measure_speedup(spec: &SweepSpec, threads: usize) -> Result<SpeedupReport, SchedulerError> {
-    let matrix = spec.build_matrix();
-    let serial = SweepRunner::new(matrix.clone()).threads(1).run()?;
-    let parallel = SweepRunner::new(matrix).threads(threads).run()?;
-    Ok(SpeedupReport {
-        cells: serial.cells.len(),
-        threads: parallel.threads,
-        serial: serial.wall_clock,
-        parallel: parallel.wall_clock,
-        speedup: serial.wall_clock.as_secs_f64() / parallel.wall_clock.as_secs_f64().max(1e-9),
-        fingerprints_equal: serial.fingerprint() == parallel.fingerprint(),
-        fingerprint: serial.fingerprint(),
-    })
-}
-
-/// The spec of the acceptance benchmark: a 32-cell sweep
-/// (2 policies × 2 scenarios × 8 seeds) on the default geometry, run with
-/// up to 4 worker threads.
-pub fn speedup_benchmark_spec() -> SweepSpec {
-    SweepSpec {
-        seeds: 8,
-        horizon_ms: 500,
-        ..SweepSpec::default()
-    }
-}
-
-/// Worker-thread count of the acceptance benchmark (≤ 4, so the claimed
-/// speedup is what a 4-core machine reproduces).
-pub fn speedup_benchmark_threads() -> usize {
-    default_threads().clamp(2, 4)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_spec_is_a_32_cell_matrix() {
-        let spec = speedup_benchmark_spec();
-        let matrix = spec.build_matrix();
-        assert_eq!(matrix.cell_count(), 32);
-    }
 
     #[test]
     fn sweep_json_has_the_documented_shape() {
@@ -414,19 +327,5 @@ mod tests {
         assert!(json.contains(r#""cells":[{"policy":"CoEfficient""#));
         assert!(json.contains(r#""groups":[{"policy":"CoEfficient""#));
         assert!(json.contains(r#""fingerprint":"#));
-    }
-
-    #[test]
-    fn speedup_keeps_fingerprints_equal() {
-        let spec = SweepSpec {
-            seeds: 2,
-            horizon_ms: 20,
-            scenarios: vec![Scenario::ber7()],
-            ..SweepSpec::default()
-        };
-        let report = measure_speedup(&spec, 2).unwrap();
-        assert!(report.fingerprints_equal);
-        assert_eq!(report.cells, 4);
-        assert!(report.speedup > 0.0);
     }
 }

@@ -496,8 +496,9 @@ fn inputs_that_used_to_panic_exit_2_naming_the_flag() {
 fn malformed_arguments_exit_2_before_anything_runs() {
     // Each of these used to run: a positional word was ignored (`cycles
     // smoke` ran the full matrix), a second `--seeds` was silently
-    // dropped and `trace --golden` ignored the sweep flags. Both perf
-    // gates' bounds are constants: `--tolerance` is an unknown flag.
+    // dropped and `trace --golden` ignored the sweep flags. Every gate's
+    // bounds are constants: `--tolerance` of both perf gates and the
+    // chaos contract's two budget flags are unknown flags.
     let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/../../corpus/golden.json");
     let golden = |flag: &'static [&'static str]| -> Vec<&'static str> {
         let mut args = vec!["trace", "--golden", "--cell", "0,2,1"];
@@ -518,7 +519,7 @@ fn malformed_arguments_exit_2_before_anything_runs() {
         .into_iter()
         .map(|flag| (golden(flag), flag[0]))
         .collect();
-    let cases: [(&[&str], &str); 9] = [
+    let cases: [(&[&str], &str); 11] = [
         (&["cycles", "smoke"], "\"smoke\""),
         (&["storm-smoke", "5"], "\"5\""),
         (&["replay", "ber7", "--cell", "0,0,0"], "\"ber7\""),
@@ -533,6 +534,16 @@ fn malformed_arguments_exit_2_before_anything_runs() {
         (
             &["cycles", "--tolerance", "0.5"],
             "unknown flag \"--tolerance\"",
+        ),
+        (
+            &["chaos", "--recovery-budget", "5"],
+            "unknown flag \"--recovery-budget\" (valid: --campaign, --scenario, --policy, \
+             --require, --seed, --horizon-cycles, --threads, --out)",
+        ),
+        (
+            &["chaos", "--hard-miss-budget", "5"],
+            "unknown flag \"--hard-miss-budget\" (valid: --campaign, --scenario, --policy, \
+             --require, --seed, --horizon-cycles, --threads, --out)",
         ),
         (
             &["sweep", "--seeds", "1", "--seeds", "2", "--horizon-ms", "8"],

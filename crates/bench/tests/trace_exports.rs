@@ -7,8 +7,8 @@
 
 use bench_harness::golden::golden_spec;
 use bench_harness::json::Json;
-use bench_harness::trace::{chrome_json, counter_names, trace_log_json};
-use coefficient::SweepRunner;
+use bench_harness::trace::{chrome_json, counter_names, trace_log_json, validate_trace};
+use coefficient::{CellOutcome, SweepRunner};
 use event_sim::{SimDuration, SimTime};
 use observe::{EventKind, TraceEvent, TraceLog};
 
@@ -148,12 +148,32 @@ fn chrome_entries(text: &str) -> Vec<Json> {
         .to_vec()
 }
 
+/// The first golden cell, whose coordinates head the recorded document.
+fn golden_cell() -> CellOutcome {
+    let matrix = golden_spec().build_matrix();
+    SweepRunner::new(matrix.clone())
+        .replay(matrix.coords()[0])
+        .expect("golden cell is schedulable")
+}
+
+/// The fields of event `index` of a `coefficient-trace/1` document.
+fn event_fields(doc: &mut Json, index: usize) -> &mut Vec<(String, Json)> {
+    let Json::Object(pairs) = doc else {
+        panic!("the document is an object")
+    };
+    let events = pairs.iter_mut().find(|(key, _)| key == "events");
+    let Some((_, Json::Array(events))) = events else {
+        panic!("the document has an events array")
+    };
+    let Json::Object(fields) = &mut events[index] else {
+        panic!("event {index} is an object")
+    };
+    fields
+}
+
 #[test]
 fn every_kind_exports_match_the_recorded_text() {
-    let matrix = golden_spec().build_matrix();
-    let cell = SweepRunner::new(matrix.clone())
-        .replay(matrix.coords()[0])
-        .expect("golden cell is schedulable");
+    let cell = golden_cell();
     let log = every_kind_log();
     assert_eq!(
         trace_log_json(&cell, &log).to_string() + "\n",
@@ -230,4 +250,57 @@ fn counter_values_beyond_the_run_counters_get_positional_names() {
         capacity: 1,
     };
     assert!(chrome_json(&log).contains(&format!("\"name\":\"counter_{extra}\"")));
+}
+
+#[test]
+fn the_every_kind_document_passes_the_validator() {
+    let log = every_kind_log();
+    let doc = trace_log_json(&golden_cell(), &log);
+    assert_eq!(validate_trace(&doc), Ok(log.events.len()));
+    let events = doc.get("events").and_then(Json::as_array).unwrap();
+    let mut types: Vec<&str> = events
+        .iter()
+        .map(|e| e.get("type").and_then(Json::as_str).unwrap())
+        .collect();
+    types.sort_unstable();
+    types.dedup();
+    assert_eq!(types.len(), 15, "one event of every type: {types:?}");
+}
+
+#[test]
+fn a_missing_or_mistyped_event_field_is_named() {
+    let doc = trace_log_json(&golden_cell(), &every_kind_log());
+    let events = doc.get("events").and_then(Json::as_array).unwrap();
+    let mut checked = 0;
+    for (index, event) in events.iter().enumerate() {
+        let Json::Object(fields) = event else {
+            panic!("event {index} is an object")
+        };
+        for (field, value) in fields {
+            let mut missing = doc.clone();
+            event_fields(&mut missing, index).retain(|(key, _)| key != field);
+            let mut defects = vec![("removed", missing)];
+            if let Json::Bool(flag) = value {
+                let mut mistyped = doc.clone();
+                for (key, value) in event_fields(&mut mistyped, index).iter_mut() {
+                    if key == field {
+                        *value = Json::UInt(u64::from(*flag));
+                    }
+                }
+                defects.push(("made an integer", mistyped));
+            }
+            for (defect, bad) in defects {
+                let err = validate_trace(&bad)
+                    .expect_err(&format!("event {index}: {field} {defect} still validates"));
+                assert!(
+                    err.starts_with(&format!("event {index}: "))
+                        && err.contains(&format!("\"{field}\"")),
+                    "event {index}: {field} {defect}: {err}"
+                );
+                checked += 1;
+            }
+        }
+    }
+    // The 97 fields of the 18 events, plus their five bool fields mistyped.
+    assert_eq!(checked, 102);
 }

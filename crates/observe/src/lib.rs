@@ -103,11 +103,6 @@ impl TraceConfig {
         self.counter_sample_every = cycles;
         self
     }
-
-    /// Whether any events will be recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.mode != TraceMode::Off
-    }
 }
 
 #[cfg(test)]
@@ -119,7 +114,6 @@ mod tests {
         let cfg = TraceConfig::default();
         assert_eq!(cfg.mode, TraceMode::Off);
         assert_eq!(cfg.counter_sample_every, 0);
-        assert!(!cfg.is_enabled());
     }
 
     #[test]
@@ -127,6 +121,6 @@ mod tests {
         let cfg = TraceConfig::ring(1024).sample_every(10);
         assert_eq!(cfg.mode, TraceMode::Ring { capacity: 1024 });
         assert_eq!(cfg.counter_sample_every, 10);
-        assert!(cfg.is_enabled());
+        assert_ne!(cfg.mode, TraceMode::Off);
     }
 }

@@ -112,7 +112,6 @@ fn default_config_disables_tracing_and_records_no_log() {
         seed: 0,
     });
     assert_eq!(cfg.trace.mode, TraceMode::Off);
-    assert!(!cfg.trace.is_enabled());
     let report = coefficient::Runner::new(cfg)
         .expect("cell is schedulable")
         .run();
