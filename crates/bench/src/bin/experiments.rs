@@ -206,8 +206,7 @@ static SUBCOMMANDS: [Command; 11] = [
             (Number, "--seed"),
             (Count, "--threads --shard-size --horizon-ms"),
             (Number, "--minislots"),
-            (Text, "--out --bench-out --stats-file --stats-socket"),
-            (Number, "--stats-every-ms"),
+            (Text, "--out --bench-out"),
             (Switch, "--smoke"),
         ]],
     },
@@ -459,6 +458,20 @@ fn usage_error(message: impl std::fmt::Display) -> ! {
 fn fail(message: impl std::fmt::Display) -> ! {
     eprintln!("{message}");
     std::process::exit(1);
+}
+
+/// Exits 2 unless the gate's reference file `path` exists. A reference
+/// recorded from the build under test would pass trivially, so a missing
+/// one gets no re-record advice: the message names where it was looked
+/// for and the flag that points at the checked-in file.
+fn require_reference(what: &str, path: &str, flag: &str) {
+    if !Path::new(path).exists() {
+        let resolved = std::env::current_dir().map_or_else(|_| path.into(), |dir| dir.join(path));
+        usage_error(format!(
+            "no {what} at {} (pass the checked-in one with {flag} PATH)",
+            resolved.display()
+        ))
+    }
 }
 
 /// Writes `contents` to `path`, failing the run if it cannot.
@@ -755,15 +768,8 @@ fn run_golden(flags: &Flags) {
         }
         ["verify"] => {
             let path = flags.text("--corpus").unwrap_or(DEFAULT_CORPUS_PATH);
-            let file = load_corpus(Path::new(path)).unwrap_or_else(|e| {
-                eprintln!("{e}");
-                // Re-recording is the advice for a missing file only, never
-                // for a defective one the user would overwrite.
-                if !Path::new(path).exists() {
-                    eprintln!("(record one with: experiments golden record --out {path})");
-                }
-                std::process::exit(2);
-            });
+            require_reference("golden corpus", path, "--corpus");
+            let file = load_corpus(Path::new(path)).unwrap_or_else(|e| usage_error(e));
             let report = verify_corpus(&file)
                 .unwrap_or_else(|e| fail(format!("golden verify could not replay: {e}")));
             print!("{report}");
@@ -796,11 +802,9 @@ fn run_golden(flags: &Flags) {
 fn run_cycles(flags: &Flags) {
     // A malformed baseline exits 2 before the matrix runs.
     let baseline = flags.text("--baseline").map(|path| {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read baseline {path}: {e}");
-            eprintln!("(record one with: experiments cycles --smoke --out {path})");
-            std::process::exit(2);
-        });
+        require_reference("cycles baseline", path, "--baseline");
+        let text = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| usage_error(format!("cannot read baseline {path}: {e}")));
         let baseline = Json::parse(&text)
             .map_err(|e| e.to_string())
             .and_then(|doc| cycles_from_json(&doc))
@@ -900,14 +904,6 @@ fn run_fleet(flags: &Flags) {
     spec.policies = parse_all(flags, "--policy", registry::resolve, spec.policies);
     let threads = flags.number("--threads").unwrap_or(1);
 
-    let stats = fleet::StatsConfig {
-        file: flags.text("--stats-file").map(Into::into),
-        socket: flags.text("--stats-socket").map(Into::into),
-        every: flags
-            .number("--stats-every-ms")
-            .map(std::time::Duration::from_millis),
-    };
-
     println!(
         "fleet: {} vehicles, env {}, seed {}, {} polic{}, {} shards x {}, {} threads",
         spec.vehicles,
@@ -921,7 +917,7 @@ fn run_fleet(flags: &Flags) {
     );
 
     let calibration = fleet_bench::fleet_calibration();
-    let run = fleet::stats::run_with_stats(&spec, threads, &stats);
+    let run = fleet::exec::run(&spec, threads);
 
     println!(
         "fleet: done in {:.1}s ({:.0} vehicles/s), digest {:016x}, \

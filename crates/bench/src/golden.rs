@@ -19,8 +19,8 @@ use std::path::Path;
 
 use coefficient::golden::{GoldenGroup, CELL_METRICS, GROUP_METRICS, SCHEMA};
 use coefficient::{
-    CellCoord, GoldenCell, GoldenCorpus, RunCounters, Scenario, SchedulerError, SeedStrategy,
-    Tolerances, VerifyReport,
+    CellCoord, GoldenCell, GoldenCorpus, Scenario, SchedulerError, SeedStrategy, Tolerances,
+    VerifyReport,
 };
 
 use backbone::{run_cell, run_matrix, ALL_RESERVATIONS};
@@ -68,8 +68,8 @@ pub struct CorpusFile {
     pub spec: SweepSpec,
     /// The recorded cells, groups and tolerances.
     pub corpus: GoldenCorpus,
-    /// The recorded end-to-end backbone cells (empty in corpora from
-    /// before the gateway subsystem existed).
+    /// The recorded end-to-end backbone cells (a corpus file must hold
+    /// at least one).
     pub backbone: Vec<BackboneGoldenCell>,
 }
 
@@ -356,18 +356,14 @@ pub fn corpus_from_json(doc: &Json) -> Result<CorpusFile, CorpusError> {
         .iter()
         .map(group_from_json)
         .collect::<Result<Vec<_>, _>>()?;
-    // The backbone cells joined the schema after the first corpora were
-    // recorded; an absent key means the gateway subsystem did not exist
-    // yet, so an empty list is the faithful value.
-    let backbone = match doc.get("backbone") {
-        None => Vec::new(),
-        Some(v) => v
-            .as_array()
-            .ok_or_else(|| CorpusError::new("\"backbone\" is not an array"))?
-            .iter()
-            .map(backbone_cell_from_json)
-            .collect::<Result<Vec<_>, _>>()?,
-    };
+    // A corpus without backbone cells would gate only the sweep half.
+    let backbone = want_array(doc, "backbone")?
+        .iter()
+        .map(backbone_cell_from_json)
+        .collect::<Result<Vec<_>, _>>()?;
+    if backbone.is_empty() {
+        return Err(CorpusError::new("\"backbone\" holds no cells"));
+    }
     Ok(CorpusFile {
         spec,
         corpus: GoldenCorpus {
@@ -458,16 +454,8 @@ fn cell_from_json(doc: &Json) -> Result<GoldenCell, CorpusError> {
         scenario: want_str(doc, "scenario")?.to_string(),
         seed: want_u64(doc, "seed")?,
         fingerprint,
-        metrics: values(CELL_METRICS.map(|m| m.name), |_, name| {
-            want_f64(metrics, name)
-        })?,
-        counters: values(counter_names(), |i, name| match counters.get(name) {
-            // The counters after the first recorded schema joined it later;
-            // a corpus from before then never engaged their subsystems, so
-            // an absent one reads as zero. A present one must still parse.
-            None if i >= RunCounters::BASELINE => Ok(0),
-            _ => want_u64(counters, name),
-        })?,
+        metrics: values(CELL_METRICS.map(|m| m.name), |name| want_f64(metrics, name))?,
+        counters: values(counter_names(), |name| want_u64(counters, name))?,
     })
 }
 
@@ -475,20 +463,19 @@ fn group_from_json(doc: &Json) -> Result<GoldenGroup, CorpusError> {
     Ok(GoldenGroup {
         policy: want_u64(doc, "policy_index")? as usize,
         scenario: want_u64(doc, "scenario_index")? as usize,
-        percentiles: values(GROUP_METRICS.map(|m| m.name), |_, name| want_f64(doc, name))?,
+        percentiles: values(GROUP_METRICS.map(|m| m.name), |name| want_f64(doc, name))?,
     })
 }
 
-/// Reads the value of each of `names` by `read(index, name)`: the one
-/// loop by which the corpus reader fills metrics, percentiles and
-/// counters.
+/// Reads the value of each of `names` by `read(name)`: the one loop by
+/// which the corpus reader fills metrics, percentiles and counters.
 fn values<V: Copy + Default, const N: usize>(
     names: [&str; N],
-    read: impl Fn(usize, &str) -> Result<V, String>,
+    read: impl Fn(&str) -> Result<V, String>,
 ) -> Result<[V; N], String> {
     let mut values = [V::default(); N];
-    for (i, (value, name)) in values.iter_mut().zip(names).enumerate() {
-        *value = read(i, name)?;
+    for (value, name) in values.iter_mut().zip(names) {
+        *value = read(name)?;
     }
     Ok(values)
 }
@@ -624,20 +611,26 @@ mod tests {
     }
 
     #[test]
-    fn corpus_without_a_backbone_key_still_parses() {
+    fn corpus_without_backbone_cells_is_refused() {
         let recorded = record_corpus("legacy", &tiny_spec()).unwrap();
         let Json::Object(entries) = corpus_to_json(&recorded) else {
             panic!("corpus document is not an object");
         };
-        let legacy = Json::Object(
-            entries
-                .into_iter()
+        let without = |backbone: Option<Json>| {
+            let mut entries: Vec<_> = entries
+                .iter()
                 .filter(|(k, _)| k != "backbone")
-                .collect(),
-        );
-        let parsed = corpus_from_json(&legacy).unwrap();
-        assert!(parsed.backbone.is_empty());
-        assert_eq!(parsed.corpus, recorded.corpus);
+                .cloned()
+                .collect();
+            entries.extend(backbone.map(|v| ("backbone".to_string(), v)));
+            corpus_from_json(&Json::Object(entries))
+                .unwrap_err()
+                .message
+        };
+        let absent = without(None);
+        assert!(absent.contains("missing key \"backbone\""), "{absent}");
+        let empty = without(Some(Json::Array(Vec::new())));
+        assert!(empty.contains("\"backbone\" holds no cells"), "{empty}");
     }
 
     #[test]

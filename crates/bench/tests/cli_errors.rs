@@ -69,6 +69,44 @@ fn golden_verify_against_a_deeply_nested_corpus_exits_2() {
 }
 
 #[test]
+fn a_gate_run_outside_the_repo_points_at_its_reference_flag() {
+    // From a directory without `corpus/`, both gates advised recording a
+    // reference there, which the build under test then passes trivially.
+    let dir = std::env::temp_dir().join(format!("cli-no-corpus-{SEED}"));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let cwd = dir.canonicalize().expect("temp dir resolves");
+    let baseline = "corpus/bench_baseline.json";
+    for (args, reference, flag) in [
+        (
+            &["golden", "verify"][..],
+            "corpus/golden.json",
+            "--corpus PATH",
+        ),
+        (
+            &["cycles", "--smoke", "--baseline", baseline][..],
+            baseline,
+            "--baseline PATH",
+        ),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        let named = format!("at {} (", cwd.join(reference).display());
+        assert!(
+            stderr.contains(&named) && stderr.contains(flag),
+            "{args:?}: does not name {named:?} and {flag}: {stderr}"
+        );
+        assert!(!stderr.contains(RECORD_HINT), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing may run");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn a_misspelled_subcommand_lists_the_subcommands_and_figures() {
     // Any positional argument that is not a subcommand is read as a figure
     // name, so a typo must not fall through to an empty figure run.
@@ -125,7 +163,7 @@ fn help_lists_every_subcommand_with_its_flags_and_exits_0() {
             "--shared-seeds",
             "--smoke",
             "--flows",
-            "--stats-every-ms <value>",
+            "--shard-size <value>",
         ] {
             assert!(stdout.contains(flag), "{arg}: {flag} missing: {stdout}");
         }
@@ -498,7 +536,8 @@ fn malformed_arguments_exit_2_before_anything_runs() {
     // smoke` ran the full matrix), a second `--seeds` was silently
     // dropped and `trace --golden` ignored the sweep flags. Every gate's
     // bounds are constants: `--tolerance` of both perf gates and the
-    // chaos contract's two budget flags are unknown flags.
+    // chaos contract's two budget flags are unknown flags. The fleet has
+    // no live-stats endpoint: its three flags are unknown too.
     let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/../../corpus/golden.json");
     let golden = |flag: &'static [&'static str]| -> Vec<&'static str> {
         let mut args = vec!["trace", "--golden", "--cell", "0,2,1"];
@@ -519,7 +558,15 @@ fn malformed_arguments_exit_2_before_anything_runs() {
         .into_iter()
         .map(|flag| (golden(flag), flag[0]))
         .collect();
-    let cases: [(&[&str], &str); 11] = [
+    let fleet_flags = "(valid: --vehicles, --policy, --env, --seed, --threads, --shard-size, \
+                       --horizon-ms, --minislots, --out, --bench-out, --smoke)";
+    let stats_flag = |flag: &str| format!("unknown flag \"{flag}\" {fleet_flags}");
+    let (stats_file, stats_socket, stats_every) = (
+        stats_flag("--stats-file"),
+        stats_flag("--stats-socket"),
+        stats_flag("--stats-every-ms"),
+    );
+    let cases: [(&[&str], &str); 14] = [
         (&["cycles", "smoke"], "\"smoke\""),
         (&["storm-smoke", "5"], "\"5\""),
         (&["replay", "ber7", "--cell", "0,0,0"], "\"ber7\""),
@@ -545,6 +592,9 @@ fn malformed_arguments_exit_2_before_anything_runs() {
             "unknown flag \"--hard-miss-budget\" (valid: --campaign, --scenario, --policy, \
              --require, --seed, --horizon-cycles, --threads, --out)",
         ),
+        (&["fleet", "--stats-file", "x"], &stats_file),
+        (&["fleet", "--stats-socket", "x"], &stats_socket),
+        (&["fleet", "--stats-every-ms", "5"], &stats_every),
         (
             &["sweep", "--seeds", "1", "--seeds", "2", "--horizon-ms", "8"],
             "--seeds given twice",
@@ -755,6 +805,20 @@ fn truncated_and_mutated_input_files_exit_2_naming_the_defect() {
             named,
         ));
     }
+    // A renamed key is a missing one: a corpus holds the backbone cells
+    // and all twenty counters, whichever schema first had them.
+    for (key, named) in [
+        ("backbone", "missing key \"backbone\""),
+        ("campaign_events", "missing key \"campaign_events\""),
+    ] {
+        let from = format!("\"{key}\": ");
+        assert!(golden.contains(&from), "{from} is not in the corpus");
+        rows.push((
+            verify,
+            golden.replacen(&from, &format!("\"{key}_renamed\": "), 1),
+            named,
+        ));
+    }
     let dir = std::env::temp_dir().join(format!("cli-file-inputs-{SEED}"));
     std::fs::create_dir_all(&dir).expect("temp dir");
     for (i, (args, text, named)) in rows.iter().enumerate() {
@@ -775,22 +839,25 @@ fn truncated_and_mutated_input_files_exit_2_naming_the_defect() {
         );
         assert!(out.stdout.is_empty(), "row {i} {argv:?}: nothing may run");
     }
-    // Only a missing file gets the advice.
+    // A missing file is named where it was looked for, and the advice is
+    // the flag that points at the checked-in file, never a re-record.
     let missing = dir.join("missing.json");
-    for args in [verify, cycles] {
+    for (args, flag) in [(verify, "--corpus PATH"), (cycles, "--baseline PATH")] {
         let mut argv = args.to_vec();
         argv.push(missing.to_str().unwrap());
         let out = experiments(&argv);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{argv:?}: {stderr}");
         assert!(
-            stderr.contains(RECORD_HINT),
-            "{argv:?}: no advice: {stderr}"
+            stderr.contains(&format!("at {}", missing.display())) && stderr.contains(flag),
+            "{argv:?}: does not name the path and {flag}: {stderr}"
         );
+        assert!(!stderr.contains(RECORD_HINT), "{argv:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{argv:?}: nothing may run");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The advice a missing input file gets.
-const RECORD_HINT: &str = "(record one with: experiments ";
+/// Either form of the re-record advice ("record one with: …", "re-record
+/// with: …"), which no missing or defective input file may get.
+const RECORD_HINT: &str = " with: experiments ";

@@ -130,10 +130,11 @@ pub struct RunCounters {
 impl RunCounters {
     /// How many leading [`fields`](Self::fields) the first recorded
     /// `coefficient-golden/1` schema held. These always fold into
-    /// [`RunReport::fingerprint`] and must be present in a corpus; the
-    /// resilience counters after them (`[10..16]`) and the campaign
-    /// counters after those (`[16..]`) joined later, fold in only when
-    /// nonzero, and read as zero when a corpus omits them.
+    /// [`RunReport::fingerprint`]; the resilience counters after them
+    /// (`[10..16]`) and the campaign counters after those (`[16..]`)
+    /// joined later and fold in only when nonzero, so a run that never
+    /// engaged them keeps its earlier fingerprint. A corpus records all
+    /// twenty.
     pub const BASELINE: usize = 10;
 
     /// Every counter as a `(name, value)` pair, in a fixed order — the

@@ -2,7 +2,7 @@
 //!
 //! A fleet run never holds per-vehicle results: each completed vehicle
 //! run is folded into a [`FleetAggregate`] immediately and dropped, so
-//! memory is O(shards × buckets), never O(vehicles). Every field is an
+//! memory is O(workers × buckets), never O(vehicles). Every field is an
 //! integer counter or a [`LogHistogram`] — there is **no floating-point
 //! accumulation** — so [`merge`](FleetAggregate::merge) is exactly
 //! commutative and associative, and the fleet

@@ -13,14 +13,13 @@
 //! * [`agg`] — streaming aggregation ([`FleetAggregate`]): integer
 //!   counters and mergeable log-scale histograms
 //!   ([`metrics::LogHistogram`]) folded as each vehicle completes, so
-//!   memory is O(shards × buckets), never O(vehicles), and the merge is
+//!   memory is O(workers × buckets), never O(vehicles), and the merge is
 //!   exactly commutative and associative;
 //! * [`exec`] — the sharded executor: workers claim fixed-size vehicle
-//!   shards from an atomic queue; the final [`FleetAggregate::digest`]
-//!   is invariant to thread count and shard size;
-//! * [`stats`] — a live stats endpoint (periodic snapshot file and/or
-//!   Unix socket) publishing progress and partial aggregates while the
-//!   run is going.
+//!   shards from an atomic queue and fold them into per-worker
+//!   aggregates merged when the workers join; the final
+//!   [`FleetAggregate::digest`] is invariant to thread count and shard
+//!   size.
 //!
 //! ```
 //! use fleet::{exec, FleetSpec};
@@ -41,10 +40,8 @@ pub mod agg;
 pub mod env;
 pub mod exec;
 pub mod spec;
-pub mod stats;
 
 pub use agg::{FleetAggregate, PolicyAggregate, PPB};
 pub use env::{Condition, EnvModel, VehicleDraw};
-pub use exec::{FleetRun, Progress};
+pub use exec::FleetRun;
 pub use spec::{FleetSpec, DEFAULT_SEED};
-pub use stats::StatsConfig;

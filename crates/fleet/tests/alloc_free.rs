@@ -1,6 +1,6 @@
 //! Proof that the fleet aggregation path is allocation-free — the
 //! mechanical half of the memory contract: aggregation state is
-//! O(shards × buckets) *and never grows*, no matter how many vehicles
+//! O(workers × buckets) *and never grows*, no matter how many vehicles
 //! stream through it.
 //!
 //! A counting global allocator is armed after the aggregates are built

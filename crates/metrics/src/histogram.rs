@@ -8,7 +8,7 @@
 /// default `sub_bits = 5`). Memory is fixed at construction —
 /// `(65 - sub_bits) · 2^sub_bits` counters, ~15 KiB at the default —
 /// independent of how many samples are recorded, which is what makes
-/// streaming fleet aggregation O(shards × buckets) instead of
+/// streaming fleet aggregation O(workers × buckets) instead of
 /// O(vehicles).
 ///
 /// [`merge`](Self::merge) is bucket-wise `u64` addition: commutative and
