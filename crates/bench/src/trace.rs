@@ -5,8 +5,14 @@
 //! [`validate_trace`] checks a parsed document against the schema — the
 //! CI `trace-smoke` job round-trips an exported trace through
 //! [`crate::json::Json::parse`] and this validator. [`chrome_json`]
-//! renders the same event objects as a Chrome `trace_event` timeline, so
-//! each event's fields are written in one place, `event_json`.
+//! renders the same events as a Chrome `trace_event` timeline.
+//!
+//! The schema is two tables, which the export, the validator and the
+//! Chrome view all read: `HEADER` names the document's fields, and
+//! `EVENT_TYPES` holds one row per event type with its `type` tag, its
+//! fields and their kinds in export order, and its Chrome track. A new
+//! event type is one [`EventKind`] variant, one row and one arm of
+//! `values`, which reads a variant's values in its row's order.
 //!
 //! Document shape:
 //!
@@ -32,6 +38,7 @@ use observe::{EventKind, TraceEvent};
 
 use crate::json::Json;
 use coefficient::CellOutcome;
+use Kind::*;
 
 /// Schema tag of the trace document.
 pub const TRACE_SCHEMA: &str = "coefficient-trace/1";
@@ -42,32 +49,183 @@ pub fn counter_names() -> [&'static str; 20] {
     RunCounters::default().fields().map(|(name, _)| name)
 }
 
-fn event_json(event: &TraceEvent) -> Json {
-    let at = ("at_ns", Json::from(event.at.as_nanos()));
-    match &event.kind {
-        EventKind::CycleStart { cycle } => Json::object([
-            at,
-            ("type", Json::str("cycle_start")),
-            ("cycle", Json::from(*cycle)),
-        ]),
-        EventKind::SlotFrame {
+/// What a field holds; [`check`] holds a field to its kind.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    /// The schema tag, [`TRACE_SCHEMA`].
+    Tag,
+    /// A string.
+    Text,
+    /// 16 hex digits.
+    Hex,
+    /// An exact integer.
+    Int,
+    /// A bool.
+    Bool,
+    /// An array of strings: the names of the counter values.
+    Names,
+    /// The array of events.
+    Events,
+    /// An array of integers, one per counter name.
+    Counts,
+}
+
+/// Fields in export order, each with its kind.
+type Fields = &'static [(Kind, &'static str)];
+
+/// The document's fields.
+const HEADER: Fields = &[
+    (Tag, "schema"),
+    (Text, "policy"),
+    (Text, "scenario"),
+    (Int, "policy_index"),
+    (Int, "scenario_index"),
+    (Int, "seed_index"),
+    (Int, "seed"),
+    (Hex, "fingerprint"),
+    (Int, "capacity"),
+    (Int, "dropped"),
+    (Names, "counter_names"),
+    (Events, "events"),
+];
+
+/// Where the Chrome view puts an event.
+#[derive(Clone, Copy)]
+enum Track {
+    /// `Channel A` or `Channel B` by its `channel`, which leaves `args`.
+    Channel,
+    /// The named entry of [`TRACKS`].
+    On(&'static str),
+}
+
+/// One event type of the schema: its `type` tag, its fields after
+/// `at_ns` and `type`, and where the Chrome view puts it.
+struct EventType {
+    ty: &'static str,
+    fields: Fields,
+    track: Track,
+}
+
+const fn row(ty: &'static str, fields: Fields, track: Track) -> EventType {
+    EventType { ty, fields, track }
+}
+
+/// Every event type, in [`EventKind`]'s order.
+const EVENT_TYPES: [EventType; 15] = {
+    use Track::{Channel, On};
+    const SCHEDULER: Track = On("Scheduler");
+    const FRAME_IN_SLOT: Fields = &[(Int, "channel"), (Int, "slot"), (Int, "frame_id")];
+    [
+        row("cycle_start", &[(Int, "cycle")], SCHEDULER),
+        row(
+            "slot_frame",
+            &[
+                (Int, "channel"),
+                (Int, "slot"),
+                (Int, "frame_id"),
+                (Int, "payload_bits"),
+                (Int, "duration_ns"),
+                (Bool, "corrupted"),
+            ],
+            Channel,
+        ),
+        row(
+            "minislot_frame",
+            &[
+                (Int, "channel"),
+                (Int, "slot_counter"),
+                (Int, "minislot"),
+                (Int, "frame_id"),
+                (Int, "payload_bits"),
+                (Int, "duration_ns"),
+                (Bool, "corrupted"),
+            ],
+            Channel,
+        ),
+        row(
+            "fault_hit",
+            &[(Int, "channel"), (Int, "frame_id"), (Bool, "in_burst")],
+            Channel,
+        ),
+        row("steal_granted", FRAME_IN_SLOT, SCHEDULER),
+        row(
+            "steal_denied",
+            &[(Int, "channel"), (Int, "slot")],
+            SCHEDULER,
+        ),
+        row("early_copy", FRAME_IN_SLOT, SCHEDULER),
+        row(
+            "retransmission_copy",
+            &[(Int, "channel"), (Int, "frame_id")],
+            SCHEDULER,
+        ),
+        row(
+            "soft_shed",
+            &[(Int, "frame_id"), (Int, "criticality")],
+            SCHEDULER,
+        ),
+        row("degraded_copy", FRAME_IN_SLOT, SCHEDULER),
+        row("failover_mirror", FRAME_IN_SLOT, SCHEDULER),
+        row(
+            "health_transition",
+            &[(Int, "scope"), (Int, "from"), (Int, "to")],
+            On("Health"),
+        ),
+        row(
+            "counter_sample",
+            &[(Int, "cycle"), (Counts, "values")],
+            On("Counters"),
+        ),
+        row(
+            "gateway_queued",
+            &[(Int, "port"), (Int, "flow"), (Int, "instance")],
+            On("Gateway"),
+        ),
+        row(
+            "ethernet_frame",
+            &[
+                (Int, "port"),
+                (Int, "flow"),
+                (Int, "instance"),
+                (Int, "payload_bits"),
+                (Int, "duration_ns"),
+                (Bool, "missed_window"),
+            ],
+            On("Ethernet"),
+        ),
+    ]
+};
+
+/// The row of the event type tagged `ty`.
+fn event_type(ty: &str) -> Option<&'static EventType> {
+    EVENT_TYPES.iter().find(|row| row.ty == ty)
+}
+
+/// An event's `type` tag and its values in the order of its row's
+/// fields: a bool as 0 or 1, and the counter values last.
+fn values(kind: &EventKind) -> (&'static str, Vec<u64>) {
+    use EventKind::*;
+    match *kind {
+        CycleStart { cycle } => ("cycle_start", vec![cycle]),
+        SlotFrame {
             channel,
             slot,
             frame_id,
             payload_bits,
             duration,
             corrupted,
-        } => Json::object([
-            at,
-            ("type", Json::str("slot_frame")),
-            ("channel", Json::from(u64::from(*channel))),
-            ("slot", Json::from(*slot)),
-            ("frame_id", Json::from(*frame_id)),
-            ("payload_bits", Json::from(*payload_bits)),
-            ("duration_ns", Json::from(duration.as_nanos())),
-            ("corrupted", Json::from(*corrupted)),
-        ]),
-        EventKind::MinislotFrame {
+        } => (
+            "slot_frame",
+            vec![
+                channel.into(),
+                slot,
+                frame_id,
+                payload_bits,
+                duration.as_nanos(),
+                corrupted.into(),
+            ],
+        ),
+        MinislotFrame {
             channel,
             slot_counter,
             minislot,
@@ -75,135 +233,106 @@ fn event_json(event: &TraceEvent) -> Json {
             payload_bits,
             duration,
             corrupted,
-        } => Json::object([
-            at,
-            ("type", Json::str("minislot_frame")),
-            ("channel", Json::from(u64::from(*channel))),
-            ("slot_counter", Json::from(*slot_counter)),
-            ("minislot", Json::from(*minislot)),
-            ("frame_id", Json::from(*frame_id)),
-            ("payload_bits", Json::from(*payload_bits)),
-            ("duration_ns", Json::from(duration.as_nanos())),
-            ("corrupted", Json::from(*corrupted)),
-        ]),
-        EventKind::FaultHit {
+        } => (
+            "minislot_frame",
+            vec![
+                channel.into(),
+                slot_counter,
+                minislot,
+                frame_id,
+                payload_bits,
+                duration.as_nanos(),
+                corrupted.into(),
+            ],
+        ),
+        FaultHit {
             channel,
             frame_id,
             in_burst,
-        } => Json::object([
-            at,
-            ("type", Json::str("fault_hit")),
-            ("channel", Json::from(u64::from(*channel))),
-            ("frame_id", Json::from(*frame_id)),
-            ("in_burst", Json::from(*in_burst)),
-        ]),
-        EventKind::StealGranted {
+        } => ("fault_hit", vec![channel.into(), frame_id, in_burst.into()]),
+        StealGranted {
             channel,
             slot,
             frame_id,
-        } => Json::object([
-            at,
-            ("type", Json::str("steal_granted")),
-            ("channel", Json::from(u64::from(*channel))),
-            ("slot", Json::from(*slot)),
-            ("frame_id", Json::from(*frame_id)),
-        ]),
-        EventKind::StealDenied { channel, slot } => Json::object([
-            at,
-            ("type", Json::str("steal_denied")),
-            ("channel", Json::from(u64::from(*channel))),
-            ("slot", Json::from(*slot)),
-        ]),
-        EventKind::EarlyCopy {
+        } => ("steal_granted", vec![channel.into(), slot, frame_id]),
+        StealDenied { channel, slot } => ("steal_denied", vec![channel.into(), slot]),
+        EarlyCopy {
             channel,
             slot,
             frame_id,
-        } => Json::object([
-            at,
-            ("type", Json::str("early_copy")),
-            ("channel", Json::from(u64::from(*channel))),
-            ("slot", Json::from(*slot)),
-            ("frame_id", Json::from(*frame_id)),
-        ]),
-        EventKind::RetransmissionCopy { channel, frame_id } => Json::object([
-            at,
-            ("type", Json::str("retransmission_copy")),
-            ("channel", Json::from(u64::from(*channel))),
-            ("frame_id", Json::from(*frame_id)),
-        ]),
-        EventKind::SoftShed {
+        } => ("early_copy", vec![channel.into(), slot, frame_id]),
+        RetransmissionCopy { channel, frame_id } => {
+            ("retransmission_copy", vec![channel.into(), frame_id])
+        }
+        SoftShed {
             frame_id,
             criticality,
-        } => Json::object([
-            at,
-            ("type", Json::str("soft_shed")),
-            ("frame_id", Json::from(*frame_id)),
-            ("criticality", Json::from(u64::from(*criticality))),
-        ]),
-        EventKind::DegradedCopy {
+        } => ("soft_shed", vec![frame_id, criticality.into()]),
+        DegradedCopy {
             channel,
             slot,
             frame_id,
-        } => Json::object([
-            at,
-            ("type", Json::str("degraded_copy")),
-            ("channel", Json::from(u64::from(*channel))),
-            ("slot", Json::from(*slot)),
-            ("frame_id", Json::from(*frame_id)),
-        ]),
-        EventKind::FailoverMirror {
+        } => ("degraded_copy", vec![channel.into(), slot, frame_id]),
+        FailoverMirror {
             channel,
             slot,
             frame_id,
-        } => Json::object([
-            at,
-            ("type", Json::str("failover_mirror")),
-            ("channel", Json::from(u64::from(*channel))),
-            ("slot", Json::from(*slot)),
-            ("frame_id", Json::from(*frame_id)),
-        ]),
-        EventKind::HealthTransition { scope, from, to } => Json::object([
-            at,
-            ("type", Json::str("health_transition")),
-            ("scope", Json::from(u64::from(*scope))),
-            ("from", Json::from(u64::from(*from))),
-            ("to", Json::from(u64::from(*to))),
-        ]),
-        EventKind::CounterSample { cycle, values } => Json::object([
-            at,
-            ("type", Json::str("counter_sample")),
-            ("cycle", Json::from(*cycle)),
-            ("values", Json::array(values.iter().map(|&v| Json::from(v)))),
-        ]),
-        EventKind::GatewayQueued {
+        } => ("failover_mirror", vec![channel.into(), slot, frame_id]),
+        HealthTransition { scope, from, to } => (
+            "health_transition",
+            vec![scope.into(), from.into(), to.into()],
+        ),
+        CounterSample { cycle, ref values } => ("counter_sample", [&[cycle], &values[..]].concat()),
+        GatewayQueued {
             port,
             flow,
             instance,
-        } => Json::object([
-            at,
-            ("type", Json::str("gateway_queued")),
-            ("port", Json::from(u64::from(*port))),
-            ("flow", Json::from(*flow)),
-            ("instance", Json::from(*instance)),
-        ]),
-        EventKind::EthernetFrame {
+        } => ("gateway_queued", vec![port.into(), flow, instance]),
+        EthernetFrame {
             port,
             flow,
             instance,
             payload_bits,
             duration,
             missed_window,
-        } => Json::object([
-            at,
-            ("type", Json::str("ethernet_frame")),
-            ("port", Json::from(u64::from(*port))),
-            ("flow", Json::from(*flow)),
-            ("instance", Json::from(*instance)),
-            ("payload_bits", Json::from(*payload_bits)),
-            ("duration_ns", Json::from(duration.as_nanos())),
-            ("missed_window", Json::from(*missed_window)),
-        ]),
+        } => (
+            "ethernet_frame",
+            vec![
+                port.into(),
+                flow,
+                instance,
+                payload_bits,
+                duration.as_nanos(),
+                missed_window.into(),
+            ],
+        ),
     }
+}
+
+/// An event's row and its fields after `at_ns` and `type`, named and
+/// typed by the row.
+fn fields(kind: &EventKind) -> (&'static EventType, Vec<(String, Json)>) {
+    let (ty, values) = values(kind);
+    let row = event_type(ty).expect("every event type has a row");
+    let mut values = values.into_iter();
+    let fields = row.fields.iter().map(|&(kind, name)| {
+        let value = match kind {
+            Counts => Json::array(values.by_ref().map(Json::UInt)),
+            Bool => Json::Bool(values.next() == Some(1)),
+            _ => Json::UInt(values.next().expect("a value for every field")),
+        };
+        (name.to_string(), value)
+    });
+    let fields = fields.collect();
+    assert!(values.next().is_none(), "a field for every value of {ty}");
+    (row, fields)
+}
+
+fn event_json(event: &TraceEvent) -> Json {
+    let (row, fields) = fields(&event.kind);
+    let at = ("at_ns".to_string(), Json::from(event.at.as_nanos()));
+    let ty = ("type".to_string(), Json::str(row.ty));
+    Json::Object([at, ty].into_iter().chain(fields).collect())
 }
 
 /// Chrome tracks (threads of the one exported process): `(tid, name)`,
@@ -257,14 +386,11 @@ fn chrome_entry(name: &str, ph: &str, track: &str, timing: &str, args: Json) -> 
 /// Renders a captured log as a Chrome `trace_event` document, loadable
 /// in Perfetto (<https://ui.perfetto.dev>) and `chrome://tracing`.
 ///
-/// Each event is its `coefficient-trace/1` object (see
-/// [`trace_log_json`]), placed by one rule: the type picks the track
-/// (`slot_frame`, `minislot_frame` and `fault_hit` go on their channel's
-/// track), an event with `duration_ns` becomes a complete (`X`) event of
-/// that length and any other event an instant, and the remaining fields
-/// become `args`, less the channel on a channel track. A health
-/// transition also sets its scope's state counter, and a counter sample
-/// becomes one counter series per run counter.
+/// Each event's row in `EVENT_TYPES` picks its track, an event with
+/// `duration_ns` becomes a complete (`X`) event of that length and any
+/// other event an instant, and its remaining fields become `args`. A
+/// health transition also sets its scope's state counter, and a counter
+/// sample becomes one counter series per run counter.
 pub fn chrome_json(log: &TraceLog) -> String {
     let mut entries = Vec::new();
     for (tid, track) in TRACKS {
@@ -275,17 +401,18 @@ pub fn chrome_json(log: &TraceLog) -> String {
     }
     let names = counter_names();
     for event in &log.events {
-        let Json::Object(mut args) = event_json(event) else {
-            unreachable!("an event renders as an object")
-        };
+        let (row, mut args) = fields(&event.kind);
         let mut take = |key: &str| {
             let i = args.iter().position(|(k, _)| k == key)?;
             Some(args.remove(i).1)
         };
-        take("at_ns");
         let ts = format!(r#","ts":{}"#, micros(event.at.as_nanos()));
-        let Some(Json::String(ty)) = take("type") else {
-            unreachable!("every event has a type")
+        let track = match row.track {
+            Track::Channel => match take("channel") {
+                Some(Json::UInt(0)) => "Channel A",
+                _ => "Channel B",
+            },
+            Track::On(track) => track,
         };
         if let Some(Json::Array(values)) = take("values") {
             for (i, value) in values.into_iter().enumerate() {
@@ -293,20 +420,10 @@ pub fn chrome_json(log: &TraceLog) -> String {
                     .get(i)
                     .map_or(format!("counter_{i}"), |n| n.to_string());
                 let value = Json::object([("value", value)]);
-                entries.push(chrome_entry(&name, COUNTER, "Counters", &ts, value));
+                entries.push(chrome_entry(&name, COUNTER, track, &ts, value));
             }
             continue;
         }
-        let track = match ty.as_str() {
-            "slot_frame" | "minislot_frame" | "fault_hit" => match take("channel") {
-                Some(Json::UInt(0)) => "Channel A",
-                _ => "Channel B",
-            },
-            "health_transition" => "Health",
-            "gateway_queued" => "Gateway",
-            "ethernet_frame" => "Ethernet",
-            _ => "Scheduler",
-        };
         let (ph, timing) = match take("duration_ns").and_then(|dur| dur.as_u64()) {
             Some(dur) => (COMPLETE, format!(r#"{ts},"dur":{}"#, micros(dur))),
             None => (INSTANT, ts.clone()),
@@ -314,22 +431,19 @@ pub fn chrome_json(log: &TraceLog) -> String {
         let args = Json::Object(args);
         let field = |key: &str| args.get(key).and_then(Json::as_u64).unwrap_or(0);
         let mut state = None;
-        let name = match ty.as_str() {
+        let name = match row.ty {
             "cycle_start" => "cycle".to_string(),
             "fault_hit" => "fault".to_string(),
             "slot_frame" => format!("slot {} · frame {}", field("slot"), field("frame_id")),
             "minislot_frame" => {
-                format!(
-                    "minislot {} · frame {}",
-                    field("minislot"),
-                    field("frame_id")
-                )
+                let (minislot, frame_id) = (field("minislot"), field("frame_id"));
+                format!("minislot {minislot} · frame {frame_id}")
             }
             "ethernet_frame" => format!("flow {} · instance {}", field("flow"), field("instance")),
             "health_transition" => {
                 let scope = format!("health {}", scope_name(field("scope")));
                 let to = Json::object([("state", Json::from(field("to")))]);
-                state = Some(chrome_entry(&scope, COUNTER, "Health", &ts, to));
+                state = Some(chrome_entry(&scope, COUNTER, track, &ts, to));
                 let (from, to) = (health_name(field("from")), health_name(field("to")));
                 format!("{scope} {from} → {to}")
             }
@@ -347,26 +461,23 @@ pub fn chrome_json(log: &TraceLog) -> String {
 /// Renders a [`TraceLog`] plus its cell coordinates as a
 /// `coefficient-trace/1` document.
 pub fn trace_log_json(cell: &CellOutcome, log: &TraceLog) -> Json {
-    Json::object([
-        ("schema", Json::str(TRACE_SCHEMA)),
-        ("policy", Json::str(cell.policy.label())),
-        ("scenario", Json::str(cell.scenario)),
-        ("policy_index", Json::from(cell.coord.policy)),
-        ("scenario_index", Json::from(cell.coord.scenario)),
-        ("seed_index", Json::from(cell.coord.seed)),
-        ("seed", Json::from(cell.seed)),
-        (
-            "fingerprint",
-            Json::String(format!("{:016x}", cell.fingerprint)),
-        ),
-        ("capacity", Json::from(log.capacity)),
-        ("dropped", Json::from(log.dropped)),
-        (
-            "counter_names",
-            Json::array(counter_names().into_iter().map(Json::str)),
-        ),
-        ("events", Json::array(log.events.iter().map(event_json))),
-    ])
+    // The values of the `HEADER` fields, in its order; the array type
+    // holds their number to its length.
+    let values: [Json; HEADER.len()] = [
+        Json::str(TRACE_SCHEMA),
+        Json::str(cell.policy.label()),
+        Json::str(cell.scenario),
+        Json::from(cell.coord.policy),
+        Json::from(cell.coord.scenario),
+        Json::from(cell.coord.seed),
+        Json::from(cell.seed),
+        Json::String(format!("{:016x}", cell.fingerprint)),
+        Json::from(log.capacity),
+        Json::from(log.dropped),
+        Json::array(counter_names().into_iter().map(Json::str)),
+        Json::array(log.events.iter().map(event_json)),
+    ];
+    Json::object(HEADER.iter().map(|&(_, field)| field).zip(values))
 }
 
 /// Renders a traced cell as a `coefficient-trace/1` document.
@@ -383,24 +494,64 @@ pub fn trace_json(cell: &CellOutcome) -> Result<Json, String> {
     Ok(trace_log_json(cell, log))
 }
 
-fn require_u64(event: &Json, field: &str, index: usize) -> Result<u64, String> {
-    event
-        .get(field)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("event {index}: missing integer field \"{field}\""))
-}
-
-fn require_bool(event: &Json, field: &str, index: usize) -> Result<bool, String> {
-    event
-        .get(field)
-        .and_then(Json::as_bool)
-        .ok_or_else(|| format!("event {index}: missing bool field \"{field}\""))
+/// Checks that `object`'s `field` holds a `kind`, where `names` is the
+/// number of counter names. Returns the field's array, empty for a kind
+/// that is not an array.
+fn check<'a>(
+    object: &'a Json,
+    field: &str,
+    kind: Kind,
+    names: usize,
+) -> Result<&'a [Json], String> {
+    let value = object.get(field);
+    let missing = |what: &str| format!("missing {what} field \"{field}\"");
+    let array = || {
+        value
+            .and_then(Json::as_array)
+            .ok_or_else(|| format!("missing \"{field}\" array"))
+    };
+    match kind {
+        Tag => match value.and_then(Json::as_str) {
+            Some(TRACE_SCHEMA) => {}
+            other => return Err(format!("bad schema tag: {other:?}")),
+        },
+        Text if value.and_then(Json::as_str).is_none() => return Err(missing("string")),
+        Int if value.and_then(Json::as_u64).is_none() => return Err(missing("integer")),
+        Bool if value.and_then(Json::as_bool).is_none() => return Err(missing("bool")),
+        Text | Int | Bool => {}
+        Hex => {
+            let hex = value
+                .and_then(Json::as_str)
+                .ok_or_else(|| format!("missing \"{field}\""))?;
+            if hex.len() != 16 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+                return Err(format!("malformed {field}: {hex:?}"));
+            }
+        }
+        Names => {
+            let entries = array()?;
+            if entries.iter().any(|n| n.as_str().is_none()) {
+                return Err(format!("non-string entry in \"{field}\""));
+            }
+            return Ok(entries);
+        }
+        Events => return array(),
+        Counts => {
+            let values = array()?;
+            if values.len() != names {
+                return Err(format!("{} counter values but {names} names", values.len()));
+            }
+            if values.iter().any(|v| v.as_u64().is_none()) {
+                return Err("non-integer counter value".to_string());
+            }
+        }
+    }
+    Ok(&[])
 }
 
 /// Validates a parsed document against the `coefficient-trace/1` schema:
-/// header fields, per-type required event fields, counter-sample arity
-/// and monotone non-decreasing `at_ns` per lane. Returns the event
-/// count.
+/// the `HEADER` fields, each event's fields by its row of
+/// `EVENT_TYPES`, counter-sample arity and monotone non-decreasing
+/// `at_ns` per lane. Returns the event count.
 ///
 /// Monotonicity is checked per *lane* — one lane per
 /// `(event type, channel)` pair — not globally: the bus engine
@@ -412,109 +563,30 @@ fn require_bool(event: &Json, field: &str, index: usize) -> Result<bool, String>
 /// # Errors
 /// A human-readable description of the first defect.
 pub fn validate_trace(doc: &Json) -> Result<usize, String> {
-    match doc.get("schema").and_then(Json::as_str) {
-        Some(TRACE_SCHEMA) => {}
-        other => return Err(format!("bad schema tag: {other:?}")),
-    }
-    for field in ["policy", "scenario"] {
-        if doc.get(field).and_then(Json::as_str).is_none() {
-            return Err(format!("missing string field \"{field}\""));
+    let (mut names, mut events) = (0, &[][..]);
+    for &(kind, field) in HEADER {
+        let array = check(doc, field, kind, 0)?;
+        match kind {
+            Names => names = array.len(),
+            Events => events = array,
+            _ => {}
         }
     }
-    let fingerprint = doc
-        .get("fingerprint")
-        .and_then(Json::as_str)
-        .ok_or("missing \"fingerprint\"")?;
-    if fingerprint.len() != 16 || !fingerprint.bytes().all(|b| b.is_ascii_hexdigit()) {
-        return Err(format!("malformed fingerprint: {fingerprint:?}"));
-    }
-    for field in [
-        "policy_index",
-        "scenario_index",
-        "seed_index",
-        "seed",
-        "capacity",
-        "dropped",
-    ] {
-        if doc.get(field).and_then(Json::as_u64).is_none() {
-            return Err(format!("missing integer field \"{field}\""));
-        }
-    }
-    let names = doc
-        .get("counter_names")
-        .and_then(Json::as_array)
-        .ok_or("missing \"counter_names\" array")?;
-    if names.iter().any(|n| n.as_str().is_none()) {
-        return Err("non-string entry in \"counter_names\"".to_string());
-    }
-    let events = doc
-        .get("events")
-        .and_then(Json::as_array)
-        .ok_or("missing \"events\" array")?;
 
     // One monotonicity lane per (type, channel); channel-less events use
     // channel 2 as their lane key.
     let mut prev_at: std::collections::HashMap<(&str, u64), u64> = std::collections::HashMap::new();
     for (i, event) in events.iter().enumerate() {
-        let at = require_u64(event, "at_ns", i)?;
+        let defect = |e: String| format!("event {i}: {e}");
+        check(event, "at_ns", Int, names).map_err(defect)?;
+        let at = event.get("at_ns").and_then(Json::as_u64).unwrap_or(0);
         let ty = event
             .get("type")
             .and_then(Json::as_str)
             .ok_or_else(|| format!("event {i}: missing \"type\""))?;
-        let u64_fields: &[&str] = match ty {
-            "cycle_start" => &["cycle"],
-            "slot_frame" => &["channel", "slot", "frame_id", "payload_bits", "duration_ns"],
-            "minislot_frame" => &[
-                "channel",
-                "slot_counter",
-                "minislot",
-                "frame_id",
-                "payload_bits",
-                "duration_ns",
-            ],
-            "fault_hit" => &["channel", "frame_id"],
-            "steal_granted" | "early_copy" | "degraded_copy" | "failover_mirror" => {
-                &["channel", "slot", "frame_id"]
-            }
-            "steal_denied" => &["channel", "slot"],
-            "retransmission_copy" => &["channel", "frame_id"],
-            "soft_shed" => &["frame_id", "criticality"],
-            "health_transition" => &["scope", "from", "to"],
-            "counter_sample" => &["cycle"],
-            "gateway_queued" => &["port", "flow", "instance"],
-            "ethernet_frame" => &["port", "flow", "instance", "payload_bits", "duration_ns"],
-            other => return Err(format!("event {i}: unknown type {other:?}")),
-        };
-        for field in u64_fields {
-            require_u64(event, field, i)?;
-        }
-        match ty {
-            "slot_frame" | "minislot_frame" => {
-                require_bool(event, "corrupted", i)?;
-            }
-            "fault_hit" => {
-                require_bool(event, "in_burst", i)?;
-            }
-            "ethernet_frame" => {
-                require_bool(event, "missed_window", i)?;
-            }
-            "counter_sample" => {
-                let values = event
-                    .get("values")
-                    .and_then(Json::as_array)
-                    .ok_or_else(|| format!("event {i}: missing \"values\" array"))?;
-                if values.len() != names.len() {
-                    return Err(format!(
-                        "event {i}: {} counter values but {} names",
-                        values.len(),
-                        names.len()
-                    ));
-                }
-                if values.iter().any(|v| v.as_u64().is_none()) {
-                    return Err(format!("event {i}: non-integer counter value"));
-                }
-            }
-            _ => {}
+        let row = event_type(ty).ok_or_else(|| format!("event {i}: unknown type {ty:?}"))?;
+        for &(kind, field) in row.fields {
+            check(event, field, kind, names).map_err(defect)?;
         }
         let channel = match event.get("channel").and_then(Json::as_u64) {
             Some(c @ (0 | 1)) => c,
@@ -613,6 +685,129 @@ mod tests {
             }
         }
         assert!(validate_trace(&rewound).is_err());
+    }
+
+    /// One event of every kind, in `EVENT_TYPES`' order; within an
+    /// event no two integer fields hold the same value.
+    fn one_of_each() -> Vec<EventKind> {
+        use event_sim::SimDuration;
+        use EventKind::*;
+        let duration = SimDuration::from_nanos(6);
+        vec![
+            CycleStart { cycle: 2 },
+            SlotFrame {
+                channel: 1,
+                slot: 2,
+                frame_id: 3,
+                payload_bits: 4,
+                duration,
+                corrupted: true,
+            },
+            MinislotFrame {
+                channel: 1,
+                slot_counter: 2,
+                minislot: 3,
+                frame_id: 4,
+                payload_bits: 5,
+                duration,
+                corrupted: true,
+            },
+            FaultHit {
+                channel: 1,
+                frame_id: 2,
+                in_burst: true,
+            },
+            StealGranted {
+                channel: 1,
+                slot: 2,
+                frame_id: 3,
+            },
+            StealDenied {
+                channel: 1,
+                slot: 2,
+            },
+            EarlyCopy {
+                channel: 1,
+                slot: 2,
+                frame_id: 3,
+            },
+            RetransmissionCopy {
+                channel: 1,
+                frame_id: 2,
+            },
+            SoftShed {
+                frame_id: 2,
+                criticality: 3,
+            },
+            DegradedCopy {
+                channel: 1,
+                slot: 2,
+                frame_id: 3,
+            },
+            FailoverMirror {
+                channel: 1,
+                slot: 2,
+                frame_id: 3,
+            },
+            HealthTransition {
+                scope: 2,
+                from: 3,
+                to: 4,
+            },
+            CounterSample {
+                cycle: 21,
+                values: (1..=20).collect(),
+            },
+            GatewayQueued {
+                port: 1,
+                flow: 2,
+                instance: 3,
+            },
+            EthernetFrame {
+                port: 1,
+                flow: 2,
+                instance: 3,
+                payload_bits: 4,
+                duration,
+                missed_window: true,
+            },
+        ]
+    }
+
+    /// `values` gives each event one value per field of its row (the
+    /// counter values for its `Counts` field), and each field exports the
+    /// value of the `EventKind` field of its name (`duration` for
+    /// `duration_ns`), as the variant's `Debug` text shows it. A row that
+    /// lists two fields out of `values`' order fails here, before any
+    /// recorded export is written from it.
+    #[test]
+    fn every_field_exports_the_value_of_its_name() {
+        let kinds = one_of_each();
+        let types: Vec<_> = kinds.iter().map(|kind| values(kind).0).collect();
+        assert_eq!(types, EVENT_TYPES.map(|row| row.ty));
+        for kind in &kinds {
+            let (ty, values) = values(kind);
+            let row = event_type(ty).unwrap();
+            let counts = row.fields.iter().filter(|&&(k, _)| k == Counts).count();
+            let arity = row.fields.len() - counts + counts * counter_names().len();
+            assert_eq!(values.len(), arity, "{ty}");
+            let debug = format!("{kind:?}");
+            for (name, value) in fields(kind).1 {
+                let shown = match (&value, name.strip_suffix("_ns")) {
+                    (Json::Array(items), _) => {
+                        let items: Vec<_> = items.iter().filter_map(Json::as_u64).collect();
+                        format!("{name}: {items:?}")
+                    }
+                    (_, Some(name)) => format!("{name}: SimDuration({value}ns)"),
+                    (_, None) => format!("{name}: {value}"),
+                };
+                let at_field = [",", " }"].map(|end| format!(" {shown}{end}"));
+                assert!(
+                    at_field.iter().any(|text| debug.contains(text.as_str())),
+                    "{ty}: {shown:?} is not a field of {debug}"
+                );
+            }
+        }
     }
 
     #[test]

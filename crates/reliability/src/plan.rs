@@ -68,15 +68,6 @@ impl RetransmissionPlan {
         self.unit
     }
 
-    /// The retransmission count for the message with identifier `id`, if it
-    /// is part of the plan.
-    pub fn count_for(&self, id: u32) -> Option<u32> {
-        self.msgs
-            .iter()
-            .position(|m| m.id == id)
-            .map(|i| self.ks[i])
-    }
-
     /// Theorem-1 success probability of this plan.
     pub fn success_probability(&self) -> f64 {
         self.log_success.exp()
@@ -296,10 +287,11 @@ mod tests {
         let planner = RetransmissionPlanner::new(msgs).unit(SEC);
         let plan = planner.plan_for_goal(0.5).unwrap();
         // Both messages start at k=0; if any retransmission was needed the
-        // cheap one is chosen first.
-        if plan.retransmission_counts().iter().any(|&k| k > 0) {
-            assert!(plan.count_for(11).unwrap() >= plan.count_for(10).unwrap());
-        }
+        // cheap one (id 11, listed second) is chosen first.
+        let &[large, small] = plan.retransmission_counts() else {
+            panic!("one count per message")
+        };
+        assert!(small >= large);
     }
 
     #[test]
@@ -368,13 +360,5 @@ mod tests {
         let planner = RetransmissionPlanner::new(msgs_with_ber(1e-7)).unit(SEC);
         let plan = planner.uniform(2);
         assert!(plan.retransmission_counts().iter().all(|&k| k == 2));
-    }
-
-    #[test]
-    fn count_for_unknown_id_is_none() {
-        let planner = RetransmissionPlanner::new(msgs_with_ber(1e-7));
-        let plan = planner.uniform(0);
-        assert_eq!(plan.count_for(999), None);
-        assert_eq!(plan.count_for(1), Some(0));
     }
 }
