@@ -55,7 +55,7 @@
 
 use bench_harness::experiments::{
     ablation, dynamic_experiment_statics, fault_model_ablation, fig3_bandwidth, fig4_latency,
-    fig5_miss_ratio, fig_running_time, verify_reproduction, Segment,
+    fig5_miss_ratio, fig_running_time, mixed_config, verify_reproduction, Segment,
 };
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -80,8 +80,7 @@ use bench_harness::table::print_table;
 use bench_harness::trace::{chrome_json, trace_json, validate_trace};
 use coefficient::registry::{self, lookup};
 use coefficient::{
-    CellCoord, Scenario, SeedStrategy, StopCondition, SweepRunner, TraceConfig, UnknownName,
-    MAX_CYCLES,
+    CellCoord, Scenario, SeedStrategy, SweepRunner, TraceConfig, UnknownName, MAX_CYCLES,
 };
 use event_sim::SimDuration;
 use fleet::FleetSpec;
@@ -960,10 +959,10 @@ fn run_fleet(flags: &Flags) {
     }
 }
 
-/// The longest backbone cell `--hypercycles` accepts. The CPU legs look
-/// up each job's completion by a linear scan, so a cell's run time grows
-/// with the square of its span: 1,000 hypercycles take about 1 s on a
-/// 2-vCPU host, 10,000 more than two minutes.
+/// The longest backbone cell `--hypercycles` accepts. A cell's run time
+/// and memory grow linearly with its span: the whole pinned matrix at
+/// `--threads 1` takes about 0.03 s at 250 hypercycles, 0.07 s at 500
+/// and 0.15 s at 1,000 on a 2-vCPU host.
 const MAX_HYPERCYCLES: u64 = 1_000;
 
 fn run_backbone(flags: &Flags) {
@@ -1174,18 +1173,15 @@ const STORM_SMOKE_SEED: u64 = 1;
 /// end); the run is deterministic, so the gate is exact, not statistical.
 fn run_storm_smoke(flags: &Flags) {
     let seed = flags.number("--seed").unwrap_or(STORM_SMOKE_SEED);
-    let cluster = ClusterConfig::paper_mixed(50);
-    let horizon_ms = parse_horizon_ms(flags, &cluster).unwrap_or(200);
-    let report = run_config(coefficient::RunConfig {
-        cluster,
-        scenario: Scenario::ber7().storm(),
-        static_messages: dynamic_experiment_statics(),
-        dynamic_messages: workloads::sae::message_set(workloads::sae::IdRange::For80Slots, seed),
-        policy: coefficient::COEFFICIENT,
-        stop: StopCondition::Horizon(SimDuration::from_millis(horizon_ms)),
+    let horizon_ms = parse_horizon_ms(flags, &ClusterConfig::paper_mixed(50)).unwrap_or(200);
+    let report = run_config(mixed_config(
+        50,
+        Scenario::ber7().storm(),
+        dynamic_experiment_statics(),
+        coefficient::COEFFICIENT,
+        SimDuration::from_millis(horizon_ms),
         seed,
-        trace: Default::default(),
-    });
+    ));
     let c = report.counters;
     println!(
         "storm-smoke: seed {seed}, horizon {horizon_ms} ms, fingerprint {:016x}",
@@ -1371,6 +1367,11 @@ fn real(header: &'static str, key: &'static str, v: f64, decimals: usize) -> Col
     (header, key, format!("{v:.decimals$}"), Json::from(v))
 }
 
+/// A fraction shown as a percentage with `decimals` decimals.
+fn percent(header: &'static str, key: &'static str, fraction: f64, decimals: usize) -> Column {
+    real(header, key, fraction * 100.0, decimals)
+}
+
 /// A checked claim, `PASS` or `FAIL`; a failed one makes the figure run
 /// exit 1.
 fn pass(header: &'static str, key: &'static str, pass: bool) -> Column {
@@ -1402,11 +1403,11 @@ static FIGURES: [Figure; 11] = [
         name: "fig3",
         title: "Figure 3 — bandwidth utilization (%)",
         rows: || {
-            columns(fig3_bandwidth(), |r| {
+            columns(fig3_bandwidth(), |&(minislots, ref r)| {
                 vec![
-                    count("minislots", "minislots", r.minislots),
-                    text("policy", "policy", r.policy),
-                    real("utilization [%]", "utilization_pct", r.utilization_pct, 1),
+                    count("minislots", "minislots", minislots),
+                    text("policy", "policy", r.policy.label()),
+                    percent("utilization [%]", "utilization_pct", r.utilization, 1),
                 ]
             })
         },
@@ -1448,24 +1449,16 @@ static FIGURES: [Figure; 11] = [
         name: "ablation",
         title: "Ablation — each CoEfficient mechanism isolated (BBW+ACC + SAE, 1 s)",
         rows: || {
-            columns(ablation(), |r| {
+            columns(ablation(), |&(variant, ref r)| {
+                let static_ms = Segment::Static.mean_latency_ms(r);
+                let dynamic_ms = Segment::Dynamic.mean_latency_ms(r);
                 vec![
-                    text("variant", "variant", r.variant),
+                    text("variant", "variant", variant),
                     count("delivered", "delivered", r.delivered),
-                    real(
-                        "static lat [ms]",
-                        "static_latency_ms",
-                        r.static_latency_ms,
-                        3,
-                    ),
-                    real(
-                        "dynamic lat [ms]",
-                        "dynamic_latency_ms",
-                        r.dynamic_latency_ms,
-                        3,
-                    ),
-                    real("util [%]", "utilization_pct", r.utilization_pct, 1),
-                    real("miss [%]", "miss_pct", r.miss_pct, 2),
+                    real("static lat [ms]", "static_latency_ms", static_ms, 3),
+                    real("dynamic lat [ms]", "dynamic_latency_ms", dynamic_ms, 3),
+                    percent("util [%]", "utilization_pct", r.utilization, 1),
+                    percent("miss [%]", "miss_pct", r.miss_ratio(), 2),
                 ]
             })
         },
@@ -1474,13 +1467,13 @@ static FIGURES: [Figure; 11] = [
         name: "faults",
         title: "Fault-model ablation — Bernoulli vs Gilbert–Elliott at BER 1e-5",
         rows: || {
-            columns(fault_model_ablation(), |r| {
+            columns(fault_model_ablation(), |&(model, ref r)| {
                 vec![
-                    text("model", "model", r.model),
-                    text("policy", "policy", r.policy),
+                    text("model", "model", model),
+                    text("policy", "policy", r.policy.label()),
                     count("delivered", "delivered", r.delivered),
                     count("corrupted", "corrupted", r.corrupted),
-                    real("miss [%]", "miss_pct", r.miss_pct, 2),
+                    percent("miss [%]", "miss_pct", r.miss_ratio(), 2),
                 ]
             })
         },
@@ -1489,12 +1482,12 @@ static FIGURES: [Figure; 11] = [
         name: "fig5",
         title: "Figure 5 — deadline miss ratio (%)",
         rows: || {
-            columns(fig5_miss_ratio(), |r| {
+            columns(fig5_miss_ratio(), |&(minislots, ref r)| {
                 vec![
-                    count("minislots", "minislots", r.minislots),
+                    count("minislots", "minislots", minislots),
                     text("scenario", "scenario", r.scenario),
-                    text("policy", "policy", r.policy),
-                    real("miss ratio [%]", "miss_pct", r.miss_pct, 2),
+                    text("policy", "policy", r.policy.label()),
+                    percent("miss ratio [%]", "miss_pct", r.miss_ratio(), 2),
                 ]
             })
         },
@@ -1502,43 +1495,41 @@ static FIGURES: [Figure; 11] = [
 ];
 
 /// The rows of `points`, each turned into its columns.
-fn columns<R>(points: Vec<R>, row: fn(&R) -> Vec<Column>) -> Vec<Vec<Column>> {
+fn columns<R>(points: Vec<R>, row: impl Fn(&R) -> Vec<Column>) -> Vec<Vec<Column>> {
     points.iter().map(row).collect()
 }
 
 /// The rows of Figure 1 or 2.
 fn running_time(scenario: Scenario) -> Vec<Vec<Column>> {
-    columns(
-        fig_running_time(&scenario, &[200, 400, 600, 800, 1000]),
-        |r| {
-            vec![
-                text("workload", "workload", r.workload),
-                count("slots", "slots", r.slots),
-                text("policy", "policy", r.policy),
-                text("", "scenario", r.scenario),
-                count("messages", "messages", r.messages),
-                real("running time [s]", "running_time_s", r.running_time_s, 3),
-            ]
-        },
-    )
+    let runs = fig_running_time(&scenario, &[200, 400, 600, 800, 1000]);
+    columns(runs, |&((workload, slots, messages), ref r)| {
+        let seconds = r.running_time.as_secs_f64();
+        vec![
+            text("workload", "workload", workload),
+            count("slots", "slots", slots),
+            text("policy", "policy", r.policy.label()),
+            text("", "scenario", r.scenario),
+            count("messages", "messages", messages),
+            real("running time [s]", "running_time_s", seconds, 3),
+        ]
+    })
 }
 
 /// The rows of one Figure 4 panel.
 fn latency(workload: &'static str, segment: Segment) -> Vec<Vec<Column>> {
-    let mut points = fig4_latency(workload);
-    points.retain(|r| r.segment == segment);
-    columns(points, |r| {
-        let segment = match r.segment {
-            Segment::Static => "static",
-            Segment::Dynamic => "dynamic",
-        };
+    let name = match segment {
+        Segment::Static => "static",
+        Segment::Dynamic => "dynamic",
+    };
+    columns(fig4_latency(workload), |&(minislots, ref r)| {
+        let mean_ms = segment.mean_latency_ms(r);
         vec![
-            text("", "workload", r.workload),
-            text("", "segment", segment),
-            count("minislots", "minislots", r.minislots),
+            text("", "workload", workload),
+            text("", "segment", name),
+            count("minislots", "minislots", minislots),
             text("scenario", "scenario", r.scenario),
-            text("policy", "policy", r.policy),
-            real("mean latency [ms]", "mean_latency_ms", r.mean_latency_ms, 3),
+            text("policy", "policy", r.policy.label()),
+            real("mean latency [ms]", "mean_latency_ms", mean_ms, 3),
         ]
     })
 }

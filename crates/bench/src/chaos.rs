@@ -22,12 +22,14 @@ use coefficient::registry::{keys, lookup};
 use coefficient::sweep::run_parallel;
 use coefficient::{
     CampaignSpec, CampaignTarget, ChaosObservation, Named, PolicyRef, RunConfig, RunCounters,
-    RunReport, Scenario, SchedulerError, StopCondition, TraceConfig, UnknownName,
+    RunReport, Scenario, SchedulerError, UnknownName,
 };
 use flexray::config::ClusterConfig;
 use reliability::monitor::HealthState;
+use std::collections::BTreeSet;
+use std::sync::Mutex;
 
-use crate::experiments::dynamic_experiment_statics;
+use crate::experiments::{dynamic_experiment_statics, mixed_config};
 use crate::json::Json;
 
 /// Pinned seed of the CI chaos gate (see `experiments chaos`).
@@ -113,10 +115,20 @@ pub fn resolve_campaign(name: &str) -> Result<CampaignSpec, UnknownName> {
 ///
 /// [`Scenario::with_campaign`] requires a `&'static str` (scenario names
 /// flow into seed derivation and reports); the CLI composes base and
-/// campaign at runtime, so the composed name is leaked — a few bytes once
-/// per invocation.
+/// campaign at runtime, so each distinct composed name is leaked once per
+/// process and every later call reuses it.
 pub fn chaos_scenario(base: Scenario, campaign_name: &str, spec: CampaignSpec) -> Scenario {
-    let name: &'static str = Box::leak(format!("{}+{campaign_name}", base.name).into_boxed_str());
+    static NAMES: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+    let composed = format!("{}+{campaign_name}", base.name);
+    let mut names = NAMES.lock().expect("no holder panics");
+    let name = match names.get(composed.as_str()) {
+        Some(&name) => name,
+        None => {
+            let name: &'static str = Box::leak(composed.into_boxed_str());
+            names.insert(name);
+            name
+        }
+    };
     base.with_campaign(name, spec)
 }
 
@@ -303,22 +315,12 @@ pub fn chaos_configs(
     horizon_cycles: u64,
     seed: u64,
 ) -> Vec<RunConfig> {
-    let cluster = ClusterConfig::paper_mixed(50);
-    let horizon = cluster.cycle_duration() * horizon_cycles;
+    let horizon = ClusterConfig::paper_mixed(50).cycle_duration() * horizon_cycles;
     policies
         .iter()
-        .map(|&policy| RunConfig {
-            cluster: cluster.clone(),
-            scenario: scenario.clone(),
-            static_messages: dynamic_experiment_statics(),
-            dynamic_messages: workloads::sae::message_set(
-                workloads::sae::IdRange::For80Slots,
-                seed,
-            ),
-            policy,
-            stop: StopCondition::Horizon(horizon),
-            seed,
-            trace: TraceConfig::off(),
+        .map(|&policy| {
+            let statics = dynamic_experiment_statics();
+            mixed_config(50, scenario.clone(), statics, policy, horizon, seed)
         })
         .collect()
 }

@@ -3,10 +3,11 @@
 //!
 //! Each `figN_*` function runs the full dual-channel bus simulation for
 //! every parameter combination of the corresponding figure and returns
-//! typed rows; the `experiments` binary prints them as tables (or JSON).
-//! The figure
-//! cells execute through the parallel sweep harness
-//! ([`coefficient::sweep`], with the bench-side layer in [`sweep`]).
+//! its runs as `(key, RunReport)` pairs; the `experiments` binary
+//! computes each printed column from the reports and prints them as
+//! tables (or JSON). The figure cells execute through the parallel sweep
+//! harness ([`coefficient::sweep`], with the bench-side layer in
+//! [`sweep`]).
 //! Paper-reported values and our measured shapes are recorded side by
 //! side in `EXPERIMENTS.md`.
 

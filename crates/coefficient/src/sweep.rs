@@ -52,7 +52,7 @@ use flexray::signal::Signal;
 use metrics::{Aggregate, AggregateSummary};
 use workloads::AperiodicMessage;
 
-use crate::policy::{CoefficientOptions, SchedulerError};
+use crate::policy::SchedulerError;
 use crate::registry::PolicyRef;
 use crate::runner::{RunConfig, RunReport, Runner, StopCondition};
 use crate::scenario::Scenario;
@@ -242,28 +242,12 @@ impl SweepReport {
 /// Executes many [`RunConfig`]s across worker threads, preserving input
 /// order in the output.
 ///
-/// This is the primitive beneath [`SweepRunner`]; the figure generators in
-/// the bench crate use it directly because their cells vary axes (cluster
-/// geometry, stop condition, workload) that a [`SweepMatrix`] holds fixed.
-/// Each runner is built and consumed entirely on its worker thread, so
-/// results are bitwise identical to serial execution.
-///
-/// # Errors
-/// Returns the first [`SchedulerError`] (in input order) if any
-/// configuration fails to build a schedule.
-pub fn run_parallel(
-    configs: Vec<RunConfig>,
-    threads: usize,
-) -> Result<Vec<RunReport>, SchedulerError> {
-    let cells = configs
-        .into_iter()
-        .map(|cfg| (cfg, CoefficientOptions::default()))
-        .collect();
-    run_parallel_with_options(cells, threads)
-}
-
-/// Like [`run_parallel`], with explicit per-cell [`CoefficientOptions`]
-/// (the ablation experiments vary feature switches per cell).
+/// This is [`parallel_map`] over [`Runner::new`]; the figure generators
+/// and the chaos campaigns in the bench crate use it directly because
+/// their cells vary axes (cluster geometry, stop condition, workload)
+/// that a [`SweepMatrix`] holds fixed. Each runner is built and consumed
+/// entirely on its worker thread, so results are bitwise identical to
+/// serial execution.
 ///
 /// # Errors
 /// Returns the first [`SchedulerError`] (in input order) if any
@@ -271,12 +255,12 @@ pub fn run_parallel(
 ///
 /// # Panics
 /// Panics if `threads` is zero.
-pub fn run_parallel_with_options(
-    cells: Vec<(RunConfig, CoefficientOptions)>,
+pub fn run_parallel(
+    configs: Vec<RunConfig>,
     threads: usize,
 ) -> Result<Vec<RunReport>, SchedulerError> {
-    parallel_map(cells, threads, |(config, options)| {
-        Runner::new_with_options(config, options).map(Runner::run)
+    parallel_map(configs, threads, |config| {
+        Runner::new(config).map(Runner::run)
     })
     .into_iter()
     .collect()

@@ -1,5 +1,6 @@
 //! Execution traces of simulated schedules.
 
+use std::collections::HashMap;
 use std::fmt;
 
 use event_sim::{SimDuration, SimTime};
@@ -108,15 +109,22 @@ impl std::error::Error for TraceError {}
 pub struct ExecutionTrace {
     slices: Vec<Slice>,
     completions: Vec<JobCompletion>,
+    /// Index into `completions` of each `(task, job)`'s first record.
+    by_job: HashMap<(TaskId, u64), usize>,
     horizon: SimTime,
 }
 
 impl ExecutionTrace {
     /// Assembles a trace; intended for schedule producers.
     pub fn new(slices: Vec<Slice>, completions: Vec<JobCompletion>, horizon: SimTime) -> Self {
+        let mut by_job = HashMap::with_capacity(completions.len());
+        for (i, c) in completions.iter().enumerate() {
+            by_job.entry((c.task, c.job)).or_insert(i);
+        }
         ExecutionTrace {
             slices,
             completions,
+            by_job,
             horizon,
         }
     }
@@ -139,11 +147,11 @@ impl ExecutionTrace {
     /// The completion record of job `job` of periodic task `task`, if the
     /// job finished inside the observation window. End-to-end pipelines
     /// (sensor task → bus → actuator task) use this to read one job's
-    /// completion instant out of a simulated schedule.
+    /// completion instant out of a simulated schedule, one hash lookup
+    /// per job.
     pub fn completion_of_job(&self, task: TaskId, job: u64) -> Option<&JobCompletion> {
-        self.completions
-            .iter()
-            .find(|c| c.task == task && c.job == job)
+        let &i = self.by_job.get(&(task, job))?;
+        Some(&self.completions[i])
     }
 
     /// Checks the structural invariants.
@@ -260,6 +268,26 @@ mod tests {
         assert_eq!(tr.busy_time(), SimDuration::from_millis(4));
         assert_eq!(tr.task_time(0), SimDuration::from_millis(3));
         assert_eq!(tr.task_time(1), SimDuration::from_millis(1));
+    }
+
+    #[test]
+    fn completion_of_job_finds_each_recorded_job_and_no_other() {
+        let done = |task, job, ms| JobCompletion {
+            task,
+            job,
+            release: t(0),
+            completion: t(ms),
+            deadline: t(10),
+        };
+        let completions = vec![done(1, 0, 1), done(2, 0, 2), done(1, 1, 3), done(1, 1, 4)];
+        let tr = ExecutionTrace::new(vec![], completions.clone(), t(10));
+        assert_eq!(tr.completion_of_job(1, 0), Some(&completions[0]));
+        assert_eq!(tr.completion_of_job(2, 0), Some(&completions[1]));
+        // The first record of a job wins, as a scan in completion order would.
+        assert_eq!(tr.completion_of_job(1, 1), Some(&completions[2]));
+        assert_eq!(tr.completion_of_job(2, 1), None);
+        assert_eq!(tr.completion_of_job(3, 0), None);
+        assert_eq!(tr.completions(), &completions[..]);
     }
 
     #[test]
