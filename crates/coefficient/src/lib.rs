@@ -58,7 +58,6 @@
 #![warn(missing_debug_implementations)]
 
 mod assignment;
-pub mod golden;
 mod instance;
 mod policy;
 pub mod registry;
@@ -67,10 +66,9 @@ mod scenario;
 pub mod sweep;
 
 pub use assignment::{AllocationError, CopyPlacement, StaticAllocation};
+pub use instance::{InstanceStatus, InstanceTracker, LogSummary, MessageClass};
 // Re-exported so downstream users can configure [`RunConfig::trace`] and
 // consume [`RunReport::trace`] without naming the `observe` crate.
-pub use golden::{GoldenCell, GoldenCorpus, Tolerances, VerifyReport};
-pub use instance::{InstanceStatus, InstanceTracker, LogSummary, MessageClass};
 pub use observe::{TraceConfig, TraceLog, TraceMode};
 pub use policy::{CoefficientOptions, Scheduler, SchedulerError};
 pub use registry::{

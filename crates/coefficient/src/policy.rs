@@ -322,9 +322,9 @@ pub struct Scheduler {
     /// Position in `dynamics` of each frame id.
     dynamic_index: HashMap<u16, usize>,
     tracker: InstanceTracker,
-    /// Per-channel dynamic queues, sorted by (frame id, seq).
-    queues: [Vec<(u64, DynPending)>; 2],
-    next_seq: u64,
+    /// Per-channel dynamic queues, sorted by frame id; entries of one
+    /// frame id stay in arrival order.
+    queues: [Vec<DynPending>; 2],
     /// CoEfficient: planned copies that found no fitting slack and were
     /// dropped (the selective criterion: a copy only exists where slack
     /// fits it). Reported for reliability accounting.
@@ -693,7 +693,6 @@ impl Scheduler {
             // Pre-sized so the steady-state cycle loop never grows them:
             // the dynamic backlog is bounded by the purge window.
             queues: [Vec::with_capacity(64), Vec::with_capacity(64)],
-            next_seq: 0,
             dropped_copies: 0,
             slot_capacity_bits,
             cycle_duration,
@@ -821,7 +820,7 @@ impl Scheduler {
         let queues: usize = self
             .queues
             .iter()
-            .map(|q| q.capacity() * size_of::<(u64, DynPending)>())
+            .map(|q| q.capacity() * size_of::<DynPending>())
             .sum();
         let fspec: usize = self
             .statics
@@ -1044,16 +1043,16 @@ impl Scheduler {
     /// as deadline misses in the final accounting.
     pub fn purge_expired(&mut self, now: SimTime) {
         for q in &mut self.queues {
-            q.retain(|(_, e)| e.expires > now);
+            q.retain(|e| e.expires > now);
         }
     }
 
+    /// Inserts after every entry of the same frame id, so those keep
+    /// arrival order.
     fn enqueue_dynamic(&mut self, channel: ChannelId, p: DynPending) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
         let q = &mut self.queues[channel.index()];
-        let pos = q.partition_point(|(_, e)| e.frame_id <= p.frame_id);
-        q.insert(pos, (seq, p));
+        let pos = q.partition_point(|e| e.frame_id <= p.frame_id);
+        q.insert(pos, p);
     }
 
     /// The frame for occupied position `occ` at `slot_start`, if its
@@ -1249,8 +1248,8 @@ impl Scheduler {
             // The static-coding fit size is precomputed per message (see
             // `DynInfo::static_wire_bits`), so this scan is compare-only.
             let capacity = self.slot_capacity_bits;
-            if let Some(pos) = q.iter().position(|(_, e)| e.static_wire_bits <= capacity) {
-                let (_, entry) = q.remove(pos);
+            if let Some(pos) = q.iter().position(|e| e.static_wire_bits <= capacity) {
+                let entry = q.remove(pos);
                 self.cooperative_static_serves += 1;
                 let inst = self.tracker.get(entry.instance);
                 self.tracer.emit(slot_start, || EventKind::StealGranted {
@@ -1545,13 +1544,13 @@ impl TrafficSource for Scheduler {
             return None;
         };
         let q = &mut self.queues[channel.index()];
-        let first = q.partition_point(|(_, e)| e.frame_id < frame_id);
+        let first = q.partition_point(|e| e.frame_id < frame_id);
         let pos = first
             + q[first..]
                 .iter()
-                .take_while(|(_, e)| e.frame_id == frame_id)
-                .position(|(_, e)| e.payload_bytes <= max_payload_bytes)?;
-        let (_, entry) = q.remove(pos);
+                .take_while(|e| e.frame_id == frame_id)
+                .position(|e| e.payload_bytes <= max_payload_bytes)?;
+        let entry = q.remove(pos);
         let inst = self.tracker.get(entry.instance);
         if inst.class == MessageClass::Static {
             self.copy_transmissions += 1;
@@ -1619,9 +1618,8 @@ impl TrafficSource for Scheduler {
     /// queue is sorted by frame id, so one binary search.
     fn next_dynamic_slot(&mut self, _cycle: u64, channel: ChannelId, from: u64) -> u64 {
         let q = &self.queues[channel.index()];
-        let first = q.partition_point(|(_, e)| u64::from(e.frame_id) < from);
-        q.get(first)
-            .map_or(u64::MAX, |(_, e)| u64::from(e.frame_id))
+        let first = q.partition_point(|e| u64::from(e.frame_id) < from);
+        q.get(first).map_or(u64::MAX, |e| u64::from(e.frame_id))
     }
 }
 

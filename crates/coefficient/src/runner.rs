@@ -129,7 +129,7 @@ pub struct RunCounters {
 
 impl RunCounters {
     /// How many leading [`fields`](Self::fields) the first recorded
-    /// `coefficient-golden/1` schema held. These always fold into
+    /// golden corpus held. These always fold into
     /// [`RunReport::fingerprint`]; the resilience counters after them
     /// (`[10..16]`) and the campaign counters after those (`[16..]`)
     /// joined later and fold in only when nonzero, so a run that never

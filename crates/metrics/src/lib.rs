@@ -5,7 +5,7 @@
 //! miss ratio. This crate provides the accounting primitives those metrics
 //! are computed from:
 //!
-//! * [`Summary`] — streaming min/max/mean/variance over durations;
+//! * [`Summary`] — streaming count/min/max/mean over durations;
 //! * [`LogHistogram`] — mergeable log-scale `u64` histograms for
 //!   fleet-scale streaming aggregation (fixed memory, order-independent
 //!   merge);
