@@ -56,9 +56,6 @@ pub(crate) fn calibration_pass() -> Duration {
     started.elapsed()
 }
 
-/// Default path of the checked-in smoke-mode baseline.
-pub const DEFAULT_BASELINE_PATH: &str = "corpus/bench_baseline.json";
-
 /// Description of one `bench cycles` measurement.
 #[derive(Debug, Clone)]
 pub struct CyclesSpec {

@@ -23,11 +23,16 @@
 //! [`GROUP_METRICS`] (each row a name, a [`Band`] and an extractor), and
 //! the counters in [`counter_names`].
 //!
-//! A corpus file is self-describing: it embeds the [`SweepSpec`] it was
-//! recorded from, so `verify` rebuilds exactly the recorded matrix. The
-//! checked-in file is the single source of truth, and drift between
-//! "what was recorded" and "what is replayed" is impossible by
-//! construction.
+//! A corpus file embeds the [`SweepSpec`] it was recorded from, so
+//! `verify` rebuilds exactly the recorded matrix, and a cell's or group's
+//! place in that matrix is its identity: the `cells` and `groups` arrays
+//! follow the matrix order ([`SweepMatrix::coords`]: policy-major, then
+//! scenario, then seed), and nothing else locates an entry. Each entry
+//! also carries its `policy` and `scenario` labels so a corpus diff reads
+//! by name; the reader checks them, and the entry counts, against the
+//! spec and refuses a file they disagree with.
+//!
+//! [`SweepMatrix::coords`]: coefficient::SweepMatrix::coords
 
 use std::fmt;
 use std::fs;
@@ -38,8 +43,8 @@ use backbone::{run_cell, run_matrix, ALL_RESERVATIONS};
 use backbone::{CellSpec as BackboneCellSpec, MatrixSpec as BackboneMatrixSpec};
 use coefficient::registry::lookup;
 use coefficient::{
-    CellCoord, CellOutcome, GroupSummary, RunReport, Scenario, SchedulerError, SeedStrategy,
-    SweepReport,
+    CellCoord, CellOutcome, GroupSummary, PolicyRef, RunReport, Scenario, SchedulerError,
+    SeedStrategy, SweepReport,
 };
 use event_sim::SimDuration;
 
@@ -49,7 +54,7 @@ use crate::sweep::{parse_scenario, SweepSpec};
 use crate::trace::counter_names;
 
 /// Version tag of the corpus schema; bump on incompatible change.
-pub const SCHEMA: &str = "coefficient-golden/1";
+pub const SCHEMA: &str = "coefficient-golden/2";
 
 /// Default on-disk location of the checked-in corpus.
 pub const DEFAULT_CORPUS_PATH: &str = "corpus/golden.json";
@@ -180,7 +185,7 @@ fn metric_diffs<T>(
     table: &[Metric<T>],
     recorded: &[f64],
     fresh: &T,
-    group: Option<(usize, usize)>,
+    group: Option<(PolicyRef, &'static str)>,
 ) -> Vec<MetricDiff> {
     table
         .iter()
@@ -220,7 +225,7 @@ pub fn golden_spec() -> SweepSpec {
     }
 }
 
-/// A recorded corpus: the unit the `coefficient-golden/1` file stores.
+/// A recorded corpus: the unit the `coefficient-golden/2` file stores.
 #[derive(Debug, Clone)]
 pub struct CorpusFile {
     /// Corpus name (`"default"` when recorded).
@@ -228,27 +233,20 @@ pub struct CorpusFile {
     /// The sweep spec the corpus was recorded from (and is verified
     /// against).
     pub spec: SweepSpec,
-    /// Recorded cells in canonical matrix order.
+    /// One recorded cell per cell of `spec`'s matrix, in matrix order.
     pub cells: Vec<GoldenCell>,
-    /// Per-group percentile envelopes in matrix order.
+    /// One percentile envelope per `{policy × scenario}` group of
+    /// `spec`'s matrix, in matrix order.
     pub groups: Vec<GoldenGroup>,
     /// The recorded end-to-end backbone cells (a corpus file must hold
     /// at least one).
     pub backbone: Vec<BackboneGoldenCell>,
 }
 
-/// One recorded sweep cell.
+/// One recorded sweep cell, identified by its position in
+/// [`CorpusFile::cells`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct GoldenCell {
-    /// Matrix coordinates of the cell.
-    pub coord: CellCoord,
-    /// Policy label (e.g. `"CoEfficient"`), for human-readable diffs and
-    /// JSON round-trips.
-    pub policy: String,
-    /// Scenario label (e.g. `"BER-7"`).
-    pub scenario: String,
-    /// The derived master seed the cell ran under.
-    pub seed: u64,
     /// The exact run fingerprint; verification requires byte identity.
     pub fingerprint: u64,
     /// One value per [`CELL_METRICS`] row, checked against its band.
@@ -259,13 +257,9 @@ pub struct GoldenCell {
 }
 
 impl GoldenCell {
-    /// Records a cell from a sweep outcome, under its policy's label.
+    /// Records a cell from a sweep outcome.
     fn from_outcome(cell: &CellOutcome) -> Self {
         GoldenCell {
-            coord: cell.coord,
-            policy: cell.policy.label().to_string(),
-            scenario: cell.scenario.to_string(),
-            seed: cell.seed,
             fingerprint: cell.fingerprint,
             metrics: CELL_METRICS.map(|m| (m.read)(&cell.report)),
             counters: cell.report.counters.fields().map(|(_, v)| v),
@@ -273,13 +267,10 @@ impl GoldenCell {
     }
 }
 
-/// One recorded `{policy × scenario}` group.
+/// One recorded `{policy × scenario}` group, identified by its position
+/// in [`CorpusFile::groups`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GoldenGroup {
-    /// Index into the recorded policy axis.
-    pub policy: usize,
-    /// Index into the recorded scenario axis.
-    pub scenario: usize,
     /// One value per [`GROUP_METRICS`] row.
     pub percentiles: [f64; GROUP_METRICS.len()],
 }
@@ -309,54 +300,42 @@ pub struct BackboneGoldenCell {
 
 impl CorpusFile {
     /// Records the sweep `report` of `spec`, with no backbone cells. The
-    /// groups come in matrix order, policy-major.
+    /// report lists cells and groups in matrix order, and so does the
+    /// corpus.
     fn record(spec: &SweepSpec, report: &SweepReport) -> CorpusFile {
-        let scenarios = spec.scenarios.len();
-        let groups = report
-            .groups
-            .iter()
-            .enumerate()
-            .map(|(i, g)| GoldenGroup {
-                policy: i / scenarios,
-                scenario: i % scenarios,
-                percentiles: GROUP_METRICS.map(|m| (m.read)(g)),
-            })
-            .collect();
+        let groups = report.groups.iter().map(|g| GoldenGroup {
+            percentiles: GROUP_METRICS.map(|m| (m.read)(g)),
+        });
         CorpusFile {
             name: NAME.to_string(),
             spec: spec.clone(),
             cells: report.cells.iter().map(GoldenCell::from_outcome).collect(),
-            groups,
+            groups: groups.collect(),
             backbone: Vec::new(),
         }
     }
 
     /// Verifies a fresh sweep of the recorded matrix against the corpus'
-    /// cells and groups.
+    /// cells and groups, pairing each recorded entry with the fresh one
+    /// at its position.
+    ///
+    /// # Panics
+    /// Panics if `fresh` is not a sweep of the corpus' own spec.
     fn verify(&self, fresh: &SweepReport) -> VerifyReport {
-        let mut checks = Vec::with_capacity(self.cells.len());
-        let mut missing = Vec::new();
-        for recorded in &self.cells {
-            match fresh.cell(recorded.coord) {
-                Some(cell) => checks.push(check_cell(recorded, cell)),
-                None => missing.push(recorded.coord),
-            }
-        }
-        // A group the fresh sweep lacks shows as missing cells already.
-        let group_diffs = self
-            .groups
-            .iter()
-            .zip(&fresh.groups)
-            .flat_map(|(recorded, g)| {
-                let at = Some((recorded.policy, recorded.scenario));
-                metric_diffs(&GROUP_METRICS, &recorded.percentiles, g, at)
-            })
-            .collect();
+        assert_eq!(
+            (self.cells.len(), self.groups.len()),
+            (fresh.cells.len(), fresh.groups.len()),
+            "the fresh sweep is not the corpus' matrix"
+        );
+        let cells = self.cells.iter().zip(&fresh.cells);
+        let groups = self.groups.iter().zip(&fresh.groups);
+        let group_diffs = groups.flat_map(|(recorded, g)| {
+            let at = Some((g.policy, g.scenario));
+            metric_diffs(&GROUP_METRICS, &recorded.percentiles, g, at)
+        });
         VerifyReport {
-            checks,
-            missing,
-            extra_cells: fresh.cells.len().saturating_sub(self.cells.len()),
-            group_diffs,
+            checks: cells.map(check_cell).collect(),
+            group_diffs: group_diffs.collect(),
         }
     }
 }
@@ -375,9 +354,9 @@ pub struct CounterDiff {
 /// A metric outside its tolerance band.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MetricDiff {
-    /// `Some((policy, scenario))` for group-envelope metrics, `None` for
-    /// per-cell metrics.
-    pub group: Option<(usize, usize)>,
+    /// `Some((policy, scenario label))` for group-envelope metrics,
+    /// `None` for per-cell metrics.
+    pub group: Option<(PolicyRef, &'static str)>,
     /// Metric name.
     pub name: &'static str,
     /// Value in the corpus.
@@ -391,10 +370,10 @@ pub struct MetricDiff {
 pub struct CellCheck {
     /// Matrix coordinates.
     pub coord: CellCoord,
-    /// Policy label from the corpus.
-    pub policy: String,
-    /// Scenario label from the corpus.
-    pub scenario: String,
+    /// Policy of the cell.
+    pub policy: PolicyRef,
+    /// Scenario label.
+    pub scenario: &'static str,
     /// The derived master seed.
     pub seed: u64,
     /// Fingerprint in the corpus.
@@ -416,7 +395,7 @@ impl CellCheck {
     }
 }
 
-fn check_cell(recorded: &GoldenCell, fresh: &CellOutcome) -> CellCheck {
+fn check_cell((recorded, fresh): (&GoldenCell, &CellOutcome)) -> CellCheck {
     let counter_diffs = recorded
         .counters
         .iter()
@@ -429,10 +408,10 @@ fn check_cell(recorded: &GoldenCell, fresh: &CellOutcome) -> CellCheck {
         })
         .collect();
     CellCheck {
-        coord: recorded.coord,
-        policy: recorded.policy.clone(),
-        scenario: recorded.scenario.clone(),
-        seed: recorded.seed,
+        coord: fresh.coord,
+        policy: fresh.policy,
+        scenario: fresh.scenario,
+        seed: fresh.seed,
         recorded_fingerprint: recorded.fingerprint,
         fresh_fingerprint: fresh.fingerprint,
         counter_diffs,
@@ -443,23 +422,16 @@ fn check_cell(recorded: &GoldenCell, fresh: &CellOutcome) -> CellCheck {
 /// The result of verifying a whole corpus.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VerifyReport {
-    /// One check per corpus cell found in the fresh sweep.
+    /// One check per corpus cell, in matrix order.
     pub checks: Vec<CellCheck>,
-    /// Corpus cells the fresh sweep did not produce at all.
-    pub missing: Vec<CellCoord>,
-    /// Fresh cells beyond the corpus (matrix grew without re-recording).
-    pub extra_cells: usize,
     /// Group-envelope metrics outside their band.
     pub group_diffs: Vec<MetricDiff>,
 }
 
 impl VerifyReport {
-    /// `true` iff every cell passed and the matrices line up.
+    /// `true` iff every cell and every group passed.
     pub fn passed(&self) -> bool {
-        self.missing.is_empty()
-            && self.extra_cells == 0
-            && self.group_diffs.is_empty()
-            && self.checks.iter().all(CellCheck::passed)
+        self.group_diffs.is_empty() && self.checks.iter().all(CellCheck::passed)
     }
 
     /// The checks that failed.
@@ -474,25 +446,20 @@ impl fmt::Display for VerifyReport {
         let failed = self.failures().count();
         writeln!(
             f,
-            "golden verify: {} cells, {} passed, {} failed, {} missing, {} extra",
+            "golden verify: {} cells, {} passed, {} failed",
             self.checks.len(),
             self.checks.len() - failed,
             failed,
-            self.missing.len(),
-            self.extra_cells,
         )?;
-        for coord in &self.missing {
-            writeln!(
-                f,
-                "  MISSING cell {{policy {}, scenario {}, seed {}}}",
-                coord.policy, coord.scenario, coord.seed
-            )?;
-        }
         for c in self.failures() {
             writeln!(
                 f,
                 "  FAIL {} × {} (seed {:#018x}): fingerprint {:016x} -> {:016x}",
-                c.policy, c.scenario, c.seed, c.recorded_fingerprint, c.fresh_fingerprint
+                c.policy.label(),
+                c.scenario,
+                c.seed,
+                c.recorded_fingerprint,
+                c.fresh_fingerprint
             )?;
             for d in &c.counter_diffs {
                 writeln!(
@@ -520,11 +487,14 @@ impl fmt::Display for VerifyReport {
             }
         }
         for d in &self.group_diffs {
-            let (p, s) = d.group.expect("group diffs carry their group");
+            let (policy, scenario) = d.group.expect("group diffs carry their group");
             writeln!(
                 f,
-                "  GROUP {{policy {p}, scenario {s}}} metric {:<24} {:>14.6} -> {:<14.6}",
-                d.name, d.recorded, d.fresh
+                "  GROUP {} × {scenario} metric {:<24} {:>14.6} -> {:<14.6}",
+                policy.label(),
+                d.name,
+                d.recorded,
+                d.fresh
             )?;
         }
         Ok(())
@@ -625,9 +595,34 @@ pub fn verify_backbone(file: &CorpusFile) -> Result<Vec<String>, String> {
 // JSON serialization
 // ---------------------------------------------------------------------------
 
-/// Serializes a corpus file into the `coefficient-golden/1` document.
+/// The `(policy, scenario)` labels a corpus entry carries.
+type Labels = (&'static str, &'static str);
+
+/// The labels of the `{policy × scenario}` groups of `spec`'s matrix, in
+/// matrix order (policy-major).
+fn group_labels(spec: &SweepSpec) -> impl Iterator<Item = Labels> + '_ {
+    let column = move |&p: &PolicyRef| spec.scenarios.iter().map(move |s| (p.label(), s.name));
+    spec.policies.iter().flat_map(column)
+}
+
+/// The labels of the cells of `spec`'s matrix, in matrix order: each
+/// group's labels once per seed.
+fn cell_labels(spec: &SweepSpec) -> impl Iterator<Item = Labels> + '_ {
+    group_labels(spec).flat_map(|labels| std::iter::repeat_n(labels, spec.seeds as usize))
+}
+
+/// Serializes a corpus file into the `coefficient-golden/2` document.
+///
+/// # Panics
+/// Panics unless `file` holds one entry per cell and group of its spec's
+/// matrix, since the labels written come from the spec.
 pub fn corpus_to_json(file: &CorpusFile) -> Json {
     let spec = &file.spec;
+    assert_eq!(
+        (file.cells.len(), file.groups.len()),
+        (cell_labels(spec).count(), group_labels(spec).count()),
+        "a corpus holds one entry per cell and group of its spec's matrix"
+    );
     Json::object([
         ("schema", Json::str(SCHEMA)),
         ("name", Json::str(file.name.clone())),
@@ -659,8 +654,14 @@ pub fn corpus_to_json(file: &CorpusFile) -> Json {
                 ),
             ]),
         ),
-        ("cells", Json::array(file.cells.iter().map(cell_to_json))),
-        ("groups", Json::array(file.groups.iter().map(group_to_json))),
+        (
+            "cells",
+            Json::array(cell_labels(spec).zip(&file.cells).map(cell_to_json)),
+        ),
+        (
+            "groups",
+            Json::array(group_labels(spec).zip(&file.groups).map(group_to_json)),
+        ),
         (
             "backbone",
             Json::array(file.backbone.iter().map(backbone_cell_to_json)),
@@ -683,59 +684,41 @@ fn backbone_cell_to_json(cell: &BackboneGoldenCell) -> Json {
     ])
 }
 
-fn cell_to_json(cell: &GoldenCell) -> Json {
-    Json::object([
-        ("policy", Json::str(cell.policy.clone())),
-        ("scenario", Json::str(cell.scenario.clone())),
-        ("policy_index", Json::from(cell.coord.policy)),
-        ("scenario_index", Json::from(cell.coord.scenario)),
-        ("seed_index", Json::from(cell.coord.seed)),
-        ("seed", Json::from(cell.seed)),
-        (
-            "fingerprint",
-            Json::String(format!("{:016x}", cell.fingerprint)),
-        ),
-        (
-            "metrics",
-            Json::object(
-                CELL_METRICS
-                    .map(|m| m.name)
-                    .into_iter()
-                    .zip(cell.metrics.map(Json::from)),
-            ),
-        ),
-        (
-            "counters",
-            Json::object(
-                counter_names()
-                    .into_iter()
-                    .zip(cell.counters.map(Json::from)),
-            ),
-        ),
-    ])
+/// An entry of the `cells` or `groups` array: its labels, then `fields`.
+fn labelled(labels: Labels, fields: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
+    let labels = [("policy", labels.0), ("scenario", labels.1)].map(|(k, v)| (k, Json::str(v)));
+    Json::object(labels.into_iter().chain(fields))
 }
 
-fn group_to_json(group: &GoldenGroup) -> Json {
-    let index = [
-        ("policy_index", Json::from(group.policy)),
-        ("scenario_index", Json::from(group.scenario)),
+fn cell_to_json((labels, cell): (Labels, &GoldenCell)) -> Json {
+    let fingerprint = Json::String(format!("{:016x}", cell.fingerprint));
+    let metrics = CELL_METRICS.map(|m| m.name).into_iter();
+    let metrics = metrics.zip(cell.metrics.map(Json::from));
+    let counters = counter_names().into_iter();
+    let counters = counters.zip(cell.counters.map(Json::from));
+    let fields = [
+        ("fingerprint", fingerprint),
+        ("metrics", Json::object(metrics)),
+        ("counters", Json::object(counters)),
     ];
-    let percentiles = GROUP_METRICS
-        .map(|m| m.name)
-        .into_iter()
-        .zip(group.percentiles.map(Json::from));
-    Json::object(index.into_iter().chain(percentiles))
+    labelled(labels, fields)
+}
+
+fn group_to_json((labels, group): (Labels, &GoldenGroup)) -> Json {
+    let percentiles = GROUP_METRICS.map(|m| m.name).into_iter();
+    labelled(labels, percentiles.zip(group.percentiles.map(Json::from)))
 }
 
 // ---------------------------------------------------------------------------
 // JSON deserialization
 // ---------------------------------------------------------------------------
 
-/// Parses a `coefficient-golden/1` document back into a corpus file.
+/// Parses a `coefficient-golden/2` document back into a corpus file.
 ///
 /// # Errors
 /// Names the defect on a schema mismatch, a recorded band other than
-/// [`RATIO_ABS`] and [`SCALE_REL`], or any missing or mistyped field.
+/// [`RATIO_ABS`] and [`SCALE_REL`], any missing or mistyped field, or
+/// `cells` and `groups` arrays that are not the spec's matrix.
 fn corpus_from_json(doc: &Json) -> Result<CorpusFile, String> {
     let schema = want_str(doc, "schema")?;
     if schema != SCHEMA {
@@ -753,14 +736,10 @@ fn corpus_from_json(doc: &Json) -> Result<CorpusFile, String> {
         }
     }
     let spec = spec_from_json(want(doc, "spec")?)?;
-    let cells = want_array(doc, "cells")?
-        .iter()
-        .map(cell_from_json)
-        .collect::<Result<Vec<_>, _>>()?;
-    let groups = want_array(doc, "groups")?
-        .iter()
-        .map(group_from_json)
-        .collect::<Result<Vec<_>, _>>()?;
+    let groups = spec.policies.len() * spec.scenarios.len();
+    let cells = groups.saturating_mul(spec.seeds as usize);
+    let cells = entries(doc, "cells", cells, cell_labels(&spec), cell_from_json)?;
+    let groups = entries(doc, "groups", groups, group_labels(&spec), group_from_json)?;
     // A corpus without backbone cells would gate only the sweep half.
     let backbone = want_array(doc, "backbone")?
         .iter()
@@ -847,18 +826,47 @@ fn spec_from_json(doc: &Json) -> Result<SweepSpec, String> {
     Ok(spec)
 }
 
+/// The `key` array of a corpus: `count` entries carrying `labels` in
+/// order, each read by `read`.
+///
+/// # Errors
+/// Names the array and both counts when it does not hold `count`
+/// entries, and the entry, the label and both values when a label is
+/// not the one the spec's matrix has at that position.
+fn entries<T>(
+    doc: &Json,
+    key: &str,
+    count: usize,
+    labels: impl Iterator<Item = Labels>,
+    read: fn(&Json) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    let items = want_array(doc, key)?;
+    if items.len() != count {
+        let n = items.len();
+        return Err(format!(
+            "{key:?} holds {n} entries, but the spec's matrix has {count}"
+        ));
+    }
+    let labelled = items.iter().zip(labels).enumerate();
+    labelled
+        .map(|(i, (item, (policy, scenario)))| {
+            for (label, want) in [("policy", policy), ("scenario", scenario)] {
+                let got = want_str(item, label)?;
+                if got != want {
+                    return Err(format!(
+                        "{key}[{i}] {label:?} is {got:?}, but the spec's matrix has {want:?} there"
+                    ));
+                }
+            }
+            read(item)
+        })
+        .collect()
+}
+
 fn cell_from_json(doc: &Json) -> Result<GoldenCell, String> {
     let fingerprint = fingerprint_from_json(doc)?;
     let (metrics, counters) = (want(doc, "metrics")?, want(doc, "counters")?);
     Ok(GoldenCell {
-        coord: CellCoord {
-            policy: want_u64(doc, "policy_index")? as usize,
-            scenario: want_u64(doc, "scenario_index")? as usize,
-            seed: want_u64(doc, "seed_index")? as usize,
-        },
-        policy: want_str(doc, "policy")?.to_string(),
-        scenario: want_str(doc, "scenario")?.to_string(),
-        seed: want_u64(doc, "seed")?,
         fingerprint,
         metrics: values(CELL_METRICS.map(|m| m.name), |name| want_f64(metrics, name))?,
         counters: values(counter_names(), |name| want_u64(counters, name))?,
@@ -867,8 +875,6 @@ fn cell_from_json(doc: &Json) -> Result<GoldenCell, String> {
 
 fn group_from_json(doc: &Json) -> Result<GoldenGroup, String> {
     Ok(GoldenGroup {
-        policy: want_u64(doc, "policy_index")? as usize,
-        scenario: want_u64(doc, "scenario_index")? as usize,
         percentiles: values(GROUP_METRICS.map(|m| m.name), |name| want_f64(doc, name))?,
     })
 }
@@ -921,7 +927,7 @@ pub fn load_corpus(path: &Path) -> Result<CorpusFile, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use coefficient::{SweepRunner, GREEDY};
+    use coefficient::{SweepRunner, FSPEC, GREEDY};
 
     /// CoEfficient and FSPEC under BER-7 for 2 seeds of 20 ms.
     fn tiny_spec() -> SweepSpec {
@@ -976,19 +982,32 @@ mod tests {
     }
 
     #[test]
-    fn groups_take_their_indices_from_the_spec() {
+    #[should_panic(expected = "one entry per cell and group of its spec's matrix")]
+    fn a_corpus_that_is_not_its_specs_matrix_is_not_written() {
+        let mut corpus = recorded(&tiny_spec());
+        corpus.groups.push(corpus.groups[0]);
+        corpus_to_json(&corpus);
+    }
+
+    #[test]
+    fn entries_are_labelled_as_the_sweep_lists_its_cells_and_groups() {
         let spec = SweepSpec {
             scenarios: vec![Scenario::ber7(), Scenario::ber9()],
-            seeds: 1,
             ..tiny_spec()
         };
-        let corpus = recorded(&spec);
-        let at: Vec<_> = corpus
-            .groups
-            .iter()
-            .map(|g| (g.policy, g.scenario))
-            .collect();
-        assert_eq!(at, [(0, 0), (0, 1), (1, 0), (1, 1)]);
+        let report = sweep(&spec);
+        let doc = corpus_to_json(&CorpusFile::record(&spec, &report));
+        let labels = |key: &str| -> Vec<[String; 2]> {
+            let entries = doc.get(key).and_then(Json::as_array).unwrap();
+            let label = |e: &Json, k| e.get(k).and_then(Json::as_str).unwrap().to_string();
+            let pair = |e: &Json| [label(e, "policy"), label(e, "scenario")];
+            entries.iter().map(pair).collect()
+        };
+        let swept = |p: PolicyRef, s: &str| [p.label().to_string(), s.to_string()];
+        let cells = report.cells.iter().map(|c| swept(c.policy, c.scenario));
+        assert_eq!(labels("cells"), cells.collect::<Vec<_>>());
+        let groups = report.groups.iter().map(|g| swept(g.policy, g.scenario));
+        assert_eq!(labels("groups"), groups.collect::<Vec<_>>());
     }
 
     #[test]
@@ -999,7 +1018,12 @@ mod tests {
         let report = corpus.verify(&sweep(&tiny_spec()));
         assert!(!report.passed());
         let failure = report.failures().next().expect("cell 0 fails");
-        assert_eq!(failure.coord, corpus.cells[0].coord);
+        let first = CellCoord {
+            policy: 0,
+            scenario: 0,
+            seed: 0,
+        };
+        assert_eq!(failure.coord, first);
         assert!(
             failure
                 .counter_diffs
@@ -1022,15 +1046,14 @@ mod tests {
     }
 
     #[test]
-    fn missing_and_extra_cells_are_reported() {
+    #[should_panic(expected = "not the corpus' matrix")]
+    fn a_sweep_of_another_matrix_is_not_verified() {
         let corpus = recorded(&tiny_spec());
         let shrunk = SweepSpec {
             seeds: 1,
             ..tiny_spec()
         };
-        let report = corpus.verify(&sweep(&shrunk));
-        assert!(!report.passed());
-        assert_eq!(report.missing.len(), 2, "one seed × two policies");
+        corpus.verify(&sweep(&shrunk));
     }
 
     #[test]
@@ -1050,47 +1073,71 @@ mod tests {
     #[test]
     fn a_new_policy_column_cannot_mask_an_old_column_regression() {
         // The corpus grows by appending policy columns. The per-cell
-        // checks must stay anchored to coordinates, so a widened corpus
+        // checks must stay anchored to matrix positions, so a widened corpus
         // still rejects a perturbed cell in one of the *original*
         // columns even though every new-policy cell verifies clean.
         let mut wide = tiny_spec();
         wide.policies.push(GREEDY);
-        let mut corpus = recorded(&wide);
+        let fresh = sweep(&wide);
+        let mut corpus = CorpusFile::record(&wide, &fresh);
         assert_eq!(corpus.cells.len(), 6);
         // Perturb an FSPEC cell (an "old" column) the way a behavioral
         // regression would move it.
-        let victim = corpus
+        let victim = fresh
             .cells
             .iter()
-            .position(|c| c.policy == "FSPEC")
+            .position(|c| c.policy == FSPEC)
             .expect("fspec column recorded");
         corpus.cells[victim].fingerprint ^= 1;
         corpus.cells[victim].counters[counter("dropped_copies")] += 3;
-        let report = corpus.verify(&sweep(&wide));
+        let report = corpus.verify(&fresh);
         assert!(!report.passed(), "old-column regression slipped through");
         let failures: Vec<_> = report.failures().collect();
         assert_eq!(failures.len(), 1, "exactly the perturbed cell fails");
-        assert_eq!(failures[0].policy, "FSPEC");
-        assert_eq!(failures[0].coord, corpus.cells[victim].coord);
+        assert_eq!(failures[0].policy, FSPEC);
+        assert_eq!(failures[0].coord, fresh.cells[victim].coord);
         // And the greedy column genuinely verified — it is present, not
         // skipped (its passing must not be what hides the regression).
         assert!(report
             .checks
             .iter()
-            .any(|c| c.policy == "Greedy" && c.passed()));
+            .any(|c| c.policy == GREEDY && c.passed()));
     }
 
     #[test]
-    fn widening_the_matrix_without_rerecording_is_flagged() {
-        // Appending a policy column makes the fresh sweep larger than the
-        // corpus; verification must surface that as extra cells rather
-        // than silently ignoring the unrecorded column.
-        let corpus = recorded(&tiny_spec());
-        let mut wide = tiny_spec();
-        wide.policies.push(GREEDY);
-        let report = corpus.verify(&sweep(&wide));
-        assert!(!report.passed());
-        assert_eq!(report.extra_cells, 2, "one new policy × two seeds");
+    fn a_miscounted_or_mislabelled_corpus_is_refused() {
+        let recorded = record_corpus(&tiny_spec()).unwrap();
+        let refused = |key: &str, edit: fn(&mut Vec<Json>)| {
+            let mut doc = corpus_to_json(&recorded);
+            let Json::Object(fields) = &mut doc else {
+                panic!("corpus document is not an object");
+            };
+            let Some((_, Json::Array(items))) = fields.iter_mut().find(|(k, _)| k == key) else {
+                panic!("{key} is not an array");
+            };
+            edit(items);
+            corpus_from_json(&doc).unwrap_err()
+        };
+        let err = refused("cells", |cells| drop(cells.pop()));
+        assert_eq!(
+            err,
+            "\"cells\" holds 3 entries, but the spec's matrix has 4"
+        );
+        let err = refused("groups", |groups| groups.push(groups[0].clone()));
+        assert_eq!(
+            err,
+            "\"groups\" holds 3 entries, but the spec's matrix has 2"
+        );
+        let err = refused("cells", |cells| {
+            let Json::Object(fields) = &mut cells[2] else {
+                panic!("a cell is not an object");
+            };
+            fields[0].1 = Json::str("CoEfficient");
+        });
+        assert_eq!(
+            err,
+            "cells[2] \"policy\" is \"CoEfficient\", but the spec's matrix has \"FSPEC\" there"
+        );
     }
 
     #[test]
@@ -1149,7 +1196,7 @@ mod tests {
         let good = corpus_to_json(&recorded).to_string();
         let refused = |doc: String| corpus_from_json(&Json::parse(&doc).unwrap()).unwrap_err();
 
-        let wrong_schema = good.replace("coefficient-golden/1", "coefficient-golden/999");
+        let wrong_schema = good.replace(SCHEMA, "coefficient-golden/999");
         let err = refused(wrong_schema);
         assert!(err.contains("schema"), "{err}");
 

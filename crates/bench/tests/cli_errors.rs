@@ -723,7 +723,22 @@ fn truncated_and_mutated_input_files_exit_2_naming_the_defect() {
         ("seeds", "3", "18446744073709551616", "seeds"),
         ("minislots", "50", "-1", "minislots"),
         ("horizon_ms", "100", "2.5", "horizon_ms"),
-        ("schema", "\"coefficient-golden/1\"", "\"v2\"", "schema"),
+        ("schema", "\"coefficient-golden/2\"", "\"v2\"", "schema"),
+        // The first schema gets no reader: there is one code path.
+        (
+            "schema",
+            "\"coefficient-golden/2\"",
+            "\"coefficient-golden/1\"",
+            "schema \"coefficient-golden/1\" is not \"coefficient-golden/2\"",
+        ),
+        // A cell's place in the spec's matrix is its identity, and its
+        // labels must say the same.
+        (
+            "scenario",
+            "\"BER-7\"",
+            "\"BER-9\"",
+            "cells[0] \"scenario\" is \"BER-9\", but the spec's matrix has \"BER-7\" there",
+        ),
         ("shared_seeds", "false", "0", "shared_seeds"),
         ("ratio_abs", "0.000001", "\"tight\"", "ratio_abs"),
         // The bands are constants: a loosened one would switch the
@@ -817,6 +832,31 @@ fn truncated_and_mutated_input_files_exit_2_naming_the_defect() {
             text.replacen(&from, &format!("\"{field}\": {to}"), 1),
             named,
         ));
+    }
+    // A group relabelled to another registered policy, and a cell deleted
+    // or duplicated: the entries no longer match the spec's matrix.
+    let groups = golden.find("\"groups\": [").expect("corpus has groups");
+    let (head, tail) = golden.split_at(groups);
+    let relabelled = tail.replacen("\"policy\": \"CoEfficient\"", "\"policy\": \"FSPEC\"", 1);
+    let (open, close) = ("\"cells\": [\n", "\n    },\n");
+    let first_cell = golden.find(open).expect("corpus has cells") + open.len();
+    let after_it = golden.find(close).expect("the first cell closes") + close.len();
+    let (before, cell) = (&golden[..first_cell], &golden[first_cell..after_it]);
+    for (text, named) in [
+        (
+            format!("{head}{relabelled}"),
+            "groups[0] \"policy\" is \"FSPEC\", but the spec's matrix has \"CoEfficient\" there",
+        ),
+        (
+            format!("{before}{}", &golden[after_it..]),
+            "\"cells\" holds 53 entries, but the spec's matrix has 54",
+        ),
+        (
+            format!("{before}{cell}{}", &golden[first_cell..]),
+            "\"cells\" holds 55 entries, but the spec's matrix has 54",
+        ),
+    ] {
+        rows.push((verify, text, named));
     }
     // A renamed key is a missing one: a corpus holds the backbone cells
     // and all twenty counters, whichever schema first had them.

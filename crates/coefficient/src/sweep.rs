@@ -232,11 +232,6 @@ impl SweepReport {
         }
         d.finish()
     }
-
-    /// The outcome at `coord`, if the sweep contains it.
-    pub fn cell(&self, coord: CellCoord) -> Option<&CellOutcome> {
-        self.cells.iter().find(|c| c.coord == coord)
-    }
 }
 
 /// Executes many [`RunConfig`]s across worker threads, preserving input
@@ -602,7 +597,7 @@ mod tests {
             seed: 1,
         };
         let replayed = runner.replay(coord).unwrap();
-        let original = report.cell(coord).expect("cell exists");
+        let original = report.cells.iter().find(|c| c.coord == coord).unwrap();
         assert_eq!(replayed.fingerprint, original.fingerprint);
         assert_eq!(replayed.seed, original.seed);
         assert_eq!(replayed.report.delivered, original.report.delivered);
@@ -637,20 +632,13 @@ mod tests {
             .threads(4)
             .run()
             .unwrap();
-        let co = report
-            .cell(CellCoord {
-                policy: 0,
-                scenario: 0,
-                seed: 0,
-            })
-            .unwrap();
-        let fs = report
-            .cell(CellCoord {
-                policy: 1,
-                scenario: 0,
-                seed: 0,
-            })
-            .unwrap();
+        // Cells come in matrix order: CoEfficient's 4, then FSPEC's.
+        let (co, fs) = (&report.cells[0], &report.cells[4]);
+        assert_eq!((co.coord.policy, fs.coord.policy), (0, 1));
+        assert_eq!(
+            (co.coord.scenario, co.coord.seed),
+            (fs.coord.scenario, fs.coord.seed)
+        );
         assert_ne!(co.fingerprint, fs.fingerprint);
     }
 }

@@ -318,11 +318,6 @@ impl ClusterConfig {
         self.mt(self.g_number_of_minislots * self.gd_minislot)
     }
 
-    /// Duration of the network idle time.
-    pub fn nit_duration(&self) -> SimDuration {
-        self.cycle_duration() - self.static_segment_duration() - self.dynamic_segment_duration()
-    }
-
     /// Duration of one static slot.
     pub fn static_slot_duration(&self) -> SimDuration {
         self.mt(self.gd_static_slot)
@@ -455,10 +450,6 @@ mod tests {
         assert_eq!(c.cycle_duration(), SimDuration::from_micros(5000));
         assert_eq!(c.static_segment_duration(), SimDuration::from_micros(3200));
         assert_eq!(c.dynamic_segment_duration(), SimDuration::from_micros(240));
-        assert_eq!(
-            c.nit_duration(),
-            SimDuration::from_micros(5000 - 3200 - 240)
-        );
     }
 
     #[test]
@@ -548,7 +539,8 @@ mod tests {
             let c = ClusterConfig::paper_static(slots);
             assert_eq!(c.static_slot_count(), slots);
             assert_eq!(c.cycle_duration(), SimDuration::from_millis(5));
-            assert!(c.nit_duration() > SimDuration::ZERO);
+            let segments = c.static_segment_duration() + c.dynamic_segment_duration();
+            assert!(segments < c.cycle_duration(), "no network idle time");
         }
         for ms in [25, 50, 75, 100] {
             let c = ClusterConfig::paper_dynamic(ms);

@@ -59,14 +59,6 @@ impl DeadlineTracker {
         self.missed += 1;
     }
 
-    /// Records an outcome computed elsewhere.
-    pub fn record_outcome(&mut self, outcome: DeadlineOutcome) {
-        match outcome {
-            DeadlineOutcome::Met => self.met += 1,
-            DeadlineOutcome::Missed => self.missed += 1,
-        }
-    }
-
     /// Number of met deadlines.
     pub fn met(&self) -> u64 {
         self.met
@@ -128,11 +120,12 @@ mod tests {
 
     #[test]
     fn merge_adds_counts() {
+        let on_time = SimTime::from_millis(1);
         let mut a = DeadlineTracker::new();
-        a.record_outcome(DeadlineOutcome::Met);
+        a.record_completion(on_time, on_time);
         let mut b = DeadlineTracker::new();
         b.record_lost();
-        b.record_outcome(DeadlineOutcome::Met);
+        b.record_completion(on_time, on_time);
         a.merge(&b);
         assert_eq!(a.total(), 3);
         assert_eq!(a.missed(), 1);

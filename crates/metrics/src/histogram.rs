@@ -112,11 +112,6 @@ impl LogHistogram {
         self.count == 0
     }
 
-    /// Number of buckets (fixed at construction).
-    pub fn num_buckets(&self) -> usize {
-        self.bins.len()
-    }
-
     /// Sub-bucket resolution exponent this histogram was built with.
     pub fn sub_bits(&self) -> u32 {
         self.sub_bits
@@ -209,7 +204,7 @@ mod tests {
             let h = LogHistogram::new(sub_bits);
             for &v in &probes {
                 let idx = h.index_of(v);
-                assert!(idx < h.num_buckets(), "v={v} idx={idx}");
+                assert!(idx < h.bins.len(), "v={v} idx={idx}");
                 let ub = h.upper_bound_of(idx);
                 assert!(ub >= v, "v={v} ub={ub}");
                 // Bucket width <= 2^-sub_bits of the value (plus 1 for
@@ -281,10 +276,10 @@ mod tests {
     fn log_clear_keeps_geometry() {
         let mut h = LogHistogram::default();
         h.record(42);
-        let buckets = h.num_buckets();
+        let buckets = h.bins.len();
         h.clear();
         assert!(h.is_empty());
-        assert_eq!(h.num_buckets(), buckets);
+        assert_eq!(h.bins.len(), buckets);
         assert_eq!(h.quantile_upper_bound(0.5), None);
     }
 
@@ -310,7 +305,7 @@ mod tests {
             h.record(v.wrapping_mul(0x9E37_79B9));
         }
         assert_eq!(h.footprint_bytes(), before, "recording must not grow");
-        assert!(before >= h.num_buckets() * 8);
+        assert!(before >= h.bins.len() * 8);
     }
 
     #[test]

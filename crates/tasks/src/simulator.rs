@@ -174,7 +174,7 @@ mod tests {
         let set = TaskSet::rate_monotonic(vec![t(1, 1, 4)]).unwrap();
         let tr = simulate(&set, SimTime::from_millis(12));
         tr.validate().unwrap();
-        assert_eq!(tr.task_time(1), ms(3)); // 3 jobs of 1 ms
+        assert_eq!(tr.busy_time(), ms(3)); // 3 jobs of 1 ms, the only task
         assert_eq!(tr.completions().len(), 3);
         assert!(tr.completions().iter().all(|c| !c.missed_deadline()));
     }

@@ -184,15 +184,6 @@ impl ExecutionTrace {
             .fold(SimDuration::ZERO, |a, b| a + b)
     }
 
-    /// Total time spent executing a specific periodic task.
-    pub fn task_time(&self, task: TaskId) -> SimDuration {
-        self.slices
-            .iter()
-            .filter(|s| matches!(s.kind, SliceKind::Periodic { task: t, .. } if t == task))
-            .map(Slice::len)
-            .fold(SimDuration::ZERO, |a, b| a + b)
-    }
-
     /// The completions of jobs that missed their deadline.
     pub fn periodic_misses(&self) -> impl Iterator<Item = &JobCompletion> {
         self.completions.iter().filter(|c| c.missed_deadline())
@@ -254,7 +245,7 @@ mod tests {
     }
 
     #[test]
-    fn busy_and_task_times() {
+    fn busy_time_sums_the_non_idle_slices() {
         let tr = ExecutionTrace::new(
             vec![
                 slice(0, 2, periodic(0)),
@@ -266,8 +257,6 @@ mod tests {
             t(6),
         );
         assert_eq!(tr.busy_time(), SimDuration::from_millis(4));
-        assert_eq!(tr.task_time(0), SimDuration::from_millis(3));
-        assert_eq!(tr.task_time(1), SimDuration::from_millis(1));
     }
 
     #[test]

@@ -74,19 +74,6 @@ pub fn message_set(spec: &SyntheticSpec, seed: u64) -> Vec<Signal> {
         .collect()
 }
 
-/// Convenience: a synthetic set sized for a `slots`-slot static segment
-/// (one message per slot, as the paper's scalability runs sweep the
-/// message count up to the slot count).
-pub fn for_slot_count(slots: u32, seed: u64) -> Vec<Signal> {
-    message_set(
-        &SyntheticSpec {
-            count: slots,
-            ..SyntheticSpec::default()
-        },
-        seed,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,12 +128,6 @@ mod tests {
             .map(|s| s.period.as_millis())
             .fold(1u64, |a, b| a * b / gcd(a, b));
         assert!(lcm_ms <= 200, "hyperperiod {lcm_ms} ms too large");
-    }
-
-    #[test]
-    fn slot_count_helper() {
-        assert_eq!(for_slot_count(80, 1).len(), 80);
-        assert_eq!(for_slot_count(120, 1).len(), 120);
     }
 
     #[test]

@@ -17,14 +17,17 @@
 //! * **non-perturbation** — a traced run fingerprints identically to an
 //!   untraced one.
 //!
-//! Two differential checks ride on the same registry: the dynamic
+//! Three differential checks ride on the same registry: the dynamic
 //! segment never overlaps minislot transmissions or overruns its budget
-//! (property-based, any policy), and on fault-free scenarios the greedy
-//! baseline reproduces CoEfficient's static schedule cell by cell.
+//! (property-based, any policy), on fault-free scenarios the greedy
+//! baseline reproduces CoEfficient's static schedule cell by cell, and
+//! while the bus stays nominal SlackSteal and Matchup reproduce
+//! CoEfficient's whole run (property-based).
 
+use bench_harness::sweep::SweepSpec;
 use coefficient::{
     CellCoord, PolicyRef, RunConfig, Runner, Scenario, Scheduler, SeedStrategy, StopCondition,
-    SweepMatrix, SweepRunner, TraceConfig, COEFFICIENT, GREEDY,
+    SweepMatrix, SweepRunner, TraceConfig, COEFFICIENT, GREEDY, MATCHUP, SLACK_STEAL,
 };
 use event_sim::SimDuration;
 use flexray::codec::FrameCoding;
@@ -32,6 +35,7 @@ use flexray::config::ClusterConfig;
 use flexray::ChannelId;
 use observe::EventKind;
 use proptest::prelude::*;
+use proptest::TestCaseError;
 use workloads::sae::IdRange;
 
 /// The pinned workload the battery runs on: the brake-by-wire static set
@@ -360,4 +364,50 @@ fn greedy_matches_coefficient_cell_by_cell_on_fault_free_schedules() {
     // two pure primary layouts, not two coincidentally-equal copy plans.
     assert!(greedy.allocation().copies().is_empty());
     assert!(coefficient.allocation().copies().is_empty());
+}
+
+proptest! {
+    /// The nominal contract. SlackSteal is CoEfficient without its
+    /// degraded mode, and Matchup is CoEfficient plus a recovery schedule
+    /// (criticality levels after Novák, Šůcha and Hanzálek); both differ
+    /// from it only once the health monitor leaves `Nominal`. So whenever
+    /// CoEfficient's run ends with no health transition, their reports
+    /// equal its report field for field, except the policy (and so the
+    /// policy tag its fingerprint folds in). The workload is the golden
+    /// corpus' one, whose SlackSteal and Matchup cells under BER-7 and
+    /// BER-9 repeat CoEfficient's.
+    #[test]
+    fn slack_steal_and_matchup_repeat_coefficient_while_the_bus_stays_nominal(
+        master_seed in 0u64..u64::MAX,
+        minislots in 25u64..=100,
+        scenario in 0usize..3,
+    ) {
+        let scenario = [Scenario::ber7(), Scenario::ber9(), Scenario::fault_free()][scenario].clone();
+        let spec = SweepSpec {
+            minislots,
+            horizon_ms: 100,
+            seeds: 1,
+            master_seed,
+            threads: Some(1),
+            policies: vec![COEFFICIENT, SLACK_STEAL, MATCHUP],
+            scenarios: vec![scenario],
+            strategy: SeedStrategy::PerCell,
+        };
+        let sweep = spec.run().expect("the golden workload is schedulable");
+        let (nominal, others) = sweep.cells.split_first().expect("three cells");
+        if nominal.report.counters.health_transitions != 0 {
+            return Err(TestCaseError::Reject("the bus left Nominal".into()));
+        }
+        let expected = format!("{:?}", nominal.report);
+        for cell in others {
+            let mut report = cell.report.clone();
+            report.policy = COEFFICIENT;
+            prop_assert!(
+                format!("{report:?}") == expected,
+                "{:?} differs from CoEfficient:\n{report:?}\n{expected}",
+                cell.policy
+            );
+            prop_assert_eq!(report.fingerprint(), nominal.fingerprint);
+        }
+    }
 }
