@@ -6,10 +6,11 @@
 //! positional words it takes; one parse pass checks every argument
 //! against the row before anything runs.
 //!
-//! `verify` re-runs the paper's headline claims and exits non-zero if any
-//! fails — the one-command reproduction check. `sweep` executes a
-//! `{policy × scenario × seed}` matrix in parallel and prints per-group
-//! distribution summaries (schema `coefficient-sweep/1` with `--json`).
+//! `verify` checks the paper's headline claims against the figures' runs
+//! and exits non-zero if any fails — the one-command reproduction check.
+//! `sweep` executes a `{policy × scenario × seed}` matrix in parallel and
+//! prints per-group distribution summaries (schema `coefficient-sweep/1`
+//! with `--json`).
 //! `replay` re-runs one cell of that matrix from its coordinates and
 //! prints its fingerprint — it must match the cell in any sweep of the
 //! same flags, at any thread count.
@@ -55,9 +56,11 @@
 //! `-h`, or `help`) prints every subcommand with its flags and exits 0.
 
 use bench_harness::experiments::{
-    ablation, dynamic_experiment_statics, fault_model_ablation, fig3_bandwidth, fig4_latency,
-    fig5_miss_ratio, fig_running_time, mixed_config, verify_reproduction, Segment,
+    ablation, dynamic_experiment_statics, fault_model_ablation, fig3_runs, fig4_latency,
+    fig5_miss_ratio, fig_running_time, mixed_config, verify_reproduction, RunningTimeKey, Runs,
+    Segment, MESSAGE_COUNTS,
 };
+use std::cell::OnceCell;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -1379,12 +1382,38 @@ fn pass(header: &'static str, key: &'static str, pass: bool) -> Column {
     (header, key, verdict.to_string(), Json::from(pass))
 }
 
+/// The runs of one figure run. The first figure that reads a slot fills
+/// it, so each experiment runs at most once.
+#[derive(Default)]
+struct RunSet {
+    /// Figures 1 and 2: under `BER-7`, then `BER-9`.
+    fig1_2: [OnceCell<Runs<RunningTimeKey>>; 2],
+    /// Figure 4: under `synthetic`, then `BBW+ACC`.
+    fig4: [OnceCell<Runs<u64>>; 2],
+    fig5: OnceCell<Runs<u64>>,
+}
+
+impl RunSet {
+    fn fig1_2(&self, scenario: Scenario) -> &Runs<RunningTimeKey> {
+        let slot = &self.fig1_2[usize::from(scenario.name == "BER-9")];
+        slot.get_or_init(|| fig_running_time(&scenario, &MESSAGE_COUNTS))
+    }
+
+    fn fig4(&self, workload: &'static str) -> &Runs<u64> {
+        self.fig4[usize::from(workload == "BBW+ACC")].get_or_init(|| fig4_latency(workload))
+    }
+
+    fn fig5(&self) -> &Runs<u64> {
+        self.fig5.get_or_init(fig5_miss_ratio)
+    }
+}
+
 /// A figure of the figure run.
 struct Figure {
     name: &'static str,
     title: &'static str,
-    /// Runs the figure's experiment: one row of columns per point.
-    rows: fn() -> Vec<Vec<Column>>,
+    /// Reads the figure's runs: one row of columns per point.
+    rows: fn(&RunSet) -> Vec<Vec<Column>>,
 }
 
 /// Every figure, in the order the figure run prints them.
@@ -1392,18 +1421,18 @@ static FIGURES: [Figure; 11] = [
     Figure {
         name: "fig1",
         title: "Figure 1 — running time, BER-7 (seconds of simulated bus time)",
-        rows: || running_time(Scenario::ber7()),
+        rows: |runs| running_time(runs.fig1_2(Scenario::ber7())),
     },
     Figure {
         name: "fig2",
         title: "Figure 2 — running time, BER-9 (seconds of simulated bus time)",
-        rows: || running_time(Scenario::ber9()),
+        rows: |runs| running_time(runs.fig1_2(Scenario::ber9())),
     },
     Figure {
         name: "fig3",
         title: "Figure 3 — bandwidth utilization (%)",
-        rows: || {
-            columns(fig3_bandwidth(), |&(minislots, ref r)| {
+        rows: |runs| {
+            columns(fig3_runs(runs.fig5()), |&(minislots, ref r)| {
                 vec![
                     count("minislots", "minislots", minislots),
                     text("policy", "policy", r.policy.label()),
@@ -1415,28 +1444,31 @@ static FIGURES: [Figure; 11] = [
     Figure {
         name: "fig4a",
         title: "Figure 4(a) — average static -segment latency, synthetic (ms)",
-        rows: || latency("synthetic", Segment::Static),
+        rows: |runs| latency(runs, "synthetic", Segment::Static),
     },
     Figure {
         name: "fig4b",
         title: "Figure 4(b) — average static -segment latency, BBW+ACC (ms)",
-        rows: || latency("BBW+ACC", Segment::Static),
+        rows: |runs| latency(runs, "BBW+ACC", Segment::Static),
     },
     Figure {
         name: "fig4c",
         title: "Figure 4(c) — average dynamic -segment latency, synthetic (ms)",
-        rows: || latency("synthetic", Segment::Dynamic),
+        rows: |runs| latency(runs, "synthetic", Segment::Dynamic),
     },
     Figure {
         name: "fig4d",
         title: "Figure 4(d) — average dynamic -segment latency, BBW+ACC (ms)",
-        rows: || latency("BBW+ACC", Segment::Dynamic),
+        rows: |runs| latency(runs, "BBW+ACC", Segment::Dynamic),
     },
     Figure {
         name: "verify",
         title: "Reproduction verdict — the paper's headline claims vs this build",
-        rows: || {
-            columns(verify_reproduction(), |v| {
+        rows: |runs| {
+            let fig4 = ["synthetic", "BBW+ACC"].map(|workload| (workload, runs.fig4(workload)));
+            let [fig1, fig2] = [Scenario::ber7(), Scenario::ber9()].map(|s| runs.fig1_2(s));
+            let verdicts = verify_reproduction(fig1, fig2, fig4, runs.fig5());
+            columns(verdicts, |v| {
                 vec![
                     text("claim", "claim", v.claim),
                     pass("verdict", "pass", v.pass),
@@ -1448,8 +1480,8 @@ static FIGURES: [Figure; 11] = [
     Figure {
         name: "ablation",
         title: "Ablation — each CoEfficient mechanism isolated (BBW+ACC + SAE, 1 s)",
-        rows: || {
-            columns(ablation(), |&(variant, ref r)| {
+        rows: |_| {
+            columns(&ablation(), |&(variant, ref r)| {
                 let static_ms = Segment::Static.mean_latency_ms(r);
                 let dynamic_ms = Segment::Dynamic.mean_latency_ms(r);
                 vec![
@@ -1466,8 +1498,8 @@ static FIGURES: [Figure; 11] = [
     Figure {
         name: "faults",
         title: "Fault-model ablation — Bernoulli vs Gilbert–Elliott at BER 1e-5",
-        rows: || {
-            columns(fault_model_ablation(), |&(model, ref r)| {
+        rows: |_| {
+            columns(&fault_model_ablation(), |&(model, ref r)| {
                 vec![
                     text("model", "model", model),
                     text("policy", "policy", r.policy.label()),
@@ -1481,8 +1513,8 @@ static FIGURES: [Figure; 11] = [
     Figure {
         name: "fig5",
         title: "Figure 5 — deadline miss ratio (%)",
-        rows: || {
-            columns(fig5_miss_ratio(), |&(minislots, ref r)| {
+        rows: |runs| {
+            columns(runs.fig5(), |&(minislots, ref r)| {
                 vec![
                     count("minislots", "minislots", minislots),
                     text("scenario", "scenario", r.scenario),
@@ -1495,13 +1527,12 @@ static FIGURES: [Figure; 11] = [
 ];
 
 /// The rows of `points`, each turned into its columns.
-fn columns<R>(points: Vec<R>, row: impl Fn(&R) -> Vec<Column>) -> Vec<Vec<Column>> {
-    points.iter().map(row).collect()
+fn columns<I: IntoIterator>(points: I, row: impl Fn(I::Item) -> Vec<Column>) -> Vec<Vec<Column>> {
+    points.into_iter().map(row).collect()
 }
 
 /// The rows of Figure 1 or 2.
-fn running_time(scenario: Scenario) -> Vec<Vec<Column>> {
-    let runs = fig_running_time(&scenario, &[200, 400, 600, 800, 1000]);
+fn running_time(runs: &Runs<RunningTimeKey>) -> Vec<Vec<Column>> {
     columns(runs, |&((workload, slots, messages), ref r)| {
         let seconds = r.running_time.as_secs_f64();
         vec![
@@ -1516,12 +1547,12 @@ fn running_time(scenario: Scenario) -> Vec<Vec<Column>> {
 }
 
 /// The rows of one Figure 4 panel.
-fn latency(workload: &'static str, segment: Segment) -> Vec<Vec<Column>> {
+fn latency(runs: &RunSet, workload: &'static str, segment: Segment) -> Vec<Vec<Column>> {
     let name = match segment {
         Segment::Static => "static",
         Segment::Dynamic => "dynamic",
     };
-    columns(fig4_latency(workload), |&(minislots, ref r)| {
+    columns(runs.fig4(workload), |&(minislots, ref r)| {
         let mean_ms = segment.mean_latency_ms(r);
         vec![
             text("", "workload", workload),
@@ -1545,11 +1576,12 @@ fn figure_names() -> Vec<&'static str> {
 
 fn run_figures(flags: &Flags) {
     let all = flags.words.is_empty() || flags.words.contains(&"all");
+    let runs = RunSet::default();
     for figure in FIGURES
         .iter()
         .filter(|f| all || flags.words.contains(&f.name))
     {
-        let rows = (figure.rows)();
+        let rows = (figure.rows)(&runs);
         let shown = |(header, ..): &&Column| !header.is_empty();
         let headers: Vec<&str> = rows
             .iter()

@@ -9,8 +9,8 @@
 //! * the *running time* figures (1, 2) measure the makespan of delivering
 //!   a fixed number of message instances
 //!   ([`StopCondition::DeliveredInstances`]);
-//! * the rate figures (3, 4, 5) and the ablations run [`mixed_config`]
-//!   for a fixed simulated horizon;
+//! * the rate figures (4, 5) and the ablations run [`mixed_config`] for
+//!   a fixed simulated horizon; Figure 3 reads Figure 5's `BER-7` runs;
 //! * every run is deterministic under its seed; the same seed is used for
 //!   both policies of a comparison so they see identical workloads and
 //!   fault processes.
@@ -57,8 +57,7 @@ pub fn mixed_config(
     }
 }
 
-/// The horizon of the Figure 3 and 5 and ablation runs; Figure 4 runs
-/// two.
+/// The horizon of the Figure 5 and ablation runs; Figure 4 runs two.
 const SECOND: SimDuration = SimDuration::from_secs(1);
 
 /// Runs every keyed cell through the parallel sweep primitive and pairs
@@ -84,27 +83,22 @@ pub fn bbw_acc_messages() -> Vec<Signal> {
     m
 }
 
-fn id_range_for(slots: u64) -> IdRange {
-    if slots >= 120 {
-        IdRange::For120Slots
-    } else {
-        IdRange::For80Slots
-    }
-}
+/// The delivered-instance counts Figures 1 and 2 sweep.
+pub const MESSAGE_COUNTS: [u64; 5] = [200, 400, 600, 800, 1000];
+
+/// A Figure 1 or 2 run's key: `(workload, slots, messages)`.
+pub type RunningTimeKey = (&'static str, u64, u64);
 
 /// Figure 1 (scenario `BER-7`) / Figure 2 (scenario `BER-9`): running time
 /// of the BBW+ACC and synthetic workloads for 80- and 120-slot
 /// configurations, sweeping the delivered-instance count. Keyed by
 /// `(workload, slots, messages)`; the makespan is the report's
 /// `running_time`.
-pub fn fig_running_time(
-    scenario: &Scenario,
-    message_counts: &[u64],
-) -> Runs<(&'static str, u64, u64)> {
+pub fn fig_running_time(scenario: &Scenario, message_counts: &[u64]) -> Runs<RunningTimeKey> {
     let mut cells = Vec::new();
-    for &slots in &[80u64, 120] {
+    for (slots, ids) in [(80u64, IdRange::For80Slots), (120, IdRange::For120Slots)] {
         let cluster = ClusterConfig::paper_static(slots);
-        let sae = workloads::sae::message_set(id_range_for(slots), SEED);
+        let sae = workloads::sae::message_set(ids, SEED);
         for (workload, statics) in [
             ("BBW+ACC", bbw_acc_messages()),
             ("synthetic", dynamic_experiment_statics()),
@@ -129,10 +123,6 @@ pub fn fig_running_time(
     run_cells(cells)
 }
 
-// ---------------------------------------------------------------------------
-// Figure 3 — bandwidth utilization
-// ---------------------------------------------------------------------------
-
 /// The static workload of the Figure 3–5 experiments: a synthetic set
 /// sized to the 80-slot static segment of the `paper_mixed` geometry.
 pub fn dynamic_experiment_statics() -> Vec<Signal> {
@@ -143,20 +133,6 @@ pub fn dynamic_experiment_statics() -> Vec<Signal> {
         },
         SEED,
     )
-}
-
-/// Figure 3: bandwidth utilization for 25–100 minislots, CoEfficient vs
-/// FSPEC (scenario `BER-7`, 1 s horizon). Keyed by the minislot count.
-pub fn fig3_bandwidth() -> Runs<u64> {
-    let mut cells = Vec::new();
-    for &ms in &[25u64, 50, 75, 100] {
-        for policy in PAPER_POLICIES {
-            let statics = dynamic_experiment_statics();
-            let config = mixed_config(ms, Scenario::ber7(), statics, policy, SECOND, SEED);
-            cells.push((ms, config));
-        }
-    }
-    run_cells(cells)
 }
 
 // ---------------------------------------------------------------------------
@@ -205,7 +181,7 @@ pub fn fig4_latency(workload: &str) -> Runs<u64> {
 }
 
 // ---------------------------------------------------------------------------
-// Figure 5 — deadline miss ratio
+// Figures 5 and 3 — deadline miss ratio and bandwidth utilization
 // ---------------------------------------------------------------------------
 
 /// Figure 5: deadline miss ratio for 25–100 minislots under both
@@ -222,6 +198,12 @@ pub fn fig5_miss_ratio() -> Runs<u64> {
         }
     }
     run_cells(cells)
+}
+
+/// Figure 3: bandwidth utilization is the paper's second metric of Figure
+/// 5's `BER-7` runs (25–100 minislots, CoEfficient vs FSPEC).
+pub fn fig3_runs(fig5: &Runs<u64>) -> impl Iterator<Item = &(u64, RunReport)> {
+    fig5.iter().filter(|(_, r)| r.scenario == "BER-7")
 }
 
 // ---------------------------------------------------------------------------
@@ -247,21 +229,28 @@ fn run_of<'a, K: PartialEq>(runs: &'a Runs<K>, key: &K, policy: PolicyRef) -> &'
         .expect("run exists")
 }
 
-/// Checks every headline claim of the paper's evaluation against fresh
-/// runs and returns a verdict per claim. Used by `experiments verify`.
-pub fn verify_reproduction() -> Vec<Verdict> {
+/// Checks every headline claim of the paper's evaluation against the
+/// figures' runs and returns a verdict per claim: Figures 1 and 2 (claims
+/// 1–2 read their 400-message points), Figure 4 under each named workload
+/// and Figure 5 (claim 3 reads its `BER-7` half, as Figure 3 does). It
+/// runs nothing itself. Used by `experiments verify`.
+pub fn verify_reproduction(
+    fig1: &Runs<RunningTimeKey>,
+    fig2: &Runs<RunningTimeKey>,
+    fig4: [(&str, &Runs<u64>); 2],
+    fig5: &Runs<u64>,
+) -> Vec<Verdict> {
     use coefficient::{COEFFICIENT, FSPEC};
     let mut verdicts = Vec::new();
 
     // Claim 1 (Figs 1/2): CoEfficient completes message transmission
     // faster than FSPEC, for every workload and slot configuration.
-    let runs = fig_running_time(&Scenario::ber7(), &[400]);
     let mut worst_ratio = f64::INFINITY;
     let mut all_faster = true;
     for workload in ["BBW+ACC", "synthetic"] {
         for slots in [80, 120] {
             let seconds = |policy| {
-                let report = run_of(&runs, &(workload, slots, 400), policy);
+                let report = run_of(fig1, &(workload, slots, 400), policy);
                 report.running_time.as_secs_f64()
             };
             let (co, fs) = (seconds(COEFFICIENT), seconds(FSPEC));
@@ -279,11 +268,10 @@ pub fn verify_reproduction() -> Vec<Verdict> {
 
     // Claim 2 (Fig 2 vs 1): the stricter reliability goal costs CoEfficient
     // running time.
-    let r9 = fig_running_time(&Scenario::ber9(), &[400]);
-    let slower = runs
+    let slower = fig1
         .iter()
-        .zip(&r9)
-        .filter(|((_, a), (_, b))| a.policy == COEFFICIENT && b.policy == COEFFICIENT)
+        .zip(fig2)
+        .filter(|((key, a), _)| key.2 == 400 && a.policy == COEFFICIENT)
         .all(|((_, a), (_, b))| b.running_time.as_secs_f64() >= a.running_time.as_secs_f64());
     verdicts.push(Verdict {
         claim: "higher reliability goals increase running time (Fig 2 vs Fig 1)",
@@ -293,13 +281,11 @@ pub fn verify_reproduction() -> Vec<Verdict> {
 
     // Claim 3 (Fig 3): CoEfficient improves bandwidth utilization at every
     // minislot count.
-    let runs = fig3_bandwidth();
-    let mut min_gain = f64::INFINITY;
-    for ms in [25, 50, 75, 100] {
-        let co = run_of(&runs, &ms, COEFFICIENT).utilization * 100.0;
-        let fs = run_of(&runs, &ms, FSPEC).utilization * 100.0;
-        min_gain = min_gain.min(co - fs);
-    }
+    let utilization = |policy| fig3_runs(fig5).filter(move |(_, r)| r.policy == policy);
+    let min_gain = utilization(COEFFICIENT)
+        .zip(utilization(FSPEC))
+        .map(|((_, co), (_, fs))| co.utilization * 100.0 - fs.utilization * 100.0)
+        .fold(f64::INFINITY, f64::min);
     verdicts.push(Verdict {
         claim: "bandwidth utilization: CoEfficient above FSPEC at 25-100 minislots (Fig 3)",
         pass: min_gain > 0.0,
@@ -309,8 +295,7 @@ pub fn verify_reproduction() -> Vec<Verdict> {
     // Claim 4 (Fig 4): lower latency in both segments, both scenarios.
     let mut all_lower = true;
     let mut evidence = String::new();
-    for workload in ["synthetic", "BBW+ACC"] {
-        let runs = fig4_latency(workload);
+    for (workload, runs) in fig4 {
         for segment in [Segment::Static, Segment::Dynamic] {
             let total = |policy| -> f64 {
                 runs.iter()
@@ -333,9 +318,8 @@ pub fn verify_reproduction() -> Vec<Verdict> {
     });
 
     // Claim 5 (Fig 5): an order of magnitude fewer deadline misses.
-    let runs = fig5_miss_ratio();
     let miss_pcts = |policy| {
-        runs.iter()
+        fig5.iter()
             .filter(move |(_, r)| r.policy == policy)
             .map(|(_, r)| r.miss_ratio() * 100.0)
     };
@@ -491,9 +475,30 @@ mod tests {
     }
 
     #[test]
-    fn reproduction_verdicts_all_pass() {
-        for v in verify_reproduction() {
+    fn reproduction_verdicts_pass_and_read_only_the_runs_they_are_handed() {
+        let fig1 = fig_running_time(&Scenario::ber7(), &MESSAGE_COUNTS);
+        let fig2 = fig_running_time(&Scenario::ber9(), &MESSAGE_COUNTS);
+        let (synthetic, bbw_acc) = (fig4_latency("synthetic"), fig4_latency("BBW+ACC"));
+        let mut fig5 = fig5_miss_ratio();
+        let verify = |fig5: &Runs<u64>| {
+            let fig4 = [("synthetic", &synthetic), ("BBW+ACC", &bbw_acc)];
+            verify_reproduction(&fig1, &fig2, fig4, fig5)
+        };
+        for v in verify(&fig5) {
             assert!(v.pass, "claim failed: {} ({})", v.claim, v.evidence);
         }
+
+        // Swap the two policies' utilization at 50 minislots, BER-7: a
+        // verdict that reads these runs must now fail claim 3.
+        let mut doctored = fig5
+            .iter_mut()
+            .filter(|(ms, r)| *ms == 50 && r.scenario == Scenario::ber7().name)
+            .map(|(_, r)| r);
+        let (first, second) = (doctored.next().unwrap(), doctored.next().unwrap());
+        assert_ne!(first.policy, second.policy);
+        std::mem::swap(&mut first.utilization, &mut second.utilization);
+        let claim3 = &verify(&fig5)[2];
+        assert!(claim3.claim.contains("Fig 3"), "{}", claim3.claim);
+        assert!(!claim3.pass, "{}", claim3.evidence);
     }
 }

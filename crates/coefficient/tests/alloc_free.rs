@@ -9,12 +9,14 @@
 //! batch included) is checked by counting whole runs: a run twice as long
 //! must make exactly as many allocations.
 //!
-//! A single `#[test]` covers every registered policy because the
-//! allocator state is global — parallel tests would count each other's
-//! allocations.
+//! Only the test thread's allocations are counted (the arming flag is
+//! thread-local), so the harness's own threads cannot fail the test. A
+//! single `#[test]` covers every registered policy because the count is
+//! global — parallel tests would reset each other's.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use coefficient::{RunConfig, Runner, Scenario, Scheduler, StopCondition, TraceConfig};
 use event_sim::SimDuration;
@@ -30,25 +32,35 @@ struct CountingAllocator;
 
 /// Counted while [`ARMED`]: every fresh allocation or reallocation.
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static ARMED: AtomicBool = AtomicBool::new(false);
+
+thread_local! {
+    /// Set on the test thread only, so the harness's own threads are
+    /// never counted. `const`-initialised: reading it never allocates.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Whether the calling thread is armed.
+fn armed() -> bool {
+    ARMED.try_with(Cell::get).unwrap_or(false)
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
+        if armed() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
+        if armed() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
+        if armed() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -139,9 +151,9 @@ fn run_allocations(policy: coefficient::PolicyRef, cycles: u64) -> u64 {
         trace: TraceConfig::off(),
     };
     ALLOCS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
+    ARMED.set(true);
     let report = Runner::new(cfg).unwrap().run();
-    ARMED.store(false, Ordering::SeqCst);
+    ARMED.set(false);
     assert!(report.delivered > 0);
     ALLOCS.load(Ordering::SeqCst)
 }
@@ -174,7 +186,7 @@ fn steady_state_cycle_loop_does_not_allocate() {
         drive(&mut scheduler, &mut engine, &config, 0, WARMUP_CYCLES);
 
         ALLOCS.store(0, Ordering::SeqCst);
-        ARMED.store(true, Ordering::SeqCst);
+        ARMED.set(true);
         drive(
             &mut scheduler,
             &mut engine,
@@ -182,7 +194,7 @@ fn steady_state_cycle_loop_does_not_allocate() {
             WARMUP_CYCLES,
             MEASURED_CYCLES,
         );
-        ARMED.store(false, Ordering::SeqCst);
+        ARMED.set(false);
 
         let allocs = ALLOCS.load(Ordering::SeqCst);
         assert_eq!(

@@ -108,11 +108,6 @@ impl SimTime {
         SimTime(self.0.saturating_add(d.0))
     }
 
-    /// Checked addition; `None` on overflow.
-    pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
-        self.0.checked_add(d.0).map(SimTime)
-    }
-
     /// Checked subtraction; `None` if `d` is larger than `self`.
     pub fn checked_sub(self, d: SimDuration) -> Option<SimTime> {
         self.0.checked_sub(d.0).map(SimTime)
@@ -168,11 +163,6 @@ impl SimDuration {
     /// `true` if this is the zero duration.
     pub const fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    /// Checked addition; `None` on overflow.
-    pub fn checked_add(self, other: SimDuration) -> Option<SimDuration> {
-        self.0.checked_add(other.0).map(SimDuration)
     }
 
     /// Saturating subtraction (clamps at zero).
@@ -409,7 +399,6 @@ mod tests {
 
     #[test]
     fn checked_ops() {
-        assert_eq!(SimTime::MAX.checked_add(SimDuration::from_nanos(1)), None);
         assert_eq!(SimTime::ZERO.checked_sub(SimDuration::from_nanos(1)), None);
         assert_eq!(SimDuration::MAX.checked_mul(2), None);
         assert_eq!(

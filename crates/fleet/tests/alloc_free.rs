@@ -9,11 +9,14 @@
 //! vehicles, merging shard aggregates and clearing them for reuse must
 //! not touch the heap at all.
 //!
-//! A single `#[test]` because the allocator state is global — parallel
-//! tests would count each other's allocations.
+//! Only the test thread's allocations are counted (the arming flag is
+//! thread-local), so the harness's own threads cannot fail the test. A
+//! single `#[test]` because the count is global — parallel tests would
+//! reset each other's.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use coefficient::{Runner, COEFFICIENT, GREEDY};
 use event_sim::SimDuration;
@@ -23,25 +26,35 @@ struct CountingAllocator;
 
 /// Counted while [`ARMED`]: every fresh allocation or reallocation.
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static ARMED: AtomicBool = AtomicBool::new(false);
+
+thread_local! {
+    /// Set on the test thread only, so the harness's own threads are
+    /// never counted. `const`-initialised: reading it never allocates.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Whether the calling thread is armed.
+fn armed() -> bool {
+    ARMED.try_with(Cell::get).unwrap_or(false)
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
+        if armed() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
+        if armed() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
+        if armed() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -82,7 +95,7 @@ fn aggregation_path_does_not_allocate() {
     let before = shard.footprint_bytes();
 
     ALLOCS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
+    ARMED.set(true);
     for round in 0..2_000u64 {
         for (i, (condition, report)) in reports.iter().enumerate() {
             let vehicle = round * reports.len() as u64 + i as u64;
@@ -94,7 +107,7 @@ fn aggregation_path_does_not_allocate() {
         shard.clear();
     }
     let digest = global.digest();
-    ARMED.store(false, Ordering::SeqCst);
+    ARMED.set(false);
 
     let allocs = ALLOCS.load(Ordering::SeqCst);
     assert_eq!(

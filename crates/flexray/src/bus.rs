@@ -363,11 +363,6 @@ impl BusEngine {
         self.monitors.as_ref().map(|m| &m[channel.index()])
     }
 
-    /// Number of cycles simulated so far.
-    pub fn cycles_run(&self) -> u64 {
-        self.cycles_run
-    }
-
     /// Simulated time elapsed (cycles × cycle duration).
     pub fn elapsed(&self) -> SimTime {
         self.config.cycle_start(self.cycles_run)
@@ -890,7 +885,6 @@ mod tests {
         for cycle in 0..8 {
             engine.run_cycle(cycle, &mut src);
         }
-        assert_eq!(engine.cycles_run(), 8);
         assert_eq!(engine.elapsed(), SimTime::from_millis(8));
         let slots = engine.config().static_slot_count();
         for ch in ChannelId::BOTH {

@@ -112,11 +112,6 @@ impl LogHistogram {
         self.count == 0
     }
 
-    /// Sub-bucket resolution exponent this histogram was built with.
-    pub fn sub_bits(&self) -> u32 {
-        self.sub_bits
-    }
-
     /// An inclusive upper bound on the `q`-quantile (0.0 ..= 1.0): the
     /// largest value of the bucket in which the quantile falls, `None`
     /// when the histogram is empty. Within `2^-sub_bits` of the exact
