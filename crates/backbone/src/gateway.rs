@@ -95,7 +95,7 @@ pub fn simulate_gateway(
             flow: u64::from(flow_id),
             instance,
             payload_bits: u64::from(flow.size_bits),
-            duration,
+            duration_ns: duration,
             missed_window,
         });
         outcomes.push(GatewayOutcome {

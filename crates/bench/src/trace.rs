@@ -7,12 +7,13 @@
 //! [`crate::json::Json::parse`] and this validator. [`chrome_json`]
 //! renders the same events as a Chrome `trace_event` timeline.
 //!
-//! The schema is two tables, which the export, the validator and the
-//! Chrome view all read: `HEADER` names the document's fields, and
-//! `EVENT_TYPES` holds one row per event type with its `type` tag, its
-//! fields and their kinds in export order, and its Chrome track. A new
-//! event type is one [`EventKind`] variant, one row and one arm of
-//! `values`, which reads a variant's values in its row's order.
+//! Each event type's `type` tag, fields and field kinds are declared
+//! once, by `observe` ([`EventKind::TYPES`], [`EventKind::values`]); a
+//! field's export name is its `EventKind` field name. This module holds
+//! what belongs to the document: `HEADER` names its fields, and
+//! `EVENT_TRACKS` gives every event type its Chrome track. The export,
+//! the validator and the Chrome view all read them. A new event type is
+//! one entry of `observe`'s table and one `EVENT_TRACKS` row.
 //!
 //! Document shape:
 //!
@@ -34,7 +35,7 @@
 //! subcommand asserts.
 
 use coefficient::{RunCounters, TraceLog};
-use observe::{EventKind, TraceEvent};
+use observe::{EventKind, FieldKind, FieldValue, TraceEvent};
 
 use crate::json::Json;
 use coefficient::CellOutcome;
@@ -50,7 +51,7 @@ pub fn counter_names() -> [&'static str; 20] {
 }
 
 /// What a field holds; [`check`] holds a field to its kind.
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy)]
 enum Kind {
     /// The schema tag, [`TRACE_SCHEMA`].
     Tag,
@@ -70,11 +71,8 @@ enum Kind {
     Counts,
 }
 
-/// Fields in export order, each with its kind.
-type Fields = &'static [(Kind, &'static str)];
-
-/// The document's fields.
-const HEADER: Fields = &[
+/// The document's fields in export order, each with its kind.
+const HEADER: &[(Kind, &str)] = &[
     (Tag, "schema"),
     (Text, "policy"),
     (Text, "scenario"),
@@ -89,6 +87,16 @@ const HEADER: Fields = &[
     (Events, "events"),
 ];
 
+impl From<FieldKind> for Kind {
+    fn from(kind: FieldKind) -> Kind {
+        match kind {
+            FieldKind::Int => Int,
+            FieldKind::Bool => Bool,
+            FieldKind::Counts => Counts,
+        }
+    }
+}
+
 /// Where the Chrome view puts an event.
 #[derive(Clone, Copy)]
 enum Track {
@@ -98,241 +106,45 @@ enum Track {
     On(&'static str),
 }
 
-/// One event type of the schema: its `type` tag, its fields after
-/// `at_ns` and `type`, and where the Chrome view puts it.
-struct EventType {
-    ty: &'static str,
-    fields: Fields,
-    track: Track,
-}
-
-const fn row(ty: &'static str, fields: Fields, track: Track) -> EventType {
-    EventType { ty, fields, track }
-}
-
-/// Every event type, in [`EventKind`]'s order.
-const EVENT_TYPES: [EventType; 15] = {
+/// The Chrome track of every event type, by its `type` tag, in
+/// [`EventKind::TYPES`]' order.
+const EVENT_TRACKS: &[(&str, Track)] = {
     use Track::{Channel, On};
     const SCHEDULER: Track = On("Scheduler");
-    const FRAME_IN_SLOT: Fields = &[(Int, "channel"), (Int, "slot"), (Int, "frame_id")];
-    [
-        row("cycle_start", &[(Int, "cycle")], SCHEDULER),
-        row(
-            "slot_frame",
-            &[
-                (Int, "channel"),
-                (Int, "slot"),
-                (Int, "frame_id"),
-                (Int, "payload_bits"),
-                (Int, "duration_ns"),
-                (Bool, "corrupted"),
-            ],
-            Channel,
-        ),
-        row(
-            "minislot_frame",
-            &[
-                (Int, "channel"),
-                (Int, "slot_counter"),
-                (Int, "minislot"),
-                (Int, "frame_id"),
-                (Int, "payload_bits"),
-                (Int, "duration_ns"),
-                (Bool, "corrupted"),
-            ],
-            Channel,
-        ),
-        row(
-            "fault_hit",
-            &[(Int, "channel"), (Int, "frame_id"), (Bool, "in_burst")],
-            Channel,
-        ),
-        row("steal_granted", FRAME_IN_SLOT, SCHEDULER),
-        row(
-            "steal_denied",
-            &[(Int, "channel"), (Int, "slot")],
-            SCHEDULER,
-        ),
-        row("early_copy", FRAME_IN_SLOT, SCHEDULER),
-        row(
-            "retransmission_copy",
-            &[(Int, "channel"), (Int, "frame_id")],
-            SCHEDULER,
-        ),
-        row(
-            "soft_shed",
-            &[(Int, "frame_id"), (Int, "criticality")],
-            SCHEDULER,
-        ),
-        row("degraded_copy", FRAME_IN_SLOT, SCHEDULER),
-        row("failover_mirror", FRAME_IN_SLOT, SCHEDULER),
-        row(
-            "health_transition",
-            &[(Int, "scope"), (Int, "from"), (Int, "to")],
-            On("Health"),
-        ),
-        row(
-            "counter_sample",
-            &[(Int, "cycle"), (Counts, "values")],
-            On("Counters"),
-        ),
-        row(
-            "gateway_queued",
-            &[(Int, "port"), (Int, "flow"), (Int, "instance")],
-            On("Gateway"),
-        ),
-        row(
-            "ethernet_frame",
-            &[
-                (Int, "port"),
-                (Int, "flow"),
-                (Int, "instance"),
-                (Int, "payload_bits"),
-                (Int, "duration_ns"),
-                (Bool, "missed_window"),
-            ],
-            On("Ethernet"),
-        ),
+    &[
+        ("cycle_start", SCHEDULER),
+        ("slot_frame", Channel),
+        ("minislot_frame", Channel),
+        ("fault_hit", Channel),
+        ("steal_granted", SCHEDULER),
+        ("steal_denied", SCHEDULER),
+        ("early_copy", SCHEDULER),
+        ("retransmission_copy", SCHEDULER),
+        ("soft_shed", SCHEDULER),
+        ("degraded_copy", SCHEDULER),
+        ("failover_mirror", SCHEDULER),
+        ("health_transition", On("Health")),
+        ("counter_sample", On("Counters")),
+        ("gateway_queued", On("Gateway")),
+        ("ethernet_frame", On("Ethernet")),
     ]
 };
 
-/// The row of the event type tagged `ty`.
-fn event_type(ty: &str) -> Option<&'static EventType> {
-    EVENT_TYPES.iter().find(|row| row.ty == ty)
-}
-
-/// An event's `type` tag and its values in the order of its row's
-/// fields: a bool as 0 or 1, and the counter values last.
-fn values(kind: &EventKind) -> (&'static str, Vec<u64>) {
-    use EventKind::*;
-    match *kind {
-        CycleStart { cycle } => ("cycle_start", vec![cycle]),
-        SlotFrame {
-            channel,
-            slot,
-            frame_id,
-            payload_bits,
-            duration,
-            corrupted,
-        } => (
-            "slot_frame",
-            vec![
-                channel.into(),
-                slot,
-                frame_id,
-                payload_bits,
-                duration.as_nanos(),
-                corrupted.into(),
-            ],
-        ),
-        MinislotFrame {
-            channel,
-            slot_counter,
-            minislot,
-            frame_id,
-            payload_bits,
-            duration,
-            corrupted,
-        } => (
-            "minislot_frame",
-            vec![
-                channel.into(),
-                slot_counter,
-                minislot,
-                frame_id,
-                payload_bits,
-                duration.as_nanos(),
-                corrupted.into(),
-            ],
-        ),
-        FaultHit {
-            channel,
-            frame_id,
-            in_burst,
-        } => ("fault_hit", vec![channel.into(), frame_id, in_burst.into()]),
-        StealGranted {
-            channel,
-            slot,
-            frame_id,
-        } => ("steal_granted", vec![channel.into(), slot, frame_id]),
-        StealDenied { channel, slot } => ("steal_denied", vec![channel.into(), slot]),
-        EarlyCopy {
-            channel,
-            slot,
-            frame_id,
-        } => ("early_copy", vec![channel.into(), slot, frame_id]),
-        RetransmissionCopy { channel, frame_id } => {
-            ("retransmission_copy", vec![channel.into(), frame_id])
-        }
-        SoftShed {
-            frame_id,
-            criticality,
-        } => ("soft_shed", vec![frame_id, criticality.into()]),
-        DegradedCopy {
-            channel,
-            slot,
-            frame_id,
-        } => ("degraded_copy", vec![channel.into(), slot, frame_id]),
-        FailoverMirror {
-            channel,
-            slot,
-            frame_id,
-        } => ("failover_mirror", vec![channel.into(), slot, frame_id]),
-        HealthTransition { scope, from, to } => (
-            "health_transition",
-            vec![scope.into(), from.into(), to.into()],
-        ),
-        CounterSample { cycle, ref values } => ("counter_sample", [&[cycle], &values[..]].concat()),
-        GatewayQueued {
-            port,
-            flow,
-            instance,
-        } => ("gateway_queued", vec![port.into(), flow, instance]),
-        EthernetFrame {
-            port,
-            flow,
-            instance,
-            payload_bits,
-            duration,
-            missed_window,
-        } => (
-            "ethernet_frame",
-            vec![
-                port.into(),
-                flow,
-                instance,
-                payload_bits,
-                duration.as_nanos(),
-                missed_window.into(),
-            ],
-        ),
-    }
-}
-
-/// An event's row and its fields after `at_ns` and `type`, named and
-/// typed by the row.
-fn fields(kind: &EventKind) -> (&'static EventType, Vec<(String, Json)>) {
-    let (ty, values) = values(kind);
-    let row = event_type(ty).expect("every event type has a row");
-    let mut values = values.into_iter();
-    let fields = row.fields.iter().map(|&(kind, name)| {
-        let value = match kind {
-            Counts => Json::array(values.by_ref().map(Json::UInt)),
-            Bool => Json::Bool(values.next() == Some(1)),
-            _ => Json::UInt(values.next().expect("a value for every field")),
-        };
-        (name.to_string(), value)
+/// An event's fields after `at_ns` and `type`, named by its type.
+fn fields(kind: &EventKind) -> Vec<(String, Json)> {
+    let names = kind.event_type().fields.iter().map(|&(_, name)| name);
+    let values = kind.values().into_iter().map(|value| match value {
+        FieldValue::Int(n) => Json::UInt(n),
+        FieldValue::Bool(flag) => Json::Bool(flag),
+        FieldValue::Counts(values) => Json::array(values.iter().map(|&n| Json::UInt(n))),
     });
-    let fields = fields.collect();
-    assert!(values.next().is_none(), "a field for every value of {ty}");
-    (row, fields)
+    names.map(String::from).zip(values).collect()
 }
 
 fn event_json(event: &TraceEvent) -> Json {
-    let (row, fields) = fields(&event.kind);
     let at = ("at_ns".to_string(), Json::from(event.at.as_nanos()));
-    let ty = ("type".to_string(), Json::str(row.ty));
-    Json::Object([at, ty].into_iter().chain(fields).collect())
+    let ty = ("type".to_string(), Json::str(event.kind.event_type().tag));
+    Json::Object([at, ty].into_iter().chain(fields(&event.kind)).collect())
 }
 
 /// Chrome tracks (threads of the one exported process): `(tid, name)`,
@@ -386,7 +198,7 @@ fn chrome_entry(name: &str, ph: &str, track: &str, timing: &str, args: Json) -> 
 /// Renders a captured log as a Chrome `trace_event` document, loadable
 /// in Perfetto (<https://ui.perfetto.dev>) and `chrome://tracing`.
 ///
-/// Each event's row in `EVENT_TYPES` picks its track, an event with
+/// Each event's type picks its track from `EVENT_TRACKS`, an event with
 /// `duration_ns` becomes a complete (`X`) event of that length and any
 /// other event an instant, and its remaining fields become `args`. A
 /// health transition also sets its scope's state counter, and a counter
@@ -401,13 +213,15 @@ pub fn chrome_json(log: &TraceLog) -> String {
     }
     let names = counter_names();
     for event in &log.events {
-        let (row, mut args) = fields(&event.kind);
+        let tag = event.kind.event_type().tag;
+        let mut args = fields(&event.kind);
         let mut take = |key: &str| {
             let i = args.iter().position(|(k, _)| k == key)?;
             Some(args.remove(i).1)
         };
         let ts = format!(r#","ts":{}"#, micros(event.at.as_nanos()));
-        let track = match row.track {
+        let declared = EVENT_TRACKS.iter().find(|&&(t, _)| t == tag);
+        let track = match declared.expect("every event type has a track").1 {
             Track::Channel => match take("channel") {
                 Some(Json::UInt(0)) => "Channel A",
                 _ => "Channel B",
@@ -431,7 +245,7 @@ pub fn chrome_json(log: &TraceLog) -> String {
         let args = Json::Object(args);
         let field = |key: &str| args.get(key).and_then(Json::as_u64).unwrap_or(0);
         let mut state = None;
-        let name = match row.ty {
+        let name = match tag {
             "cycle_start" => "cycle".to_string(),
             "fault_hit" => "fault".to_string(),
             "slot_frame" => format!("slot {} · frame {}", field("slot"), field("frame_id")),
@@ -548,10 +362,27 @@ fn check<'a>(
     Ok(&[])
 }
 
+/// Names the first field of `object` that `declared` does not list, or
+/// that `object` holds twice.
+fn undeclared(object: &Json, declared: impl Fn(&str) -> bool) -> Result<(), String> {
+    let Json::Object(pairs) = object else {
+        return Ok(());
+    };
+    for (i, (field, _)) in pairs.iter().enumerate() {
+        if !declared(field) {
+            return Err(format!("undeclared field {field:?}"));
+        }
+        if pairs[..i].iter().any(|(earlier, _)| earlier == field) {
+            return Err(format!("duplicate field {field:?}"));
+        }
+    }
+    Ok(())
+}
+
 /// Validates a parsed document against the `coefficient-trace/1` schema:
-/// the `HEADER` fields, each event's fields by its row of
-/// `EVENT_TYPES`, counter-sample arity and monotone non-decreasing
-/// `at_ns` per lane. Returns the event count.
+/// exactly the `HEADER` fields, exactly each event's fields by its
+/// declared type ([`EventKind::TYPES`]), counter-sample arity and
+/// monotone non-decreasing `at_ns` per lane. Returns the event count.
 ///
 /// Monotonicity is checked per *lane* — one lane per
 /// `(event type, channel)` pair — not globally: the bus engine
@@ -572,6 +403,7 @@ pub fn validate_trace(doc: &Json) -> Result<usize, String> {
             _ => {}
         }
     }
+    undeclared(doc, |field| HEADER.iter().any(|&(_, name)| name == field))?;
 
     // One monotonicity lane per (type, channel); channel-less events use
     // channel 2 as their lane key.
@@ -584,10 +416,16 @@ pub fn validate_trace(doc: &Json) -> Result<usize, String> {
             .get("type")
             .and_then(Json::as_str)
             .ok_or_else(|| format!("event {i}: missing \"type\""))?;
-        let row = event_type(ty).ok_or_else(|| format!("event {i}: unknown type {ty:?}"))?;
-        for &(kind, field) in row.fields {
-            check(event, field, kind, names).map_err(defect)?;
+        let declared = EventKind::TYPES.iter().find(|declared| declared.tag == ty);
+        let declared = declared.ok_or_else(|| format!("event {i}: unknown type {ty:?}"))?;
+        for &(kind, field) in declared.fields {
+            check(event, field, kind.into(), names).map_err(defect)?;
         }
+        let field_of_type = |field: &str| declared.fields.iter().any(|&(_, name)| name == field);
+        undeclared(event, |field| {
+            ["at_ns", "type"].contains(&field) || field_of_type(field)
+        })
+        .map_err(defect)?;
         let channel = match event.get("channel").and_then(Json::as_u64) {
             Some(c @ (0 | 1)) => c,
             Some(c) => return Err(format!("event {i}: channel {c} out of range")),
@@ -687,125 +525,16 @@ mod tests {
         assert!(validate_trace(&rewound).is_err());
     }
 
-    /// One event of every kind, in `EVENT_TYPES`' order; within an
-    /// event no two integer fields hold the same value.
-    fn one_of_each() -> Vec<EventKind> {
-        use event_sim::SimDuration;
-        use EventKind::*;
-        let duration = SimDuration::from_nanos(6);
-        vec![
-            CycleStart { cycle: 2 },
-            SlotFrame {
-                channel: 1,
-                slot: 2,
-                frame_id: 3,
-                payload_bits: 4,
-                duration,
-                corrupted: true,
-            },
-            MinislotFrame {
-                channel: 1,
-                slot_counter: 2,
-                minislot: 3,
-                frame_id: 4,
-                payload_bits: 5,
-                duration,
-                corrupted: true,
-            },
-            FaultHit {
-                channel: 1,
-                frame_id: 2,
-                in_burst: true,
-            },
-            StealGranted {
-                channel: 1,
-                slot: 2,
-                frame_id: 3,
-            },
-            StealDenied {
-                channel: 1,
-                slot: 2,
-            },
-            EarlyCopy {
-                channel: 1,
-                slot: 2,
-                frame_id: 3,
-            },
-            RetransmissionCopy {
-                channel: 1,
-                frame_id: 2,
-            },
-            SoftShed {
-                frame_id: 2,
-                criticality: 3,
-            },
-            DegradedCopy {
-                channel: 1,
-                slot: 2,
-                frame_id: 3,
-            },
-            FailoverMirror {
-                channel: 1,
-                slot: 2,
-                frame_id: 3,
-            },
-            HealthTransition {
-                scope: 2,
-                from: 3,
-                to: 4,
-            },
-            CounterSample {
-                cycle: 21,
-                values: (1..=20).collect(),
-            },
-            GatewayQueued {
-                port: 1,
-                flow: 2,
-                instance: 3,
-            },
-            EthernetFrame {
-                port: 1,
-                flow: 2,
-                instance: 3,
-                payload_bits: 4,
-                duration,
-                missed_window: true,
-            },
-        ]
-    }
-
-    /// `values` gives each event one value per field of its row (the
-    /// counter values for its `Counts` field), and each field exports the
-    /// value of the `EventKind` field of its name (`duration` for
-    /// `duration_ns`), as the variant's `Debug` text shows it. A row that
-    /// lists two fields out of `values`' order fails here, before any
-    /// recorded export is written from it.
+    /// A new event type fails here until it has a Chrome track, and
+    /// every track it names is a declared one.
     #[test]
-    fn every_field_exports_the_value_of_its_name() {
-        let kinds = one_of_each();
-        let types: Vec<_> = kinds.iter().map(|kind| values(kind).0).collect();
-        assert_eq!(types, EVENT_TYPES.map(|row| row.ty));
-        for kind in &kinds {
-            let (ty, values) = values(kind);
-            let row = event_type(ty).unwrap();
-            let counts = row.fields.iter().filter(|&&(k, _)| k == Counts).count();
-            let arity = row.fields.len() - counts + counts * counter_names().len();
-            assert_eq!(values.len(), arity, "{ty}");
-            let debug = format!("{kind:?}");
-            for (name, value) in fields(kind).1 {
-                let shown = match (&value, name.strip_suffix("_ns")) {
-                    (Json::Array(items), _) => {
-                        let items: Vec<_> = items.iter().filter_map(Json::as_u64).collect();
-                        format!("{name}: {items:?}")
-                    }
-                    (_, Some(name)) => format!("{name}: SimDuration({value}ns)"),
-                    (_, None) => format!("{name}: {value}"),
-                };
-                let at_field = [",", " }"].map(|end| format!(" {shown}{end}"));
-                assert!(
-                    at_field.iter().any(|text| debug.contains(text.as_str())),
-                    "{ty}: {shown:?} is not a field of {debug}"
-                );
+    fn every_declared_event_type_has_one_chrome_track() {
+        let tags: Vec<_> = EventKind::TYPES.iter().map(|ty| ty.tag).collect();
+        let tracked: Vec<_> = EVENT_TRACKS.iter().map(|&(tag, _)| tag).collect();
+        assert_eq!(tracked, tags, "one track per declared tag, in its order");
+        for &(tag, track) in EVENT_TRACKS {
+            if let Track::On(name) = track {
+                assert!(TRACKS.iter().any(|&(_, t)| t == name), "{tag}: {name}");
             }
         }
     }

@@ -12,7 +12,8 @@ use coefficient::{CellOutcome, SweepRunner};
 use event_sim::{SimDuration, SimTime};
 use observe::{EventKind, TraceEvent, TraceLog};
 
-/// One event of each of the 15 kinds, one microsecond apart, then a
+/// One event of each kind, in declaration order and one microsecond
+/// apart, then a
 /// frame shorter than a microsecond and two more health scopes.
 fn every_kind_log() -> TraceLog {
     let kinds = vec![
@@ -22,7 +23,7 @@ fn every_kind_log() -> TraceLog {
             slot: 3,
             frame_id: 3,
             payload_bits: 128,
-            duration: SimDuration::from_micros(40),
+            duration_ns: SimDuration::from_micros(40),
             corrupted: false,
         },
         EventKind::MinislotFrame {
@@ -31,7 +32,7 @@ fn every_kind_log() -> TraceLog {
             minislot: 4,
             frame_id: 90,
             payload_bits: 64,
-            duration: SimDuration::from_micros(10),
+            duration_ns: SimDuration::from_micros(10),
             corrupted: true,
         },
         EventKind::FaultHit {
@@ -90,7 +91,7 @@ fn every_kind_log() -> TraceLog {
             flow: 3,
             instance: 7,
             payload_bits: 512,
-            duration: SimDuration::from_micros(6),
+            duration_ns: SimDuration::from_micros(6),
             missed_window: true,
         },
     ];
@@ -109,7 +110,7 @@ fn every_kind_log() -> TraceLog {
             slot: 2,
             frame_id: 2,
             payload_bits: 16,
-            duration: SimDuration::from_nanos(875),
+            duration_ns: SimDuration::from_nanos(875),
             corrupted: false,
         },
     });
@@ -258,13 +259,12 @@ fn the_every_kind_document_passes_the_validator() {
     let doc = trace_log_json(&golden_cell(), &log);
     assert_eq!(validate_trace(&doc), Ok(log.events.len()));
     let events = doc.get("events").and_then(Json::as_array).unwrap();
-    let mut types: Vec<&str> = events
+    let types: Vec<&str> = events
         .iter()
         .map(|e| e.get("type").and_then(Json::as_str).unwrap())
         .collect();
-    types.sort_unstable();
-    types.dedup();
-    assert_eq!(types.len(), 15, "one event of every type: {types:?}");
+    let declared: Vec<&str> = EventKind::TYPES.iter().map(|ty| ty.tag).collect();
+    assert_eq!(types[..declared.len()], declared, "one event of every type");
 }
 
 #[test]
@@ -303,4 +303,62 @@ fn a_missing_or_mistyped_event_field_is_named() {
     }
     // The 97 fields of the 18 events, plus their five bool fields mistyped.
     assert_eq!(checked, 102);
+}
+
+#[test]
+fn an_undeclared_field_is_named() {
+    let doc = trace_log_json(&golden_cell(), &every_kind_log());
+    // (event index, or none for the header; the extra field), one row
+    // per event type in declaration order.
+    let rows = [
+        (None, "seeds"),
+        (Some(0), "cycles"),
+        (Some(1), "slott"),
+        (Some(2), "minislots"),
+        (Some(3), "burst"),
+        (Some(4), "frame"),
+        (Some(5), "frame_id"),
+        (Some(6), "early"),
+        (Some(7), "slot"),
+        (Some(8), "criticality_level"),
+        (Some(9), "copies"),
+        (Some(10), "mirror"),
+        (Some(11), "state"),
+        (Some(12), "names"),
+        (Some(13), "port_index"),
+        (Some(14), "duration"),
+    ];
+    let events = doc.get("events").and_then(Json::as_array).unwrap();
+    let types: Vec<_> = rows[1..]
+        .iter()
+        .map(|&(index, _)| events[index.unwrap()].get("type").and_then(Json::as_str))
+        .collect();
+    let declared: Vec<_> = EventKind::TYPES.iter().map(|ty| Some(ty.tag)).collect();
+    assert_eq!(types, declared);
+    for (index, field) in rows {
+        let mut bad = doc.clone();
+        let extra = (field.to_string(), Json::UInt(3));
+        let expected = match index {
+            Some(index) => {
+                event_fields(&mut bad, index).push(extra);
+                format!("event {index}: undeclared field \"{field}\"")
+            }
+            None => {
+                let Json::Object(pairs) = &mut bad else {
+                    panic!("the document is an object")
+                };
+                pairs.push(extra);
+                format!("undeclared field \"{field}\"")
+            }
+        };
+        assert_eq!(validate_trace(&bad), Err(expected));
+    }
+    // A declared field given twice is named too.
+    let mut twice = doc.clone();
+    let fields = event_fields(&mut twice, 1);
+    fields.push(fields[3].clone());
+    assert_eq!(
+        validate_trace(&twice),
+        Err("event 1: duplicate field \"slot\"".to_string())
+    );
 }

@@ -528,7 +528,7 @@ impl BusEngine {
                 slot: u64::from(slot),
                 frame_id,
                 payload_bits: wire_bits,
-                duration,
+                duration_ns: duration,
                 corrupted,
             },
             SlotLocation::Dynamic {
@@ -540,7 +540,7 @@ impl BusEngine {
                 minislot,
                 frame_id,
                 payload_bits: wire_bits,
-                duration,
+                duration_ns: duration,
                 corrupted,
             },
         });

@@ -5,11 +5,14 @@
 //! latency summaries). This crate records any run as an inspectable
 //! *timeline*: instrumented components emit typed [`TraceEvent`]s through
 //! clones of one [`Tracer`] handle into its bounded ring, and the run
-//! drains the captured [`TraceLog`] with [`Tracer::take_log`]. It records
-//! and does not export: the bench harness (`bench_harness::trace`)
-//! renders a log as its `coefficient-trace/1` JSON document, and the
-//! Chrome `trace_event` timeline (loadable in Perfetto or
-//! `chrome://tracing`) is a view of that document's events.
+//! drains the captured [`TraceLog`] with [`Tracer::take_log`]. It also
+//! owns the event schema: each event type is declared once, and that
+//! declaration generates [`EventKind`], its `type` tag, field names and
+//! field kinds ([`EventKind::TYPES`]) and its values
+//! ([`EventKind::values`]). The bench harness (`bench_harness::trace`)
+//! renders a log from that schema as its `coefficient-trace/1` JSON
+//! document, and the Chrome `trace_event` timeline (loadable in Perfetto
+//! or `chrome://tracing`) is a view of that document's events.
 //!
 //! Design contract:
 //!
@@ -43,7 +46,7 @@
 mod event;
 mod tracer;
 
-pub use event::{EventKind, HealthScope, TraceEvent, TraceLog};
+pub use event::{EventKind, EventType, FieldKind, FieldValue, HealthScope, TraceEvent, TraceLog};
 pub use tracer::Tracer;
 
 /// How (and whether) a run records its trace.

@@ -277,14 +277,14 @@ proptest! {
         let mut last_end = [event_sim::SimTime::ZERO; 2];
         let mut seen = 0u64;
         for e in &log.events {
-            let EventKind::MinislotFrame { channel, duration, frame_id, .. } = e.kind else {
+            let EventKind::MinislotFrame { channel, duration_ns, frame_id, .. } = e.kind else {
                 continue;
             };
             seen += 1;
             let cycle = config.cycle_of(e.at);
             let dyn_start = config.cycle_start(cycle) + config.dynamic_segment_offset();
             let dyn_end = dyn_start + config.dynamic_segment_duration();
-            let end = e.at + duration;
+            let end = e.at + duration_ns;
             prop_assert!(
                 e.at >= dyn_start && end <= dyn_end,
                 "{policy:?}: frame {frame_id} [{:?}..{:?}] outside dynamic segment \
