@@ -66,6 +66,8 @@ impl Json {
     ///
     /// Arrays and objects may nest at most [`MAX_DEPTH`] levels deep, so
     /// hostile input fails with an error instead of exhausting the stack.
+    /// An object may name a key once: [`get`](Self::get) reads the first
+    /// of a repeated key, so a second one would pass unread.
     ///
     /// # Errors
     /// A [`JsonParseError`] with the byte offset of the first defect.
@@ -245,7 +247,7 @@ pub struct JsonParseError {
     /// Byte offset into the input.
     pub offset: usize,
     /// What the parser expected or rejected.
-    pub message: &'static str,
+    pub message: String,
 }
 
 impl fmt::Display for JsonParseError {
@@ -268,10 +270,10 @@ struct Parser<'a> {
 }
 
 impl<'a> Parser<'a> {
-    fn err(&self, message: &'static str) -> JsonParseError {
+    fn err(&self, message: impl Into<String>) -> JsonParseError {
         JsonParseError {
             offset: self.pos,
-            message,
+            message: message.into(),
         }
     }
 
@@ -360,7 +362,14 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
+            let at = self.pos;
             let key = self.string()?;
+            if pairs.iter().any(|(earlier, _)| *earlier == key) {
+                return Err(JsonParseError {
+                    offset: at,
+                    message: format!("duplicate key {key:?}"),
+                });
+            }
             self.skip_ws();
             self.expect(b':', "expected ':' after object key")?;
             self.skip_ws();
@@ -495,7 +504,7 @@ impl<'a> Parser<'a> {
             .map(Json::Float)
             .map_err(|_| JsonParseError {
                 offset: start,
-                message: "malformed number",
+                message: "malformed number".into(),
             })
     }
 }

@@ -872,6 +872,27 @@ fn truncated_and_mutated_input_files_exit_2_naming_the_defect() {
             named,
         ));
     }
+    // A key given twice: readers take the first, so the parser refuses
+    // the file, naming the key, before the second can pass unread.
+    for (args, text, schema) in [
+        (verify, &golden, "\"schema\": \"coefficient-golden/2\",\n"),
+        (
+            cycles,
+            &baseline,
+            "\"schema\": \"coefficient-bench-cycles/1\",\n",
+        ),
+    ] {
+        assert!(
+            text.contains(schema),
+            "{schema} is not in the checked-in file"
+        );
+        let again = format!("{schema}  \"schema\": \"coefficient-golden/999\",\n");
+        rows.push((
+            args,
+            text.replacen(schema, &again, 1),
+            "duplicate key \"schema\"",
+        ));
+    }
     let dir = std::env::temp_dir().join(format!("cli-file-inputs-{SEED}"));
     std::fs::create_dir_all(&dir).expect("temp dir");
     for (i, (args, text, named)) in rows.iter().enumerate() {

@@ -1,6 +1,7 @@
 //! Property tests for `Json::parse`, the reader behind every golden
-//! corpus, baseline and spec file: it never panics, and it inverts the
-//! writer on every document the writer can emit.
+//! corpus, baseline and spec file: it never panics, it inverts the
+//! writer on every document the writer can emit whose objects name each
+//! key once, and it refuses an object that names a key twice.
 
 use bench_harness::json::{Json, MAX_DEPTH};
 use proptest::prelude::*;
@@ -48,7 +49,8 @@ const FRAGMENTS: [&str; 34] = [
 ];
 
 /// Arbitrary documents the writer can emit: finite floats only (the
-/// writer maps NaN and infinities to `null` by design).
+/// writer maps NaN and infinities to `null` by design), and distinct keys
+/// within each object.
 #[derive(Debug)]
 struct Documents {
     depth: u32,
@@ -97,11 +99,16 @@ fn any_document(rng: &mut SmallRng, depth: u32) -> Json {
                 .map(|_| any_document(rng, depth - 1))
                 .collect(),
         ),
-        _ => Json::Object(
-            (0..rng.gen_range(0..5usize))
-                .map(|_| (any_string(rng), any_document(rng, depth - 1)))
-                .collect(),
-        ),
+        _ => {
+            let mut pairs: Vec<(String, Json)> = Vec::new();
+            for _ in 0..rng.gen_range(0..5usize) {
+                let pair = (any_string(rng), any_document(rng, depth - 1));
+                if pairs.iter().all(|(key, _)| *key != pair.0) {
+                    pairs.push(pair);
+                }
+            }
+            Json::Object(pairs)
+        }
     }
 }
 
@@ -136,6 +143,34 @@ proptest! {
     fn parse_inverts_the_writer(doc in Documents { depth: 4 }) {
         prop_assert_eq!(Json::parse(&doc.to_string()).ok(), Some(doc.clone()));
         prop_assert_eq!(Json::parse(&doc.pretty()).ok(), Some(doc));
+    }
+
+    #[test]
+    fn a_repeated_key_fails_to_parse_and_distinct_keys_round_trip(
+        value in Documents { depth: 3 },
+        fragment in 0..FRAGMENTS.len(),
+        first in 0usize..4,
+        gap in 0usize..4,
+    ) {
+        // Four distinct keys round-trip, at the top level and nested.
+        let keys: Vec<String> = (0..4).map(|i| format!("{}{i}", FRAGMENTS[fragment])).collect();
+        let pairs: Vec<(String, Json)> = keys.iter().map(|k| (k.clone(), value.clone())).collect();
+        let object = Json::Object(pairs.clone());
+        let nested = Json::Array(vec![value.clone(), object.clone()]);
+        for doc in [object, nested] {
+            prop_assert_eq!(Json::parse(&doc.pretty()).ok(), Some(doc));
+        }
+        // One of them given again, anywhere after its first place, fails
+        // the parse naming it.
+        let mut repeated = pairs;
+        repeated.insert(first + 1 + gap % (4 - first), (keys[first].clone(), Json::Null));
+        let named = format!("duplicate key {:?}", keys[first]);
+        let object = Json::Object(repeated);
+        let nested = Json::Array(vec![value, object.clone()]);
+        for doc in [object, nested] {
+            let err = Json::parse(&doc.to_string()).unwrap_err();
+            prop_assert_eq!(&err.message, &named);
+        }
     }
 
     #[test]

@@ -56,7 +56,7 @@ impl InstanceStatus {
 }
 
 /// What a run report reads off the instance log, per class
-/// (`[static, dynamic]`, indexed by `class as usize`), from one pass.
+/// (`[static, dynamic]`, indexed by `class as usize`).
 #[derive(Debug, Clone, Default)]
 pub struct LogSummary {
     /// Latency of delivered instances.
@@ -72,8 +72,12 @@ pub struct LogSummary {
 #[derive(Debug, Default)]
 pub struct InstanceTracker {
     instances: Vec<InstanceStatus>,
-    /// Running count of instances delivered within their deadline.
-    delivered_in_time: u64,
+    /// Instances produced, per class.
+    produced: [u64; 2],
+    /// The delivered instances, each folded in at its first uncorrupted
+    /// transmission. A summary holds counts, extremes and exact totals,
+    /// so delivery order gives the log-order result bit for bit.
+    delivered: LogSummary,
     /// Running count of instances that were corrupted at least once and
     /// delivered (in either order).
     faults_recovered: u64,
@@ -106,6 +110,7 @@ impl InstanceTracker {
         deadline: SimTime,
     ) -> InstanceId {
         let id = self.instances.len();
+        self.produced[class as usize] += 1;
         self.instances.push(InstanceStatus {
             message,
             class,
@@ -145,9 +150,11 @@ impl InstanceTracker {
             inst.corrupted += 1;
         } else if inst.delivered_at.is_none() {
             inst.delivered_at = Some(end);
-            if end <= inst.deadline {
-                self.delivered_in_time += 1;
-            }
+            let k = inst.class as usize;
+            let log = &mut self.delivered;
+            log.latency[k].record(end.saturating_duration_since(inst.produced_at));
+            log.deadlines[k].record_completion(end, inst.deadline);
+            log.delivered += 1;
         }
         if !was_recovered && inst.corrupted > 0 && inst.is_delivered() {
             self.faults_recovered += 1;
@@ -157,7 +164,8 @@ impl InstanceTracker {
     /// Number of instances delivered at or before their deadline — the
     /// paper's notion of a *successful* transmission (§III-E).
     pub fn delivered_in_time(&self) -> u64 {
-        self.delivered_in_time
+        let [s, d] = self.delivered.deadlines;
+        s.met() + d.met()
     }
 
     /// Number of instances with at least one corrupted transmission that
@@ -172,9 +180,9 @@ impl InstanceTracker {
         self.instances.len()
     }
 
-    /// Number of delivered instances (a view of [`summary`](Self::summary)).
+    /// Number of delivered instances.
     pub fn delivered(&self) -> usize {
-        self.summary().delivered
+        self.delivered.delivered
     }
 
     /// All instances.
@@ -183,18 +191,13 @@ impl InstanceTracker {
     }
 
     /// Both classes' latency summaries and deadline trackers and the
-    /// delivered count, from one pass over the log.
+    /// delivered count: the running summary of the delivered instances,
+    /// with every undelivered one counted lost.
     pub fn summary(&self) -> LogSummary {
-        let mut s = LogSummary::default();
-        for i in &self.instances {
-            let k = i.class as usize;
-            match i.delivered_at {
-                Some(d) => {
-                    s.latency[k].record(d.saturating_duration_since(i.produced_at));
-                    s.deadlines[k].record_completion(d, i.deadline);
-                    s.delivered += 1;
-                }
-                None => s.deadlines[k].record_lost(),
+        let mut s = self.delivered.clone();
+        for (deadlines, produced) in s.deadlines.iter_mut().zip(self.produced) {
+            for _ in deadlines.total()..produced {
+                deadlines.record_lost();
             }
         }
         s

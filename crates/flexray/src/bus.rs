@@ -19,7 +19,7 @@ use reliability::monitor::{HealthState, MonitorConfig, ReliabilityMonitor};
 
 use crate::channel::ChannelId;
 use crate::codec::{FrameCoding, BITS_PER_BYTE_CODED, MAX_PAYLOAD_BYTES};
-use crate::config::{ClusterConfig, ACTION_POINT_OFFSET, DYNAMIC_SLOT_IDLE_PHASE};
+use crate::config::{minislots_for, ClusterConfig, ACTION_POINT_OFFSET, DYNAMIC_SLOT_IDLE_PHASE};
 use crate::schedule::MessageId;
 
 /// A payload handed to the engine for transmission. The engine reads
@@ -265,9 +265,7 @@ impl BusEngine {
     pub fn new(config: ClusterConfig) -> Self {
         let coding = FrameCoding;
         BusEngine {
-            minislot_bits: (config.minislot_duration().as_nanos() as u128
-                * config.bit_rate_bps() as u128
-                / 1_000_000_000u128) as u64,
+            minislot_bits: config.minislot_bits(),
             dynamic_overhead_bits: coding.frame_wire_bits(0, true),
             config,
             coding,
@@ -375,7 +373,7 @@ impl BusEngine {
     /// Panics if `cycle` is not the next cycle, if a static frame exceeds
     /// the slot capacity, or if a dynamic frame exceeds the advertised
     /// maximum.
-    pub fn run_cycle(&mut self, cycle: u64, source: &mut dyn TrafficSource) {
+    pub fn run_cycle<S: TrafficSource + ?Sized>(&mut self, cycle: u64, source: &mut S) {
         assert_eq!(cycle, self.cycles_run, "cycles must be run in order");
         self.tracer
             .emit(self.config.cycle_start(cycle), || EventKind::CycleStart {
@@ -402,23 +400,25 @@ impl BusEngine {
         self.cycles_run += 1;
     }
 
-    fn run_static_segment(
+    fn run_static_segment<S: TrafficSource + ?Sized>(
         &mut self,
         cycle: u64,
         cycle_counter: u8,
         channel: ChannelId,
-        source: &mut dyn TrafficSource,
+        source: &mut S,
     ) {
         let capacity = self.config.static_slot_capacity_bits();
         let slots = self.config.static_slot_count();
+        let slot_duration = self.config.static_slot_duration();
+        // Slot 1's action point; slot `s` transmits `s − 1` slots later.
+        let first_start = self.config.cycle_start(cycle) + self.config.mt(ACTION_POINT_OFFSET);
         let mut slot = 1;
         while slot <= slots {
             let slot_u16 = slot as u16;
             let (frame, next) = source.offer_static(cycle, cycle_counter, slot_u16, channel);
             match frame {
                 Some(payload) => {
-                    let start = self.config.static_slot_start(cycle, slot)
-                        + self.config.mt(ACTION_POINT_OFFSET);
+                    let start = first_start + slot_duration * (slot - 1);
                     let location = SlotLocation::Static { slot: slot_u16 };
                     let wire_bits = self.transmit(cycle, channel, location, start, payload, source);
                     // The transmit step sizes the frame, so an oversized
@@ -427,7 +427,7 @@ impl BusEngine {
                         wire_bits <= capacity,
                         "frame of {wire_bits} wire bits exceeds static slot capacity {capacity}"
                     );
-                    self.stats[channel.index()].occupied += self.config.static_slot_duration();
+                    self.stats[channel.index()].occupied += slot_duration;
                 }
                 None => {
                     self.stats[channel.index()].idle_static_slots += 1;
@@ -440,15 +440,17 @@ impl BusEngine {
         }
     }
 
-    fn run_dynamic_segment(
+    fn run_dynamic_segment<S: TrafficSource + ?Sized>(
         &mut self,
         cycle: u64,
         channel: ChannelId,
-        source: &mut dyn TrafficSource,
+        source: &mut S,
     ) {
         let n_ms = self.config.minislot_count();
         let latest_tx = self.config.latest_tx();
         let ms_bits = self.minislot_bits;
+        let ms_duration = self.config.minislot_duration();
+        let segment_start = self.config.cycle_start(cycle) + self.config.dynamic_segment_offset();
         let mut ms: u64 = 0;
         let mut slot_counter = self.config.static_slot_count() + 1;
         // A transmission may start only before pLatestTx, and only while
@@ -476,16 +478,15 @@ impl BusEngine {
                         "dynamic payload {} exceeds advertised maximum {max_payload}",
                         payload.payload_bytes
                     );
-                    let start = self.config.cycle_start(cycle) + self.config.minislot_offset(ms);
+                    let start = segment_start + ms_duration * ms;
                     let location = SlotLocation::Dynamic {
                         slot_counter,
                         minislot: ms,
                     };
                     let wire_bits = self.transmit(cycle, channel, location, start, payload, source);
-                    let used_ms = self.config.minislots_for(wire_bits);
+                    let used_ms = minislots_for(wire_bits, ms_bits);
                     debug_assert!(ms + used_ms <= n_ms, "engine sizing is consistent");
-                    self.stats[channel.index()].occupied +=
-                        self.config.minislot_duration() * used_ms;
+                    self.stats[channel.index()].occupied += ms_duration * used_ms;
                     ms += used_ms;
                 }
                 None => {
@@ -504,14 +505,14 @@ impl BusEngine {
     /// segment knows), traces it and reports its [`TransmissionOutcome`]
     /// to `source`. Returns the frame's wire bits.
     #[inline(always)]
-    fn transmit(
+    fn transmit<S: TrafficSource + ?Sized>(
         &mut self,
         cycle: u64,
         channel: ChannelId,
         location: SlotLocation,
         start: SimTime,
         payload: OutboundPayload,
-        source: &mut dyn TrafficSource,
+        source: &mut S,
     ) -> u64 {
         let dynamic = matches!(location, SlotLocation::Dynamic { .. });
         let (wire_bits, duration) = self.wire_time(payload.payload_bytes, dynamic);
@@ -608,7 +609,7 @@ impl BusEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reliability::fault::BernoulliFaults;
+    use reliability::fault::{BernoulliFaults, FaultCounters};
     use reliability::Ber;
 
     fn config() -> ClusterConfig {
@@ -753,6 +754,9 @@ mod tests {
             }
             other => panic!("unexpected location {other:?}"),
         }
+        // The dynamic segment starts after 4 slots of 60 MT; minislot 2
+        // starts 2 minislots of 2 MT later.
+        assert_eq!(out.start, SimTime::from_micros(244));
         // 16-byte payload → (5+16+3)*10 + 5+1+2+2 = 250 bits → 13 minislots
         // of 20 bits + 1 idle phase = 14 minislots consumed.
         assert_eq!(out.wire_bits, 250);
@@ -1153,6 +1157,57 @@ mod tests {
             }
         }
         src
+    }
+
+    /// The generic entry runs what the `dyn` entry runs. Each test source,
+    /// offered every position ([`Script`]) or only the ones it hints
+    /// ([`Hinted`]), runs under Bernoulli faults on both channels once as
+    /// its own type and once as `&mut dyn TrafficSource`, the way
+    /// perfbench's timed source and the test sources reach the engine:
+    /// all four runs give the same statistics, fault counters and
+    /// outcomes.
+    #[test]
+    fn generic_and_dyn_sources_run_the_same_cycles() {
+        fn run<S: TrafficSource + ?Sized>(source: &mut S) -> [(ChannelStats, FaultCounters); 2] {
+            let ber = Ber::new(1e-3).unwrap();
+            let mut engine = BusEngine::new(config()).with_faults(
+                Box::new(BernoulliFaults::new(ber, 1)),
+                Box::new(BernoulliFaults::new(ber, 2)),
+            );
+            for cycle in 0..6 {
+                engine.run_cycle(cycle, source);
+            }
+            ChannelId::BOTH.map(|ch| (*engine.stats(ch), engine.fault_counters(ch)))
+        }
+        let script = || {
+            let mut src = saturating_script(6);
+            for cycle in 0..6 {
+                src.dynamic_payloads
+                    .push((cycle, ChannelId::A, 7, payload(40, 16)));
+                src.dynamic_payloads
+                    .push((cycle, ChannelId::B, 30, payload(41, 4)));
+            }
+            src
+        };
+        let (mut own, mut by_dyn) = (script(), script());
+        let want = run(&mut own);
+        assert_eq!(run(&mut by_dyn as &mut dyn TrafficSource), want);
+        assert_eq!(by_dyn.outcomes, own.outcomes);
+        assert!(own.outcomes.iter().any(|o| o.corrupted), "faults hit");
+        let hinted = || Hinted {
+            script: script(),
+            ..Hinted::default()
+        };
+        let (mut own_hinted, mut dyn_hinted) = (hinted(), hinted());
+        assert_eq!(run(&mut own_hinted), want);
+        assert_eq!(run(&mut dyn_hinted as &mut dyn TrafficSource), want);
+        for src in [&own_hinted, &dyn_hinted] {
+            assert_eq!(src.script.outcomes, own.outcomes);
+        }
+        assert_eq!(
+            (own_hinted.static_offers, own_hinted.dynamic_offers),
+            (dyn_hinted.static_offers, dyn_hinted.dynamic_offers)
+        );
     }
 
     #[test]

@@ -366,19 +366,6 @@ impl ClusterConfig {
         self.static_segment_duration()
     }
 
-    /// Offset of minislot `ms` (0-based) from the cycle start.
-    ///
-    /// # Panics
-    /// Panics if `ms` is out of range.
-    pub fn minislot_offset(&self, ms: u64) -> SimDuration {
-        assert!(
-            ms < self.g_number_of_minislots,
-            "minislot {ms} out of range 0..{}",
-            self.g_number_of_minislots
-        );
-        self.dynamic_segment_offset() + self.mt(ms * self.gd_minislot)
-    }
-
     /// The communication cycle containing instant `t`.
     pub fn cycle_of(&self, t: SimTime) -> u64 {
         t.as_nanos() / self.cycle_duration().as_nanos()
@@ -425,15 +412,19 @@ impl ClusterConfig {
             as u64
     }
 
-    /// The number of minislots a dynamic transmission of `bits` bits
-    /// occupies (rounded up; at least one), including the dynamic slot idle
-    /// phase.
-    pub fn minislots_for(&self, bits: u64) -> u64 {
-        let ms_bits = (self.minislot_duration().as_nanos() as u128 * self.bit_rate_bps as u128
-            / 1_000_000_000u128) as u64;
-        let needed = bits.div_ceil(ms_bits.max(1)).max(1);
-        needed + DYNAMIC_SLOT_IDLE_PHASE
+    /// Bits transferable per minislot at the configured rate.
+    pub fn minislot_bits(&self) -> u64 {
+        (self.minislot_duration().as_nanos() as u128 * self.bit_rate_bps as u128
+            / 1_000_000_000u128) as u64
     }
+}
+
+/// The number of minislots of `minislot_bits` bits
+/// ([`ClusterConfig::minislot_bits`]) a dynamic transmission of `bits`
+/// bits occupies (rounded up; at least one), including the dynamic slot
+/// idle phase.
+pub(crate) fn minislots_for(bits: u64, minislot_bits: u64) -> u64 {
+    bits.div_ceil(minislot_bits.max(1)).max(1) + DYNAMIC_SLOT_IDLE_PHASE
 }
 
 #[cfg(test)]
@@ -458,8 +449,7 @@ mod tests {
         assert_eq!(c.static_slot_offset(1), SimDuration::ZERO);
         assert_eq!(c.static_slot_offset(2), SimDuration::from_micros(40));
         assert_eq!(c.static_slot_start(2, 1), SimTime::from_micros(10_000));
-        assert_eq!(c.minislot_offset(0), SimDuration::from_micros(3200));
-        assert_eq!(c.minislot_offset(3), SimDuration::from_micros(3206));
+        assert_eq!(c.dynamic_segment_offset(), SimDuration::from_micros(3200));
     }
 
     #[test]
@@ -556,8 +546,8 @@ mod tests {
         assert_eq!(c.static_slot_capacity_bits(), 380);
         assert_eq!(c.transmission_duration(100), SimDuration::from_micros(10));
         // Minislot = 2 MT = 20 bits; 50 bits → 3 minislots + 1 idle phase.
-        assert_eq!(c.minislots_for(50), 4);
-        assert_eq!(c.minislots_for(1), 2);
+        assert_eq!(minislots_for(50, c.minislot_bits()), 4);
+        assert_eq!(minislots_for(1, c.minislot_bits()), 2);
     }
 
     #[test]

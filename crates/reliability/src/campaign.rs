@@ -33,11 +33,10 @@
 //! [`FaultProcess::on_cycle_start`].
 
 use rand::rngs::SmallRng;
-use rand::Rng;
 
 use event_sim::rng::substream;
 
-use crate::fault::{FaultCounters, FaultProcess};
+use crate::fault::{draw_threshold, draws_below, FaultCounters, FaultProcess};
 
 /// Which channel(s) of the dual-channel bus an event strikes.
 ///
@@ -324,6 +323,8 @@ pub struct CampaignFaults {
     /// Disturbance state recomputed at each cycle start.
     blackout: bool,
     extra_probability: f64,
+    /// The [`draw_threshold`] of `extra_probability`.
+    extra_threshold: u64,
     /// Counter snapshot reported while a sensor dropout is active.
     frozen: Option<FaultCounters>,
     rng: SmallRng,
@@ -355,6 +356,7 @@ impl CampaignFaults {
             started,
             blackout: false,
             extra_probability: 0.0,
+            extra_threshold: 0,
             frozen: None,
             rng: substream(seed, "fault/campaign"),
             counters: FaultCounters::default(),
@@ -398,6 +400,7 @@ impl CampaignFaults {
                 FaultEventKind::SensorDropout => dropout = true,
             }
         }
+        self.extra_threshold = draw_threshold(self.extra_probability);
         if dropout {
             if self.frozen.is_none() {
                 self.frozen = Some(self.counters);
@@ -422,8 +425,8 @@ impl FaultProcess for CampaignFaults {
         } else {
             let base_hit = self.base.corrupts(bits);
             if !base_hit
-                && self.extra_probability > 0.0
-                && self.rng.gen::<f64>() < self.extra_probability
+                && self.extra_threshold > 0
+                && draws_below(&mut self.rng, self.extra_threshold)
             {
                 self.campaign.extra_faults += 1;
                 true

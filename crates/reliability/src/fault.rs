@@ -12,7 +12,7 @@
 //! Both are deterministic under a seed, via [`event_sim::rng::substream`].
 
 use rand::rngs::SmallRng;
-use rand::Rng;
+use rand::RngCore;
 
 use event_sim::rng::substream;
 
@@ -33,15 +33,17 @@ use crate::campaign::CampaignCounters;
 /// the codec).
 const FRAME_PROB_SLOTS: usize = 256;
 
-/// Exact memo of [`Ber::frame_failure_probability`] for one bit error rate.
+/// Exact memo of [`Ber::frame_failure_probability`] for one bit error rate,
+/// kept as each probability's [`draw_threshold`].
 ///
 /// `ln(1 − BER)` is precomputed once and each distinct `bits` value pays
 /// the `exp_m1` only on first sight, so the per-frame hot path is a table
 /// probe. The table is direct-mapped (see [`FRAME_PROB_SLOTS`]) and each
 /// entry stores its `bits`, so any other size is still exact: a collision
-/// only evicts an entry. The cached value is produced by the *same
-/// expression* as the uncached one — `-exp_m1(bits · ln_1p(−BER))` — so
-/// results are bit-identical and golden digests are unaffected.
+/// only evicts an entry. The threshold is taken of the probability the
+/// *same expression* as the uncached one computes —
+/// `-exp_m1(bits · ln_1p(−BER))` — so draws are bit-identical and golden
+/// digests are unaffected.
 #[derive(Debug, Clone)]
 struct FrameProbCache {
     rate: f64,
@@ -49,7 +51,7 @@ struct FrameProbCache {
     /// The `bits` each entry holds; 0 (never probed: a 0-bit frame
     /// short-circuits) marks an empty entry.
     keys: [u32; FRAME_PROB_SLOTS],
-    probs: [f64; FRAME_PROB_SLOTS],
+    thresholds: [u64; FRAME_PROB_SLOTS],
     /// `exp_m1` evaluations so far (tests check the memo's hit pattern).
     #[cfg(test)]
     evaluations: u32,
@@ -61,30 +63,49 @@ impl FrameProbCache {
             rate: ber.rate(),
             ln1p_neg_rate: f64::ln_1p(-ber.rate()),
             keys: [0; FRAME_PROB_SLOTS],
-            probs: [0.0; FRAME_PROB_SLOTS],
+            thresholds: [0; FRAME_PROB_SLOTS],
             #[cfg(test)]
             evaluations: 0,
         }
     }
 
+    /// The [`draw_threshold`] of a `bits`-bit frame's failure probability.
     #[inline]
-    fn probability(&mut self, bits: u32) -> f64 {
+    fn threshold(&mut self, bits: u32) -> u64 {
         if self.rate == 0.0 || bits == 0 {
-            return 0.0;
+            return 0;
         }
         let slot = (bits >> 1) as usize % FRAME_PROB_SLOTS;
         if self.keys[slot] == bits {
-            return self.probs[slot];
+            return self.thresholds[slot];
         }
         #[cfg(test)]
         {
             self.evaluations += 1;
         }
-        let p = -f64::exp_m1(f64::from(bits) * self.ln1p_neg_rate);
+        let t = draw_threshold(-f64::exp_m1(f64::from(bits) * self.ln1p_neg_rate));
         self.keys[slot] = bits;
-        self.probs[slot] = p;
-        p
+        self.thresholds[slot] = t;
+        t
     }
+}
+
+/// The integer form of probability `p` for a uniform draw:
+/// `ceil(p · 2^53)`. `rng.gen::<f64>()` is `(next_u64() >> 11) · 2^-53`
+/// exactly, so it falls below `p` iff its integer `next_u64() >> 11` falls
+/// below this threshold ([`draws_below`]); the threshold is above 0 iff
+/// `p > 0`. Scaling by `2^53` is exact, so no rounding enters.
+#[must_use]
+pub fn draw_threshold(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// One uniform draw from `rng`, compared with a [`draw_threshold`]: the
+/// same RNG word and the same answer as `rng.gen::<f64>() < p`, without
+/// the float conversion.
+#[inline]
+pub fn draws_below(rng: &mut SmallRng, threshold: u64) -> bool {
+    rng.next_u64() >> 11 < threshold
 }
 
 /// Hit pattern returned by a batched per-segment fault draw.
@@ -252,8 +273,8 @@ impl BernoulliFaults {
 
 impl FaultProcess for BernoulliFaults {
     fn corrupts(&mut self, bits: u32) -> bool {
-        let p = self.prob.probability(bits);
-        let hit = p > 0.0 && self.rng.gen::<f64>() < p;
+        let t = self.prob.threshold(bits);
+        let hit = t > 0 && draws_below(&mut self.rng, t);
         self.counters.frames_checked += 1;
         self.counters.faults_injected += u64::from(hit);
         hit
@@ -274,13 +295,13 @@ impl FaultProcess for BernoulliFaults {
     fn corrupts_run(&mut self, bits: u32, frames: u32) -> SegmentHits {
         debug_assert!(frames <= 64, "batch wider than the hit mask");
         self.counters.frames_checked += u64::from(frames);
-        let p = self.prob.probability(bits);
-        if p <= 0.0 {
+        let t = self.prob.threshold(bits);
+        if t == 0 {
             return SegmentHits::clear(frames);
         }
         let mut mask = 0u64;
         for i in 0..frames {
-            mask |= u64::from(self.rng.gen::<f64>() < p) << i;
+            mask |= u64::from(draws_below(&mut self.rng, t)) << i;
         }
         self.counters.faults_injected += u64::from(mask.count_ones());
         SegmentHits { mask, frames }
@@ -304,6 +325,8 @@ pub struct GilbertElliott {
     p_gb: f64,
     /// P(bad → good) after a frame.
     p_bg: f64,
+    /// The [`draw_threshold`]s of `p_gb` and `p_bg`.
+    flip: [u64; 2],
     in_bad: bool,
     rng: SmallRng,
     counters: FaultCounters,
@@ -324,6 +347,7 @@ impl GilbertElliott {
             bad_prob: FrameProbCache::new(bad_ber),
             p_gb,
             p_bg,
+            flip: [draw_threshold(p_gb), draw_threshold(p_bg)],
             in_bad: false,
             rng: substream(seed, "fault/gilbert-elliott"),
             counters: FaultCounters::default(),
@@ -349,17 +373,16 @@ impl GilbertElliott {
 
 impl FaultProcess for GilbertElliott {
     fn corrupts(&mut self, bits: u32) -> bool {
-        let p = if self.in_bad {
-            self.bad_prob.probability(bits)
+        let t = if self.in_bad {
+            self.bad_prob.threshold(bits)
         } else {
-            self.good_prob.probability(bits)
+            self.good_prob.threshold(bits)
         };
-        let hit = p > 0.0 && self.rng.gen::<f64>() < p;
+        let hit = t > 0 && draws_below(&mut self.rng, t);
         self.counters.frames_checked += 1;
         self.counters.faults_injected += u64::from(hit);
         // State transition after the frame.
-        let flip = if self.in_bad { self.p_bg } else { self.p_gb };
-        if self.rng.gen::<f64>() < flip {
+        if draws_below(&mut self.rng, self.flip[usize::from(self.in_bad)]) {
             self.in_bad = !self.in_bad;
         }
         hit
@@ -579,13 +602,9 @@ mod tests {
             // the hit path are compared against the uncached expression.
             for _ in 0..2 {
                 for bits in [0u32, 1, 7, 42, 100, 254, 1000, 2040, 4096, 65_535, 123_456] {
-                    let want = ber.frame_failure_probability(bits);
-                    let got = cache.probability(bits);
-                    assert_eq!(
-                        got.to_bits(),
-                        want.to_bits(),
-                        "rate {rate} bits {bits}: cached {got} != direct {want}"
-                    );
+                    let want = draw_threshold(ber.frame_failure_probability(bits));
+                    let got = cache.threshold(bits);
+                    assert_eq!(got, want, "rate {rate} bits {bits}");
                 }
             }
         }
@@ -607,9 +626,8 @@ mod tests {
         assert_eq!(sizes.len(), FRAME_PROB_SLOTS);
         for pass in 0..2 {
             for &bits in &sizes {
-                let want = ber.frame_failure_probability(bits);
-                let got = cache.probability(bits);
-                assert_eq!(got.to_bits(), want.to_bits(), "pass {pass} bits {bits}");
+                let want = draw_threshold(ber.frame_failure_probability(bits));
+                assert_eq!(cache.threshold(bits), want, "pass {pass} bits {bits}");
             }
         }
         // The second pass hit on every size: no two sizes share a slot.
@@ -625,8 +643,8 @@ mod tests {
             // evicts on every probe.
             for _ in 0..3 {
                 for b in [bits, bits + 512, bits + 1024] {
-                    let want = ber.frame_failure_probability(b);
-                    assert_eq!(cache.probability(b).to_bits(), want.to_bits(), "bits {b}");
+                    let want = draw_threshold(ber.frame_failure_probability(b));
+                    assert_eq!(cache.threshold(b), want, "bits {b}");
                 }
             }
         }
